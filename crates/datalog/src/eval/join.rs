@@ -516,8 +516,10 @@ pub fn succ_symbol() -> Symbol {
     Symbol::intern("succ")
 }
 
-/// Greedily reorder `rule`'s body for evaluation, or return `None` when the source
-/// order is already the greedy order.
+/// Greedily reorder `rule`'s body for evaluation behind its first `pinned` literals
+/// (which keep their places — the delta-first firings of delete propagation pin the
+/// literal a delta stands in for), or return `None` when the source order is already
+/// the greedy order.
 ///
 /// At each step the next literal is the one with the most bound argument positions
 /// (constants plus variables bound by already-placed literals) — the cheapest to match
@@ -531,8 +533,13 @@ pub fn succ_symbol() -> Symbol {
 /// it matches nothing until one argument is bound — so whether it can evaluate depends
 /// on its position relative to its binders, and moving it could change the computed
 /// model rather than merely its cost. Reordering must stay a pure performance knob.
-pub fn reorder_body(rule: &Rule, db: &Database, options: &EvalOptions) -> Option<Rule> {
-    if rule.body.len() < 2 {
+pub fn reorder_body(
+    rule: &Rule,
+    pinned: usize,
+    db: &Database,
+    options: &EvalOptions,
+) -> Option<Rule> {
+    if rule.body.len() < pinned + 2 {
         return None;
     }
     let virtual_succ = |atom: &Atom| {
@@ -544,9 +551,12 @@ pub fn reorder_body(rule: &Rule, db: &Database, options: &EvalOptions) -> Option
         return None;
     }
     let size_of = |p: Symbol| db.relation(p).map(Relation::len).unwrap_or(0);
-    let mut bound: FxHashSet<Symbol> = FxHashSet::default();
-    let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(rule.body.len());
+    let mut bound: FxHashSet<Symbol> = rule.body[..pinned]
+        .iter()
+        .flat_map(|atom| atom.terms.iter().filter_map(Term::as_var))
+        .collect();
+    let mut remaining: Vec<usize> = (pinned..rule.body.len()).collect();
+    let mut order: Vec<usize> = (0..pinned).collect();
     while !remaining.is_empty() {
         // (slot in `remaining`, (bound positions, relation size, original index)).
         let mut pick: Option<(usize, (usize, usize, usize))> = None;
@@ -846,7 +856,8 @@ impl CompiledRule {
 
     /// Fire one shard of a hash-partitioned firing: like [`CompiledRule::fire_with`],
     /// but the depth-0 (outer) rows are filtered to those [`ShardSpec::owns`] says
-    /// belong to this worker, and `emit` additionally receives the outer row id — the
+    /// belong to this worker, and `emit` additionally receives the outer row's place in
+    /// the enumeration (its row id for a scan, its chain position for a probe) — the
     /// insertion key the round driver merge-sorts per-worker out-buffers by, so the
     /// merged staging relation reproduces the single-thread emission order exactly.
     ///
@@ -948,13 +959,16 @@ impl CompiledRule {
                     };
                     hasher.push(&value);
                 }
+                // The merge key of a probed outer row is its position in the chain:
+                // chains are not in row-id order, and the round driver rebuilds the
+                // sequential emission order by merging ascending keys.
                 let candidates = relation.probe_candidates(index, hasher.finish());
-                for &row_id in candidates {
+                for (position, row_id) in candidates.enumerate() {
                     let row = relation.row(row_id);
                     if !shard.owns(row_id, row) {
                         continue;
                     }
-                    let mut inner = |tuple: &[Const]| emit(row_id, tuple);
+                    let mut inner = |tuple: &[Const]| emit(position as RowId, tuple);
                     self.bind_and_descend(&ctx, 0, row, scratch, &mut inner, &mut count);
                 }
             }
@@ -1100,8 +1114,7 @@ impl CompiledRule {
                     };
                     hasher.push(&value);
                 }
-                let candidates = relation.probe_candidates(index, hasher.finish());
-                for &row_id in candidates {
+                for row_id in relation.probe_candidates(index, hasher.finish()) {
                     self.bind_and_descend(ctx, depth, relation.row(row_id), scratch, emit, count);
                 }
             }
@@ -1600,7 +1613,8 @@ mod tests {
             db.add_fact("big", &[c(i), c(i + 1)]);
         }
         db.add_fact("small", &[c(1), c(2)]);
-        let reordered = reorder_body(&rule, &db, &EvalOptions::default()).expect("order changes");
+        let reordered =
+            reorder_body(&rule, 0, &db, &EvalOptions::default()).expect("order changes");
         assert_eq!(reordered.body[0].predicate, Symbol::intern("small"));
         assert_eq!(reordered.body[1].predicate, Symbol::intern("big"));
         assert_eq!(reordered.head, rule.head);
@@ -1620,7 +1634,8 @@ mod tests {
             db.add_fact("q", &[c(i % 7), c(i)]);
         }
         db.add_fact("r", &[c(1), c(2)]);
-        let reordered = reorder_body(&rule, &db, &EvalOptions::default()).expect("order changes");
+        let reordered =
+            reorder_body(&rule, 0, &db, &EvalOptions::default()).expect("order changes");
         assert_eq!(reordered.body[0].predicate, Symbol::intern("q"));
     }
 
@@ -1636,7 +1651,7 @@ mod tests {
         for i in 0..10i64 {
             db.add_fact("counter", &[c(i)]);
         }
-        assert!(reorder_body(&rule, &db, &EvalOptions::default()).is_none());
+        assert!(reorder_body(&rule, 0, &db, &EvalOptions::default()).is_none());
 
         // With an explicit succ relation, succ is an ordinary stored predicate and
         // the body reorders freely: counter (2 rows) is promoted over succ (10).
@@ -1646,7 +1661,8 @@ mod tests {
         for i in 0..10i64 {
             db.add_fact("succ", &[c(i), c(i + 1)]);
         }
-        let reordered = reorder_body(&rule, &db, &EvalOptions::default()).expect("order changes");
+        let reordered =
+            reorder_body(&rule, 0, &db, &EvalOptions::default()).expect("order changes");
         assert_eq!(reordered.body[0].predicate, Symbol::intern("counter"));
     }
 
@@ -1674,14 +1690,14 @@ mod tests {
     fn reorder_is_a_no_op_when_order_is_already_greedy() {
         let rule = parse_rule("t(X, Y) :- e(X, Y).").unwrap();
         let db = Database::new();
-        assert!(reorder_body(&rule, &db, &EvalOptions::default()).is_none());
+        assert!(reorder_body(&rule, 0, &db, &EvalOptions::default()).is_none());
         let two = parse_rule("p(X, Y) :- a(X, W), b(W, Y).").unwrap();
         let mut db = Database::new();
         db.add_fact("a", &[c(1), c(2)]);
         db.add_fact("b", &[c(2), c(3)]);
         db.add_fact("b", &[c(2), c(4)]);
         // a is smaller and nothing is bound: original order is the greedy order.
-        assert!(reorder_body(&two, &db, &EvalOptions::default()).is_none());
+        assert!(reorder_body(&two, 0, &db, &EvalOptions::default()).is_none());
     }
 
     #[test]

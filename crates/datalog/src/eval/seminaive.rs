@@ -18,8 +18,8 @@
 //!   externally seeded deltas (newly inserted EDB facts), deriving only consequences
 //!   that use at least one new fact instead of re-evaluating from scratch;
 //! * [`seminaive_retract`] — the negative-delta counterpart: retract base facts from
-//!   an existing least model with DRed-shaped over-delete/re-derive propagation and
-//!   a counting re-derivation phase, through the same compiled firings.
+//!   an existing least model with DRed-shaped over-delete/re-derive propagation
+//!   through the same compiled firings, each driven by its delta.
 //!
 //! # Parallel rounds
 //!
@@ -43,7 +43,7 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use crate::ast::{Const, Program};
+use crate::ast::{Atom, Const, Program, Rule};
 use crate::fault::FaultSite;
 use crate::fx::FxHashMap;
 use crate::storage::{Database, Relation, RowId};
@@ -141,7 +141,7 @@ impl CompiledProgram {
         let mut reorders = 0usize;
         if options.reorder_literals {
             for (i, rule) in self.program.rules.iter().enumerate() {
-                if let Some(better) = reorder_body(rule, db, options) {
+                if let Some(better) = reorder_body(rule, 0, db, options) {
                     let rules = reordered.get_or_insert_with(|| self.rules.clone());
                     rules[i] =
                         CompiledRule::compile(i, &better, &|p| self.idb.contains(&p), options);
@@ -203,6 +203,51 @@ impl EvalPlan<'_> {
         self.reordered_index_plan
             .as_ref()
             .unwrap_or(&self.compiled.index_plan)
+    }
+
+    /// The delta-first variants of the program's rules, as a plan of their own — what
+    /// delete propagation fires. First, every rule once per body literal with that
+    /// literal moved to the front: a delta substituted for it drives the join, and the
+    /// rest of the body is ordered greedily behind it, so a firing probes for what the
+    /// delta touches instead of walking the model. Then, from the returned slot on,
+    /// every rule once more behind a *guard* that repeats its head: over-deleted
+    /// candidates substituted for the guard bind the head to each of them in turn.
+    /// (Moving one literal to the front keeps a virtual `succ/2` evaluable — it sees a
+    /// superset of its source-order bindings — and such bodies are not reordered
+    /// further.) A delta leads every body, so delta relations need no indexes: the
+    /// plan's index plan is empty.
+    fn delta_first(&self, db: &Database, options: &EvalOptions) -> (EvalPlan<'_>, usize) {
+        let compiled = self.compiled;
+        let compile = |rule_index: usize, head: &Atom, body: Vec<Atom>| {
+            let mut rule = Rule::new(head.clone(), body);
+            if options.reorder_literals {
+                if let Some(better) = reorder_body(&rule, 1, db, options) {
+                    rule = better;
+                }
+            }
+            CompiledRule::compile(rule_index, &rule, &|p| compiled.idb.contains(&p), options)
+        };
+        let source = &compiled.program.rules;
+        let mut rules = Vec::new();
+        for (i, rule) in source.iter().enumerate() {
+            for pos in 0..rule.body.len() {
+                let mut body = rule.body.clone();
+                body[..=pos].rotate_right(1);
+                rules.push(compile(i, &rule.head, body));
+            }
+        }
+        let guards = rules.len();
+        for (i, rule) in source.iter().enumerate() {
+            let body = std::iter::once(&rule.head).chain(&rule.body).cloned();
+            rules.push(compile(i, &rule.head, body.collect()));
+        }
+        let plan = EvalPlan {
+            compiled,
+            reordered: Some(rules),
+            reordered_index_plan: Some(FxHashMap::default()),
+            reorders: 0,
+        };
+        (plan, guards)
     }
 
     /// Ensure `db` has a relation for every IDB predicate and every secondary index
@@ -432,12 +477,13 @@ pub fn seminaive_resume(
 /// fact (the evaluator accepts pre-loaded IDB facts) is restored even when no rule
 /// derives it.
 ///
-/// The propagation is DRed-shaped with a counting re-derivation phase, all driven
-/// through the same compiled join pipeline (and the same partitioned executor) as
-/// insertion:
+/// The propagation is DRed-shaped, all driven through the same compiled join
+/// pipeline (and the same partitioned executor) as insertion:
 ///
 /// 1. **Over-delete** — negative deltas: fire every rule once per body position whose
-///    predicate has a deletion delta, against the *old* model. Every emitted head
+///    predicate has a deletion delta, against the *old* model, with that literal moved
+///    to the front of the body so that the delta drives the join and everything else
+///    is probed — the work follows the delta, never the model. Every emitted head
 ///    fact had a derivation touching a retracted fact, so it is scheduled for
 ///    deletion; the schedule is propagated to a fixpoint. This over-approximates for
 ///    facts with independent surviving derivations — deliberately: recursive
@@ -446,14 +492,14 @@ pub fn seminaive_resume(
 ///    discipline (an instantiation whose body facts arrive — or die — in the same
 ///    round is enumerated once per such position, so insert-side and delete-side
 ///    multiplicities need not cancel).
-/// 2. **Remove** — every scheduled fact is removed from the model in one batch
-///    compaction per relation.
-/// 3. **Re-derive by counting** — rules whose head predicate lost facts fire once
-///    against the post-removal model; emissions that are scheduled-deleted facts are
-///    staged into *counted* relations ([`Relation::enable_counts`]), so each staged
-///    fact carries its exact number of surviving derivations (the full firing
-///    enumerates each instantiation exactly once). Facts with support count ≥ 1 are
-///    restored.
+/// 2. **Remove** — every scheduled fact is removed from the model, one
+///    [`Relation::remove`] each.
+/// 3. **Re-derive from the candidates** — every rule whose head predicate lost facts
+///    fires once against the post-removal model behind a guard literal that repeats
+///    its head, with the over-deleted facts substituted for the guard (a Magic-style
+///    filter on the head): each candidate binds the head and the body is probed for
+///    it. A candidate with a surviving derivation is restored; existence is all that
+///    matters, so nothing is counted.
 /// 4. **Resume** — the restored facts seed the ordinary positive-delta fixpoint,
 ///    restoring everything derivable downstream of them.
 ///
@@ -470,6 +516,26 @@ pub fn seminaive_retract(
 ) -> Result<EvalStats, EvalError> {
     let mut stats = stats_for_run(compiled.rules.len(), options);
     let governor = Governor::new(options);
+
+    // Seed the deletion schedule with the retracted base facts present in the model.
+    let mut deleted: FxHashMap<Symbol, Relation> = FxHashMap::default();
+    for (&pred, rel) in removed {
+        let Some(target) = model.relation(pred).filter(|r| r.arity() == rel.arity()) else {
+            continue;
+        };
+        let mut seed = Relation::new(rel.arity());
+        for tuple in rel.iter().filter(|tuple| target.contains(tuple)) {
+            seed.insert(tuple);
+        }
+        if !seed.is_empty() {
+            stats.retractions += seed.len();
+            deleted.insert(pred, seed);
+        }
+    }
+    if deleted.is_empty() {
+        return Ok(stats);
+    }
+
     let plan_start = span_start(&stats);
     let plan = compiled.plan(model, options);
     let arities = plan.prepare(model);
@@ -477,83 +543,43 @@ pub fn seminaive_retract(
     let mut runtimes = plan.runtimes(model, &mut stats);
     arm_runtimes(&mut runtimes, &governor);
     let mut exec = Executor::new(options);
+    // Phases 1 and 3 fire the delta-first variants of the rules; they form a plan of
+    // their own, with its own runtimes.
+    let (delta_plan, guards) = plan.delta_first(model, options);
+    delta_plan.prepare(model);
+    let mut delta_runtimes = delta_plan.runtimes(model, &mut stats);
+    arm_runtimes(&mut delta_runtimes, &governor);
+    let mut delta_exec = Executor::new(options);
     span_end(&mut stats, "eval.plan", plan_start);
-
-    // Seed the deletion schedule with the retracted base facts present in the model,
-    // indexed like delta relations so recursive-literal negative deltas probe.
-    let mut deleted: FxHashMap<Symbol, Relation> = FxHashMap::default();
-    for (&pred, rel) in removed {
-        let present: Vec<&[Const]> = rel
-            .iter()
-            .filter(|tuple| {
-                model
-                    .relation(pred)
-                    .is_some_and(|r| r.arity() == rel.arity() && r.contains(tuple))
-            })
-            .collect();
-        if present.is_empty() {
-            continue;
-        }
-        let mut seed = Relation::new(rel.arity());
-        if let Some(sets) = plan.index_plan().get(&pred) {
-            for columns in sets {
-                seed.ensure_index(columns);
-            }
-        }
-        for tuple in present {
-            seed.insert(tuple);
-        }
-        stats.retractions += seed.len();
-        deleted.insert(pred, seed);
-    }
-    if deleted.is_empty() {
-        return Ok(stats);
-    }
 
     // Phase 1 — over-delete fixpoint: negative deltas through the compiled firings.
     let overdelete_start = span_start(&stats);
     let mut delta: FxHashMap<Symbol, Relation> = deleted.clone();
     loop {
         governor.check_round(&mut stats, || estimated_bytes(model, &deleted))?;
-        let mut staging = plan.empty_staging(&arities);
-        {
-            let mut firings: Vec<Firing<'_>> = Vec::new();
-            for (rule_index, rule) in plan.rules().iter().enumerate() {
-                for (pos, literal) in rule.literals.iter().enumerate() {
-                    let Some(delta_rel) = delta.get(&literal.predicate) else {
-                        continue;
-                    };
-                    if delta_rel.is_empty() {
-                        continue;
-                    }
-                    firings.push(Firing {
-                        rule_index,
-                        delta: Some((pos, delta_rel)),
-                    });
-                }
-            }
-            if firings.is_empty() {
-                break;
-            }
-            if stats.delete_rounds >= options.max_iterations {
-                return Err(EvalError::IterationLimit {
-                    limit: options.max_iterations,
-                });
-            }
-            stats.delete_rounds += 1;
-            run_round(
-                &plan,
-                model,
-                &firings,
-                &mut runtimes,
-                &mut exec,
-                &governor,
-                Sink::Retract { deleted: &deleted },
-                &mut staging,
-                &mut stats,
-            )?;
-            governor.fault_site(FaultSite::DeleteOverdelete)?;
+        let firings = delta_first_firings(delta_plan.rules(), 0..guards, &delta);
+        if firings.is_empty() {
+            break;
         }
+        if stats.delete_rounds >= options.max_iterations {
+            return Err(EvalError::IterationLimit {
+                limit: options.max_iterations,
+            });
+        }
+        stats.delete_rounds += 1;
+        let mut staging = delta_plan.empty_staging(&arities);
+        run_round(
+            &delta_plan,
+            model,
+            &firings,
+            &mut delta_runtimes,
+            &mut delta_exec,
+            &governor,
+            Sink::Retract { deleted: &deleted },
+            &mut staging,
+            &mut stats,
+        )?;
+        governor.fault_site(FaultSite::DeleteOverdelete)?;
         if staging.values().all(Relation::is_empty) {
             break;
         }
@@ -569,7 +595,7 @@ pub fn seminaive_retract(
     }
     span_end(&mut stats, "delete.overdelete", overdelete_start);
 
-    // Phase 2 — remove every scheduled fact (one compaction per relation).
+    // Phase 2 — remove every scheduled fact.
     let remove_start = span_start(&stats);
     for (&pred, rel) in &deleted {
         if let Some(target) = model.relation_mut(pred) {
@@ -578,60 +604,43 @@ pub fn seminaive_retract(
     }
     span_end(&mut stats, "delete.remove", remove_start);
 
-    // Phase 3 — counting re-derivation: count each over-deleted IDB fact's surviving
-    // derivations; facts with support ≥ 1 are restored. A surviving *base* fact is
-    // one unit of support too (pre-loaded IDB facts have no deriving rule).
-    let candidates: FxHashMap<Symbol, Relation> = deleted
-        .iter()
-        .filter(|(pred, rel)| compiled.idb.contains(pred) && !rel.is_empty())
-        .map(|(&pred, rel)| (pred, rel.clone()))
-        .collect();
-    if !candidates.is_empty() {
+    // Phase 3 — re-derive from the candidates: an over-deleted IDB fact with a
+    // derivation from surviving facts is restored. A surviving *base* fact is support
+    // too (pre-loaded IDB facts have no deriving rule).
+    if deleted.keys().any(|pred| compiled.idb.contains(pred)) {
         let rederive_start = span_start(&stats);
         let mut restored = plan.empty_staging(&arities);
-        for rel in restored.values_mut() {
-            rel.enable_counts();
-        }
-        for (pred, cand) in &candidates {
-            let Some(base_rel) = base.relation(*pred) else {
+        for (pred, candidates) in &deleted {
+            let (Some(staged), Some(base_rel)) = (restored.get_mut(pred), base.relation(*pred))
+            else {
                 continue;
             };
-            if base_rel.arity() != cand.arity() {
+            if base_rel.arity() != candidates.arity() {
                 continue;
             }
-            let staged = restored.get_mut(pred).expect("idb staging exists");
-            for tuple in cand.iter() {
-                if base_rel.contains(tuple) && staged.insert_counted(tuple) {
+            for tuple in candidates.iter() {
+                if base_rel.contains(tuple) && staged.insert(tuple) {
                     stats.rederivations += 1;
                 }
             }
         }
-        {
-            let firings: Vec<Firing<'_>> = plan
-                .rules()
-                .iter()
-                .enumerate()
-                .filter(|(_, rule)| candidates.contains_key(&rule.head_predicate))
-                .map(|(rule_index, _)| Firing {
-                    rule_index,
-                    delta: None,
-                })
-                .collect();
-            run_round(
-                &plan,
-                model,
-                &firings,
-                &mut runtimes,
-                &mut exec,
-                &governor,
-                Sink::Rederive {
-                    candidates: &candidates,
-                },
-                &mut restored,
-                &mut stats,
-            )?;
-            governor.fault_site(FaultSite::DeleteRederive)?;
-        }
+        let firings = delta_first_firings(
+            delta_plan.rules(),
+            guards..delta_plan.rules().len(),
+            &deleted,
+        );
+        run_round(
+            &delta_plan,
+            model,
+            &firings,
+            &mut delta_runtimes,
+            &mut delta_exec,
+            &governor,
+            Sink::Rederive,
+            &mut restored,
+            &mut stats,
+        )?;
+        governor.fault_site(FaultSite::DeleteRederive)?;
         span_end(&mut stats, "delete.rederive", rederive_start);
         // Phase 4 — restored facts rejoin the model and seed the ordinary
         // positive-delta fixpoint for everything downstream of them.
@@ -649,6 +658,24 @@ pub fn seminaive_retract(
         )?;
     }
     Ok(stats)
+}
+
+/// One firing per rule of `rules[slots]` whose leading literal has a non-empty
+/// relation in `deltas`, with that relation substituted for the literal.
+fn delta_first_firings<'d>(
+    rules: &[CompiledRule],
+    slots: std::ops::Range<usize>,
+    deltas: &'d FxHashMap<Symbol, Relation>,
+) -> Vec<Firing<'d>> {
+    slots
+        .filter_map(|rule_index| {
+            let relation = deltas.get(&rules[rule_index].literals.first()?.predicate)?;
+            (!relation.is_empty()).then_some(Firing {
+                rule_index,
+                delta: Some((0, relation)),
+            })
+        })
+        .collect()
 }
 
 /// The delta-driven fixpoint loop shared by full evaluation and incremental resume:
@@ -743,14 +770,10 @@ enum Sink<'a> {
         /// Facts already scheduled for deletion in earlier rounds of this batch.
         deleted: &'a FxHashMap<Symbol, Relation>,
     },
-    /// The counting re-derivation pass: stage emissions that are over-deleted
-    /// `candidates`, bumping the staged fact's support count on every enumeration —
-    /// the staging relations carry per-fact counts, and any fact staged here has at
-    /// least one derivation from surviving facts.
-    Rederive {
-        /// The over-deleted facts whose surviving support is being counted.
-        candidates: &'a FxHashMap<Symbol, Relation>,
-    },
+    /// The re-derivation pass: every emission is an over-deleted candidate (the firing
+    /// binds the head to one) found to have a derivation from surviving facts; stage it
+    /// for restoration.
+    Rederive,
 }
 
 impl Sink<'_> {
@@ -784,11 +807,8 @@ impl Sink<'_> {
                 stats.record_retraction(rule.rule_index, is_new);
                 is_new
             }
-            Sink::Rederive { candidates } => {
-                let candidate = candidates
-                    .get(&rule.head_predicate)
-                    .is_some_and(|r| r.contains(tuple));
-                let is_new = candidate && staged.insert_counted(tuple);
+            Sink::Rederive => {
+                let is_new = staged.insert(tuple);
                 stats.record_rederivation(rule.rule_index, is_new);
                 is_new
             }
@@ -1134,7 +1154,7 @@ fn run_round_parallel(
     if let Some(profile) = stats.profile.as_deref_mut() {
         for (j, job) in jobs.iter().enumerate() {
             let total: u64 = exec.pool.iter().map(|state| state.times[j]).sum();
-            profile.record_rule_firing(job.rule_index, total);
+            profile.record_rule_firing(rules[job.rule_index].rule_index, total);
         }
     }
 
@@ -1870,7 +1890,7 @@ mod tests {
         assert!(!t.contains(&[c(0), c(1)]));
         assert!(
             stats.rederivations > 0,
-            "t(0, 3) is over-deleted then restored by counting"
+            "t(0, 3) is over-deleted then restored by its surviving derivation"
         );
     }
 

@@ -65,8 +65,8 @@ pub struct EvalStats {
     /// every derived fact the over-delete phase scheduled (some of which the
     /// re-derivation phase restores — see `rederivations`).
     pub retractions: usize,
-    /// Over-deleted facts restored because the counting re-derivation pass found at
-    /// least one surviving derivation.
+    /// Over-deleted facts restored because the re-derivation pass found a surviving
+    /// derivation (or a surviving base fact).
     pub rederivations: usize,
     /// Fixpoint rounds of the over-delete (negative-delta) phase.
     pub delete_rounds: usize,
@@ -163,8 +163,7 @@ impl EvalStats {
     }
 
     /// Record one surviving derivation enumerated by the re-derivation pass;
-    /// `is_new` says whether it restored a fact (first surviving derivation) rather
-    /// than bumping an already-restored fact's support count.
+    /// `is_new` says whether it restored a fact (its first surviving derivation).
     pub fn record_rederivation(&mut self, rule_index: usize, is_new: bool) {
         self.inferences += 1;
         if let Some(slot) = self.inferences_per_rule.get_mut(rule_index) {

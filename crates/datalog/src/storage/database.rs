@@ -66,9 +66,9 @@ impl Database {
         self.add_fact(atom.predicate, &tuple)
     }
 
-    /// Remove a fact; returns `true` if it was present. Removal compacts the
-    /// relation (see [`Relation::remove`]); batch retraction paths should collect the
-    /// doomed tuples per predicate and use [`Relation::remove_all`] instead.
+    /// Remove a fact; returns `true` if it was present (see [`Relation::remove`]:
+    /// the cost does not depend on the size of the relation, and the relation's row
+    /// order changes).
     pub fn remove_fact(&mut self, predicate: impl Into<Symbol>, tuple: &[Const]) -> bool {
         match self.relations.get_mut(&predicate.into()) {
             Some(rel) if rel.arity() == tuple.len() => rel.remove(tuple),

@@ -953,6 +953,56 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Regression: a group commit whose *first* batch finds the log over the
+    /// compaction threshold must not snapshot before the rest of the group is
+    /// applied — the snapshot carries the sequence number of the group's last
+    /// record, so the later batches (logged, fsynced, acknowledged) would be in
+    /// neither the snapshot nor the reset log.
+    #[test]
+    fn a_group_commit_crossing_the_compaction_threshold_keeps_every_batch() {
+        let dir = fresh_dir("group_compact");
+        let options = DurabilityOptions {
+            fsync: false,
+            compact_threshold: 256,
+        };
+        let batch = |from: i64| -> Vec<(TxnOp, Symbol, Vec<Const>)> {
+            (from..from + 4)
+                .map(|i| (TxnOp::Assert, Symbol::intern("e"), vec![c(i), c(i + 1)]))
+                .collect()
+        };
+        let mut expected = Engine::new();
+        let mut engine = Engine::open_durable_with(&dir, options).unwrap();
+        engine.load_source(TC).unwrap();
+        expected.load_source(TC).unwrap();
+        // Three groups of four batches: the log (about 100 bytes per batch) crosses
+        // the threshold inside a group, and again in later ones after the reset.
+        for group in 0..3i64 {
+            let batches: Vec<_> = (0..4).map(|k| batch(group * 100 + k * 10)).collect();
+            for ops in &batches {
+                expected.apply_txn(ops.clone()).unwrap();
+            }
+            let results = engine.commit_group(batches);
+            assert!(
+                results.iter().all(Result::is_ok),
+                "every batch is acknowledged"
+            );
+        }
+        assert!(
+            engine.stats().wal_compactions > 0,
+            "the threshold was crossed"
+        );
+        drop(engine);
+
+        let reopened = Engine::open_durable_with(&dir, options).unwrap();
+        let e = Symbol::intern("e");
+        assert_eq!(
+            reopened.facts().relation(e).unwrap().to_sorted_vec(),
+            expected.facts().relation(e).unwrap().to_sorted_vec(),
+            "recovered EDB = every acknowledged batch applied"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn automatic_compaction_honors_the_threshold() {
         let dir = fresh_dir("auto");

@@ -6,7 +6,7 @@
 //! ```text
 //!   insert ──────────────▶ edb (+ model, + pending delta)
 //!   transaction/commit ──▶ edb ± batch; retractions propagate immediately via
-//!                          seminaive_retract (negative deltas + counting re-derive),
+//!                          seminaive_retract (negative deltas, re-derive the candidates),
 //!                          assertions become pending deltas
 //!   add_rules/load ──────▶ program         (model dropped, caches cleared)
 //!   query ───────────────▶ refresh: model = fixpoint(program, edb)
@@ -176,9 +176,9 @@ pub(crate) enum TxnOp {
 /// Within one batch the ops are set-oriented and the *last* operation on a given
 /// fact wins: `assert(f)` after `retract(f)` means `f` is present afterwards, and
 /// vice versa. Retractions are applied before assertions; retractions propagate
-/// through the materialized model immediately (negative deltas + counting
-/// re-derivation, see [`seminaive_retract`]), while assertions become pending deltas
-/// absorbed by the next query, exactly like [`Engine::insert`].
+/// through the materialized model immediately (negative deltas, then re-derivation
+/// of the over-deleted, see [`seminaive_retract`]), while assertions become pending
+/// deltas absorbed by the next query, exactly like [`Engine::insert`].
 #[must_use = "a transaction does nothing until committed"]
 pub struct Txn<'e> {
     engine: &'e mut Engine,
@@ -925,8 +925,8 @@ impl Engine {
     /// single-op convenience over [`Engine::transaction`]: retraction of an IDB
     /// predicate removes the *asserted* base fact (see [`Engine::insert`] on the
     /// `p__asserted` scheme); a fact that is merely derived cannot be retracted and
-    /// reports `false`. The materialized model is maintained incrementally via
-    /// counting-based delete propagation, never rebuilt.
+    /// reports `false`. The materialized model is maintained incrementally by
+    /// delete propagation ([`seminaive_retract`]), never rebuilt.
     pub fn retract(
         &mut self,
         predicate: impl Into<Symbol>,
@@ -984,7 +984,9 @@ impl Engine {
         if !ops.is_empty() {
             self.wal_log_txn(&ops)?;
         }
-        self.apply_txn_validated(ops)
+        let summary = self.apply_txn_validated(ops)?;
+        self.wal_maybe_compact()?;
+        Ok(summary)
     }
 
     /// Commit several independently submitted batches as one group: every
@@ -993,9 +995,13 @@ impl Engine {
     /// applied in memory in submission order. Returns one result per input
     /// batch, in order. A failed group append fails every valid batch with the
     /// same (durability) error — none of them was acknowledged — while batches
-    /// that failed validation keep their own errors. This is the server's
-    /// group-commit pipeline; a single-element group degenerates to
-    /// [`Engine::apply_txn`] durability-wise.
+    /// that failed validation keep their own errors. The log is checked against
+    /// the compaction threshold once, after the *whole* group is applied: a
+    /// snapshot is stamped with the log's last sequence number, so it must hold
+    /// every record up to it (a compaction error surfaces on the group's last
+    /// batch, which is durable all the same). This is the server's group-commit
+    /// pipeline; a single-element group degenerates to [`Engine::apply_txn`]
+    /// durability-wise.
     pub(crate) fn commit_group(
         &mut self,
         mut batches: Vec<Vec<(TxnOp, Symbol, Vec<Const>)>>,
@@ -1022,6 +1028,9 @@ impl Engine {
             for &i in &valid {
                 results[i] = Some(self.apply_txn_validated(std::mem::take(&mut batches[i])));
             }
+            if let (Err(error), Some(&last)) = (self.wal_maybe_compact(), valid.last()) {
+                results[last] = Some(Err(error));
+            }
         }
         results
             .into_iter()
@@ -1031,7 +1040,9 @@ impl Engine {
 
     /// The post-validation, post-logging half of [`Engine::apply_txn`]: compute
     /// the batch's net effect and apply it to the fact store and the
-    /// materialized model. The batch (if any) is already on the log.
+    /// materialized model. The batch (if any) is already on the log; checking the
+    /// log against the compaction threshold is the caller's job, once everything
+    /// it logged is applied.
     fn apply_txn_validated(
         &mut self,
         ops: Vec<(TxnOp, Symbol, Vec<Const>)>,
@@ -1067,14 +1078,11 @@ impl Engine {
             }
         }
 
-        // Apply retractions to the fact store: one batched removal per relation.
+        // Apply retractions to the fact store.
         let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
         for (target, tuple) in retracts {
-            let present = self
-                .edb
-                .relation(target)
-                .is_some_and(|r| r.arity() == tuple.len() && r.contains(&tuple));
-            if present {
+            if self.edb.remove_fact(target, &tuple) {
+                summary.retracted += 1;
                 seeds
                     .entry(target)
                     .or_insert_with(|| Relation::new(tuple.len()))
@@ -1082,15 +1090,6 @@ impl Engine {
             } else {
                 summary.missing += 1;
             }
-        }
-        for (&target, doomed) in &seeds {
-            let removed = self
-                .edb
-                .relation_mut(target)
-                .expect("retracted facts were found in this relation")
-                .remove_all(doomed);
-            debug_assert_eq!(removed, doomed.len());
-            summary.retracted += removed;
         }
 
         // Apply assertions to the fact store.
@@ -1121,7 +1120,6 @@ impl Engine {
                 }
             }
         }
-        self.wal_maybe_compact()?;
         Ok(summary)
     }
 

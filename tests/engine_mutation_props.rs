@@ -65,6 +65,79 @@ fn apply_edge_batch(engines: &mut [Engine], predicate: &str, batch: &[Op]) -> Tx
     first.expect("at least one engine")
 }
 
+/// The engines of the retraction-equivalence tests: the forced-parallel ones plus a
+/// default session, whose worker count follows `FACTORLOG_THREADS` (CI runs 1 and 4).
+fn retraction_engines(source: &str) -> Vec<Engine> {
+    let mut engines = engines_at_thread_counts(source);
+    let mut default = Engine::new();
+    default.load_source(source).unwrap();
+    engines.push(default);
+    engines
+}
+
+/// Every relation of a model (base, derived and `p__asserted` alike), each through
+/// its all-free query.
+fn whole_model(answers: &mut dyn FnMut(&Query) -> Vec<Vec<Const>>) -> Vec<Vec<Vec<Const>>> {
+    ["e(X, Y)", "t(X, Y)", "t__asserted(X, Y)"]
+        .iter()
+        .map(|text| answers(&parse_query(text).unwrap()))
+        .collect()
+}
+
+/// Commit `retracts` (`(predicate, a, b)`) as one retract-only transaction on every
+/// engine and check, per engine: the *whole* maintained model equals from-scratch
+/// evaluation of the surviving base facts, and the delete counters mean what they
+/// say — every fact counted in `retractions` left the model, every fact counted in
+/// `rederivations` or derived downstream of one came back, so the model's size moves
+/// by exactly `rederivations + facts_derived - retractions` — and agree across
+/// thread counts. Returns the first engine's counter deltas
+/// `(retractions, rederivations, facts derived downstream)`.
+fn retract_and_check(
+    engines: &mut [Engine],
+    retracts: &[(&str, i64, i64)],
+) -> (usize, usize, usize) {
+    let mut deltas: Vec<(usize, usize, usize, usize)> = Vec::new();
+    for engine in engines.iter_mut() {
+        let size = |engine: &mut Engine| -> usize {
+            whole_model(&mut |q| engine.query(q).unwrap())
+                .iter()
+                .map(Vec::len)
+                .sum()
+        };
+        let before_size = size(engine);
+        let before = engine.stats().clone();
+        let mut txn = engine.transaction();
+        for &(predicate, a, b) in retracts {
+            txn.retract(predicate, &[c(a), c(b)]);
+        }
+        txn.commit().expect("commit succeeds");
+        let maintained = whole_model(&mut |q| engine.query(q).unwrap());
+        let scratch = evaluate_default(engine.program(), engine.facts()).unwrap();
+        assert_eq!(maintained, whole_model(&mut |q| scratch.answers(q)));
+        let stats = engine.stats();
+        let delta = (
+            stats.retractions - before.retractions,
+            stats.rederivations - before.rederivations,
+            stats.facts_derived - before.facts_derived,
+            stats.delete_rounds - before.delete_rounds,
+        );
+        assert_eq!(
+            maintained.iter().map(Vec::len).sum::<usize>() + delta.0,
+            before_size + delta.1 + delta.2,
+            "retractions {} rederivations {} derived downstream {}",
+            delta.0,
+            delta.1,
+            delta.2
+        );
+        deltas.push(delta);
+    }
+    assert!(
+        deltas.iter().all(|d| *d == deltas[0]),
+        "counters agree: {deltas:?}"
+    );
+    (deltas[0].0, deltas[0].1, deltas[0].2)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -179,6 +252,56 @@ proptest! {
     }
 
     #[test]
+    fn retractions_keep_the_whole_model_equal_to_scratch(
+        program in 0usize..3,
+        edges in prop::collection::vec((0i64..7, 0i64..7), 12..30),
+        asserted in prop::collection::vec((0i64..7, 0i64..7), 0..4),
+        picks in prop::collection::vec((0usize..64, 0usize..4), 1..12),
+    ) {
+        // Dense graphs on seven nodes: cycles and parallel paths everywhere, so most
+        // over-deleted facts have surviving derivations, some only downstream of
+        // another restored fact; asserted `t` facts sit among the candidates.
+        let source = [
+            programs::RIGHT_LINEAR_TC,
+            programs::LEFT_LINEAR_TC,
+            programs::THREE_RULE_TC,
+        ][program];
+        let mut engines = retraction_engines(source);
+        let mut present: Vec<(i64, i64)> = edges.clone();
+        present.sort_unstable();
+        present.dedup();
+        for engine in engines.iter_mut() {
+            let mut txn = engine.transaction();
+            for &(a, b) in &present {
+                txn.assert("e", &[c(a), c(b)]);
+            }
+            for &(a, b) in &asserted {
+                txn.assert("t", &[c(a), c(b)]);
+            }
+            txn.commit().unwrap();
+            let all = parse_query("t(X, Y)").unwrap();
+            engine.query(&all).unwrap();
+        }
+        for &(pick, width) in &picks {
+            // One to four present edges, now and then an asserted `t` fact as well.
+            let mut batch: Vec<(&str, i64, i64)> = Vec::new();
+            for k in 0..=width {
+                if present.is_empty() {
+                    break;
+                }
+                let (a, b) = present.remove((pick + k * 7) % present.len());
+                batch.push(("e", a, b));
+            }
+            if pick % 3 == 0 {
+                if let Some(&(a, b)) = asserted.get(pick % 4) {
+                    batch.push(("t", a, b));
+                }
+            }
+            retract_and_check(&mut engines, &batch);
+        }
+    }
+
+    #[test]
     fn snapshot_restore_preserves_sessions_mid_stream(
         ops in prop::collection::vec((0usize..3, 0i64..8, 0i64..8), 1..25),
         more in prop::collection::vec((0usize..3, 0i64..8, 0i64..8), 1..10),
@@ -276,4 +399,90 @@ fn deterministic_mixed_workload_with_transactions() {
         "original untouched"
     );
     assert!(engine.stats().retractions > 0);
+}
+
+#[test]
+fn restored_facts_cascade_through_the_positive_fixpoint() {
+    // Left-linear closure over 0 → {1, 9} → 2 → 3 → 4 → 5: retracting e(0, 1)
+    // over-deletes t(0, 1..=5). t(0, 2) survives through node 9 and is found by
+    // re-derivation; t(0, 3), t(0, 4), t(0, 5) hang off t(0, 2), which is out of the
+    // model while the candidates are probed, so only the positive fixpoint seeded with
+    // the restored fact brings them back.
+    let mut engines = retraction_engines(programs::LEFT_LINEAR_TC);
+    for engine in engines.iter_mut() {
+        let mut txn = engine.transaction();
+        for (a, b) in [(0, 1), (0, 9), (1, 2), (9, 2), (2, 3), (3, 4), (4, 5)] {
+            txn.assert("e", &[c(a), c(b)]);
+        }
+        txn.commit().unwrap();
+    }
+    let (retractions, rederivations, downstream) = retract_and_check(&mut engines, &[("e", 0, 1)]);
+    assert_eq!(retractions, 1 + 5, "e(0, 1) and t(0, 1..=5)");
+    assert_eq!(rederivations, 1, "t(0, 2), through node 9");
+    assert_eq!(downstream, 3, "t(0, 3), t(0, 4), t(0, 5)");
+}
+
+#[test]
+fn retracting_a_hub_edge_over_deletes_most_of_the_model_and_restores_it() {
+    // Ten sources → a → h → ten targets, and a detour a → b → h: every path from a
+    // source or from `a` to `h` or a target runs through e(a, h), so retracting it
+    // schedules most of the closure; all of it comes back over the detour.
+    let (a, b, h) = (100, 101, 102);
+    let mut engines = retraction_engines(programs::RIGHT_LINEAR_TC);
+    for engine in engines.iter_mut() {
+        let mut txn = engine.transaction();
+        for i in 0..10 {
+            txn.assert("e", &[c(i), c(a)]);
+            txn.assert("e", &[c(h), c(200 + i)]);
+        }
+        for (from, to) in [(a, h), (a, b), (b, h)] {
+            txn.assert("e", &[c(from), c(to)]);
+        }
+        txn.commit().unwrap();
+    }
+    let all = parse_query("t(X, Y)").unwrap();
+    let closure = engines[0].query(&all).unwrap().len();
+    let (retractions, rederivations, downstream) = retract_and_check(&mut engines, &[("e", a, h)]);
+    // t(x, y) for x in sources + {a}, y in targets + {h}.
+    assert_eq!(retractions, 1 + 11 * 11);
+    assert!(
+        retractions - 1 > closure / 2,
+        "most of {closure} derived facts"
+    );
+    assert_eq!(
+        rederivations + downstream,
+        11 * 11,
+        "everything is restored"
+    );
+    assert!(
+        downstream > 0,
+        "the sources' facts hang off the restored t(a, h)"
+    );
+    assert_eq!(engines[0].query(&all).unwrap().len(), closure);
+}
+
+#[test]
+fn asserted_idb_facts_among_the_candidates_keep_their_support() {
+    // t(5, 50) is asserted *and* derivable through e(5, 50); t(4, 50) hangs off it.
+    let mut engines = retraction_engines(programs::RIGHT_LINEAR_TC);
+    for engine in engines.iter_mut() {
+        let mut txn = engine.transaction();
+        txn.assert("e", &[c(4), c(5)])
+            .assert("e", &[c(5), c(50)])
+            .assert("t", &[c(5), c(50)]);
+        txn.commit().unwrap();
+    }
+    let probe = parse_query("t(4, Y)").unwrap();
+    // Retracting the edge over-deletes t(5, 50); the assertion restores it (the guard
+    // firing of `t(X, Y) :- t__asserted(X, Y)`), and t(4, 50) follows downstream.
+    let (retractions, rederivations, downstream) = retract_and_check(&mut engines, &[("e", 5, 50)]);
+    assert_eq!((retractions, rederivations, downstream), (3, 1, 1));
+    assert_eq!(
+        engines[0].query(&probe).unwrap(),
+        vec![vec![c(5)], vec![c(50)]]
+    );
+    // Retracting the assertion too leaves nothing to restore.
+    let (retractions, rederivations, downstream) = retract_and_check(&mut engines, &[("t", 5, 50)]);
+    assert_eq!((retractions, rederivations, downstream), (3, 0, 0));
+    assert_eq!(engines[0].query(&probe).unwrap(), vec![vec![c(5)]]);
 }
