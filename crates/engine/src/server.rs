@@ -104,8 +104,13 @@ const MAX_GROUP: usize = 128;
 /// (≈ 100 groups/s) cost the reader beside it a quarter of its median latency
 /// (139 → 173 µs), paced it costs nothing (129 µs, and 21 % more reads per second
 /// than beside the old, slower writer). With no query since the last publish there
-/// is nobody to protect and the writer is not paced.
+/// is nobody to protect and the writer is not paced; and no group waits longer than
+/// [`PUBLISH_LINGER_MAX`], so one slow group (a compaction, a descheduled thread)
+/// is not paid for six times over.
 const PUBLISH_SHARE: u32 = 6;
+
+/// The longest the writer lingers for pacing's sake.
+const PUBLISH_LINGER_MAX: Duration = Duration::from_millis(50);
 
 /// Safety-net poll timeout of the reactor (ms): readiness events and the wake
 /// pipe drive the loop; this only bounds how stale a missed wake can go.
@@ -761,7 +766,7 @@ fn writer_core(
         let answered = shared.counters.queries.load(Ordering::Relaxed);
         not_before = Instant::now();
         if answered != queries {
-            not_before += started.elapsed() * (PUBLISH_SHARE - 1);
+            not_before += (started.elapsed() * (PUBLISH_SHARE - 1)).min(PUBLISH_LINGER_MAX);
         }
         queries = answered;
         shared
