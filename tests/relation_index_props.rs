@@ -286,24 +286,35 @@ proptest! {
     }
 }
 
-/// Removal costs what the removed tuples cost: 10 000 single removals from a
-/// 500 000-row relation (16 rows per indexed key) — minutes when every removal rebuilt
-/// the relation — must finish in seconds, with a wide margin for a debug build.
+/// Removal costs what the removed tuples cost, whatever the relation holds: the same
+/// 10 000 single removals (16 rows per indexed key) from a relation 25 times larger
+/// take minutes when every removal rebuilds the relation, and here the same time plus
+/// cache misses. Gated on the ratio of the two (best of three each, so a descheduled
+/// moment does not decide it), not on seconds, so a slow or loaded host cannot fail it.
 #[test]
 fn single_removals_do_not_scale_with_the_relation() {
-    let rows = 500_000i64;
-    let mut r = Relation::new(2);
-    r.ensure_index(&[0]);
-    for i in 0..rows {
-        r.insert(&[c(i / 16), c(i)]);
-    }
-    let start = std::time::Instant::now();
-    for k in 0..10_000i64 {
-        let i = (k * 7919) % rows;
-        assert!(r.remove(&[c(i / 16), c(i)]));
-    }
-    let elapsed = start.elapsed();
-    assert!(elapsed.as_secs() < 10, "10k removals took {elapsed:?}");
-    assert_eq!(r.len(), (rows - 10_000) as usize);
-    assert_eq!(r.probe(&[0], &[c(0)]).unwrap().len(), 15);
+    const REMOVALS: i64 = 10_000;
+    let time_removals = |rows: i64| {
+        let mut r = Relation::new(2);
+        r.ensure_index(&[0]);
+        for i in 0..rows {
+            r.insert(&[c(i / 16), c(i)]);
+        }
+        let start = std::time::Instant::now();
+        for k in 0..REMOVALS {
+            let i = (k * 7919) % rows;
+            assert!(r.remove(&[c(i / 16), c(i)]));
+        }
+        let elapsed = start.elapsed();
+        assert_eq!(r.len(), (rows - REMOVALS) as usize);
+        let left_of_key_0 = 16 - (0..REMOVALS).filter(|k| (k * 7919) % rows < 16).count();
+        assert_eq!(r.probe(&[0], &[c(0)]).unwrap().len(), left_of_key_0);
+        elapsed
+    };
+    let best = |rows: i64| (0..3).map(|_| time_removals(rows)).min().unwrap();
+    let (small, large) = (best(20_000), best(500_000));
+    assert!(
+        large < small * 8,
+        "10k removals: {small:?} from 20k rows, {large:?} from 500k"
+    );
 }
