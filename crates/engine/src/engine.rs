@@ -971,7 +971,8 @@ impl Engine {
 
     /// Apply one transaction batch: validate everything, then retract, then assert,
     /// maintaining the materialized model incrementally (see [`Txn::commit`] for the
-    /// error contract).
+    /// error contract). The group of one: same apply-and-maintain function as
+    /// [`Engine::commit_group`].
     pub(crate) fn apply_txn(
         &mut self,
         ops: Vec<(TxnOp, Symbol, Vec<Const>)>,
@@ -984,24 +985,32 @@ impl Engine {
         if !ops.is_empty() {
             self.wal_log_txn(&ops)?;
         }
-        let summary = self.apply_txn_validated(ops)?;
+        let (mut summaries, maintained) = self.apply_group_validated(vec![ops]);
+        maintained?;
         self.wal_maybe_compact()?;
-        Ok(summary)
+        Ok(summaries.pop().expect("one summary per batch"))
     }
 
     /// Commit several independently submitted batches as one group: every
     /// batch is validated separately, the valid ones are appended to the log
-    /// under a *single* fsync ([`crate::wal::WalWriter::append_all`]), then
-    /// applied in memory in submission order. Returns one result per input
+    /// under a *single* fsync ([`crate::wal::WalWriter::append_all`]), applied
+    /// to the fact store in submission order, and the materialized model is
+    /// maintained *once*, from the group's net delta
+    /// ([`Engine::apply_group_validated`]). Returns one result per input
     /// batch, in order. A failed group append fails every valid batch with the
     /// same (durability) error — none of them was acknowledged — while batches
     /// that failed validation keep their own errors. The log is checked against
     /// the compaction threshold once, after the *whole* group is applied: a
     /// snapshot is stamped with the log's last sequence number, so it must hold
-    /// every record up to it (a compaction error surfaces on the group's last
-    /// batch, which is durable all the same). This is the server's group-commit
-    /// pipeline; a single-element group degenerates to [`Engine::apply_txn`]
-    /// durability-wise.
+    /// every record up to it.
+    ///
+    /// Maintenance belongs to the group, not to one of its batches, so an
+    /// evaluation error (or injected fault) during it surfaces where a
+    /// compaction error does: on the group's *last* valid batch — which is
+    /// durable and applied all the same, like every other valid batch of the
+    /// group; the model is dropped and rebuilt from the fact store by the next
+    /// refresh. This is the server's group-commit pipeline; a single-element
+    /// group degenerates to [`Engine::apply_txn`].
     pub(crate) fn commit_group(
         &mut self,
         mut batches: Vec<Vec<(TxnOp, Symbol, Vec<Const>)>>,
@@ -1025,10 +1034,17 @@ impl Engine {
                 results[i] = Some(Err(error.clone()));
             }
         } else {
-            for &i in &valid {
-                results[i] = Some(self.apply_txn_validated(std::mem::take(&mut batches[i])));
+            let taken = valid
+                .iter()
+                .map(|&i| std::mem::take(&mut batches[i]))
+                .collect();
+            let (summaries, maintained) = self.apply_group_validated(taken);
+            for (&i, summary) in valid.iter().zip(summaries) {
+                results[i] = Some(Ok(summary));
             }
-            if let (Err(error), Some(&last)) = (self.wal_maybe_compact(), valid.last()) {
+            // `and` is eager: the compaction check runs whatever maintenance did.
+            let failed = maintained.and(self.wal_maybe_compact());
+            if let (Err(error), Some(&last)) = (failed, valid.last()) {
                 results[last] = Some(Err(error));
             }
         }
@@ -1038,16 +1054,73 @@ impl Engine {
             .collect()
     }
 
-    /// The post-validation, post-logging half of [`Engine::apply_txn`]: compute
-    /// the batch's net effect and apply it to the fact store and the
-    /// materialized model. The batch (if any) is already on the log; checking the
-    /// log against the compaction threshold is the caller's job, once everything
-    /// it logged is applied.
-    fn apply_txn_validated(
+    /// The post-validation, post-logging half of a commit, shared by
+    /// [`Engine::apply_txn`] (a group of one) and [`Engine::commit_group`]:
+    /// apply each batch's net effect to the fact store in order — one
+    /// [`TxnSummary`] per batch — then maintain the materialized model once,
+    /// from the *group's* net delta: facts the group removed that are absent
+    /// from the fact store at its end (and present in the model) seed one
+    /// delete propagation; facts it added that are present at its end (and new
+    /// to the model) become pending deltas for the next refresh. A fact
+    /// asserted by one batch and retracted by another never reaches the model.
+    /// The batches are already on the log; checking the log against the
+    /// compaction threshold is the caller's job. The second value is the
+    /// outcome of the maintenance: the fact store is committed either way, an
+    /// evaluation error (or a caught panic) degrades to dropping the model via
+    /// the containment boundary — the next query rebuilds it from the
+    /// — consistent — fact store.
+    fn apply_group_validated(
+        &mut self,
+        batches: Vec<Vec<(TxnOp, Symbol, Vec<Const>)>>,
+    ) -> (Vec<TxnSummary>, Result<(), EngineError>) {
+        let mut removed: Vec<(Symbol, Vec<Const>)> = Vec::new();
+        let mut added: Vec<(Symbol, Vec<Const>)> = Vec::new();
+        let summaries = batches
+            .into_iter()
+            .map(|ops| self.apply_to_store(ops, &mut removed, &mut added))
+            .collect();
+        let Some(model) = &self.model else {
+            return (summaries, Ok(()));
+        };
+        let present = |db: &Database, target: Symbol, tuple: &[Const]| {
+            db.relation(target).is_some_and(|r| r.contains(tuple))
+        };
+        let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
+        for (target, tuple) in removed {
+            if !present(&self.edb, target, &tuple) && present(model, target, &tuple) {
+                seeds
+                    .entry(target)
+                    .or_insert_with(|| Relation::new(tuple.len()))
+                    .insert(&tuple);
+            }
+        }
+        let maintained = if seeds.is_empty() {
+            Ok(())
+        } else {
+            self.contained(|engine| engine.propagate_retractions(&seeds))
+        };
+        if let Some(model) = &mut self.model {
+            for (target, tuple) in added {
+                if present(&self.edb, target, &tuple) && model.add_fact(target, &tuple) {
+                    self.pending
+                        .entry(target)
+                        .or_insert_with(|| Relation::new(tuple.len()))
+                        .insert(&tuple);
+                }
+            }
+        }
+        (summaries, maintained)
+    }
+
+    /// Apply one validated batch's net effect (the last operation on a fact wins)
+    /// to the fact store, retractions first, recording what actually left the
+    /// store in `removed` and what actually entered it in `added`.
+    fn apply_to_store(
         &mut self,
         ops: Vec<(TxnOp, Symbol, Vec<Const>)>,
-    ) -> Result<TxnSummary, EngineError> {
-        // Net effect per fact: the last operation wins.
+        removed: &mut Vec<(Symbol, Vec<Const>)>,
+        added: &mut Vec<(Symbol, Vec<Const>)>,
+    ) -> TxnSummary {
         let mut order: Vec<(Symbol, Vec<Const>)> = Vec::new();
         let mut net: FxHashMap<(Symbol, Vec<Const>), TxnOp> = FxHashMap::default();
         for (op, predicate, tuple) in ops {
@@ -1059,7 +1132,6 @@ impl Engine {
 
         // Route IDB-predicate ops to the assertion relation. Registering a new
         // assertion exit rule invalidates the model (exactly as single inserts do).
-        let mut summary = TxnSummary::default();
         let mut retracts: Vec<(Symbol, Vec<Const>)> = Vec::new();
         let mut asserts: Vec<(Symbol, Vec<Const>)> = Vec::new();
         for (predicate, tuple) in order {
@@ -1078,49 +1150,24 @@ impl Engine {
             }
         }
 
-        // Apply retractions to the fact store.
-        let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
+        let mut summary = TxnSummary::default();
         for (target, tuple) in retracts {
             if self.edb.remove_fact(target, &tuple) {
                 summary.retracted += 1;
-                seeds
-                    .entry(target)
-                    .or_insert_with(|| Relation::new(tuple.len()))
-                    .insert(&tuple);
+                removed.push((target, tuple));
             } else {
                 summary.missing += 1;
             }
         }
-
-        // Apply assertions to the fact store.
-        let mut new_facts: Vec<(Symbol, Vec<Const>)> = Vec::new();
         for (target, tuple) in asserts {
             if self.edb.add_fact(target, &tuple) {
                 summary.asserted += 1;
-                new_facts.push((target, tuple));
+                added.push((target, tuple));
             } else {
                 summary.duplicates += 1;
             }
         }
-
-        // Maintain the materialized model, if one exists. The fact store is already
-        // committed; an evaluation error (or a caught panic) here degrades to
-        // dropping the model via the containment boundary — the next query rebuilds
-        // it from the — consistent — fact store.
-        if self.model.is_some() && !seeds.is_empty() {
-            self.contained(|engine| engine.propagate_retractions(&seeds))?;
-        }
-        if let Some(model) = &mut self.model {
-            for (target, tuple) in new_facts {
-                if model.add_fact(target, &tuple) {
-                    self.pending
-                        .entry(target)
-                        .or_insert_with(|| Relation::new(tuple.len()))
-                        .insert(&tuple);
-                }
-            }
-        }
-        Ok(summary)
+        summary
     }
 
     /// Propagate a batch of base-fact retractions through the materialized model:
@@ -2167,5 +2214,193 @@ mod tests {
         engine.insert("e", &[c(1), c(2)]).unwrap();
         let query = parse_query("e(1, Y)").unwrap();
         assert_eq!(engine.query(&query).unwrap(), vec![vec![c(2)]]);
+    }
+
+    // Group-level maintenance (`commit_group`: one pass from the group's net delta)
+    // against batch-by-batch (`apply_txn` on a twin).
+
+    type Batch = Vec<(TxnOp, Symbol, Vec<Const>)>;
+
+    /// A generated op `(kind, a, b)` over the cyclic-graph TC session: retractions
+    /// and assertions of `e`, and of the rule-defined `t` (routed to `t__asserted`).
+    fn group_op(&(kind, a, b): &(usize, i64, i64)) -> (TxnOp, Symbol, Vec<Const>) {
+        let (op, predicate) = match kind {
+            0 | 1 => (TxnOp::Retract, "e"),
+            2..=4 => (TxnOp::Assert, "e"),
+            5 => (TxnOp::Assert, "t"),
+            _ => (TxnOp::Retract, "t"),
+        };
+        (op, Symbol::intern(predicate), vec![c(a), c(b)])
+    }
+
+    /// A materialized TC session over a 5-cycle, evaluating partitioned even on
+    /// tiny rounds; `assert_t` registers the `t__asserted` exit rule up front (or
+    /// leaves that — and the invalidation it causes — to the first group that needs it).
+    fn cyclic_session(threads: usize, assert_t: bool) -> Engine {
+        let mut engine = Engine::with_options(EvalOptions {
+            threads,
+            parallel_threshold: 0,
+            ..EvalOptions::default()
+        });
+        engine
+            .load_source("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
+            .unwrap();
+        for i in 0..5 {
+            engine.insert("e", &[c(i), c((i + 1) % 5)]).unwrap();
+        }
+        if assert_t {
+            engine.insert("t", &[c(5), c(0)]).unwrap();
+        }
+        engine.query(&parse_query("t(0, Y)").unwrap()).unwrap();
+        engine
+    }
+
+    /// The maintained model — `e`, `t` and `t__asserted` — equals from-scratch
+    /// evaluation of the session's fact store.
+    fn assert_model_is_scratch(engine: &mut Engine) {
+        let scratch = evaluate_default(engine.program(), engine.facts()).unwrap();
+        for text in ["e(X, Y)", "t(X, Y)", "t__asserted(X, Y)"] {
+            let query = parse_query(text).unwrap();
+            assert_eq!(
+                engine.query(&query).unwrap(),
+                scratch.answers(&query),
+                "{text}"
+            );
+        }
+    }
+
+    fn sorted_store(engine: &Engine) -> Vec<(Symbol, Vec<Vec<Const>>)> {
+        let mut store: Vec<_> = engine
+            .facts()
+            .iter()
+            .map(|(predicate, relation)| (predicate, relation.to_sorted_vec()))
+            .filter(|(_, rows)| !rows.is_empty())
+            .collect();
+        store.sort();
+        store
+    }
+
+    /// Commit `groups` through `commit_group` on one session and batch by batch
+    /// through `apply_txn` on a twin: same summaries, same store, and after every
+    /// group a model equal to from-scratch evaluation — at 1, 2 and 4 threads.
+    fn assert_groups_equal_singles(groups: &[Vec<Batch>], assert_t: bool) {
+        for threads in [1usize, 2, 4] {
+            let mut grouped = cyclic_session(threads, assert_t);
+            let mut single = cyclic_session(threads, assert_t);
+            for group in groups {
+                let summaries: Vec<TxnSummary> = grouped
+                    .commit_group(group.clone())
+                    .into_iter()
+                    .map(|result| result.expect("group batch commits"))
+                    .collect();
+                let expected: Vec<TxnSummary> = group
+                    .iter()
+                    .map(|batch| single.apply_txn(batch.clone()).expect("batch commits"))
+                    .collect();
+                assert_eq!(
+                    summaries, expected,
+                    "per-batch summaries, {threads} thread(s)"
+                );
+                assert_eq!(sorted_store(&grouped), sorted_store(&single));
+                assert_model_is_scratch(&mut grouped);
+                assert_model_is_scratch(&mut single);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn group_level_maintenance_equals_batch_by_batch(
+            groups in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((0usize..7, 0i64..6, 0i64..6), 1..5),
+                    1..7,
+                ),
+                1..5,
+            ),
+            assert_t in 0usize..2,
+        ) {
+            let groups: Vec<Vec<Batch>> = groups
+                .iter()
+                .map(|group| group.iter().map(|batch| batch.iter().map(group_op).collect()).collect())
+                .collect();
+            assert_groups_equal_singles(&groups, assert_t == 1);
+        }
+    }
+
+    #[test]
+    fn a_fact_crossing_batches_of_one_group_nets_out() {
+        let e = |op, a, b| (op, Symbol::intern("e"), vec![c(a), c(b)]);
+        let t = |op, a, b| (op, Symbol::intern("t"), vec![c(a), c(b)]);
+        use TxnOp::{Assert, Retract};
+        let groups = vec![
+            // Asserted then retracted by a later batch: never reaches the model.
+            vec![vec![e(Assert, 7, 8)], vec![e(Retract, 7, 8)]],
+            // Retracted then re-asserted: the model keeps it, nothing to propagate.
+            vec![
+                vec![e(Retract, 0, 1)],
+                vec![e(Assert, 0, 1), e(Assert, 0, 1)],
+            ],
+            // Both at once, with a duplicate, a missing retraction, and the same
+            // fact flipping twice; the rule-defined predicate crosses batches too.
+            vec![
+                vec![e(Retract, 1, 2), e(Assert, 8, 9), t(Assert, 5, 0)],
+                vec![e(Assert, 1, 2), e(Retract, 8, 9), e(Retract, 9, 9)],
+                vec![e(Retract, 1, 2), e(Assert, 2, 3), t(Retract, 5, 0)],
+                vec![t(Assert, 5, 0), e(Retract, 3, 4)],
+            ],
+        ];
+        assert_groups_equal_singles(&groups, false);
+        assert_groups_equal_singles(&groups, true);
+
+        // And it is one pass: two retracting batches over-delete the cycle's closure
+        // once as a group, twice one by one; the group's inserts wait for one resume.
+        let (mut grouped, mut single) = (cyclic_session(1, false), cyclic_session(1, false));
+        let group = vec![
+            vec![e(Retract, 0, 1), e(Assert, 6, 0)],
+            vec![e(Retract, 2, 3), e(Assert, 6, 2)],
+        ];
+        for batch in &group {
+            single.apply_txn(batch.clone()).unwrap();
+        }
+        assert!(grouped.commit_group(group).iter().all(Result::is_ok));
+        assert!(grouped.stats().retractions < single.stats().retractions);
+        assert_eq!(grouped.pending_facts(), 2);
+        assert_model_is_scratch(&mut grouped);
+    }
+
+    #[test]
+    fn a_fault_during_group_maintenance_drops_the_model_not_the_commits() {
+        let e = |op, a, b| (op, Symbol::intern("e"), vec![c(a), c(b)]);
+        for site in [FaultSite::DeleteOverdelete, FaultSite::RoundMerge] {
+            for action in [FaultAction::Error, FaultAction::Panic] {
+                let mut engine = cyclic_session(1, false);
+                engine.set_fault_injector(Some(FaultInjector::armed(site, action, 0)));
+                let results = engine.commit_group(vec![
+                    vec![e(TxnOp::Retract, 0, 1), e(TxnOp::Assert, 0, 2)],
+                    vec![e(TxnOp::Assert, 6, 0)],
+                    vec![(TxnOp::Assert, Symbol::intern("e"), vec![c(1)])],
+                    vec![e(TxnOp::Retract, 3, 4)],
+                ]);
+                // The invalid batch keeps its own error; the maintenance error lands
+                // on the group's last valid batch; everything valid is in the store.
+                assert!(matches!(results[2], Err(EngineError::ArityMismatch { .. })));
+                assert!(results[0].is_ok() && results[1].is_ok());
+                assert!(
+                    matches!(results[3], Err(EngineError::Eval(_))),
+                    "{site} {action:?}: {:?}",
+                    results[3]
+                );
+                assert!(!engine.is_materialized(), "the model is dropped");
+                assert_eq!(engine.pending_facts(), 0);
+                // (A fired Error-action injector fails every later evaluation too.)
+                engine.set_fault_injector(None);
+                let store = engine.facts().relation(Symbol::intern("e")).unwrap();
+                assert_eq!(store.len(), 5 - 2 + 2, "{site} {action:?}");
+                assert_model_is_scratch(&mut engine);
+            }
+        }
     }
 }

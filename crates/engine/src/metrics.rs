@@ -24,7 +24,8 @@
 //!                   "leader_seq": n, "lag_frames": n} | null,
 //!   "server": {"reactor_wakeups": n, "pipelined_batches": n,
 //!              "pipelined_requests": n, "max_batch_depth": n,
-//!              "prepared_execs": n, "reply_cache_hits": n} | null,
+//!              "prepared_execs": n, "reply_cache_hits": n,
+//!              "group_wait_us": n, "pace_wait_us": n} | null,
 //!   "counters": { <every EvalStats counter>: n, ... },
 //!   "phases": { "<phase>": {"count": n, "total_ns": n, "max_ns": n}, ... },
 //!   "optimize_passes": { "<pass>": {"count": n, "total_ns": n, "max_ns": n}, ... },
@@ -45,8 +46,10 @@
 //!
 //! Version 3 added the `server` object: the event-driven front end's reactor
 //! counters (poll-loop wakeups, pipelined batch/request totals, deepest batch,
-//! prepared-statement executions, rendered-reply cache hits). `null` for a
-//! session that is not serving.
+//! prepared-statement executions, rendered-reply cache hits), since joined by
+//! where the writer waits (`group_wait_us` for a group's joiners,
+//! `pace_wait_us` for publish pacing — additive keys, same version). `null`
+//! for a session that is not serving.
 //!
 //! `phases` and `rules` come from the accumulated eval profile and are empty
 //! when tracing was never enabled; every `*_ns` field is wall-clock nanoseconds.
@@ -194,13 +197,15 @@ pub fn render_metrics_json(
                 out,
                 "  \"server\": {{\"reactor_wakeups\": {}, \"pipelined_batches\": {}, \
                  \"pipelined_requests\": {}, \"max_batch_depth\": {}, \"prepared_execs\": {}, \
-                 \"reply_cache_hits\": {}}},",
+                 \"reply_cache_hits\": {}, \"group_wait_us\": {}, \"pace_wait_us\": {}}},",
                 m.reactor_wakeups,
                 m.pipelined_batches,
                 m.pipelined_requests,
                 m.max_batch_depth,
                 m.prepared_execs,
-                m.reply_cache_hits
+                m.reply_cache_hits,
+                m.group_wait_us,
+                m.pace_wait_us
             );
         }
         None => {
@@ -416,6 +421,8 @@ mod tests {
             max_batch_depth: 5,
             prepared_execs: 3,
             reply_cache_hits: 2,
+            group_wait_us: 640,
+            pace_wait_us: 9,
         };
         let text = render_metrics_json(
             &EngineMetrics::default(),
@@ -433,6 +440,8 @@ mod tests {
             "\"max_batch_depth\": 5",
             "\"prepared_execs\": 3",
             "\"reply_cache_hits\": 2",
+            "\"group_wait_us\": 640",
+            "\"pace_wait_us\": 9}",
         ] {
             assert!(text.contains(key), "missing {key} in:\n{text}");
         }

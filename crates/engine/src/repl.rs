@@ -694,13 +694,16 @@ impl Repl {
         let stats = self.remote().stats().map_err(|e| e.to_string())?;
         let mut out = format!(
             "server: epoch {}, {} in flight, {} shed, {} group commit(s) \
-             covering {} txn(s) ({:.2} txn(s)/fsync)",
+             covering {} txn(s) ({:.2} txn(s)/fsync), writer waited {} us for joiners \
+             and {} us for pacing",
             stats.epoch,
             stats.in_flight,
             stats.shed,
             stats.group_commits,
             stats.group_txns,
             stats.txns_per_fsync,
+            stats.group_wait_us,
+            stats.pace_wait_us,
         );
         let _ = write!(
             out,

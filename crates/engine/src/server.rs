@@ -13,11 +13,13 @@
 //!                    └────────────────▲───────────────────────────┘
 //!                                     │ publish after each group
 //!   conn threads ──▶ bounded queue ──▶ writer thread (owns Engine)
-//!     TXN             (try_send;        · drains the queue into a batch
-//!                      Full = shed)     · Engine::commit_group → ONE fsync
-//!                                       · refresh + publish the next view
-//!                                       · paced under read load
-//!                                         (PUBLISH_SHARE)
+//!     TXN             (try_send;        · group = what queued during the last
+//!                      Full = shed)       commit (+ who was in it: group_wait)
+//!                                       · Engine::commit_group → ONE fsync,
+//!                                         ONE maintenance pass
+//!                                       · refresh + publish the next view,
+//!                                         paced under read load (PUBLISH_SHARE)
+//!                                       · ONE hand-off of the group's replies
 //! ```
 //!
 //! # Protocol
@@ -30,8 +32,8 @@
 //! TXN +e(1, 2); -e(0, 1)  →  OK asserted=1 retracted=1 epoch=8
 //! EPOCH                →  OK epoch=8
 //! STATS                →  OK epoch=8 in_flight=1 shed=0 group_commits=3 group_txns=7
-//!                            txns_per_fsync=2.33 role=leader term=0
-//!                            repl_followers=0 repl_lag_frames=0 repl_lag_ms=0
+//!                            txns_per_fsync=2.33 role=leader term=0 repl_followers=0
+//!                            repl_lag_frames=0 repl_lag_ms=0 … group_wait_us=9 pace_wait_us=0
 //!                         (one line on the wire)
 //! PING                 →  OK pong
 //! REPL SUBSCRIBE 12 term=0 id=7  →  FRAME <hex>* (or SNAP <hex>) ⏎
@@ -76,7 +78,7 @@ use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Barrier, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -179,8 +181,8 @@ pub struct ServerOptions {
     pub memory_budget_bytes: Option<usize>,
     /// The `retry after` hint shed requests carry.
     pub retry_after: Duration,
-    /// How long the committer lingers after the first queued transaction to
-    /// let concurrent submitters join its group.
+    /// The longest a group waits for a submitter that was in flight one group ago
+    /// and has not arrived yet (one deadline per group); nobody else is waited for.
     pub group_window: Duration,
     /// How long [`ServerHandle::shutdown`] waits for in-flight requests before
     /// cancelling the stragglers.
@@ -233,11 +235,12 @@ impl Completions {
         })
     }
 
-    fn push(&self, conn_id: u64, outcome: TxnOutcome) {
+    /// Queue a whole group's outcomes under one lock and wake the reactor once.
+    fn push_all(&self, outcomes: Vec<(u64, TxnOutcome)>) {
         self.queue
             .lock()
             .expect("completion queue poisoned")
-            .push((conn_id, outcome));
+            .extend(outcomes);
         self.pipe.handle().wake();
     }
 
@@ -261,21 +264,27 @@ struct TxnTicket {
 }
 
 impl TxnTicket {
-    fn send(mut self, outcome: TxnOutcome) {
-        self.sent = true;
-        self.completions.push(self.conn_id, outcome);
+    /// Deliver a group's outcomes, one per ticket in order, in one hand-off.
+    fn send_group(tickets: Vec<TxnTicket>, outcomes: Vec<TxnOutcome>) {
+        let Some(completions) = tickets.first().map(|t| t.completions.clone()) else {
+            return;
+        };
+        let addressed = tickets
+            .into_iter()
+            .zip(outcomes)
+            .map(|(mut ticket, outcome)| {
+                ticket.sent = true;
+                (ticket.conn_id, outcome)
+            });
+        completions.push_all(addressed.collect());
     }
 }
 
 impl Drop for TxnTicket {
     fn drop(&mut self) {
         if !self.sent {
-            self.completions.push(
-                self.conn_id,
-                Err(EngineError::Durability(
-                    "server is shutting down".to_string(),
-                )),
-            );
+            let error = EngineError::Durability("server is shutting down".to_string());
+            self.completions.push_all(vec![(self.conn_id, Err(error))]);
         }
     }
 }
@@ -320,6 +329,11 @@ pub struct ServerMetrics {
     pub prepared_execs: u64,
     /// Replies served byte-for-byte from the epoch-keyed rendered-reply cache.
     pub reply_cache_hits: u64,
+    /// Microseconds the writer waited for submitters that were in flight one group
+    /// ago to join the next (publish pacing excluded).
+    pub group_wait_us: u64,
+    /// Microseconds the writer held groups back for publish pacing.
+    pub pace_wait_us: u64,
 }
 
 /// One follower's drain position, as observed from its `REPL SUBSCRIBE` polls
@@ -365,6 +379,9 @@ struct Shared {
     shed: AtomicU64,
     group_commits: AtomicU64,
     group_txns: AtomicU64,
+    /// Microseconds the writer waited for joiners, and for pacing ([`group_wait`]).
+    group_wait_us: AtomicU64,
+    pace_wait_us: AtomicU64,
     stopping: AtomicBool,
     cancel: CancelToken,
     options: ServerOptions,
@@ -415,6 +432,8 @@ impl Shared {
             max_batch_depth: c.max_batch_depth.load(Ordering::Relaxed),
             prepared_execs: c.prepared_execs.load(Ordering::Relaxed),
             reply_cache_hits: c.reply_cache_hits.load(Ordering::Relaxed),
+            group_wait_us: self.group_wait_us.load(Ordering::Relaxed),
+            pace_wait_us: self.pace_wait_us.load(Ordering::Relaxed),
         }
     }
 }
@@ -642,6 +661,8 @@ pub(crate) fn serve_inner(
         shed: AtomicU64::new(0),
         group_commits: AtomicU64::new(engine.stats().wal_group_commits as u64),
         group_txns: AtomicU64::new(engine.stats().wal_group_txns as u64),
+        group_wait_us: AtomicU64::new(0),
+        pace_wait_us: AtomicU64::new(0),
         stopping: AtomicBool::new(false),
         cancel,
         options: options.clone(),
@@ -677,17 +698,24 @@ pub(crate) fn serve_inner(
 
     let (write_tx, write_rx) = mpsc::sync_channel::<WriteReq>(options.write_queue_depth);
 
+    // Both threads meet the caller here first thing: a thread carries its name only
+    // once it runs, and callers place threads by name right after `serve` returns.
+    let started = Arc::new(Barrier::new(3));
+    let (writer_started, reactor_started) = (started.clone(), started.clone());
     let writer_shared = shared.clone();
-    let writer_thread = match follow {
-        None => std::thread::Builder::new()
-            .name("factorlog-writer".to_string())
-            .spawn(move || writer_loop(engine, write_rx, &writer_shared))
-            .expect("cannot spawn writer thread"),
-        Some(config) => std::thread::Builder::new()
-            .name("factorlog-follower".to_string())
-            .spawn(move || follower_loop(engine, write_rx, &writer_shared, config))
-            .expect("cannot spawn follower thread"),
-    };
+    let writer_name = follow
+        .as_ref()
+        .map_or("factorlog-writer", |_| "factorlog-follower");
+    let writer_thread = std::thread::Builder::new()
+        .name(writer_name.to_string())
+        .spawn(move || {
+            writer_started.wait();
+            match follow {
+                None => writer_core(engine, write_rx, &writer_shared, None),
+                Some(config) => follower_loop(engine, write_rx, &writer_shared, config),
+            }
+        })
+        .expect("cannot spawn writer thread");
 
     let reactor_shared = shared.clone();
     let reactor_tx = write_tx.clone();
@@ -695,9 +723,11 @@ pub(crate) fn serve_inner(
     let reactor_thread = std::thread::Builder::new()
         .name("factorlog-reactor".to_string())
         .spawn(move || {
+            reactor_started.wait();
             Reactor::new(listener, reactor_shared, reactor_tx, reactor_completions).run()
         })
         .expect("cannot spawn reactor thread");
+    started.wait();
 
     Ok(ServerHandle {
         addr,
@@ -709,22 +739,29 @@ pub(crate) fn serve_inner(
     })
 }
 
-/// The commit pipeline: block for a first transaction, linger `group_window`
-/// (longer under read load: see [`PUBLISH_SHARE`]) to let concurrent submitters
-/// pile on, commit the whole batch under one fsync, publish the next view, then
-/// reply to every submitter.
-fn writer_loop(engine: Engine, rx: mpsc::Receiver<WriteReq>, shared: &Shared) -> Engine {
-    writer_core(engine, rx, shared, None)
+/// How long the writer waits before committing a group of `batch_len` requests
+/// (zero: commit now): for joiners only while fewer have arrived than the `expect`
+/// submitters demonstrably in flight one cycle ago, and only until the group's one
+/// deadline (`to_deadline` away, never re-armed by an arrival); for publish pacing
+/// (`pace` left to `not_before`, see [`PUBLISH_SHARE`]) whoever has arrived.
+fn group_wait(batch_len: usize, expect: usize, to_deadline: Duration, pace: Duration) -> Duration {
+    match batch_len {
+        n if n >= MAX_GROUP => Duration::ZERO,
+        n if n < expect => to_deadline.max(pace),
+        _ => pace,
+    }
 }
 
-/// [`writer_loop`] with an optional already-received first request — a
-/// follower promoted mid-`recv` hands the raced request over instead of
-/// bouncing it.
+/// The commit pipeline: block for a first transaction, wait ([`group_wait`]) for
+/// the submitters known to be in flight, commit the whole batch under one fsync and
+/// one maintenance pass, publish the next view, then reply to every submitter in one
+/// hand-off. `pending` is an already-received first request: a follower promoted
+/// mid-`recv` hands the raced request over instead of bouncing it.
 fn writer_core(
     mut engine: Engine,
     rx: mpsc::Receiver<WriteReq>,
     shared: &Shared,
-    mut pending: Option<WriteReq>,
+    pending: Option<WriteReq>,
 ) -> Engine {
     let mut epoch = shared.epoch.load(Ordering::Acquire);
     // Publish pacing (see [`PUBLISH_SHARE`]): the next group does not start
@@ -733,29 +770,38 @@ fn writer_core(
     let read_busy = || Duration::from_nanos(shared.counters.read_busy_ns.load(Ordering::Relaxed));
     let mut not_before = Instant::now();
     let mut published = (not_before, read_busy());
+    // The group being formed (it starts as what queued behind the previous one), how
+    // many submitters were in flight when that one went out, and the time waited so far.
+    let mut batch: Vec<WriteReq> = pending.into_iter().collect();
+    let mut expect = 1;
+    let (mut group_waited, mut pace_waited) = (Duration::ZERO, Duration::ZERO);
     loop {
-        let first = match pending.take() {
-            Some(req) => req,
-            None => match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(req) => req,
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                // Every sender gone: the server is shutting down and the queue
-                // is fully drained (recv yields buffered requests before
-                // reporting disconnection).
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            },
-        };
-        let mut batch = vec![first];
-        while batch.len() < MAX_GROUP {
-            let pace = not_before.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(shared.options.group_window.max(pace)) {
-                Ok(req) => batch.push(req),
-                Err(_) => break,
+        if batch.is_empty() {
+            // Every sender gone: the server is shutting down and the queue is fully
+            // drained (recv yields buffered requests before reporting disconnection).
+            let Ok(first) = rx.recv() else { break };
+            batch.push(first);
+        }
+        let deadline = Instant::now() + shared.options.group_window;
+        loop {
+            let now = Instant::now();
+            let pace = not_before.saturating_duration_since(now);
+            let to_deadline = deadline.saturating_duration_since(now);
+            let wait = group_wait(batch.len(), expect, to_deadline, pace);
+            if wait.is_zero() {
+                break;
             }
+            let arrival = rx.recv_timeout(wait);
+            let waited = now.elapsed();
+            pace_waited += waited.min(pace);
+            group_waited += waited.saturating_sub(pace);
+            // Timed out (nothing is left to wait for) or every sender is gone.
+            let Ok(req) = arrival else { break };
+            batch.push(req);
         }
 
         let started = Instant::now();
-        let (ops, replies): (Vec<_>, Vec<_>) = batch.into_iter().map(|r| (r.ops, r.reply)).unzip();
+        let (ops, replies): (Vec<_>, Vec<_>) = batch.drain(..).map(|r| (r.ops, r.reply)).unzip();
         let results = engine.commit_group(ops);
 
         // Assign each committed batch the epoch that first includes it; the
@@ -782,27 +828,31 @@ fn writer_core(
         not_before =
             now.0 + publish_linger(now.0 - started, now.1 - published.1, now.0 - published.0);
         published = now;
-        shared
-            .group_commits
-            .store(engine.stats().wal_group_commits as u64, Ordering::Relaxed);
-        shared
-            .group_txns
-            .store(engine.stats().wal_group_txns as u64, Ordering::Relaxed);
+        let stats = engine.stats();
+        for (counter, value) in [
+            (&shared.group_commits, stats.wal_group_commits as u64),
+            (&shared.group_txns, stats.wal_group_txns as u64),
+            (&shared.group_wait_us, group_waited.as_micros() as u64),
+            (&shared.pace_wait_us, pace_waited.as_micros() as u64),
+        ] {
+            counter.store(value, Ordering::Relaxed);
+        }
         // Publish our committed log position for subscribers' lag accounting.
         shared
             .repl
             .last_seq
             .store(engine.wal_last_seq().unwrap_or(0), Ordering::Release);
-        for (outcome, reply) in outcomes.into_iter().zip(replies) {
-            // A submitter that died (connection killed mid-request) simply
-            // never reads its reply; the commit stands.
-            reply.send(outcome);
-        }
+        // What queued behind this group opens the next; with this group's submitters
+        // (not acked yet, so not among them) it is who is demonstrably in flight. A
+        // submitter that died simply never reads its reply; the commit stands.
+        batch.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(MAX_GROUP));
+        expect = replies.len() + batch.len();
+        TxnTicket::send_group(replies, outcomes);
     }
     engine
 }
 
-/// The follower's apply loop, standing where a leader's [`writer_loop`]
+/// The follower's apply loop, standing where a leader's [`writer_core`]
 /// stands: instead of committing submitted transactions (those are refused
 /// with `ERR readonly` before they reach the queue), it polls the leader,
 /// applies shipped frames, and publishes each applied prefix as a fresh view —
@@ -834,9 +884,9 @@ fn follower_loop(
                     replica.adopt_promotion(shared.repl.term.load(Ordering::Acquire));
                     return writer_core(replica.into_engine(), rx, shared, Some(req));
                 }
-                req.reply.send(Err(EngineError::Durability(
-                    "replica is read-only: write to the leader or promote it".to_string(),
-                )));
+                let refusal = "replica is read-only: write to the leader or promote it";
+                let refusal = Err(EngineError::Durability(refusal.to_string()));
+                TxnTicket::send_group(vec![req.reply], vec![refusal]);
                 continue;
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -1308,9 +1358,11 @@ impl Reactor {
                 return;
             }
             let text = rest.trim().trim_end_matches('.');
-            self.serve_cached(conn_id, &format!("QUERY\u{1}{text}"), |shared, view, out| {
-                handle_query(text, shared, view, out)
-            });
+            self.serve_cached(
+                conn_id,
+                &format!("QUERY\u{1}{text}"),
+                |shared, view, out| handle_query(text, shared, view, out),
+            );
             return;
         }
         if verb.eq_ignore_ascii_case("PREPARE") {
@@ -1670,7 +1722,7 @@ fn handle_stats(shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
          group_txns={group_txns} txns_per_fsync={txns_per_fsync:.2} role={role} term={} \
          repl_followers={followers} repl_lag_frames={lag_frames} repl_lag_ms={lag_ms} \
          reactor_wakeups={} pipelined_batches={} pipelined_requests={} max_batch_depth={} \
-         prepared_execs={} reply_cache_hits={}",
+         prepared_execs={} reply_cache_hits={} group_wait_us={} pace_wait_us={}",
         shared.epoch.load(Ordering::Acquire),
         shared.in_flight.load(Ordering::Acquire),
         shared.shed.load(Ordering::Relaxed),
@@ -1681,6 +1733,8 @@ fn handle_stats(shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
         m.max_batch_depth,
         m.prepared_execs,
         m.reply_cache_hits,
+        m.group_wait_us,
+        m.pace_wait_us,
     )?;
     out.flush()
 }
@@ -2232,6 +2286,10 @@ pub struct StatsReply {
     pub prepared_execs: u64,
     /// Reads answered from the epoch-keyed rendered-reply cache.
     pub reply_cache_hits: u64,
+    /// Microseconds the writer waited for joiners (see [`ServerMetrics`]).
+    pub group_wait_us: u64,
+    /// Microseconds the writer held groups back for publish pacing.
+    pub pace_wait_us: u64,
 }
 
 /// A server-side prepared statement handle, scoped to the [`Client`]
@@ -2498,6 +2556,8 @@ impl Client {
             max_batch_depth: Self::parse_field(fields, "max_batch_depth")?,
             prepared_execs: Self::parse_field(fields, "prepared_execs")?,
             reply_cache_hits: Self::parse_field(fields, "reply_cache_hits")?,
+            group_wait_us: Self::parse_field(fields, "group_wait_us")?,
+            pace_wait_us: Self::parse_field(fields, "pace_wait_us")?,
         })
     }
 
@@ -2780,6 +2840,50 @@ mod tests {
         // Degenerate clock readings pace at most the cap, and never panic.
         assert!(publish_linger(ms(5), ms(1), ms(0)) <= PUBLISH_LINGER_MAX);
         assert_eq!(publish_linger(ms(0), ms(0), ms(0)), ms(0));
+    }
+
+    #[test]
+    fn group_wait_follows_who_is_in_flight_and_one_deadline() {
+        let (ms, us, zero) = (Duration::from_millis, Duration::from_micros, Duration::ZERO);
+        // A lone submitter never lingers, whatever is left of the window.
+        assert_eq!(group_wait(1, 1, ms(1), zero), zero);
+        assert_eq!(group_wait(1, 1, ms(200), zero), zero);
+        // A missing joiner is waited for until the group's deadline: the time that is
+        // left to it, not a window re-armed by whoever arrived in between.
+        assert_eq!(group_wait(1, 2, ms(1), zero), ms(1));
+        assert_eq!(group_wait(2, 3, us(300), zero), us(300));
+        assert_eq!(group_wait(2, 3, zero, zero), zero, "deadline passed");
+        // Everyone who was in flight has arrived (or more): commit now.
+        assert_eq!(group_wait(2, 2, ms(1), zero), zero);
+        assert_eq!(group_wait(5, 2, ms(1), zero), zero);
+        // Pacing is honoured whoever has arrived, and never shortens a joiner wait.
+        for (batch_len, expect) in [(1, 1), (1, 2), (2, 2), (3, 2), (MAX_GROUP - 1, 1)] {
+            assert_eq!(group_wait(batch_len, expect, zero, ms(7)), ms(7));
+            assert_eq!(group_wait(batch_len, expect, ms(1), ms(7)), ms(7));
+        }
+        assert_eq!(group_wait(1, 2, ms(1), us(200)), ms(1));
+        // `expect` acts as if clamped to 1..=MAX_GROUP: a first request is never
+        // waited on for nobody, and a full group goes at once (as it always did).
+        assert_eq!(group_wait(1, 0, ms(1), zero), zero);
+        assert_eq!(group_wait(MAX_GROUP - 1, usize::MAX, ms(1), zero), ms(1));
+        assert_eq!(group_wait(MAX_GROUP, usize::MAX, ms(1), ms(7)), zero);
+    }
+
+    /// `serve` returns only once its threads run — and so carry their names, which
+    /// is how callers find them (the kernel keeps 15 bytes of a name).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn serve_returns_after_its_threads_carry_their_names() {
+        let handle = serve(tc_engine(2), "127.0.0.1:0", quick_options()).unwrap();
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect();
+        for name in ["factorlog-writer", "factorlog-reactor"] {
+            assert!(names.iter().any(|n| n == &name[..15]), "{name}: {names:?}");
+        }
+        handle.shutdown();
     }
 
     #[test]
