@@ -30,22 +30,11 @@
 use crate::ast::{Atom, Const, Rule, Term};
 use crate::fault::{CancelToken, FaultAction, FaultInjector, FaultSite};
 use crate::fx::{FxHashMap, FxHashSet};
-use crate::storage::{shard_of_row, Database, IndexId, KeyHasher, Relation, RowId};
+use crate::storage::{Database, IndexId, KeyHasher, Relation, RowId};
 use crate::symbol::Symbol;
 
 use super::stats::EvalStats;
 use super::{EvalError, LimitReason};
-
-/// Environment variable overriding the default worker-thread count
-/// ([`EvalOptions::threads`]): `FACTORLOG_THREADS=4` parallelizes every evaluation,
-/// `FACTORLOG_THREADS=0` uses one worker per available core.
-pub const THREADS_ENV_VAR: &str = "FACTORLOG_THREADS";
-
-/// Default minimum number of outer rows a semi-naive round must feed its firings
-/// before the evaluator partitions it across workers; below this, thread-spawn and
-/// merge overhead dominates and the round runs sequentially (which is why long-chain
-/// workloads with tiny deltas stay at single-thread speed no matter the setting).
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 512;
 
 /// Evaluation options shared by the naive and semi-naive evaluators.
 #[derive(Clone, Debug)]
@@ -57,23 +46,12 @@ pub struct EvalOptions {
     /// Enable the arithmetic `succ/2` builtin (disabled automatically for any
     /// predicate that has explicit facts in the database).
     pub enable_builtins: bool,
-    /// Worker threads for hash-partitioned semi-naive rounds: `1` evaluates
-    /// sequentially, `0` uses one worker per available core. Parallel evaluation
-    /// produces the exact single-thread result — same fact set, same relation
-    /// insertion order, same machine-independent counters — so this is purely a
-    /// wall-clock knob. Defaults to the `FACTORLOG_THREADS` environment variable,
-    /// or 1 when unset.
-    pub threads: usize,
     /// Reorder rule-body literals at plan time (greedy: most bound argument
     /// positions first, then smallest relation at plan-resolution time) before
     /// compiling access paths. Bodies containing the virtual `succ/2` builtin are
     /// never reordered (its evaluability is position-dependent). Purely an
     /// execution-order change: the set of derived facts is unaffected.
     pub reorder_literals: bool,
-    /// Minimum total outer rows in a round before it is partitioned across workers
-    /// (see [`DEFAULT_PARALLEL_THRESHOLD`]). Benchmarks and tests lower this to
-    /// exercise the parallel path on small inputs.
-    pub parallel_threshold: usize,
     /// Collect an [`EvalProfile`](super::trace::EvalProfile) (phase spans,
     /// per-rule firing times and row counts) on the run's statistics. Off by
     /// default; when off, every instrumentation site costs one branch on a
@@ -104,27 +82,12 @@ pub struct EvalOptions {
     pub fault_injector: Option<FaultInjector>,
 }
 
-/// The process-wide default thread count: `FACTORLOG_THREADS`, read once (defaults
-/// are constructed on hot paths — per prepared-query replay — so the environment
-/// lookup must not recur).
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var(THREADS_ENV_VAR)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(1)
-    })
-}
-
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             max_iterations: 1_000_000,
             enable_builtins: true,
-            threads: default_threads(),
             reorder_literals: true,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             trace: false,
             deadline: None,
             max_derived_facts: None,
@@ -135,26 +98,7 @@ impl Default for EvalOptions {
     }
 }
 
-/// Hard ceiling on the worker count, whatever `threads` asks for: beyond this,
-/// per-round spawn and merge costs dominate any join, and an absurd setting (a typo'd
-/// `:threads 500000`) must not take the process down trying to spawn OS threads.
-pub const MAX_WORKERS: usize = 64;
-
 impl EvalOptions {
-    /// The concrete worker count this configuration asks for: `threads`, with `0`
-    /// resolved to the number of available cores, clamped to [`MAX_WORKERS`].
-    /// Oversubscription below the ceiling is allowed on purpose (the determinism
-    /// tests run 8 workers on 1 core).
-    pub fn effective_threads(&self) -> usize {
-        let requested = match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        };
-        requested.min(MAX_WORKERS)
-    }
-
     /// Is any resource guardrail (limit, deadline, cancel token, fault
     /// injector) armed on these options?
     pub fn has_guardrails(&self) -> bool {
@@ -183,7 +127,6 @@ pub const POLL_INTERVAL: u32 = 1024;
 #[derive(Clone, Debug)]
 pub struct JoinPoll {
     user_cancel: Option<CancelToken>,
-    abort: CancelToken,
     deadline_at: Option<std::time::Instant>,
     injector: FaultInjector,
     countdown: u32,
@@ -213,11 +156,10 @@ impl JoinPoll {
                 self.tripped = true;
             }
             None => {
-                if self.abort.is_cancelled()
-                    || self
-                        .user_cancel
-                        .as_ref()
-                        .is_some_and(CancelToken::is_cancelled)
+                if self
+                    .user_cancel
+                    .as_ref()
+                    .is_some_and(CancelToken::is_cancelled)
                     || self
                         .deadline_at
                         .is_some_and(|at| std::time::Instant::now() >= at)
@@ -232,9 +174,8 @@ impl JoinPoll {
 
 /// Per-evaluation resource governor: created at each evaluation entry point
 /// (full evaluation, resume, delete propagation), it owns the start timestamp
-/// the deadline is measured from, the configured limits, and the internal
-/// abort token panic isolation uses to stop sibling workers. Round drivers call
-/// [`Governor::check_round`] at every round boundary and arm worker scratches
+/// the deadline is measured from and the configured limits. Round drivers call
+/// [`Governor::check_round`] at every round boundary and arm the join scratches
 /// with [`Governor::join_poll`] for the intra-round checks.
 pub struct Governor {
     started: std::time::Instant,
@@ -242,10 +183,6 @@ pub struct Governor {
     max_derived_facts: Option<usize>,
     memory_budget_bytes: Option<usize>,
     user_cancel: Option<CancelToken>,
-    /// Internal abort flag, distinct from the caller's token: a panicking
-    /// worker sets it so its siblings trip at their next poll, without
-    /// permanently cancelling the caller's long-lived token.
-    abort: CancelToken,
     injector: FaultInjector,
     poll_armed: bool,
 }
@@ -263,7 +200,6 @@ impl Governor {
             max_derived_facts: options.max_derived_facts,
             memory_budget_bytes: options.memory_budget_bytes,
             user_cancel: options.cancel.clone(),
-            abort: CancelToken::new(),
             injector,
             poll_armed,
         }
@@ -278,12 +214,6 @@ impl Governor {
             || self.injector.site().is_some()
     }
 
-    /// The internal abort token. Panic isolation sets it when a worker dies so
-    /// sibling workers trip at their next poll.
-    pub fn abort_token(&self) -> CancelToken {
-        self.abort.clone()
-    }
-
     /// A join-loop poll bound to this governor, or `None` when no intra-round
     /// guardrail is armed (limits checked only at round boundaries need no
     /// per-row countdown).
@@ -293,7 +223,6 @@ impl Governor {
         }
         Some(JoinPoll {
             user_cancel: self.user_cancel.clone(),
-            abort: self.abort.clone(),
             deadline_at: self.deadline.map(|d| self.started + d),
             injector: self.injector.clone(),
             countdown: POLL_INTERVAL,
@@ -302,10 +231,10 @@ impl Governor {
     }
 
     /// Round-boundary check of every guardrail: cancellation (the caller's
-    /// token or the internal abort), the deadline, the derived-fact cap, and
-    /// the memory budget. `estimate_bytes` is consulted only when a memory
-    /// budget is set. On abort, bumps `limit_aborts` and returns
-    /// [`EvalError::LimitExceeded`] carrying a clone of the counters so far.
+    /// token), the deadline, the derived-fact cap, and the memory budget.
+    /// `estimate_bytes` is consulted only when a memory budget is set. On abort,
+    /// bumps `limit_aborts` and returns [`EvalError::LimitExceeded`] carrying a
+    /// clone of the counters so far.
     pub fn check_round(
         &self,
         stats: &mut EvalStats,
@@ -320,11 +249,10 @@ impl Governor {
         if let Some((site, FaultAction::Error)) = self.injector.fired_at() {
             return Err(EvalError::Injected { site });
         }
-        let reason = if self.abort.is_cancelled()
-            || self
-                .user_cancel
-                .as_ref()
-                .is_some_and(CancelToken::is_cancelled)
+        let reason = if self
+            .user_cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled)
         {
             Some(LimitReason::Cancelled)
         } else {
@@ -599,39 +527,6 @@ pub fn reorder_body(
     Some(Rule::new(rule.head.clone(), body))
 }
 
-/// One worker's slice of a hash-partitioned firing: worker `shard` of `of` matches
-/// only the outer (depth-0) rows that [`shard_of_row`] assigns to it, partitioning by
-/// `columns` (a join-key column set whose values vary across the outer rows) or by
-/// whole-row hash (`None`). The round driver picks the columns; any choice is exact —
-/// it only affects which worker does which share of the work.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardSpec<'a> {
-    /// This worker's shard index, `0 <= shard < of`.
-    pub shard: usize,
-    /// Total number of shards.
-    pub of: usize,
-    /// Partition-key columns of the outer relation (`None` = whole-row hash).
-    pub columns: Option<&'a [usize]>,
-    /// Precomputed shard assignment of the outer relation's rows
-    /// (`assign[row_id] = owning shard`), produced once per round by the driver so
-    /// that workers test ownership with an array load instead of re-hashing every
-    /// outer row (the PR 3 follow-on). Must agree with [`shard_of_row`] over
-    /// `columns`/`of` — the round driver computes it with exactly that function.
-    /// `None` falls back to hashing per row (probed outers, direct callers).
-    pub assign: Option<&'a [u8]>,
-}
-
-impl ShardSpec<'_> {
-    /// Does this shard own the outer row `id` with values `row`?
-    #[inline]
-    fn owns(&self, id: RowId, row: &[Const]) -> bool {
-        match self.assign {
-            Some(assign) => assign[id as usize] as usize == self.shard,
-            None => shard_of_row(row, self.columns, self.of) == self.shard,
-        }
-    }
-}
-
 /// Everything a single `fire` needs that is constant over the descent.
 struct FireCtx<'a> {
     db: &'a Database,
@@ -851,141 +746,6 @@ impl CompiledRule {
         };
         let mut count = 0usize;
         self.join(&ctx, 0, scratch, emit, &mut count);
-        count
-    }
-
-    /// Fire one shard of a hash-partitioned firing: like [`CompiledRule::fire_with`],
-    /// but the depth-0 (outer) rows are filtered to those [`ShardSpec::owns`] says
-    /// belong to this worker, and `emit` additionally receives the outer row's place in
-    /// the enumeration (its row id for a scan, its chain position for a probe) — the
-    /// insertion key the round driver merge-sorts per-worker out-buffers by, so the
-    /// merged staging relation reproduces the single-thread emission order exactly.
-    ///
-    /// The union of all shards' emissions is exactly the `fire_with` emission set:
-    /// every outer row is owned by exactly one shard, and within a shard the outer
-    /// rows are enumerated in the same ascending order `fire_with` uses. Firings with
-    /// no partitionable outer enumeration (empty bodies, a fully bound or builtin
-    /// first literal) run entirely on shard 0 with outer key 0. Depth-0 access
-    /// counters are recorded by shard 0 only, so counter totals match the
-    /// single-thread run; inner-depth counters split exactly across shards.
-    ///
-    /// NOTE: the depth-0 dispatch below intentionally mirrors [`CompiledRule::join`]'s
-    /// (delta-path selection, arity check, key hashing, counter attribution) rather
-    /// than sharing one body — folding shard filtering and the outer-id-carrying
-    /// emit into the sequential hot path would tax every single-threaded join. Any
-    /// change to either copy must keep the other in lockstep; the
-    /// `assert_partition_matches_fire` test harness pins them against each other
-    /// across every access path, worker count, and partition-column choice.
-    pub fn fire_partition(
-        &self,
-        db: &Database,
-        delta: Option<(usize, &Relation)>,
-        access: &RuleAccess,
-        scratch: &mut JoinScratch,
-        shard: &ShardSpec<'_>,
-        emit: &mut dyn FnMut(RowId, &[Const]),
-    ) -> usize {
-        debug_assert_eq!(access.paths.len(), self.literals.len());
-        debug_assert!(
-            scratch.env.iter().all(Option::is_none),
-            "scratch environment must be clean between fires"
-        );
-        let delta_path = match delta {
-            Some((pos, relation)) => self.access_for(pos, Some(relation)),
-            None => AccessPath::FullScan,
-        };
-        let ctx = FireCtx {
-            db,
-            delta,
-            delta_path,
-            access,
-        };
-        let mut count = 0usize;
-
-        let unpartitionable = self.literals.is_empty()
-            || (self.literals[0].is_succ && db.relation(self.literals[0].predicate).is_none());
-        if unpartitionable {
-            if shard.shard == 0 {
-                let mut inner = |tuple: &[Const]| emit(0, tuple);
-                self.join(&ctx, 0, scratch, &mut inner, &mut count);
-            }
-            return count;
-        }
-
-        let literal = &self.literals[0];
-        let use_delta = matches!(ctx.delta, Some((0, _)));
-        let (relation, path): (&Relation, AccessPath) = if use_delta {
-            (ctx.delta.expect("delta checked above").1, ctx.delta_path)
-        } else {
-            match ctx.db.relation(literal.predicate) {
-                Some(rel) => (rel, ctx.access.paths[0]),
-                None => return 0,
-            }
-        };
-        if relation.arity() != literal.slots.len() {
-            return 0;
-        }
-
-        match path {
-            AccessPath::Membership => {
-                // A single fully bound candidate row: no enumeration to split.
-                if shard.shard == 0 {
-                    scratch.counters.membership_checks += 1;
-                    scratch.key_buf.clear();
-                    for slot in &literal.slots {
-                        match slot {
-                            Slot::Const(c) => scratch.key_buf.push(*c),
-                            Slot::Var(idx) => scratch
-                                .key_buf
-                                .push(scratch.env[*idx].expect("bound position has a value")),
-                        }
-                    }
-                    if relation.contains(&scratch.key_buf) {
-                        let mut inner = |tuple: &[Const]| emit(0, tuple);
-                        self.join(&ctx, 1, scratch, &mut inner, &mut count);
-                    }
-                }
-            }
-            AccessPath::IndexProbe(index) => {
-                if shard.shard == 0 {
-                    scratch.counters.index_probes += 1;
-                }
-                // At depth 0 the bound positions can only hold constants.
-                let mut hasher = KeyHasher::new();
-                for &i in &literal.bound_positions {
-                    let value = match &literal.slots[i] {
-                        Slot::Const(c) => *c,
-                        Slot::Var(idx) => scratch.env[*idx].expect("bound position has a value"),
-                    };
-                    hasher.push(&value);
-                }
-                // The merge key of a probed outer row is its position in the chain:
-                // chains are not in row-id order, and the round driver rebuilds the
-                // sequential emission order by merging ascending keys.
-                let candidates = relation.probe_candidates(index, hasher.finish());
-                for (position, row_id) in candidates.enumerate() {
-                    let row = relation.row(row_id);
-                    if !shard.owns(row_id, row) {
-                        continue;
-                    }
-                    let mut inner = |tuple: &[Const]| emit(position as RowId, tuple);
-                    self.bind_and_descend(&ctx, 0, row, scratch, &mut inner, &mut count);
-                }
-            }
-            AccessPath::FullScan => {
-                if shard.shard == 0 {
-                    scratch.counters.full_scans += 1;
-                }
-                for row_id in 0..relation.len() as RowId {
-                    let row = relation.row(row_id);
-                    if !shard.owns(row_id, row) {
-                        continue;
-                    }
-                    let mut inner = |tuple: &[Const]| emit(row_id, tuple);
-                    self.bind_and_descend(&ctx, 0, row, scratch, &mut inner, &mut count);
-                }
-            }
-        }
         count
     }
 
@@ -1401,210 +1161,6 @@ mod tests {
         assert_eq!(results, vec![vec![c(100)]]);
     }
 
-    /// Reference check: the union of all shards' emissions equals `fire_with`'s, with
-    /// outer keys that reconstruct the sequential emission order — exercised both
-    /// with per-row hashing and with a precomputed assignment vector (the two
-    /// ownership paths must be indistinguishable).
-    fn assert_partition_matches_fire(
-        compiled: &CompiledRule,
-        db: &Database,
-        delta: Option<(usize, &Relation)>,
-        workers: usize,
-        columns: Option<&[usize]>,
-    ) {
-        let access = compiled.resolve_access(db);
-        let mut scratch = compiled.scratch();
-        let mut sequential = Vec::new();
-        compiled.fire_with(db, delta, &access, &mut scratch, &mut |t| {
-            sequential.push(t.to_vec())
-        });
-        let seq_counters = scratch.counters;
-
-        // A precomputed assignment for the scanned-outer case, built with the same
-        // shard function the hashing path uses.
-        let outer_assign: Option<Vec<u8>> = compiled.literals.first().and_then(|literal| {
-            if !literal.bound_positions.is_empty() {
-                return None;
-            }
-            let relation = match delta {
-                Some((0, rel)) => rel,
-                _ => db.relation(literal.predicate)?,
-            };
-            Some(
-                (0..relation.len() as RowId)
-                    .map(|id| shard_of_row(relation.row(id), columns, workers) as u8)
-                    .collect(),
-            )
-        });
-
-        for assign in [None, outer_assign.as_deref()] {
-            let mut merged: Vec<(RowId, Vec<Const>)> = Vec::new();
-            let mut par_counters = JoinCounters::default();
-            for w in 0..workers {
-                let mut shard_scratch = compiled.scratch();
-                let shard = ShardSpec {
-                    shard: w,
-                    of: workers,
-                    columns,
-                    assign,
-                };
-                compiled.fire_partition(
-                    db,
-                    delta,
-                    &access,
-                    &mut shard_scratch,
-                    &shard,
-                    &mut |outer, t| merged.push((outer, t.to_vec())),
-                );
-                par_counters.index_probes += shard_scratch.counters.index_probes;
-                par_counters.full_scans += shard_scratch.counters.full_scans;
-                par_counters.membership_checks += shard_scratch.counters.membership_checks;
-            }
-            // Stable sort by the outer insertion key reconstructs the sequential order.
-            merged.sort_by_key(|(outer, _)| *outer);
-            let tuples: Vec<Vec<Const>> = merged.into_iter().map(|(_, t)| t).collect();
-            assert_eq!(
-                tuples,
-                sequential,
-                "partitioned firing must match fire_with (assign: {})",
-                if assign.is_some() {
-                    "precomputed"
-                } else {
-                    "hashed"
-                }
-            );
-            assert_eq!(par_counters.index_probes, seq_counters.index_probes);
-            assert_eq!(par_counters.full_scans, seq_counters.full_scans);
-            assert_eq!(
-                par_counters.membership_checks,
-                seq_counters.membership_checks
-            );
-        }
-    }
-
-    #[test]
-    fn partitioned_firing_reproduces_fire_with() {
-        let compiled = compile("t(X, Y) :- e(X, W), f(W, Y).");
-        let mut db = Database::new();
-        for i in 0..30i64 {
-            db.add_fact("e", &[c(i % 6), c(i)]);
-            db.add_fact("f", &[c(i), c(i * 2)]);
-        }
-        let mut arities = FxHashMap::default();
-        arities.insert(Symbol::intern("e"), 2);
-        arities.insert(Symbol::intern("f"), 2);
-        compiled.ensure_indexes(&mut db, &arities);
-        for workers in [1usize, 2, 3, 8] {
-            assert_partition_matches_fire(&compiled, &db, None, workers, None);
-            assert_partition_matches_fire(&compiled, &db, None, workers, Some(&[0]));
-        }
-    }
-
-    #[test]
-    fn partitioned_delta_firing_reproduces_fire_with() {
-        let compiled = compile("t(X, Y) :- e(X, W), t(W, Y).");
-        let mut db = Database::new();
-        for i in 0..20i64 {
-            db.add_fact("e", &[c(i), c(i + 1)]);
-        }
-        // Delta at the recursive literal: the outer e-scan is partitioned.
-        let mut delta = Relation::new(2);
-        delta.ensure_index(&[0]);
-        for i in 0..20i64 {
-            delta.insert(&[c(i + 1), c(99)]);
-        }
-        for workers in [2usize, 4] {
-            assert_partition_matches_fire(&compiled, &db, Some((1, &delta)), workers, None);
-        }
-        // Delta at position 0 (the reordered SIP shape): the delta itself is sharded.
-        let exit = compile("t(X, Y) :- d(X, Y).");
-        let mut d = Relation::new(2);
-        for i in 0..20i64 {
-            d.insert(&[c(i), c(i + 1)]);
-        }
-        for workers in [2usize, 4] {
-            assert_partition_matches_fire(&exit, &db, Some((0, &d)), workers, None);
-        }
-    }
-
-    #[test]
-    fn probed_outer_rows_distribute_under_row_hash() {
-        // A constant-first literal probes at depth 0; all candidates share the probe
-        // key, so only whole-row hashing (columns: None) spreads them across shards.
-        let compiled = compile("q(Y) :- t(5, Y).");
-        let mut db = Database::new();
-        for i in 0..40i64 {
-            db.add_fact("t", &[c(5), c(i)]);
-            db.add_fact("t", &[c(6), c(i)]);
-        }
-        let mut arities = FxHashMap::default();
-        arities.insert(Symbol::intern("t"), 2);
-        compiled.ensure_indexes(&mut db, &arities);
-        assert_partition_matches_fire(&compiled, &db, None, 4, None);
-        let access = compiled.resolve_access(&db);
-        let mut nonempty_shards = 0usize;
-        for w in 0..4usize {
-            let mut scratch = compiled.scratch();
-            let shard = ShardSpec {
-                shard: w,
-                of: 4,
-                columns: None,
-                assign: None,
-            };
-            let n =
-                compiled.fire_partition(&db, None, &access, &mut scratch, &shard, &mut |_, _| {});
-            if n > 0 {
-                nonempty_shards += 1;
-            }
-        }
-        assert!(
-            nonempty_shards > 1,
-            "row-hash must spread probe candidates over multiple shards"
-        );
-    }
-
-    #[test]
-    fn unpartitionable_firings_run_on_shard_zero_only() {
-        // Empty body: the fact rule fires once, from shard 0.
-        let fact = compile("m(5).");
-        let db = Database::new();
-        let access = fact.resolve_access(&db);
-        let mut total = 0usize;
-        for w in 0..4usize {
-            let mut scratch = fact.scratch();
-            let shard = ShardSpec {
-                shard: w,
-                of: 4,
-                columns: None,
-                assign: None,
-            };
-            total += fact.fire_partition(&db, None, &access, &mut scratch, &shard, &mut |o, t| {
-                assert_eq!(o, 0);
-                assert_eq!(t, [c(5)]);
-            });
-        }
-        assert_eq!(total, 1);
-
-        // Builtin-first body (no binder before it): no shard emits anything, like
-        // fire_with.
-        let succ_first = compile("p(Y) :- succ(X, Y), q(X).");
-        let mut db = Database::new();
-        db.add_fact("q", &[c(1)]);
-        let access = succ_first.resolve_access(&db);
-        for w in 0..2usize {
-            let mut scratch = succ_first.scratch();
-            let shard = ShardSpec {
-                shard: w,
-                of: 2,
-                columns: None,
-                assign: None,
-            };
-            let n =
-                succ_first.fire_partition(&db, None, &access, &mut scratch, &shard, &mut |_, _| {});
-            assert_eq!(n, 0);
-        }
-    }
-
     #[test]
     fn reorder_promotes_small_bound_relations() {
         let rule = parse_rule("p(X, Y) :- big(X, W), small(W, Y).").unwrap();
@@ -1664,26 +1220,6 @@ mod tests {
         let reordered =
             reorder_body(&rule, 0, &db, &EvalOptions::default()).expect("order changes");
         assert_eq!(reordered.body[0].predicate, Symbol::intern("counter"));
-    }
-
-    #[test]
-    fn effective_threads_resolves_and_clamps() {
-        let explicit = EvalOptions {
-            threads: 3,
-            ..EvalOptions::default()
-        };
-        assert_eq!(explicit.effective_threads(), 3);
-        let auto = EvalOptions {
-            threads: 0,
-            ..EvalOptions::default()
-        };
-        assert!(auto.effective_threads() >= 1);
-        // A typo'd worker count must not try to spawn half a million OS threads.
-        let absurd = EvalOptions {
-            threads: 500_000,
-            ..EvalOptions::default()
-        };
-        assert_eq!(absurd.effective_threads(), MAX_WORKERS);
     }
 
     #[test]

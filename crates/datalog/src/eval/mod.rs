@@ -74,8 +74,8 @@ pub enum EvalError {
         /// Counters collected up to the abort (boxed: errors stay small).
         partial_stats: Box<EvalStats>,
     },
-    /// A worker panicked during a parallel round; the panic was caught, its
-    /// siblings were cancelled, and the evaluation's output was discarded.
+    /// The evaluation panicked; the panic was caught at the engine's containment
+    /// boundary and the evaluation's output was discarded.
     WorkerPanic {
         /// The panic payload, when it was a string (`"<non-string panic>"`
         /// otherwise).

@@ -20,38 +20,16 @@
 //! * [`seminaive_retract`] — the negative-delta counterpart: retract base facts from
 //!   an existing least model with DRed-shaped over-delete/re-derive propagation
 //!   through the same compiled firings, each driven by its delta.
-//!
-//! # Parallel rounds
-//!
-//! When [`EvalOptions::threads`] asks for more than one worker, every round whose
-//! firings enumerate enough outer rows (see [`EvalOptions::parallel_threshold`]) is
-//! hash-partitioned: each firing's depth-0 row set — the round's delta when the delta
-//! literal leads the body, the driving relation scan otherwise — is split across a
-//! `std::thread::scope` worker pool by [`crate::storage::shard_of_row`] (the join-key
-//! columns the index plan maintains on a scanned outer, whole-row hash otherwise —
-//! see [`partition_columns`] for why probed outers must row-hash). Workers run
-//! [`CompiledRule::fire_partition`] with per-worker [`JoinScratch`]es from a scratch
-//! pool and append emissions to per-worker out-buffers tagged with the outer row id;
-//! the main thread then merge-sorts the buffers by that insertion key and pushes every
-//! tuple through the same collision-verified dedup path the sequential rounds use.
-//! The result is bit-for-bit the single-thread evaluation: same fact set, same
-//! relation insertion order, same machine-independent counters — only wall-clock
-//! changes. Rounds below the threshold (long chains with tiny deltas) stay
-//! sequential, so parallelism never taxes workloads it cannot help.
 
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 use crate::ast::{Atom, Const, Program, Rule};
 use crate::fault::FaultSite;
 use crate::fx::FxHashMap;
-use crate::storage::{Database, Relation, RowId};
+use crate::storage::{Database, Relation};
 use crate::symbol::Symbol;
 
-use super::join::{
-    reorder_body, CompiledRule, EvalOptions, Governor, JoinScratch, RuleAccess, ShardSpec,
-};
+use super::join::{reorder_body, CompiledRule, EvalOptions, Governor, JoinScratch, RuleAccess};
 use super::stats::EvalStats;
 use super::trace::EvalProfile;
 use super::{arity_map, EvalError, EvalResult};
@@ -340,7 +318,6 @@ pub fn seminaive_evaluate_owned(
     stats.literal_reorders += plan.reorders;
     let mut runtimes = plan.runtimes(&db, &mut stats);
     arm_runtimes(&mut runtimes, &governor);
-    let mut exec = Executor::new(options);
     span_end(&mut stats, "eval.plan", plan_start);
 
     // Round 0: fire every rule against the EDB alone (IDB relations are empty). Exit
@@ -362,7 +339,6 @@ pub fn seminaive_evaluate_owned(
         &db,
         &firings,
         &mut runtimes,
-        &mut exec,
         &governor,
         Sink::Derive,
         &mut delta,
@@ -377,7 +353,6 @@ pub fn seminaive_evaluate_owned(
         delta,
         &arities,
         &mut runtimes,
-        &mut exec,
         &governor,
         options,
         &mut stats,
@@ -414,7 +389,6 @@ pub fn seminaive_resume(
     stats.literal_reorders += plan.reorders;
     let mut runtimes = plan.runtimes(model, &mut stats);
     arm_runtimes(&mut runtimes, &governor);
-    let mut exec = Executor::new(options);
     span_end(&mut stats, "eval.plan", plan_start);
 
     let mut staging = plan.empty_staging(&arities);
@@ -441,7 +415,6 @@ pub fn seminaive_resume(
             model,
             &firings,
             &mut runtimes,
-            &mut exec,
             &governor,
             Sink::Derive,
             &mut staging,
@@ -456,7 +429,6 @@ pub fn seminaive_resume(
         staging,
         &arities,
         &mut runtimes,
-        &mut exec,
         &governor,
         options,
         &mut stats,
@@ -478,7 +450,7 @@ pub fn seminaive_resume(
 /// derives it.
 ///
 /// The propagation is DRed-shaped, all driven through the same compiled join
-/// pipeline (and the same partitioned executor) as insertion:
+/// pipeline as insertion:
 ///
 /// 1. **Over-delete** — negative deltas: fire every rule once per body position whose
 ///    predicate has a deletion delta, against the *old* model, with that literal moved
@@ -542,14 +514,12 @@ pub fn seminaive_retract(
     stats.literal_reorders += plan.reorders;
     let mut runtimes = plan.runtimes(model, &mut stats);
     arm_runtimes(&mut runtimes, &governor);
-    let mut exec = Executor::new(options);
     // Phases 1 and 3 fire the delta-first variants of the rules; they form a plan of
     // their own, with its own runtimes.
     let (delta_plan, guards) = plan.delta_first(model, options);
     delta_plan.prepare(model);
     let mut delta_runtimes = delta_plan.runtimes(model, &mut stats);
     arm_runtimes(&mut delta_runtimes, &governor);
-    let mut delta_exec = Executor::new(options);
     span_end(&mut stats, "eval.plan", plan_start);
 
     // Phase 1 — over-delete fixpoint: negative deltas through the compiled firings.
@@ -573,7 +543,6 @@ pub fn seminaive_retract(
             model,
             &firings,
             &mut delta_runtimes,
-            &mut delta_exec,
             &governor,
             Sink::Retract { deleted: &deleted },
             &mut staging,
@@ -634,7 +603,6 @@ pub fn seminaive_retract(
             model,
             &firings,
             &mut delta_runtimes,
-            &mut delta_exec,
             &governor,
             Sink::Rederive,
             &mut restored,
@@ -651,7 +619,6 @@ pub fn seminaive_retract(
             restored,
             &arities,
             &mut runtimes,
-            &mut exec,
             &governor,
             options,
             &mut stats,
@@ -688,7 +655,6 @@ fn run_fixpoint(
     mut delta: FxHashMap<Symbol, Relation>,
     arities: &FxHashMap<Symbol, usize>,
     runtimes: &mut [RuleRuntime],
-    exec: &mut Executor,
     governor: &Governor,
     options: &EvalOptions,
     stats: &mut EvalStats,
@@ -730,7 +696,6 @@ fn run_fixpoint(
                 db,
                 &firings,
                 runtimes,
-                exec,
                 governor,
                 Sink::Derive,
                 &mut staging,
@@ -755,9 +720,8 @@ struct Firing<'d> {
 }
 
 /// What a round's emissions *mean* — the delta polarity of the round. All three modes
-/// run through the same compiled firings and (when the round is heavy enough) the
-/// same partitioned executor; only the staging criterion at the emission point
-/// differs, so sequential and parallel rounds of every polarity stay bit-identical.
+/// run through the same compiled firings; only the staging criterion at the emission
+/// point differs.
 #[derive(Clone, Copy)]
 enum Sink<'a> {
     /// Positive deltas: stage emissions not already in the database (the ordinary
@@ -779,9 +743,8 @@ enum Sink<'a> {
 impl Sink<'_> {
     /// Apply one emission of `rule` to its staging relation, recording the
     /// mode-specific statistics. `head` is the database relation of the rule's head
-    /// predicate. This is THE emission point: the sequential path (`fire_into`) and
-    /// the parallel merge both go through it, which is what keeps the two paths'
-    /// staged contents and counters identical.
+    /// predicate. This is THE emission point: every firing of every polarity goes
+    /// through it.
     #[inline]
     fn stage(
         &self,
@@ -813,145 +776,25 @@ impl Sink<'_> {
                 is_new
             }
         };
-        // Rows in/out are recorded at THE emission point, so they are identical
-        // on the sequential and partitioned paths (and across thread counts).
         if let Some(profile) = stats.profile.as_deref_mut() {
             profile.record_rule_row(rule.rule_index, is_new);
         }
     }
 }
 
-/// The round executor: the resolved worker count and threshold, plus the lazily built
-/// per-worker state (one [`JoinScratch`] per rule per worker from the scratch pool,
-/// and reusable out-buffers). One executor lives per evaluation, so parallel rounds
-/// reuse the same scratches and buffers round after round.
-struct Executor {
-    /// Effective worker count (>= 1).
-    workers: usize,
-    /// Minimum total outer rows in a round before it is partitioned.
-    threshold: usize,
-    /// Per-worker state; empty until the first parallel round.
-    pool: Vec<WorkerState>,
-}
-
-struct WorkerState {
-    /// One reusable scratch per rule (rules fire on every worker).
-    scratches: Vec<JoinScratch>,
-    /// One out-buffer per firing of the current round (reused across rounds).
-    bufs: Vec<OutBuf>,
-    /// Per-firing join wall time of the current round, in nanoseconds — filled
-    /// only when the run is traced, summed across workers into the per-rule
-    /// profile after the round joins.
-    times: Vec<u64>,
-}
-
-/// A worker's emissions for one firing: tuples appended flat, with `(outer row id,
-/// tuple count)` run-length keys. Within one worker the keys are strictly ascending
-/// (the shard enumerates outer rows in order), and shards are disjoint, so a k-way
-/// merge by outer id reconstructs the sequential emission order exactly.
-#[derive(Default)]
-struct OutBuf {
-    keys: Vec<(RowId, u32)>,
-    data: Vec<Const>,
-}
-
-impl OutBuf {
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.data.clear();
-    }
-
-    #[inline]
-    fn push(&mut self, outer: RowId, tuple: &[Const]) {
-        match self.keys.last_mut() {
-            Some((id, n)) if *id == outer => *n += 1,
-            _ => self.keys.push((outer, 1)),
-        }
-        self.data.extend_from_slice(tuple);
-    }
-}
-
-impl Executor {
-    fn new(options: &EvalOptions) -> Executor {
-        Executor {
-            workers: options.effective_threads().max(1),
-            threshold: options.parallel_threshold,
-            pool: Vec::new(),
-        }
-    }
-
-    /// Build the per-worker scratch pool on first use (counted as scratch
-    /// allocations: `workers * rules` on top of the sequential per-rule scratches).
-    /// Worker scratches are armed with the evaluation's governance poll, so the
-    /// cancellation granularity bound holds inside partitioned rounds too.
-    fn ensure_pool(&mut self, rules: &[CompiledRule], stats: &mut EvalStats, governor: &Governor) {
-        if !self.pool.is_empty() {
-            return;
-        }
-        for _ in 0..self.workers {
-            self.pool.push(WorkerState {
-                scratches: rules
-                    .iter()
-                    .map(|rule| {
-                        let mut scratch = rule.scratch();
-                        scratch.arm_poll(governor.join_poll());
-                        scratch
-                    })
-                    .collect(),
-                bufs: Vec::new(),
-                times: Vec::new(),
-            });
-        }
-        stats.scratch_allocs += self.workers * rules.len();
-    }
-}
-
-/// Total depth-0 rows the round's firings will enumerate — the work available for
-/// partitioning. The delta relation when the delta literal leads the body, the
-/// driving relation otherwise.
-fn outer_rows(rules: &[CompiledRule], db: &Database, firings: &[Firing<'_>]) -> usize {
-    firings
-        .iter()
-        .map(|firing| match firing.delta {
-            Some((0, rel)) => rel.len(),
-            _ => match rules[firing.rule_index].literals.first() {
-                // A probed or fully bound outer (bound positions are constants at
-                // depth 0) enumerates one hash bucket, not the relation — counting
-                // the full length here would misclassify near-empty rounds as heavy
-                // and pay partition overhead to process a handful of rows.
-                Some(literal) if !literal.bound_positions.is_empty() => 1,
-                Some(literal) => db
-                    .relation(literal.predicate)
-                    .map(Relation::len)
-                    .unwrap_or(0),
-                None => 1,
-            },
-        })
-        .sum()
-}
-
-/// Execute one round's firings into `staging`: sequentially through the per-rule
-/// runtimes, or hash-partitioned across the worker pool when the round is heavy
-/// enough. Both paths stage the same facts in the same order and record the same
-/// counters (see the module docs).
+/// Execute one round's firings into `staging` through the per-rule runtimes.
 #[allow(clippy::too_many_arguments)]
 fn run_round(
     plan: &EvalPlan<'_>,
     db: &Database,
     firings: &[Firing<'_>],
     runtimes: &mut [RuleRuntime],
-    exec: &mut Executor,
     governor: &Governor,
     sink: Sink<'_>,
     staging: &mut FxHashMap<Symbol, Relation>,
     stats: &mut EvalStats,
 ) -> Result<(), EvalError> {
     let rules = plan.rules();
-    if exec.workers > 1 && outer_rows(rules, db, firings) >= exec.threshold {
-        return run_round_parallel(
-            plan, db, firings, runtimes, exec, governor, sink, staging, stats,
-        );
-    }
     for firing in firings {
         let rule = &rules[firing.rule_index];
         let runtime = &mut runtimes[firing.rule_index];
@@ -966,289 +809,6 @@ fn run_round(
         fire_into(rule, runtime, db, firing.delta, sink, staged, stats);
     }
     governor.fault_site(FaultSite::RoundMerge)
-}
-
-/// One firing of a partitioned round, with the partition-key columns all workers
-/// shard its outer rows by and (for scanned outers) the round's precomputed shard
-/// assignment of the outer relation's rows.
-struct Job<'d, 'p> {
-    rule_index: usize,
-    delta: Option<(usize, &'d Relation)>,
-    columns: Option<&'p [usize]>,
-    assign: Option<&'p [u8]>,
-}
-
-/// The outer relation a firing scans at depth 0, when there is one to precompute
-/// shard assignments for: the delta relation when the delta leads the body, the
-/// driving database relation for an unbound (full-scan) first literal. Probed,
-/// fully bound, builtin-first and empty-bodied firings return `None` — their outer
-/// enumeration is a hash bucket or a single row, so hashing the whole relation up
-/// front would cost more than it saves.
-fn scanned_outer<'d>(
-    rule: &CompiledRule,
-    db: &'d Database,
-    delta: Option<(usize, &'d Relation)>,
-) -> Option<&'d Relation> {
-    let literal = rule.literals.first()?;
-    if literal.is_builtin_succ() && db.relation(literal.predicate).is_none() {
-        return None;
-    }
-    if !literal.bound_positions.is_empty() {
-        return None;
-    }
-    match delta {
-        Some((0, rel)) => Some(rel),
-        _ => db.relation(literal.predicate),
-    }
-}
-
-/// The partition key of a firing's outer rows.
-///
-/// A *probed* outer (nonempty bound positions — constants, at depth 0) must use
-/// whole-row hash: every candidate row shares the probe-key values, so partitioning
-/// by them would collapse all matches onto a single shard and leave the other
-/// workers idle. A *scanned* outer (the delta when it leads the body) partitions by
-/// the first column set the index plan maintains on its predicate — the join key
-/// other literals probe it on, the sharding columns the ROADMAP calls out — so
-/// tuples sharing a downstream join key stay on one worker; whole-row hash is the
-/// fallback when no index plan covers the predicate.
-fn partition_columns<'p>(plan: &'p EvalPlan<'_>, rule: &'p CompiledRule) -> Option<&'p [usize]> {
-    let literal = rule.literals.first()?;
-    if !literal.bound_positions.is_empty() {
-        return None;
-    }
-    plan.index_plan()
-        .get(&literal.predicate)
-        .and_then(|sets| sets.first())
-        .map(Vec::as_slice)
-}
-
-/// The partitioned round: shard every firing's outer rows across the worker pool,
-/// collect per-worker out-buffers, then merge them — sorted by the outer-row
-/// insertion key — through the staging relations' collision-verified dedup tables.
-#[allow(clippy::too_many_arguments)]
-fn run_round_parallel(
-    plan: &EvalPlan<'_>,
-    db: &Database,
-    firings: &[Firing<'_>],
-    runtimes: &mut [RuleRuntime],
-    exec: &mut Executor,
-    governor: &Governor,
-    sink: Sink<'_>,
-    staging: &mut FxHashMap<Symbol, Relation>,
-    stats: &mut EvalStats,
-) -> Result<(), EvalError> {
-    let rules = plan.rules();
-    let workers = exec.workers;
-    let trace = stats.profile.is_some();
-    exec.ensure_pool(rules, stats, governor);
-
-    let partition_start = span_start(stats);
-    // Precompute each scanned outer's shard assignment once (PR 3 follow-on): one
-    // hashing pass on the round driver replaces every worker re-hashing every outer
-    // row in its ownership filter — O(rows) total instead of O(workers × rows). The
-    // assignment uses exactly `shard_of_row` over the job's partition columns, so
-    // the partitioning (and therefore the merged emission order) is unchanged.
-    // Firings sharing an (outer relation, partition columns) pair — e.g. a rule with
-    // several delta positions scanning the same driving relation — share one vector.
-    let mut computed: Vec<Vec<u8>> = Vec::new();
-    let mut keys: Vec<(*const Relation, Option<&[usize]>)> = Vec::new();
-    let assign_index: Vec<Option<usize>> = firings
-        .iter()
-        .map(|firing| {
-            let rule = &rules[firing.rule_index];
-            let columns = partition_columns(plan, rule);
-            let outer = scanned_outer(rule, db, firing.delta)?;
-            let key = (outer as *const Relation, columns);
-            if let Some(found) = keys.iter().position(|&k| k == key) {
-                return Some(found);
-            }
-            computed.push(
-                (0..outer.len() as RowId)
-                    .map(|id| crate::storage::shard_of_row(outer.row(id), columns, workers) as u8)
-                    .collect(),
-            );
-            keys.push(key);
-            Some(computed.len() - 1)
-        })
-        .collect();
-    let jobs: Vec<Job<'_, '_>> = firings
-        .iter()
-        .zip(&assign_index)
-        .map(|(firing, assign)| Job {
-            rule_index: firing.rule_index,
-            delta: firing.delta,
-            columns: partition_columns(plan, &rules[firing.rule_index]),
-            assign: assign.map(|idx| computed[idx].as_slice()),
-        })
-        .collect();
-    for state in &mut exec.pool {
-        if state.bufs.len() < jobs.len() {
-            state.bufs.resize_with(jobs.len(), OutBuf::default);
-        }
-        for buf in &mut state.bufs[..jobs.len()] {
-            buf.clear();
-        }
-        state.times.clear();
-        if trace {
-            state.times.resize(jobs.len(), 0);
-        }
-    }
-    span_end(stats, "parallel.partition", partition_start);
-
-    // Fan out: worker 0 runs on the calling thread, the rest on scoped threads. All
-    // shared state (database, deltas, access paths) is borrowed immutably; each
-    // worker owns its scratches and buffers.
-    //
-    // Panic isolation: every worker body runs under `catch_unwind`, so a panicking
-    // worker (a bug, or an injected `Panic`-action fault) cannot tear down the
-    // scope. The first panic records its payload and sets the governor's internal
-    // abort token — siblings with armed polls trip at their next poll instead of
-    // running their shards to completion — and the round surfaces a structured
-    // [`EvalError::WorkerPanic`]. `AssertUnwindSafe` is sound here because the
-    // whole evaluation is discarded on the error path: no half-mutated scratch or
-    // out-buffer is ever observed again.
-    let panicked: Mutex<Option<String>> = Mutex::new(None);
-    {
-        let runtimes: &[RuleRuntime] = runtimes;
-        let jobs: &[Job<'_, '_>] = &jobs;
-        let panicked = &panicked;
-        let abort = governor.abort_token();
-        let abort = &abort;
-        std::thread::scope(|scope| {
-            let mut states = exec.pool.iter_mut();
-            let first = states.next().expect("pool has at least one worker");
-            for (i, state) in states.enumerate() {
-                scope.spawn(move || {
-                    let body = AssertUnwindSafe(|| {
-                        run_worker(i + 1, workers, state, jobs, rules, runtimes, db, trace);
-                    });
-                    if let Err(payload) = catch_unwind(body) {
-                        abort.cancel();
-                        *panicked.lock().unwrap() = Some(panic_message(payload.as_ref()));
-                    }
-                });
-            }
-            let body = AssertUnwindSafe(|| {
-                run_worker(0, workers, first, jobs, rules, runtimes, db, trace);
-            });
-            if let Err(payload) = catch_unwind(body) {
-                abort.cancel();
-                *panicked.lock().unwrap() = Some(panic_message(payload.as_ref()));
-            }
-        });
-    }
-    if let Some(message) = panicked
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        stats.worker_panics += 1;
-        return Err(EvalError::WorkerPanic {
-            message,
-            partial_stats: Box::new(stats.clone()),
-        });
-    }
-
-    // A partitioned firing counts once (like its sequential counterpart); its
-    // time is the per-worker join times summed — CPU time, not round latency.
-    if let Some(profile) = stats.profile.as_deref_mut() {
-        for (j, job) in jobs.iter().enumerate() {
-            let total: u64 = exec.pool.iter().map(|state| state.times[j]).sum();
-            profile.record_rule_firing(rules[job.rule_index].rule_index, total);
-        }
-    }
-
-    // Merge: per firing, in firing order, k-way by outer row id — reconstructing the
-    // sequential emission order — through the same dedup path `fire_into` uses.
-    let merge_start = span_start(stats);
-    for (j, job) in jobs.iter().enumerate() {
-        let rule = &rules[job.rule_index];
-        let head = db.relation(rule.head_predicate);
-        let staged = staging
-            .get_mut(&rule.head_predicate)
-            .expect("idb staging exists");
-        let arity = staged.arity();
-        let mut cursors: Vec<(usize, usize)> = vec![(0, 0); workers];
-        loop {
-            let mut next: Option<(usize, RowId)> = None;
-            for (w, &(key_idx, _)) in cursors.iter().enumerate() {
-                if let Some(&(outer, _)) = exec.pool[w].bufs[j].keys.get(key_idx) {
-                    if next.is_none_or(|(_, best)| outer < best) {
-                        next = Some((w, outer));
-                    }
-                }
-            }
-            let Some((w, _)) = next else { break };
-            let buf = &exec.pool[w].bufs[j];
-            let (key_idx, mut offset) = cursors[w];
-            let (_, count) = buf.keys[key_idx];
-            for _ in 0..count {
-                let tuple = &buf.data[offset..offset + arity];
-                offset += arity;
-                sink.stage(rule, head, staged, tuple, stats);
-            }
-            cursors[w] = (key_idx + 1, offset);
-        }
-    }
-    span_end(stats, "parallel.merge", merge_start);
-
-    for state in &mut exec.pool {
-        for scratch in &mut state.scratches {
-            stats.absorb_join_counters(std::mem::take(&mut scratch.counters));
-        }
-    }
-    stats.parallel_rounds += 1;
-    stats.parallel_firings += jobs.len();
-    stats.threads_used = stats.threads_used.max(workers);
-    governor.fault_site(FaultSite::RoundMerge)
-}
-
-/// One worker's share of a partitioned round: every firing, restricted to the outer
-/// rows its shard owns, emitted into its own out-buffers.
-///
-/// Ownership of a scanned outer row is an array load into the round's precomputed
-/// shard assignment (see [`run_round_parallel`]); only probed outers — whose
-/// candidate sets are too small to be worth a whole-relation hashing pass — fall
-/// back to hashing each candidate row.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    worker: usize,
-    of: usize,
-    state: &mut WorkerState,
-    jobs: &[Job<'_, '_>],
-    rules: &[CompiledRule],
-    runtimes: &[RuleRuntime],
-    db: &Database,
-    trace: bool,
-) {
-    for (j, job) in jobs.iter().enumerate() {
-        let rule = &rules[job.rule_index];
-        let buf = &mut state.bufs[j];
-        let scratch = &mut state.scratches[job.rule_index];
-        // Once this worker's poll tripped (cancellation, deadline, a sibling's
-        // panic via the abort token), stop taking jobs: the round is doomed.
-        if scratch.poll_tripped() {
-            continue;
-        }
-        let shard = ShardSpec {
-            shard: worker,
-            of,
-            columns: job.columns,
-            assign: job.assign,
-        };
-        let start = trace.then(std::time::Instant::now);
-        rule.fire_partition(
-            db,
-            job.delta,
-            &runtimes[job.rule_index].access,
-            scratch,
-            &shard,
-            &mut |outer, tuple| buf.push(outer, tuple),
-        );
-        if let Some(start) = start {
-            state.times[j] = start.elapsed().as_nanos() as u64;
-        }
-    }
 }
 
 /// Fire one rule (optionally with a delta-substituted literal) through its reusable
@@ -1280,8 +840,7 @@ fn fire_into(
     stats.absorb_join_counters(std::mem::take(&mut runtime.scratch.counters));
 }
 
-/// Arm every sequential per-rule scratch with the evaluation's governance poll.
-/// (Worker-pool scratches are armed in [`Executor::ensure_pool`].)
+/// Arm every per-rule scratch with the evaluation's governance poll.
 fn arm_runtimes(runtimes: &mut [RuleRuntime], governor: &Governor) {
     for runtime in runtimes {
         runtime.scratch.arm_poll(governor.join_poll());
@@ -1303,18 +862,6 @@ fn estimated_bytes(db: &Database, extra: &FxHashMap<Symbol, Relation>) -> usize 
             .map(|rel| rel.len() * rel.arity().max(1))
             .sum::<usize>();
     cells * std::mem::size_of::<Const>()
-}
-
-/// Render a caught panic payload: the common `&str`/`String` payloads verbatim,
-/// a placeholder otherwise (panic payloads may be any `Any` value).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_string()
-    }
 }
 
 fn merge_deltas(db: &mut Database, deltas: &FxHashMap<Symbol, Relation>) {
@@ -1612,11 +1159,7 @@ mod tests {
         // so index probes must dominate scans by roughly the average delta size.
         let program = tc_program();
         let n = 50i64;
-        let options = EvalOptions {
-            threads: 1,
-            ..EvalOptions::default()
-        };
-        let result = seminaive_evaluate(&program, &chain_edb(n), &options).unwrap();
+        let result = seminaive_evaluate(&program, &chain_edb(n), &EvalOptions::default()).unwrap();
         let stats = &result.stats;
         assert_eq!(
             stats.literal_reorders, 1,
@@ -1651,15 +1194,6 @@ mod tests {
         );
     }
 
-    /// Options that force the parallel path (threshold 0) at a given thread count.
-    fn parallel_options(threads: usize) -> EvalOptions {
-        EvalOptions {
-            threads,
-            parallel_threshold: 0,
-            ..EvalOptions::default()
-        }
-    }
-
     /// Assert two databases are identical including per-relation insertion order.
     fn assert_same_model(a: &Database, b: &Database) {
         let preds = |db: &Database| {
@@ -1679,98 +1213,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_is_bit_identical_to_sequential() {
-        let programs = [
-            "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).",
-            "t(X, Y) :- e(X, Y).\nt(X, Y) :- t(X, W), t(W, Y).",
-            "t(X, Y) :- t(X, W), t(W, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n\
-             t(X, Y) :- t(X, W), e(W, Y).\nt(X, Y) :- e(X, Y).",
-        ];
-        for source in programs {
-            let program = parse_program(source).unwrap().program;
-            let mut edb = chain_edb(30);
-            for i in 0..10i64 {
-                edb.add_fact("e", &[c(i * 3), c(i)]);
-            }
-            let baseline = seminaive_evaluate(&program, &edb, &parallel_options(1)).unwrap();
-            assert_eq!(
-                baseline.stats.parallel_rounds, 0,
-                "one worker is sequential"
-            );
-            for threads in [2usize, 4, 8] {
-                let parallel =
-                    seminaive_evaluate(&program, &edb, &parallel_options(threads)).unwrap();
-                assert_same_model(&baseline.database, &parallel.database);
-                assert_eq!(baseline.stats.inferences, parallel.stats.inferences);
-                assert_eq!(baseline.stats.duplicates, parallel.stats.duplicates);
-                assert_eq!(baseline.stats.facts_derived, parallel.stats.facts_derived);
-                assert_eq!(baseline.stats.index_probes, parallel.stats.index_probes);
-                assert_eq!(baseline.stats.full_scans, parallel.stats.full_scans);
-                assert_eq!(
-                    baseline.stats.inferences_per_rule,
-                    parallel.stats.inferences_per_rule
-                );
-                assert!(parallel.stats.parallel_rounds > 0, "threshold 0 partitions");
-                assert_eq!(parallel.stats.threads_used, threads);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_resume_is_bit_identical_to_sequential() {
-        let program = tc_program();
-        let extra = [(29i64, 3i64), (7, 31), (31, 32)];
-        let run = |threads: usize| {
-            let options = parallel_options(threads);
-            let compiled = CompiledProgram::compile(&program, &options).unwrap();
-            let mut model = seminaive_evaluate(&program, &chain_edb(30), &options)
-                .unwrap()
-                .database;
-            let mut seed_rel = Relation::new(2);
-            for &(a, b) in &extra {
-                if model.add_fact("e", &[c(a), c(b)]) {
-                    seed_rel.insert(&[c(a), c(b)]);
-                }
-            }
-            let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
-            seeds.insert(Symbol::intern("e"), seed_rel);
-            let stats = seminaive_resume(&compiled, &mut model, &seeds, &options).unwrap();
-            (model, stats)
-        };
-        let (baseline, base_stats) = run(1);
-        for threads in [2usize, 4] {
-            let (model, stats) = run(threads);
-            assert_same_model(&baseline, &model);
-            assert_eq!(base_stats.inferences, stats.inferences);
-            assert_eq!(base_stats.facts_derived, stats.facts_derived);
-            assert!(stats.parallel_rounds > 0, "resume rounds partition too");
-        }
-    }
-
-    #[test]
-    fn rounds_below_the_threshold_stay_sequential() {
-        let program = tc_program();
-        let options = EvalOptions {
-            threads: 4,
-            parallel_threshold: 1_000_000,
-            ..EvalOptions::default()
-        };
-        let result = seminaive_evaluate(&program, &chain_edb(20), &options).unwrap();
-        assert_eq!(result.stats.parallel_rounds, 0);
-        assert_eq!(result.stats.threads_used, 0);
-        // The scratch pool is never built for an all-sequential evaluation.
-        assert_eq!(result.stats.scratch_allocs, program.rules.len());
-    }
-
-    #[test]
     fn reordering_can_be_disabled() {
         let program = tc_program();
-        let on = EvalOptions {
-            threads: 1,
-            ..EvalOptions::default()
-        };
+        let on = EvalOptions::default();
         let off = EvalOptions {
-            threads: 1,
             reorder_literals: false,
             ..EvalOptions::default()
         };
@@ -1796,12 +1242,8 @@ mod tests {
         let program = parse_program("p(M) :- succ(N, M), counter(N).\ncounter(1).")
             .unwrap()
             .program;
-        let on = EvalOptions {
-            threads: 1,
-            ..EvalOptions::default()
-        };
+        let on = EvalOptions::default();
         let off = EvalOptions {
-            threads: 1,
             reorder_literals: false,
             ..EvalOptions::default()
         };
@@ -1972,28 +1414,6 @@ mod tests {
         edb.add_fact("e", &[c(2), c(6)]);
         let (model, _, scratch) = retract_edges(&program, edb, &[(3, 4)], &EvalOptions::default());
         assert_same_facts(&model, &scratch);
-    }
-
-    #[test]
-    fn parallel_retract_matches_sequential() {
-        let program = tc_program();
-        let mut edb = chain_edb(25);
-        for i in 0..8i64 {
-            edb.add_fact("e", &[c(i * 3), c(i)]);
-        }
-        let gone = [(4i64, 5i64), (12, 13), (2, 0)];
-        let (base_model, base_stats, scratch) =
-            retract_edges(&program, edb.clone(), &gone, &parallel_options(1));
-        assert_same_facts(&base_model, &scratch);
-        for threads in [2usize, 4] {
-            let (model, stats, _) =
-                retract_edges(&program, edb.clone(), &gone, &parallel_options(threads));
-            assert_same_model(&base_model, &model);
-            assert_eq!(base_stats.retractions, stats.retractions);
-            assert_eq!(base_stats.rederivations, stats.rederivations);
-            assert_eq!(base_stats.delete_rounds, stats.delete_rounds);
-            assert_eq!(base_stats.inferences, stats.inferences);
-        }
     }
 
     #[test]
@@ -2175,34 +1595,6 @@ mod tests {
                 "expected an injected fault at {site}, got {err}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_worker_panic_is_caught_and_structured() {
-        use crate::fault::{FaultAction, FaultInjector};
-        let options = EvalOptions {
-            fault_injector: Some(FaultInjector::armed(
-                FaultSite::JoinOuterLoop,
-                FaultAction::Panic,
-                0,
-            )),
-            ..parallel_options(4)
-        };
-        // Big enough that some worker's scratch accumulates POLL_INTERVAL
-        // candidate rows and reaches the armed join-loop site.
-        let err = seminaive_evaluate(&tc_program(), &chain_edb(100), &options).unwrap_err();
-        let EvalError::WorkerPanic {
-            message,
-            partial_stats,
-        } = err
-        else {
-            panic!("expected a caught worker panic, got {err}");
-        };
-        assert!(
-            message.contains("join-outer-loop"),
-            "panic payload must survive: {message}"
-        );
-        assert_eq!(partial_stats.worker_panics, 1);
     }
 
     #[test]

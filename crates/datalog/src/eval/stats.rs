@@ -46,21 +46,11 @@ pub struct EvalStats {
     pub membership_checks: usize,
     /// Join scratch-buffer constructions. The evaluators allocate one scratch per rule
     /// per evaluation and reuse it across every `fire` call, so this stays equal to
-    /// the rule count for sequential evaluations no matter how many rows flow through
-    /// the join; the first parallel round of an evaluation adds one scratch per rule
-    /// per worker (the scratch pool), also reused for the rest of the evaluation.
+    /// the rule count no matter how many rows flow through the join.
     pub scratch_allocs: usize,
     /// Rules whose body-literal order was changed by the selectivity heuristic
     /// (bound-position count, then relation size) at plan time.
     pub literal_reorders: usize,
-    /// Semi-naive rounds executed hash-partitioned across the worker pool (rounds
-    /// below the parallel threshold run sequentially and are not counted).
-    pub parallel_rounds: usize,
-    /// Rule firings executed as partitioned jobs within parallel rounds.
-    pub parallel_firings: usize,
-    /// Largest worker count any parallel round of this run used (0 when every round
-    /// ran sequentially).
-    pub threads_used: usize,
     /// Facts removed from the model by delete propagation: retracted base facts plus
     /// every derived fact the over-delete phase scheduled (some of which the
     /// re-derivation phase restores — see `rederivations`).
@@ -96,8 +86,8 @@ pub struct EvalStats {
     /// Evaluations aborted by a resource limit (deadline, derived-fact cap,
     /// memory budget) or an explicit cancellation.
     pub limit_aborts: usize,
-    /// Worker panics caught and converted into structured errors (parallel
-    /// workers or the engine's sequential containment boundary).
+    /// Panics caught at the engine's containment boundary and converted into
+    /// structured errors.
     pub worker_panics: usize,
     /// Phase spans and per-rule profiles, collected when
     /// [`EvalOptions::trace`](super::EvalOptions) is on; `None` otherwise (the
@@ -206,9 +196,6 @@ impl EvalStats {
             membership_checks,
             scratch_allocs,
             literal_reorders,
-            parallel_rounds,
-            parallel_firings,
-            threads_used,
             retractions,
             rederivations,
             delete_rounds,
@@ -235,9 +222,6 @@ impl EvalStats {
         self.membership_checks += membership_checks;
         self.scratch_allocs += scratch_allocs;
         self.literal_reorders += literal_reorders;
-        self.parallel_rounds += parallel_rounds;
-        self.parallel_firings += parallel_firings;
-        self.threads_used = self.threads_used.max(*threads_used);
         self.retractions += retractions;
         self.rederivations += rederivations;
         self.delete_rounds += delete_rounds;
@@ -289,13 +273,6 @@ impl fmt::Display for EvalStats {
         }
         if self.literal_reorders > 0 {
             writeln!(f, "plan: {} body literal reorder(s)", self.literal_reorders)?;
-        }
-        if self.parallel_rounds > 0 {
-            writeln!(
-                f,
-                "parallel: {} partitioned rounds ({} firings) on {} threads",
-                self.parallel_rounds, self.parallel_firings, self.threads_used
-            )?;
         }
         if self.retractions + self.rederivations + self.delete_rounds > 0 {
             writeln!(
@@ -487,9 +464,6 @@ mod tests {
                 membership_checks: seed + 13,
                 scratch_allocs: seed + 14,
                 literal_reorders: seed + 15,
-                parallel_rounds: seed + 16,
-                parallel_firings: seed + 17,
-                threads_used: seed + 18,
                 retractions: seed + 19,
                 rederivations: seed + 20,
                 delete_rounds: seed + 21,
@@ -524,9 +498,6 @@ mod tests {
             membership_checks,
             scratch_allocs,
             literal_reorders,
-            parallel_rounds,
-            parallel_firings,
-            threads_used,
             retractions,
             rederivations,
             delete_rounds,
@@ -555,9 +526,6 @@ mod tests {
         assert_eq!(membership_checks, 113 + 1013);
         assert_eq!(scratch_allocs, 114 + 1014);
         assert_eq!(literal_reorders, 115 + 1015);
-        assert_eq!(parallel_rounds, 116 + 1016);
-        assert_eq!(parallel_firings, 117 + 1017);
-        assert_eq!(threads_used, 1018, "threads_used merges by max");
         assert_eq!(retractions, 119 + 1019);
         assert_eq!(rederivations, 120 + 1020);
         assert_eq!(delete_rounds, 121 + 1021);

@@ -7,8 +7,8 @@
 //! [`EvalStats`](super::EvalStats)) and record:
 //!
 //! * **phase spans** ([`SpanStats`]): count / total / max wall time per named
-//!   phase (`eval.plan`, `eval.round`, `parallel.partition`, `parallel.merge`,
-//!   `delete.overdelete`, `delete.remove`, `delete.rederive`, …);
+//!   phase (`eval.plan`, `eval.round`, `delete.overdelete`, `delete.remove`,
+//!   `delete.rederive`, …);
 //! * **per-rule profiles** ([`RuleProfile`]): firings, cumulative firing time,
 //!   and rows in (instantiations emitted into the staging sink) / rows out
 //!   (new facts staged) per rule.
@@ -20,9 +20,8 @@
 //! or 4 ms" questions, with no allocation after construction.
 //!
 //! Counters and times are split on purpose: every count in a profile is
-//! machine-independent and thread-count-independent (the partitioned executor
-//! reconstructs the sequential emission order), while every `*_ns` field is
-//! wall-clock. [`EvalProfile::shape`] extracts exactly the deterministic part.
+//! machine-independent, while every `*_ns` field is wall-clock.
+//! [`EvalProfile::shape`] extracts exactly the deterministic part.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -181,14 +180,12 @@ impl SpanStats {
 
 /// Per-rule evaluation profile: firings, cumulative firing time, and the row
 /// counts flowing through the staging sink. All fields except `time_ns` are
-/// deterministic — identical at any thread count.
+/// deterministic.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RuleProfile {
-    /// Number of times the rule fired (one per scheduled firing; a partitioned
-    /// firing counts once, not once per worker).
+    /// Number of times the rule fired (one per scheduled firing).
     pub firings: u64,
-    /// Cumulative firing wall time in nanoseconds. For partitioned firings this
-    /// sums the per-worker join times (CPU time, not elapsed round time).
+    /// Cumulative firing wall time in nanoseconds.
     pub time_ns: u64,
     /// Instantiations the rule's joins emitted into the staging sink.
     pub rows_in: u64,
@@ -197,14 +194,9 @@ pub struct RuleProfile {
     pub rows_out: u64,
 }
 
-/// Prefix of phase names that exist only on the partitioned execution path and
-/// are therefore excluded from [`EvalProfile::shape`].
-pub const PARALLEL_PHASE_PREFIX: &str = "parallel.";
-
-/// The deterministic skeleton of a profile: phase names with run counts
-/// (parallel-only phases excluded — they appear or vanish with the thread
-/// count) and per-rule `(firings, rows_in, rows_out)`. Two runs of the same
-/// program over the same data produce equal shapes at any thread count.
+/// The deterministic skeleton of a profile: phase names with run counts and
+/// per-rule `(firings, rows_in, rows_out)`. Two runs of the same program over
+/// the same data produce equal shapes.
 pub type ProfileShape = (Vec<(String, u64)>, Vec<(u64, u64, u64)>);
 
 /// One evaluation run's trace: phase spans plus per-rule profiles.
@@ -266,14 +258,12 @@ impl EvalProfile {
         }
     }
 
-    /// The deterministic part of the profile: phase run counts (parallel-only
-    /// phases excluded) and per-rule `(firings, rows_in, rows_out)`. Equal
-    /// across thread counts for the same program and data — times are excluded.
+    /// The deterministic part of the profile: phase run counts and per-rule
+    /// `(firings, rows_in, rows_out)` — times are excluded.
     pub fn shape(&self) -> ProfileShape {
         let phases = self
             .phases
             .iter()
-            .filter(|(name, _)| !name.starts_with(PARALLEL_PHASE_PREFIX))
             .map(|(&name, span)| (name.to_string(), span.count))
             .collect();
         let rules = self
@@ -388,10 +378,9 @@ mod tests {
     }
 
     #[test]
-    fn shape_excludes_parallel_phases_and_times() {
+    fn shape_excludes_times() {
         let mut p = EvalProfile::new(1);
         p.record_phase("eval.round", Duration::from_nanos(123));
-        p.record_phase("parallel.merge", Duration::from_nanos(456));
         p.record_rule_firing(0, 999);
         p.record_rule_row(0, true);
         let (phases, rules) = p.shape();

@@ -36,7 +36,7 @@ pub enum FaultSite {
     /// Inside the compiled join loop, once per governance poll (i.e. while a
     /// rule is mid-firing, with partially staged output).
     JoinOuterLoop,
-    /// At a semi-naive round boundary, after worker results were merged.
+    /// At a semi-naive round boundary, after the round's firings were staged.
     RoundMerge,
     /// During the over-delete fixpoint of delete propagation.
     DeleteOverdelete,
@@ -128,7 +128,7 @@ impl FaultInjector {
         if inner.countdown.fetch_sub(1, Ordering::Relaxed) > 0 {
             return None;
         }
-        // Several workers may pass the countdown concurrently; exactly one wins.
+        // Several threads may pass the countdown concurrently; exactly one wins.
         if inner.fired.swap(true, Ordering::Relaxed) {
             return None;
         }

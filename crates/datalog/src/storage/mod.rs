@@ -5,4 +5,4 @@ pub mod database;
 pub mod relation;
 
 pub use database::Database;
-pub use relation::{hash_key, shard_of_row, Candidates, IndexId, KeyHasher, Relation, RowId};
+pub use relation::{hash_key, Candidates, IndexId, KeyHasher, Relation, RowId};

@@ -344,24 +344,6 @@ pub fn hash_key(key: &[Const]) -> u64 {
     hash_values(key)
 }
 
-/// Which of `of` shards owns `row` when hash-partitioning a relation.
-///
-/// `columns` names the partition key (normally the join-key columns an index plan
-/// already probes, so tuples that join together land on the same worker); `None`
-/// falls back to hashing the whole row — the full-scan case, where no key is
-/// distinguished. The shard function is THE partitioning scheme of the parallel
-/// evaluator: both the per-worker row filters and any materialized shard views must
-/// agree on it, or partitioned firings would drop or duplicate rows.
-#[inline]
-pub fn shard_of_row(row: &[Const], columns: Option<&[usize]>, of: usize) -> usize {
-    debug_assert!(of > 0, "shard count must be positive");
-    let hash = match columns {
-        Some(cols) => hash_columns(row, cols),
-        None => hash_values(row.iter()),
-    };
-    (hash % of as u64) as usize
-}
-
 impl Relation {
     /// Create an empty relation of the given arity.
     pub fn new(arity: usize) -> Relation {
@@ -898,31 +880,5 @@ mod tests {
         m.insert(&[Const::sym("b"), c(2)]);
         m.ensure_index(&[0]);
         assert_eq!(m.probe(&[0], &[Const::sym("a")]).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn shards_partition_the_relation_exactly() {
-        let mut r = Relation::new(2);
-        for i in 0..50i64 {
-            r.insert(&[c(i % 7), c(i)]);
-        }
-        for &of in &[1usize, 2, 3, 8] {
-            for columns in [None, Some(&[0usize][..]), Some(&[1usize][..])] {
-                // Every row lands in exactly one valid shard, deterministically.
-                for id in 0..r.len() as RowId {
-                    let shard = shard_of_row(r.row(id), columns, of);
-                    assert!(shard < of);
-                    assert_eq!(shard, shard_of_row(r.row(id), columns, of));
-                }
-            }
-        }
-        // Key-column partitioning keeps equal join keys on one shard.
-        r.ensure_index(&[0]);
-        let rows = r.probe(&[0], &[c(3)]).unwrap();
-        let shards: std::collections::BTreeSet<usize> = rows
-            .iter()
-            .map(|&id| shard_of_row(r.row(id), Some(&[0]), 4))
-            .collect();
-        assert_eq!(shards.len(), 1);
     }
 }

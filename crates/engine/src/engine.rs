@@ -507,23 +507,9 @@ impl Engine {
         self.invalidate();
     }
 
-    /// The session's worker-thread count for partitioned evaluation rounds
-    /// (see [`EvalOptions::threads`]: 1 = sequential, 0 = one per available core).
-    pub fn threads(&self) -> usize {
-        self.options.threads
-    }
-
-    /// Set the worker-thread count for every subsequent evaluation this session
-    /// performs. Unlike [`Engine::set_options`] this invalidates nothing: compiled
-    /// plans are thread-agnostic, and parallel evaluation produces bit-identical
-    /// results, so the materialized model and all cached plans stay valid.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.options.threads = threads;
-    }
-
     /// Set the session's resource guardrails for every subsequent evaluation:
     /// wall-clock deadline, derived-fact cap, and estimated-memory budget (each
-    /// `None` = unlimited). Like [`Engine::set_threads`] this invalidates
+    /// `None` = unlimited). Unlike [`Engine::set_options`] this invalidates
     /// nothing — guardrails decide when an evaluation is abandoned, never what
     /// it computes, so the materialized model and all cached plans stay valid.
     pub fn set_limits(
@@ -602,7 +588,7 @@ impl Engine {
         self.tracing
     }
 
-    /// Enable or disable tracing. Like [`Engine::set_threads`] this invalidates
+    /// Enable or disable tracing. Like [`Engine::set_limits`] this invalidates
     /// nothing — tracing is not baked into compiled plans — so it can be toggled
     /// mid-session. Disabling stops collection but retains everything collected
     /// so far ([`Engine::metrics`] and the profile on [`Engine::stats`] stay
@@ -650,7 +636,6 @@ impl Engine {
             &self.stats,
             &self.program,
             self.tracing,
-            self.options.threads,
             replication,
             server,
         )
@@ -1266,8 +1251,7 @@ impl Engine {
     /// failed evaluation — limit, cancellation, caught panic, injected fault —
     /// drops the materialized view; the fact store stays the source of
     /// truth.** A panic escaping `body` (an injected `Panic`-action fault, or
-    /// a genuine bug on the sequential path — parallel workers are already
-    /// caught one level down) is converted to [`EvalError::WorkerPanic`].
+    /// a genuine bug) is converted to [`EvalError::WorkerPanic`].
     /// `AssertUnwindSafe` is sound because the poisoned half-state (a
     /// partially maintained model, partial pending deltas) is exactly what the
     /// invariant discards.
@@ -1285,10 +1269,8 @@ impl Engine {
                 // aborted one only carries them inside the error. Fold those
                 // partial counters into the session stats so `:stats` shows
                 // the work (and the abort) the failed evaluation did.
-                if let Err(EngineError::Eval(
-                    EvalError::LimitExceeded { partial_stats, .. }
-                    | EvalError::WorkerPanic { partial_stats, .. },
-                )) = &inner
+                if let Err(EngineError::Eval(EvalError::LimitExceeded { partial_stats, .. })) =
+                    &inner
                 {
                     self.stats.merge(partial_stats);
                 }
@@ -1851,59 +1833,6 @@ mod tests {
     }
 
     #[test]
-    fn set_threads_keeps_model_and_plans_and_answers() {
-        let mut engine = tc_engine(12);
-        let query = parse_query("t(0, Y)").unwrap();
-        let sequential = engine.query(&query).unwrap();
-        engine.query_prepared(&query).unwrap();
-        let plans = engine.prepared_count();
-        assert!(engine.is_materialized());
-
-        // Raising the thread count invalidates nothing and answers identically.
-        engine.set_threads(4);
-        assert_eq!(engine.threads(), 4);
-        assert!(engine.is_materialized());
-        assert_eq!(engine.prepared_count(), plans);
-        assert_eq!(engine.query(&query).unwrap(), sequential);
-        assert_eq!(engine.query_prepared(&query).unwrap(), sequential);
-
-        // Inserts keep propagating incrementally under the new setting.
-        engine.insert("e", &[c(12), c(13)]).unwrap();
-        assert_eq!(engine.query(&query).unwrap().len(), 13);
-    }
-
-    #[test]
-    fn parallel_session_matches_sequential_session() {
-        // Two whole sessions — materialization, incremental resume, prepared replay —
-        // at 1 vs 4 threads with the threshold forced to zero must agree exactly.
-        let run = |threads: usize| {
-            let mut engine = Engine::with_options(EvalOptions {
-                threads,
-                parallel_threshold: 0,
-                ..EvalOptions::default()
-            });
-            engine
-                .load_source("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
-                .unwrap();
-            for i in 0..20i64 {
-                engine.insert("e", &[c(i), c(i + 1)]).unwrap();
-            }
-            let query = parse_query("t(0, Y)").unwrap();
-            let first = engine.query(&query).unwrap();
-            engine.insert("e", &[c(20), c(21)]).unwrap();
-            let second = engine.query(&query).unwrap();
-            let prepared = engine.query_prepared(&query).unwrap();
-            (first, second, prepared, engine.stats().inferences)
-        };
-        let (f1, s1, p1, inf1) = run(1);
-        let (f4, s4, p4, inf4) = run(4);
-        assert_eq!(f1, f4);
-        assert_eq!(s1, s4);
-        assert_eq!(p1, p4);
-        assert_eq!(inf1, inf4, "inference counts are thread-invariant");
-    }
-
-    #[test]
     fn retract_maintains_the_model_incrementally() {
         let mut engine = tc_engine(10);
         let query = parse_query("t(0, Y)").unwrap();
@@ -2200,11 +2129,11 @@ mod tests {
 
         let mut other = Engine::new();
         other.load_source("zzz(1).\nq(X) :- zzz(X).").unwrap();
-        other.set_threads(3);
+        other.set_prepared_capacity(3);
         other.restore(&snapshot).unwrap();
         // Old state is gone, snapshot state is in, configuration survives.
         assert_eq!(other.facts().count("zzz"), 0);
-        assert_eq!(other.threads(), 3);
+        assert_eq!(other.prepared_capacity(), 3);
         assert_eq!(other.query(&query).unwrap().len(), 3);
     }
 
@@ -2233,15 +2162,11 @@ mod tests {
         (op, Symbol::intern(predicate), vec![c(a), c(b)])
     }
 
-    /// A materialized TC session over a 5-cycle, evaluating partitioned even on
-    /// tiny rounds; `assert_t` registers the `t__asserted` exit rule up front (or
-    /// leaves that — and the invalidation it causes — to the first group that needs it).
-    fn cyclic_session(threads: usize, assert_t: bool) -> Engine {
-        let mut engine = Engine::with_options(EvalOptions {
-            threads,
-            parallel_threshold: 0,
-            ..EvalOptions::default()
-        });
+    /// A materialized TC session over a 5-cycle; `assert_t` registers the
+    /// `t__asserted` exit rule up front (or leaves that — and the invalidation it
+    /// causes — to the first group that needs it).
+    fn cyclic_session(assert_t: bool) -> Engine {
+        let mut engine = Engine::new();
         engine
             .load_source("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
             .unwrap();
@@ -2282,29 +2207,24 @@ mod tests {
 
     /// Commit `groups` through `commit_group` on one session and batch by batch
     /// through `apply_txn` on a twin: same summaries, same store, and after every
-    /// group a model equal to from-scratch evaluation — at 1, 2 and 4 threads.
+    /// group a model equal to from-scratch evaluation.
     fn assert_groups_equal_singles(groups: &[Vec<Batch>], assert_t: bool) {
-        for threads in [1usize, 2, 4] {
-            let mut grouped = cyclic_session(threads, assert_t);
-            let mut single = cyclic_session(threads, assert_t);
-            for group in groups {
-                let summaries: Vec<TxnSummary> = grouped
-                    .commit_group(group.clone())
-                    .into_iter()
-                    .map(|result| result.expect("group batch commits"))
-                    .collect();
-                let expected: Vec<TxnSummary> = group
-                    .iter()
-                    .map(|batch| single.apply_txn(batch.clone()).expect("batch commits"))
-                    .collect();
-                assert_eq!(
-                    summaries, expected,
-                    "per-batch summaries, {threads} thread(s)"
-                );
-                assert_eq!(sorted_store(&grouped), sorted_store(&single));
-                assert_model_is_scratch(&mut grouped);
-                assert_model_is_scratch(&mut single);
-            }
+        let mut grouped = cyclic_session(assert_t);
+        let mut single = cyclic_session(assert_t);
+        for group in groups {
+            let summaries: Vec<TxnSummary> = grouped
+                .commit_group(group.clone())
+                .into_iter()
+                .map(|result| result.expect("group batch commits"))
+                .collect();
+            let expected: Vec<TxnSummary> = group
+                .iter()
+                .map(|batch| single.apply_txn(batch.clone()).expect("batch commits"))
+                .collect();
+            assert_eq!(summaries, expected, "per-batch summaries");
+            assert_eq!(sorted_store(&grouped), sorted_store(&single));
+            assert_model_is_scratch(&mut grouped);
+            assert_model_is_scratch(&mut single);
         }
     }
 
@@ -2357,7 +2277,7 @@ mod tests {
 
         // And it is one pass: two retracting batches over-delete the cycle's closure
         // once as a group, twice one by one; the group's inserts wait for one resume.
-        let (mut grouped, mut single) = (cyclic_session(1, false), cyclic_session(1, false));
+        let (mut grouped, mut single) = (cyclic_session(false), cyclic_session(false));
         let group = vec![
             vec![e(Retract, 0, 1), e(Assert, 6, 0)],
             vec![e(Retract, 2, 3), e(Assert, 6, 2)],
@@ -2376,7 +2296,7 @@ mod tests {
         let e = |op, a, b| (op, Symbol::intern("e"), vec![c(a), c(b)]);
         for site in [FaultSite::DeleteOverdelete, FaultSite::RoundMerge] {
             for action in [FaultAction::Error, FaultAction::Panic] {
-                let mut engine = cyclic_session(1, false);
+                let mut engine = cyclic_session(false);
                 engine.set_fault_injector(Some(FaultInjector::armed(site, action, 0)));
                 let results = engine.commit_group(vec![
                     vec![e(TxnOp::Retract, 0, 1), e(TxnOp::Assert, 0, 2)],

@@ -9,16 +9,16 @@
 //! collected only while [`Engine::set_tracing`](crate::Engine::set_tracing) is
 //! on; the disabled fast path is one branch on an `Option` per site.
 //!
-//! # JSON schema (version 3)
+//! # JSON schema (version 4)
 //!
 //! [`render_metrics_json`] emits a single versioned object, hand-formatted (the
 //! workspace is dependency-free):
 //!
 //! ```text
 //! {
-//!   "factorlog_metrics_version": 3,
+//!   "factorlog_metrics_version": 4,
 //!   "tracing": bool,
-//!   "host": { "cores": n, "threads_configured": n },
+//!   "host": { "cores": n },
 //!   "txns_per_fsync": f,
 //!   "replication": {"role": "...", "term": n, "applied_seq": n,
 //!                   "leader_seq": n, "lag_frames": n} | null,
@@ -51,6 +51,9 @@
 //! `pace_wait_us` for publish pacing — additive keys, same version). `null`
 //! for a session that is not serving.
 //!
+//! Version 4 removed keys: the configured thread count under `host` and the
+//! three partitioned-round counters, gone with the parallel evaluator.
+//!
 //! `phases` and `rules` come from the accumulated eval profile and are empty
 //! when tracing was never enabled; every `*_ns` field is wall-clock nanoseconds.
 
@@ -61,7 +64,7 @@ use factorlog_datalog::ast::Program;
 use factorlog_datalog::eval::{EvalProfile, EvalStats, Histogram, SpanStats};
 
 /// Version stamp of the metrics JSON document.
-pub const METRICS_JSON_VERSION: u32 = 3;
+pub const METRICS_JSON_VERSION: u32 = 4;
 
 /// Metrics collected above the evaluators while tracing is enabled: latency
 /// histograms and subsystem span timers. See the [module docs](self).
@@ -140,11 +143,9 @@ fn histogram_json(h: &Histogram) -> String {
 }
 
 /// Render the versioned metrics JSON document for one session. `tracing` says
-/// whether collection is currently enabled; `threads` is the session's
-/// configured worker-thread setting ([`EvalOptions::threads`]
-/// (factorlog_datalog::eval::EvalOptions), 0 = one per core). The eval-side
-/// phase spans and per-rule profiles come from `stats.profile` (rule text is
-/// looked up in `program` by rule index); everything else from `metrics`.
+/// whether collection is currently enabled. The eval-side phase spans and
+/// per-rule profiles come from `stats.profile` (rule text is looked up in
+/// `program` by rule index); everything else from `metrics`.
 /// `replication` is a replica's point-in-time status (`None` renders the
 /// `replication` key as `null` — the session is not replicating). `server` is
 /// a serving front end's reactor counters (`None` renders the `server` key as
@@ -154,7 +155,6 @@ pub fn render_metrics_json(
     stats: &EvalStats,
     program: &Program,
     tracing: bool,
-    threads: usize,
     replication: Option<&crate::replication::ReplicaStatus>,
     server: Option<&crate::server::ServerMetrics>,
 ) -> String {
@@ -168,10 +168,7 @@ pub fn render_metrics_json(
         "  \"factorlog_metrics_version\": {METRICS_JSON_VERSION},"
     );
     let _ = writeln!(out, "  \"tracing\": {tracing},");
-    let _ = writeln!(
-        out,
-        "  \"host\": {{\"cores\": {cores}, \"threads_configured\": {threads}}},"
-    );
+    let _ = writeln!(out, "  \"host\": {{\"cores\": {cores}}},");
     let txns_per_fsync = if stats.wal_group_commits > 0 {
         stats.wal_group_txns as f64 / stats.wal_group_commits as f64
     } else {
@@ -227,9 +224,6 @@ pub fn render_metrics_json(
         ("membership_checks", stats.membership_checks),
         ("scratch_allocs", stats.scratch_allocs),
         ("literal_reorders", stats.literal_reorders),
-        ("parallel_rounds", stats.parallel_rounds),
-        ("parallel_firings", stats.parallel_firings),
-        ("threads_used", stats.threads_used),
         ("retractions", stats.retractions),
         ("rederivations", stats.rederivations),
         ("delete_rounds", stats.delete_rounds),
@@ -351,12 +345,11 @@ mod tests {
         metrics.absorb_pass_times(&[("adorn", 5)]);
         let stats = EvalStats::default();
         let program = Program::new();
-        let text = render_metrics_json(&metrics, &stats, &program, true, 4, None, None);
+        let text = render_metrics_json(&metrics, &stats, &program, true, None, None);
         for key in [
-            "\"factorlog_metrics_version\": 3",
+            "\"factorlog_metrics_version\": 4",
             "\"tracing\": true",
-            "\"host\"",
-            "\"threads_configured\": 4",
+            "\"host\": {\"cores\": ",
             "\"txns_per_fsync\": 0.00",
             "\"replication\": null",
             "\"server\": null",
@@ -398,7 +391,6 @@ mod tests {
             &EvalStats::default(),
             &Program::new(),
             false,
-            1,
             Some(&status),
             None,
         );
@@ -429,7 +421,6 @@ mod tests {
             &EvalStats::default(),
             &Program::new(),
             false,
-            1,
             None,
             Some(&server),
         );

@@ -14,7 +14,6 @@
 //! :abort              discard the queued batch
 //! :prepare <query>    compile + cache the optimized plan for a query
 //! ?- <query>.         answer a query (uses the prepared plan when one is cached)
-//! :threads [N]        show or set the evaluation worker count (0 = all cores)
 //! :stats              cumulative session statistics (incl. plan-cache counters)
 //! :profile [on|off|show]  toggle tracing / show span timers + per-rule profile
 //! :metrics            dump session metrics as versioned JSON
@@ -90,8 +89,6 @@ commands:
   :abort           discard the queued batch
   :prepare <q>     prepare (compile + cache) the optimized plan for query <q>
   ?- <query>.      answer a query; replays the prepared plan when one is cached
-  :threads [N]     show or set evaluation worker threads (1 = sequential, 0 = cores);
-                   parallel evaluation is bit-identical to sequential, only faster
   :limit [time <ms> | facts <n> | mem <bytes> | off]
                    show or set the session's evaluation guardrails: wall-clock
                    deadline, derived-fact cap, estimated-memory budget. A tripped
@@ -99,7 +96,7 @@ commands:
                    session stays usable; :limit off clears all three. Ctrl-C
                    during a query cancels it the same way.
   :stats           cumulative session statistics, grouped by subsystem
-                   (eval, joins, parallel, mutations, wal)
+                   (eval, joins, mutations, wal)
   :profile [on|off|show]  enable/disable tracing, or show the collected
                    profile: per-phase span timers, per-rule firing times and
                    row counts, latency histograms (p50/p95/p99)
@@ -200,7 +197,6 @@ impl Repl {
                 "commit" => self.commit().map(ReplAction::Output),
                 "abort" | "rollback" => self.abort().map(ReplAction::Output),
                 "prepare" => self.prepare(argument).map(ReplAction::Output),
-                "threads" => self.threads(argument).map(ReplAction::Output),
                 "limit" => self.limit(argument).map(ReplAction::Output),
                 "stats" => Ok(ReplAction::Output(self.stats())),
                 "profile" => self.profile(argument).map(ReplAction::Output),
@@ -479,17 +475,12 @@ impl Repl {
                     self.with_replica_engine(|repl| repl.prepare(&argument))
                         .map(ReplAction::Output)
                 }
-                "threads" => {
-                    let argument = argument.to_string();
-                    self.with_replica_engine(|repl| repl.threads(&argument))
-                        .map(ReplAction::Output)
-                }
                 "program" => Ok(ReplAction::Output(
                     self.with_replica_engine(|repl| repl.show_program()),
                 )),
                 "help" | "h" => Ok(ReplAction::Output(
                     "replica mode: ?- <query>. | :promote | :stats | :metrics | \
-                     :prepare <q> | :threads [N] | :program | :detach | :quit \
+                     :prepare <q> | :program | :detach | :quit \
                      (:insert/:retract need a promoted leader)"
                         .to_string(),
                 )),
@@ -839,26 +830,6 @@ impl Repl {
         ))
     }
 
-    fn threads(&mut self, arg: &str) -> Result<String, String> {
-        let describe = |engine: &Engine| {
-            let configured = engine.threads();
-            let effective = engine.options().effective_threads();
-            match configured {
-                0 => format!("threads: 0 (auto: {effective} available core(s))"),
-                1 => "threads: 1 (sequential)".to_string(),
-                n => format!("threads: {n}"),
-            }
-        };
-        if arg.is_empty() {
-            return Ok(describe(&self.engine));
-        }
-        let n: usize = arg
-            .parse()
-            .map_err(|_| format!("`:threads` expects a number, got `{arg}`"))?;
-        self.engine.set_threads(n);
-        Ok(describe(&self.engine))
-    }
-
     /// `:limit`: show or set the session's evaluation guardrails. Each
     /// invocation adjusts one axis and leaves the others alone; `:limit off`
     /// clears all three.
@@ -1050,23 +1021,6 @@ impl Repl {
             let _ = writeln!(out, "  literal reorders: {}", stats.literal_reorders);
         } else {
             let _ = writeln!(out, "  —");
-        }
-
-        let _ = writeln!(out, "parallel:");
-        let _ = writeln!(
-            out,
-            "  threads: {} configured ({} effective)",
-            self.engine.threads(),
-            self.engine.options().effective_threads()
-        );
-        if stats.parallel_rounds > 0 {
-            let _ = writeln!(
-                out,
-                "  parallel rounds: {} ({} firings) on {} threads",
-                stats.parallel_rounds, stats.parallel_firings, stats.threads_used
-            );
-        } else {
-            let _ = writeln!(out, "  parallel rounds: —");
         }
 
         let _ = writeln!(out, "mutations:");
@@ -1430,14 +1384,13 @@ mod tests {
         let mut repl = Repl::new();
         let stats = output(&mut repl, ":stats");
         // Every subsystem heading is present even in a fresh session...
-        for heading in ["eval:", "joins:", "parallel:", "mutations:", "wal:"] {
+        for heading in ["eval:", "joins:", "mutations:", "wal:"] {
             assert!(stats.contains(heading), "missing {heading} in {stats}");
         }
         // ...and the unexercised ones show a dash, not a wall of zeros.
         assert!(stats.contains("joins:\n  —"), "{stats}");
         assert!(stats.contains("mutations:\n  —"), "{stats}");
         assert!(stats.contains("wal:\n  —"), "{stats}");
-        assert!(stats.contains("parallel rounds: —"), "{stats}");
 
         // Exercising a subsystem replaces its dash with counters.
         output(&mut repl, "t(X, Y) :- e(X, Y).");
@@ -1448,6 +1401,7 @@ mod tests {
         assert!(!stats.contains("joins:\n  —"), "{stats}");
         assert!(!stats.contains("mutations:\n  —"), "{stats}");
         assert!(stats.contains("index probes"), "{stats}");
+        assert!(stats.contains("literal reorders:"), "{stats}");
         assert!(
             stats.contains("retraction(s), 0 rederivation(s)"),
             "{stats}"
@@ -1499,7 +1453,7 @@ mod tests {
         output(&mut repl, ":insert e(1, 2).");
         output(&mut repl, "?- t(1, Y).");
         let json = output(&mut repl, ":metrics");
-        assert!(json.contains("\"factorlog_metrics_version\": 3"), "{json}");
+        assert!(json.contains("\"factorlog_metrics_version\": 4"), "{json}");
         assert!(json.contains("\"replication\": null"), "{json}");
         assert!(json.contains("\"server\": null"), "{json}");
         assert!(json.contains("\"tracing\": true"), "{json}");
@@ -1508,26 +1462,6 @@ mod tests {
         assert!(json.contains("\"eval.round\""), "{json}");
         assert!(json.contains("t(X, Y) :- e(X, Y)."), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn threads_command_round_trips() {
-        let mut repl = Repl::new();
-        repl.engine_mut().set_threads(1);
-        assert_eq!(output(&mut repl, ":threads"), "threads: 1 (sequential)");
-        assert_eq!(output(&mut repl, ":threads 4"), "threads: 4");
-        assert_eq!(repl.engine().threads(), 4);
-        assert!(output(&mut repl, ":threads 0").starts_with("threads: 0 (auto:"));
-        assert!(output(&mut repl, ":threads nope").starts_with("error:"));
-        // A parallel session still answers queries correctly.
-        repl.engine_mut().set_threads(4);
-        output(&mut repl, "t(X, Y) :- e(X, Y).");
-        output(&mut repl, ":insert e(1, 2).");
-        assert!(output(&mut repl, "?- t(1, Y).").contains("Y = 2"));
-        let stats = output(&mut repl, ":stats");
-        assert!(stats.contains("threads: 4 configured"), "{stats}");
-        assert!(stats.contains("parallel rounds:"), "{stats}");
-        assert!(stats.contains("literal reorders:"), "{stats}");
     }
 
     #[test]

@@ -188,8 +188,8 @@ fn factored_programs_agree_with_originals_on_the_benchmark_workload() {
         );
         // Note: the arity-reduction win (unary bp/fp instead of the binary recursive
         // predicate) only shows on instances where the binary relation is large; the
-        // benchmarks in `crates/bench` measure that gap on scaled workloads. Here we
-        // only require agreement of the answers.
+        // benchmark's `paper_oneshot` workload measures that gap on scaled workloads.
+        // Here we only require agreement of the answers.
         let _ = (
             factored_result.stats.facts_derived,
             magic_result.stats.facts_derived,

@@ -1,8 +1,7 @@
 //! Crash-injection tests for the durable engine: whatever byte the crash lands on
 //! — a kill between commits, a torn write inside a record, a flipped bit in the
 //! tail, an interrupted compaction — recovery must converge to *exactly* the
-//! from-scratch evaluation of the last fully committed transaction's EDB, at 1, 2
-//! and 4 worker threads.
+//! from-scratch evaluation of the last fully committed transaction's EDB.
 //!
 //! The harness drives three fault models:
 //!
@@ -59,17 +58,8 @@ fn test_dopts() -> DurabilityOptions {
     }
 }
 
-fn eval_opts(threads: usize) -> EvalOptions {
-    EvalOptions {
-        threads,
-        parallel_threshold: 0,
-        ..EvalOptions::default()
-    }
-}
-
-fn open_durable(dir: &Path, threads: usize) -> Engine {
-    Engine::open_durable_with_options(dir, test_dopts(), eval_opts(threads))
-        .expect("durable open succeeds")
+fn open_durable(dir: &Path) -> Engine {
+    Engine::open_durable_with(dir, test_dopts()).expect("durable open succeeds")
 }
 
 /// One logged event of a session history: each applies as exactly one WAL record.
@@ -129,57 +119,43 @@ fn scratch_checksum(engine: &Engine) -> (usize, usize, usize, usize) {
 }
 
 /// The acceptance assertion: recovery of `dir` converges to `expected` (an
-/// in-memory session that applied exactly the surviving history) at 1, 2 and 4
-/// worker threads — same base facts, same program, same materialized answers as
-/// from-scratch evaluation, same prepared answers, same evaluation-stat checksums.
+/// in-memory session that applied exactly the surviving history) — same base facts,
+/// same program, same materialized answers as from-scratch evaluation, same
+/// prepared answers, same evaluation-stat checksums.
 fn assert_recovers_to(dir: &Path, expected: &mut Engine, query: &Query) {
     let reference_answers = expected.query(query).expect("reference query");
-    let reference_facts = edb_facts(expected.facts());
-    let reference_checksum = scratch_checksum(expected);
-    // The prepared pipeline rejects queries over predicates the (possibly still
-    // empty) program does not define; the recovered sessions must mirror that too.
-    let reference_prepared = expected.query_prepared(query).ok();
-    let mut inference_counts = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let mut recovered = open_durable(dir, threads);
-        assert_eq!(
-            edb_facts(recovered.facts()),
-            reference_facts,
-            "EDB diverges at {threads} thread(s)"
-        );
-        assert_eq!(
-            recovered.program().len(),
-            expected.program().len(),
-            "program diverges at {threads} thread(s)"
-        );
-        assert_eq!(
-            scratch_checksum(&recovered),
-            reference_checksum,
-            "from-scratch stats checksum diverges at {threads} thread(s)"
-        );
-        let answers = recovered.query(query).expect("recovered query");
-        assert_eq!(
-            answers, reference_answers,
-            "materialized answers diverge at {threads} thread(s)"
-        );
-        // Prepared plans rebuild from nothing after recovery and agree.
-        match &reference_prepared {
-            Some(answers) => assert_eq!(
-                &recovered.query_prepared(query).expect("prepared query"),
-                answers,
-                "prepared answers diverge at {threads} thread(s)"
-            ),
-            None => assert!(
-                recovered.query_prepared(query).is_err(),
-                "prepared query unexpectedly succeeds at {threads} thread(s)"
-            ),
-        }
-        inference_counts.push(recovered.stats().inferences);
-    }
-    assert!(
-        inference_counts.windows(2).all(|w| w[0] == w[1]),
-        "recovered materialization must be thread-invariant: {inference_counts:?}"
+    let mut recovered = open_durable(dir);
+    assert_eq!(
+        edb_facts(recovered.facts()),
+        edb_facts(expected.facts()),
+        "EDB diverges"
     );
+    assert_eq!(
+        recovered.program().len(),
+        expected.program().len(),
+        "program diverges"
+    );
+    assert_eq!(
+        scratch_checksum(&recovered),
+        scratch_checksum(expected),
+        "from-scratch stats checksum diverges"
+    );
+    let answers = recovered.query(query).expect("recovered query");
+    assert_eq!(answers, reference_answers, "materialized answers diverge");
+    // Prepared plans rebuild from nothing after recovery and agree. The prepared
+    // pipeline rejects queries over predicates the (possibly still empty) program
+    // does not define; the recovered session must mirror that too.
+    match expected.query_prepared(query) {
+        Ok(answers) => assert_eq!(
+            recovered.query_prepared(query).expect("prepared query"),
+            answers,
+            "prepared answers diverge"
+        ),
+        Err(_) => assert!(
+            recovered.query_prepared(query).is_err(),
+            "prepared query unexpectedly succeeds"
+        ),
+    }
 }
 
 /// A deterministic, reasonably rich history: bulk loads, single-edge commits,
@@ -199,7 +175,7 @@ fn scripted_history() -> Vec<Event> {
 /// Build a durable session at `dir` from `history`, returning the log's record
 /// boundaries (byte offsets after the header and after each event's record).
 fn build_durable_history(dir: &Path, history: &[Event]) -> Vec<u64> {
-    let mut engine = open_durable(dir, 1);
+    let mut engine = open_durable(dir);
     let mut boundaries = vec![engine.wal_len().expect("durable")];
     for event in history {
         apply_event(&mut engine, event);
@@ -210,7 +186,7 @@ fn build_durable_history(dir: &Path, history: &[Event]) -> Vec<u64> {
 
 /// The in-memory session that applied only `history[..k]`.
 fn reference_after(history: &[Event], k: usize) -> Engine {
-    let mut engine = Engine::with_options(eval_opts(1));
+    let mut engine = Engine::new();
     for event in &history[..k] {
         apply_event(&mut engine, event);
     }
@@ -234,12 +210,12 @@ fn log_truncation_at_every_byte_offset_recovers_the_committed_prefix() {
         let at_boundary = boundaries.contains(&cut);
         let mut expected = reference_after(&history, survivors);
         if at_boundary {
-            // Record boundaries are the commit points: check the full thread matrix.
+            // Record boundaries are the commit points: run the full check.
             assert_recovers_to(&dir, &mut expected, &query);
         } else {
-            // Mid-record tears: the torn record must vanish, cheaply checked at one
-            // thread (the boundary sweep above covers the matrix).
-            let mut recovered = open_durable(&dir, 1);
+            // Mid-record tears: the torn record must vanish (cheap check; the
+            // boundaries get the full one).
+            let mut recovered = open_durable(&dir);
             assert_eq!(
                 edb_facts(recovered.facts()),
                 edb_facts(expected.facts()),
@@ -270,8 +246,8 @@ proptest! {
     ) {
         let query = parse_query(&format!("t({start}, Y)")).unwrap();
         let dir = fresh_dir("kill");
-        let mut durable = open_durable(&dir, 1);
-        let mut reference = Engine::with_options(eval_opts(1));
+        let mut durable = open_durable(&dir);
+        let mut reference = Engine::new();
         let program = Event::Source(programs::THREE_RULE_TC.to_string());
         apply_event(&mut durable, &program);
         apply_event(&mut reference, &program);
@@ -321,7 +297,7 @@ proptest! {
         }
         drop(durable);
 
-        // Recovery converges to the last successful commit, at 1/2/4 threads.
+        // Recovery converges to the last successful commit.
         assert_recovers_to(&dir, &mut reference, &query);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -368,8 +344,8 @@ proptest! {
     ) {
         let query = parse_query(&format!("t({start}, Y)")).unwrap();
         let dir = fresh_dir("interleave");
-        let mut durable = open_durable(&dir, 1);
-        let mut reference = Engine::with_options(eval_opts(1));
+        let mut durable = open_durable(&dir);
+        let mut reference = Engine::new();
 
         let mut history = vec![Event::Source(programs::THREE_RULE_TC.to_string())];
         history.extend(
@@ -400,7 +376,7 @@ proptest! {
 
         // …then the crash. Recovery must replay snapshot + log tail into exactly
         // the no-crash session: same EDB, same answers, same prepared-plan cache
-        // rebuild, same from-scratch stats checksums — at 1/2/4 threads.
+        // rebuild, same from-scratch stats checksums.
         drop(durable);
         assert_recovers_to(&dir, &mut reference, &query);
         std::fs::remove_dir_all(&dir).ok();
@@ -424,7 +400,7 @@ fn readers_mid_compaction_see_the_old_or_new_image_never_a_torn_one() {
     ] {
         let work = fresh_dir("compaction_work");
         copy_dir(&base, &work);
-        let mut engine = open_durable(&work, 1);
+        let mut engine = open_durable(&work);
         assert!(engine.set_compaction_fault(Some(fault)));
         let err = engine.compact().expect_err("injected fault fires");
         assert!(
@@ -443,7 +419,7 @@ fn readers_mid_compaction_see_the_old_or_new_image_never_a_torn_one() {
 
         // The writer's own restart also recovers, exactly once (no double-apply of
         // records the new snapshot already contains), and keeps committing.
-        let mut reopened = open_durable(&work, 1);
+        let mut reopened = open_durable(&work);
         assert_eq!(
             edb_facts(reopened.facts()),
             edb_facts(expected.facts()),
@@ -479,8 +455,8 @@ fn threshold_compactions_under_churn_stay_recoverable() {
         fsync: false,
         compact_threshold: 192,
     };
-    let mut durable = Engine::open_durable_with_options(&dir, options, eval_opts(1)).expect("open");
-    let mut reference = Engine::with_options(eval_opts(1));
+    let mut durable = Engine::open_durable_with(&dir, options).expect("open");
+    let mut reference = Engine::new();
     let program = Event::Source(programs::THREE_RULE_TC.to_string());
     apply_event(&mut durable, &program);
     apply_event(&mut reference, &program);

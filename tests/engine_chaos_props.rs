@@ -1,6 +1,5 @@
 //! Engine-wide chaos harness: random fault injection and resource limits at
-//! every named [`FaultSite`], fired during mixed query/mutation workloads, at
-//! 1, 2 and 4 worker threads.
+//! every named [`FaultSite`], fired during mixed query/mutation workloads.
 //!
 //! The properties under test are the PR's containment invariants:
 //!
@@ -8,15 +7,11 @@
 //!   returns a *structured* [`EngineError`]; no panic escapes the engine, no
 //!   operation hangs, no batch half-applies.
 //! * **Store is the source of truth** — after any failed evaluation (tripped
-//!   limit, caught worker panic, injected fault at any site), the next query on
-//!   the *same* session returns exactly what a fresh engine evaluating the
-//!   surviving base facts from scratch returns, at every thread count.
+//!   limit, caught panic, injected fault at any site), the next query on the
+//!   *same* session returns exactly what a fresh engine evaluating the
+//!   surviving base facts from scratch returns.
 //! * **Prompt deadlines** — a wall-clock deadline on an unbounded recursive
 //!   query aborts within 2x the deadline, and the engine stays reusable.
-//!
-//! CI runs this file under `FACTORLOG_THREADS=1` and `=4` (the env var is the
-//! default for [`EvalOptions::threads`]), so both the sequential join loop and
-//! the parallel partition/merge driver face every fault.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -40,22 +35,6 @@ const SITES: [FaultSite; 6] = [
 ];
 
 const ACTIONS: [FaultAction; 2] = [FaultAction::Error, FaultAction::Panic];
-
-fn eval_opts(threads: usize) -> EvalOptions {
-    EvalOptions {
-        threads,
-        // Partition every round regardless of size so multi-thread runs
-        // actually exercise the parallel driver (and its panic isolation).
-        parallel_threshold: 0,
-        ..EvalOptions::default()
-    }
-}
-
-/// The session thread count under test: `FACTORLOG_THREADS` when CI pins it,
-/// [`EvalOptions`]'s default otherwise.
-fn session_threads() -> usize {
-    EvalOptions::default().threads
-}
 
 /// A scratch data directory, unique per test case and cleaned before use.
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -86,8 +65,7 @@ fn edb_facts(db: &Database) -> Vec<(String, Vec<String>)> {
 
 /// The convergence oracle: a session that went through faults, limits and
 /// partial evaluations must — once disarmed — answer exactly like a fresh
-/// engine evaluating its program over its surviving base facts from scratch,
-/// at 1, 2 and 4 worker threads.
+/// engine evaluating its program over its surviving base facts from scratch.
 fn assert_converges(survivor: &mut Engine, query: &Query) -> Result<(), TestCaseError> {
     survivor.set_fault_injector(None);
     survivor.set_limits(None, None, None);
@@ -100,23 +78,20 @@ fn assert_converges(survivor: &mut Engine, query: &Query) -> Result<(), TestCase
             )))
         }
     };
-    for threads in [1usize, 2, 4] {
-        let mut fresh = Engine::with_options(eval_opts(threads));
-        fresh
-            .add_rules(survivor.program().clone())
-            .expect("program transplants");
-        for (predicate, relation) in survivor.facts().iter() {
-            for tuple in relation.iter() {
-                fresh.insert(predicate, tuple).expect("fact transplants");
-            }
+    let mut fresh = Engine::new();
+    fresh
+        .add_rules(survivor.program().clone())
+        .expect("program transplants");
+    for (predicate, relation) in survivor.facts().iter() {
+        for tuple in relation.iter() {
+            fresh.insert(predicate, tuple).expect("fact transplants");
         }
-        prop_assert_eq!(
-            &fresh.query(query).expect("fresh query"),
-            &answers,
-            "survivor diverges from scratch evaluation at {} thread(s)",
-            threads
-        );
     }
+    prop_assert_eq!(
+        &fresh.query(query).expect("fresh query"),
+        &answers,
+        "survivor diverges from scratch evaluation"
+    );
     Ok(())
 }
 
@@ -161,10 +136,9 @@ proptest! {
                 // Compact every few records so the Compaction site is reachable.
                 compact_threshold: 256,
             };
-            Engine::open_durable_with_options(&dir, dopts, eval_opts(session_threads()))
-                .expect("durable open")
+            Engine::open_durable_with(&dir, dopts).expect("durable open")
         } else {
-            Engine::with_options(eval_opts(session_threads()))
+            Engine::new()
         };
         engine.load_source(programs::THREE_RULE_TC).expect("program loads");
         for i in 0..10i64 {
@@ -226,7 +200,7 @@ proptest! {
         failure_mode in 0usize..4,
         start in 0i64..50,
     ) {
-        let mut engine = Engine::with_options(eval_opts(session_threads()));
+        let mut engine = Engine::new();
         engine.load_source(programs::THREE_RULE_TC).expect("program loads");
         // A 120-edge chain: ~7k derived transitive facts, thousands of join
         // rows — deep enough for the join-loop poll and multiple rounds.
@@ -268,7 +242,7 @@ proptest! {
 fn delete_propagation_faults_stay_contained() {
     for site in [FaultSite::DeleteOverdelete, FaultSite::DeleteRederive] {
         for action in ACTIONS {
-            let mut engine = Engine::with_options(eval_opts(session_threads()));
+            let mut engine = Engine::new();
             engine
                 .load_source(programs::THREE_RULE_TC)
                 .expect("program");
@@ -298,7 +272,7 @@ fn delete_propagation_faults_stay_contained() {
             // The retraction itself committed (store is source of truth); the
             // next query rebuilds the view from scratch and agrees with a
             // fresh engine.
-            let mut fresh = Engine::with_options(eval_opts(1));
+            let mut fresh = Engine::new();
             fresh.add_rules(engine.program().clone()).unwrap();
             for (predicate, relation) in engine.facts().iter() {
                 for tuple in relation.iter() {
@@ -321,7 +295,7 @@ fn delete_propagation_faults_stay_contained() {
 /// leaves the engine fully reusable.
 #[test]
 fn deadline_on_unbounded_recursion_aborts_within_twice_the_deadline() {
-    let mut engine = Engine::with_options(eval_opts(session_threads()));
+    let mut engine = Engine::new();
     engine
         .load_source("counter(N) :- seed(N).\ncounter(M) :- counter(N), succ(N, M).")
         .expect("program loads");
@@ -376,7 +350,7 @@ fn deadline_on_unbounded_recursion_aborts_within_twice_the_deadline() {
 /// cancellation reason, and resetting the token restores the session.
 #[test]
 fn cross_thread_cancellation_aborts_and_the_token_resets() {
-    let mut engine = Engine::with_options(eval_opts(session_threads()));
+    let mut engine = Engine::new();
     engine
         .load_source("counter(N) :- seed(N).\ncounter(M) :- counter(N), succ(N, M).")
         .expect("program loads");

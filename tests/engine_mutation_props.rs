@@ -1,8 +1,7 @@
 //! Mutation-correctness property tests for the transactional engine API: any
 //! interleaving of assert/retract batches must converge to exactly the from-scratch
-//! evaluation of the surviving EDB — at 1, 2 and 4 worker threads, with the parallel
-//! threshold forced to zero so delete propagation exercises the partitioned executor —
-//! and a snapshot→restore round-trip must preserve a session mid-stream.
+//! evaluation of the surviving EDB, and a snapshot→restore round-trip must preserve a
+//! session mid-stream.
 
 use std::collections::BTreeSet;
 
@@ -14,21 +13,11 @@ fn c(i: i64) -> Const {
     Const::Int(i)
 }
 
-/// Engines under test: one per thread count, threshold zero so even tiny rounds run
-/// partitioned. Results must be identical across the whole list.
-fn engines_at_thread_counts(source: &str) -> Vec<Engine> {
-    [1usize, 2, 4]
-        .iter()
-        .map(|&threads| {
-            let mut engine = Engine::with_options(EvalOptions {
-                threads,
-                parallel_threshold: 0,
-                ..EvalOptions::default()
-            });
-            engine.load_source(source).unwrap();
-            engine
-        })
-        .collect()
+/// A fresh session over the rules of `source`.
+fn session(source: &str) -> Engine {
+    let mut engine = Engine::new();
+    engine.load_source(source).unwrap();
+    engine
 }
 
 /// From-scratch evaluation of the engine's current program over its current base
@@ -43,36 +32,17 @@ fn batch_answers(engine: &Engine, query: &Query) -> Vec<Vec<Const>> {
 /// asserts keeps the databases non-trivial).
 type Op = (usize, i64, i64);
 
-/// Apply one batch of edge mutations through the transactional API; returns the
-/// summary of the first engine (all engines must agree on it).
-fn apply_edge_batch(engines: &mut [Engine], predicate: &str, batch: &[Op]) -> TxnSummary {
-    let mut first: Option<TxnSummary> = None;
-    for engine in engines.iter_mut() {
-        let mut txn = engine.transaction();
-        for &(kind, a, b) in batch {
-            if kind == 0 {
-                txn.retract(predicate, &[c(a), c(b)]);
-            } else {
-                txn.assert(predicate, &[c(a), c(b)]);
-            }
-        }
-        let summary = txn.commit().expect("commit succeeds");
-        match first {
-            None => first = Some(summary),
-            Some(expected) => assert_eq!(expected, summary, "summaries agree across threads"),
+/// Apply one batch of mutations of `predicate` through the transactional API.
+fn apply_batch(engine: &mut Engine, predicate: &str, batch: &[Op]) {
+    let mut txn = engine.transaction();
+    for &(kind, a, b) in batch {
+        if kind == 0 {
+            txn.retract(predicate, &[c(a), c(b)]);
+        } else {
+            txn.assert(predicate, &[c(a), c(b)]);
         }
     }
-    first.expect("at least one engine")
-}
-
-/// The engines of the retraction-equivalence tests: the forced-parallel ones plus a
-/// default session, whose worker count follows `FACTORLOG_THREADS` (CI runs 1 and 4).
-fn retraction_engines(source: &str) -> Vec<Engine> {
-    let mut engines = engines_at_thread_counts(source);
-    let mut default = Engine::new();
-    default.load_source(source).unwrap();
-    engines.push(default);
-    engines
+    txn.commit().expect("commit succeeds");
 }
 
 /// Every relation of a model (base, derived and `p__asserted` alike), each through
@@ -84,58 +54,42 @@ fn whole_model(answers: &mut dyn FnMut(&Query) -> Vec<Vec<Const>>) -> Vec<Vec<Ve
         .collect()
 }
 
-/// Commit `retracts` (`(predicate, a, b)`) as one retract-only transaction on every
-/// engine and check, per engine: the *whole* maintained model equals from-scratch
-/// evaluation of the surviving base facts, and the delete counters mean what they
-/// say — every fact counted in `retractions` left the model, every fact counted in
-/// `rederivations` or derived downstream of one came back, so the model's size moves
-/// by exactly `rederivations + facts_derived - retractions` — and agree across
-/// thread counts. Returns the first engine's counter deltas
+/// Commit `retracts` (`(predicate, a, b)`) as one retract-only transaction and check
+/// that the *whole* maintained model equals from-scratch evaluation of the surviving
+/// base facts, and that the delete counters mean what they say — every fact counted
+/// in `retractions` left the model, every fact counted in `rederivations` or derived
+/// downstream of one came back, so the model's size moves by exactly
+/// `rederivations + facts_derived - retractions`. Returns the counter deltas
 /// `(retractions, rederivations, facts derived downstream)`.
-fn retract_and_check(
-    engines: &mut [Engine],
-    retracts: &[(&str, i64, i64)],
-) -> (usize, usize, usize) {
-    let mut deltas: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for engine in engines.iter_mut() {
-        let size = |engine: &mut Engine| -> usize {
-            whole_model(&mut |q| engine.query(q).unwrap())
-                .iter()
-                .map(Vec::len)
-                .sum()
-        };
-        let before_size = size(engine);
-        let before = engine.stats().clone();
-        let mut txn = engine.transaction();
-        for &(predicate, a, b) in retracts {
-            txn.retract(predicate, &[c(a), c(b)]);
-        }
-        txn.commit().expect("commit succeeds");
-        let maintained = whole_model(&mut |q| engine.query(q).unwrap());
-        let scratch = evaluate_default(engine.program(), engine.facts()).unwrap();
-        assert_eq!(maintained, whole_model(&mut |q| scratch.answers(q)));
-        let stats = engine.stats();
-        let delta = (
-            stats.retractions - before.retractions,
-            stats.rederivations - before.rederivations,
-            stats.facts_derived - before.facts_derived,
-            stats.delete_rounds - before.delete_rounds,
-        );
-        assert_eq!(
-            maintained.iter().map(Vec::len).sum::<usize>() + delta.0,
-            before_size + delta.1 + delta.2,
-            "retractions {} rederivations {} derived downstream {}",
-            delta.0,
-            delta.1,
-            delta.2
-        );
-        deltas.push(delta);
+fn retract_and_check(engine: &mut Engine, retracts: &[(&str, i64, i64)]) -> (usize, usize, usize) {
+    let size = |engine: &mut Engine| -> usize {
+        whole_model(&mut |q| engine.query(q).unwrap())
+            .iter()
+            .map(Vec::len)
+            .sum()
+    };
+    let before_size = size(engine);
+    let before = engine.stats().clone();
+    let mut txn = engine.transaction();
+    for &(predicate, a, b) in retracts {
+        txn.retract(predicate, &[c(a), c(b)]);
     }
-    assert!(
-        deltas.iter().all(|d| *d == deltas[0]),
-        "counters agree: {deltas:?}"
+    txn.commit().expect("commit succeeds");
+    let maintained = whole_model(&mut |q| engine.query(q).unwrap());
+    let scratch = evaluate_default(engine.program(), engine.facts()).unwrap();
+    assert_eq!(maintained, whole_model(&mut |q| scratch.answers(q)));
+    let stats = engine.stats();
+    let (retractions, rederivations, downstream) = (
+        stats.retractions - before.retractions,
+        stats.rederivations - before.rederivations,
+        stats.facts_derived - before.facts_derived,
     );
-    (deltas[0].0, deltas[0].1, deltas[0].2)
+    assert_eq!(
+        maintained.iter().map(Vec::len).sum::<usize>() + retractions,
+        before_size + rederivations + downstream,
+        "retractions {retractions} rederivations {rederivations} derived downstream {downstream}"
+    );
+    (retractions, rederivations, downstream)
 }
 
 proptest! {
@@ -148,7 +102,7 @@ proptest! {
         start in 0i64..8,
     ) {
         let query = parse_query(&format!("t({start}, Y)")).unwrap();
-        let mut engines = engines_at_thread_counts(programs::THREE_RULE_TC);
+        let mut engine = session(programs::THREE_RULE_TC);
         // Independent ledger of what the base relation must contain (last op wins
         // within a batch is modeled by sequential application).
         let mut ledger: BTreeSet<(i64, i64)> = BTreeSet::new();
@@ -160,9 +114,9 @@ proptest! {
                     ledger.insert((a, b));
                 }
             }
-            apply_edge_batch(&mut engines, "e", batch);
+            apply_batch(&mut engine, "e", batch);
             // The fact store matches the ledger exactly.
-            let stored: BTreeSet<(i64, i64)> = engines[0]
+            let stored: BTreeSet<(i64, i64)> = engine
                 .facts()
                 .relation(Symbol::intern("e"))
                 .map(|rel| {
@@ -172,11 +126,8 @@ proptest! {
                 })
                 .unwrap_or_default();
             prop_assert_eq!(&stored, &ledger);
-            // Every engine's maintained answers equal from-scratch evaluation.
-            let reference = batch_answers(&engines[0], &query);
-            for engine in engines.iter_mut() {
-                prop_assert_eq!(engine.query(&query).unwrap(), reference.clone());
-            }
+            // The maintained answers equal from-scratch evaluation.
+            prop_assert_eq!(engine.query(&query).unwrap(), batch_answers(&engine, &query));
         }
     }
 
@@ -189,24 +140,19 @@ proptest! {
         // op kind doubles as the predicate selector (asserts on all three, retracts
         // of whatever is hit).
         let query = parse_query(&format!("sg({probe}, Y)")).unwrap();
-        let mut engines = engines_at_thread_counts(programs::SAME_GENERATION);
+        let mut engine = session(programs::SAME_GENERATION);
         for (i, chunk) in ops.chunks(3).enumerate() {
-            for engine in engines.iter_mut() {
-                let mut txn = engine.transaction();
-                for (j, &(kind, a, b)) in chunk.iter().enumerate() {
-                    let predicate = ["up", "flat", "down"][(i + j) % 3];
-                    if kind == 0 {
-                        txn.retract(predicate, &[c(a), c(b)]);
-                    } else {
-                        txn.assert(predicate, &[c(a), c(b)]);
-                    }
+            let mut txn = engine.transaction();
+            for (j, &(kind, a, b)) in chunk.iter().enumerate() {
+                let predicate = ["up", "flat", "down"][(i + j) % 3];
+                if kind == 0 {
+                    txn.retract(predicate, &[c(a), c(b)]);
+                } else {
+                    txn.assert(predicate, &[c(a), c(b)]);
                 }
-                txn.commit().expect("commit succeeds");
             }
-            let reference = batch_answers(&engines[0], &query);
-            for engine in engines.iter_mut() {
-                prop_assert_eq!(engine.query(&query).unwrap(), reference.clone());
-            }
+            txn.commit().expect("commit succeeds");
+            prop_assert_eq!(engine.query(&query).unwrap(), batch_answers(&engine, &query));
         }
     }
 
@@ -219,36 +165,18 @@ proptest! {
         // Mix base-edge mutations with asserts/retracts of the *derived* predicate
         // `t` (routed through the `t__asserted` exit-rule scheme).
         let query = parse_query(&format!("t({start}, Y)")).unwrap();
-        let mut engines = engines_at_thread_counts(programs::RIGHT_LINEAR_TC);
-        apply_edge_batch(&mut engines, "e", &edges);
-        for engine in engines.iter_mut() {
-            let mut txn = engine.transaction();
-            for &(kind, a, b) in &idb_ops {
-                if kind == 0 {
-                    txn.retract("t", &[c(a), c(b)]);
-                } else {
-                    txn.assert("t", &[c(a), c(b)]);
-                }
-            }
-            txn.commit().expect("commit succeeds");
-        }
-        let reference = batch_answers(&engines[0], &query);
-        for engine in engines.iter_mut() {
-            prop_assert_eq!(engine.query(&query).unwrap(), reference.clone());
-        }
+        let mut engine = session(programs::RIGHT_LINEAR_TC);
+        apply_batch(&mut engine, "e", &edges);
+        apply_batch(&mut engine, "t", &idb_ops);
+        prop_assert_eq!(engine.query(&query).unwrap(), batch_answers(&engine, &query));
         // Retract every asserted t fact again: derived-only facts must survive
         // exactly as from-scratch evaluation says.
-        for engine in engines.iter_mut() {
-            let mut txn = engine.transaction();
-            for &(_, a, b) in &idb_ops {
-                txn.retract("t", &[c(a), c(b)]);
-            }
-            txn.commit().expect("commit succeeds");
+        let mut txn = engine.transaction();
+        for &(_, a, b) in &idb_ops {
+            txn.retract("t", &[c(a), c(b)]);
         }
-        let reference = batch_answers(&engines[0], &query);
-        for engine in engines.iter_mut() {
-            prop_assert_eq!(engine.query(&query).unwrap(), reference.clone());
-        }
+        txn.commit().expect("commit succeeds");
+        prop_assert_eq!(engine.query(&query).unwrap(), batch_answers(&engine, &query));
     }
 
     #[test]
@@ -266,22 +194,19 @@ proptest! {
             programs::LEFT_LINEAR_TC,
             programs::THREE_RULE_TC,
         ][program];
-        let mut engines = retraction_engines(source);
+        let mut engine = session(source);
         let mut present: Vec<(i64, i64)> = edges.clone();
         present.sort_unstable();
         present.dedup();
-        for engine in engines.iter_mut() {
-            let mut txn = engine.transaction();
-            for &(a, b) in &present {
-                txn.assert("e", &[c(a), c(b)]);
-            }
-            for &(a, b) in &asserted {
-                txn.assert("t", &[c(a), c(b)]);
-            }
-            txn.commit().unwrap();
-            let all = parse_query("t(X, Y)").unwrap();
-            engine.query(&all).unwrap();
+        let mut txn = engine.transaction();
+        for &(a, b) in &present {
+            txn.assert("e", &[c(a), c(b)]);
         }
+        for &(a, b) in &asserted {
+            txn.assert("t", &[c(a), c(b)]);
+        }
+        txn.commit().unwrap();
+        engine.query(&parse_query("t(X, Y)").unwrap()).unwrap();
         for &(pick, width) in &picks {
             // One to four present edges, now and then an asserted `t` fact as well.
             let mut batch: Vec<(&str, i64, i64)> = Vec::new();
@@ -297,7 +222,7 @@ proptest! {
                     batch.push(("t", a, b));
                 }
             }
-            retract_and_check(&mut engines, &batch);
+            retract_and_check(&mut engine, &batch);
         }
     }
 
@@ -408,15 +333,13 @@ fn restored_facts_cascade_through_the_positive_fixpoint() {
     // re-derivation; t(0, 3), t(0, 4), t(0, 5) hang off t(0, 2), which is out of the
     // model while the candidates are probed, so only the positive fixpoint seeded with
     // the restored fact brings them back.
-    let mut engines = retraction_engines(programs::LEFT_LINEAR_TC);
-    for engine in engines.iter_mut() {
-        let mut txn = engine.transaction();
-        for (a, b) in [(0, 1), (0, 9), (1, 2), (9, 2), (2, 3), (3, 4), (4, 5)] {
-            txn.assert("e", &[c(a), c(b)]);
-        }
-        txn.commit().unwrap();
+    let mut engine = session(programs::LEFT_LINEAR_TC);
+    let mut txn = engine.transaction();
+    for (a, b) in [(0, 1), (0, 9), (1, 2), (9, 2), (2, 3), (3, 4), (4, 5)] {
+        txn.assert("e", &[c(a), c(b)]);
     }
-    let (retractions, rederivations, downstream) = retract_and_check(&mut engines, &[("e", 0, 1)]);
+    txn.commit().unwrap();
+    let (retractions, rederivations, downstream) = retract_and_check(&mut engine, &[("e", 0, 1)]);
     assert_eq!(retractions, 1 + 5, "e(0, 1) and t(0, 1..=5)");
     assert_eq!(rederivations, 1, "t(0, 2), through node 9");
     assert_eq!(downstream, 3, "t(0, 3), t(0, 4), t(0, 5)");
@@ -428,21 +351,19 @@ fn retracting_a_hub_edge_over_deletes_most_of_the_model_and_restores_it() {
     // source or from `a` to `h` or a target runs through e(a, h), so retracting it
     // schedules most of the closure; all of it comes back over the detour.
     let (a, b, h) = (100, 101, 102);
-    let mut engines = retraction_engines(programs::RIGHT_LINEAR_TC);
-    for engine in engines.iter_mut() {
-        let mut txn = engine.transaction();
-        for i in 0..10 {
-            txn.assert("e", &[c(i), c(a)]);
-            txn.assert("e", &[c(h), c(200 + i)]);
-        }
-        for (from, to) in [(a, h), (a, b), (b, h)] {
-            txn.assert("e", &[c(from), c(to)]);
-        }
-        txn.commit().unwrap();
+    let mut engine = session(programs::RIGHT_LINEAR_TC);
+    let mut txn = engine.transaction();
+    for i in 0..10 {
+        txn.assert("e", &[c(i), c(a)]);
+        txn.assert("e", &[c(h), c(200 + i)]);
     }
+    for (from, to) in [(a, h), (a, b), (b, h)] {
+        txn.assert("e", &[c(from), c(to)]);
+    }
+    txn.commit().unwrap();
     let all = parse_query("t(X, Y)").unwrap();
-    let closure = engines[0].query(&all).unwrap().len();
-    let (retractions, rederivations, downstream) = retract_and_check(&mut engines, &[("e", a, h)]);
+    let closure = engine.query(&all).unwrap().len();
+    let (retractions, rederivations, downstream) = retract_and_check(&mut engine, &[("e", a, h)]);
     // t(x, y) for x in sources + {a}, y in targets + {h}.
     assert_eq!(retractions, 1 + 11 * 11);
     assert!(
@@ -458,31 +379,26 @@ fn retracting_a_hub_edge_over_deletes_most_of_the_model_and_restores_it() {
         downstream > 0,
         "the sources' facts hang off the restored t(a, h)"
     );
-    assert_eq!(engines[0].query(&all).unwrap().len(), closure);
+    assert_eq!(engine.query(&all).unwrap().len(), closure);
 }
 
 #[test]
 fn asserted_idb_facts_among_the_candidates_keep_their_support() {
     // t(5, 50) is asserted *and* derivable through e(5, 50); t(4, 50) hangs off it.
-    let mut engines = retraction_engines(programs::RIGHT_LINEAR_TC);
-    for engine in engines.iter_mut() {
-        let mut txn = engine.transaction();
-        txn.assert("e", &[c(4), c(5)])
-            .assert("e", &[c(5), c(50)])
-            .assert("t", &[c(5), c(50)]);
-        txn.commit().unwrap();
-    }
+    let mut engine = session(programs::RIGHT_LINEAR_TC);
+    let mut txn = engine.transaction();
+    txn.assert("e", &[c(4), c(5)])
+        .assert("e", &[c(5), c(50)])
+        .assert("t", &[c(5), c(50)]);
+    txn.commit().unwrap();
     let probe = parse_query("t(4, Y)").unwrap();
     // Retracting the edge over-deletes t(5, 50); the assertion restores it (the guard
     // firing of `t(X, Y) :- t__asserted(X, Y)`), and t(4, 50) follows downstream.
-    let (retractions, rederivations, downstream) = retract_and_check(&mut engines, &[("e", 5, 50)]);
+    let (retractions, rederivations, downstream) = retract_and_check(&mut engine, &[("e", 5, 50)]);
     assert_eq!((retractions, rederivations, downstream), (3, 1, 1));
-    assert_eq!(
-        engines[0].query(&probe).unwrap(),
-        vec![vec![c(5)], vec![c(50)]]
-    );
+    assert_eq!(engine.query(&probe).unwrap(), vec![vec![c(5)], vec![c(50)]]);
     // Retracting the assertion too leaves nothing to restore.
-    let (retractions, rederivations, downstream) = retract_and_check(&mut engines, &[("t", 5, 50)]);
+    let (retractions, rederivations, downstream) = retract_and_check(&mut engine, &[("t", 5, 50)]);
     assert_eq!((retractions, rederivations, downstream), (3, 0, 0));
-    assert_eq!(engines[0].query(&probe).unwrap(), vec![vec![c(5)]]);
+    assert_eq!(engine.query(&probe).unwrap(), vec![vec![c(5)]]);
 }

@@ -53,8 +53,8 @@ fn example_7_1_factored_magic_program_and_the_second_factoring() {
     // program the example displays — but the randomized check shows the second
     // factoring is *not* answer-preserving for arbitrary EDBs: the exit rule
     // correlates Y and Z through e(X, Y, Z), and the recombination ft1 × ft2 loses
-    // that correlation. We record this as a reproduction finding (see EXPERIMENTS.md,
-    // E11): Example 7.1's second factoring needs additional conditions on the EDB.
+    // that correlation. The reproduction finding: Example 7.1's second factoring needs
+    // additional conditions on the EDB.
     let ft = factored.free_predicate;
     let ft1 = Symbol::intern("ft1_ex71");
     let ft2 = Symbol::intern("ft2_ex71");

@@ -2,6 +2,7 @@
 //! generated EDBs and, for the evaluator, over randomly generated safe programs.
 //!
 //! * semi-naive ≡ naive on random graph EDBs;
+//! * rule-body order and tracing change neither the model nor the counters;
 //! * Magic ≡ original on random EDBs for several programs;
 //! * factored ≡ original on random EDBs for every program the analysis declares
 //!   factorable (Theorems 4.1–4.3 instantiated);
@@ -11,7 +12,9 @@
 use factorlog::core::optimize::{optimize, OptimizeOptions};
 use factorlog::core::pipeline::Strategy as PipelineStrategy;
 use factorlog::datalog::cq::ConjunctiveQuery;
-use factorlog::datalog::eval::{evaluate, naive_evaluate, EvalOptions, Strategy as EvalStrategy};
+use factorlog::datalog::eval::{
+    evaluate, naive_evaluate, seminaive_evaluate, EvalOptions, Strategy as EvalStrategy,
+};
 use factorlog::prelude::*;
 use factorlog::workloads::programs;
 use proptest::prelude::*;
@@ -33,6 +36,45 @@ fn edge_db(edges: &[(i64, i64)]) -> Database {
     db
 }
 
+/// Recursion shapes for the evaluator properties: linear, nonlinear, the paper's
+/// three-rule closure, and a two-relation join — the body shapes that stress delta
+/// substitution at every literal position.
+const EVAL_PROGRAMS: &[&str] = &[
+    "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).",
+    "t(X, Y) :- e(X, Y).\nt(X, Y) :- t(X, W), t(W, Y).",
+    "t(X, Y) :- t(X, W), t(W, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n\
+     t(X, Y) :- t(X, W), e(W, Y).\nt(X, Y) :- e(X, Y).",
+    "p(X, Y) :- e(X, W), f(W, Y).\np(X, Y) :- e(X, W), p(W, Y).",
+];
+
+/// [`edge_db`] plus a second relation `f` derived from the same pairs (shifted), so
+/// the two-relation join of [`EVAL_PROGRAMS`] has matches.
+fn edge_and_f_db(edges: &[(i64, i64)]) -> Database {
+    let mut db = edge_db(edges);
+    for &(a, b) in edges {
+        db.add_fact("f", &[Const::Int(b), Const::Int(a + 1)]);
+    }
+    db
+}
+
+/// Per-predicate tuple lists, predicates sorted by name; `sorted` drops the
+/// insertion order for runs whose execution order legitimately differs.
+fn model_of(db: &Database, sorted: bool) -> Vec<(String, Vec<Vec<Const>>)> {
+    let mut out: Vec<(String, Vec<Vec<Const>>)> = db
+        .iter()
+        .map(|(p, rel)| {
+            let rows = if sorted {
+                rel.to_sorted_vec()
+            } else {
+                rel.to_vec()
+            };
+            (p.as_str().to_string(), rows)
+        })
+        .collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -48,6 +90,49 @@ proptest! {
             naive.database.relation(t).unwrap().to_sorted_vec(),
             semi.database.relation(t).unwrap().to_sorted_vec()
         );
+    }
+
+    /// Ordering invariance: reversing every rule body changes neither the computed
+    /// model (sorted comparison — execution order legitimately differs) nor the
+    /// inference count, with the reorder heuristic on or off.
+    #[test]
+    fn body_order_never_changes_the_model(edge_list in edges(10, 40), prog_idx in 0usize..4) {
+        let program = parse_program(EVAL_PROGRAMS[prog_idx]).unwrap().program;
+        let mut reversed = program.clone();
+        for rule in &mut reversed.rules {
+            rule.body.reverse();
+        }
+        let db = edge_and_f_db(&edge_list);
+        let mut results = Vec::new();
+        for reorder_literals in [true, false] {
+            let opts = EvalOptions { reorder_literals, ..EvalOptions::default() };
+            for p in [&program, &reversed] {
+                let result = seminaive_evaluate(p, &db, &opts).unwrap();
+                results.push((model_of(&result.database, true), result.stats.inferences));
+            }
+        }
+        for other in &results[1..] {
+            prop_assert_eq!(other, &results[0], "all orders and both heuristic settings agree");
+        }
+    }
+
+    /// Tracing observes the evaluation without steering it: same model in the same
+    /// insertion order, same machine-independent counters.
+    #[test]
+    fn tracing_changes_neither_model_nor_counters(
+        edge_list in edges(10, 40),
+        prog_idx in 0usize..4,
+    ) {
+        let program = parse_program(EVAL_PROGRAMS[prog_idx]).unwrap().program;
+        let db = edge_and_f_db(&edge_list);
+        let plain = seminaive_evaluate(&program, &db, &EvalOptions::default()).unwrap();
+        let opts = EvalOptions { trace: true, ..EvalOptions::default() };
+        let traced = seminaive_evaluate(&program, &db, &opts).unwrap();
+        prop_assert!(plain.stats.profile.is_none() && traced.stats.profile.is_some());
+        prop_assert_eq!(model_of(&traced.database, false), model_of(&plain.database, false));
+        prop_assert_eq!(traced.stats.inferences, plain.stats.inferences);
+        prop_assert_eq!(traced.stats.facts_derived, plain.stats.facts_derived);
+        prop_assert_eq!(traced.stats.index_probes, plain.stats.index_probes);
     }
 
     #[test]

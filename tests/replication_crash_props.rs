@@ -9,7 +9,7 @@
 //!   its own WAL), disconnect churn, and leader-side compaction, every
 //!   follower that catches up holds a checksum-identical copy of the leader's
 //!   committed EDB, and the replicated store answers exactly like a fresh
-//!   engine evaluating those facts from scratch at 1, 2 and 4 eval threads.
+//!   engine evaluating those facts from scratch.
 //! * **Bootstrap** — a follower whose position the leader compacted away
 //!   re-seeds itself from the shipped snapshot (at least one bootstrap is
 //!   observed) and still converges.
@@ -17,8 +17,6 @@
 //!   valid, promotes after it expires, accepts writes as the new leader, and
 //!   a revived ex-leader that observes the higher term fences itself: it
 //!   refuses transactions while the promoted node keeps committing.
-//!
-//! CI runs this file under `FACTORLOG_THREADS=1` and `=4`.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -30,19 +28,6 @@ use proptest::prelude::*;
 
 fn c(i: i64) -> Const {
     Const::Int(i)
-}
-
-fn eval_opts(threads: usize) -> EvalOptions {
-    EvalOptions {
-        threads,
-        parallel_threshold: 0,
-        ..EvalOptions::default()
-    }
-}
-
-/// The session thread count under test: `FACTORLOG_THREADS` when CI pins it.
-fn session_threads() -> usize {
-    EvalOptions::default().threads
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -95,34 +80,28 @@ fn fact_set(engine: &Engine) -> BTreeSet<String> {
 }
 
 /// The convergence oracle: a replicated store must answer exactly like a
-/// fresh engine evaluating its base facts from scratch, at 1, 2 and 4 worker
-/// threads.
+/// fresh engine evaluating its base facts from scratch.
 fn assert_store_converges(store: &mut Engine, query: &Query) -> Result<(), TestCaseError> {
     let answers = store.query(query).expect("replicated store answers");
-    for threads in [1usize, 2, 4] {
-        let mut fresh = Engine::with_options(eval_opts(threads));
-        fresh
-            .add_rules(store.program().clone())
-            .expect("program transplants");
-        for (predicate, relation) in store.facts().iter() {
-            for tuple in relation.iter() {
-                fresh.insert(predicate, tuple).expect("fact transplants");
-            }
+    let mut fresh = Engine::new();
+    fresh
+        .add_rules(store.program().clone())
+        .expect("program transplants");
+    for (predicate, relation) in store.facts().iter() {
+        for tuple in relation.iter() {
+            fresh.insert(predicate, tuple).expect("fact transplants");
         }
-        prop_assert_eq!(
-            &fresh.query(query).expect("fresh query"),
-            &answers,
-            "replicated store diverges from scratch evaluation at {} thread(s)",
-            threads
-        );
     }
+    prop_assert_eq!(
+        &fresh.query(query).expect("fresh query"),
+        &answers,
+        "replicated store diverges from scratch evaluation"
+    );
     Ok(())
 }
 
 fn open_follower(dir: &PathBuf, leader: &str, batch: usize) -> Replica {
-    let engine =
-        Engine::open_durable_with_options(dir, dopts(u64::MAX), eval_opts(session_threads()))
-            .expect("follower opens durably");
+    let engine = Engine::open_durable_with(dir, dopts(u64::MAX)).expect("follower opens durably");
     Replica::from_engine(engine, leader, ropts(batch, Duration::from_secs(3600)))
         .expect("durable engine wraps as a replica")
 }
@@ -136,7 +115,7 @@ proptest! {
     /// landing between arbitrary frame batches), disconnect churn, and full
     /// leader restarts (shutdown + re-serve on the same port). Both followers
     /// must converge to a checksum-identical copy of the leader's committed
-    /// EDB, matching from-scratch evaluation at 1/2/4 threads.
+    /// EDB, matching from-scratch evaluation.
     #[test]
     fn followers_converge_under_kills_churn_and_compaction(
         phases in proptest::collection::vec((1usize..6, 0u64..4), 3..7),
@@ -149,11 +128,7 @@ proptest! {
         // A tiny compaction threshold: the leader's log compacts repeatedly
         // mid-run, so a lagging follower's position routinely falls behind the
         // snapshot and forces a bootstrap.
-        let mut engine = Engine::open_durable_with_options(
-            &leader_dir,
-            dopts(256),
-            eval_opts(session_threads()),
-        )
+        let mut engine = Engine::open_durable_with(&leader_dir, dopts(256))
         .expect("leader opens durably");
         engine
             .load_source(programs::THREE_RULE_TC)
@@ -238,8 +213,7 @@ fn a_lagging_follower_bootstraps_past_a_compacted_log() {
     let leader_dir = fresh_dir("compact_lead");
     let follower_dir = fresh_dir("compact_follow");
     let mut engine =
-        Engine::open_durable_with_options(&leader_dir, dopts(64), eval_opts(session_threads()))
-            .expect("leader opens durably");
+        Engine::open_durable_with(&leader_dir, dopts(64)).expect("leader opens durably");
     engine
         .load_source(programs::THREE_RULE_TC)
         .expect("program loads");
@@ -284,12 +258,8 @@ fn a_lagging_follower_bootstraps_past_a_compacted_log() {
 fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
     let leader_dir = fresh_dir("fence_lead");
     let follower_dir = fresh_dir("fence_follow");
-    let mut engine = Engine::open_durable_with_options(
-        &leader_dir,
-        dopts(u64::MAX),
-        eval_opts(session_threads()),
-    )
-    .expect("leader opens durably");
+    let mut engine =
+        Engine::open_durable_with(&leader_dir, dopts(u64::MAX)).expect("leader opens durably");
     engine
         .load_source(programs::THREE_RULE_TC)
         .expect("program loads");
@@ -299,12 +269,8 @@ fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
     let mut writer = Client::connect(handle.addr()).expect("writer connects");
     writer.txn("+e(1, 2)").expect("txn commits");
 
-    let engine = Engine::open_durable_with_options(
-        &follower_dir,
-        dopts(u64::MAX),
-        eval_opts(session_threads()),
-    )
-    .expect("follower opens durably");
+    let engine =
+        Engine::open_durable_with(&follower_dir, dopts(u64::MAX)).expect("follower opens durably");
     let mut follower = Replica::from_engine(
         engine,
         addr.as_str(),
@@ -361,12 +327,8 @@ fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
 fn a_served_follower_promotes_over_the_wire_and_resumes_writes() {
     let leader_dir = fresh_dir("wire_lead");
     let follower_dir = fresh_dir("wire_follow");
-    let mut engine = Engine::open_durable_with_options(
-        &leader_dir,
-        dopts(u64::MAX),
-        eval_opts(session_threads()),
-    )
-    .expect("leader opens durably");
+    let mut engine =
+        Engine::open_durable_with(&leader_dir, dopts(u64::MAX)).expect("leader opens durably");
     engine
         .load_source(programs::THREE_RULE_TC)
         .expect("program loads");
@@ -374,12 +336,8 @@ fn a_served_follower_promotes_over_the_wire_and_resumes_writes() {
     let mut writer = Client::connect(leader.addr()).expect("writer connects");
     writer.txn("+e(1, 2)").expect("txn commits");
 
-    let engine = Engine::open_durable_with_options(
-        &follower_dir,
-        dopts(u64::MAX),
-        eval_opts(session_threads()),
-    )
-    .expect("follower opens durably");
+    let engine =
+        Engine::open_durable_with(&follower_dir, dopts(u64::MAX)).expect("follower opens durably");
     let follower = serve_follower(
         engine,
         leader.addr().to_string(),

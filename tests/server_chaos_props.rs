@@ -6,16 +6,14 @@
 //!
 //! * **Snapshot isolation** — a reader never observes a partially applied
 //!   transaction batch, and the epoch its reply carries always equals a
-//!   committed prefix of the transaction stream (at 1, 2 and 4 eval threads).
+//!   committed prefix of the transaction stream.
 //! * **Committed or structured error** — under injected `WalAppend` /
 //!   `RoundMerge` faults (error and panic actions), every transaction reply is
 //!   either `OK` (and the write survives restart) or a structured `ERR`; no
 //!   hang, no torn state.
 //! * **Recovery convergence** — after any chaos run, reopening the data
 //!   directory yields exactly what a fresh engine evaluating the surviving
-//!   base facts from scratch yields, at every thread count.
-//!
-//! CI runs this file under `FACTORLOG_THREADS=1` and `=4`.
+//!   base facts from scratch yields.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -35,19 +33,6 @@ fn c(i: i64) -> Const {
 fn has_edge(db: &Database, x: i64, y: i64) -> bool {
     db.relation(Symbol::from("e"))
         .is_some_and(|rel| rel.contains(&[c(x), c(y)]))
-}
-
-fn eval_opts(threads: usize) -> EvalOptions {
-    EvalOptions {
-        threads,
-        parallel_threshold: 0,
-        ..EvalOptions::default()
-    }
-}
-
-/// The session thread count under test: `FACTORLOG_THREADS` when CI pins it.
-fn session_threads() -> usize {
-    EvalOptions::default().threads
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -70,27 +55,23 @@ fn server_opts() -> ServerOptions {
 }
 
 /// The recovery-convergence oracle: a reopened store must answer exactly like
-/// a fresh engine evaluating its surviving base facts from scratch, at 1, 2
-/// and 4 worker threads.
+/// a fresh engine evaluating its surviving base facts from scratch.
 fn assert_reopened_converges(reopened: &mut Engine, query: &Query) -> Result<(), TestCaseError> {
     let answers = reopened.query(query).expect("reopened store answers");
-    for threads in [1usize, 2, 4] {
-        let mut fresh = Engine::with_options(eval_opts(threads));
-        fresh
-            .add_rules(reopened.program().clone())
-            .expect("program transplants");
-        for (predicate, relation) in reopened.facts().iter() {
-            for tuple in relation.iter() {
-                fresh.insert(predicate, tuple).expect("fact transplants");
-            }
+    let mut fresh = Engine::new();
+    fresh
+        .add_rules(reopened.program().clone())
+        .expect("program transplants");
+    for (predicate, relation) in reopened.facts().iter() {
+        for tuple in relation.iter() {
+            fresh.insert(predicate, tuple).expect("fact transplants");
         }
-        prop_assert_eq!(
-            &fresh.query(query).expect("fresh query"),
-            &answers,
-            "reopened store diverges from scratch evaluation at {} thread(s)",
-            threads
-        );
     }
+    prop_assert_eq!(
+        &fresh.query(query).expect("fresh query"),
+        &answers,
+        "reopened store diverges from scratch evaluation"
+    );
     Ok(())
 }
 
@@ -102,84 +83,81 @@ proptest! {
     /// the derived `pair(X) :- a(X), b(X).` view. Because a batch is atomic
     /// and the epoch counts committed batches, every reply must satisfy
     /// `rows == {0, 1, …, epoch-1}` exactly — a half-applied batch or an epoch
-    /// that is not a committed prefix would break the equality. Checked at
-    /// 1, 2 and 4 eval threads.
+    /// that is not a committed prefix would break the equality.
     #[test]
     fn readers_never_observe_a_partial_batch_and_epochs_are_committed_prefixes(
         txns in 6usize..18,
         readers in 2usize..5,
         queries_per_reader in 5usize..25,
     ) {
-        for threads in [1usize, 2, 4] {
-            let mut engine = Engine::with_options(eval_opts(threads));
-            engine
-                .load_source("pair(X) :- a(X), b(X).")
-                .expect("program loads");
-            let handle = serve(engine, "127.0.0.1:0", server_opts()).expect("serve");
-            let addr = handle.addr();
+        let mut engine = Engine::new();
+        engine
+            .load_source("pair(X) :- a(X), b(X).")
+            .expect("program loads");
+        let handle = serve(engine, "127.0.0.1:0", server_opts()).expect("serve");
+        let addr = handle.addr();
 
-            let done = Arc::new(AtomicBool::new(false));
-            let reader_threads: Vec<_> = (0..readers)
-                .map(|_| {
-                    let done = done.clone();
-                    std::thread::spawn(move || -> Result<usize, String> {
-                        let mut client =
-                            Client::connect_with_retry(addr, 5).map_err(|e| e.to_string())?;
-                        let mut observed = 0usize;
-                        for _ in 0..queries_per_reader {
-                            let reply = client
-                                .query_with_retry("pair(X)", 8)
-                                .map_err(|e| e.to_string())?;
-                            let rows: Vec<i64> = reply
-                                .rows
-                                .iter()
-                                .map(|r| r.parse().map_err(|e| format!("row `{r}`: {e}")))
-                                .collect::<Result<_, _>>()?;
-                            let expect: Vec<i64> = (0..reply.epoch as i64).collect();
-                            if rows != expect {
-                                return Err(format!(
-                                    "epoch {} is not a committed prefix: rows {rows:?}",
-                                    reply.epoch
-                                ));
-                            }
-                            observed += 1;
-                            if done.load(Ordering::Relaxed) {
-                                break;
-                            }
+        let done = Arc::new(AtomicBool::new(false));
+        let reader_threads: Vec<_> = (0..readers)
+            .map(|_| {
+                let done = done.clone();
+                std::thread::spawn(move || -> Result<usize, String> {
+                    let mut client =
+                        Client::connect_with_retry(addr, 5).map_err(|e| e.to_string())?;
+                    let mut observed = 0usize;
+                    for _ in 0..queries_per_reader {
+                        let reply = client
+                            .query_with_retry("pair(X)", 8)
+                            .map_err(|e| e.to_string())?;
+                        let rows: Vec<i64> = reply
+                            .rows
+                            .iter()
+                            .map(|r| r.parse().map_err(|e| format!("row `{r}`: {e}")))
+                            .collect::<Result<_, _>>()?;
+                        let expect: Vec<i64> = (0..reply.epoch as i64).collect();
+                        if rows != expect {
+                            return Err(format!(
+                                "epoch {} is not a committed prefix: rows {rows:?}",
+                                reply.epoch
+                            ));
                         }
-                        Ok(observed)
-                    })
+                        observed += 1;
+                        if done.load(Ordering::Relaxed) {
+                            break;
+                        }
+                    }
+                    Ok(observed)
                 })
-                .collect();
+            })
+            .collect();
 
-            let mut writer = Client::connect(addr).expect("writer connects");
-            let mut last_epoch = 0u64;
-            for i in 0..txns {
-                let reply = writer
-                    .txn_with_retry(&format!("+a({i}); +b({i})"), 8)
-                    .expect("txn commits");
-                prop_assert!(
-                    reply.epoch > last_epoch,
-                    "epochs advance monotonically per client"
-                );
-                last_epoch = reply.epoch;
-            }
-            done.store(true, Ordering::Relaxed);
-            for reader in reader_threads {
-                let observed = reader.join().expect("reader thread");
-                prop_assert!(observed.is_ok(), "reader failed: {:?}", observed);
-            }
-            let report = handle.shutdown();
-            prop_assert_eq!(report.epoch, txns as u64, "all batches committed");
-            let mut engine = report.engine;
-            prop_assert_eq!(
-                engine
-                    .query(&parse_query("pair(X)").unwrap())
-                    .expect("returned engine answers")
-                    .len(),
-                txns
+        let mut writer = Client::connect(addr).expect("writer connects");
+        let mut last_epoch = 0u64;
+        for i in 0..txns {
+            let reply = writer
+                .txn_with_retry(&format!("+a({i}); +b({i})"), 8)
+                .expect("txn commits");
+            prop_assert!(
+                reply.epoch > last_epoch,
+                "epochs advance monotonically per client"
             );
+            last_epoch = reply.epoch;
         }
+        done.store(true, Ordering::Relaxed);
+        for reader in reader_threads {
+            let observed = reader.join().expect("reader thread");
+            prop_assert!(observed.is_ok(), "reader failed: {:?}", observed);
+        }
+        let report = handle.shutdown();
+        prop_assert_eq!(report.epoch, txns as u64, "all batches committed");
+        let mut engine = report.engine;
+        prop_assert_eq!(
+            engine
+                .query(&parse_query("pair(X)").unwrap())
+                .expect("returned engine answers")
+                .len(),
+            txns
+        );
     }
 }
 
@@ -191,7 +169,7 @@ proptest! {
     /// action, random countdown), under concurrent writer clients. Every
     /// transaction reply must be `OK` or a structured `ERR`; every `OK`d
     /// fact must survive restart; and the reopened store must converge to
-    /// the from-scratch evaluation at 1/2/4 threads.
+    /// the from-scratch evaluation.
     #[test]
     fn wal_and_merge_faults_during_group_commit_stay_contained(
         site_sel in 0usize..2,
@@ -205,7 +183,7 @@ proptest! {
         let dir = fresh_dir("faults");
         let dopts = DurabilityOptions { fsync: false, ..DurabilityOptions::default() };
         let mut engine =
-            Engine::open_durable_with_options(&dir, dopts, eval_opts(session_threads()))
+            Engine::open_durable_with(&dir, dopts)
                 .expect("durable open");
         engine.load_source(programs::THREE_RULE_TC).expect("program loads");
         engine.set_fault_injector(Some(FaultInjector::armed(site, action, countdown as u32)));
@@ -286,7 +264,7 @@ proptest! {
 /// and the final store matches what was committed.
 #[test]
 fn connections_killed_mid_request_leave_the_server_consistent() {
-    let mut engine = Engine::with_options(eval_opts(session_threads()));
+    let mut engine = Engine::new();
     engine
         .load_source("pair(X) :- a(X), b(X).")
         .expect("program loads");
@@ -352,8 +330,7 @@ fn shutdown_mid_load_drains_and_recovers() {
         fsync: false,
         ..DurabilityOptions::default()
     };
-    let mut engine = Engine::open_durable_with_options(&dir, dopts, eval_opts(session_threads()))
-        .expect("durable open");
+    let mut engine = Engine::open_durable_with(&dir, dopts).expect("durable open");
     engine
         .load_source(programs::THREE_RULE_TC)
         .expect("program loads");
@@ -416,7 +393,7 @@ fn shutdown_mid_load_drains_and_recovers() {
     let answers = reopened
         .query(&parse_query("t(100, Y)").unwrap())
         .expect("reopened store answers");
-    let mut fresh = Engine::with_options(eval_opts(1));
+    let mut fresh = Engine::new();
     fresh.add_rules(reopened.program().clone()).unwrap();
     for (predicate, relation) in reopened.facts().iter() {
         for tuple in relation.iter() {

@@ -11,8 +11,6 @@
 //!
 //! Also here: the reactor's scalability contract — hundreds of idle
 //! connections cost pollfd entries, not threads.
-//!
-//! CI runs this file under `FACTORLOG_THREADS=1` and `=4`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
