@@ -6,7 +6,7 @@
 //! right, a variable being *bound* if it is a query/head constant binding or appears in
 //! an earlier body literal. Only adornments reachable from the query are generated.
 //! The factoring analysis additionally requires a *single* reachable adornment for the
-//! recursive predicate (a *unit program*); that check lives in [`crate::classify`].
+//! recursive predicate (a *unit program*); that check lives in [`mod@crate::classify`].
 
 use std::collections::BTreeSet;
 

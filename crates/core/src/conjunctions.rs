@@ -2,9 +2,8 @@
 //! `bound-first`, `free-last`, `bound`, `free`, and `middle`.
 //!
 //! Each is built from the conjunctions identified by rule classification
-//! ([`crate::classify`]) and is represented as a
-//! [`ConjunctiveQuery`](factorlog_datalog::cq::ConjunctiveQuery) so that the
-//! factorability conditions (Definitions 4.6–4.8) can be decided with the
+//! ([`mod@crate::classify`]) and is represented as a [`ConjunctiveQuery`] so that
+//! the factorability conditions (Definitions 4.6–4.8) can be decided with the
 //! Chandra–Merlin containment test. `equal/2` atoms introduced by standard-form
 //! conversion are eliminated by substitution before the queries are returned.
 

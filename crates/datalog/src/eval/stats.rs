@@ -61,7 +61,8 @@ pub struct EvalStats {
     /// Fixpoint rounds of the over-delete (negative-delta) phase.
     pub delete_rounds: usize,
     /// Records appended to the durable session's transaction log (one per
-    /// committed mutation). Zero for in-memory sessions and one-shot evaluations.
+    /// committed transaction batch or absorbed source text; on a follower, one
+    /// per shipped record). Zero for in-memory sessions and one-shot evaluations.
     pub wal_appends: usize,
     /// Log records replayed through the transactional path when the session was
     /// recovered at startup.
@@ -72,12 +73,16 @@ pub struct EvalStats {
     /// Snapshot compactions performed (explicit `compact` calls plus automatic
     /// threshold-triggered ones).
     pub wal_compactions: usize,
-    /// Group commits performed: log appends that made a whole batch of
-    /// concurrently submitted transactions durable under a single fsync.
+    /// Group commits performed: log appends — one write, one fsync — that made
+    /// at least one transaction record durable. Every logged transaction append
+    /// is a group: the server's commit of concurrently submitted transactions, an
+    /// engine-direct `insert`/`retract`/`Txn::commit` (a group of one), a
+    /// follower's append of a shipped batch. An append of source records alone
+    /// (rule registrations, bulk loads) is not a transaction and is not counted.
     pub wal_group_commits: usize,
-    /// Transactions committed through group commits (the per-group batch sizes
-    /// summed; `wal_group_txns / wal_group_commits` is the mean batching
-    /// factor an fsync amortized over).
+    /// Transaction records made durable by those appends (source records riding
+    /// in a shipped batch excluded); `wal_group_txns / wal_group_commits` is the
+    /// mean number of transactions one fsync was amortized over.
     pub wal_group_txns: usize,
     /// Cooperative governance polls performed (join-loop countdown expiries plus
     /// round-boundary checks). Zero when no limit, deadline, or cancel token is

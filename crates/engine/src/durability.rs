@@ -15,22 +15,24 @@
 //!
 //! # Write path
 //!
-//! Every committed mutation — a [`Txn`](crate::Txn) batch, a single
-//! [`Engine::insert`], a [`Engine::load_source`] (rules and bulk facts travel as
-//! one source record) or [`Engine::add_rules`] — is appended to the log *before*
-//! it is applied in memory, and fsync'd (by default) before the commit call
-//! returns. A commit that returns an error therefore either never reached the log
-//! (validation failures, torn appends — recovery truncates those) or is fully
-//! logged; there is no state a crash can expose where the log has less than the
-//! acknowledged history.
+//! The [commit protocol](crate::engine#the-commit-protocol) decides what is
+//! logged and when; this module supplies its two durable steps. Every record —
+//! a transaction batch, or the source text of an [`Engine::load_source`] /
+//! [`Engine::add_rules`] — goes through one function, `Engine::wal_append`,
+//! *before* anything it describes is applied in memory, and is fsync'd (by
+//! default) before the commit call returns. A commit that returns an error
+//! therefore either never reached the log (validation failures, torn appends —
+//! recovery truncates those) or is fully logged; there is no state a crash can
+//! expose where the log has less than the acknowledged history.
 //!
 //! # Recovery
 //!
 //! [`Engine::open_durable`] loads the newest valid snapshot, truncates the log's
 //! torn tail (see [`crate::wal::read_log`]), and replays every record whose
-//! sequence number the snapshot does not already include through the ordinary
-//! transactional path — the factored-evaluation machinery then rebuilds derived
-//! views on the first query, exactly as it would for a freshly loaded session.
+//! sequence number the snapshot does not already include through the same commit
+//! function, told the record is already on the log — the factored-evaluation
+//! machinery then rebuilds derived views on the first query, exactly as it would
+//! for a freshly loaded session.
 //!
 //! # Compaction
 //!
@@ -43,13 +45,11 @@
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
-use factorlog_datalog::ast::Const;
 use factorlog_datalog::eval::EvalOptions;
 use factorlog_datalog::fault::FaultSite;
-use factorlog_datalog::symbol::Symbol;
 
-use crate::engine::{Engine, EngineError, Snapshot, TxnOp};
-use crate::wal::{self, FaultPoint, WalError, WalOp, WalRecord, WalWriter};
+use crate::engine::{Engine, EngineError, Snapshot};
+use crate::wal::{self, FaultPoint, WalError, WalRecord, WalWriter};
 
 /// File name of the session snapshot inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.fl";
@@ -344,7 +344,7 @@ impl Engine {
     /// Open (or create) a durable session in `dir` with default durability and
     /// evaluation options: loads the newest valid snapshot, truncates the log's
     /// torn tail, replays the remaining records, and logs every subsequent
-    /// committed mutation. See the [module docs](self) for the crash guarantees.
+    /// committed mutation. See the [crate docs](crate) for the crash guarantees.
     ///
     /// The directory has exactly one live writer, enforced by a `LOCK` file
     /// holding the opener's PID: a second open of the same directory — from
@@ -400,15 +400,9 @@ impl Engine {
             }
         }
 
-        // 2. The log: truncate the torn tail, replay what the snapshot lacks.
-        //    Replay runs through the ordinary (unlogged — durability is not
-        //    attached yet) transactional path, so IDB assertion routing and exit
-        //    rules are re-derived exactly as they were live. Replay is a
-        //    deterministic re-execution from the same base state, so any error a
-        //    record raises here is the error it raised live (e.g. a bulk load whose
-        //    trailing facts failed arity validation applied its valid prefix, was
-        //    logged whole, and re-applies the same prefix) — errors are therefore
-        //    deliberately ignored rather than aborting recovery halfway.
+        // 2. The log: truncate the torn tail, replay what the snapshot lacks
+        //    (see `Engine::replay`: the ordinary commit path, so IDB assertion
+        //    routing and exit rules are re-derived exactly as they were live).
         let wal_path = dir.join(WAL_FILE);
         let (scan, writer) = wal::recover_log(&wal_path, options.fsync)?;
         report.torn_bytes_truncated = scan.torn_bytes;
@@ -419,27 +413,9 @@ impl Engine {
                 continue;
             }
             last_seq = record.seq();
-            match record {
-                WalRecord::Txn { ops, .. } => {
-                    let ops = ops
-                        .into_iter()
-                        .map(|(op, predicate, tuple)| {
-                            let op = match op {
-                                WalOp::Assert => TxnOp::Assert,
-                                WalOp::Retract => TxnOp::Retract,
-                            };
-                            (op, predicate, tuple)
-                        })
-                        .collect();
-                    let _ = engine.apply_txn(ops);
-                }
-                WalRecord::Source { text, .. } => {
-                    let _ = engine.load_source(&text);
-                }
-            }
+            engine.replay(record);
             report.records_replayed += 1;
         }
-        engine.stats.wal_replays += report.records_replayed;
         if report.torn_bytes_truncated > 0 {
             engine.stats.wal_torn_truncations += 1;
         }
@@ -537,144 +513,102 @@ impl Engine {
         }
         self.contained(|engine| {
             engine.chaos_hit(FaultSite::Compaction)?;
-            let dur = engine.durability.as_ref().expect("checked durable above");
-            let snapshot_seq = dur.next_seq - 1;
-            let log_bytes_before = dur.writer.len();
-            let dir = dur.dir.clone();
-            let fsync = dur.options.fsync;
-            let fault = dur.compaction_fault;
             let start = engine.tracing.then(std::time::Instant::now);
-
-            // Steps 1–2: stage the new snapshot and atomically cut over. After the
-            // rename the snapshot includes every logged record; the (still-untruncated)
-            // log's records are all stale and sequence-skipped by recovery.
-            let text = snapshot_text_with_seq(&engine.snapshot(), snapshot_seq);
-            persist_snapshot_atomically(&dir, &text, fsync, fault)?;
-
-            // Step 3: reset the log.
-            let writer = WalWriter::create(dir.join(WAL_FILE), fsync)?;
-            let log_bytes_after = writer.len();
-            let dur = engine.durability.as_mut().expect("checked durable above");
-            dur.writer = writer;
+            let log_bytes_before = engine.wal_len().expect("checked durable above");
+            let snapshot_seq = engine.wal_persist_image(&engine.snapshot())?;
+            engine.wal_reset()?;
             engine.stats.wal_compactions += 1;
             if let (Some(start), Some(metrics)) = (start, engine.metrics.as_deref_mut()) {
                 metrics.compaction.record(start.elapsed());
             }
             Ok(CompactReport {
                 log_bytes_before,
-                log_bytes_after,
+                log_bytes_after: engine.wal_len().expect("checked durable above"),
                 snapshot_seq,
             })
         })
     }
 
-    /// Append one committed transaction batch to the log (no-op for in-memory
-    /// sessions). Called by the engine *after* validation and *before* any state
-    /// mutation: an append failure aborts the commit with the session untouched.
-    pub(crate) fn wal_log_txn(
-        &mut self,
-        ops: &[(TxnOp, Symbol, Vec<Const>)],
-    ) -> Result<(), EngineError> {
-        if self.durability.is_none() {
-            return Ok(());
-        }
-        self.contained(|engine| {
-            engine.chaos_hit(FaultSite::WalAppend)?;
-            engine.check_wal_not_poisoned()?;
-            let dur = engine.durability.as_mut().expect("checked durable above");
-            let record = WalRecord::Txn {
-                seq: dur.next_seq,
-                ops: ops
-                    .iter()
-                    .map(|(op, predicate, tuple)| {
-                        let op = match op {
-                            TxnOp::Assert => WalOp::Assert,
-                            TxnOp::Retract => WalOp::Retract,
-                        };
-                        (op, *predicate, tuple.clone())
-                    })
-                    .collect(),
-            };
-            let start = engine.tracing.then(std::time::Instant::now);
-            let dur = engine.durability.as_mut().expect("checked durable above");
-            dur.writer.append(&record)?;
-            dur.next_seq += 1;
-            engine.stats.wal_appends += 1;
-            engine.record_wal_append(start);
-            Ok(())
-        })
+    /// Steps 1–2 of a compaction (and of a durable restore): stage `image` as the
+    /// snapshot that includes every record logged so far and atomically cut over.
+    /// After the rename the (still-untruncated) log's records are all stale and
+    /// sequence-skipped by recovery. Returns the sequence number the snapshot
+    /// carries.
+    fn wal_persist_image(&self, image: &Snapshot) -> Result<u64, EngineError> {
+        let dur = self.durability.as_ref().expect("caller checked durable");
+        let snapshot_seq = dur.next_seq - 1;
+        let text = snapshot_text_with_seq(image, snapshot_seq);
+        persist_snapshot_atomically(&dur.dir, &text, dur.options.fsync, dur.compaction_fault)?;
+        Ok(snapshot_seq)
     }
 
-    /// Append a whole group of validated transaction batches to the log under a
-    /// *single* fsync (group commit; no-op for in-memory sessions or an empty
-    /// group). Each batch gets its own record and consecutive sequence number,
-    /// exactly as if committed one by one — recovery cannot tell a group from
-    /// a burst of singles — but the durability cost is one sync. All-or-
-    /// nothing: on error no batch was acknowledged (see
-    /// [`crate::wal::WalWriter::append_all`]).
-    pub(crate) fn wal_log_txn_group(
-        &mut self,
-        batches: &[&[(TxnOp, Symbol, Vec<Const>)]],
-    ) -> Result<(), EngineError> {
-        if self.durability.is_none() || batches.is_empty() {
+    /// Step 3: reset the log to a fresh header. On failure the old writer stays:
+    /// its records are sequence-skipped by recovery while new appends replay
+    /// normally.
+    fn wal_reset(&mut self) -> Result<(), EngineError> {
+        let dur = self.durability.as_mut().expect("caller checked durable");
+        dur.writer = WalWriter::create(dur.dir.join(WAL_FILE), dur.options.fsync)?;
+        Ok(())
+    }
+
+    /// Step 2 of the [commit protocol](crate::engine#the-commit-protocol), and
+    /// the only function that writes to the log: number `records` from the
+    /// session's next sequence number and append them under one fsync (see
+    /// [`crate::wal::WalWriter::append_all`]: all or nothing). Called *after*
+    /// validation and *before* any state mutation, so a failure aborts the
+    /// commit with the session untouched. A no-op for in-memory sessions and
+    /// for no records.
+    ///
+    /// A follower passes shipped records through here too: they arrive already
+    /// numbered, checked to continue this log without a gap, so numbering them
+    /// leaves them as they are.
+    pub(crate) fn wal_append(&mut self, records: &mut [WalRecord]) -> Result<(), EngineError> {
+        if self.durability.is_none() || records.is_empty() {
             return Ok(());
         }
         self.contained(|engine| {
             engine.chaos_hit(FaultSite::WalAppend)?;
-            engine.check_wal_not_poisoned()?;
             let dur = engine.durability.as_mut().expect("checked durable above");
+            if dur.writer.is_poisoned() {
+                // A writer poisoned by an earlier mid-commit failure behaves like
+                // a crashed process: point at the recovery path instead of
+                // surfacing a confusing low-level write error.
+                return Err(EngineError::Durability(
+                    "the transaction log failed mid-commit; reopen the data directory to \
+                     recover (the torn record is discarded on replay)"
+                        .to_string(),
+                ));
+            }
             let mut seq = dur.next_seq;
-            let records: Vec<WalRecord> = batches
-                .iter()
-                .map(|ops| {
-                    let record = WalRecord::Txn {
-                        seq,
-                        ops: ops
-                            .iter()
-                            .map(|(op, predicate, tuple)| {
-                                let op = match op {
-                                    TxnOp::Assert => WalOp::Assert,
-                                    TxnOp::Retract => WalOp::Retract,
-                                };
-                                (op, *predicate, tuple.clone())
-                            })
-                            .collect(),
-                    };
-                    seq += 1;
-                    record
-                })
-                .collect();
+            for record in records.iter_mut() {
+                match record {
+                    WalRecord::Txn { seq: slot, .. } | WalRecord::Source { seq: slot, .. } => {
+                        *slot = seq;
+                    }
+                }
+                seq += 1;
+            }
             let start = engine.tracing.then(std::time::Instant::now);
-            let dur = engine.durability.as_mut().expect("checked durable above");
-            dur.writer.append_all(&records)?;
+            dur.writer.append_all(records)?;
             dur.next_seq = seq;
+            let fsync_ns = dur.writer.last_fsync_ns();
+            let txns = records
+                .iter()
+                .filter(|record| matches!(record, WalRecord::Txn { .. }))
+                .count();
             engine.stats.wal_appends += records.len();
-            engine.stats.wal_group_commits += 1;
-            engine.stats.wal_group_txns += records.len();
-            engine.record_wal_append(start);
-            Ok(())
-        })
-    }
-
-    /// Append one absorbed source text (rules and bulk facts) to the log (no-op
-    /// for in-memory sessions). Same contract as [`Engine::wal_log_txn`].
-    pub(crate) fn wal_log_source(&mut self, text: &str) -> Result<(), EngineError> {
-        if self.durability.is_none() {
-            return Ok(());
-        }
-        self.contained(|engine| {
-            engine.chaos_hit(FaultSite::WalAppend)?;
-            engine.check_wal_not_poisoned()?;
-            let dur = engine.durability.as_mut().expect("checked durable above");
-            let record = WalRecord::Source {
-                seq: dur.next_seq,
-                text: text.to_string(),
-            };
-            let start = engine.tracing.then(std::time::Instant::now);
-            dur.writer.append(&record)?;
-            dur.next_seq += 1;
-            engine.stats.wal_appends += 1;
-            engine.record_wal_append(start);
+            if txns > 0 {
+                engine.stats.wal_group_commits += 1;
+                engine.stats.wal_group_txns += txns;
+            }
+            // Tracing: the whole append as a `wal_append` span and, when it
+            // fsync'd, the fsync alone into the `wal_fsync` histogram.
+            if let (Some(start), Some(metrics)) = (start, engine.metrics.as_deref_mut()) {
+                metrics.wal_append.record(start.elapsed());
+                if let Some(ns) = fsync_ns {
+                    metrics.wal_fsync.record_ns(ns);
+                }
+            }
             Ok(())
         })
     }
@@ -688,78 +622,55 @@ impl Engine {
         self.durability.as_ref().map(|d| d.next_seq - 1)
     }
 
-    /// Apply a batch of shipped log records (replication's follower path):
-    /// each record is appended to this session's own log *verbatim* — keeping
-    /// the leader's sequence number, so the follower's log position mirrors the
-    /// leader's — and then applied through the recovery-replay path. At-most-
-    /// once: records at sequences already applied are skipped silently (poll
-    /// redelivery); a sequence *gap* is an error, because applying past it
-    /// would silently diverge from the leader. Returns how many records were
-    /// newly applied. Errors when the session is not durable — a follower
-    /// without its own log could not survive its own crash.
+    /// Apply a batch of shipped log records (replication's follower path): the
+    /// records that continue this session's log are appended to it *verbatim* —
+    /// keeping the leader's sequence numbers, so the follower's log position
+    /// mirrors the leader's — under one fsync, then replayed like recovered
+    /// ones, then the compaction threshold is checked once (the
+    /// [commit protocol](crate::engine#the-commit-protocol) with the shipped
+    /// batch as the group). At-most-once: records at sequences already applied
+    /// are skipped silently (poll redelivery); a sequence *gap* is an error,
+    /// raised after the contiguous records before it are applied, because
+    /// applying past it would silently diverge from the leader. Returns how many
+    /// records were newly applied. Errors when the session is not durable — a
+    /// follower without its own log could not survive its own crash.
     pub(crate) fn apply_replicated(
         &mut self,
         records: Vec<WalRecord>,
     ) -> Result<usize, EngineError> {
-        if self.durability.is_none() {
+        let Some(dur) = self.durability.as_ref() else {
             return Err(EngineError::Durability(
                 "replication requires a durable session (open it with open_durable)".to_string(),
             ));
-        }
-        let mut applied = 0usize;
+        };
+        let mut expected = dur.next_seq;
+        let mut gap = None;
+        let mut run = Vec::new();
         for record in records {
-            let expected = self
-                .durability
-                .as_ref()
-                .expect("checked durable above")
-                .next_seq;
-            let seq = record.seq();
-            if seq < expected {
-                continue;
-            }
-            if seq > expected {
-                return Err(EngineError::Durability(format!(
-                    "replication gap: expected frame {expected}, got {seq}"
-                )));
-            }
-            self.check_wal_not_poisoned()?;
-            {
-                let dur = self.durability.as_mut().expect("checked durable above");
-                dur.writer.append(&record)?;
-                dur.next_seq = seq + 1;
-            }
-            self.stats.wal_appends += 1;
-            // Apply with durability detached: the nested apply must not log a
-            // second copy of the record it is replaying. Errors are ignored
-            // exactly as recovery ignores them — a shipped record is a
-            // deterministic re-execution of something the leader already
-            // committed, so any error it raises here is one the leader's
-            // history already includes.
-            let dur = self.durability.take();
-            match record {
-                WalRecord::Txn { ops, .. } => {
-                    let ops = ops
-                        .into_iter()
-                        .map(|(op, predicate, tuple)| {
-                            let op = match op {
-                                WalOp::Assert => TxnOp::Assert,
-                                WalOp::Retract => TxnOp::Retract,
-                            };
-                            (op, predicate, tuple)
-                        })
-                        .collect();
-                    let _ = self.apply_txn(ops);
+            match record.seq().cmp(&expected) {
+                std::cmp::Ordering::Less => continue,
+                std::cmp::Ordering::Equal => {
+                    run.push(record);
+                    expected += 1;
                 }
-                WalRecord::Source { text, .. } => {
-                    let _ = self.load_source(&text);
+                std::cmp::Ordering::Greater => {
+                    gap = Some(record.seq());
+                    break;
                 }
             }
-            self.durability = dur;
-            self.stats.wal_replays += 1;
-            applied += 1;
+        }
+        self.wal_append(&mut run)?;
+        let applied = run.len();
+        for record in run {
+            self.replay(record);
         }
         self.wal_maybe_compact()?;
-        Ok(applied)
+        match gap {
+            Some(seq) => Err(EngineError::Durability(format!(
+                "replication gap: expected frame {expected}, got {seq}"
+            ))),
+            None => Ok(applied),
+        }
     }
 
     /// Replace this durable session's state with a shipped snapshot text
@@ -790,48 +701,11 @@ impl Engine {
         Ok(seq)
     }
 
-    /// A writer poisoned by an earlier mid-commit failure behaves like a crashed
-    /// process: every further append is rejected with a message pointing at the
-    /// recovery path (reopen the data directory, which truncates the torn
-    /// record) instead of a confusing low-level write error.
-    fn check_wal_not_poisoned(&self) -> Result<(), EngineError> {
-        let poisoned = self
-            .durability
-            .as_ref()
-            .is_some_and(|dur| dur.writer.is_poisoned());
-        if poisoned {
-            return Err(EngineError::Durability(
-                "the transaction log failed mid-commit; reopen the data directory to \
-                 recover (the torn record is discarded on replay)"
-                    .to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Record one successful WAL append into the tracing layer: the whole append
-    /// as a `wal_append` span and, when the append fsync'd, the fsync portion
-    /// alone into the `wal_fsync` histogram. No-op when `start` is `None`
-    /// (tracing was off when the append began).
-    fn record_wal_append(&mut self, start: Option<std::time::Instant>) {
-        let Some(start) = start else { return };
-        let elapsed = start.elapsed();
-        let fsync_ns = self
-            .durability
-            .as_ref()
-            .and_then(|dur| dur.writer.last_fsync_ns());
-        if let Some(metrics) = self.metrics.as_deref_mut() {
-            metrics.wal_append.record(elapsed);
-            if let Some(ns) = fsync_ns {
-                metrics.wal_fsync.record_ns(ns);
-            }
-        }
-    }
-
-    /// Compact if the log has outgrown the configured threshold. Called at the
-    /// end of every logged mutation; a compaction error surfaces on that commit
-    /// (the commit itself is already durable — both the old and the half-compacted
-    /// directory recover to it).
+    /// Step 5 of the [commit protocol](crate::engine#the-commit-protocol):
+    /// compact if the log has outgrown the configured threshold. A compaction
+    /// error surfaces on the commit that ran the check (the commit itself is
+    /// already durable — both the old and the half-compacted directory recover
+    /// to it).
     pub(crate) fn wal_maybe_compact(&mut self) -> Result<(), EngineError> {
         let Some(dur) = self.durability.as_ref() else {
             return Ok(());
@@ -849,40 +723,35 @@ impl Engine {
     ///
     /// Called *before* the staged state is swapped into memory, so an error here
     /// (snapshot unwritable) leaves memory and disk agreeing on the old state.
-    /// Once the rename lands the restore is durable; resetting the log after it is
-    /// best-effort — a reset failure keeps the old writer, whose stale records are
-    /// sequence-skipped by recovery while new appends replay normally.
+    /// Once the rename lands the restore is durable, so resetting the log after it
+    /// is best-effort.
     pub(crate) fn wal_persist_restore(&mut self, staged: &Engine) -> Result<(), EngineError> {
-        let Some(dur) = self.durability.as_ref() else {
+        if self.durability.is_none() {
             return Ok(());
-        };
-        let snapshot_seq = dur.next_seq - 1;
-        let dir = dur.dir.clone();
-        let fsync = dur.options.fsync;
-        let fault = dur.compaction_fault;
-        let text = snapshot_text_with_seq(&staged.snapshot(), snapshot_seq);
-        persist_snapshot_atomically(&dir, &text, fsync, fault)?;
-        if let Ok(writer) = WalWriter::create(dir.join(WAL_FILE), fsync) {
-            self.durability
-                .as_mut()
-                .expect("checked durable above")
-                .writer = writer;
         }
+        self.wal_persist_image(&staged.snapshot())?;
+        self.wal_reset().ok();
         self.stats.wal_compactions += 1;
         Ok(())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::engine::{OnLog, Op};
+    use crate::wal::WalOp;
+    use factorlog_datalog::ast::Const;
+    use factorlog_datalog::fault::{FaultAction, FaultInjector};
     use factorlog_datalog::parser::parse_query;
+    use factorlog_datalog::symbol::Symbol;
 
     fn c(i: i64) -> Const {
         Const::Int(i)
     }
 
-    fn fresh_dir(tag: &str) -> PathBuf {
+    /// A scratch data directory for a unit test, unique per call and cleaned before use.
+    pub(crate) fn fresh_dir(tag: &str) -> PathBuf {
         static COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!(
@@ -965,9 +834,9 @@ mod tests {
             fsync: false,
             compact_threshold: 256,
         };
-        let batch = |from: i64| -> Vec<(TxnOp, Symbol, Vec<Const>)> {
+        let batch = |from: i64| -> Vec<Op> {
             (from..from + 4)
-                .map(|i| (TxnOp::Assert, Symbol::intern("e"), vec![c(i), c(i + 1)]))
+                .map(|i| (WalOp::Assert, Symbol::intern("e"), vec![c(i), c(i + 1)]))
                 .collect()
         };
         let mut expected = Engine::new();
@@ -978,10 +847,10 @@ mod tests {
         // the threshold inside a group, and again in later ones after the reset.
         for group in 0..3i64 {
             let batches: Vec<_> = (0..4).map(|k| batch(group * 100 + k * 10)).collect();
-            for ops in &batches {
-                expected.apply_txn(ops.clone()).unwrap();
+            for (_, predicate, tuple) in batches.iter().flatten() {
+                expected.insert(*predicate, tuple).unwrap();
             }
-            let results = engine.commit_group(batches);
+            let results = engine.commit_group(&batches, OnLog::No);
             assert!(
                 results.iter().all(Result::is_ok),
                 "every batch is acknowledged"
@@ -1000,6 +869,132 @@ mod tests {
             expected.facts().relation(e).unwrap().to_sorted_vec(),
             "recovered EDB = every acknowledged batch applied"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Regression (failed at the parent, where a single commit returned the
+    /// maintenance error before looking at the log): a maintenance failure drops
+    /// the model, not the commit — and not the compaction check after it either.
+    #[test]
+    fn a_failed_maintenance_on_a_single_commit_still_checks_the_threshold() {
+        let dir = fresh_dir("maintain_compact");
+        let options = DurabilityOptions {
+            fsync: false,
+            compact_threshold: 512,
+        };
+        let query = parse_query("t(0, Y)").unwrap();
+        let mut engine = Engine::open_durable_with(&dir, options).unwrap();
+        engine.load_source(TC).unwrap();
+        for i in 0..4 {
+            engine.insert("e", &[c(i), c(i + 1)]).unwrap();
+        }
+        engine.query(&query).unwrap();
+        assert_eq!(engine.stats().wal_compactions, 0, "set-up stays under");
+        engine.set_fault_injector(Some(FaultInjector::armed(
+            FaultSite::DeleteOverdelete,
+            FaultAction::Error,
+            0,
+        )));
+        // One batch whose record alone crosses the threshold, and whose
+        // retraction makes maintenance run into the armed fault.
+        let mut txn = engine.transaction();
+        txn.retract("e", &[c(0), c(1)]);
+        for i in 10..40 {
+            txn.assert("e", &[c(i), c(i + 1)]);
+        }
+        assert!(matches!(txn.commit(), Err(EngineError::Eval(_))));
+        assert!(!engine.is_materialized(), "the model is dropped");
+        assert_eq!(engine.facts().count("e"), 4 - 1 + 30, "the commit stands");
+        assert_eq!(engine.stats().wal_compactions, 1, "the check still ran");
+        drop(engine);
+        let reopened = Engine::open_durable_with(&dir, options).unwrap();
+        assert_eq!(reopened.facts().count("e"), 33);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The records a leader session logs for a rule load and `n` commits.
+    fn leader_records(n: i64) -> Vec<WalRecord> {
+        let dir = fresh_dir("leader");
+        let mut leader = Engine::open_durable(&dir).unwrap();
+        leader.load_source(TC).unwrap();
+        for i in 0..n {
+            leader.insert("e", &[c(i), c(i + 1)]).unwrap();
+        }
+        drop(leader);
+        let records = wal::read_log(&dir.join(WAL_FILE)).unwrap().records;
+        std::fs::remove_dir_all(&dir).ok();
+        records
+    }
+
+    #[test]
+    fn a_shipped_batch_costs_one_append_and_one_fsync() {
+        let records = leader_records(5);
+        assert_eq!(records.len(), 6);
+        let dir = fresh_dir("follower");
+        let mut follower = Engine::open_durable(&dir).unwrap();
+        follower.set_tracing(true);
+        let fsyncs = |engine: &Engine| engine.metrics().unwrap().wal_fsync.count();
+
+        // Records 1..=4 in one batch: four appends, one fsync, one group.
+        assert_eq!(follower.apply_replicated(records[..4].to_vec()).unwrap(), 4);
+        assert_eq!(follower.stats().wal_appends, 4);
+        assert_eq!(follower.stats().wal_replays, 4);
+        assert_eq!(fsyncs(&follower), 1);
+        assert_eq!(follower.metrics().unwrap().wal_append.count, 1);
+        // One source record and three transactions under that fsync.
+        assert_eq!(follower.stats().wal_group_commits, 1);
+        assert_eq!(follower.stats().wal_group_txns, 3);
+
+        // A redelivered batch appends nothing.
+        let len = follower.wal_len().unwrap();
+        assert_eq!(follower.apply_replicated(records[..4].to_vec()).unwrap(), 0);
+        assert_eq!(follower.wal_len().unwrap(), len);
+        assert_eq!((follower.stats().wal_appends, fsyncs(&follower)), (4, 1));
+
+        // A gap mid-batch (record 6 after 5): the contiguous prefix — skipping
+        // the redelivered record 4 — is appended and applied, then the error.
+        let gapped = vec![records[3].clone(), records[4].clone(), {
+            let WalRecord::Txn { ops, .. } = records[5].clone() else {
+                panic!("record 6 is a transaction");
+            };
+            WalRecord::Txn { seq: 7, ops }
+        }];
+        let err = follower.apply_replicated(gapped).unwrap_err().to_string();
+        assert!(
+            err.contains("replication gap: expected frame 6, got 7"),
+            "{err}"
+        );
+        assert_eq!(follower.wal_last_seq(), Some(5));
+        assert_eq!((follower.stats().wal_appends, fsyncs(&follower)), (5, 2));
+        assert_eq!(follower.facts().count("e"), 4);
+
+        // The follower's log is the leader's, record for record.
+        follower.apply_replicated(records[5..].to_vec()).unwrap();
+        drop(follower);
+        assert_eq!(wal::read_log(&dir.join(WAL_FILE)).unwrap().records, records);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Regression (failed at the parent, whose follower wrote to the log without
+    /// passing the site): a follower's append is an append like any other.
+    #[test]
+    fn an_armed_wal_append_fault_fires_on_a_followers_append() {
+        let records = leader_records(2);
+        let dir = fresh_dir("follower_fault");
+        let mut follower = Engine::open_durable(&dir).unwrap();
+        follower.set_fault_injector(Some(FaultInjector::armed(
+            FaultSite::WalAppend,
+            FaultAction::Error,
+            0,
+        )));
+        let err = follower.apply_replicated(records.clone()).unwrap_err();
+        assert!(matches!(err, EngineError::Eval(_)), "{err}");
+        // Write-ahead: nothing was logged, so nothing was applied.
+        assert_eq!(follower.wal_last_seq(), Some(0));
+        assert!(follower.program().is_empty());
+        follower.set_fault_injector(None);
+        assert_eq!(follower.apply_replicated(records).unwrap(), 3);
+        assert_eq!(follower.facts().count("e"), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -23,7 +23,43 @@
 //! All evaluation statistics are merged into one cumulative per-session
 //! [`EvalStats`], so `:stats` (REPL) and `--stats` (CLI) report session totals, not
 //! the last call.
+//!
+//! # The commit protocol
+//!
+//! Every mutation of the fact store — [`Engine::insert`], [`Engine::retract`],
+//! [`Txn::commit`], the server's group commits, the facts of a loaded source, the
+//! replay of a recovered or shipped log record — is one call of
+//! `Engine::commit_group` (a single commit is a group of one), which does, in
+//! this order and nowhere else:
+//!
+//! 1. **validate** every batch (arities against the session and within the
+//!    batch): an invalid batch fails alone and touches nothing;
+//! 2. **log** the valid batches — one record each, consecutive sequence numbers,
+//!    one append and one fsync for the group (`Engine::wal_append`; nothing to
+//!    do on an in-memory session, or when the caller says the records are
+//!    already on the log: a replayed record, or facts covered by the record of
+//!    the source text they came in);
+//! 3. **apply** each batch's net effect to the fact store, in submission order;
+//! 4. **maintain** the materialized model once, from the group's net delta;
+//! 5. **check** the log against the compaction threshold, once.
+//!
+//! Three ordering rules hold it together:
+//!
+//! * **Log before store.** Nothing is applied that is not on the log: a failed
+//!   append fails every valid batch of the group with the session untouched, and
+//!   a crash after the append replays the batch on recovery.
+//! * **Compaction only after the whole group.** A snapshot is stamped with the
+//!   log's last sequence number, so it must hold every record up to it. (PR 12
+//!   lost acknowledged writes by checking the threshold after the first batch of
+//!   a group: the later batches were in neither the snapshot nor the reset log.)
+//!   Whoever appended runs the check, after everything the append covers is
+//!   applied — which is why a replayed record never compacts.
+//! * **A maintenance failure drops the model, never the commit.** The fact store
+//!   is the source of truth: an evaluation error, tripped limit or caught panic
+//!   in step 4 surfaces on the group's last valid batch, which is durable and
+//!   applied all the same; the next query rebuilds the model from the store.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,6 +76,8 @@ use factorlog_datalog::fx::FxHashMap;
 use factorlog_datalog::parser::{parse_program, ParseError};
 use factorlog_datalog::storage::{Database, Relation};
 use factorlog_datalog::symbol::Symbol;
+
+use crate::wal::{WalOp, WalRecord};
 
 /// Errors surfaced by engine operations.
 #[derive(Clone, Debug)]
@@ -157,11 +195,27 @@ pub struct TxnSummary {
     pub missing: usize,
 }
 
-/// One operation of a transaction batch.
+/// Are the log records covering a commit already written? (Step 2 of the
+/// [commit protocol](self#the-commit-protocol).)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum TxnOp {
-    Assert,
-    Retract,
+pub(crate) enum OnLog {
+    /// No: the commit appends its own records and then checks the compaction
+    /// threshold.
+    No,
+    /// Yes: the caller appended them (a source record covers its facts) or found
+    /// them there (a recovered or shipped record being replayed), and owns the
+    /// compaction check that follows the last of them.
+    Already,
+}
+
+/// One operation of a transaction batch, as queued and as logged: polarity,
+/// predicate (before IDB assertions are routed to `p__asserted`), tuple.
+pub(crate) type Op = (WalOp, Symbol, Vec<Const>);
+
+/// The tuple of a ground atom.
+fn fact_tuple(atom: &Atom) -> Result<Vec<Const>, EngineError> {
+    atom.as_fact()
+        .ok_or_else(|| EngineError::NonGroundFact(atom.to_string()))
 }
 
 /// An atomic batch of `assert`/`retract` operations against an [`Engine`].
@@ -169,53 +223,53 @@ pub(crate) enum TxnOp {
 /// Build one with [`Engine::transaction`], queue operations with [`Txn::assert`] /
 /// [`Txn::retract`] (or the atom-taking variants), and apply the whole batch with
 /// [`Txn::commit`]. Nothing touches the engine until commit; dropping an uncommitted
-/// transaction discards it. Commit validates every operation (arity consistency —
-/// against the session *and* within the batch) before applying anything, so a failed
-/// commit leaves the session exactly as it was.
+/// transaction discards it. A commit is a group of one under the commit protocol
+/// (stated once, in the module docs of `engine.rs`): validation failures leave the
+/// session exactly as it was.
 ///
 /// Within one batch the ops are set-oriented and the *last* operation on a given
 /// fact wins: `assert(f)` after `retract(f)` means `f` is present afterwards, and
 /// vice versa. Retractions are applied before assertions; retractions propagate
 /// through the materialized model immediately (negative deltas, then re-derivation
 /// of the over-deleted, see [`seminaive_retract`]), while assertions become pending
-/// deltas absorbed by the next query, exactly like [`Engine::insert`].
+/// deltas absorbed by the next query.
 #[must_use = "a transaction does nothing until committed"]
 pub struct Txn<'e> {
     engine: &'e mut Engine,
-    ops: Vec<(TxnOp, Symbol, Vec<Const>)>,
+    ops: Vec<Op>,
 }
 
 impl Txn<'_> {
     /// Queue an assertion of `predicate(tuple)`.
     pub fn assert(&mut self, predicate: impl Into<Symbol>, tuple: &[Const]) -> &mut Self {
         self.ops
-            .push((TxnOp::Assert, predicate.into(), tuple.to_vec()));
+            .push((WalOp::Assert, predicate.into(), tuple.to_vec()));
         self
     }
 
     /// Queue a retraction of `predicate(tuple)`.
     pub fn retract(&mut self, predicate: impl Into<Symbol>, tuple: &[Const]) -> &mut Self {
         self.ops
-            .push((TxnOp::Retract, predicate.into(), tuple.to_vec()));
+            .push((WalOp::Retract, predicate.into(), tuple.to_vec()));
         self
     }
 
     /// Queue an assertion of a ground atom; errors (leaving the batch unchanged) if
     /// the atom contains variables.
     pub fn assert_atom(&mut self, atom: &Atom) -> Result<&mut Self, EngineError> {
-        let tuple = atom
-            .as_fact()
-            .ok_or_else(|| EngineError::NonGroundFact(atom.to_string()))?;
-        Ok(self.assert(atom.predicate, &tuple))
+        self.queue_atom(WalOp::Assert, atom)
     }
 
     /// Queue a retraction of a ground atom; errors (leaving the batch unchanged) if
     /// the atom contains variables.
     pub fn retract_atom(&mut self, atom: &Atom) -> Result<&mut Self, EngineError> {
-        let tuple = atom
-            .as_fact()
-            .ok_or_else(|| EngineError::NonGroundFact(atom.to_string()))?;
-        Ok(self.retract(atom.predicate, &tuple))
+        self.queue_atom(WalOp::Retract, atom)
+    }
+
+    /// Queue `op` on a ground atom (the body of the two methods above).
+    pub(crate) fn queue_atom(&mut self, op: WalOp, atom: &Atom) -> Result<&mut Self, EngineError> {
+        self.ops.push((op, atom.predicate, fact_tuple(atom)?));
+        Ok(self)
     }
 
     /// Number of queued operations.
@@ -228,14 +282,12 @@ impl Txn<'_> {
         self.ops.is_empty()
     }
 
-    /// Apply the whole batch atomically. Validation failures (arity mismatches)
-    /// leave the session untouched. An evaluation failure *during* model maintenance
-    /// (e.g. the iteration limit on a diverging program) still applies the batch to
-    /// the fact store — the store is the source of truth — but drops the
-    /// materialized model, which the next query rebuilds from scratch.
+    /// Apply the whole batch atomically, as a group of one: a validation or log
+    /// failure leaves the session untouched, a maintenance failure drops the
+    /// model but not the commit (the commit protocol in the module docs of
+    /// `engine.rs` has the order and the reasons).
     pub fn commit(self) -> Result<TxnSummary, EngineError> {
-        let ops = self.ops;
-        self.engine.apply_txn(ops)
+        self.engine.commit_one(&self.ops, OnLog::No)
     }
 }
 
@@ -419,7 +471,6 @@ pub struct Engine {
     /// Logical clock driving the LRU order of `prepared`.
     prepared_clock: u64,
     options: EvalOptions,
-    pipeline: PipelineOptions,
     pub(crate) stats: EvalStats,
     /// The durable half of the session (transaction log + data directory), when
     /// opened via [`Engine::open_durable`]. `None` = plain in-memory session.
@@ -484,7 +535,6 @@ impl Engine {
             prepared_capacity: DEFAULT_PREPARED_CAPACITY,
             prepared_clock: 0,
             options,
-            pipeline: PipelineOptions::default(),
             stats: EvalStats::default(),
             durability: None,
             tracing: false,
@@ -542,17 +592,6 @@ impl Engine {
     /// [`FaultSite`]). Test harness only; invalidates nothing.
     pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
         self.options.fault_injector = injector;
-    }
-
-    /// The pipeline options used to prepare queries.
-    pub fn pipeline_options(&self) -> &PipelineOptions {
-        &self.pipeline
-    }
-
-    /// Replace the pipeline options; drops cached prepared plans.
-    pub fn set_pipeline_options(&mut self, pipeline: PipelineOptions) {
-        self.pipeline = pipeline;
-        self.prepared.clear();
     }
 
     /// The registered rules.
@@ -694,8 +733,8 @@ impl Engine {
 
     /// Register additional rules. Changing the program invalidates the materialized
     /// model and every cached plan (both are program-specific); the facts survive.
-    /// On a durable session the rules are logged (as rendered source) before they
-    /// are applied; a log failure registers nothing.
+    /// On a durable session the rules are logged (as one rendered source record)
+    /// before they are applied; a log failure registers nothing.
     ///
     /// Facts previously inserted under a predicate that now *becomes* IDB migrate to
     /// its assertion relation (see [`Engine::insert`]) so the rewrite pipeline keeps
@@ -704,12 +743,13 @@ impl Engine {
         if rules.is_empty() {
             return Ok(());
         }
-        self.wal_log_source(&rules.to_string())?;
+        let text = rules.to_string();
+        self.wal_append(&mut [WalRecord::Source { seq: 0, text }])?;
         self.add_rules_unlogged(rules);
         self.wal_maybe_compact()
     }
 
-    /// [`Engine::add_rules`] minus the durability hooks (replay and internal use).
+    /// [`Engine::add_rules`] once the rules are on the log.
     fn add_rules_unlogged(&mut self, rules: Program) {
         if rules.is_empty() {
             return;
@@ -738,6 +778,15 @@ impl Engine {
     /// The auxiliary EDB relation holding user-asserted facts of an IDB predicate.
     fn asserted_symbol(predicate: Symbol) -> Symbol {
         Symbol::intern(&format!("{predicate}__asserted"))
+    }
+
+    /// The relation a base fact of `predicate` is stored in.
+    fn stored_as(&self, predicate: Symbol) -> Symbol {
+        if self.idb.contains(&predicate) {
+            Self::asserted_symbol(predicate)
+        } else {
+            predicate
+        }
     }
 
     /// Ensure the exit rule `p(X0, ..., Xn) :- p__asserted(X0, ..., Xn).` exists, so
@@ -780,49 +829,49 @@ impl Engine {
     ///
     /// On a durable session the *whole source text* is logged as one record (after
     /// parsing, before anything is applied), so a bulk load costs one log append +
-    /// fsync instead of one per fact; replay re-absorbs the text verbatim.
+    /// fsync instead of one per fact; replay re-absorbs the text verbatim. A fact
+    /// that fails validation stops the load there: the facts before it stay
+    /// applied, and replaying the record applies the same prefix.
     pub fn load_source(&mut self, source: &str) -> Result<LoadSummary, EngineError> {
-        let parsed = parse_program(source)?;
-        if !source.trim().is_empty() {
-            self.wal_log_source(source)?;
-        }
-        // Suspend durability around the nested add_rules/insert calls — the source
-        // record above already covers them.
-        let suspended = self.durability.take();
-        let result = self.absorb_parsed(&parsed);
-        self.durability = suspended;
-        if result.is_ok() {
-            self.wal_maybe_compact()?;
-        }
-        result
+        self.absorb_source(source, OnLog::No)
     }
 
-    /// Absorb an already-parsed source (the body of [`Engine::load_source`]).
-    fn absorb_parsed(
-        &mut self,
-        parsed: &factorlog_datalog::parser::ParseOutput,
-    ) -> Result<LoadSummary, EngineError> {
-        let query = parsed.query().cloned();
+    /// [`Engine::load_source`], told whether the source's record is already on
+    /// the log. Its facts never log records of their own: the source record
+    /// covers them.
+    fn absorb_source(&mut self, source: &str, on_log: OnLog) -> Result<LoadSummary, EngineError> {
+        let parsed = parse_program(source)?;
+        if on_log == OnLog::No && !source.trim().is_empty() {
+            let text = source.to_string();
+            self.wal_append(&mut [WalRecord::Source { seq: 0, text }])?;
+        }
         let (rules, facts) = parsed.split_facts();
         let mut summary = LoadSummary {
             rules_added: rules.len(),
-            query,
+            query: parsed.query().cloned(),
             ..LoadSummary::default()
         };
         self.add_rules_unlogged(rules);
         for atom in &facts {
-            if self.insert_atom(atom)? {
+            let ops = [(WalOp::Assert, atom.predicate, fact_tuple(atom)?)];
+            if self.commit_one(&ops, OnLog::Already)?.asserted > 0 {
                 summary.facts_added += 1;
             } else {
                 summary.duplicates += 1;
             }
+        }
+        if on_log == OnLog::No {
+            self.wal_maybe_compact()?;
         }
         Ok(summary)
     }
 
     /// Insert one fact; returns `true` if it was new. New facts are recorded as
     /// pending deltas and propagated into the materialized model by the next query
-    /// (delta rounds only — the model is never rebuilt from scratch).
+    /// (delta rounds only — the model is never rebuilt from scratch). A group of
+    /// one like [`Txn::commit`], behind one probe of its own: a fact that is
+    /// already present is a no-op, not a commit, so an idempotent re-insert neither
+    /// grows the log nor pays an fsync.
     ///
     /// A fact asserted for an *IDB* predicate `p` is stored in the auxiliary EDB
     /// relation `p__asserted`, with the exit rule `p(..) :- p__asserted(..)`
@@ -835,66 +884,20 @@ impl Engine {
         tuple: &[Const],
     ) -> Result<bool, EngineError> {
         let predicate = predicate.into();
-        if let Some(expected) = self.expected_arity(predicate) {
-            if expected != tuple.len() {
-                return Err(EngineError::ArityMismatch {
-                    predicate,
-                    expected,
-                    got: tuple.len(),
-                });
-            }
-        }
-        // Durable sessions log the (validated) insert before applying it — except
-        // when the fact is already present: an idempotent re-insert is a no-op and
-        // must not grow the log or pay an fsync. (Non-durable sessions skip the
-        // probe; the `add_fact` below detects duplicates anyway.)
-        if self.durability.is_some() {
-            let probe = if self.idb.contains(&predicate) {
-                Self::asserted_symbol(predicate)
-            } else {
-                predicate
-            };
-            let present = self
-                .edb
-                .relation(probe)
-                .is_some_and(|r| r.arity() == tuple.len() && r.contains(tuple));
-            if present {
-                return Ok(false);
-            }
-            self.wal_log_txn(&[(TxnOp::Assert, predicate, tuple.to_vec())])?;
-        }
-        let target = if self.idb.contains(&predicate) {
-            self.ensure_assertion_rule(predicate, tuple.len());
-            Self::asserted_symbol(predicate)
-        } else {
-            predicate
-        };
-        let new = self.edb.add_fact(target, tuple);
-        if !new {
-            self.wal_maybe_compact()?;
+        let present = self
+            .edb
+            .relation(self.stored_as(predicate))
+            .is_some_and(|r| r.arity() == tuple.len() && r.contains(tuple));
+        if present {
             return Ok(false);
         }
-        if let Some(model) = &mut self.model {
-            // Feed the delta only if the model did not already contain the fact (it
-            // may exist there as a *derived* fact, in which case the fixpoint already
-            // accounts for it).
-            if model.add_fact(target, tuple) {
-                self.pending
-                    .entry(target)
-                    .or_insert_with(|| Relation::new(tuple.len()))
-                    .insert(tuple);
-            }
-        }
-        self.wal_maybe_compact()?;
-        Ok(true)
+        let ops = [(WalOp::Assert, predicate, tuple.to_vec())];
+        Ok(self.commit_one(&ops, OnLog::No)?.asserted > 0)
     }
 
     /// Insert a ground atom as a fact; errors on non-ground atoms.
     pub fn insert_atom(&mut self, atom: &Atom) -> Result<bool, EngineError> {
-        let Some(tuple) = atom.as_fact() else {
-            return Err(EngineError::NonGroundFact(atom.to_string()));
-        };
-        self.insert(atom.predicate, &tuple)
+        self.insert(atom.predicate, &fact_tuple(atom)?)
     }
 
     /// Start an atomic mutation batch (see [`Txn`]). Nothing is applied until
@@ -924,16 +927,13 @@ impl Engine {
 
     /// Retract a ground atom; errors on non-ground atoms.
     pub fn retract_atom(&mut self, atom: &Atom) -> Result<bool, EngineError> {
-        let Some(tuple) = atom.as_fact() else {
-            return Err(EngineError::NonGroundFact(atom.to_string()));
-        };
-        self.retract(atom.predicate, &tuple)
+        self.retract(atom.predicate, &fact_tuple(atom)?)
     }
 
     /// Validate one transaction batch's arities against the session and within
     /// the batch, without mutating anything — this is what makes a failed
     /// commit a no-op.
-    fn validate_txn_ops(&self, ops: &[(TxnOp, Symbol, Vec<Const>)]) -> Result<(), EngineError> {
+    fn validate_txn_ops(&self, ops: &[Op]) -> Result<(), EngineError> {
         let mut batch_arity: FxHashMap<Symbol, usize> = FxHashMap::default();
         for (_, predicate, tuple) in ops {
             let expected = self
@@ -954,118 +954,107 @@ impl Engine {
         Ok(())
     }
 
-    /// Apply one transaction batch: validate everything, then retract, then assert,
-    /// maintaining the materialized model incrementally (see [`Txn::commit`] for the
-    /// error contract). The group of one: same apply-and-maintain function as
-    /// [`Engine::commit_group`].
-    pub(crate) fn apply_txn(
-        &mut self,
-        ops: Vec<(TxnOp, Symbol, Vec<Const>)>,
-    ) -> Result<TxnSummary, EngineError> {
-        self.validate_txn_ops(&ops)?;
-
-        // Durable sessions log the validated batch *before* applying it (write-ahead:
-        // an append failure aborts the commit with the session untouched; a crash
-        // after the append replays the batch on recovery).
-        if !ops.is_empty() {
-            self.wal_log_txn(&ops)?;
-        }
-        let (mut summaries, maintained) = self.apply_group_validated(vec![ops]);
-        maintained?;
-        self.wal_maybe_compact()?;
-        Ok(summaries.pop().expect("one summary per batch"))
+    /// A commit of one batch: [`Engine::commit_group`] of a group of one.
+    fn commit_one(&mut self, ops: &[Op], on_log: OnLog) -> Result<TxnSummary, EngineError> {
+        let mut results = self.commit_group(&[ops], on_log);
+        results.pop().expect("one result per batch")
     }
 
-    /// Commit several independently submitted batches as one group: every
-    /// batch is validated separately, the valid ones are appended to the log
-    /// under a *single* fsync ([`crate::wal::WalWriter::append_all`]), applied
-    /// to the fact store in submission order, and the materialized model is
-    /// maintained *once*, from the group's net delta
-    /// ([`Engine::apply_group_validated`]). Returns one result per input
-    /// batch, in order. A failed group append fails every valid batch with the
-    /// same (durability) error — none of them was acknowledged — while batches
-    /// that failed validation keep their own errors. The log is checked against
-    /// the compaction threshold once, after the *whole* group is applied: a
-    /// snapshot is stamped with the log's last sequence number, so it must hold
-    /// every record up to it.
-    ///
-    /// Maintenance belongs to the group, not to one of its batches, so an
-    /// evaluation error (or injected fault) during it surfaces where a
-    /// compaction error does: on the group's *last* valid batch — which is
-    /// durable and applied all the same, like every other valid batch of the
-    /// group; the model is dropped and rebuilt from the fact store by the next
-    /// refresh. This is the server's group-commit pipeline; a single-element
-    /// group degenerates to [`Engine::apply_txn`].
-    pub(crate) fn commit_group(
+    /// Re-execute one record that is already on the log — recovery of this
+    /// session's own log, or a shipped record of the leader's. Errors are
+    /// deliberately ignored: replay is a deterministic re-execution from the same
+    /// base state, so any error a record raises here is the error it raised when
+    /// it was first committed (e.g. a bulk load whose trailing facts failed arity
+    /// validation applied its valid prefix, was logged whole, and re-applies the
+    /// same prefix).
+    pub(crate) fn replay(&mut self, record: WalRecord) {
+        match record {
+            WalRecord::Txn { ops, .. } => {
+                let _ = self.commit_one(&ops, OnLog::Already);
+            }
+            WalRecord::Source { text, .. } => {
+                let _ = self.absorb_source(&text, OnLog::Already);
+            }
+        }
+        self.stats.wal_replays += 1;
+    }
+
+    /// The one commit: the [commit protocol](self#the-commit-protocol) over
+    /// several independently submitted batches. Returns one result per input
+    /// batch, in order: batches that failed validation keep their own errors, a
+    /// failed append fails every valid batch with the same (durability) error —
+    /// none of them was acknowledged — and a maintenance or compaction error
+    /// lands on the group's *last* valid batch, since both belong to the group
+    /// and not to one of its batches.
+    pub(crate) fn commit_group<B: AsRef<[Op]>>(
         &mut self,
-        mut batches: Vec<Vec<(TxnOp, Symbol, Vec<Const>)>>,
+        batches: &[B],
+        on_log: OnLog,
     ) -> Vec<Result<TxnSummary, EngineError>> {
-        let mut results: Vec<Option<Result<TxnSummary, EngineError>>> = batches
+        let mut results: Vec<Result<TxnSummary, EngineError>> = batches
             .iter()
-            .map(|ops| self.validate_txn_ops(ops).err().map(Err))
+            .map(|ops| {
+                self.validate_txn_ops(ops.as_ref())
+                    .map(|()| TxnSummary::default())
+            })
             .collect();
-        let valid: Vec<usize> = (0..batches.len())
-            .filter(|&i| results[i].is_none())
-            .collect();
-        // One WAL append + fsync for the whole group (empty batches log nothing,
-        // exactly as they would through apply_txn).
-        let group: Vec<&[(TxnOp, Symbol, Vec<Const>)]> = valid
-            .iter()
-            .map(|&i| batches[i].as_slice())
-            .filter(|ops| !ops.is_empty())
-            .collect();
-        if let Err(error) = self.wal_log_txn_group(&group) {
-            for &i in &valid {
-                results[i] = Some(Err(error.clone()));
-            }
-        } else {
-            let taken = valid
+        if on_log == OnLog::No && self.is_durable() {
+            // An empty batch logs nothing; `wal_append` numbers the records.
+            let mut records: Vec<WalRecord> = batches
                 .iter()
-                .map(|&i| std::mem::take(&mut batches[i]))
+                .zip(&results)
+                .filter(|(ops, valid)| valid.is_ok() && !ops.as_ref().is_empty())
+                .map(|(ops, _)| WalRecord::Txn {
+                    seq: 0,
+                    ops: ops.as_ref().to_vec(),
+                })
                 .collect();
-            let (summaries, maintained) = self.apply_group_validated(taken);
-            for (&i, summary) in valid.iter().zip(summaries) {
-                results[i] = Some(Ok(summary));
+            if let Err(error) = self.wal_append(&mut records) {
+                for valid in results.iter_mut().filter(|result| result.is_ok()) {
+                    *valid = Err(error.clone());
+                }
+                return results;
             }
-            // `and` is eager: the compaction check runs whatever maintenance did.
-            let failed = maintained.and(self.wal_maybe_compact());
-            if let (Err(error), Some(&last)) = (failed, valid.last()) {
-                results[last] = Some(Err(error));
+        }
+        let maintained = self.apply_group_validated(batches, &mut results);
+        // The compaction check runs whatever maintenance did.
+        let checked = match on_log {
+            OnLog::No => self.wal_maybe_compact(),
+            OnLog::Already => Ok(()),
+        };
+        if let Err(error) = maintained.and(checked) {
+            if let Some(last) = results.iter_mut().rev().find(|result| result.is_ok()) {
+                *last = Err(error);
             }
         }
         results
-            .into_iter()
-            .map(|r| r.expect("every batch resolved"))
-            .collect()
     }
 
-    /// The post-validation, post-logging half of a commit, shared by
-    /// [`Engine::apply_txn`] (a group of one) and [`Engine::commit_group`]:
-    /// apply each batch's net effect to the fact store in order — one
-    /// [`TxnSummary`] per batch — then maintain the materialized model once,
+    /// Steps 3 and 4 of [`Engine::commit_group`]: apply the net effect of each
+    /// batch whose `results` entry is `Ok` to the fact store, in order, leaving
+    /// its [`TxnSummary`] there — then maintain the materialized model once,
     /// from the *group's* net delta: facts the group removed that are absent
-    /// from the fact store at its end (and present in the model) seed one
-    /// delete propagation; facts it added that are present at its end (and new
-    /// to the model) become pending deltas for the next refresh. A fact
-    /// asserted by one batch and retracted by another never reaches the model.
-    /// The batches are already on the log; checking the log against the
-    /// compaction threshold is the caller's job. The second value is the
+    /// from the fact store at its end (and present in the model) seed one delete
+    /// propagation; facts it added that are present at its end (and new to the
+    /// model) become pending deltas for the next refresh. A fact asserted by one
+    /// batch and retracted by another never reaches the model. Returns the
     /// outcome of the maintenance: the fact store is committed either way, an
     /// evaluation error (or a caught panic) degrades to dropping the model via
-    /// the containment boundary — the next query rebuilds it from the
-    /// — consistent — fact store.
-    fn apply_group_validated(
+    /// the containment boundary.
+    fn apply_group_validated<B: AsRef<[Op]>>(
         &mut self,
-        batches: Vec<Vec<(TxnOp, Symbol, Vec<Const>)>>,
-    ) -> (Vec<TxnSummary>, Result<(), EngineError>) {
+        batches: &[B],
+        results: &mut [Result<TxnSummary, EngineError>],
+    ) -> Result<(), EngineError> {
         let mut removed: Vec<(Symbol, Vec<Const>)> = Vec::new();
         let mut added: Vec<(Symbol, Vec<Const>)> = Vec::new();
-        let summaries = batches
-            .into_iter()
-            .map(|ops| self.apply_to_store(ops, &mut removed, &mut added))
-            .collect();
+        for (ops, result) in batches.iter().zip(results) {
+            if let Ok(summary) = result {
+                *summary = self.apply_to_store(ops.as_ref(), &mut removed, &mut added);
+            }
+        }
         let Some(model) = &self.model else {
-            return (summaries, Ok(()));
+            return Ok(());
         };
         let present = |db: &Database, target: Symbol, tuple: &[Const]| {
             db.relation(target).is_some_and(|r| r.contains(tuple))
@@ -1094,65 +1083,79 @@ impl Engine {
                 }
             }
         }
-        (summaries, maintained)
+        maintained
     }
 
-    /// Apply one validated batch's net effect (the last operation on a fact wins)
-    /// to the fact store, retractions first, recording what actually left the
-    /// store in `removed` and what actually entered it in `added`.
+    /// Apply one validated batch's net effect to the fact store — each fact once,
+    /// where the batch first names it, with the polarity of the *last* operation
+    /// on it; retractions first — recording what actually left the store in
+    /// `removed` and what actually entered it in `added` (while there is a model
+    /// to maintain from them).
     fn apply_to_store(
         &mut self,
-        ops: Vec<(TxnOp, Symbol, Vec<Const>)>,
+        ops: &[Op],
         removed: &mut Vec<(Symbol, Vec<Const>)>,
         added: &mut Vec<(Symbol, Vec<Const>)>,
     ) -> TxnSummary {
-        let mut order: Vec<(Symbol, Vec<Const>)> = Vec::new();
-        let mut net: FxHashMap<(Symbol, Vec<Const>), TxnOp> = FxHashMap::default();
-        for (op, predicate, tuple) in ops {
-            let key = (predicate, tuple);
-            if net.insert(key.clone(), op).is_none() {
-                order.push(key);
-            }
-        }
-
-        // Route IDB-predicate ops to the assertion relation. Registering a new
-        // assertion exit rule invalidates the model (exactly as single inserts do).
-        let mut retracts: Vec<(Symbol, Vec<Const>)> = Vec::new();
-        let mut asserts: Vec<(Symbol, Vec<Const>)> = Vec::new();
-        for (predicate, tuple) in order {
-            let op = net[&(predicate, tuple.clone())];
-            let target = if self.idb.contains(&predicate) {
-                if op == TxnOp::Assert {
-                    self.ensure_assertion_rule(predicate, tuple.len());
-                }
-                Self::asserted_symbol(predicate)
-            } else {
-                predicate
-            };
-            match op {
-                TxnOp::Assert => asserts.push((target, tuple)),
-                TxnOp::Retract => retracts.push((target, tuple)),
-            }
-        }
-
         let mut summary = TxnSummary::default();
-        for (target, tuple) in retracts {
-            if self.edb.remove_fact(target, &tuple) {
-                summary.retracted += 1;
-                removed.push((target, tuple));
-            } else {
-                summary.missing += 1;
+        if let [(op, predicate, tuple)] = ops {
+            // A batch of one has nothing to net out.
+            self.apply_fact(*op, *predicate, tuple, &mut summary, removed, added);
+            return summary;
+        }
+        let mut net: Vec<(WalOp, Symbol, &[Const])> = Vec::with_capacity(ops.len());
+        let mut slots: FxHashMap<(Symbol, &[Const]), usize> = FxHashMap::default();
+        for (op, predicate, tuple) in ops {
+            match slots.entry((*predicate, tuple)) {
+                Entry::Occupied(slot) => net[*slot.get()].0 = *op,
+                Entry::Vacant(slot) => {
+                    slot.insert(net.len());
+                    net.push((*op, *predicate, tuple));
+                }
             }
         }
-        for (target, tuple) in asserts {
-            if self.edb.add_fact(target, &tuple) {
-                summary.asserted += 1;
-                added.push((target, tuple));
-            } else {
-                summary.duplicates += 1;
+        for polarity in [WalOp::Retract, WalOp::Assert] {
+            for &(op, predicate, tuple) in net.iter().filter(|fact| fact.0 == polarity) {
+                self.apply_fact(op, predicate, tuple, &mut summary, removed, added);
             }
         }
         summary
+    }
+
+    /// Apply one operation to the fact store. IDB-predicate ops are routed to the
+    /// assertion relation; registering a new assertion exit rule invalidates the
+    /// model.
+    fn apply_fact(
+        &mut self,
+        op: WalOp,
+        predicate: Symbol,
+        tuple: &[Const],
+        summary: &mut TxnSummary,
+        removed: &mut Vec<(Symbol, Vec<Const>)>,
+        added: &mut Vec<(Symbol, Vec<Const>)>,
+    ) {
+        if op == WalOp::Assert && self.idb.contains(&predicate) {
+            self.ensure_assertion_rule(predicate, tuple.len());
+        }
+        let target = self.stored_as(predicate);
+        let applied = match op {
+            WalOp::Retract => self.edb.remove_fact(target, tuple),
+            WalOp::Assert => self.edb.add_fact(target, tuple),
+        };
+        let count = match (op, applied) {
+            (WalOp::Retract, true) => &mut summary.retracted,
+            (WalOp::Retract, false) => &mut summary.missing,
+            (WalOp::Assert, true) => &mut summary.asserted,
+            (WalOp::Assert, false) => &mut summary.duplicates,
+        };
+        *count += 1;
+        if applied && self.model.is_some() {
+            let delta = match op {
+                WalOp::Retract => removed,
+                WalOp::Assert => added,
+            };
+            delta.push((target, tuple.to_vec()));
+        }
     }
 
     /// Propagate a batch of base-fact retractions through the materialized model:
@@ -1217,8 +1220,8 @@ impl Engine {
     }
 
     /// Replace this session's program and facts with a snapshot's, keeping the
-    /// session configuration (evaluation options, pipeline options, prepared-plan
-    /// capacity) and the cumulative statistics. The model and every cache are
+    /// session configuration (evaluation options, prepared-plan capacity) and the
+    /// cumulative statistics. The model and every cache are
     /// dropped; the first query after a restore re-materializes.
     ///
     /// The snapshot is parsed into a staging session first and swapped in only on
@@ -1399,7 +1402,7 @@ impl Engine {
         // constants win when rebinding was not applicable), evicting the
         // least-recently-used plan when the cache is full.
         self.stats.record_plan_lookup(false);
-        let optimized = optimize_query(&self.program, query, &self.pipeline)?;
+        let optimized = optimize_query(&self.program, query, &PipelineOptions::default())?;
         if self.tracing {
             if let Some(metrics) = self.metrics.as_deref_mut() {
                 metrics.absorb_pass_times(&optimized.pass_times);
@@ -2145,19 +2148,18 @@ mod tests {
         assert_eq!(engine.query(&query).unwrap(), vec![vec![c(2)]]);
     }
 
-    // Group-level maintenance (`commit_group`: one pass from the group's net delta)
-    // against batch-by-batch (`apply_txn` on a twin).
-
-    type Batch = Vec<(TxnOp, Symbol, Vec<Const>)>;
+    // The entry points of the commit path against each other: group-level
+    // maintenance (one pass from the group's net delta) against batch by batch
+    // and op by op, then recovery and replication of what the groups logged.
 
     /// A generated op `(kind, a, b)` over the cyclic-graph TC session: retractions
     /// and assertions of `e`, and of the rule-defined `t` (routed to `t__asserted`).
-    fn group_op(&(kind, a, b): &(usize, i64, i64)) -> (TxnOp, Symbol, Vec<Const>) {
+    fn group_op(&(kind, a, b): &(usize, i64, i64)) -> Op {
         let (op, predicate) = match kind {
-            0 | 1 => (TxnOp::Retract, "e"),
-            2..=4 => (TxnOp::Assert, "e"),
-            5 => (TxnOp::Assert, "t"),
-            _ => (TxnOp::Retract, "t"),
+            0 | 1 => (WalOp::Retract, "e"),
+            2..=4 => (WalOp::Assert, "e"),
+            5 => (WalOp::Assert, "t"),
+            _ => (WalOp::Retract, "t"),
         };
         (op, Symbol::intern(predicate), vec![c(a), c(b)])
     }
@@ -2166,7 +2168,11 @@ mod tests {
     /// `t__asserted` exit rule up front (or leaves that — and the invalidation it
     /// causes — to the first group that needs it).
     fn cyclic_session(assert_t: bool) -> Engine {
-        let mut engine = Engine::new();
+        cyclic_session_in(Engine::new(), assert_t)
+    }
+
+    /// [`cyclic_session`] loaded into `engine` (a fresh durable one, say).
+    fn cyclic_session_in(mut engine: Engine, assert_t: bool) -> Engine {
         engine
             .load_source("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
             .unwrap();
@@ -2205,26 +2211,75 @@ mod tests {
         store
     }
 
-    /// Commit `groups` through `commit_group` on one session and batch by batch
-    /// through `apply_txn` on a twin: same summaries, same store, and after every
-    /// group a model equal to from-scratch evaluation.
-    fn assert_groups_equal_singles(groups: &[Vec<Batch>], assert_t: bool) {
-        let mut grouped = cyclic_session(assert_t);
+    /// Drive `groups` through every entry point of the commit path: (a) op by op
+    /// through `insert`/`retract`, (b) batch by batch through `Txn`s, (c) group by
+    /// group through `commit_group` — same summaries in (b) and (c), same store in
+    /// all three, and after every group a model equal to from-scratch evaluation —
+    /// then (d) recovery of (c)'s directory and (e) `apply_replicated` of (c)'s
+    /// log into a fresh directory: the same store and a from-scratch model again,
+    /// and in (b) to (e) the same records on the log.
+    fn assert_groups_equal_singles(groups: &[Vec<Vec<Op>>], assert_t: bool) {
+        use crate::durability::{tests::fresh_dir, DurabilityOptions, WAL_FILE};
+        let options = DurabilityOptions {
+            fsync: false,
+            ..DurabilityOptions::default()
+        };
+        let open = |dir: &std::path::Path| Engine::open_durable_with(dir, options).unwrap();
+        let log =
+            |dir: &std::path::Path| crate::wal::read_log(&dir.join(WAL_FILE)).unwrap().records;
+        let dirs = ["entry_txn", "entry_group", "entry_ship"].map(fresh_dir);
+
         let mut single = cyclic_session(assert_t);
+        let mut batched = cyclic_session_in(open(&dirs[0]), assert_t);
+        let mut grouped = cyclic_session_in(open(&dirs[1]), assert_t);
         for group in groups {
+            for (op, predicate, tuple) in group.iter().flatten() {
+                match op {
+                    WalOp::Assert => single.insert(*predicate, tuple),
+                    WalOp::Retract => single.retract(*predicate, tuple),
+                }
+                .expect("op commits");
+            }
+            let expected: Vec<TxnSummary> = group
+                .iter()
+                .map(|batch| {
+                    let mut txn = batched.transaction();
+                    txn.ops = batch.clone();
+                    txn.commit().expect("batch commits")
+                })
+                .collect();
             let summaries: Vec<TxnSummary> = grouped
-                .commit_group(group.clone())
+                .commit_group(group, OnLog::No)
                 .into_iter()
                 .map(|result| result.expect("group batch commits"))
                 .collect();
-            let expected: Vec<TxnSummary> = group
-                .iter()
-                .map(|batch| single.apply_txn(batch.clone()).expect("batch commits"))
-                .collect();
             assert_eq!(summaries, expected, "per-batch summaries");
-            assert_eq!(sorted_store(&grouped), sorted_store(&single));
-            assert_model_is_scratch(&mut grouped);
-            assert_model_is_scratch(&mut single);
+            assert_eq!(sorted_store(&single), sorted_store(&grouped));
+            assert_eq!(sorted_store(&batched), sorted_store(&grouped));
+            for engine in [&mut single, &mut batched, &mut grouped] {
+                assert_model_is_scratch(engine);
+            }
+        }
+
+        let (store, records) = (sorted_store(&grouped), log(&dirs[1]));
+        assert_eq!(log(&dirs[0]), records, "Txn batches log what groups log");
+        drop(grouped);
+        let mut recovered = open(&dirs[1]);
+        assert_eq!(log(&dirs[1]), records, "replay logs nothing");
+        let mut shipped = open(&dirs[2]);
+        let applied = shipped.apply_replicated(records.clone()).unwrap();
+        assert_eq!(applied, records.len());
+        assert_eq!(
+            log(&dirs[2]),
+            records,
+            "shipped records are logged verbatim"
+        );
+        for engine in [&mut recovered, &mut shipped] {
+            assert_eq!(sorted_store(engine), store);
+            assert_model_is_scratch(engine);
+        }
+        for dir in &dirs {
+            std::fs::remove_dir_all(dir).ok();
         }
     }
 
@@ -2242,7 +2297,7 @@ mod tests {
             ),
             assert_t in 0usize..2,
         ) {
-            let groups: Vec<Vec<Batch>> = groups
+            let groups: Vec<Vec<Vec<Op>>> = groups
                 .iter()
                 .map(|group| group.iter().map(|batch| batch.iter().map(group_op).collect()).collect())
                 .collect();
@@ -2254,7 +2309,7 @@ mod tests {
     fn a_fact_crossing_batches_of_one_group_nets_out() {
         let e = |op, a, b| (op, Symbol::intern("e"), vec![c(a), c(b)]);
         let t = |op, a, b| (op, Symbol::intern("t"), vec![c(a), c(b)]);
-        use TxnOp::{Assert, Retract};
+        use WalOp::{Assert, Retract};
         let groups = vec![
             // Asserted then retracted by a later batch: never reaches the model.
             vec![vec![e(Assert, 7, 8)], vec![e(Retract, 7, 8)]],
@@ -2283,9 +2338,12 @@ mod tests {
             vec![e(Retract, 2, 3), e(Assert, 6, 2)],
         ];
         for batch in &group {
-            single.apply_txn(batch.clone()).unwrap();
+            single.commit_one(batch, OnLog::No).unwrap();
         }
-        assert!(grouped.commit_group(group).iter().all(Result::is_ok));
+        assert!(grouped
+            .commit_group(&group, OnLog::No)
+            .iter()
+            .all(Result::is_ok));
         assert!(grouped.stats().retractions < single.stats().retractions);
         assert_eq!(grouped.pending_facts(), 2);
         assert_model_is_scratch(&mut grouped);
@@ -2298,12 +2356,13 @@ mod tests {
             for action in [FaultAction::Error, FaultAction::Panic] {
                 let mut engine = cyclic_session(false);
                 engine.set_fault_injector(Some(FaultInjector::armed(site, action, 0)));
-                let results = engine.commit_group(vec![
-                    vec![e(TxnOp::Retract, 0, 1), e(TxnOp::Assert, 0, 2)],
-                    vec![e(TxnOp::Assert, 6, 0)],
-                    vec![(TxnOp::Assert, Symbol::intern("e"), vec![c(1)])],
-                    vec![e(TxnOp::Retract, 3, 4)],
-                ]);
+                let group = vec![
+                    vec![e(WalOp::Retract, 0, 1), e(WalOp::Assert, 0, 2)],
+                    vec![e(WalOp::Assert, 6, 0)],
+                    vec![(WalOp::Assert, Symbol::intern("e"), vec![c(1)])],
+                    vec![e(WalOp::Retract, 3, 4)],
+                ];
+                let results = engine.commit_group(&group, OnLog::No);
                 // The invalid batch keeps its own error; the maintenance error lands
                 // on the group's last valid batch; everything valid is in the store.
                 assert!(matches!(results[2], Err(EngineError::ArityMismatch { .. })));

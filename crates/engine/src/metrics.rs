@@ -1,13 +1,12 @@
 //! Engine-level metrics: latency histograms, subsystem spans, and the
 //! machine-readable JSON document behind `factorlog repl --metrics-json`.
 //!
-//! The eval-side profile ([`EvalProfile`]) rides on
-//! [`EvalStats`](factorlog_datalog::eval::EvalStats) and accumulates across a
-//! session's evaluations; [`EngineMetrics`] holds everything *above* the
-//! evaluators — end-to-end query latency, prepared-plan lookup time, optimizer
-//! pass times, WAL append/fsync latency, snapshot compaction time. Both are
-//! collected only while [`Engine::set_tracing`](crate::Engine::set_tracing) is
-//! on; the disabled fast path is one branch on an `Option` per site.
+//! The eval-side profile ([`EvalProfile`]) rides on [`EvalStats`] and
+//! accumulates across a session's evaluations; [`EngineMetrics`] holds everything
+//! *above* the evaluators — end-to-end query latency, prepared-plan lookup time,
+//! optimizer pass times, WAL append/fsync latency, snapshot compaction time. Both
+//! are collected only while [`Engine::set_tracing`](crate::Engine::set_tracing)
+//! is on; the disabled fast path is one branch on an `Option` per site.
 //!
 //! # JSON schema (version 4)
 //!

@@ -39,6 +39,7 @@ use crate::durability::DurabilityOptions;
 use crate::engine::{is_snapshot_text, Engine, EngineError, Snapshot};
 use crate::replication::{Replica, ReplicationOptions};
 use crate::server::{serve, Client, ServerHandle, ServerOptions};
+use crate::wal::WalOp;
 
 /// The outcome of executing one REPL line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,19 +50,12 @@ pub enum ReplAction {
     Quit,
 }
 
-/// One queued operation of an open REPL transaction.
-#[derive(Clone, Debug)]
-enum PendingOp {
-    Assert(Atom),
-    Retract(Atom),
-}
-
 /// A REPL session: an [`Engine`] plus the command interpreter.
 #[derive(Default)]
 pub struct Repl {
     engine: Engine,
     /// Queued operations of an open `:begin` transaction (`None` = autocommit).
-    txn: Option<Vec<PendingOp>>,
+    txn: Option<Vec<(WalOp, Atom)>>,
     /// A server this session spawned via `:serve` (stopped by `:detach`).
     server: Option<ServerHandle>,
     /// When set, the session is in client mode: queries and mutations forward
@@ -191,8 +185,10 @@ impl Repl {
                 "save" => self.save(argument).map(ReplAction::Output),
                 "open" => self.open(argument).map(ReplAction::Output),
                 "compact" => self.compact().map(ReplAction::Output),
-                "insert" => self.insert(argument).map(ReplAction::Output),
-                "retract" => self.retract(argument).map(ReplAction::Output),
+                "insert" => self.mutate(WalOp::Assert, argument).map(ReplAction::Output),
+                "retract" => self
+                    .mutate(WalOp::Retract, argument)
+                    .map(ReplAction::Output),
                 "begin" => self.begin().map(ReplAction::Output),
                 "commit" => self.commit().map(ReplAction::Output),
                 "abort" | "rollback" => self.abort().map(ReplAction::Output),
@@ -453,8 +449,17 @@ impl Repl {
                     Ok(ReplAction::Quit)
                 }
                 "detach" => self.unfollow().map(ReplAction::Output),
-                "insert" => self.replica_mutate(true, argument).map(ReplAction::Output),
-                "retract" => self.replica_mutate(false, argument).map(ReplAction::Output),
+                "insert" | "retract" => {
+                    let replica = self.replica.as_ref().expect("dispatch_follower");
+                    replica.require_leader().map_err(|e| e.to_string())?;
+                    let op = match command {
+                        "insert" => WalOp::Assert,
+                        _ => WalOp::Retract,
+                    };
+                    let argument = argument.to_string();
+                    self.with_replica_engine(|repl| repl.mutate(op, &argument))
+                        .map(ReplAction::Output)
+                }
                 "promote" => self.promote_local().map(ReplAction::Output),
                 "stats" => {
                     self.replica_sync()?;
@@ -528,35 +533,6 @@ impl Repl {
             status.frames_applied,
             status.bootstraps,
         )
-    }
-
-    fn replica_mutate(&mut self, insert: bool, text: &str) -> Result<String, String> {
-        let command = if insert { ":insert" } else { ":retract" };
-        let atom = Self::parse_fact(command, text)?;
-        let tuple = atom
-            .as_fact()
-            .ok_or_else(|| format!("cannot {} non-ground atom {atom}", &command[1..]))?;
-        let replica = self.replica.as_mut().expect("replica mode");
-        let predicate = atom.predicate.as_str().to_string();
-        if insert {
-            let new = replica
-                .insert(&predicate, &tuple)
-                .map_err(|e| e.to_string())?;
-            Ok(if new {
-                format!("inserted {atom}")
-            } else {
-                format!("{atom} already present")
-            })
-        } else {
-            let removed = replica
-                .retract(&predicate, &tuple)
-                .map_err(|e| e.to_string())?;
-            Ok(if removed {
-                format!("retracted {atom}")
-            } else {
-                format!("{atom} not present (nothing retracted)")
-            })
-        }
     }
 
     /// `:promote` while following: take over as leader once the lease expired.
@@ -737,37 +713,30 @@ impl Repl {
         Ok(atom)
     }
 
-    fn insert(&mut self, text: &str) -> Result<String, String> {
-        let atom = Self::parse_fact(":insert", text)?;
+    /// `:insert` / `:retract`: queue the op in an open transaction, or commit it.
+    fn mutate(&mut self, op: WalOp, text: &str) -> Result<String, String> {
+        let (command, verb) = match op {
+            WalOp::Assert => (":insert", "assert"),
+            WalOp::Retract => (":retract", "retract"),
+        };
+        let atom = Self::parse_fact(command, text)?;
         if let Some(ops) = &mut self.txn {
-            ops.push(PendingOp::Assert(atom.clone()));
+            ops.push((op, atom.clone()));
             return Ok(format!(
-                "queued assert {atom} ({} op(s) pending)",
+                "queued {verb} {atom} ({} op(s) pending)",
                 ops.len()
             ));
         }
-        let new = self.engine.insert_atom(&atom).map_err(|e| e.to_string())?;
-        Ok(if new {
-            format!("inserted {atom}")
-        } else {
-            format!("{atom} already present")
-        })
-    }
-
-    fn retract(&mut self, text: &str) -> Result<String, String> {
-        let atom = Self::parse_fact(":retract", text)?;
-        if let Some(ops) = &mut self.txn {
-            ops.push(PendingOp::Retract(atom.clone()));
-            return Ok(format!(
-                "queued retract {atom} ({} op(s) pending)",
-                ops.len()
-            ));
+        let changed = match op {
+            WalOp::Assert => self.engine.insert_atom(&atom),
+            WalOp::Retract => self.engine.retract_atom(&atom),
         }
-        let removed = self.engine.retract_atom(&atom).map_err(|e| e.to_string())?;
-        Ok(if removed {
-            format!("retracted {atom}")
-        } else {
-            format!("{atom} not present (nothing retracted)")
+        .map_err(|e| e.to_string())?;
+        Ok(match (op, changed) {
+            (WalOp::Assert, true) => format!("inserted {atom}"),
+            (WalOp::Assert, false) => format!("{atom} already present"),
+            (WalOp::Retract, true) => format!("retracted {atom}"),
+            (WalOp::Retract, false) => format!("{atom} not present (nothing retracted)"),
         })
     }
 
@@ -784,12 +753,8 @@ impl Repl {
             return Err("no open transaction (start one with :begin)".to_string());
         };
         let mut txn = self.engine.transaction();
-        for op in &ops {
-            match op {
-                PendingOp::Assert(atom) => txn.assert_atom(atom).map(|_| ()),
-                PendingOp::Retract(atom) => txn.retract_atom(atom).map(|_| ()),
-            }
-            .map_err(|e| e.to_string())?;
+        for (op, atom) in &ops {
+            txn.queue_atom(*op, atom).map_err(|e| e.to_string())?;
         }
         let summary = txn.commit().map_err(|e| e.to_string())?;
         Ok(format!(

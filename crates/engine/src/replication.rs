@@ -28,11 +28,12 @@
 //! # Consistency
 //!
 //! * **Apply-at-most-once.** Shipped frames keep the leader's sequence
-//!   numbers; a follower appends each to its own log verbatim and applies it
-//!   through the recovery-replay path, skipping sequences it already holds and
-//!   refusing gaps. Replay of one totally ordered log on every node is why
-//!   replicas converge: the WAL fixes one serialization out of the many
-//!   admissible interleavings of concurrent transactions.
+//!   numbers; a follower appends each shipped batch to its own log verbatim
+//!   (one fsync) and replays it as recovery would (the commit protocol in the
+//!   module docs of `engine.rs`, with the shipped batch as the group), skipping
+//!   sequences it already holds and refusing gaps. Replay of one totally ordered log on
+//!   every node is why replicas converge: the WAL fixes one serialization out
+//!   of the many admissible interleavings of concurrent transactions.
 //! * **Stale-bounded reads.** A follower serves queries from its latest
 //!   applied view — a consistent committed prefix of the leader's history, at
 //!   most one poll interval (plus in-flight frames) behind.
@@ -52,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use factorlog_datalog::ast::Const;
 
-use crate::durability::{parse_wal_seq, DurabilityOptions, SNAPSHOT_FILE, WAL_FILE};
+use crate::durability::{parse_wal_seq, SNAPSHOT_FILE, WAL_FILE};
 use crate::engine::{Engine, EngineError};
 use crate::server::{
     serve_inner, Client, ClientError, FollowerConfig, ServeError, ServerHandle, ServerOptions,
@@ -400,13 +401,6 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Open (or create) a durable data directory and follow `leader`, with
-    /// default durability and replication options.
-    pub fn open(dir: impl AsRef<Path>, leader: impl Into<String>) -> Result<Replica, EngineError> {
-        let engine = Engine::open_durable_with(dir, DurabilityOptions::default())?;
-        Replica::from_engine(engine, leader, ReplicationOptions::default())
-    }
-
     /// Wrap an already-open durable engine as a follower of `leader`. The
     /// engine's persisted term (the `TERM` file) carries over. Errors when the
     /// engine is not durable — a follower without its own log could not
@@ -621,7 +615,8 @@ impl Replica {
         self.engine.retract(predicate, tuple)
     }
 
-    fn require_leader(&self) -> Result<(), EngineError> {
+    /// The role gate on writes.
+    pub(crate) fn require_leader(&self) -> Result<(), EngineError> {
         match self.role {
             ReplicaRole::Leader => Ok(()),
             ReplicaRole::Follower => Err(EngineError::Durability(

@@ -7,12 +7,12 @@
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
-//!   conn threads ──▶ │  Arc<View { epoch, model: Arc<Database> }> │  lock-free reads
+//!   reactor ───────▶ │  Arc<View { epoch, model: Arc<Database> }> │  lock-free reads
 //!     QUERY          │  (RwLock'd Arc swap; readers clone the Arc │  (Database::answers
 //!                    │   and answer without touching the engine)  │   on the full model)
 //!                    └────────────────▲───────────────────────────┘
 //!                                     │ publish after each group
-//!   conn threads ──▶ bounded queue ──▶ writer thread (owns Engine)
+//!   reactor ───────▶ bounded queue ──▶ writer thread (owns Engine)
 //!     TXN             (try_send;        · group = what queued during the last
 //!                      Full = shed)       commit (+ who was in it: group_wait)
 //!                                       · Engine::commit_group → ONE fsync,
@@ -87,11 +87,11 @@ use factorlog_datalog::eval::{EvalError, LimitReason};
 use factorlog_datalog::fault::CancelToken;
 use factorlog_datalog::parser::parse_query;
 use factorlog_datalog::storage::Database;
-use factorlog_datalog::symbol::Symbol;
 
-use crate::engine::{write_const, Engine, EngineError, TxnOp, TxnSummary};
+use crate::engine::{write_const, Engine, EngineError, OnLog, Op, TxnSummary};
 use crate::reactor::{poll_fds, PollFd, WakePipe, POLL_FAIL, POLL_IN, POLL_OUT};
 use crate::replication::{self, Replica, ReplicaRole, ReplicationOptions, StreamStep};
+use crate::wal::WalOp;
 
 /// Cap on how many queued transactions one group commit will absorb.
 const MAX_GROUP: usize = 128;
@@ -156,7 +156,7 @@ const REPLY_CACHE_MAX_REPLY_BYTES: usize = 64 * 1024;
 const ROW_CHECK_INTERVAL: usize = 256;
 
 /// Most WAL frames the leader ships per `REPL SUBSCRIBE` poll (bounds both the
-/// reply size and how long the handler holds the connection thread).
+/// reply size and how long the handler holds the reactor).
 const REPL_BATCH_FRAMES: usize = 512;
 
 /// Followers absent from `REPL SUBSCRIBE` for this long drop out of the
@@ -169,7 +169,7 @@ pub struct ServerOptions {
     /// Requests allowed in service at once (readers and writers together).
     /// The one past the cap is shed with `ERR overloaded`, never queued.
     pub max_in_flight: usize,
-    /// Bound of the commit pipeline between connection threads and the writer;
+    /// Bound of the commit pipeline between the reactor and the writer;
     /// a transaction finding it full is shed with `ERR overloaded`.
     pub write_queue_depth: usize,
     /// Per-request wall-clock deadline: applied to the writer's evaluations
@@ -291,11 +291,11 @@ impl Drop for TxnTicket {
 
 /// A transaction submitted to the commit pipeline.
 struct WriteReq {
-    ops: Vec<(TxnOp, Symbol, Vec<Const>)>,
+    ops: Vec<Op>,
     reply: TxnTicket,
 }
 
-/// Reactor-side counters surfaced by `STATS` and the metrics v3 `server`
+/// Reactor-side counters surfaced by `STATS` and the metrics v4 `server`
 /// object. All incremented from the reactor thread with relaxed ordering.
 #[derive(Default)]
 struct ServerCounters {
@@ -311,7 +311,7 @@ struct ServerCounters {
 }
 
 /// A point-in-time snapshot of the reactor's counters (see
-/// [`ServerHandle::server_metrics`] and the metrics v3 `server` object).
+/// [`ServerHandle::server_metrics`] and the metrics v4 `server` object).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerMetrics {
     /// Times the reactor's `poll` returned (readiness events + wakes +
@@ -349,7 +349,7 @@ struct FollowerLag {
 /// [`serve`]d node is simply a leader (possibly of term 0, with no followers).
 struct ReplState {
     /// [`ReplicaRole`] as a `u8` (`as_u8`/`from_u8`), atomically readable from
-    /// connection threads and the apply loop.
+    /// the reactor and the apply loop.
     role: AtomicU8,
     term: AtomicU64,
     /// This node's committed log position: the leader's writer advances it
@@ -802,7 +802,7 @@ fn writer_core(
 
         let started = Instant::now();
         let (ops, replies): (Vec<_>, Vec<_>) = batch.drain(..).map(|r| (r.ops, r.reply)).unzip();
-        let results = engine.commit_group(ops);
+        let results = engine.commit_group(&ops, OnLog::No);
 
         // Assign each committed batch the epoch that first includes it; the
         // view published below carries the last of them, so a client holding
@@ -870,7 +870,7 @@ fn follower_loop(
         .expect("serve_inner verified the engine is durable");
     shared.repl.term.store(replica.term(), Ordering::Release);
     loop {
-        // A PROMOTE handled by a connection thread flips the shared role; sync
+        // A PROMOTE handled by the reactor flips the shared role; sync
         // the replica object and become the writer.
         if shared.repl.role.load(Ordering::Acquire) == ReplicaRole::Leader.as_u8() {
             replica.adopt_promotion(shared.repl.term.load(Ordering::Acquire));
@@ -2094,7 +2094,7 @@ fn bind_prepared(stmt: &PreparedStmt, args: &str) -> Result<Query, String> {
 }
 
 /// Parse `+p(1, 2); -q(foo)` into transaction ops. Every atom must be ground.
-fn parse_txn_ops(spec: &str) -> Result<Vec<(TxnOp, Symbol, Vec<Const>)>, String> {
+fn parse_txn_ops(spec: &str) -> Result<Vec<Op>, String> {
     let mut ops = Vec::new();
     for part in spec.split(';') {
         let part = part.trim();
@@ -2102,8 +2102,8 @@ fn parse_txn_ops(spec: &str) -> Result<Vec<(TxnOp, Symbol, Vec<Const>)>, String>
             continue;
         }
         let (op, atom_text) = match part.split_at(1) {
-            ("+", rest) => (TxnOp::Assert, rest.trim().trim_end_matches('.')),
-            ("-", rest) => (TxnOp::Retract, rest.trim().trim_end_matches('.')),
+            ("+", rest) => (WalOp::Assert, rest.trim().trim_end_matches('.')),
+            ("-", rest) => (WalOp::Retract, rest.trim().trim_end_matches('.')),
             _ => {
                 return Err(format!(
                     "transaction op `{part}` must start with `+` (assert) or `-` (retract)"
@@ -2924,8 +2924,8 @@ mod tests {
     fn txn_ops_parse_and_reject_malformed_input() {
         let ops = parse_txn_ops("+e(1, 2); -e(2, 1);").unwrap();
         assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].0, TxnOp::Assert);
-        assert_eq!(ops[1].0, TxnOp::Retract);
+        assert_eq!(ops[0].0, WalOp::Assert);
+        assert_eq!(ops[1].0, WalOp::Retract);
         assert!(parse_txn_ops("").is_err());
         assert!(parse_txn_ops("e(1, 2)").is_err());
         assert!(parse_txn_ops("+e(X, 2)").is_err(), "non-ground atom");

@@ -131,7 +131,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// Polarity of one logged operation.
+/// Polarity of one operation of a transaction batch — the same value from the
+/// queue of a [`Txn`](crate::Txn) or a server `TXN` to the log record and back
+/// out of it on replay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalOp {
     /// The fact was asserted.
@@ -329,22 +331,24 @@ impl<'a> Cursor<'a> {
 pub use factorlog_datalog::fault::FaultPoint;
 
 /// The append side of the log: owns the file handle, tracks the append offset, and
-/// optionally fsyncs after every record.
+/// optionally fsyncs after every appended batch.
 pub struct WalWriter {
     path: PathBuf,
     file: File,
     /// Bytes of valid log currently on disk (header included).
     len: u64,
-    /// fsync after every append (disable only for tests and throughput benches —
-    /// without it, the durability guarantee weakens to "whatever the OS flushed").
+    /// fsync after every appended batch (disable only for tests and throughput
+    /// benches — without it, the durability guarantee weakens to "whatever the OS
+    /// flushed").
     fsync: bool,
     fault: Option<FaultPoint>,
     /// Set after an injected fault: the writer is unusable (as a crashed process
     /// would be) and every further append fails.
     poisoned: bool,
-    /// Wall time of the fsync inside the most recent successful [`append`]
-    /// (`WalWriter::append`); `None` when that append did not fsync. Read by the
-    /// engine's tracing layer to feed the `wal_fsync` latency histogram.
+    /// Wall time of the fsync inside the most recent successful
+    /// [`append_all`](WalWriter::append_all); `None` when that append did not
+    /// fsync. Read by the engine's tracing layer to feed the `wal_fsync`
+    /// latency histogram.
     last_fsync_ns: Option<u64>,
 }
 
@@ -359,13 +363,18 @@ impl WalWriter {
             .truncate(true)
             .open(&path)?;
         file.write_all(WAL_MAGIC)?;
+        WalWriter::at(path, file, WAL_MAGIC.len() as u64, fsync)
+    }
+
+    /// A writer appending to `file` at `len`, once what precedes is synced.
+    fn at(path: PathBuf, file: File, len: u64, fsync: bool) -> Result<WalWriter, WalError> {
         if fsync {
             file.sync_data()?;
         }
         Ok(WalWriter {
             path,
             file,
-            len: WAL_MAGIC.len() as u64,
+            len,
             fsync,
             fault: None,
             poisoned: false,
@@ -385,18 +394,7 @@ impl WalWriter {
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         file.set_len(valid_len)?;
         file.seek(SeekFrom::Start(valid_len))?;
-        if fsync {
-            file.sync_data()?;
-        }
-        Ok(WalWriter {
-            path,
-            file,
-            len: valid_len,
-            fsync,
-            fault: None,
-            poisoned: false,
-            last_fsync_ns: None,
-        })
+        WalWriter::at(path, file, valid_len, fsync)
     }
 
     /// The log file's path.
@@ -427,8 +425,8 @@ impl WalWriter {
     }
 
     /// Wall time, in nanoseconds, of the fsync performed by the most recent
-    /// successful [`append`](WalWriter::append) — `None` when that append ran
-    /// with fsync disabled. Always measured (one clock pair per append, noise
+    /// successful [`append_all`](WalWriter::append_all) — `None` when that append
+    /// ran with fsync disabled. Always measured (one clock pair per append, noise
     /// next to the fsync itself); the engine samples it into the `wal_fsync`
     /// histogram only while tracing.
     pub fn last_fsync_ns(&self) -> Option<u64> {
@@ -461,62 +459,20 @@ impl WalWriter {
         }
     }
 
-    /// Append one record: length prefix, CRC, payload, then (when enabled) fsync.
-    /// On success the record is durable. On an error the writer first tries to
-    /// truncate the file back to the last durable record so the append can simply
-    /// be retried; if even that fails, the writer poisons itself (every further
-    /// append errors) — otherwise a retry would land after the torn bytes and be
-    /// silently discarded by the next recovery scan.
+    /// Append one record — [`append_all`](WalWriter::append_all) of a batch of one.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        if self.poisoned {
-            return Err(WalError::Injected { written: 0 });
-        }
-        let payload = record.encode();
-        if payload.len() as u64 > MAX_RECORD_BYTES as u64 {
-            // Nothing was written: the commit aborts cleanly instead of
-            // acknowledging a record the recovery scan would refuse to read.
-            return Err(WalError::TooLarge {
-                bytes: payload.len(),
-            });
-        }
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.last_fsync_ns = None;
-        let result = self.write_through_fault(&frame).and_then(|()| {
-            if self.fsync {
-                let start = std::time::Instant::now();
-                self.file.sync_data()?;
-                self.last_fsync_ns = Some(start.elapsed().as_nanos() as u64);
-            }
-            Ok(())
-        });
-        if let Err(error) = result {
-            if !matches!(error, WalError::Injected { .. }) {
-                // A real I/O failure (full disk, failed sync): roll the file back
-                // to the last durable record, or poison the writer if we cannot.
-                let rolled_back = self
-                    .file
-                    .set_len(self.len)
-                    .and_then(|()| self.file.seek(SeekFrom::Start(self.len)).map(|_| ()))
-                    .is_ok();
-                if !rolled_back {
-                    self.poisoned = true;
-                }
-            }
-            return Err(error);
-        }
-        self.len += frame.len() as u64;
-        Ok(())
+        self.append_all(std::slice::from_ref(record))
     }
 
-    /// Append a batch of records under a single fsync (group commit): every
-    /// frame is written, then one `sync_data` makes the whole batch durable at
-    /// once. All-or-nothing: on any error the file is rolled back to its length
-    /// before the batch (poisoning the writer if the rollback itself fails), so
-    /// no record of a failed group is ever acknowledged or replayed. An empty
-    /// batch is a no-op.
+    /// Append a batch of records under a single fsync: every frame (length
+    /// prefix, CRC, payload) is written, then one `sync_data` (when enabled)
+    /// makes the whole batch durable at once. All-or-nothing: on an error the
+    /// writer first tries to truncate the file back to its length before the
+    /// batch so the append can simply be retried; if even that fails, the writer
+    /// poisons itself (every further append errors) — otherwise a retry would
+    /// land after the torn bytes and be silently discarded by the next recovery
+    /// scan. No record of a failed batch is ever acknowledged or replayed. An
+    /// empty batch is a no-op.
     pub fn append_all(&mut self, records: &[WalRecord]) -> Result<(), WalError> {
         if records.is_empty() {
             return Ok(());
@@ -528,7 +484,9 @@ impl WalWriter {
         for record in records {
             let payload = record.encode();
             if payload.len() as u64 > MAX_RECORD_BYTES as u64 {
-                // Nothing has been written yet: the whole group aborts cleanly.
+                // Nothing has been written yet: the whole batch aborts cleanly
+                // instead of acknowledging a record the recovery scan would
+                // refuse to read.
                 return Err(WalError::TooLarge {
                     bytes: payload.len(),
                 });
@@ -548,6 +506,8 @@ impl WalWriter {
         });
         if let Err(error) = result {
             if !matches!(error, WalError::Injected { .. }) {
+                // A real I/O failure (full disk, failed sync): roll the file back
+                // to the last durable record, or poison the writer if we cannot.
                 let rolled_back = self
                     .file
                     .set_len(self.len)
