@@ -22,7 +22,10 @@ pub use seminaive::{
     seminaive_retract, CompiledProgram,
 };
 pub use stats::EvalStats;
-pub use trace::{EvalProfile, Histogram, ProfileShape, RuleProfile, SpanStats};
+pub use trace::{
+    fmt_ns, rows, wire_value, EvalProfile, Histogram, Instrument, Merge, ProfileShape, Reading,
+    RuleProfile, SpanStats,
+};
 
 /// Which fixpoint strategy to use.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]

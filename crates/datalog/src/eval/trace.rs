@@ -19,17 +19,37 @@
 //! (p50/p95/p99) are exact to within a factor of two — plenty for "is fsync 40 µs
 //! or 4 ms" questions, with no allocation after construction.
 //!
+//! **Instrument lists.** Each list of counters, spans or wire fields the workspace
+//! shows — [`EvalStats`](super::EvalStats), the engine crate's server counters,
+//! engine spans and replica status — is declared once with
+//! [`instruments!`](crate::instruments!), and every surface that shows it walks the
+//! ([`Instrument`], [`Reading`]) pairs the declaration yields: `:stats` and
+//! `:profile show` through [`rows`] and `Reading`'s `Display`, the `STATS` line as
+//! `name=value` pairs (parsed back with [`wire_value`]), the metrics document as
+//! one JSON object per list. Adding an instrument is one entry in one declaration.
+//!
 //! Counters and times are split on purpose: every count in a profile is
 //! machine-independent, while every `*_ns` field is wall-clock.
 //! [`EvalProfile::shape`] extracts exactly the deterministic part.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Number of log-scaled buckets: one per leading-bit position of a `u64`
 /// nanosecond value (bucket 0 holds 0 ns samples).
 pub const HISTOGRAM_BUCKETS: usize = 64;
+
+/// Render nanoseconds with a human-scale unit (`812ns`, `3.4µs`, `1.2ms`, `2.5s`).
+pub fn fmt_ns(ns: u64) -> String {
+    match ns {
+        0..=999 => format!("{ns}ns"),
+        1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),
+        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
+        _ => format!("{:.2}s", ns as f64 / 1e9),
+    }
+}
 
 /// A fixed-bucket log-scaled latency histogram.
 ///
@@ -149,6 +169,21 @@ impl Histogram {
     }
 }
 
+/// The `:profile show` form: sample count and the estimated quantiles.
+impl fmt::Display for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} sample(s), p50 {}, p95 {}, p99 {}, max {}",
+            self.count,
+            fmt_ns(self.p50_ns()),
+            fmt_ns(self.p95_ns()),
+            fmt_ns(self.p99_ns()),
+            fmt_ns(self.max_ns)
+        )
+    }
+}
+
 /// Count / total / max wall time of one named phase.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpanStats {
@@ -175,6 +210,19 @@ impl SpanStats {
         self.count += other.count;
         self.total_ns = self.total_ns.saturating_add(other.total_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
+    }
+}
+
+/// The `:profile show` form, in columns.
+impl fmt::Display for SpanStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "count {:>8}  total {:>10}  max {:>10}",
+            self.count,
+            fmt_ns(self.total_ns),
+            fmt_ns(self.max_ns)
+        )
     }
 }
 
@@ -273,6 +321,303 @@ impl EvalProfile {
             .collect();
         (phases, rules)
     }
+}
+
+/// How two values of one counter combine when statistics are merged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// The counts add up.
+    Sum,
+    /// The larger one stands.
+    Max,
+}
+
+impl Merge {
+    /// `mine` and `theirs` combined under this policy.
+    pub fn apply<T: Ord + std::ops::Add<Output = T>>(self, mine: T, theirs: T) -> T {
+        match self {
+            Merge::Sum => mine + theirs,
+            Merge::Max => mine.max(theirs),
+        }
+    }
+}
+
+/// One entry of an [`instruments!`](crate::instruments!) declaration: what every
+/// surface that shows the instrument needs to know about it besides its value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Instrument {
+    /// The field's name: the key in the metrics document and on the wire.
+    pub name: &'static str,
+    /// The row the instrument is shown in by [`rows`] (consecutive instruments
+    /// of one group share a row), or the object it belongs to in the metrics
+    /// document.
+    pub group: &'static str,
+    /// What the value is called in that row.
+    pub label: &'static str,
+    /// The merge policy of a counter; `None` for an instrument that is read, not
+    /// accumulated.
+    pub merge: Option<Merge>,
+}
+
+/// The current value of one instrument, in the few shapes instruments come in.
+/// Its `Display` is the form the text surfaces and the wire share.
+#[derive(Clone, Copy, Debug)]
+pub enum Reading<'a> {
+    /// An event count or a total.
+    Count(u64),
+    /// A ratio of two counts, shown to two decimals.
+    Ratio(f64),
+    /// A name (a role, an address).
+    Name(&'a str),
+    /// A span timer.
+    Span(&'a SpanStats),
+    /// A latency histogram.
+    Histogram(&'a Histogram),
+}
+
+impl Reading<'_> {
+    /// Has the instrument recorded nothing yet? (A name always says something.)
+    pub fn is_zero(&self) -> bool {
+        match self {
+            Reading::Count(n) => *n == 0,
+            Reading::Ratio(r) => *r == 0.0,
+            Reading::Name(_) => false,
+            Reading::Span(span) => span.count == 0,
+            Reading::Histogram(h) => h.count() == 0,
+        }
+    }
+}
+
+impl fmt::Display for Reading<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Reading::Count(n) => write!(f, "{n}"),
+            Reading::Ratio(r) => write!(f, "{r:.2}"),
+            Reading::Name(s) => f.write_str(s),
+            Reading::Span(span) => write!(f, "{span}"),
+            Reading::Histogram(h) => write!(f, "{h}"),
+        }
+    }
+}
+
+impl From<&usize> for Reading<'_> {
+    fn from(n: &usize) -> Self {
+        Reading::Count(*n as u64)
+    }
+}
+
+impl From<&u64> for Reading<'_> {
+    fn from(n: &u64) -> Self {
+        Reading::Count(*n)
+    }
+}
+
+impl From<&f64> for Reading<'_> {
+    fn from(r: &f64) -> Self {
+        Reading::Ratio(*r)
+    }
+}
+
+impl<'a> From<&'a String> for Reading<'a> {
+    fn from(s: &'a String) -> Self {
+        Reading::Name(s)
+    }
+}
+
+impl<'a> From<&'a SpanStats> for Reading<'a> {
+    fn from(span: &'a SpanStats) -> Self {
+        Reading::Span(span)
+    }
+}
+
+impl<'a> From<&'a Histogram> for Reading<'a> {
+    fn from(h: &'a Histogram) -> Self {
+        Reading::Histogram(h)
+    }
+}
+
+/// The text form of a list of readings: one `group: label value, …` row per run
+/// of instruments sharing a group, and `group: —` for a group that has recorded
+/// nothing (instead of a wall of zeros).
+pub fn rows<'a>(readings: impl Iterator<Item = (&'static Instrument, Reading<'a>)>) -> String {
+    let readings: Vec<_> = readings.collect();
+    let rows = readings
+        .chunk_by(|a, b| a.0.group == b.0.group)
+        .map(|group| {
+            let name = group[0].0.group;
+            if group.iter().all(|(_, reading)| reading.is_zero()) {
+                return format!("{name}: —");
+            }
+            let cells: Vec<_> = group
+                .iter()
+                .map(|(instrument, reading)| format!("{} {reading}", instrument.label))
+                .collect();
+            format!("{name}: {}", cells.join(", "))
+        });
+    rows.collect::<Vec<_>>().join("\n")
+}
+
+/// The value of `name` in a line of whitespace-separated `name=value` pairs;
+/// the error is the name, for the caller to say what was missing or malformed.
+pub fn wire_value<'n, T: FromStr>(line: &str, name: &'n str) -> Result<T, &'n str> {
+    line.split_whitespace()
+        .find_map(|pair| pair.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+        .ok_or(name)
+}
+
+/// Declare a list of instruments once — per instrument its name, rustdoc, display
+/// group and label, and for counters the merge policy — and derive the struct
+/// (every instrument a public field of that name) and everything that walks the
+/// list: the `INSTRUMENTS` table and `readings()`, which every surface (`:stats`,
+/// `:profile show`, the `STATS` line, the metrics document) renders from.
+///
+/// Three forms:
+///
+/// * `struct Name { field: Type, "group", "label"; … }` — a record of typed
+///   instruments (`Reading: From<&Type>`).
+/// * `struct Name: Int { field = Sum|Max, "group", "label"; … }` — counters of
+///   one integer type, which also get `counters_mut()` and `merge_counters()`.
+/// * the counters form followed by `live struct Live: Atomic { … }` and
+///   `wire struct Reply { … }` — what a server needs besides: the same counters
+///   as atomics (plus the fields in braces) with `snapshot()`, and a record of
+///   its own instruments followed by the counters that crosses the wire as
+///   `name=value` pairs (`to_wire()`, `from_wire()`, `From<Name>`).
+///
+/// Either of the first two may end in `also { … }`: fields that are not
+/// instruments.
+#[macro_export]
+macro_rules! instruments {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$doc:meta])* $field:ident: $ty:ty, $group:literal, $label:literal;)*
+        }
+        $(also { $($extra:tt)* })?
+    ) => {
+        $crate::instruments!(@list [$(#[$meta])*] $vis $name
+            [$([$(#[$doc])*] $field: $ty, None, $group, $label;)*] [$($($extra)*)?]);
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident: $ty:ty {
+            $($(#[$doc:meta])* $field:ident = $policy:ident, $group:literal, $label:literal;)*
+        }
+        $(also { $($extra:tt)* })?
+    ) => {
+        $crate::instruments!(@list [$(#[$meta])*] $vis $name
+            [$([$(#[$doc])*] $field: $ty, Some($crate::eval::Merge::$policy), $group, $label;)*]
+            [$($($extra)*)?]);
+        impl $name {
+            /// Each declared counter, mutably, in declaration order.
+            pub fn counters_mut(
+                &mut self,
+            ) -> impl Iterator<Item = (&'static $crate::eval::Instrument, &mut $ty)> {
+                Self::INSTRUMENTS.iter().zip([$(&mut self.$field),*])
+            }
+
+            /// Fold `other`'s counters into these, each by its declared policy.
+            pub fn merge_counters(&mut self, other: &Self) {
+                $(self.$field = $crate::eval::Merge::$policy.apply(self.$field, other.$field);)*
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident: $ty:ty {
+            $($(#[$doc:meta])* $field:ident = $policy:ident, $group:literal, $label:literal;)*
+        }
+        $(#[$live_meta:meta])*
+        live struct $live:ident: $atomic:ty { $($live_extra:tt)* }
+        $(#[$wire_meta:meta])*
+        $wire_vis:vis wire struct $wire:ident {
+            $($(#[$wire_doc:meta])* $wire_field:ident: $wire_ty:ty, $wire_group:literal, $wire_label:literal;)*
+        }
+    ) => {
+        $crate::instruments! {
+            $(#[$meta])*
+            $vis struct $name: $ty {
+                $($(#[$doc])* $field = $policy, $group, $label;)*
+            }
+        }
+        $(#[$live_meta])*
+        #[derive(Default)]
+        struct $live {
+            $($field: $atomic,)*
+            $($live_extra)*
+        }
+        impl $live {
+            /// The counters as of now (relaxed loads: statistics, not synchronisation).
+            fn snapshot(&self) -> $name {
+                $name {
+                    $($field: self.$field.load(::std::sync::atomic::Ordering::Relaxed),)*
+                }
+            }
+        }
+        $crate::instruments!(@list [$(#[$wire_meta])*] $wire_vis $wire
+            [$([$(#[$wire_doc])*] $wire_field: $wire_ty, None, $wire_group, $wire_label;)*
+             $([$(#[$doc])*] $field: $ty, Some($crate::eval::Merge::$policy), $group, $label;)*]
+            []);
+        impl $wire {
+            /// One `name=value` pair per declared instrument, in declaration order.
+            pub fn to_wire(&self) -> String {
+                let pairs: Vec<_> = self
+                    .readings()
+                    .map(|(instrument, reading)| format!("{}={reading}", instrument.name))
+                    .collect();
+                pairs.join(" ")
+            }
+
+            /// Parse a line of `name=value` pairs; pairs this declaration does not
+            /// know are skipped (a newer sender), and the error names the first
+            /// declared instrument that is missing or malformed.
+            pub fn from_wire(line: &str) -> Result<Self, &'static str> {
+                Ok($wire {
+                    $($wire_field: $crate::eval::wire_value(line, stringify!($wire_field))?,)*
+                    $($field: $crate::eval::wire_value(line, stringify!($field))?,)*
+                })
+            }
+        }
+        impl From<$name> for $wire {
+            /// The counters in place, the reply's own instruments at their defaults.
+            fn from(counters: $name) -> Self {
+                $wire {
+                    $($field: counters.$field,)*
+                    ..Default::default()
+                }
+            }
+        }
+    };
+    (@list [$(#[$meta:meta])*] $vis:vis $name:ident
+        [$([$(#[$doc:meta])*] $field:ident: $ty:ty, $merge:expr, $group:literal, $label:literal;)*]
+        [$($extra:tt)*]) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+            $($extra)*
+        }
+        impl $name {
+            /// Every declared instrument, in declaration order.
+            pub const INSTRUMENTS: &'static [$crate::eval::Instrument] = &[$(
+                $crate::eval::Instrument {
+                    name: stringify!($field),
+                    group: $group,
+                    label: $label,
+                    merge: $merge,
+                },
+            )*];
+
+            /// Each declared instrument with its current reading, in declaration order.
+            pub fn readings(
+                &self,
+            ) -> impl Iterator<
+                Item = (&'static $crate::eval::Instrument, $crate::eval::Reading<'_>),
+            > {
+                Self::INSTRUMENTS
+                    .iter()
+                    .zip([$($crate::eval::Reading::from(&self.$field)),*])
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use factorlog_datalog::ast::{Atom, Query};
-use factorlog_datalog::eval::{EvalError, LimitReason};
+use factorlog_datalog::eval::{fmt_ns, rows, EvalError, LimitReason};
 use factorlog_datalog::parser::{parse_atom, parse_query};
 
 use crate::durability::DurabilityOptions;
@@ -112,16 +112,6 @@ commands:
   :help            this summary
   :quit            leave the session
 bare rules/facts (e.g. `e(1, 2).` or `t(X, Y) :- e(X, Y).`) are added directly.";
-
-/// Render nanoseconds with a human-scale unit (`812ns`, `3.4µs`, `1.2ms`, `2.5s`).
-fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.2}s", ns as f64 / 1e9),
-    }
-}
 
 impl Repl {
     /// A fresh session.
@@ -521,18 +511,7 @@ impl Repl {
 
     fn replica_header(&self) -> String {
         let status = self.replica.as_ref().expect("replica mode").status();
-        format!(
-            "replica:\n  role: {}, term {}, leader {}\n  applied seq {}, leader seq {}, \
-             lag {} frame(s); {} frame(s) applied, {} bootstrap(s)",
-            status.role,
-            status.term,
-            status.leader,
-            status.applied_seq,
-            status.leader_seq,
-            status.lag_frames,
-            status.frames_applied,
-            status.bootstraps,
-        )
+        rows(status.readings())
     }
 
     /// `:promote` while following: take over as leader once the lease expired.
@@ -659,36 +638,7 @@ impl Repl {
 
     fn remote_stats(&mut self) -> Result<String, String> {
         let stats = self.remote().stats().map_err(|e| e.to_string())?;
-        let mut out = format!(
-            "server: epoch {}, {} in flight, {} shed, {} group commit(s) \
-             covering {} txn(s) ({:.2} txn(s)/fsync), writer waited {} us for joiners \
-             and {} us for pacing",
-            stats.epoch,
-            stats.in_flight,
-            stats.shed,
-            stats.group_commits,
-            stats.group_txns,
-            stats.txns_per_fsync,
-            stats.group_wait_us,
-            stats.pace_wait_us,
-        );
-        let _ = write!(
-            out,
-            "\nreplication: role {}, term {}, {} follower(s), lag {} frame(s) / {} ms",
-            stats.role, stats.term, stats.repl_followers, stats.repl_lag_frames, stats.repl_lag_ms,
-        );
-        let _ = write!(
-            out,
-            "\nreactor: {} wakeup(s), {} pipelined batch(es) covering {} request(s) \
-             (max depth {}), {} prepared exec(s), {} reply-cache hit(s)",
-            stats.reactor_wakeups,
-            stats.pipelined_batches,
-            stats.pipelined_requests,
-            stats.max_batch_depth,
-            stats.prepared_execs,
-            stats.reply_cache_hits,
-        );
-        Ok(out)
+        Ok(rows(stats.readings()))
     }
 
     /// `:promote` in client mode: ask the connected server to promote itself
@@ -924,30 +874,17 @@ impl Repl {
         Ok(parts.join(", "))
     }
 
-    /// `:stats`: cumulative session counters grouped under one heading per
-    /// subsystem; a subsystem the session never exercised shows `—` instead of
-    /// a wall of zeros.
+    /// `:stats`: the cumulative session counters, one row per subsystem (the
+    /// `Display` of [`EvalStats`](factorlog_datalog::eval::EvalStats): a
+    /// subsystem the session never exercised shows `—` instead of a wall of
+    /// zeros), then the state of the session itself.
     fn stats(&self) -> String {
-        let stats = self.engine.stats();
-        let mut out = String::new();
-        let _ = writeln!(out, "eval:");
-        let _ = writeln!(
+        let mut out = self.engine.stats().to_string();
+        let _ = write!(
             out,
-            "  iterations: {}, inferences: {}, facts derived: {}, duplicates: {}",
-            stats.iterations, stats.inferences, stats.facts_derived, stats.duplicates
-        );
-        let _ = writeln!(
-            out,
-            "  plan cache: {} hits, {} misses, {} evicted; prepared plans: {} cached of {} max",
-            stats.plan_cache_hits,
-            stats.plan_cache_misses,
-            stats.plan_cache_evictions,
+            "\nsession: prepared plans: {} cached of {} max; pending facts: {}; model: {}; tracing: {}",
             self.engine.prepared_count(),
             self.engine.prepared_capacity(),
-        );
-        let _ = writeln!(
-            out,
-            "  pending facts: {}; model: {}; tracing: {}",
             self.engine.pending_facts(),
             if self.engine.is_materialized() {
                 "materialized"
@@ -956,71 +893,22 @@ impl Repl {
             },
             if self.engine.tracing() { "on" } else { "off" },
         );
-        let _ = writeln!(out, "  limits: {}", Self::describe_limits(&self.engine));
-        if stats.cancel_checks + stats.limit_aborts + stats.worker_panics > 0 {
-            let _ = writeln!(
-                out,
-                "  governance: {} cancel check(s), {} limit abort(s), {} worker panic(s)",
-                stats.cancel_checks, stats.limit_aborts, stats.worker_panics
-            );
-        }
-        let mut preds: Vec<_> = stats.facts_per_predicate.iter().collect();
-        preds.sort_by_key(|(p, _)| p.as_str());
-        for (p, n) in preds {
-            let _ = writeln!(out, "  {p}: {n} facts");
-        }
-
-        let _ = writeln!(out, "joins:");
-        if stats.index_probes
-            + stats.full_scans
-            + stats.membership_checks
-            + stats.scratch_allocs
-            + stats.literal_reorders
-            > 0
-        {
-            let _ = writeln!(
-                out,
-                "  {} index probes, {} full scans, {} membership checks, {} scratch allocations",
-                stats.index_probes, stats.full_scans, stats.membership_checks, stats.scratch_allocs
-            );
-            let _ = writeln!(out, "  literal reorders: {}", stats.literal_reorders);
-        } else {
-            let _ = writeln!(out, "  —");
-        }
-
-        let _ = writeln!(out, "mutations:");
-        if stats.retractions + stats.rederivations + stats.delete_rounds > 0 {
-            let _ = writeln!(
-                out,
-                "  {} retraction(s), {} rederivation(s), {} delete round(s)",
-                stats.retractions, stats.rederivations, stats.delete_rounds
-            );
-        } else {
-            let _ = writeln!(out, "  —");
-        }
-        let _ = writeln!(
+        let _ = write!(out, "\nlimits: {}", Self::describe_limits(&self.engine));
+        let _ = write!(
             out,
-            "  transaction: {}",
+            "\ntransaction: {}",
             match &self.txn {
                 Some(ops) => format!("open ({} op(s) queued)", ops.len()),
                 None => "none".to_string(),
             }
         );
-
-        let _ = write!(out, "wal:");
         if let Some(dir) = self.engine.data_dir() {
             let _ = write!(
                 out,
-                "\n  dir {}, log {} byte(s)\n  {} append(s), {} replay(s), {} compaction(s), {} torn truncation(s)",
+                "\ndurable: dir {}, log {} byte(s)",
                 dir.display(),
                 self.engine.wal_len().unwrap_or(0),
-                stats.wal_appends,
-                stats.wal_replays,
-                stats.wal_compactions,
-                stats.wal_torn_truncations,
             );
-        } else {
-            let _ = write!(out, "\n  —");
         }
         out
     }
@@ -1063,41 +951,18 @@ impl Repl {
             out.push_str("\n  —");
         }
         for (name, span) in &profile.phases {
-            let _ = write!(
-                out,
-                "\n  {name:<20} count {:>8}  total {:>10}  max {:>10}",
-                span.count,
-                fmt_ns(span.total_ns),
-                fmt_ns(span.max_ns)
-            );
+            let _ = write!(out, "\n  {name:<20} {span}");
         }
         if let Some(metrics) = self.engine.metrics() {
             if !metrics.optimize_passes.is_empty() {
                 out.push_str("\noptimize passes:");
                 for (name, span) in &metrics.optimize_passes {
-                    let _ = write!(
-                        out,
-                        "\n  {name:<20} count {:>8}  total {:>10}  max {:>10}",
-                        span.count,
-                        fmt_ns(span.total_ns),
-                        fmt_ns(span.max_ns)
-                    );
+                    let _ = write!(out, "\n  {name:<20} {span}");
                 }
             }
-            for (label, h) in [
-                ("query latency", &metrics.query_latency),
-                ("wal fsync", &metrics.wal_fsync),
-            ] {
-                if h.count() > 0 {
-                    let _ = write!(
-                        out,
-                        "\n{label}: {} sample(s), p50 {}, p95 {}, p99 {}, max {}",
-                        h.count(),
-                        fmt_ns(h.p50_ns()),
-                        fmt_ns(h.p95_ns()),
-                        fmt_ns(h.p99_ns()),
-                        fmt_ns(h.max_ns())
-                    );
+            for (instrument, reading) in metrics.readings() {
+                if !reading.is_zero() {
+                    let _ = write!(out, "\n{}: {reading}", instrument.label);
                 }
             }
         }
@@ -1176,6 +1041,15 @@ mod tests {
         );
         let stats = output(&mut repl, ":stats");
         assert!(stats.contains("server: epoch 1"), "{stats}");
+        // Every declared field of the reply is shown, or its whole row is idle.
+        for instrument in crate::server::StatsReply::INSTRUMENTS {
+            let idle = format!("{}: —", instrument.group);
+            assert!(
+                stats.contains(instrument.label) || stats.contains(&idle),
+                "no `{}` in {stats}",
+                instrument.label
+            );
+        }
         assert!(
             output(&mut repl, ":compact").starts_with("error:"),
             "local-only commands are refused in client mode"
@@ -1239,7 +1113,7 @@ mod tests {
         assert!(refused.starts_with("error:"), "{refused}");
         assert!(refused.contains("read-only"), "{refused}");
         let stats = output(&mut follower, ":stats");
-        assert!(stats.contains("role: follower"), "{stats}");
+        assert!(stats.contains("replica: role follower"), "{stats}");
         assert!(
             output(&mut follower, ":promote").starts_with("error:"),
             "promotion is refused while the leader's lease is valid"
@@ -1294,7 +1168,7 @@ mod tests {
         assert_eq!(repl.engine().stats().plan_cache_hits, 1);
 
         let stats = output(&mut repl, ":stats");
-        assert!(stats.contains("plan cache: 1 hits, 1 misses, 0 evicted"));
+        assert!(stats.contains("plan cache: hits 1, misses 1, evicted 0"));
         assert!(stats.contains("prepared plans: 1 cached of 256 max"));
         // The compiled-join counters flow through the cumulative session stats.
         assert!(stats.contains("index probes"), "{stats}");
@@ -1337,9 +1211,11 @@ mod tests {
         output(&mut repl, ":prepare s(X)");
         let stats = output(&mut repl, ":stats");
         assert!(
-            stats.contains(
-                "plan cache: 0 hits, 2 misses, 1 evicted; prepared plans: 1 cached of 1 max"
-            ),
+            stats.contains("plan cache: hits 0, misses 2, evicted 1"),
+            "{stats}"
+        );
+        assert!(
+            stats.contains("prepared plans: 1 cached of 1 max"),
             "{stats}"
         );
     }
@@ -1353,9 +1229,9 @@ mod tests {
             assert!(stats.contains(heading), "missing {heading} in {stats}");
         }
         // ...and the unexercised ones show a dash, not a wall of zeros.
-        assert!(stats.contains("joins:\n  —"), "{stats}");
-        assert!(stats.contains("mutations:\n  —"), "{stats}");
-        assert!(stats.contains("wal:\n  —"), "{stats}");
+        assert!(stats.contains("joins: —"), "{stats}");
+        assert!(stats.contains("mutations: —"), "{stats}");
+        assert!(stats.contains("wal: —"), "{stats}");
 
         // Exercising a subsystem replaces its dash with counters.
         output(&mut repl, "t(X, Y) :- e(X, Y).");
@@ -1363,14 +1239,55 @@ mod tests {
         output(&mut repl, "?- t(1, Y).");
         output(&mut repl, ":retract e(1, 2).");
         let stats = output(&mut repl, ":stats");
-        assert!(!stats.contains("joins:\n  —"), "{stats}");
-        assert!(!stats.contains("mutations:\n  —"), "{stats}");
+        assert!(!stats.contains("joins: —"), "{stats}");
+        assert!(!stats.contains("mutations: —"), "{stats}");
         assert!(stats.contains("index probes"), "{stats}");
-        assert!(stats.contains("literal reorders:"), "{stats}");
-        assert!(
-            stats.contains("retraction(s), 0 rederivation(s)"),
-            "{stats}"
-        );
+        assert!(stats.contains("literal reorders"), "{stats}");
+        assert!(stats.contains("retractions 2, rederivations 0"), "{stats}");
+    }
+
+    #[test]
+    fn stats_show_every_declared_counter() {
+        let mut counters = factorlog_datalog::eval::EvalStats::default();
+        for (i, (_, counter)) in counters.counters_mut().enumerate() {
+            *counter = 13 * i + 5;
+        }
+        let mut repl = Repl::new();
+        repl.engine_mut().absorb_stats(&counters);
+        let stats = output(&mut repl, ":stats");
+        for (instrument, reading) in counters.readings() {
+            let cell = format!("{} {reading}", instrument.label);
+            assert!(
+                stats.lines().any(|row| {
+                    row.starts_with(&format!("{}: ", instrument.group)) && row.contains(&cell)
+                }),
+                "no `{cell}` in a `{}` row of:\n{stats}",
+                instrument.group
+            );
+        }
+    }
+
+    #[test]
+    fn profile_shows_every_declared_engine_instrument() {
+        let dir =
+            std::env::temp_dir().join(format!("factorlog_repl_profile_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut repl = Repl::new();
+        output(&mut repl, &format!(":open {}", dir.display()));
+        output(&mut repl, ":profile on");
+        output(&mut repl, "t(X, Y) :- e(X, Y).");
+        output(&mut repl, ":insert e(1, 2).");
+        output(&mut repl, ":prepare t(1, Y)");
+        output(&mut repl, "?- t(1, Y).");
+        output(&mut repl, ":compact");
+        let shown = output(&mut repl, ":profile show");
+        let metrics = repl.engine().metrics().expect("tracing is on");
+        for (instrument, reading) in metrics.readings() {
+            assert!(!reading.is_zero(), "{} never recorded", instrument.name);
+            let line = format!("{}: {reading}", instrument.label);
+            assert!(shown.contains(&line), "no `{line}` in:\n{shown}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1466,7 +1383,7 @@ mod tests {
         assert!(message.starts_with("error:"), "{message}");
         assert!(message.contains("derived-fact limit"), "{message}");
         let stats = output(&mut repl, ":stats");
-        assert!(stats.contains("limit abort(s)"), "{stats}");
+        assert!(stats.contains("limit aborts 1"), "{stats}");
         // The session survives the abort: drop the divergent seed and query again.
         assert!(output(&mut repl, ":retract seed(0).").contains("retracted"));
         output(&mut repl, ":limit off");
@@ -1544,8 +1461,7 @@ mod tests {
         );
         assert!(output(&mut repl, ":retract e(X, 2).").starts_with("error:"));
         let stats = output(&mut repl, ":stats");
-        assert!(stats.contains("mutations:"), "{stats}");
-        assert!(stats.contains("retraction(s)"), "{stats}");
+        assert!(stats.contains("mutations: retractions"), "{stats}");
     }
 
     #[test]
@@ -1684,8 +1600,8 @@ mod tests {
         output(&mut repl, ":retract e(1, 2).");
         assert!(output(&mut repl, ":commit").contains("1 asserted, 1 retracted"));
         let stats = output(&mut repl, ":stats");
-        assert!(stats.contains("wal:\n  dir"), "{stats}");
-        assert!(stats.contains("3 append(s)"), "{stats}");
+        assert!(stats.contains("durable: dir"), "{stats}");
+        assert!(stats.contains("wal: appends 3"), "{stats}");
         let compacted = output(&mut repl, ":compact");
         assert!(compacted.contains("compacted: log"), "{compacted}");
 

@@ -52,6 +52,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use factorlog_datalog::ast::Const;
+use factorlog_datalog::eval::Reading;
 
 use crate::durability::{parse_wal_seq, SNAPSHOT_FILE, WAL_FILE};
 use crate::engine::{Engine, EngineError};
@@ -120,6 +121,20 @@ impl ReplicaRole {
 impl std::fmt::Display for ReplicaRole {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+impl std::str::FromStr for ReplicaRole {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<ReplicaRole, ()> {
+        ReplicaRole::parse(s).ok_or(())
+    }
+}
+
+impl From<&ReplicaRole> for Reading<'_> {
+    fn from(role: &ReplicaRole) -> Self {
+        Reading::Name(role.as_str())
     }
 }
 
@@ -335,12 +350,10 @@ impl Client {
         self.send_line("PROMOTE")?;
         let line = self.read_reply_line()?;
         let fields = Client::expect_ok(&line)?;
-        let role = fields
-            .split_whitespace()
-            .find_map(|f| f.strip_prefix("role="))
-            .and_then(ReplicaRole::parse)
-            .ok_or_else(|| ClientError::Protocol(format!("missing `role=` in `{fields}`")))?;
-        Ok((role, Client::parse_field(fields, "term")?))
+        Ok((
+            Client::parse_field(fields, "role")?,
+            Client::parse_field(fields, "term")?,
+        ))
     }
 }
 
@@ -357,26 +370,28 @@ pub struct SyncReport {
     pub fenced_leader: bool,
 }
 
-/// A point-in-time view of a replica's replication state, surfaced in the
-/// REPL's `:stats` and the metrics JSON document.
-#[derive(Clone, Debug)]
-pub struct ReplicaStatus {
-    /// Current role.
-    pub role: ReplicaRole,
-    /// Current term.
-    pub term: u64,
-    /// Last log sequence number applied locally.
-    pub applied_seq: u64,
-    /// The leader's position as of the last successful poll.
-    pub leader_seq: u64,
-    /// `leader_seq - applied_seq` (frames still to ship).
-    pub lag_frames: u64,
-    /// Frames applied over this replica's lifetime.
-    pub frames_applied: u64,
-    /// Snapshot bootstraps over this replica's lifetime.
-    pub bootstraps: u64,
-    /// The leader address this replica follows.
-    pub leader: String,
+factorlog_datalog::instruments! {
+    /// A point-in-time view of a replica's replication state, surfaced in the
+    /// REPL's `:stats` and as the metrics document's `replication` object.
+    #[derive(Clone, Debug)]
+    pub struct ReplicaStatus {
+        /// Current role.
+        role: ReplicaRole, "replica", "role";
+        /// Current term.
+        term: u64, "replica", "term";
+        /// The leader address this replica follows.
+        leader: String, "replica", "leader";
+        /// Last log sequence number applied locally.
+        applied_seq: u64, "replica", "applied seq";
+        /// The leader's position as of the last successful poll.
+        leader_seq: u64, "replica", "leader seq";
+        /// `leader_seq - applied_seq` (frames still to ship).
+        lag_frames: u64, "replica", "lag frames";
+        /// Frames applied over this replica's lifetime.
+        frames_applied: u64, "replica", "frames applied";
+        /// Snapshot bootstraps over this replica's lifetime.
+        bootstraps: u64, "replica", "bootstraps";
+    }
 }
 
 /// An embeddable follower: a durable [`Engine`] plus the subscription loop

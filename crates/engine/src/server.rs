@@ -31,10 +31,9 @@
 //! QUERY t(0, Y)        →  ROW 1 ⏎ ROW 2 ⏎ OK rows=2 epoch=7
 //! TXN +e(1, 2); -e(0, 1)  →  OK asserted=1 retracted=1 epoch=8
 //! EPOCH                →  OK epoch=8
-//! STATS                →  OK epoch=8 in_flight=1 shed=0 group_commits=3 group_txns=7
-//!                            txns_per_fsync=2.33 role=leader term=0 repl_followers=0
-//!                            repl_lag_frames=0 repl_lag_ms=0 … group_wait_us=9 pace_wait_us=0
-//!                         (one line on the wire)
+//! STATS                →  OK epoch=8 in_flight=1 shed=0 … (one line: a `name=value`
+//!                            pair per field of [`StatsReply`], in declaration order;
+//!                            a client skips the names it does not know)
 //! PING                 →  OK pong
 //! REPL SUBSCRIBE 12 term=0 id=7  →  FRAME <hex>* (or SNAP <hex>) ⏎
 //!                                   OK frames=2 last_seq=13 term=0
@@ -76,6 +75,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier, Mutex, RwLock};
@@ -83,7 +83,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use factorlog_datalog::ast::{Const, Query, Term};
-use factorlog_datalog::eval::{EvalError, LimitReason};
+use factorlog_datalog::eval::{wire_value, EvalError, LimitReason};
 use factorlog_datalog::fault::CancelToken;
 use factorlog_datalog::parser::parse_query;
 use factorlog_datalog::storage::Database;
@@ -295,45 +295,67 @@ struct WriteReq {
     reply: TxnTicket,
 }
 
-/// Reactor-side counters surfaced by `STATS` and the metrics v4 `server`
-/// object. All incremented from the reactor thread with relaxed ordering.
-#[derive(Default)]
-struct ServerCounters {
-    reactor_wakeups: AtomicU64,
-    pipelined_batches: AtomicU64,
-    pipelined_requests: AtomicU64,
-    max_batch_depth: AtomicU64,
-    prepared_execs: AtomicU64,
-    reply_cache_hits: AtomicU64,
-    /// Nanoseconds spent answering `QUERY` and `EXEC` requests: the read load the
-    /// writer paces its publishes by (see [`PUBLISH_SHARE`]).
-    read_busy_ns: AtomicU64,
-}
-
-/// A point-in-time snapshot of the reactor's counters (see
-/// [`ServerHandle::server_metrics`] and the metrics v4 `server` object).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServerMetrics {
-    /// Times the reactor's `poll` returned (readiness events + wakes +
-    /// safety-net timeouts).
-    pub reactor_wakeups: u64,
-    /// Readiness batches that served at least one request.
-    pub pipelined_batches: u64,
-    /// Requests served across those batches (`pipelined_requests /
-    /// pipelined_batches` is the mean pipeline depth).
-    pub pipelined_requests: u64,
-    /// Most requests one readiness batch drained from a single connection's
-    /// buffer before re-arming.
-    pub max_batch_depth: u64,
-    /// `EXEC` requests answered from a prepared statement (no query re-parse).
-    pub prepared_execs: u64,
-    /// Replies served byte-for-byte from the epoch-keyed rendered-reply cache.
-    pub reply_cache_hits: u64,
-    /// Microseconds the writer waited for submitters that were in flight one group
-    /// ago to join the next (publish pacing excluded).
-    pub group_wait_us: u64,
-    /// Microseconds the writer held groups back for publish pacing.
-    pub pace_wait_us: u64,
+factorlog_datalog::instruments! {
+    /// A point-in-time snapshot of the reactor's and the writer's counters (see
+    /// [`ServerHandle::server_metrics`]; the metrics document's `server` object).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ServerMetrics: u64 {
+        /// Times the reactor's `poll` returned (readiness events + wakes +
+        /// safety-net timeouts).
+        reactor_wakeups = Sum, "reactor", "wakeups";
+        /// Readiness batches that served at least one request.
+        pipelined_batches = Sum, "reactor", "pipelined batches";
+        /// Requests served across those batches (`pipelined_requests /
+        /// pipelined_batches` is the mean pipeline depth).
+        pipelined_requests = Sum, "reactor", "pipelined requests";
+        /// Most requests one readiness batch drained from a single connection's
+        /// buffer before re-arming.
+        max_batch_depth = Max, "reactor", "max batch depth";
+        /// `EXEC` requests answered from a prepared statement (no query re-parse).
+        prepared_execs = Sum, "reactor", "prepared execs";
+        /// Replies served byte-for-byte from the epoch-keyed rendered-reply cache.
+        reply_cache_hits = Sum, "reactor", "reply-cache hits";
+        /// Microseconds the writer waited for submitters that were in flight one group
+        /// ago to join the next (publish pacing excluded; see [`group_wait`]).
+        group_wait_us = Sum, "writer", "waited for joiners us";
+        /// Microseconds the writer held groups back for publish pacing.
+        pace_wait_us = Sum, "writer", "waited for pacing us";
+    }
+    /// The live counters behind [`ServerMetrics`], incremented with relaxed
+    /// ordering by the thread that owns each (the reactor; the writer its waits).
+    live struct ServerCounters: AtomicU64 {
+        /// Nanoseconds spent answering `QUERY` and `EXEC` requests: the read load the
+        /// writer paces its publishes by (see [`PUBLISH_SHARE`]).
+        read_busy_ns: AtomicU64,
+    }
+    /// A `STATS` response: what the server renders and [`Client::stats`] parses.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub wire struct StatsReply {
+        /// Current published epoch.
+        epoch: u64, "server", "epoch";
+        /// Requests in service right now.
+        in_flight: usize, "server", "in flight";
+        /// Requests shed by admission control so far.
+        shed: u64, "server", "shed";
+        /// Group commits the engine performed (each one fsync).
+        group_commits: u64, "server", "group commits";
+        /// Transactions committed through those groups.
+        group_txns: u64, "server", "group txns";
+        /// Measured batching ratio ([`EvalStats::txns_per_fsync`]).
+        txns_per_fsync: f64, "server", "txns/fsync";
+        /// The server's replication role.
+        role: ReplicaRole, "replication", "role";
+        /// The server's replication term.
+        term: u64, "replication", "term";
+        /// Leader only: followers seen polling within the prune horizon.
+        repl_followers: u64, "replication", "followers";
+        /// Replication lag in frames: a follower's distance behind its leader, or
+        /// a leader's worst-follower distance.
+        repl_lag_frames: u64, "replication", "lag frames";
+        /// Replication lag in wall-clock ms: time since the follower's last
+        /// successful leader contact, or since the leader's stalest follower poll.
+        repl_lag_ms: u64, "replication", "lag ms";
+    }
 }
 
 /// One follower's drain position, as observed from its `REPL SUBSCRIBE` polls
@@ -377,11 +399,11 @@ struct Shared {
     epoch: AtomicU64,
     in_flight: AtomicUsize,
     shed: AtomicU64,
+    /// The engine's `wal_group_commits`, `wal_group_txns` and `txns_per_fsync()` (an
+    /// `f64`'s bits), mirrored by the writer after each group.
     group_commits: AtomicU64,
     group_txns: AtomicU64,
-    /// Microseconds the writer waited for joiners, and for pacing ([`group_wait`]).
-    group_wait_us: AtomicU64,
-    pace_wait_us: AtomicU64,
+    txns_per_fsync: AtomicU64,
     stopping: AtomicBool,
     cancel: CancelToken,
     options: ServerOptions,
@@ -422,20 +444,6 @@ impl Shared {
     fn release_slot(&self) {
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
-
-    fn server_metrics(&self) -> ServerMetrics {
-        let c = &self.counters;
-        ServerMetrics {
-            reactor_wakeups: c.reactor_wakeups.load(Ordering::Relaxed),
-            pipelined_batches: c.pipelined_batches.load(Ordering::Relaxed),
-            pipelined_requests: c.pipelined_requests.load(Ordering::Relaxed),
-            max_batch_depth: c.max_batch_depth.load(Ordering::Relaxed),
-            prepared_execs: c.prepared_execs.load(Ordering::Relaxed),
-            reply_cache_hits: c.reply_cache_hits.load(Ordering::Relaxed),
-            group_wait_us: self.group_wait_us.load(Ordering::Relaxed),
-            pace_wait_us: self.pace_wait_us.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// What [`ServerHandle::shutdown`] did, with the engine handed back.
@@ -450,7 +458,7 @@ pub struct ShutdownReport {
     /// Did the drain finish inside `drain_timeout` (`false` = stragglers were
     /// cancelled via the engine's [`CancelToken`])?
     pub drained_cleanly: bool,
-    /// Final reactor counters (wakeups, pipeline depth, prepared execs).
+    /// The reactor's and the writer's counters at shutdown.
     pub server_metrics: ServerMetrics,
 }
 
@@ -493,10 +501,9 @@ impl ServerHandle {
         self.shared.repl.term.load(Ordering::Acquire)
     }
 
-    /// A snapshot of the reactor's counters (wakeups, pipelined batch depth,
-    /// prepared-exec hits, reply-cache hits) — live, any time.
+    /// A snapshot of the reactor's and the writer's counters — live, any time.
     pub fn server_metrics(&self) -> ServerMetrics {
-        self.shared.server_metrics()
+        self.shared.counters.snapshot()
     }
 
     /// Gracefully shut down: stop admitting (new requests get `ERR shutdown`),
@@ -534,7 +541,7 @@ impl ServerHandle {
             epoch: self.shared.epoch.load(Ordering::Acquire),
             shed: self.shared.shed.load(Ordering::Relaxed),
             drained_cleanly,
-            server_metrics: self.shared.server_metrics(),
+            server_metrics: self.shared.counters.snapshot(),
         }
     }
 }
@@ -661,8 +668,7 @@ pub(crate) fn serve_inner(
         shed: AtomicU64::new(0),
         group_commits: AtomicU64::new(engine.stats().wal_group_commits as u64),
         group_txns: AtomicU64::new(engine.stats().wal_group_txns as u64),
-        group_wait_us: AtomicU64::new(0),
-        pace_wait_us: AtomicU64::new(0),
+        txns_per_fsync: AtomicU64::new(engine.stats().txns_per_fsync().to_bits()),
         stopping: AtomicBool::new(false),
         cancel,
         options: options.clone(),
@@ -828,12 +834,13 @@ fn writer_core(
         not_before =
             now.0 + publish_linger(now.0 - started, now.1 - published.1, now.0 - published.0);
         published = now;
-        let stats = engine.stats();
+        let (stats, waits) = (engine.stats(), &shared.counters);
         for (counter, value) in [
             (&shared.group_commits, stats.wal_group_commits as u64),
             (&shared.group_txns, stats.wal_group_txns as u64),
-            (&shared.group_wait_us, group_waited.as_micros() as u64),
-            (&shared.pace_wait_us, pace_waited.as_micros() as u64),
+            (&shared.txns_per_fsync, stats.txns_per_fsync().to_bits()),
+            (&waits.group_wait_us, group_waited.as_micros() as u64),
+            (&waits.pace_wait_us, pace_waited.as_micros() as u64),
         ] {
             counter.store(value, Ordering::Relaxed);
         }
@@ -1682,13 +1689,6 @@ fn ms_since_leader_contact(repl: &ReplState) -> u64 {
 /// worst-follower lag from recent subscription polls).
 fn handle_stats(shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
     let repl = &shared.repl;
-    let group_commits = shared.group_commits.load(Ordering::Relaxed);
-    let group_txns = shared.group_txns.load(Ordering::Relaxed);
-    let txns_per_fsync = if group_commits > 0 {
-        group_txns as f64 / group_commits as f64
-    } else {
-        0.0
-    };
     let role = ReplicaRole::from_u8(repl.role.load(Ordering::Acquire));
     let last_seq = repl.last_seq.load(Ordering::Acquire);
     let (followers, lag_frames, lag_ms) = if repl.leader_addr.is_some() {
@@ -1715,27 +1715,21 @@ fn handle_stats(shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
             .unwrap_or(0);
         (followers.len() as u64, lag_frames, lag_ms)
     };
-    let m = shared.server_metrics();
-    writeln!(
-        out,
-        "OK epoch={} in_flight={} shed={} group_commits={group_commits} \
-         group_txns={group_txns} txns_per_fsync={txns_per_fsync:.2} role={role} term={} \
-         repl_followers={followers} repl_lag_frames={lag_frames} repl_lag_ms={lag_ms} \
-         reactor_wakeups={} pipelined_batches={} pipelined_requests={} max_batch_depth={} \
-         prepared_execs={} reply_cache_hits={} group_wait_us={} pace_wait_us={}",
-        shared.epoch.load(Ordering::Acquire),
-        shared.in_flight.load(Ordering::Acquire),
-        shared.shed.load(Ordering::Relaxed),
-        repl.term.load(Ordering::Acquire),
-        m.reactor_wakeups,
-        m.pipelined_batches,
-        m.pipelined_requests,
-        m.max_batch_depth,
-        m.prepared_execs,
-        m.reply_cache_hits,
-        m.group_wait_us,
-        m.pace_wait_us,
-    )?;
+    let reply = StatsReply {
+        epoch: shared.epoch.load(Ordering::Acquire),
+        in_flight: shared.in_flight.load(Ordering::Acquire),
+        shed: shared.shed.load(Ordering::Relaxed),
+        group_commits: shared.group_commits.load(Ordering::Relaxed),
+        group_txns: shared.group_txns.load(Ordering::Relaxed),
+        txns_per_fsync: f64::from_bits(shared.txns_per_fsync.load(Ordering::Relaxed)),
+        role,
+        term: repl.term.load(Ordering::Acquire),
+        repl_followers: followers,
+        repl_lag_frames: lag_frames,
+        repl_lag_ms: lag_ms,
+        ..StatsReply::from(shared.counters.snapshot())
+    };
+    writeln!(out, "OK {}", reply.to_wire())?;
     out.flush()
 }
 
@@ -2245,53 +2239,6 @@ pub struct TxnReply {
     pub epoch: u64,
 }
 
-/// A parsed `STATS` response.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StatsReply {
-    /// Current published epoch.
-    pub epoch: u64,
-    /// Requests in service right now.
-    pub in_flight: usize,
-    /// Requests shed by admission control so far.
-    pub shed: u64,
-    /// Group commits the engine performed (each one fsync).
-    pub group_commits: u64,
-    /// Transactions committed through those groups.
-    pub group_txns: u64,
-    /// Measured batching ratio: `group_txns / group_commits` (0 before the
-    /// first commit).
-    pub txns_per_fsync: f64,
-    /// The server's replication role.
-    pub role: ReplicaRole,
-    /// The server's replication term.
-    pub term: u64,
-    /// Leader only: followers seen polling within the prune horizon.
-    pub repl_followers: u64,
-    /// Replication lag in frames: a follower's distance behind its leader, or
-    /// a leader's worst-follower distance.
-    pub repl_lag_frames: u64,
-    /// Replication lag in wall-clock ms: time since the follower's last
-    /// successful leader contact, or since the leader's stalest follower poll.
-    pub repl_lag_ms: u64,
-    /// Times the reactor's poll loop woke (readiness, wake pipe, or timeout).
-    pub reactor_wakeups: u64,
-    /// Read-drain rounds that served at least one request.
-    pub pipelined_batches: u64,
-    /// Requests served across those rounds (`/ pipelined_batches` = mean
-    /// pipelining depth).
-    pub pipelined_requests: u64,
-    /// Deepest single pipelined batch seen.
-    pub max_batch_depth: u64,
-    /// `EXEC` requests served from prepared statements.
-    pub prepared_execs: u64,
-    /// Reads answered from the epoch-keyed rendered-reply cache.
-    pub reply_cache_hits: u64,
-    /// Microseconds the writer waited for joiners (see [`ServerMetrics`]).
-    pub group_wait_us: u64,
-    /// Microseconds the writer held groups back for publish pacing.
-    pub pace_wait_us: u64,
-}
-
 /// A server-side prepared statement handle, scoped to the [`Client`]
 /// connection that created it.
 #[derive(Clone, Copy, Debug)]
@@ -2394,18 +2341,12 @@ impl Client {
         )))
     }
 
-    pub(crate) fn parse_field(fields: &str, key: &str) -> Result<u64, ClientError> {
-        fields
-            .split_whitespace()
-            .find_map(|f| f.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-            .ok_or_else(|| ClientError::Protocol(format!("missing `{key}=` in `{fields}`")))
+    pub(crate) fn parse_field<T: FromStr>(fields: &str, key: &str) -> Result<T, ClientError> {
+        wire_value(fields, key).map_err(|key| Self::missing(fields, key))
     }
 
-    fn parse_field_f64(fields: &str, key: &str) -> Result<f64, ClientError> {
-        fields
-            .split_whitespace()
-            .find_map(|f| f.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-            .ok_or_else(|| ClientError::Protocol(format!("missing `{key}=` in `{fields}`")))
+    fn missing(fields: &str, key: &str) -> ClientError {
+        ClientError::Protocol(format!("missing `{key}=` in `{fields}`"))
     }
 
     /// Run one query; rows come back rendered exactly as the server printed
@@ -2451,7 +2392,7 @@ impl Client {
         let fields = Self::expect_ok(&line)?;
         Ok(Prepared {
             id: Self::parse_field(fields, "id")?,
-            params: Self::parse_field(fields, "params")? as usize,
+            params: Self::parse_field(fields, "params")?,
         })
     }
 
@@ -2479,8 +2420,8 @@ impl Client {
         let line = self.read_reply_line()?;
         let fields = Self::expect_ok(&line)?;
         Ok(TxnReply {
-            asserted: Self::parse_field(fields, "asserted")? as usize,
-            retracted: Self::parse_field(fields, "retracted")? as usize,
+            asserted: Self::parse_field(fields, "asserted")?,
+            retracted: Self::parse_field(fields, "retracted")?,
             epoch: Self::parse_field(fields, "epoch")?,
         })
     }
@@ -2533,32 +2474,7 @@ impl Client {
         self.send_line("STATS")?;
         let line = self.read_reply_line()?;
         let fields = Self::expect_ok(&line)?;
-        let role = fields
-            .split_whitespace()
-            .find_map(|f| f.strip_prefix("role="))
-            .and_then(ReplicaRole::parse)
-            .unwrap_or_default();
-        Ok(StatsReply {
-            epoch: Self::parse_field(fields, "epoch")?,
-            in_flight: Self::parse_field(fields, "in_flight")? as usize,
-            shed: Self::parse_field(fields, "shed")?,
-            group_commits: Self::parse_field(fields, "group_commits")?,
-            group_txns: Self::parse_field(fields, "group_txns")?,
-            txns_per_fsync: Self::parse_field_f64(fields, "txns_per_fsync")?,
-            role,
-            term: Self::parse_field(fields, "term")?,
-            repl_followers: Self::parse_field(fields, "repl_followers")?,
-            repl_lag_frames: Self::parse_field(fields, "repl_lag_frames")?,
-            repl_lag_ms: Self::parse_field(fields, "repl_lag_ms")?,
-            reactor_wakeups: Self::parse_field(fields, "reactor_wakeups")?,
-            pipelined_batches: Self::parse_field(fields, "pipelined_batches")?,
-            pipelined_requests: Self::parse_field(fields, "pipelined_requests")?,
-            max_batch_depth: Self::parse_field(fields, "max_batch_depth")?,
-            prepared_execs: Self::parse_field(fields, "prepared_execs")?,
-            reply_cache_hits: Self::parse_field(fields, "reply_cache_hits")?,
-            group_wait_us: Self::parse_field(fields, "group_wait_us")?,
-            pace_wait_us: Self::parse_field(fields, "pace_wait_us")?,
-        })
+        StatsReply::from_wire(fields).map_err(|key| Self::missing(fields, key))
     }
 
     /// Liveness probe.

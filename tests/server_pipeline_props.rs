@@ -9,13 +9,16 @@
 //! this PR's first commit fixed in the old polling loop), and reordering or
 //! dropping replies when several complete requests are drained from one read.
 //!
-//! Also here: the reactor's scalability contract — hundreds of idle
-//! connections cost pollfd entries, not threads.
+//! Also here: the `STATS` reply's wire contract (every declared field round-trips,
+//! unknown pairs are skipped, a missing one is an error that names it), and the
+//! reactor's scalability contract — hundreds of idle connections cost pollfd
+//! entries, not threads.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
+use factorlog::datalog::eval::Reading;
 use factorlog::prelude::*;
 use proptest::prelude::*;
 
@@ -273,6 +276,97 @@ fn oversized_single_line_still_closes_the_connection() {
     let n = reader.read_line(&mut rest).unwrap_or(0);
     assert_eq!(n, 0, "connection must be closed after the violation");
     handle.shutdown();
+}
+
+/// What `Client::stats` makes of `reply`, served by a one-shot fake server.
+fn stats_from(reply: &str) -> Result<StatsReply, ClientError> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let reply = reply.to_string();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut request = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut request)
+            .unwrap();
+        assert_eq!(request.trim_end(), "STATS");
+        writeln!(stream, "{reply}").unwrap();
+    });
+    let stats = Client::connect(addr).unwrap().stats();
+    server.join().unwrap();
+    stats
+}
+
+#[test]
+fn client_stats_reads_the_previous_format_and_never_invents_a_role() {
+    // The line PR 20's server sent, key for key.
+    let line = "OK epoch=8 in_flight=1 shed=0 group_commits=3 group_txns=7 \
+                txns_per_fsync=2.33 role=follower term=4 repl_followers=0 repl_lag_frames=2 \
+                repl_lag_ms=15 reactor_wakeups=90 pipelined_batches=40 pipelined_requests=70 \
+                max_batch_depth=5 prepared_execs=6 reply_cache_hits=11 group_wait_us=9 \
+                pace_wait_us=1";
+    let stats = stats_from(line).expect("the previous format parses");
+    assert_eq!(stats.role, ReplicaRole::Follower);
+    assert_eq!((stats.epoch, stats.in_flight, stats.term), (8, 1, 4));
+    assert_eq!(stats.txns_per_fsync, 2.33);
+    assert_eq!((stats.reactor_wakeups, stats.pace_wait_us), (90, 1));
+    assert_eq!(format!("OK {}", stats.to_wire()), line);
+
+    // A follower's reply without a readable role must not read as a leader's.
+    for broken in [
+        line.replace("role=follower ", ""),
+        line.replace("role=follower", "role=primary"),
+    ] {
+        match stats_from(&broken) {
+            Err(ClientError::Protocol(message)) => {
+                assert!(message.contains("`role=`"), "{message}")
+            }
+            other => panic!("expected a protocol error naming `role=`, got {other:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn stats_reply_round_trips_on_the_wire(
+        values in proptest::collection::vec(
+            0u64..1 << 40,
+            StatsReply::INSTRUMENTS.len()..StatsReply::INSTRUMENTS.len() + 1,
+        ),
+        role in 0usize..3,
+        cut in 0usize..StatsReply::INSTRUMENTS.len(),
+    ) {
+        // One pair per declared instrument, in the shape its reading has.
+        let role = [ReplicaRole::Leader, ReplicaRole::Follower, ReplicaRole::Fenced][role];
+        let shapes = StatsReply::default();
+        let pairs: Vec<String> = shapes
+            .readings()
+            .zip(&values)
+            .map(|((instrument, shape), value)| match shape {
+                Reading::Ratio(_) => format!("{}={:.2}", instrument.name, *value as f64 / 100.0),
+                Reading::Name(_) => format!("{}={role}", instrument.name),
+                _ => format!("{}={value}", instrument.name),
+            })
+            .collect();
+        let line = pairs.join(" ");
+        let reply = StatsReply::from_wire(&line).expect("every declared key is present");
+        prop_assert_eq!(reply.to_wire(), line);
+        prop_assert_eq!(StatsReply::from_wire(&reply.to_wire()), Ok(reply));
+
+        // A newer server's extra pair is skipped...
+        let mut newer = pairs.clone();
+        newer.insert(cut, "from_a_newer_server=7".to_string());
+        prop_assert_eq!(StatsReply::from_wire(&newer.join(" ")), Ok(reply));
+        // ...and a missing declared key is an error that names it.
+        let mut short = pairs;
+        short.remove(cut);
+        prop_assert_eq!(
+            StatsReply::from_wire(&short.join(" ")),
+            Err(StatsReply::INSTRUMENTS[cut].name)
+        );
+    }
 }
 
 /// The reactor's scalability contract: hundreds of connections are pollfd
