@@ -201,7 +201,7 @@ mod tests {
     use crate::adorn::adorn;
     use crate::magic::magic;
     use factorlog_datalog::ast::Const;
-    use factorlog_datalog::eval::evaluate_default;
+    use factorlog_datalog::eval::{evaluate_default, naive_evaluate};
     use factorlog_datalog::parser::{parse_program, parse_query};
     use factorlog_datalog::storage::Database;
 
@@ -253,7 +253,7 @@ mod tests {
         for (a, b) in [(5, 6), (6, 7), (7, 8), (8, 6), (1, 2), (2, 3)] {
             edb.add_fact("e", &[Const::Int(a), Const::Int(b)]);
         }
-        let original = evaluate_default(&program, &edb).unwrap();
+        let original = naive_evaluate(&program, &edb).unwrap();
         let factored = evaluate_default(&f.program, &edb).unwrap();
         let expected: Vec<Vec<Const>> = original.answers(&query);
         let got: Vec<Vec<Const>> = factored.answers(&f.query);
@@ -307,7 +307,7 @@ mod tests {
         edb.add_fact("q2", &[Const::Int(7), Const::Int(8)]);
 
         let query = parse_query("t(X, Y, Z)").unwrap();
-        let original = evaluate_default(&program, &edb).unwrap();
+        let original = naive_evaluate(&program, &edb).unwrap();
         let recombined = evaluate_default(&factored, &edb).unwrap();
         let orig_answers = original.answers(&query);
         let fact_answers = recombined.answers(&query);

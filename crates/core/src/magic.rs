@@ -150,7 +150,7 @@ mod tests {
     use super::*;
     use crate::adorn::adorn;
     use factorlog_datalog::ast::Const;
-    use factorlog_datalog::eval::evaluate_default;
+    use factorlog_datalog::eval::{evaluate_default, naive_evaluate};
     use factorlog_datalog::parser::{parse_program, parse_query};
     use factorlog_datalog::storage::Database;
 
@@ -204,7 +204,7 @@ mod tests {
         for (a, b) in [(5, 6), (6, 7), (7, 8), (1, 2), (2, 3), (8, 5)] {
             edb.add_fact("e", &[Const::Int(a), Const::Int(b)]);
         }
-        let original = evaluate_default(&program, &edb).unwrap();
+        let original = naive_evaluate(&program, &edb).unwrap();
         let transformed = evaluate_default(&magic.program, &edb).unwrap();
         assert_eq!(
             original.answers(&query),
@@ -228,7 +228,7 @@ mod tests {
             edb.add_fact("e", &[Const::Int(i), Const::Int(i + 1)]);
             edb.add_fact("e", &[Const::Int(1000 + i), Const::Int(1001 + i)]);
         }
-        let original = evaluate_default(&program, &edb).unwrap();
+        let original = naive_evaluate(&program, &edb).unwrap();
         let transformed = evaluate_default(&magicp.program, &edb).unwrap();
         assert_eq!(
             original.answers(&query),
@@ -236,7 +236,7 @@ mod tests {
         );
         // The original computes the closure of both chains (t has ~2 * 50*51/2 facts);
         // the magic program only computes tuples with first component reachable from 0.
-        let t_all = original.database.count("t");
+        let t_all = original.answers(&parse_query("t(X, Y)").unwrap()).len();
         let t_magic = transformed.database.count("t_bf");
         assert!(
             t_magic * 2 <= t_all,
@@ -287,7 +287,7 @@ mod tests {
         for (a, b) in [(12, 2), (13, 3), (22, 2)] {
             edb.add_fact("down", &[Const::Int(a), Const::Int(b)]);
         }
-        let original = evaluate_default(&program, &edb).unwrap();
+        let original = naive_evaluate(&program, &edb).unwrap();
         let transformed = evaluate_default(&magicp.program, &edb).unwrap();
         assert_eq!(
             original.answers(&query),

@@ -19,12 +19,13 @@
 //!    part);
 //! 6. delete rules that are redundant under uniform equivalence [Sagiv 1988]: a rule
 //!    is redundant iff its frozen head is derivable from the remaining program plus its
-//!    frozen body, which we decide with the engine's naive evaluator.
+//!    frozen body, which we decide with the reference evaluator
+//!    ([`naive_evaluate`]: pure Datalog, `succ` an ordinary predicate).
 
 use std::collections::BTreeSet;
 
 use factorlog_datalog::ast::{Atom, Const, Program, Query, Rule, Substitution, Term};
-use factorlog_datalog::eval::{naive_evaluate, EvalOptions};
+use factorlog_datalog::eval::naive_evaluate;
 use factorlog_datalog::graph::DependencyGraph;
 use factorlog_datalog::storage::Database;
 use factorlog_datalog::symbol::Symbol;
@@ -295,21 +296,9 @@ fn freeze(rule: &Rule) -> (Atom, Vec<Atom>) {
 /// checking that the frozen head is derived.
 pub fn is_uniformly_redundant(program: &Program, rule: &Rule) -> bool {
     let (frozen_head, frozen_body) = freeze(rule);
-    let mut edb = Database::new();
-    for atom in &frozen_body {
-        edb.add_atom(atom);
-    }
-    // Make sure the head predicate's relation exists even if nothing derives it.
-    edb.ensure_relation(frozen_head.predicate, frozen_head.arity());
-    let options = EvalOptions {
-        max_iterations: 10_000,
-        enable_builtins: false,
-        ..EvalOptions::default()
-    };
-    match naive_evaluate(program, &edb, &options) {
-        Ok(result) => result.database.contains_atom(&frozen_head),
-        Err(_) => false,
-    }
+    let edb = Database::from_facts(frozen_body);
+    naive_evaluate(program, &edb)
+        .is_ok_and(|model| !model.answers(&Query::new(frozen_head)).is_empty())
 }
 
 /// Pass 6: delete rules redundant under uniform equivalence, scanning in program order.
@@ -399,7 +388,7 @@ mod tests {
         for (a, b) in [(5, 6), (6, 7), (7, 5), (3, 4)] {
             edb.add_fact("e", &[Const::Int(a), Const::Int(b)]);
         }
-        let original = evaluate_default(&program, &edb).unwrap();
+        let original = naive_evaluate(&program, &edb).unwrap();
         let opt = evaluate_default(&optimized, &edb).unwrap();
         assert_eq!(original.answers(&query), opt.answers(&factored.query));
     }
@@ -484,7 +473,7 @@ mod tests {
         for (a, b) in [(1, 2), (2, 3), (3, 4)] {
             edb.add_fact("e", &[Const::Int(a), Const::Int(b)]);
         }
-        let a = evaluate_default(&program, &edb).unwrap();
+        let a = naive_evaluate(&program, &edb).unwrap();
         let b = evaluate_default(&optimized, &edb).unwrap();
         assert_eq!(a.answers(&query), b.answers(&query));
     }

@@ -498,7 +498,7 @@ mod tests {
         assert_eq!(out.program.len(), 3, "{}", out.program);
 
         let edb = chain_edb(10, 5);
-        let expected = factorlog_datalog::eval::evaluate_default(&program, &edb)
+        let expected = factorlog_datalog::eval::naive_evaluate(&program, &edb)
             .unwrap()
             .answers(&query);
         assert_eq!(out.answers(&edb).unwrap(), expected);
@@ -526,7 +526,7 @@ mod tests {
         edb.add_fact("up", &[Const::Int(1), Const::Int(10)]);
         edb.add_fact("flat", &[Const::Int(10), Const::Int(20)]);
         edb.add_fact("down", &[Const::Int(20), Const::Int(2)]);
-        let expected = factorlog_datalog::eval::evaluate_default(&program, &edb)
+        let expected = factorlog_datalog::eval::naive_evaluate(&program, &edb)
             .unwrap()
             .answers(&query);
         assert_eq!(out.answers(&edb).unwrap(), expected);
@@ -551,7 +551,7 @@ mod tests {
         edb.add_fact("exit", &[Const::Int(5), Const::Int(8), Const::Int(2)]);
         edb.add_fact("d", &[Const::Int(1), Const::Int(8)]);
         edb.add_fact("d", &[Const::Int(2), Const::Int(6)]);
-        let expected = factorlog_datalog::eval::evaluate_default(&program, &edb)
+        let expected = factorlog_datalog::eval::naive_evaluate(&program, &edb)
             .unwrap()
             .answers(&query);
         assert_eq!(out.answers(&edb).unwrap(), expected);
@@ -620,7 +620,7 @@ mod tests {
         for v in [6, 7, 8] {
             edb.add_fact("r3", &[Const::Int(v)]);
         }
-        let correct = factorlog_datalog::eval::evaluate_default(&program, &edb)
+        let correct = factorlog_datalog::eval::naive_evaluate(&program, &edb)
             .unwrap()
             .answers(&query);
         let factored_answers = out.answers(&edb).unwrap();
@@ -742,7 +742,7 @@ mod tests {
         for (src, query_text) in cases {
             let program = parse_program(src).unwrap().program;
             let query = parse_query(query_text).unwrap();
-            let expected = factorlog_datalog::eval::evaluate_default(&program, &edb)
+            let expected = factorlog_datalog::eval::naive_evaluate(&program, &edb)
                 .unwrap()
                 .answers(&query);
             assert!(

@@ -242,6 +242,7 @@ fn enumerate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{naive_evaluate, ReferenceModel};
     use crate::parser::{parse_atom, parse_program};
 
     fn c(i: i64) -> Const {
@@ -353,16 +354,9 @@ mod tests {
                 .program;
         let edb = chain_edb(5);
         let prov = ProvenanceEvaluator::run(&program, &edb);
-        let eval = crate::eval::evaluate_default(&program, &edb).unwrap();
-        let t = Symbol::intern("t");
         assert_eq!(
-            prov.database().relation(t).unwrap().to_sorted_vec(),
-            eval.database.relation(t).unwrap().to_sorted_vec()
-        );
-        let q = Symbol::intern("q");
-        assert_eq!(
-            prov.database().relation(q).unwrap().to_sorted_vec(),
-            eval.database.relation(q).unwrap().to_sorted_vec()
+            ReferenceModel::from(prov.database()),
+            naive_evaluate(&program, &edb).unwrap()
         );
     }
 }

@@ -36,7 +36,7 @@ use crate::symbol::Symbol;
 use super::stats::EvalStats;
 use super::{EvalError, LimitReason};
 
-/// Evaluation options shared by the naive and semi-naive evaluators.
+/// Options of the semi-naive evaluator.
 #[derive(Clone, Debug)]
 pub struct EvalOptions {
     /// Hard cap on fixpoint iterations; exceeded caps return an error so that

@@ -1,5 +1,6 @@
-//! Bottom-up evaluation of Datalog programs: naive and semi-naive fixpoint strategies,
-//! join machinery, and evaluation statistics.
+//! Bottom-up evaluation of Datalog programs: the semi-naive pipeline (compiled rules,
+//! join machinery, incremental resume and retraction) with its statistics, and the
+//! naive reference evaluator everything is checked against.
 
 pub mod join;
 pub mod naive;
@@ -16,7 +17,7 @@ use crate::symbol::Symbol;
 use crate::validate::ValidationError;
 
 pub use join::{EvalOptions, Governor};
-pub use naive::naive_evaluate;
+pub use naive::{naive_evaluate, ReferenceModel};
 pub use seminaive::{
     seminaive_evaluate, seminaive_evaluate_compiled, seminaive_evaluate_owned, seminaive_resume,
     seminaive_retract, CompiledProgram,
@@ -26,16 +27,6 @@ pub use trace::{
     fmt_ns, rows, wire_value, EvalProfile, Histogram, Instrument, Merge, ProfileShape, Reading,
     RuleProfile, SpanStats,
 };
-
-/// Which fixpoint strategy to use.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum Strategy {
-    /// Re-apply every rule to the whole database each round.
-    Naive,
-    /// Delta-driven evaluation (the default).
-    #[default]
-    SemiNaive,
-}
 
 /// The outcome of an evaluation: the least model restricted to the materialized
 /// predicates, plus statistics.
@@ -179,20 +170,7 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluate with the chosen strategy.
-pub fn evaluate(
-    program: &Program,
-    edb: &Database,
-    strategy: Strategy,
-    options: &EvalOptions,
-) -> Result<EvalResult, EvalError> {
-    match strategy {
-        Strategy::Naive => naive_evaluate(program, edb, options),
-        Strategy::SemiNaive => seminaive_evaluate(program, edb, options),
-    }
-}
-
-/// Evaluate with the default strategy (semi-naive) and default options.
+/// Evaluate semi-naively with default options.
 pub fn evaluate_default(program: &Program, edb: &Database) -> Result<EvalResult, EvalError> {
     seminaive_evaluate(program, edb, &EvalOptions::default())
 }
@@ -216,27 +194,10 @@ pub(crate) fn arity_map(program: &Program, edb: &Database) -> FxHashMap<Symbol, 
 mod tests {
     use super::*;
     use crate::ast::Const;
-    use crate::parser::{parse_program, parse_query};
+    use crate::parser::parse_program;
 
     fn c(i: i64) -> Const {
         Const::Int(i)
-    }
-
-    #[test]
-    fn evaluate_dispatches_on_strategy() {
-        let program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
-            .unwrap()
-            .program;
-        let mut edb = Database::new();
-        for i in 0..5i64 {
-            edb.add_fact("e", &[c(i), c(i + 1)]);
-        }
-        let options = EvalOptions::default();
-        let naive = evaluate(&program, &edb, Strategy::Naive, &options).unwrap();
-        let semi = evaluate(&program, &edb, Strategy::SemiNaive, &options).unwrap();
-        assert_eq!(naive.database.count("t"), semi.database.count("t"));
-        let q = parse_query("t(0, Y)").unwrap();
-        assert_eq!(naive.answers(&q), semi.answers(&q));
     }
 
     #[test]

@@ -1,97 +1,167 @@
-//! Naive bottom-up evaluation: repeatedly apply every rule to the whole database until
-//! no new fact is derived.
+//! The reference evaluator: the least model of a program computed the obviously
+//! right way, so that everything faster can be checked against it.
 //!
-//! Naive evaluation is quadratically redundant compared to semi-naive evaluation but is
-//! the simplest correct fixpoint computation; it serves as the reference implementation
-//! the semi-naive evaluator is tested against, and as the evaluation core of the
-//! uniform-equivalence check used by the §5 optimizations.
+//! It is a naive fixpoint. Every round fires every rule over the whole model by
+//! nested loops over substitutions, and the rounds stop when one derives nothing new.
+//! The model is a `BTreeMap` of `BTreeSet`s of tuples. The EDB's rows are read once
+//! through [`Database::iter`]; nothing else is shared with the compiled pipeline (its
+//! rule plans, relation indexes and join loops), so a bug there cannot hide on both
+//! sides of a comparison. There are no builtins (`succ` is an ordinary predicate) and
+//! no options: pure Datalog over a finite EDB reaches its fixpoint.
+//!
+//! Its callers are every harness whose expected side is "from-scratch evaluation"
+//! and the §5 uniform-equivalence pass, which asks whether a frozen rule head is
+//! derivable from a frozen body.
 
-use crate::ast::Program;
-use crate::fx::FxHashMap;
-use crate::storage::{Database, Relation};
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::ast::{Atom, Const, Program, Query, Term};
+use crate::storage::Database;
 use crate::symbol::Symbol;
 
-use super::join::{CompiledRule, EvalOptions};
-use super::stats::EvalStats;
-use super::{arity_map, EvalError, EvalResult};
+use super::EvalError;
 
-/// Evaluate `program` over `edb` with naive iteration.
-pub fn naive_evaluate(
-    program: &Program,
-    edb: &Database,
-    options: &EvalOptions,
-) -> Result<EvalResult, EvalError> {
+/// The values given to a rule's variables, in the order they were bound.
+type Bindings = Vec<(Symbol, Const)>;
+
+/// A least model computed by [`naive_evaluate`]: every fact, by predicate. Only
+/// predicates with at least one fact have an entry, so two models are equal exactly
+/// when they hold the same facts.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ReferenceModel {
+    relations: BTreeMap<Symbol, BTreeSet<Vec<Const>>>,
+}
+
+/// The least model of `program` over `edb`, by naive iteration.
+pub fn naive_evaluate(program: &Program, edb: &Database) -> Result<ReferenceModel, EvalError> {
     crate::validate::check_program(program).map_err(EvalError::Invalid)?;
-
-    let idb: std::collections::BTreeSet<Symbol> = program.idb_predicates();
-    let arities = arity_map(program, edb);
-    let mut db = edb.clone();
-    for &p in &idb {
-        let arity = arities.get(&p).copied().unwrap_or(0);
-        db.ensure_relation(p, arity);
-    }
-
-    let compiled: Vec<CompiledRule> = program
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| CompiledRule::compile(i, r, &|p| idb.contains(&p), options))
-        .collect();
-    for rule in &compiled {
-        rule.ensure_indexes(&mut db, &arities);
-    }
-
-    let mut stats = EvalStats::new(program.rules.len());
-    // Resolve access paths once and reuse one scratch per rule across every pass.
-    stats.scratch_allocs += compiled.len();
-    let mut runtimes: Vec<_> = compiled
-        .iter()
-        .map(|rule| (rule.resolve_access(&db), rule.scratch()))
-        .collect();
+    let mut model = ReferenceModel::from(edb);
     loop {
-        if stats.iterations >= options.max_iterations {
-            return Err(EvalError::IterationLimit {
-                limit: options.max_iterations,
+        let mut derived: BTreeSet<(Symbol, Vec<Const>)> = BTreeSet::new();
+        let mut head = Vec::new();
+        for rule in &program.rules {
+            model.match_body(&rule.body, &mut Vec::new(), &mut |bindings| {
+                head.clear();
+                head.extend(
+                    rule.head
+                        .terms
+                        .iter()
+                        .map(|term| value(term, bindings).expect("a safe rule binds its head")),
+                );
+                if !model.holds(rule.head.predicate, &head) {
+                    derived.insert((rule.head.predicate, head.clone()));
+                }
             });
         }
-        stats.iterations += 1;
-        let mut staging: FxHashMap<Symbol, Relation> = FxHashMap::default();
-        for (rule, (access, scratch)) in compiled.iter().zip(runtimes.iter_mut()) {
-            let head_arity = arities.get(&rule.head_predicate).copied().unwrap_or(0);
-            let staged = staging
-                .entry(rule.head_predicate)
-                .or_insert_with(|| Relation::new(head_arity));
-            let head = db.relation(rule.head_predicate);
-            rule.fire_with(&db, None, access, scratch, &mut |tuple| {
-                let known = head.map(|r| r.contains(tuple)).unwrap_or(false);
-                let is_new = !known && staged.insert(tuple);
-                stats.record_inference(rule.rule_index, rule.head_predicate, is_new);
-            });
-            stats.absorb_join_counters(std::mem::take(&mut scratch.counters));
+        if derived.is_empty() {
+            return Ok(model);
         }
-        let mut any_new = false;
-        for (pred, staged) in staging {
-            let arity = staged.arity();
-            let added = db.ensure_relation(pred, arity).merge_from(&staged);
-            if added > 0 {
-                any_new = true;
+        for (predicate, tuple) in derived {
+            model.relations.entry(predicate).or_default().insert(tuple);
+        }
+    }
+}
+
+impl ReferenceModel {
+    /// The answers to `query`: for every fact the query atom unifies with, the values
+    /// of the query's variables in order of first occurrence; sorted, without repeats.
+    pub fn answers(&self, query: &Query) -> Vec<Vec<Const>> {
+        let mut answers = BTreeSet::new();
+        for row in self
+            .relations
+            .get(&query.atom.predicate)
+            .into_iter()
+            .flatten()
+        {
+            let mut bindings = Bindings::new();
+            if unify(&query.atom.terms, row, &mut bindings) {
+                answers.insert(bindings.into_iter().map(|(_, value)| value).collect());
             }
         }
-        if !any_new {
-            break;
-        }
+        answers.into_iter().collect()
     }
 
-    Ok(EvalResult {
-        database: db,
-        stats,
-    })
+    fn holds(&self, predicate: Symbol, tuple: &[Const]) -> bool {
+        self.relations
+            .get(&predicate)
+            .is_some_and(|rows| rows.contains(tuple))
+    }
+
+    /// Call `emit` with every extension of `bindings` that makes each atom of `body` a
+    /// fact of the model, trying the atoms left to right.
+    fn match_body(&self, body: &[Atom], bindings: &mut Bindings, emit: &mut dyn FnMut(&Bindings)) {
+        let Some((atom, rest)) = body.split_first() else {
+            return emit(bindings);
+        };
+        let Some(rows) = self.relations.get(&atom.predicate) else {
+            return;
+        };
+        // Rows are sorted, so the ones agreeing with the atom's leading fixed
+        // arguments form one run; scanning only that run keeps chains of joins
+        // affordable without any index.
+        let prefix: Vec<Const> = atom
+            .terms
+            .iter()
+            .map_while(|t| value(t, bindings))
+            .collect();
+        for row in rows
+            .range(prefix.clone()..)
+            .take_while(|row| row.starts_with(&prefix))
+        {
+            let bound = bindings.len();
+            if unify(&atom.terms, row, bindings) {
+                self.match_body(rest, bindings, emit);
+            }
+            bindings.truncate(bound);
+        }
+    }
+}
+
+impl From<&Database> for ReferenceModel {
+    /// The facts of `db`, in the reference's shape: the EDB of [`naive_evaluate`],
+    /// or the result of another evaluator to compare with it.
+    fn from(db: &Database) -> ReferenceModel {
+        let mut model = ReferenceModel::default();
+        for (predicate, relation) in db.iter() {
+            for row in relation.iter() {
+                model
+                    .relations
+                    .entry(predicate)
+                    .or_default()
+                    .insert(row.to_vec());
+            }
+        }
+        model
+    }
+}
+
+/// The value of `term` under `bindings`, if it has one.
+fn value(term: &Term, bindings: &Bindings) -> Option<Const> {
+    match *term {
+        Term::Const(c) => Some(c),
+        Term::Var(v) => bindings.iter().find(|&&(w, _)| w == v).map(|&(_, c)| c),
+    }
+}
+
+/// Extend `bindings` so that `terms` equals `row`; `false` if no extension does (the
+/// caller drops whatever was pushed).
+fn unify(terms: &[Term], row: &[Const], bindings: &mut Bindings) -> bool {
+    terms.len() == row.len()
+        && terms
+            .iter()
+            .zip(row)
+            .all(|(term, &field)| match value(term, bindings) {
+                Some(known) => known == field,
+                None => {
+                    bindings.push((term.as_var().expect("only variables are unbound"), field));
+                    true
+                }
+            })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Const;
     use crate::parser::{parse_program, parse_query};
 
     fn c(i: i64) -> Const {
@@ -111,11 +181,20 @@ mod tests {
         let program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
             .unwrap()
             .program;
-        let result = naive_evaluate(&program, &chain_edb(5), &EvalOptions::default()).unwrap();
+        let model = naive_evaluate(&program, &chain_edb(5)).unwrap();
         // A chain of 5 edges has 5+4+3+2+1 = 15 transitive-closure pairs.
-        assert_eq!(result.database.count("t"), 15);
+        assert_eq!(model.answers(&parse_query("t(X, Y)").unwrap()).len(), 15);
         let q = parse_query("t(0, Y)").unwrap();
-        assert_eq!(result.database.answers(&q).len(), 5);
+        assert_eq!(
+            model.answers(&q),
+            (1..=5).map(|i| vec![c(i)]).collect::<Vec<_>>()
+        );
+        // A repeated variable is one answer column that both positions agree on.
+        assert!(model.answers(&parse_query("t(X, X)").unwrap()).is_empty());
+        assert_eq!(
+            model.answers(&parse_query("t(0, 5)").unwrap()),
+            vec![vec![]]
+        );
     }
 
     #[test]
@@ -127,52 +206,25 @@ mod tests {
         edb.add_fact("e", &[c(5), c(6)]);
         edb.add_fact("e", &[c(6), c(7)]);
         edb.add_fact("e", &[c(9), c(10)]);
-        let result = naive_evaluate(&program, &edb, &EvalOptions::default()).unwrap();
-        let m = result.database.relation(Symbol::intern("m")).unwrap();
-        assert_eq!(m.to_sorted_vec(), vec![vec![c(5)], vec![c(6)], vec![c(7)]]);
-    }
-
-    #[test]
-    fn stats_count_iterations_and_inferences() {
-        let program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
-            .unwrap()
-            .program;
-        let result = naive_evaluate(&program, &chain_edb(4), &EvalOptions::default()).unwrap();
-        assert!(
-            result.stats.iterations >= 4,
-            "chain of length 4 needs >= 4 passes"
+        let model = naive_evaluate(&program, &edb).unwrap();
+        assert_eq!(
+            model.answers(&parse_query("m(X)").unwrap()),
+            vec![vec![c(5)], vec![c(6)], vec![c(7)]]
         );
-        assert!(result.stats.inferences >= result.stats.facts_derived);
-        assert_eq!(result.stats.facts_for(Symbol::intern("t")), 10);
     }
 
     #[test]
     fn unsafe_program_is_rejected() {
         let program = parse_program("p(X, Y) :- e(X).").unwrap().program;
-        let err = naive_evaluate(&program, &Database::new(), &EvalOptions::default()).unwrap_err();
+        let err = naive_evaluate(&program, &Database::new()).unwrap_err();
         assert!(matches!(err, EvalError::Invalid(_)));
     }
 
     #[test]
-    fn iteration_limit_is_enforced() {
-        // counter(N1) :- counter(N), succ(N, N1). grows forever with the succ builtin.
-        let program = parse_program("counter(0).\ncounter(M) :- counter(N), succ(N, M).")
-            .unwrap()
-            .program;
-        let options = EvalOptions {
-            max_iterations: 10,
-            ..EvalOptions::default()
-        };
-        let err = naive_evaluate(&program, &Database::new(), &options).unwrap_err();
-        assert!(matches!(err, EvalError::IterationLimit { limit: 10 }));
-    }
-
-    #[test]
     fn empty_program_returns_edb() {
-        let program = Program::new();
         let edb = chain_edb(3);
-        let result = naive_evaluate(&program, &edb, &EvalOptions::default()).unwrap();
-        assert_eq!(result.database.count("e"), 3);
-        assert_eq!(result.stats.facts_derived, 0);
+        let model = naive_evaluate(&Program::new(), &edb).unwrap();
+        assert_eq!(model, ReferenceModel::from(&edb));
+        assert_eq!(model.answers(&parse_query("e(X, Y)").unwrap()).len(), 3);
     }
 }

@@ -17,7 +17,7 @@ crate::instruments! {
     /// Counters collected during one evaluation run.
     #[derive(Clone, Debug, Default)]
     pub struct EvalStats: usize {
-        /// Number of fixpoint iterations (semi-naive rounds or naive passes).
+        /// Number of fixpoint iterations (semi-naive rounds).
         iterations = Max, "eval", "iterations";
         /// Number of successful rule-body instantiations (each is one inference).
         inferences = Sum, "eval", "inferences";
@@ -135,9 +135,7 @@ impl EvalStats {
             .unwrap_or(0)
     }
 
-    /// Drain one rule's join counters into these statistics (shared by the naive and
-    /// semi-naive evaluators so a future counter cannot be absorbed in one but
-    /// silently dropped in the other).
+    /// Drain one rule's join counters into these statistics.
     pub fn absorb_join_counters(&mut self, counters: crate::eval::join::JoinCounters) {
         self.index_probes += counters.index_probes;
         self.full_scans += counters.full_scans;

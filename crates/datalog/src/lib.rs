@@ -6,7 +6,8 @@
 //!
 //! * an AST and parser for positive Datalog ([`ast`], [`parser`]),
 //! * relations with duplicate elimination and secondary indexes ([`storage`]),
-//! * naive and semi-naive bottom-up evaluation with inference statistics ([`eval`]),
+//! * semi-naive bottom-up evaluation with inference statistics, and a naive reference
+//!   evaluator to check it against ([`eval`]),
 //! * predicate dependency / recursion analysis ([`graph`]),
 //! * conjunctive-query containment, the decision procedure behind the paper's
 //!   factorability conditions ([`cq`]),
@@ -56,8 +57,8 @@ pub mod validate;
 
 pub use ast::{Atom, Const, Program, Query, Rule, Substitution, Term};
 pub use eval::{
-    evaluate, evaluate_default, seminaive_resume, CompiledProgram, EvalError, EvalOptions,
-    EvalResult, EvalStats, LimitReason, Strategy,
+    evaluate_default, seminaive_resume, CompiledProgram, EvalError, EvalOptions, EvalResult,
+    EvalStats, LimitReason,
 };
 pub use fault::{CancelToken, FaultAction, FaultInjector, FaultPoint, FaultSite};
 pub use parser::{parse_atom, parse_program, parse_query, parse_rule};

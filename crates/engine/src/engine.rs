@@ -1361,7 +1361,7 @@ impl Engine {
     /// and return a clone of it: the full model answers *any* atom query via
     /// [`Database::answers`], so the server snapshots it into an immutable,
     /// `Arc`-shared view that reader threads query without touching the engine.
-    pub(crate) fn refreshed_model(&mut self) -> Result<Database, EngineError> {
+    pub fn refreshed_model(&mut self) -> Result<Database, EngineError> {
         self.contained(Engine::refresh)?;
         Ok(self.model.clone().expect("model materialized by refresh"))
     }
@@ -1472,7 +1472,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use factorlog_datalog::eval::evaluate_default;
+    use factorlog_datalog::eval::{naive_evaluate, ReferenceModel};
     use factorlog_datalog::parser::{parse_atom, parse_query};
 
     fn c(i: i64) -> Const {
@@ -1494,7 +1494,7 @@ mod tests {
     fn query_matches_batch_evaluation() {
         let mut engine = tc_engine(10);
         let query = parse_query("t(0, Y)").unwrap();
-        let batch = evaluate_default(engine.program(), engine.facts())
+        let batch = naive_evaluate(engine.program(), engine.facts())
             .unwrap()
             .answers(&query);
         assert_eq!(engine.query(&query).unwrap(), batch);
@@ -1849,8 +1849,8 @@ mod tests {
         assert_eq!(engine.query(&query).unwrap().len(), 4);
         assert!(engine.stats().retractions > 0);
 
-        // The maintained answers equal from-scratch evaluation of the surviving EDB.
-        let batch = evaluate_default(engine.program(), engine.facts())
+        // The maintained answers equal the reference evaluation of the surviving EDB.
+        let batch = naive_evaluate(engine.program(), engine.facts())
             .unwrap()
             .answers(&query);
         assert_eq!(engine.query(&query).unwrap(), batch);
@@ -1883,7 +1883,7 @@ mod tests {
         let answers = engine.query(&query).unwrap();
         assert!(answers.contains(&vec![c(30)]));
         assert_eq!(answers.len(), 7);
-        let batch = evaluate_default(engine.program(), engine.facts())
+        let batch = naive_evaluate(engine.program(), engine.facts())
             .unwrap()
             .answers(&query);
         assert_eq!(engine.query(&query).unwrap(), batch);
@@ -1952,7 +1952,7 @@ mod tests {
         // …but a derived fact cannot be retracted.
         assert!(!engine.retract("t", &[c(0), c(1)]).unwrap());
         assert_eq!(engine.query(&query).unwrap().len(), 3);
-        let batch = evaluate_default(engine.program(), engine.facts())
+        let batch = naive_evaluate(engine.program(), engine.facts())
             .unwrap()
             .answers(&query);
         assert_eq!(engine.query(&query).unwrap(), batch);
@@ -1970,7 +1970,7 @@ mod tests {
         assert!(engine.retract("e", &[c(2), c(3)]).unwrap());
         assert_eq!(engine.pending_facts(), 0);
         assert_eq!(engine.query(&query).unwrap().len(), 2);
-        let batch = evaluate_default(engine.program(), engine.facts())
+        let batch = naive_evaluate(engine.program(), engine.facts())
             .unwrap()
             .answers(&query);
         assert_eq!(engine.query(&query).unwrap(), batch);
@@ -2186,18 +2186,14 @@ mod tests {
         engine
     }
 
-    /// The maintained model — `e`, `t` and `t__asserted` — equals from-scratch
-    /// evaluation of the session's fact store.
-    fn assert_model_is_scratch(engine: &mut Engine) {
-        let scratch = evaluate_default(engine.program(), engine.facts()).unwrap();
-        for text in ["e(X, Y)", "t(X, Y)", "t__asserted(X, Y)"] {
-            let query = parse_query(text).unwrap();
-            assert_eq!(
-                engine.query(&query).unwrap(),
-                scratch.answers(&query),
-                "{text}"
-            );
-        }
+    /// The maintained model, every predicate, equals the reference model of the
+    /// session's fact store.
+    fn assert_model_is_reference(engine: &mut Engine) {
+        let reference = naive_evaluate(engine.program(), engine.facts()).unwrap();
+        assert_eq!(
+            ReferenceModel::from(&engine.refreshed_model().unwrap()),
+            reference
+        );
     }
 
     fn sorted_store(engine: &Engine) -> Vec<(Symbol, Vec<Vec<Const>>)> {
@@ -2214,9 +2210,9 @@ mod tests {
     /// Drive `groups` through every entry point of the commit path: (a) op by op
     /// through `insert`/`retract`, (b) batch by batch through `Txn`s, (c) group by
     /// group through `commit_group` — same summaries in (b) and (c), same store in
-    /// all three, and after every group a model equal to from-scratch evaluation —
+    /// all three, and after every group a model equal to the reference model —
     /// then (d) recovery of (c)'s directory and (e) `apply_replicated` of (c)'s
-    /// log into a fresh directory: the same store and a from-scratch model again,
+    /// log into a fresh directory: the same store and the reference model again,
     /// and in (b) to (e) the same records on the log.
     fn assert_groups_equal_singles(groups: &[Vec<Vec<Op>>], assert_t: bool) {
         use crate::durability::{tests::fresh_dir, DurabilityOptions, WAL_FILE};
@@ -2257,7 +2253,7 @@ mod tests {
             assert_eq!(sorted_store(&single), sorted_store(&grouped));
             assert_eq!(sorted_store(&batched), sorted_store(&grouped));
             for engine in [&mut single, &mut batched, &mut grouped] {
-                assert_model_is_scratch(engine);
+                assert_model_is_reference(engine);
             }
         }
 
@@ -2276,7 +2272,7 @@ mod tests {
         );
         for engine in [&mut recovered, &mut shipped] {
             assert_eq!(sorted_store(engine), store);
-            assert_model_is_scratch(engine);
+            assert_model_is_reference(engine);
         }
         for dir in &dirs {
             std::fs::remove_dir_all(dir).ok();
@@ -2346,7 +2342,7 @@ mod tests {
             .all(Result::is_ok));
         assert!(grouped.stats().retractions < single.stats().retractions);
         assert_eq!(grouped.pending_facts(), 2);
-        assert_model_is_scratch(&mut grouped);
+        assert_model_is_reference(&mut grouped);
     }
 
     #[test]
@@ -2378,7 +2374,7 @@ mod tests {
                 engine.set_fault_injector(None);
                 let store = engine.facts().relation(Symbol::intern("e")).unwrap();
                 assert_eq!(store.len(), 5 - 2 + 2, "{site} {action:?}");
-                assert_model_is_scratch(&mut engine);
+                assert_model_is_reference(&mut engine);
             }
         }
     }

@@ -56,8 +56,8 @@ pub mod prelude {
     };
     pub use factorlog_datalog::ast::{Atom, Const, Program, Query, Rule, Term};
     pub use factorlog_datalog::eval::{
-        evaluate, evaluate_default, seminaive_resume, seminaive_retract, CompiledProgram,
-        EvalError, EvalOptions, EvalResult, EvalStats, Strategy as EvalStrategy,
+        evaluate_default, naive_evaluate, seminaive_resume, seminaive_retract, CompiledProgram,
+        EvalError, EvalOptions, EvalResult, EvalStats, ReferenceModel,
     };
     pub use factorlog_datalog::parser::{parse_atom, parse_program, parse_query, parse_rule};
     pub use factorlog_datalog::storage::Database;

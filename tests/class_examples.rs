@@ -56,7 +56,7 @@ fn example_4_3_exact_program_is_not_factorable_and_first_edb_breaks_it() {
     edb.add_fact("r1", &[Const::Int(7)]);
     edb.add_fact("r1", &[Const::Int(8)]);
 
-    let correct = evaluate_default(&program, &edb).unwrap().answers(&query);
+    let correct = naive_evaluate(&program, &edb).unwrap().answers(&query);
     let factored = optimized.answers(&edb).unwrap();
     assert!(!correct.contains(&vec![Const::Int(8)]));
     assert!(
@@ -68,7 +68,7 @@ fn example_4_3_exact_program_is_not_factorable_and_first_edb_breaks_it() {
     let mut edb_with_l1_5 = edb.clone();
     edb_with_l1_5.add_fact("l1", &[Const::Int(5)]);
     edb_with_l1_5.add_fact("r1", &[Const::Int(6)]);
-    let now_correct = evaluate_default(&program, &edb_with_l1_5)
+    let now_correct = naive_evaluate(&program, &edb_with_l1_5)
         .unwrap()
         .answers(&query);
     assert!(now_correct.contains(&vec![Const::Int(8)]));
@@ -86,7 +86,7 @@ fn example_4_3_second_edb_generates_a_spurious_answer_through_free_exit() {
     edb.add_fact("l1", &[Const::Int(5)]);
     edb.add_fact("c1", &[Const::Int(6), Const::Int(1)]);
 
-    let correct = evaluate_default(&program, &edb).unwrap().answers(&query);
+    let correct = naive_evaluate(&program, &edb).unwrap().answers(&query);
     let factored = optimized.answers(&edb).unwrap();
     assert!(!correct.contains(&vec![Const::Int(7)]), "{correct:?}");
     assert!(
@@ -173,7 +173,7 @@ fn factored_programs_agree_with_originals_on_the_benchmark_workload() {
     ] {
         let (program, query, optimized) = pipeline(src, "p(0, Y)", false);
         let edb = combined_rule_edb(&LayeredParams::scaled(24, 5));
-        let expected = evaluate_default(&program, &edb).unwrap().answers(&query);
+        let expected = naive_evaluate(&program, &edb).unwrap().answers(&query);
         let magic_result = evaluate_default(&optimized.magic.program, &edb).unwrap();
         let factored_result = optimized.evaluate(&edb).unwrap();
         assert_eq!(

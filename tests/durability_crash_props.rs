@@ -1,7 +1,7 @@
 //! Crash-injection tests for the durable engine: whatever byte the crash lands on
 //! — a kill between commits, a torn write inside a record, a flipped bit in the
 //! tail, an interrupted compaction — recovery must converge to *exactly* the
-//! from-scratch evaluation of the last fully committed transaction's EDB.
+//! reference evaluation of the last fully committed transaction's EDB.
 //!
 //! The harness drives three fault models:
 //!
@@ -13,9 +13,13 @@
 //!   caught by the per-record CRC.
 //!
 //! Plus the satellite scenarios: snapshot→txns→crash→recover equals the no-crash
-//! session (prepared-plan rebuild and evaluation-stats checksums included), and
-//! readers opening a directory mid-compaction see the old or the new image, never
-//! a torn one.
+//! session (prepared-plan rebuild and whole recovered model included), and readers
+//! opening a directory mid-compaction see the old or the new image, never a torn
+//! one.
+//!
+//! The in-memory sessions here are ledgers of which history survived: the tests
+//! compare base facts and programs with them, and every answer or model with the
+//! reference evaluator.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -71,8 +75,8 @@ enum Event {
     Batch(Vec<(usize, &'static str, i64, i64)>),
 }
 
-/// Apply one event to an engine (in-memory reference and durable sessions share
-/// this path, so both see identical histories).
+/// Apply one event to an engine (in-memory ledger and durable sessions share this
+/// path, so both see identical histories).
 fn apply_event(engine: &mut Engine, event: &Event) {
     match event {
         Event::Source(text) => {
@@ -106,54 +110,50 @@ fn edb_facts(db: &Database) -> BTreeSet<(String, Vec<String>)> {
         .collect()
 }
 
-/// The machine-independent checksum of a from-scratch evaluation over an engine's
-/// surviving EDB: identical EDBs (and programs) must yield identical counters.
-fn scratch_checksum(engine: &Engine) -> (usize, usize, usize, usize) {
-    let result = evaluate_default(engine.program(), engine.facts()).expect("scratch eval");
-    (
-        result.stats.inferences,
-        result.stats.facts_derived,
-        result.stats.duplicates,
-        result.stats.iterations,
-    )
+/// The answers the reference evaluator gives over `engine`'s program and facts.
+fn reference_answers(engine: &Engine, query: &Query) -> Vec<Vec<Const>> {
+    naive_evaluate(engine.program(), engine.facts())
+        .expect("reference evaluation")
+        .answers(query)
 }
 
 /// The acceptance assertion: recovery of `dir` converges to `expected` (an
 /// in-memory session that applied exactly the surviving history) — same base facts,
-/// same program, same materialized answers as from-scratch evaluation, same
-/// prepared answers, same evaluation-stat checksums.
-fn assert_recovers_to(dir: &Path, expected: &mut Engine, query: &Query) {
-    let reference_answers = expected.query(query).expect("reference query");
+/// same program, a materialized model (every predicate) equal to the reference model
+/// of that EDB, and the reference answers from both the materialized and the
+/// prepared path.
+fn assert_recovers_to(dir: &Path, expected: &Engine, query: &Query) {
     let mut recovered = open_durable(dir);
     assert_eq!(
         edb_facts(recovered.facts()),
         edb_facts(expected.facts()),
         "EDB diverges"
     );
+    assert_eq!(recovered.program(), expected.program(), "program diverges");
+    let reference = naive_evaluate(recovered.program(), recovered.facts()).expect("reference");
     assert_eq!(
-        recovered.program().len(),
-        expected.program().len(),
-        "program diverges"
-    );
-    assert_eq!(
-        scratch_checksum(&recovered),
-        scratch_checksum(expected),
-        "from-scratch stats checksum diverges"
+        ReferenceModel::from(&recovered.refreshed_model().expect("recovered model")),
+        reference,
+        "recovered model diverges from the reference"
     );
     let answers = recovered.query(query).expect("recovered query");
-    assert_eq!(answers, reference_answers, "materialized answers diverge");
+    assert_eq!(
+        answers,
+        reference.answers(query),
+        "materialized answers diverge"
+    );
     // Prepared plans rebuild from nothing after recovery and agree. The prepared
     // pipeline rejects queries over predicates the (possibly still empty) program
-    // does not define; the recovered session must mirror that too.
-    match expected.query_prepared(query) {
-        Ok(answers) => assert_eq!(
-            recovered.query_prepared(query).expect("prepared query"),
-            answers,
-            "prepared answers diverge"
-        ),
+    // does not define.
+    match recovered.query_prepared(query) {
+        Ok(prepared) => assert_eq!(prepared, answers, "prepared answers diverge"),
         Err(_) => assert!(
-            recovered.query_prepared(query).is_err(),
-            "prepared query unexpectedly succeeds"
+            recovered
+                .program()
+                .rules_for(query.atom.predicate)
+                .next()
+                .is_none(),
+            "prepared query fails on a defined predicate"
         ),
     }
 }
@@ -184,8 +184,8 @@ fn build_durable_history(dir: &Path, history: &[Event]) -> Vec<u64> {
     boundaries
 }
 
-/// The in-memory session that applied only `history[..k]`.
-fn reference_after(history: &[Event], k: usize) -> Engine {
+/// The ledger of `history[..k]`: an in-memory session that applied only those events.
+fn ledger_after(history: &[Event], k: usize) -> Engine {
     let mut engine = Engine::new();
     for event in &history[..k] {
         apply_event(&mut engine, event);
@@ -208,10 +208,10 @@ fn log_truncation_at_every_byte_offset_recovers_the_committed_prefix() {
         std::fs::write(&wal_path, &full[..cut as usize]).unwrap();
         let survivors = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
         let at_boundary = boundaries.contains(&cut);
-        let mut expected = reference_after(&history, survivors);
+        let expected = ledger_after(&history, survivors);
         if at_boundary {
             // Record boundaries are the commit points: run the full check.
-            assert_recovers_to(&dir, &mut expected, &query);
+            assert_recovers_to(&dir, &expected, &query);
         } else {
             // Mid-record tears: the torn record must vanish (cheap check; the
             // boundaries get the full one).
@@ -223,7 +223,7 @@ fn log_truncation_at_every_byte_offset_recovers_the_committed_prefix() {
             );
             assert_eq!(
                 recovered.query(&query).unwrap(),
-                expected.query(&query).unwrap(),
+                reference_answers(&expected, &query),
                 "answers diverge at cut {cut}"
             );
             let report = recovered.recovery_report().unwrap();
@@ -247,10 +247,10 @@ proptest! {
         let query = parse_query(&format!("t({start}, Y)")).unwrap();
         let dir = fresh_dir("kill");
         let mut durable = open_durable(&dir);
-        let mut reference = Engine::new();
+        let mut ledger = Engine::new();
         let program = Event::Source(programs::THREE_RULE_TC.to_string());
         apply_event(&mut durable, &program);
-        apply_event(&mut reference, &program);
+        apply_event(&mut ledger, &program);
 
         // Arm the fault after the program record: the writer will persist exactly
         // `fault_budget` more bytes, then "crash" — possibly mid-record.
@@ -268,8 +268,8 @@ proptest! {
             }
             match txn.commit() {
                 Ok(_) => {
-                    // The commit is on disk: mirror it in the reference.
-                    let mut txn = reference.transaction();
+                    // The commit is on disk: mirror it in the ledger.
+                    let mut txn = ledger.transaction();
                     for &(kind, a, b) in batch {
                         if kind == 0 {
                             txn.retract("e", &[c(a), c(b)]);
@@ -288,7 +288,7 @@ proptest! {
         }
         if crashed {
             // The failed commit must not have half-applied in memory…
-            prop_assert_eq!(edb_facts(durable.facts()), edb_facts(reference.facts()));
+            prop_assert_eq!(edb_facts(durable.facts()), edb_facts(ledger.facts()));
             // …and the poisoned writer refuses everything afterwards.
             prop_assert!(matches!(
                 durable.insert("e", &[c(90), c(91)]),
@@ -298,7 +298,7 @@ proptest! {
         drop(durable);
 
         // Recovery converges to the last successful commit.
-        assert_recovers_to(&dir, &mut reference, &query);
+        assert_recovers_to(&dir, &ledger, &query);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -330,8 +330,8 @@ proptest! {
         let survivors = boundaries.iter().filter(|&&b| b <= offset).count() - 1;
         prop_assert!(survivors < history.len(), "corruption must damage a record");
 
-        let mut expected = reference_after(&history, survivors);
-        assert_recovers_to(&dir, &mut expected, &query);
+        let expected = ledger_after(&history, survivors);
+        assert_recovers_to(&dir, &expected, &query);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -345,7 +345,7 @@ proptest! {
         let query = parse_query(&format!("t({start}, Y)")).unwrap();
         let dir = fresh_dir("interleave");
         let mut durable = open_durable(&dir);
-        let mut reference = Engine::new();
+        let mut ledger = Engine::new();
 
         let mut history = vec![Event::Source(programs::THREE_RULE_TC.to_string())];
         history.extend(
@@ -355,7 +355,7 @@ proptest! {
         );
         for event in &history {
             apply_event(&mut durable, event);
-            apply_event(&mut reference, event);
+            apply_event(&mut ledger, event);
         }
 
         // Compact: the pre-snapshot history now lives in snapshot.fl, the log resets.
@@ -369,16 +369,16 @@ proptest! {
             .collect();
         for event in &tail {
             apply_event(&mut durable, event);
-            apply_event(&mut reference, event);
+            apply_event(&mut ledger, event);
         }
         let live_answers = durable.query(&query).expect("live query");
-        prop_assert_eq!(&live_answers, &reference.query(&query).expect("reference query"));
+        prop_assert_eq!(&live_answers, &reference_answers(&ledger, &query));
 
         // …then the crash. Recovery must replay snapshot + log tail into exactly
-        // the no-crash session: same EDB, same answers, same prepared-plan cache
-        // rebuild, same from-scratch stats checksums.
+        // the no-crash session: same EDB, same program, the reference model and
+        // answers, same prepared-plan cache rebuild.
         drop(durable);
-        assert_recovers_to(&dir, &mut reference, &query);
+        assert_recovers_to(&dir, &ledger, &query);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -414,8 +414,8 @@ fn readers_mid_compaction_see_the_old_or_new_image_never_a_torn_one() {
         // files): old or new image, identical content either way.
         let reader_view = fresh_dir("compaction_reader");
         copy_dir(&work, &reader_view);
-        let mut expected = reference_after(&history, history.len());
-        assert_recovers_to(&reader_view, &mut expected, &query);
+        let mut expected = ledger_after(&history, history.len());
+        assert_recovers_to(&reader_view, &expected, &query);
 
         // The writer's own restart also recovers, exactly once (no double-apply of
         // records the new snapshot already contains), and keeps committing.
@@ -437,7 +437,7 @@ fn readers_mid_compaction_see_the_old_or_new_image_never_a_torn_one() {
         expected.insert("e", &[c(70), c(71)]).unwrap();
         assert_eq!(
             reopened.query(&query).unwrap(),
-            expected.query(&query).unwrap(),
+            reference_answers(&expected, &query),
             "{fault:?}"
         );
         std::fs::remove_dir_all(&work).ok();
@@ -456,10 +456,10 @@ fn threshold_compactions_under_churn_stay_recoverable() {
         compact_threshold: 192,
     };
     let mut durable = Engine::open_durable_with(&dir, options).expect("open");
-    let mut reference = Engine::new();
+    let mut ledger = Engine::new();
     let program = Event::Source(programs::THREE_RULE_TC.to_string());
     apply_event(&mut durable, &program);
-    apply_event(&mut reference, &program);
+    apply_event(&mut ledger, &program);
     for i in 0..40i64 {
         let event = if i % 7 == 3 {
             Event::Batch(vec![(0, "e", i - 3, i - 2), (1, "e", i - 3, 200 + i)])
@@ -467,7 +467,7 @@ fn threshold_compactions_under_churn_stay_recoverable() {
             Event::Batch(vec![(1, "e", i, i + 1)])
         };
         apply_event(&mut durable, &event);
-        apply_event(&mut reference, &event);
+        apply_event(&mut ledger, &event);
     }
     assert!(
         durable.stats().wal_compactions >= 2,
@@ -476,6 +476,6 @@ fn threshold_compactions_under_churn_stay_recoverable() {
     );
     drop(durable);
     let query = parse_query("t(0, Y)").unwrap();
-    assert_recovers_to(&dir, &mut reference, &query);
+    assert_recovers_to(&dir, &ledger, &query);
     std::fs::remove_dir_all(&dir).ok();
 }

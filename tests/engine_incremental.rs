@@ -20,11 +20,11 @@ fn c(i: i64) -> Const {
     Const::Int(i)
 }
 
-/// Compare an engine's materialized answers against from-scratch evaluation of the
-/// same program over the engine's current facts.
+/// The reference evaluation of the engine's program over its current facts, for
+/// comparison with the engine's materialized answers.
 fn batch_answers(engine: &Engine, query: &Query) -> Vec<Vec<Const>> {
-    evaluate_default(engine.program(), engine.facts())
-        .expect("batch evaluation succeeds")
+    naive_evaluate(engine.program(), engine.facts())
+        .expect("reference evaluation succeeds")
         .answers(query)
 }
 

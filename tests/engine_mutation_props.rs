@@ -1,5 +1,5 @@
 //! Mutation-correctness property tests for the transactional engine API: any
-//! interleaving of assert/retract batches must converge to exactly the from-scratch
+//! interleaving of assert/retract batches must converge to exactly the reference
 //! evaluation of the surviving EDB, and a snapshot→restore round-trip must preserve a
 //! session mid-stream.
 
@@ -20,11 +20,11 @@ fn session(source: &str) -> Engine {
     engine
 }
 
-/// From-scratch evaluation of the engine's current program over its current base
-/// facts — the reference every maintained model must match.
+/// The reference evaluation of the engine's current program over its current base
+/// facts — what every maintained model must match.
 fn batch_answers(engine: &Engine, query: &Query) -> Vec<Vec<Const>> {
-    evaluate_default(engine.program(), engine.facts())
-        .expect("batch evaluation succeeds")
+    naive_evaluate(engine.program(), engine.facts())
+        .expect("reference evaluation succeeds")
         .answers(query)
 }
 
@@ -55,7 +55,7 @@ fn whole_model(answers: &mut dyn FnMut(&Query) -> Vec<Vec<Const>>) -> Vec<Vec<Ve
 }
 
 /// Commit `retracts` (`(predicate, a, b)`) as one retract-only transaction and check
-/// that the *whole* maintained model equals from-scratch evaluation of the surviving
+/// that the *whole* maintained model equals the reference evaluation of the surviving
 /// base facts, and that the delete counters mean what they say — every fact counted
 /// in `retractions` left the model, every fact counted in `rederivations` or derived
 /// downstream of one came back, so the model's size moves by exactly
@@ -76,8 +76,8 @@ fn retract_and_check(engine: &mut Engine, retracts: &[(&str, i64, i64)]) -> (usi
     }
     txn.commit().expect("commit succeeds");
     let maintained = whole_model(&mut |q| engine.query(q).unwrap());
-    let scratch = evaluate_default(engine.program(), engine.facts()).unwrap();
-    assert_eq!(maintained, whole_model(&mut |q| scratch.answers(q)));
+    let reference = naive_evaluate(engine.program(), engine.facts()).unwrap();
+    assert_eq!(maintained, whole_model(&mut |q| reference.answers(q)));
     let stats = engine.stats();
     let (retractions, rederivations, downstream) = (
         stats.retractions - before.retractions,

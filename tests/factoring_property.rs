@@ -57,7 +57,7 @@ fn theorem_3_1_edb_from_the_proof_refutes_factoring_into_t1_t2() {
     edb.ensure_relation(Symbol::intern("a2"), 1);
     edb.ensure_relation(Symbol::intern("q2"), 2);
 
-    let original = evaluate_default(&program, &edb).unwrap().answers(&query);
+    let original = naive_evaluate(&program, &edb).unwrap().answers(&query);
     let factored = evaluate_default(&with_recombination, &edb)
         .unwrap()
         .answers(&query);

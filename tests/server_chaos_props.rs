@@ -12,8 +12,7 @@
 //!   either `OK` (and the write survives restart) or a structured `ERR`; no
 //!   hang, no torn state.
 //! * **Recovery convergence** — after any chaos run, reopening the data
-//!   directory yields exactly what a fresh engine evaluating the surviving
-//!   base facts from scratch yields.
+//!   directory yields exactly the reference model of the surviving base facts.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -54,23 +53,14 @@ fn server_opts() -> ServerOptions {
     }
 }
 
-/// The recovery-convergence oracle: a reopened store must answer exactly like
-/// a fresh engine evaluating its surviving base facts from scratch.
-fn assert_reopened_converges(reopened: &mut Engine, query: &Query) -> Result<(), TestCaseError> {
-    let answers = reopened.query(query).expect("reopened store answers");
-    let mut fresh = Engine::new();
-    fresh
-        .add_rules(reopened.program().clone())
-        .expect("program transplants");
-    for (predicate, relation) in reopened.facts().iter() {
-        for tuple in relation.iter() {
-            fresh.insert(predicate, tuple).expect("fact transplants");
-        }
-    }
+/// The recovery-convergence oracle: a reopened store's model must be exactly the
+/// reference model of its program over its surviving base facts.
+fn assert_reopened_converges(reopened: &mut Engine) -> Result<(), TestCaseError> {
+    let model = reopened.refreshed_model().expect("reopened store answers");
     prop_assert_eq!(
-        &fresh.query(query).expect("fresh query"),
-        &answers,
-        "reopened store diverges from scratch evaluation"
+        ReferenceModel::from(&model),
+        naive_evaluate(reopened.program(), reopened.facts()).expect("reference"),
+        "reopened store diverges from the reference"
     );
     Ok(())
 }
@@ -169,7 +159,7 @@ proptest! {
     /// action, random countdown), under concurrent writer clients. Every
     /// transaction reply must be `OK` or a structured `ERR`; every `OK`d
     /// fact must survive restart; and the reopened store must converge to
-    /// the from-scratch evaluation.
+    /// the reference evaluation.
     #[test]
     fn wal_and_merge_faults_during_group_commit_stay_contained(
         site_sel in 0usize..2,
@@ -196,7 +186,7 @@ proptest! {
                 drop(e); // engine drops, releasing the LOCK
                 let mut reopened = Engine::open_durable(&dir).expect("reopen after refusal");
                 reopened.load_source(programs::THREE_RULE_TC).expect("program");
-                assert_reopened_converges(&mut reopened, &parse_query("t(0, Y)").unwrap())?;
+                assert_reopened_converges(&mut reopened)?;
                 drop(reopened);
                 std::fs::remove_dir_all(&dir).ok();
                 return Ok(());
@@ -251,8 +241,8 @@ proptest! {
                 "acked e({x}, {y}) lost across restart"
             );
         }
-        // …and the store converges to from-scratch evaluation.
-        assert_reopened_converges(&mut reopened, &parse_query("t(1000, Y)").unwrap())?;
+        // …and the store converges to the reference evaluation.
+        assert_reopened_converges(&mut reopened)?;
         drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -322,7 +312,7 @@ fn connections_killed_mid_request_leave_the_server_consistent() {
 /// Shutdown mid-load: with readers and writers still streaming, a graceful
 /// shutdown must terminate promptly, give every still-connected client either
 /// a result or a structured/socket-level refusal (never a hang), flush the
-/// WAL, and leave a store that recovers to from-scratch evaluation.
+/// WAL, and leave a store that recovers to the reference evaluation.
 #[test]
 fn shutdown_mid_load_drains_and_recovers() {
     let dir = fresh_dir("drain");
@@ -390,21 +380,7 @@ fn shutdown_mid_load_drains_and_recovers() {
             "acked e({x}, {y}) lost across shutdown + restart"
         );
     }
-    let answers = reopened
-        .query(&parse_query("t(100, Y)").unwrap())
-        .expect("reopened store answers");
-    let mut fresh = Engine::new();
-    fresh.add_rules(reopened.program().clone()).unwrap();
-    for (predicate, relation) in reopened.facts().iter() {
-        for tuple in relation.iter() {
-            fresh.insert(predicate, tuple).unwrap();
-        }
-    }
-    assert_eq!(
-        fresh.query(&parse_query("t(100, Y)").unwrap()).unwrap(),
-        answers,
-        "post-shutdown store diverges from scratch evaluation"
-    );
+    assert_reopened_converges(&mut reopened).unwrap();
     drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
 }
