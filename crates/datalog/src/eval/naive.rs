@@ -3,19 +3,27 @@
 //!
 //! It is a naive fixpoint. Every round fires every rule over the whole model by
 //! nested loops over substitutions, and the rounds stop when one derives nothing new.
-//! The model is a `BTreeMap` of `BTreeSet`s of tuples. The EDB's rows are read once
-//! through [`Database::iter`]; nothing else is shared with the compiled pipeline (its
-//! rule plans, relation indexes and join loops), so a bug there cannot hide on both
-//! sides of a comparison. There are no builtins (`succ` is an ordinary predicate) and
-//! no options: pure Datalog over a finite EDB reaches its fixpoint.
+//! The model maps each predicate to its sorted tuples in `BTreeMap`s. The EDB's rows
+//! are read once through [`Database::iter`]; nothing else is shared with the compiled
+//! pipeline (its rule plans, relation indexes and join loops), so a bug there cannot
+//! hide on both sides of a comparison. There are no builtins (`succ` is an ordinary
+//! predicate) and no options: pure Datalog over a finite EDB reaches its fixpoint.
 //!
-//! Its callers are every harness whose expected side is "from-scratch evaluation"
-//! and the §5 uniform-equivalence pass, which asks whether a frozen rule head is
-//! derivable from a frozen body.
+//! Each derived fact keeps its first justification, the rule and the bindings of the
+//! instance that derived it, from which [`ReferenceModel::derivation`] rebuilds a
+//! derivation tree (Definition 2.1). A round's derivations are collected first and
+//! inserted after the round, so a justification uses only facts of earlier rounds:
+//! the justifications are acyclic, and a fact first derived in round k gets a tree of
+//! height at most k + 1 (exactly k + 1 when no program fact occurs in it).
+//!
+//! Its callers are every harness whose expected side is "from-scratch evaluation",
+//! the derivation-tree checks of Theorems 4.1–4.3, and the §5 uniform-equivalence
+//! pass, which asks whether a frozen rule head is derivable from a frozen body.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Atom, Const, Program, Query, Term};
+use crate::ast::{Atom, Const, Program, Query, Rule, Term};
+use crate::derivation::DerivationTree;
 use crate::storage::Database;
 use crate::symbol::Symbol;
 
@@ -24,22 +32,32 @@ use super::EvalError;
 /// The values given to a rule's variables, in the order they were bound.
 type Bindings = Vec<(Symbol, Const)>;
 
+/// Why a fact is in the model: `None` when the EDB supplies it, else the index of the
+/// rule and the bindings of the first instance that derived it.
+type Justification = Option<(usize, Bindings)>;
+
+/// Facts with their justifications, by predicate.
+type Facts = BTreeMap<Symbol, BTreeMap<Vec<Const>, Justification>>;
+
 /// A least model computed by [`naive_evaluate`]: every fact, by predicate. Only
 /// predicates with at least one fact have an entry, so two models are equal exactly
-/// when they hold the same facts.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// when they hold the same facts (however they were derived).
+#[derive(Clone, Debug, Default)]
 pub struct ReferenceModel {
-    relations: BTreeMap<Symbol, BTreeSet<Vec<Const>>>,
+    relations: Facts,
+    /// The rules the justifications index into.
+    rules: Vec<Rule>,
 }
 
 /// The least model of `program` over `edb`, by naive iteration.
 pub fn naive_evaluate(program: &Program, edb: &Database) -> Result<ReferenceModel, EvalError> {
     crate::validate::check_program(program).map_err(EvalError::Invalid)?;
     let mut model = ReferenceModel::from(edb);
+    model.rules = program.rules.clone();
     loop {
-        let mut derived: BTreeSet<(Symbol, Vec<Const>)> = BTreeSet::new();
+        let mut derived = Facts::new();
         let mut head = Vec::new();
-        for rule in &program.rules {
+        for (index, rule) in program.rules.iter().enumerate() {
             model.match_body(&rule.body, &mut Vec::new(), &mut |bindings| {
                 head.clear();
                 head.extend(
@@ -49,15 +67,18 @@ pub fn naive_evaluate(program: &Program, edb: &Database) -> Result<ReferenceMode
                         .map(|term| value(term, bindings).expect("a safe rule binds its head")),
                 );
                 if !model.holds(rule.head.predicate, &head) {
-                    derived.insert((rule.head.predicate, head.clone()));
+                    let rows = derived.entry(rule.head.predicate).or_default();
+                    if !rows.contains_key(head.as_slice()) {
+                        rows.insert(head.clone(), Some((index, bindings.clone())));
+                    }
                 }
             });
         }
         if derived.is_empty() {
             return Ok(model);
         }
-        for (predicate, tuple) in derived {
-            model.relations.entry(predicate).or_default().insert(tuple);
+        for (predicate, rows) in derived {
+            model.relations.entry(predicate).or_default().extend(rows);
         }
     }
 }
@@ -71,7 +92,7 @@ impl ReferenceModel {
             .relations
             .get(&query.atom.predicate)
             .into_iter()
-            .flatten()
+            .flat_map(BTreeMap::keys)
         {
             let mut bindings = Bindings::new();
             if unify(&query.atom.terms, row, &mut bindings) {
@@ -81,10 +102,32 @@ impl ReferenceModel {
         answers.into_iter().collect()
     }
 
+    /// A derivation tree of `fact`, `None` when it is not in the model. A fact of the
+    /// EDB is a leaf, whatever its predicate; a derived fact is the first rule instance
+    /// that derived it, over the trees of its body facts.
+    pub fn derivation(&self, fact: &Atom) -> Option<DerivationTree> {
+        let tuple = fact.as_fact()?;
+        let Some((index, bindings)) = self.relations.get(&fact.predicate)?.get(&tuple)? else {
+            return Some(DerivationTree::leaf(fact.clone()));
+        };
+        let children = self.rules[*index].body.iter().map(|atom| {
+            let terms = atom.terms.iter().map(|term| {
+                Term::Const(value(term, bindings).expect("a safe rule binds its body"))
+            });
+            self.derivation(&Atom::new(atom.predicate, terms.collect()))
+                .expect("a justification uses facts of the model")
+        });
+        Some(DerivationTree {
+            fact: fact.clone(),
+            rule_index: Some(*index),
+            children: children.collect(),
+        })
+    }
+
     fn holds(&self, predicate: Symbol, tuple: &[Const]) -> bool {
         self.relations
             .get(&predicate)
-            .is_some_and(|rows| rows.contains(tuple))
+            .is_some_and(|rows| rows.contains_key(tuple))
     }
 
     /// Call `emit` with every extension of `bindings` that makes each atom of `body` a
@@ -104,9 +147,9 @@ impl ReferenceModel {
             .iter()
             .map_while(|t| value(t, bindings))
             .collect();
-        for row in rows
+        for (row, _) in rows
             .range(prefix.clone()..)
-            .take_while(|row| row.starts_with(&prefix))
+            .take_while(|(row, _)| row.starts_with(&prefix))
         {
             let bound = bindings.len();
             if unify(&atom.terms, row, bindings) {
@@ -116,6 +159,16 @@ impl ReferenceModel {
         }
     }
 }
+
+impl PartialEq for ReferenceModel {
+    fn eq(&self, other: &ReferenceModel) -> bool {
+        self.relations.len() == other.relations.len()
+            && (self.relations.iter().zip(&other.relations))
+                .all(|((p, rows), (q, others))| p == q && rows.keys().eq(others.keys()))
+    }
+}
+
+impl Eq for ReferenceModel {}
 
 impl From<&Database> for ReferenceModel {
     /// The facts of `db`, in the reference's shape: the EDB of [`naive_evaluate`],
@@ -128,7 +181,7 @@ impl From<&Database> for ReferenceModel {
                     .relations
                     .entry(predicate)
                     .or_default()
-                    .insert(row.to_vec());
+                    .insert(row.to_vec(), None);
             }
         }
         model
@@ -162,7 +215,7 @@ fn unify(terms: &[Term], row: &[Const], bindings: &mut Bindings) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_program, parse_query};
+    use crate::parser::{parse_atom, parse_program, parse_query};
 
     fn c(i: i64) -> Const {
         Const::Int(i)
@@ -175,6 +228,14 @@ mod tests {
         }
         db
     }
+
+    fn tree(program: &str, edb: &Database, fact: &str) -> Option<DerivationTree> {
+        let program = parse_program(program).unwrap().program;
+        let model = naive_evaluate(&program, edb).unwrap();
+        model.derivation(&parse_atom(fact).unwrap())
+    }
+
+    const TC: &str = "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).";
 
     #[test]
     fn computes_transitive_closure_of_a_chain() {
@@ -226,5 +287,86 @@ mod tests {
         let model = naive_evaluate(&Program::new(), &edb).unwrap();
         assert_eq!(model, ReferenceModel::from(&edb));
         assert_eq!(model.answers(&parse_query("e(X, Y)").unwrap()).len(), 3);
+    }
+
+    #[test]
+    fn edb_facts_are_leaves() {
+        let tree = tree("t(X, Y) :- e(X, Y).", &chain_edb(3), "e(0, 1)").unwrap();
+        assert_eq!(tree.height(), 1);
+        assert_eq!(tree.rule_index, None);
+    }
+
+    #[test]
+    fn an_idb_fact_the_edb_supplies_is_a_leaf() {
+        let mut edb = chain_edb(3);
+        edb.add_fact("t", &[c(0), c(1)]);
+        edb.add_fact("t", &[c(2), c(9)]);
+        // t(0, 1) is also derivable, but the EDB supplies it.
+        let supplied = tree(TC, &edb, "t(0, 1)").unwrap();
+        assert_eq!(
+            supplied,
+            DerivationTree::leaf(parse_atom("t(0, 1)").unwrap())
+        );
+        // A fact derived on top of a supplied one keeps it as a leaf child.
+        let above = tree(TC, &edb, "t(1, 9)").unwrap();
+        assert_eq!(above.rule_index, Some(1));
+        assert_eq!(
+            above.children[1],
+            DerivationTree::leaf(parse_atom("t(2, 9)").unwrap())
+        );
+        assert_eq!(above.height(), 2);
+    }
+
+    #[test]
+    fn a_program_fact_is_a_rule_node_without_children() {
+        let program = "m(5).\nm(W) :- m(X), e(X, W).";
+        let mut edb = Database::new();
+        edb.add_fact("e", &[c(5), c(6)]);
+        let seed = tree(program, &edb, "m(5)").unwrap();
+        assert_eq!(seed.rule_index, Some(0));
+        assert!(seed.children.is_empty());
+        let next = tree(program, &edb, "m(6)").unwrap();
+        assert_eq!(next.rule_index, Some(1));
+        assert_eq!(next.children[0], seed);
+        assert_eq!(next.height(), 2);
+    }
+
+    #[test]
+    fn derived_facts_have_rule_justifications() {
+        let tree = tree(TC, &chain_edb(4), "t(0, 4)").unwrap();
+        // t(0,4) needs the recursive rule at the root.
+        assert_eq!(tree.rule_index, Some(1));
+        assert_eq!(tree.children.len(), 2);
+        // Height: e(0,1) leaf under each recursive step: the chain of length 4 gives
+        // height 5 (4 rule applications plus a leaf).
+        assert_eq!(tree.height(), 5);
+        assert!(tree.size() >= 8);
+    }
+
+    #[test]
+    fn derivation_exists_iff_fact_in_least_model() {
+        let edb = chain_edb(4);
+        assert!(tree(TC, &edb, "t(1, 3)").is_some());
+        assert!(tree(TC, &edb, "t(3, 1)").is_none());
+        assert!(tree(TC, &edb, "t(0, 1)").is_some());
+        assert!(tree(TC, &edb, "t(4, 0)").is_none());
+        // A non-ground atom is not a fact of any model.
+        assert!(tree(TC, &edb, "t(0, Y)").is_none());
+    }
+
+    #[test]
+    fn justification_bodies_are_earlier_facts() {
+        // The derivation of t(0,7) must not be circular: every child fact is either an
+        // EDB fact or has its own strictly smaller derivation.
+        let program = "t(X, Y) :- e(X, Y).\nt(X, Y) :- t(X, W), t(W, Y).";
+        let tree = tree(program, &chain_edb(8), "t(0, 7)").unwrap();
+        fn check_acyclic(tree: &DerivationTree) {
+            for child in &tree.children {
+                assert_ne!(child.fact, tree.fact, "a fact must not justify itself");
+                check_acyclic(child);
+            }
+        }
+        check_acyclic(&tree);
+        assert!(tree.height() >= 3);
     }
 }

@@ -11,7 +11,8 @@
 //! * predicate dependency / recursion analysis ([`graph`]),
 //! * conjunctive-query containment, the decision procedure behind the paper's
 //!   factorability conditions ([`cq`]),
-//! * derivation trees, Definition 2.1 ([`derivation`]),
+//! * derivation trees, Definition 2.1 ([`derivation`]), which the reference evaluator
+//!   records for every fact it derives ([`eval::ReferenceModel::derivation`]),
 //! * static validation ([`validate`]).
 //!
 //! The program transformations themselves (adornment, Magic Sets, factoring, the §5

@@ -2,6 +2,8 @@
 //! generated EDBs and, for the evaluator, over randomly generated safe programs.
 //!
 //! * semi-naive ≡ the reference evaluator, every predicate of the model;
+//! * every fact of the reference model has a recorded derivation tree, and each tree
+//!   is a real derivation (Definition 2.1);
 //! * rule-body order and tracing change neither the model nor the counters;
 //! * Magic ≡ original on random EDBs for several programs;
 //! * factored ≡ original on random EDBs for every program the analysis declares
@@ -9,13 +11,16 @@
 //! * the §5 optimizer preserves answers;
 //! * conjunctive-query containment is sound with respect to evaluation.
 
+use factorlog::core::equivalence::{random_edb, EdbSpec};
 use factorlog::core::optimize::{optimize, OptimizeOptions};
 use factorlog::core::pipeline::Strategy as PipelineStrategy;
 use factorlog::datalog::cq::ConjunctiveQuery;
+use factorlog::datalog::derivation::DerivationTree;
 use factorlog::datalog::eval::seminaive_evaluate;
 use factorlog::prelude::*;
 use factorlog::workloads::programs;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// A random edge list over a small domain.
 fn edges(
@@ -73,8 +78,84 @@ fn model_of(db: &Database, sorted: bool) -> Vec<(String, Vec<Vec<Const>>)> {
     out
 }
 
+/// Check that `tree` is a derivation of its fact by `program` over `edb`, and return
+/// its height. An internal node is a ground instance of the rule it names: its head is
+/// the node's fact and its body, in order, the children's facts. A leaf is a fact of
+/// `edb`. Every child is lower than its node, and one is exactly one level lower.
+fn check_derivation(tree: &DerivationTree, program: &Program, edb: &ReferenceModel) -> usize {
+    let Some(index) = tree.rule_index else {
+        assert!(
+            tree.children.is_empty() && edb.derivation(&tree.fact).is_some(),
+            "{tree}"
+        );
+        return 1;
+    };
+    let rule = &program.rules[index];
+    assert_eq!(rule.body.len(), tree.children.len(), "{tree}");
+    let mut bindings: HashMap<Symbol, Const> = HashMap::new();
+    let body = rule
+        .body
+        .iter()
+        .zip(tree.children.iter().map(|child| &child.fact));
+    for (atom, fact) in std::iter::once((&rule.head, &tree.fact)).chain(body) {
+        assert!(
+            atom.predicate == fact.predicate && atom.arity() == fact.arity(),
+            "{tree}"
+        );
+        for (term, fact_term) in atom.terms.iter().zip(&fact.terms) {
+            let value = fact_term.as_const().expect("a fact is ground");
+            let bound = match *term {
+                Term::Const(c) => c,
+                Term::Var(v) => *bindings.entry(v).or_insert(value),
+            };
+            assert_eq!(bound, value, "not an instance of rule {index}: {tree}");
+        }
+    }
+    let height = tree.height();
+    let heights: Vec<usize> = (tree.children.iter())
+        .map(|child| check_derivation(child, program, edb))
+        .collect();
+    assert!(heights.iter().all(|&h| h < height), "{tree}");
+    assert!(
+        heights.is_empty() || heights.contains(&(height - 1)),
+        "{tree}"
+    );
+    height
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The trees the reference evaluator records, checked without another evaluator:
+    /// every fact of the model has one, and each is a derivation of its fact.
+    #[test]
+    fn recorded_derivation_trees_are_derivations(seed in 0u64..1_000_000, prog_idx in 0usize..6) {
+        let src = [EVAL_PROGRAMS, &[programs::THREE_RULE_TC, programs::PMEM]].concat()[prog_idx];
+        let program = parse_program(src).unwrap().program;
+        let mut specs: Vec<EdbSpec> = (program.edb_predicates().into_iter())
+            .map(|p| {
+                let arity = program.arity_of(p).unwrap();
+                EdbSpec::new(p.as_str(), arity, if arity == 1 { 4 } else { 12 })
+            })
+            .collect();
+        // By name, so that a seed names one EDB whatever order symbols were interned in.
+        specs.sort_by_key(|spec| spec.predicate.as_str());
+        let edb = random_edb(&specs, 8, seed);
+        let edb_model = ReferenceModel::from(&edb);
+        let model = naive_evaluate(&program, &edb).unwrap();
+        for predicate in program.all_predicates() {
+            let arity = program.arity_of(predicate).unwrap();
+            let vars = (0..arity).map(|i| Term::var(&format!("A{i}"))).collect();
+            for row in model.answers(&Query::new(Atom::new(predicate, vars))) {
+                let fact = Atom::new(predicate, row.into_iter().map(Term::Const).collect());
+                let tree = model.derivation(&fact);
+                prop_assert!(tree.is_some(), "{} has no derivation", fact);
+                let tree = tree.unwrap();
+                prop_assert_eq!(&tree.fact, &fact);
+                check_derivation(&tree, &program, &edb_model);
+            }
+        }
+    }
 
     #[test]
     fn seminaive_matches_reference(edge_list in edges(12, 40), prog_idx in 0usize..4) {
