@@ -113,11 +113,24 @@ impl Term {
     }
 }
 
+/// A term in parseable surface syntax: variables, integers and identifier-shaped
+/// symbols verbatim, other symbols as quoted strings (a symbol containing `"` or
+/// a newline has no surface form).
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Term::Var(v) => write!(f, "{v}"),
-            Term::Const(c) => write!(f, "{c}"),
+            Term::Const(Const::Int(i)) => fmt::Display::fmt(i, f),
+            Term::Const(Const::Sym(s)) => {
+                let name = s.as_str();
+                let identifier = name.chars().next().is_some_and(|c| c.is_ascii_lowercase())
+                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+                if identifier {
+                    f.write_str(name)
+                } else {
+                    write!(f, "\"{name}\"")
+                }
+            }
         }
     }
 }

@@ -323,7 +323,7 @@ mod tests {
     fn parses_symbolic_constants_and_strings() {
         let rule = parse_rule("likes(alice, \"ice cream\").").unwrap();
         assert!(rule.is_fact());
-        assert_eq!(format!("{}", rule.head), "likes(alice, ice cream)");
+        assert_eq!(format!("{}", rule.head), "likes(alice, \"ice cream\")");
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Crash-safe durability for [`Engine`] sessions: a data directory holding a
-//! versioned snapshot plus an append-only transaction log (see [`crate::wal`]),
-//! replayed on startup and compacted once the log grows past a threshold.
+//! session image plus an append-only transaction log, both in the one binary
+//! format of [`crate::wal`], replayed on startup and compacted once the log grows
+//! past a threshold.
 //!
 //! # Data directory layout
 //!
 //! ```text
-//! <dir>/snapshot.fl      textual session snapshot (`% factorlog snapshot v1`,
-//!                        plus a `% wal-seq: N` comment recording the last log
-//!                        sequence number the snapshot includes)
+//! <dir>/snapshot.fl      the image: `FLOGWAL1` plus exactly one image record
+//!                        (program + every stored relation), whose sequence
+//!                        number is the last log record it includes
 //! <dir>/snapshot.fl.tmp  compaction staging file (ignored and removed on open)
-//! <dir>/wal.log          the record log of committed mutations since the snapshot
+//! <dir>/wal.log          the record log of committed mutations since the image
 //! <dir>/LOCK             single-writer lock: the PID of the live opener
 //! ```
 //!
@@ -27,20 +28,23 @@
 //!
 //! # Recovery
 //!
-//! [`Engine::open_durable`] loads the newest valid snapshot, truncates the log's
-//! torn tail (see [`crate::wal::read_log`]), and replays every record whose
-//! sequence number the snapshot does not already include through the same commit
-//! function, told the record is already on the log — the factored-evaluation
-//! machinery then rebuilds derived views on the first query, exactly as it would
-//! for a freshly loaded session.
+//! [`Engine::open_durable`] replays the image (see [`crate::wal::read_image`]:
+//! anything but one intact image record is refused, and the directory is left
+//! as it is), truncates the log's torn tail (see [`crate::wal::read_log`]), and
+//! replays every record whose sequence number the image does not already
+//! include through the same commit function, told the record is already on the
+//! log — the factored-evaluation machinery then rebuilds derived views on the
+//! first query, exactly as it would for a freshly loaded session. A follower
+//! bootstraps the same way: the leader ships its image as one more frame.
 //!
 //! # Compaction
 //!
 //! Once the log exceeds [`DurabilityOptions::compact_threshold`] bytes, the
-//! engine rewrites the snapshot (to a temp file, fsync, atomic rename, directory
-//! fsync) and resets the log. A crash at *any* point of that sequence leaves a
-//! recoverable image: before the rename, the old snapshot + full log; after it,
-//! the new snapshot + a log whose stale records are skipped by sequence number.
+//! engine writes the image (through a [`WalWriter`] to a temp file, fsync,
+//! atomic rename, directory fsync) and resets the log. A crash at *any* point of
+//! that sequence leaves a recoverable directory: before the rename, the old
+//! image + full log; after it, the new image + a log whose stale records are
+//! skipped by sequence number.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -48,12 +52,12 @@ use std::path::{Path, PathBuf};
 use factorlog_datalog::eval::EvalOptions;
 use factorlog_datalog::fault::FaultSite;
 
-use crate::engine::{Engine, EngineError, Snapshot};
+use crate::engine::{Engine, EngineError};
 use crate::wal::{self, FaultPoint, WalError, WalRecord, WalWriter};
 
-/// File name of the session snapshot inside a data directory.
+/// File name of the session image inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.fl";
-/// Staging name the compactor writes the next snapshot under before renaming it.
+/// Staging name the compactor writes the next image under before renaming it.
 pub const SNAPSHOT_TMP_FILE: &str = "snapshot.fl.tmp";
 /// File name of the transaction log inside a data directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -63,25 +67,20 @@ pub const WAL_FILE: &str = "wal.log";
 /// reclaims the lock when it is not (a stale lock from a crash).
 pub const LOCK_FILE: &str = "LOCK";
 
-/// The comment line (after the snapshot header) recording the last log sequence
-/// number a snapshot includes. Being a `%` comment it is invisible to the parser,
-/// so sequenced snapshots remain ordinary v1 snapshots.
-const WAL_SEQ_PREFIX: &str = "% wal-seq:";
-
-/// Default log size (bytes) past which a commit triggers snapshot compaction.
+/// Default log size (bytes) past which a commit triggers compaction.
 pub const DEFAULT_COMPACT_THRESHOLD: u64 = 1 << 20;
 
 /// Configuration of a durable session.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityOptions {
-    /// fsync the log after every appended record (and snapshots after every
+    /// fsync the log after every appended record (and the image after every
     /// compaction step). On: a commit that returns is on stable storage — the
     /// crash guarantee this subsystem exists for. Off: commits are buffered by the
     /// OS (a machine crash may lose the newest ones; a mere process crash cannot),
     /// which is only appropriate for bulk loads and benchmarks.
     pub fsync: bool,
     /// Log size (bytes) past which the next commit compacts: rewrites the
-    /// snapshot atomically and resets the log. `u64::MAX` disables automatic
+    /// image atomically and resets the log. `u64::MAX` disables automatic
     /// compaction (explicit [`Engine::compact`] still works).
     pub compact_threshold: u64,
 }
@@ -98,14 +97,14 @@ impl Default for DurabilityOptions {
 /// What [`Engine::open_durable`] found and did.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
-    /// Was a snapshot file present (and valid)?
+    /// Was an image file present (it is valid, or the open fails)?
     pub snapshot_loaded: bool,
-    /// The last log sequence number the snapshot includes (0 = none).
+    /// The last log sequence number the image includes (0 = none).
     pub snapshot_seq: u64,
     /// Log records replayed through the transactional path.
     pub records_replayed: usize,
-    /// Log records skipped because the snapshot already includes them (left
-    /// behind by a compaction that crashed between snapshot rename and log reset).
+    /// Log records skipped because the image already includes them (left
+    /// behind by a compaction that crashed between image rename and log reset).
     pub records_skipped: usize,
     /// Bytes of torn/corrupt log tail truncated away.
     pub torn_bytes_truncated: u64,
@@ -143,7 +142,7 @@ pub struct CompactReport {
     pub log_bytes_before: u64,
     /// Log bytes after compaction (a fresh header).
     pub log_bytes_after: u64,
-    /// The sequence number the new snapshot includes.
+    /// The sequence number the new image includes.
     pub snapshot_seq: u64,
 }
 
@@ -153,11 +152,11 @@ pub struct CompactReport {
 /// must recover to the same session image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompactionFault {
-    /// Crash after writing the staging snapshot but before the atomic rename:
-    /// readers still see the old snapshot + full log.
+    /// Crash after writing the staging image but before the atomic rename:
+    /// readers still see the old image + full log.
     AfterTempWrite,
     /// Crash after the rename but before the log reset: readers see the new
-    /// snapshot + a stale log whose records are sequence-skipped.
+    /// image + a stale log whose records are sequence-skipped.
     AfterRename,
 }
 
@@ -264,27 +263,14 @@ impl From<WalError> for EngineError {
     }
 }
 
-/// Insert the `% wal-seq: N` line after the snapshot header.
-fn snapshot_text_with_seq(snapshot: &Snapshot, seq: u64) -> String {
-    let text = snapshot.as_str();
-    match text.find('\n') {
-        Some(pos) => format!(
-            "{}\n{WAL_SEQ_PREFIX} {seq}\n{}",
-            &text[..pos],
-            &text[pos + 1..]
-        ),
-        None => format!("{text}\n{WAL_SEQ_PREFIX} {seq}\n"),
-    }
-}
-
-/// The `% wal-seq: N` value of a snapshot text (0 when absent — e.g. a snapshot
-/// written by `:save` and copied into a data directory by hand).
-pub(crate) fn parse_wal_seq(text: &str) -> u64 {
-    text.lines()
-        .take(8)
-        .find_map(|line| line.trim().strip_prefix(WAL_SEQ_PREFIX))
-        .and_then(|rest| rest.trim().parse().ok())
-        .unwrap_or(0)
+/// The refusal of a data directory whose image is not one intact image record.
+fn refuse_image(path: &Path, error: impl std::fmt::Display) -> EngineError {
+    EngineError::Durability(format!(
+        "refusing {}: {error}; the directory is left as it is (a text snapshot \
+         from an older build is carried over with `:save` on that build, then \
+         `:open` of a new directory and `:load` on this one)",
+        path.display()
+    ))
 }
 
 /// Best-effort fsync of a directory (required on Linux for a rename to be
@@ -296,53 +282,9 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-/// Stage `text` beside the live snapshot and atomically rename it into place
-/// (write tmp → fsync → rename → dir fsync), honoring the compactor's injected
-/// crash points. On error nothing the directory's recovery depends on has
-/// changed: a leftover tmp file is ignored and removed by the next open.
-fn persist_snapshot_atomically(
-    dir: &Path,
-    text: &str,
-    fsync: bool,
-    fault: Option<CompactionFault>,
-) -> Result<(), EngineError> {
-    let tmp_path = dir.join(SNAPSHOT_TMP_FILE);
-    let write_tmp = || -> std::io::Result<()> {
-        let mut tmp = File::create(&tmp_path)?;
-        use std::io::Write as _;
-        tmp.write_all(text.as_bytes())?;
-        if fsync {
-            tmp.sync_data()?;
-        }
-        Ok(())
-    };
-    write_tmp()
-        .map_err(|e| EngineError::Io(format!("cannot write {}: {e}", tmp_path.display())))?;
-    if fault == Some(CompactionFault::AfterTempWrite) {
-        return Err(EngineError::Durability(
-            "injected compaction fault after staging write".to_string(),
-        ));
-    }
-    let snapshot_path = dir.join(SNAPSHOT_FILE);
-    std::fs::rename(&tmp_path, &snapshot_path).map_err(|e| {
-        EngineError::Io(format!(
-            "cannot rename {} over {}: {e}",
-            tmp_path.display(),
-            snapshot_path.display()
-        ))
-    })?;
-    sync_dir(dir);
-    if fault == Some(CompactionFault::AfterRename) {
-        return Err(EngineError::Durability(
-            "injected compaction fault after snapshot rename".to_string(),
-        ));
-    }
-    Ok(())
-}
-
 impl Engine {
     /// Open (or create) a durable session in `dir` with default durability and
-    /// evaluation options: loads the newest valid snapshot, truncates the log's
+    /// evaluation options: replays the image, truncates the log's
     /// torn tail, replays the remaining records, and logs every subsequent
     /// committed mutation. See the [crate docs](crate) for the crash guarantees.
     ///
@@ -379,28 +321,22 @@ impl Engine {
         let lock = DirLock::acquire(dir)?;
         let mut engine = Engine::with_options(eval_options);
 
-        // 1. The newest valid snapshot. A leftover staging file is from a crashed
-        //    compaction that never renamed: the real snapshot + log supersede it.
+        // 1. The image. A leftover staging file is from a crashed compaction
+        //    that never renamed: the real image + log supersede it. Nothing is
+        //    written before the image is accepted.
         std::fs::remove_file(dir.join(SNAPSHOT_TMP_FILE)).ok();
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
+        let image_path = dir.join(SNAPSHOT_FILE);
         let mut report = RecoveryReport::default();
-        match std::fs::read_to_string(&snapshot_path) {
-            Ok(text) => {
-                let snapshot = Snapshot::from_text(&text)?;
-                engine.restore(&snapshot)?;
-                report.snapshot_seq = parse_wal_seq(&text);
-                report.snapshot_loaded = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(EngineError::Io(format!(
-                    "cannot read {}: {e}",
-                    snapshot_path.display()
-                )))
-            }
+        let image = wal::read_image(&image_path).map_err(|e| refuse_image(&image_path, e))?;
+        if let Some((image, _)) = image {
+            report.snapshot_seq = image.seq();
+            report.snapshot_loaded = true;
+            engine
+                .replay(image)
+                .map_err(|e| refuse_image(&image_path, e))?;
         }
 
-        // 2. The log: truncate the torn tail, replay what the snapshot lacks
+        // 2. The log: truncate the torn tail, replay what the image lacks
         //    (see `Engine::replay`: the ordinary commit path, so IDB assertion
         //    routing and exit rules are re-derived exactly as they were live).
         let wal_path = dir.join(WAL_FILE);
@@ -413,7 +349,7 @@ impl Engine {
                 continue;
             }
             last_seq = record.seq();
-            engine.replay(record);
+            engine.replay(record)?;
             report.records_replayed += 1;
         }
         if report.torn_bytes_truncated > 0 {
@@ -501,7 +437,7 @@ impl Engine {
         }
     }
 
-    /// Compact now: atomically rewrite the snapshot to include everything the log
+    /// Compact now: atomically rewrite the image to include everything the log
     /// holds, then reset the log. A crash (or injected fault) anywhere in the
     /// sequence leaves a directory that recovers to exactly the same session.
     /// Errors when the session is not durable.
@@ -515,7 +451,8 @@ impl Engine {
             engine.chaos_hit(FaultSite::Compaction)?;
             let start = engine.tracing.then(std::time::Instant::now);
             let log_bytes_before = engine.wal_len().expect("checked durable above");
-            let snapshot_seq = engine.wal_persist_image(&engine.snapshot())?;
+            let snapshot_seq = engine.wal_last_seq().expect("checked durable above");
+            engine.wal_persist_image(&engine.image(snapshot_seq))?;
             engine.wal_reset()?;
             engine.stats.wal_compactions += 1;
             if let (Some(start), Some(metrics)) = (start, engine.metrics.as_deref_mut()) {
@@ -529,17 +466,54 @@ impl Engine {
         })
     }
 
-    /// Steps 1–2 of a compaction (and of a durable restore): stage `image` as the
-    /// snapshot that includes every record logged so far and atomically cut over.
-    /// After the rename the (still-untruncated) log's records are all stale and
-    /// sequence-skipped by recovery. Returns the sequence number the snapshot
-    /// carries.
-    fn wal_persist_image(&self, image: &Snapshot) -> Result<u64, EngineError> {
+    /// Steps 1–2 of a compaction (and of a durable restore or a follower's
+    /// bootstrap): stage `image`, which includes every record logged so far,
+    /// through a log writer beside the live one and atomically rename it into
+    /// place (write tmp → fsync → rename → dir fsync), honoring the compactor's
+    /// injected crash points. On error nothing recovery depends on has changed
+    /// (a leftover tmp file is removed by the next open); after the rename the
+    /// still-untruncated log's records are all stale and sequence-skipped.
+    fn wal_persist_image(&self, image: &WalRecord) -> Result<(), EngineError> {
         let dur = self.durability.as_ref().expect("caller checked durable");
-        let snapshot_seq = dur.next_seq - 1;
-        let text = snapshot_text_with_seq(image, snapshot_seq);
-        persist_snapshot_atomically(&dur.dir, &text, dur.options.fsync, dur.compaction_fault)?;
-        Ok(snapshot_seq)
+        let tmp_path = dur.dir.join(SNAPSHOT_TMP_FILE);
+        let mut tmp = WalWriter::create(&tmp_path, false)?;
+        tmp.append(image)?;
+        if dur.options.fsync {
+            tmp.sync()?;
+        }
+        drop(tmp);
+        let injected = |after| {
+            let message = format!("injected compaction fault after {after}");
+            Err(EngineError::Durability(message))
+        };
+        if dur.compaction_fault == Some(CompactionFault::AfterTempWrite) {
+            return injected("staging write");
+        }
+        let image_path = dur.dir.join(SNAPSHOT_FILE);
+        std::fs::rename(&tmp_path, &image_path).map_err(|e| {
+            let (tmp, image) = (tmp_path.display(), image_path.display());
+            EngineError::Io(format!("cannot rename {tmp} over {image}: {e}"))
+        })?;
+        sync_dir(&dur.dir);
+        if dur.compaction_fault == Some(CompactionFault::AfterRename) {
+            return injected("image rename");
+        }
+        Ok(())
+    }
+
+    /// Make `image` — a state that replaces the session's, from a durable
+    /// [`Engine::restore`] or a shipped image — the directory's: persist it,
+    /// continue numbering after it, and reset the log (best-effort: once the
+    /// rename lands, every record of the old log is stale). Called *before*
+    /// the state is installed in memory, so an error here leaves memory and
+    /// disk agreeing on the old state.
+    pub(crate) fn wal_replace_image(&mut self, image: &WalRecord) -> Result<(), EngineError> {
+        self.wal_persist_image(image)?;
+        let dur = self.durability.as_mut().expect("caller checked durable");
+        dur.next_seq = image.seq() + 1;
+        self.wal_reset().ok();
+        self.stats.wal_compactions += 1;
+        Ok(())
     }
 
     /// Step 3: reset the log to a fresh header. On failure the old writer stays:
@@ -581,11 +555,7 @@ impl Engine {
             }
             let mut seq = dur.next_seq;
             for record in records.iter_mut() {
-                match record {
-                    WalRecord::Txn { seq: slot, .. } | WalRecord::Source { seq: slot, .. } => {
-                        *slot = seq;
-                    }
-                }
+                record.set_seq(seq);
                 seq += 1;
             }
             let start = engine.tracing.then(std::time::Instant::now);
@@ -628,15 +598,19 @@ impl Engine {
     /// mirrors the leader's — under one fsync, then replayed like recovered
     /// ones, then the compaction threshold is checked once (the
     /// [commit protocol](crate::engine#the-commit-protocol) with the shipped
-    /// batch as the group). At-most-once: records at sequences already applied
-    /// are skipped silently (poll redelivery); a sequence *gap* is an error,
-    /// raised after the contiguous records before it are applied, because
-    /// applying past it would silently diverge from the leader. Returns how many
-    /// records were newly applied. Errors when the session is not durable — a
-    /// follower without its own log could not survive its own crash.
+    /// batch as the group). An image at or past this session's position (the
+    /// leader compacted past it) replaces everything before it: it becomes this
+    /// session's own image, the log resets, and the position becomes the
+    /// image's. At-most-once: records at sequences already applied, older
+    /// images included, are skipped silently (poll redelivery); a sequence
+    /// *gap* is an error, raised after the contiguous records before it are
+    /// applied, because applying past it would silently diverge from the
+    /// leader. Returns how many records were newly applied. Errors when the
+    /// session is not durable — a follower without its own log could not
+    /// survive its own crash.
     pub(crate) fn apply_replicated(
         &mut self,
-        records: Vec<WalRecord>,
+        mut records: Vec<WalRecord>,
     ) -> Result<usize, EngineError> {
         let Some(dur) = self.durability.as_ref() else {
             return Err(EngineError::Durability(
@@ -644,6 +618,19 @@ impl Engine {
             ));
         };
         let mut expected = dur.next_seq;
+        let mut applied = 0;
+        let installs = |record: &WalRecord| match record {
+            WalRecord::Image { seq, .. } => *seq >= expected - 1,
+            _ => false,
+        };
+        if let Some(at) = records.iter().rposition(installs) {
+            records.drain(..at);
+            let image = records.remove(0);
+            expected = image.seq() + 1;
+            self.wal_replace_image(&image)?;
+            self.replay(image)?;
+            applied += 1;
+        }
         let mut gap = None;
         let mut run = Vec::new();
         for record in records {
@@ -660,9 +647,9 @@ impl Engine {
             }
         }
         self.wal_append(&mut run)?;
-        let applied = run.len();
+        applied += run.len();
         for record in run {
-            self.replay(record);
+            self.replay(record)?;
         }
         self.wal_maybe_compact()?;
         match gap {
@@ -671,34 +658,6 @@ impl Engine {
             ))),
             None => Ok(applied),
         }
-    }
-
-    /// Replace this durable session's state with a shipped snapshot text
-    /// (replication's full bootstrap: the leader compacted past the follower's
-    /// position, so frames alone cannot catch it up). The snapshot's
-    /// `% wal-seq` stamp becomes the session's log position — the restore
-    /// persists the snapshot locally and resets the log, so a crash right
-    /// after bootstrap recovers to exactly the shipped image. Returns the
-    /// sequence number the snapshot includes.
-    pub(crate) fn bootstrap_from_snapshot_text(&mut self, text: &str) -> Result<u64, EngineError> {
-        let Some(dur) = self.durability.as_mut() else {
-            return Err(EngineError::Durability(
-                "replication requires a durable session (open it with open_durable)".to_string(),
-            ));
-        };
-        let snapshot = Snapshot::from_text(text)?;
-        let seq = parse_wal_seq(text);
-        let prev_next_seq = dur.next_seq;
-        // Stamp the position *before* the restore: `wal_persist_restore` writes
-        // the local snapshot with `next_seq - 1`, which must be the shipped seq.
-        dur.next_seq = seq + 1;
-        if let Err(error) = self.restore(&snapshot) {
-            if let Some(dur) = self.durability.as_mut() {
-                dur.next_seq = prev_next_seq;
-            }
-            return Err(error);
-        }
-        Ok(seq)
     }
 
     /// Step 5 of the [commit protocol](crate::engine#the-commit-protocol):
@@ -714,24 +673,6 @@ impl Engine {
             return Ok(());
         }
         self.compact()?;
-        Ok(())
-    }
-
-    /// Persist a full state replacement ([`Engine::restore`] on a durable
-    /// session): the *staged* image becomes the on-disk snapshot and the log
-    /// resets — there is no meaningful log delta against a replaced state.
-    ///
-    /// Called *before* the staged state is swapped into memory, so an error here
-    /// (snapshot unwritable) leaves memory and disk agreeing on the old state.
-    /// Once the rename lands the restore is durable, so resetting the log after it
-    /// is best-effort.
-    pub(crate) fn wal_persist_restore(&mut self, staged: &Engine) -> Result<(), EngineError> {
-        if self.durability.is_none() {
-            return Ok(());
-        }
-        self.wal_persist_image(&staged.snapshot())?;
-        self.wal_reset().ok();
-        self.stats.wal_compactions += 1;
         Ok(())
     }
 }
@@ -1023,20 +964,117 @@ pub(crate) mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Regression (failed at the parent, whose text image could not spell a
+    /// `"`): a symbol the log accepts survives compaction and reopen, and so
+    /// does a rule whose constant needs quotes.
     #[test]
-    fn snapshot_seq_round_trips_through_the_comment_line() {
-        let mut engine = Engine::new();
-        engine.load_source("e(1, 2).").unwrap();
-        let text = snapshot_text_with_seq(&engine.snapshot(), 42);
-        assert!(text.starts_with(crate::engine::SNAPSHOT_HEADER));
-        assert!(text.contains("% wal-seq: 42"));
-        assert_eq!(parse_wal_seq(&text), 42);
-        // Still a valid v1 snapshot.
-        let snapshot = Snapshot::from_text(&text).unwrap();
-        let restored = Engine::from_snapshot(&snapshot).unwrap();
-        assert_eq!(restored.facts().count("e"), 1);
-        // A hand-copied :save snapshot has no seq line: defaults to 0.
-        assert_eq!(parse_wal_seq(engine.snapshot().as_str()), 0);
+    fn a_symbol_with_a_quote_survives_compaction() {
+        let dir = fresh_dir("quote");
+        let quoted = Const::sym("say \"hi\"");
+        let mut engine = Engine::open_durable(&dir).unwrap();
+        engine
+            .load_source("hello(X) :- e(X, \"Hello world\").")
+            .unwrap();
+        engine.insert("e", &[c(1), quoted]).unwrap();
+        engine
+            .insert("e", &[c(2), Const::sym("Hello world")])
+            .unwrap();
+        drop(engine);
+        let mut engine = Engine::open_durable(&dir).unwrap();
+        let program = engine.program().clone();
+        engine.compact().unwrap();
+        drop(engine);
+        let mut reopened = Engine::open_durable(&dir).unwrap();
+        assert!(reopened.recovery_report().unwrap().snapshot_loaded);
+        assert_eq!(reopened.program(), &program);
+        assert_eq!(
+            reopened
+                .facts()
+                .relation(Symbol::intern("e"))
+                .unwrap()
+                .to_sorted_vec(),
+            vec![vec![c(1), quoted], vec![c(2), Const::sym("Hello world")]]
+        );
+        let query = parse_query("hello(X)").unwrap();
+        assert_eq!(reopened.query(&query).unwrap(), vec![vec![c(2)]]);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A foreign or damaged image is refused with an error naming it, and the
+    /// directory is left byte for byte as it was: never truncated, never
+    /// replaced.
+    #[test]
+    fn a_foreign_or_damaged_image_is_refused_never_truncated() {
+        let base = fresh_dir("image_base");
+        let mut engine = Engine::open_durable(&base).unwrap();
+        engine.load_source(TC).unwrap();
+        engine.insert("e", &[c(1), c(2)]).unwrap();
+        engine.compact().unwrap();
+        engine.insert("e", &[c(2), c(3)]).unwrap();
+        let image = std::fs::read(base.join(SNAPSHOT_FILE)).unwrap();
+        let txn = WalRecord::Txn {
+            seq: 2,
+            ops: vec![(WalOp::Assert, Symbol::intern("e"), vec![c(5), c(6)])],
+        };
+        let framed = |records: &[WalRecord]| {
+            let path = base.join("framed");
+            let mut writer = WalWriter::create(&path, false).unwrap();
+            writer.append_all(records).unwrap();
+            drop(writer);
+            std::fs::read(&path).unwrap()
+        };
+        let mut flipped = image.clone();
+        *flipped.last_mut().unwrap() ^= 0x40;
+        let cases = [
+            (
+                "a text snapshot, as older builds wrote it",
+                engine.snapshot().to_string().into_bytes(),
+            ),
+            ("one flipped byte", flipped),
+            ("a truncated file", image[..image.len() - 3].to_vec()),
+            (
+                "a txn frame instead of an image",
+                framed(std::slice::from_ref(&txn)),
+            ),
+            ("two frames", {
+                let WalRecord::Image {
+                    rules, relations, ..
+                } = engine.image(1)
+                else {
+                    panic!("an image");
+                };
+                framed(&[
+                    WalRecord::Image {
+                        seq: 1,
+                        rules,
+                        relations,
+                    },
+                    txn.clone(),
+                ])
+            }),
+        ];
+        drop(engine);
+        let wal = std::fs::read(base.join(WAL_FILE)).unwrap();
+        for (case, bytes) in cases {
+            let dir = fresh_dir("image_refused");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(SNAPSHOT_FILE), &bytes).unwrap();
+            std::fs::write(dir.join(WAL_FILE), &wal).unwrap();
+            let Err(err) = Engine::open_durable(&dir) else {
+                panic!("{case}: the image must be refused");
+            };
+            assert!(matches!(err, EngineError::Durability(_)), "{case}: {err}");
+            assert!(err.to_string().contains(SNAPSHOT_FILE), "{case}: {err}");
+            assert_eq!(
+                std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
+                bytes,
+                "{case}"
+            );
+            assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), wal, "{case}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   query_prepared ──────▶ prepared-plan cache keyed by (predicate, query shape):
 //!                            · hit  → replay the cached CompiledProgram
 //!                            · miss → reduce→adorn→magic→factor→optimize, cache plan
-//!   snapshot/restore ────▶ serialize program + edb as (versioned) Datalog text;
-//!                          restore wipes the session and reloads it
+//!   snapshot/restore ────▶ export/import program + edb as (versioned) Datalog text;
+//!                          restore wipes the session and reloads it (a durable
+//!                          session persists the result as its binary image)
 //! ```
 //!
 //! All evaluation statistics are merged into one cumulative per-session
@@ -48,7 +49,7 @@
 //! * **Log before store.** Nothing is applied that is not on the log: a failed
 //!   append fails every valid batch of the group with the session untouched, and
 //!   a crash after the append replays the batch on recovery.
-//! * **Compaction only after the whole group.** A snapshot is stamped with the
+//! * **Compaction only after the whole group.** An image is stamped with the
 //!   log's last sequence number, so it must hold every record up to it. (PR 12
 //!   lost acknowledged writes by checking the threshold after the first batch of
 //!   a group: the later batches were in neither the snapshot nor the reset log.)
@@ -388,27 +389,6 @@ pub fn is_snapshot_text(text: &str) -> bool {
     text.lines()
         .find(|line| !line.trim().is_empty())
         .is_some_and(|line| line.trim().starts_with(SNAPSHOT_HEADER_PREFIX))
-}
-
-/// Write one constant in parseable surface syntax: integers and identifier-shaped
-/// symbols verbatim, other symbols as quoted strings.
-pub(crate) fn write_const(out: &mut String, value: &Const) {
-    use std::fmt::Write as _;
-    match value {
-        Const::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Const::Sym(s) => {
-            let name = s.as_str();
-            let identifier = name.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-            if identifier {
-                out.push_str(name);
-            } else {
-                let _ = write!(out, "\"{name}\"");
-            }
-        }
-    }
 }
 
 /// Render a caught panic payload: the common `&str`/`String` payloads verbatim,
@@ -960,14 +940,16 @@ impl Engine {
         results.pop().expect("one result per batch")
     }
 
-    /// Re-execute one record that is already on the log — recovery of this
-    /// session's own log, or a shipped record of the leader's. Errors are
-    /// deliberately ignored: replay is a deterministic re-execution from the same
-    /// base state, so any error a record raises here is the error it raised when
-    /// it was first committed (e.g. a bulk load whose trailing facts failed arity
-    /// validation applied its valid prefix, was logged whole, and re-applies the
-    /// same prefix).
-    pub(crate) fn replay(&mut self, record: WalRecord) {
+    /// Re-execute one record that is already on disk — recovery of this
+    /// session's own image and log, or a shipped record of the leader's. The
+    /// errors of a transaction or source record are deliberately ignored: replay
+    /// is a deterministic re-execution from the same base state, so any error a
+    /// record raises here is the error it raised when it was first committed
+    /// (e.g. a bulk load whose trailing facts failed arity validation applied its
+    /// valid prefix, was logged whole, and re-applies the same prefix). An image
+    /// replaces the program and the fact store in bulk; one whose rules do not
+    /// parse is an error, and leaves the session as it was.
+    pub(crate) fn replay(&mut self, record: WalRecord) -> Result<(), EngineError> {
         match record {
             WalRecord::Txn { ops, .. } => {
                 let _ = self.commit_one(&ops, OnLog::Already);
@@ -975,8 +957,46 @@ impl Engine {
             WalRecord::Source { text, .. } => {
                 let _ = self.absorb_source(&text, OnLog::Already);
             }
+            WalRecord::Image {
+                rules, relations, ..
+            } => {
+                let program = parse_program(&rules)?.program;
+                let mut edb = Database::new();
+                for (name, arity, rows) in relations {
+                    let relation = edb.ensure_relation(name, arity);
+                    for row in &rows {
+                        relation.insert(row);
+                    }
+                }
+                self.idb = program.idb_predicates();
+                self.program = program;
+                self.edb = edb;
+                self.invalidate();
+            }
         }
         self.stats.wal_replays += 1;
+        Ok(())
+    }
+
+    /// The session as an image record covering every record up to `seq`: the
+    /// registered program as rule text plus every stored relation, empty ones
+    /// included so that their arities survive. Caches are not part of it.
+    pub(crate) fn image(&self, seq: u64) -> WalRecord {
+        let relations = self
+            .edb
+            .predicates()
+            .into_iter()
+            .map(|name| {
+                let relation = self.edb.relation(name).expect("listed predicate");
+                let rows = relation.iter().map(<[Const]>::to_vec).collect();
+                (name, relation.arity(), rows)
+            })
+            .collect();
+        WalRecord::Image {
+            seq,
+            rules: self.program.to_string(),
+            relations,
+        }
     }
 
     /// The one commit: the [commit protocol](self#the-commit-protocol) over
@@ -1183,10 +1203,11 @@ impl Engine {
         Ok(())
     }
 
-    /// Serialize the session — registered program plus every base fact — as a
+    /// Export the session — registered program plus every base fact — as a
     /// versioned [`Snapshot`]. Caches (the materialized model, pending deltas,
     /// prepared plans) are not part of the image; they rebuild on demand after
-    /// [`Engine::restore`].
+    /// [`Engine::restore`]. A durable session's own image is binary (the
+    /// `durability` module); this text is for export and import only.
     pub fn snapshot(&self) -> Snapshot {
         use std::fmt::Write as _;
         let mut text = String::new();
@@ -1201,18 +1222,8 @@ impl Engine {
             for predicate in predicates {
                 let relation = self.edb.relation(predicate).expect("listed predicate");
                 for row in relation.iter() {
-                    text.push_str(predicate.as_str());
-                    if !row.is_empty() {
-                        text.push('(');
-                        for (i, value) in row.iter().enumerate() {
-                            if i > 0 {
-                                text.push_str(", ");
-                            }
-                            write_const(&mut text, value);
-                        }
-                        text.push(')');
-                    }
-                    text.push_str(".\n");
+                    let terms = row.iter().map(|&value| Term::Const(value)).collect();
+                    let _ = writeln!(text, "{}.", Atom::new(predicate, terms));
                 }
             }
         }
@@ -1231,10 +1242,12 @@ impl Engine {
         let mut staged = Engine::with_options(self.options.clone());
         let summary = staged.load_source(snapshot.as_str())?;
         // A durable session persists the replacement image *before* swapping it in
-        // (the restored state becomes the on-disk snapshot and the log resets —
-        // there is no meaningful log delta against a replaced state): a persistence
-        // failure leaves both memory and disk on the old state.
-        self.wal_persist_restore(&staged)?;
+        // (there is no meaningful log delta against a replaced state), at a
+        // sequence number of its own: a follower at the old position must see
+        // that there is something new.
+        if let Some(seq) = self.wal_last_seq() {
+            self.wal_replace_image(&staged.image(seq + 1))?;
+        }
         self.program = staged.program;
         self.idb = staged.idb;
         self.edb = staged.edb;

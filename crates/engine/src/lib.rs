@@ -29,9 +29,10 @@
 //!
 //! * **Crash-safe durability** — [`Engine::open_durable`] binds a session to a data
 //!   directory: every committed mutation is appended to a checksummed, fsync'd
-//!   write-ahead log ([`wal`]) before it applies, startup recovery loads the newest
-//!   snapshot and replays the log tail (truncating torn writes), and the log
-//!   compacts into a fresh snapshot — atomically — once it outgrows
+//!   write-ahead log ([`wal`]) before it applies, startup recovery replays the
+//!   image and then the log tail (truncating torn writes), and the log compacts
+//!   into a fresh image — one record in the log's own format, atomically — once
+//!   it outgrows
 //!   [`DurabilityOptions::compact_threshold`]. Derived views are never stored; they
 //!   rebuild from the recovered base facts on the first query.
 //!
@@ -44,8 +45,8 @@
 //!
 //! * **Replication** — [`replication`] ships committed WAL frames from a served
 //!   leader to any number of read replicas over the same line protocol
-//!   (`REPL SUBSCRIBE`), with snapshot bootstrap when compaction outruns a
-//!   lagging follower and lease-based failover (`PROMOTE` after lease expiry;
+//!   (`REPL SUBSCRIBE`), shipping the leader's image as one more frame when
+//!   compaction outruns a lagging follower, and lease-based failover (`PROMOTE` after lease expiry;
 //!   a superseded ex-leader fences itself and refuses writes).
 //!
 //! * **A REPL front end** — [`Repl`] interprets the `factorlog repl` command language
@@ -98,7 +99,7 @@ pub use engine::{
     DEFAULT_PREPARED_CAPACITY, SNAPSHOT_HEADER, SNAPSHOT_HEADER_PREFIX,
 };
 pub use metrics::{EngineMetrics, METRICS_JSON_VERSION};
-pub use repl::{Repl, ReplAction};
+pub use repl::{render_answers, Repl, ReplAction};
 pub use replication::{
     serve_follower, Replica, ReplicaRole, ReplicaStatus, ReplicationOptions, SubscribeReply,
     SyncReport, TERM_FILE,

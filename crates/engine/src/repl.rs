@@ -4,9 +4,9 @@
 //! ```text
 //! :load <file>        load a Datalog file — or restore a snapshot (autodetected)
 //! :save <file>        save the session (program + facts) as a snapshot
-//! :open <dir>         switch to a durable session backed by <dir> (snapshot +
+//! :open <dir>         switch to a durable session backed by <dir> (image +
 //!                     write-ahead log; recovers committed state on open)
-//! :compact            rewrite the durable snapshot and reset the log
+//! :compact            rewrite the durable image and reset the log
 //! :insert <fact>.     insert one ground fact (incremental)
 //! :retract <fact>.    retract one base fact (counting-based delete propagation)
 //! :begin              start a transaction; :insert/:retract queue until :commit
@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use factorlog_datalog::ast::{Atom, Query};
+use factorlog_datalog::ast::{Atom, Const, Query};
 use factorlog_datalog::eval::{fmt_ns, rows, EvalError, LimitReason};
 use factorlog_datalog::parser::{parse_atom, parse_query};
 
@@ -48,6 +48,34 @@ pub enum ReplAction {
     Output(String),
     /// Leave the session.
     Quit,
+}
+
+/// The answers to `query` as the REPL and the one-shot CLI print them, one line
+/// per row: `X = 1, Y = 2`, naming the query's distinct variables in
+/// first-occurrence order (the projection of `Database::answers`), or `true`
+/// for a query without variables.
+pub fn render_answers(query: &Query, answers: &[Vec<Const>]) -> Vec<String> {
+    let mut free_vars = Vec::new();
+    for v in query.atom.terms.iter().filter_map(|term| term.as_var()) {
+        if !free_vars.contains(&v) {
+            free_vars.push(v);
+        }
+    }
+    answers
+        .iter()
+        .map(|row| {
+            let rendered: Vec<String> = free_vars
+                .iter()
+                .zip(row)
+                .map(|(v, c)| format!("{v} = {c}"))
+                .collect();
+            if rendered.is_empty() {
+                "true".to_string()
+            } else {
+                rendered.join(", ")
+            }
+        })
+        .collect()
 }
 
 /// A REPL session: an [`Engine`] plus the command interpreter.
@@ -75,7 +103,7 @@ commands:
   :open <dir>      switch to a durable session backed by <dir>: every committed
                    mutation is appended to an fsync'd write-ahead log and
                    recovered on the next :open (crash-safe)
-  :compact         rewrite the durable snapshot atomically and reset the log
+  :compact         rewrite the durable image atomically and reset the log
   :insert <fact>.  insert one ground fact (incrementally maintained)
   :retract <fact>. retract one base fact (incremental delete propagation)
   :begin           start a transaction: :insert/:retract queue until :commit
@@ -294,7 +322,7 @@ impl Repl {
     fn compact(&mut self) -> Result<String, String> {
         let report = self.engine.compact().map_err(|e| e.to_string())?;
         Ok(format!(
-            "compacted: log {} -> {} byte(s); snapshot includes wal seq {}",
+            "compacted: log {} -> {} byte(s); image includes wal seq {}",
             report.log_bytes_before, report.log_bytes_after, report.snapshot_seq
         ))
     }
@@ -828,30 +856,10 @@ impl Repl {
             Err(e) => return Err(e.to_string()),
         };
 
-        // Distinct free variables in first-occurrence order — matches the projection
-        // used by `Database::answers`.
-        let mut free_vars: Vec<String> = Vec::new();
-        for term in &query.atom.terms {
-            if let Some(v) = term.as_var() {
-                let name = v.as_str().to_string();
-                if !free_vars.contains(&name) {
-                    free_vars.push(name);
-                }
-            }
-        }
         let mut out = format!("% {} answer(s) [{label}]", answers.len());
-        for row in &answers {
-            let rendered: Vec<String> = free_vars
-                .iter()
-                .zip(row.iter())
-                .map(|(v, c)| format!("{v} = {c}"))
-                .collect();
+        for line in render_answers(&query, &answers) {
             out.push('\n');
-            if rendered.is_empty() {
-                out.push_str("true");
-            } else {
-                out.push_str(&rendered.join(", "));
-            }
+            out.push_str(&line);
         }
         Ok(out)
     }

@@ -9,7 +9,7 @@
 //!                       │  wal.log = committed truth    │
 //!                       └──────┬────────────┬───────────┘
 //!          REPL SUBSCRIBE <seq>│            │REPL SUBSCRIBE <seq>
-//!              FRAME*/SNAP ────▼──          ▼
+//!                   FRAME* ────▼──          ▼
 //!                       ┌───────────┐ ┌───────────┐
 //!    readers ─ QUERY ──▶│ follower  │ │ follower  │  lock-free snapshot reads
 //!                       │ (replica) │ │ (replica) │  (stale-bounded by poll lag)
@@ -21,9 +21,11 @@
 //! (hex-encoded, one per `FRAME` line) straight from its on-disk log — commits
 //! are fsync'd before they are acknowledged, so the log *is* the publisher and
 //! no writer-side coupling is needed. When the leader has compacted past the
-//! follower's position it ships its snapshot instead (`SNAP` line); the
-//! follower bootstraps from it and resumes frame catch-up from the snapshot's
-//! sequence number.
+//! follower's position it ships its image first — one more `FRAME`, the bytes of
+//! its `snapshot.fl` — followed by the log; the follower installs the image as
+//! its own and resumes frame catch-up from the image's sequence number. Both
+//! ends decode what they ship with the same build of [`crate::wal`], so a leader
+//! and its followers must run the same build.
 //!
 //! # Consistency
 //!
@@ -54,7 +56,7 @@ use std::time::{Duration, Instant};
 use factorlog_datalog::ast::Const;
 use factorlog_datalog::eval::Reading;
 
-use crate::durability::{parse_wal_seq, SNAPSHOT_FILE, WAL_FILE};
+use crate::durability::{SNAPSHOT_FILE, WAL_FILE};
 use crate::engine::{Engine, EngineError};
 use crate::server::{
     serve_inner, Client, ClientError, FollowerConfig, ServeError, ServerHandle, ServerOptions,
@@ -184,7 +186,7 @@ pub(crate) fn persist_term(dir: &Path, term: u64) -> Result<(), EngineError> {
     write().map_err(|e| EngineError::Io(format!("cannot write {}: {e}", path.display())))
 }
 
-/// Hex-encode `bytes` (lowercase) — WAL frames and snapshots ship hex-encoded
+/// Hex-encode `bytes` (lowercase) — WAL frames ship hex-encoded
 /// so the line protocol stays line-safe.
 pub(crate) fn to_hex(bytes: &[u8]) -> String {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
@@ -219,26 +221,13 @@ pub(crate) fn from_hex(text: &str) -> Result<Vec<u8>, String> {
 }
 
 /// What the leader ships for one `REPL SUBSCRIBE` poll.
-pub(crate) enum StreamStep {
-    /// The log can no longer supply `from_seq` contiguously (compaction reset
-    /// it): ship the whole snapshot; the follower bootstraps and resumes from
-    /// `seq + 1`.
-    Snapshot {
-        /// The snapshot text (carries its `% wal-seq` stamp).
-        text: String,
-        /// The sequence number the snapshot includes.
-        seq: u64,
-        /// The leader's overall committed position.
-        last_seq: u64,
-    },
-    /// Zero or more contiguous frames starting at `from_seq` (empty = the
-    /// follower is caught up).
-    Frames {
-        /// The frames, in log order.
-        frames: Vec<WalRecord>,
-        /// The leader's overall committed position.
-        last_seq: u64,
-    },
+pub(crate) struct StreamStep {
+    /// The frame payloads, in log order: the image first when the log no
+    /// longer reaches back to `from_seq`, then the contiguous log frames
+    /// (empty = the follower is caught up).
+    pub(crate) frames: Vec<Vec<u8>>,
+    /// The leader's overall committed position.
+    pub(crate) last_seq: u64,
 }
 
 /// Compute the leader-side answer to one subscription poll, straight from the
@@ -249,51 +238,33 @@ pub(crate) fn stream_step(
     from_seq: u64,
     max_frames: usize,
 ) -> Result<StreamStep, EngineError> {
-    let snapshot = match std::fs::read_to_string(dir.join(SNAPSHOT_FILE)) {
-        Ok(text) => Some(text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(EngineError::Io(format!("cannot read snapshot: {e}"))),
-    };
-    let snap_seq = snapshot.as_deref().map(parse_wal_seq).unwrap_or(0);
     let read = wal::read_frames_from(&dir.join(WAL_FILE), from_seq, max_frames)?;
-    let last_seq = read.last_seq.unwrap_or(0).max(snap_seq);
-    match read.first_seq {
-        // The log supplies `from_seq` contiguously: ship frames.
-        Some(first) if first == from_seq => Ok(StreamStep::Frames {
-            frames: read.frames,
-            last_seq,
-        }),
-        // Caught up (or ahead — a stale node polling a behind one): nothing to ship.
-        None if from_seq > last_seq => Ok(StreamStep::Frames {
-            frames: Vec::new(),
-            last_seq,
-        }),
-        // The log starts after `from_seq` (a compaction raced the follower):
-        // bootstrap from the snapshot when it covers the gap.
-        _ => match snapshot {
-            Some(text) if snap_seq + 1 >= from_seq => Ok(StreamStep::Snapshot {
-                text,
-                seq: snap_seq,
-                last_seq,
-            }),
-            // No snapshot that reaches back far enough — a transient state
-            // (e.g. mid-compaction): ship nothing, the follower retries.
-            _ => Ok(StreamStep::Frames {
-                frames: Vec::new(),
-                last_seq,
-            }),
-        },
+    let mut step = StreamStep {
+        frames: read.frames.iter().map(WalRecord::encode).collect(),
+        last_seq: read.last_seq.unwrap_or(0),
+    };
+    if read.first_seq == Some(from_seq) {
+        return Ok(step);
     }
+    // The log does not start at `from_seq`: the follower is caught up, or a
+    // compaction reset the log past it and the image covers the gap (when it
+    // does not yet — a transient state — ship nothing; the follower retries).
+    if let Some((image, payload)) = wal::read_image(&dir.join(SNAPSHOT_FILE))? {
+        step.last_seq = step.last_seq.max(image.seq());
+        if from_seq <= step.last_seq && image.seq() + 1 >= from_seq {
+            step.frames.insert(0, payload);
+            return Ok(step);
+        }
+    }
+    step.frames.clear();
+    Ok(step)
 }
 
 /// The parsed reply of one `REPL SUBSCRIBE` poll (see [`Client::subscribe`]).
 #[derive(Debug)]
 pub struct SubscribeReply {
-    /// A full snapshot to bootstrap from (the leader compacted past the
-    /// requested position); `None` on ordinary frame polls.
-    pub snapshot: Option<String>,
-    /// The shipped frames, in log order (empty when caught up or when a
-    /// snapshot is shipped instead).
+    /// The shipped frames, in log order — led by the leader's image when it
+    /// compacted past the requested position (empty when caught up).
     pub frames: Vec<WalRecord>,
     /// The leader's overall committed position (lag = `last_seq` minus the
     /// follower's applied position).
@@ -314,17 +285,9 @@ impl Client {
         id: u64,
     ) -> Result<SubscribeReply, ClientError> {
         self.send_line(&format!("REPL SUBSCRIBE {from_seq} term={term} id={id}"))?;
-        let mut snapshot = None;
         let mut frames = Vec::new();
         loop {
             let line = self.read_reply_line()?;
-            if let Some(hex) = line.strip_prefix("SNAP ") {
-                let bytes = from_hex(hex).map_err(ClientError::Protocol)?;
-                snapshot = Some(String::from_utf8(bytes).map_err(|_| {
-                    ClientError::Protocol("shipped snapshot is not utf-8".to_string())
-                })?);
-                continue;
-            }
             if let Some(hex) = line.strip_prefix("FRAME ") {
                 let bytes = from_hex(hex).map_err(ClientError::Protocol)?;
                 let record = WalRecord::decode(&bytes)
@@ -334,7 +297,6 @@ impl Client {
             }
             let fields = Client::expect_ok(&line)?;
             return Ok(SubscribeReply {
-                snapshot,
                 frames,
                 last_seq: Client::parse_field(fields, "last_seq")?,
                 term: Client::parse_field(fields, "term")?,
@@ -364,7 +326,7 @@ pub struct SyncReport {
     pub contacted: bool,
     /// Frames newly applied by this poll.
     pub frames_applied: usize,
-    /// Did this poll bootstrap from a shipped snapshot?
+    /// Did this poll install a shipped image?
     pub bootstrapped: bool,
     /// Did the polled node report *itself* fenced (our term supersedes it)?
     pub fenced_leader: bool,
@@ -389,7 +351,7 @@ factorlog_datalog::instruments! {
         lag_frames: u64, "replica", "lag frames";
         /// Frames applied over this replica's lifetime.
         frames_applied: u64, "replica", "frames applied";
-        /// Snapshot bootstraps over this replica's lifetime.
+        /// Shipped images installed over this replica's lifetime.
         bootstraps: u64, "replica", "bootstraps";
     }
 }
@@ -456,7 +418,7 @@ impl Replica {
     /// One subscription poll: connect (or reuse the connection), fetch the
     /// next batch, apply it. Network failures are *not* errors — the report
     /// comes back with `contacted: false` and the next poll reconnects; only
-    /// local durability failures (this replica's own log or snapshot) err.
+    /// local durability failures (this replica's own log or image) err.
     pub fn sync_once(&mut self) -> Result<SyncReport, EngineError> {
         let mut report = SyncReport::default();
         if self.role != ReplicaRole::Follower {
@@ -484,16 +446,17 @@ impl Replica {
                         persist_term(&dir, self.term)?;
                     }
                 }
-                if let Some(text) = reply.snapshot {
-                    self.engine.bootstrap_from_snapshot_text(&text)?;
-                    report.bootstrapped = true;
-                    self.bootstraps += 1;
-                }
+                // An image at or past our position is installed (see
+                // `Engine::apply_replicated`).
+                report.bootstrapped = reply.frames.iter().any(
+                    |frame| matches!(frame, WalRecord::Image { seq, .. } if *seq >= from_seq - 1),
+                );
                 if !reply.frames.is_empty() {
                     let applied = self.engine.apply_replicated(reply.frames)?;
                     report.frames_applied = applied;
                     self.frames_applied += applied as u64;
                 }
+                self.bootstraps += u64::from(report.bootstrapped);
                 self.client = Some(client);
             }
             Err(ClientError::Server { code, .. }) if code == "fenced" => {
@@ -727,6 +690,47 @@ mod tests {
             assert_eq!(ReplicaRole::from_u8(role.as_u8()), role);
         }
         assert_eq!(ReplicaRole::parse("president"), None);
+    }
+
+    /// Regression (failed at the parent, which stamped a durable restore with
+    /// the position it replaced, so a follower at that position was told it
+    /// was caught up): a restored leader ships its image as one more frame,
+    /// and the follower installs it as its own.
+    #[test]
+    fn a_restored_leader_ships_its_image_to_a_caught_up_follower() {
+        use crate::durability::tests::fresh_dir;
+        let leader_dir = fresh_dir("restore_lead");
+        let follower_dir = fresh_dir("restore_follow");
+        let mut leader = Engine::open_durable(&leader_dir).unwrap();
+        leader.load_source("t(X) :- e(X).\ne(1).").unwrap();
+        let mut follower = Engine::open_durable(&follower_dir).unwrap();
+        let poll = |follower: &mut Engine| {
+            let from_seq = follower.wal_last_seq().unwrap() + 1;
+            let step = stream_step(&leader_dir, from_seq, 64).unwrap();
+            let frames = step.frames.iter();
+            let frames = frames.map(|f| WalRecord::decode(f).unwrap()).collect();
+            follower.apply_replicated(frames).unwrap()
+        };
+        assert_eq!(poll(&mut follower), 1);
+        assert_eq!(poll(&mut follower), 0, "caught up");
+
+        let mut other = Engine::new();
+        other.load_source("t(X) :- e(X).\ne(7).\ne(8).").unwrap();
+        leader.restore(&other.snapshot()).unwrap();
+        assert_eq!(poll(&mut follower), 1, "the image is shipped and installed");
+        let e = |engine: &Engine| engine.facts().relation("e".into()).unwrap().to_sorted_vec();
+        assert_eq!(e(&follower), e(&leader));
+        assert_eq!(follower.wal_last_seq(), leader.wal_last_seq());
+        drop(follower);
+        let reopened = Engine::open_durable(&follower_dir).unwrap();
+        assert_eq!(
+            e(&reopened),
+            e(&leader),
+            "the installed image is the follower's own"
+        );
+        drop((leader, reopened));
+        std::fs::remove_dir_all(&leader_dir).ok();
+        std::fs::remove_dir_all(&follower_dir).ok();
     }
 
     #[test]

@@ -35,8 +35,7 @@
 //!                            pair per field of [`StatsReply`], in declaration order;
 //!                            a client skips the names it does not know)
 //! PING                 →  OK pong
-//! REPL SUBSCRIBE 12 term=0 id=7  →  FRAME <hex>* (or SNAP <hex>) ⏎
-//!                                   OK frames=2 last_seq=13 term=0
+//! REPL SUBSCRIBE 12 term=0 id=7  →  FRAME <hex>* ⏎ OK frames=2 last_seq=13 term=0
 //! PROMOTE              →  OK role=leader term=3
 //! QUIT                 →  OK bye (server closes the connection)
 //! ```
@@ -46,7 +45,7 @@
 //! `txn`, `internal`, and for replication `readonly` (TXN on a follower),
 //! `fenced` (a superseded ex-leader refuses writes and polls), `lease`
 //! (PROMOTE while the leader's lease is still valid), `repl` (subscription
-//! against a non-durable server, or a log/snapshot read failure).
+//! against a non-durable server, or a log/image read failure).
 //!
 //! Replication (`REPL SUBSCRIBE`, `PROMOTE`, follower mode via
 //! [`serve_follower`](crate::replication::serve_follower)) is documented in
@@ -88,9 +87,9 @@ use factorlog_datalog::fault::CancelToken;
 use factorlog_datalog::parser::parse_query;
 use factorlog_datalog::storage::Database;
 
-use crate::engine::{write_const, Engine, EngineError, OnLog, Op, TxnSummary};
+use crate::engine::{Engine, EngineError, OnLog, Op, TxnSummary};
 use crate::reactor::{poll_fds, PollFd, WakePipe, POLL_FAIL, POLL_IN, POLL_OUT};
-use crate::replication::{self, Replica, ReplicaRole, ReplicationOptions, StreamStep};
+use crate::replication::{self, Replica, ReplicaRole, ReplicationOptions};
 use crate::wal::WalOp;
 
 /// Cap on how many queued transactions one group commit will absorb.
@@ -899,7 +898,7 @@ fn follower_loop(
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => return replica.into_engine(),
         }
-        // Local durability failures (our own log or snapshot) leave the
+        // Local durability failures (our own log or image) leave the
         // current view serving; the next poll retries.
         let Ok(report) = replica.sync_once() else {
             continue;
@@ -1734,8 +1733,9 @@ fn handle_stats(shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
 }
 
 /// Answer `REPL SUBSCRIBE <from_seq> [term=T] [id=I]`: stream committed WAL
-/// frames (or a snapshot when compaction outran the subscriber) straight from
-/// the data directory, and fence ourselves when the poll proves a newer term.
+/// frames (led by the image when compaction outran the subscriber) straight
+/// from the data directory, and fence ourselves when the poll proves a newer
+/// term.
 fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
     let (sub, args) = match rest.split_once(char::is_whitespace) {
         Some((sub, args)) => (sub, args.trim()),
@@ -1820,29 +1820,15 @@ fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Re
         );
     }
     let my_term = repl.term.load(Ordering::Acquire);
-    match step {
-        StreamStep::Snapshot {
-            text,
-            seq,
-            last_seq,
-        } => {
-            writeln!(out, "SNAP {}", replication::to_hex(text.as_bytes()))?;
-            writeln!(
-                out,
-                "OK frames=0 snapshot_seq={seq} last_seq={last_seq} term={my_term}"
-            )?;
-        }
-        StreamStep::Frames { frames, last_seq } => {
-            for frame in &frames {
-                writeln!(out, "FRAME {}", replication::to_hex(&frame.encode()))?;
-            }
-            writeln!(
-                out,
-                "OK frames={} last_seq={last_seq} term={my_term}",
-                frames.len()
-            )?;
-        }
+    for frame in &step.frames {
+        writeln!(out, "FRAME {}", replication::to_hex(frame))?;
     }
+    writeln!(
+        out,
+        "OK frames={} last_seq={} term={my_term}",
+        step.frames.len(),
+        step.last_seq
+    )?;
     out.flush()
 }
 
@@ -1962,7 +1948,8 @@ fn answer_query(
             if j > 0 {
                 rendered.push_str(", ");
             }
-            write_const(&mut rendered, value);
+            let _ =
+                std::fmt::Write::write_fmt(&mut rendered, format_args!("{}", Term::Const(*value)));
         }
         writeln!(out, "{rendered}")?;
     }

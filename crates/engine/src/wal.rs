@@ -1,7 +1,9 @@
-//! The append-only transaction log behind durable sessions: versioned binary
-//! framing with a per-record length prefix and CRC-32 checksum, written through an
-//! fsync'ing writer with an injectable fault point so crash-recovery tests can kill
-//! the writer at any byte offset.
+//! The append-only transaction log behind durable sessions, and the one durable
+//! format: versioned binary framing with a per-record length prefix and CRC-32
+//! checksum, written through an fsync'ing writer with an injectable fault point so
+//! crash-recovery tests can kill the writer at any byte offset. A data directory's
+//! compaction image is a file in the same format holding exactly one
+//! [`WalRecord::Image`] frame (see [`read_image`]).
 //!
 //! # On-disk format
 //!
@@ -13,16 +15,18 @@
 //! payload := kind:u8 seq:u64le body
 //!   kind 1 (txn)    body := nops:u32le op*
 //!                   op   := polarity:u8 pred:str arity:u16le const{arity}
-//!                   const := 0x00 i64le | 0x01 str
 //!   kind 2 (source) body := str                  (Datalog text absorbed verbatim)
-//!   str  := len:u32le utf8-bytes
+//!   kind 3 (image)  body := rules:str nrels:u32le rel*
+//!                   rel  := pred:str arity:u16le nrows:u32le const{arity * nrows}
+//!   const := 0x00 i64le | 0x01 str
+//!   str   := len:u32le utf8-bytes
 //! ```
 //!
-//! Every record carries a monotonically increasing sequence number. Snapshots
-//! record the sequence they include (see the `durability` module), so a log tail
-//! that survives a crashed compaction is replayed only from the first record the
-//! snapshot does *not* already contain — records are applied at most once no matter
-//! where a crash lands.
+//! Every record carries a monotonically increasing sequence number. An image
+//! records the sequence it includes, so a log tail that survives a crashed
+//! compaction is replayed only from the first record the image does *not*
+//! already contain — records are applied at most once no matter where a crash
+//! lands.
 //!
 //! # Recovery contract
 //!
@@ -32,7 +36,9 @@
 //! the *torn tail* — the bytes a crashed writer left behind — which
 //! [`recover_log`] truncates away so the log is append-ready again. A torn write
 //! can therefore lose only the record being written at the moment of the crash,
-//! never a previously synced one.
+//! never a previously synced one. An image file has no torn tail: it is written
+//! whole and renamed into place, so [`read_image`] refuses anything but one
+//! intact image frame.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -162,13 +168,35 @@ pub enum WalRecord {
         /// The absorbed text.
         text: String,
     },
+    /// A whole session image — a compaction's snapshot, a durable restore, a
+    /// follower's bootstrap: installing it replaces the session's program and
+    /// fact store, and it covers every record up to and including `seq`.
+    Image {
+        /// The last sequence number the image includes.
+        seq: u64,
+        /// The registered program as rule text (what `Source` records carry).
+        rules: String,
+        /// Every stored relation as (name, arity, rows).
+        relations: Vec<(Symbol, usize, Vec<Vec<Const>>)>,
+    },
 }
 
 impl WalRecord {
     /// The record's sequence number.
     pub fn seq(&self) -> u64 {
         match self {
-            WalRecord::Txn { seq, .. } | WalRecord::Source { seq, .. } => *seq,
+            WalRecord::Txn { seq, .. }
+            | WalRecord::Source { seq, .. }
+            | WalRecord::Image { seq, .. } => *seq,
+        }
+    }
+
+    /// Set the record's sequence number.
+    pub(crate) fn set_seq(&mut self, to: u64) {
+        match self {
+            WalRecord::Txn { seq, .. }
+            | WalRecord::Source { seq, .. }
+            | WalRecord::Image { seq, .. } => *seq = to,
         }
     }
 
@@ -187,24 +215,31 @@ impl WalRecord {
                     });
                     encode_str(&mut out, predicate.as_str());
                     out.extend_from_slice(&(tuple.len() as u16).to_le_bytes());
-                    for value in tuple {
-                        match value {
-                            Const::Int(i) => {
-                                out.push(0u8);
-                                out.extend_from_slice(&i.to_le_bytes());
-                            }
-                            Const::Sym(s) => {
-                                out.push(1u8);
-                                encode_str(&mut out, s.as_str());
-                            }
-                        }
-                    }
+                    encode_consts(&mut out, tuple);
                 }
             }
             WalRecord::Source { seq, text } => {
                 out.push(2u8);
                 out.extend_from_slice(&seq.to_le_bytes());
                 encode_str(&mut out, text);
+            }
+            WalRecord::Image {
+                seq,
+                rules,
+                relations,
+            } => {
+                out.push(3u8);
+                out.extend_from_slice(&seq.to_le_bytes());
+                encode_str(&mut out, rules);
+                out.extend_from_slice(&(relations.len() as u32).to_le_bytes());
+                for (name, arity, rows) in relations {
+                    encode_str(&mut out, name.as_str());
+                    out.extend_from_slice(&(*arity as u16).to_le_bytes());
+                    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+                    for row in rows {
+                        encode_consts(&mut out, row);
+                    }
+                }
             }
         }
         out
@@ -218,12 +253,8 @@ impl WalRecord {
         let seq = cursor.u64()?;
         let record = match kind {
             1 => {
-                let nops = cursor.u32()? as usize;
-                if nops > payload.len() {
-                    return Err(WalError::Corrupt(format!(
-                        "op count {nops} exceeds payload size"
-                    )));
-                }
+                // An op is at least a polarity, a name length and an arity.
+                let nops = cursor.count(7, "op")?;
                 let mut ops = Vec::with_capacity(nops);
                 for _ in 0..nops {
                     let op = match cursor.u8()? {
@@ -233,17 +264,7 @@ impl WalRecord {
                     };
                     let predicate = Symbol::intern(cursor.str()?);
                     let arity = cursor.u16()? as usize;
-                    let mut tuple = Vec::with_capacity(arity);
-                    for _ in 0..arity {
-                        tuple.push(match cursor.u8()? {
-                            0 => Const::Int(cursor.i64()?),
-                            1 => Const::Sym(Symbol::intern(cursor.str()?)),
-                            other => {
-                                return Err(WalError::Corrupt(format!("unknown const tag {other}")))
-                            }
-                        });
-                    }
-                    ops.push((op, predicate, tuple));
+                    ops.push((op, predicate, cursor.consts(arity)?));
                 }
                 WalRecord::Txn { seq, ops }
             }
@@ -251,6 +272,30 @@ impl WalRecord {
                 seq,
                 text: cursor.str()?.to_string(),
             },
+            3 => {
+                let rules = cursor.str()?.to_string();
+                // A relation is at least a name length, an arity and a row count.
+                let nrels = cursor.count(10, "relation")?;
+                let mut relations = Vec::with_capacity(nrels);
+                for _ in 0..nrels {
+                    let name = Symbol::intern(cursor.str()?);
+                    let arity = cursor.u16()? as usize;
+                    // A constant is at least 5 bytes; a relation of arity 0
+                    // holds at most the empty row.
+                    let nrows = cursor.count(5 * arity, "row")?;
+                    if arity == 0 && nrows > 1 {
+                        let message = format!("row count {nrows} of a zero-arity relation");
+                        return Err(WalError::Corrupt(message));
+                    }
+                    let rows = (0..nrows).map(|_| cursor.consts(arity));
+                    relations.push((name, arity, rows.collect::<Result<_, _>>()?));
+                }
+                WalRecord::Image {
+                    seq,
+                    rules,
+                    relations,
+                }
+            }
             other => return Err(WalError::Corrupt(format!("unknown record kind {other}"))),
         };
         if !cursor.at_end() {
@@ -263,6 +308,23 @@ impl WalRecord {
 fn encode_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
+}
+
+/// The constants of one tuple, without a count (the reader knows the arity):
+/// shared by a transaction's ops and an image's rows.
+fn encode_consts(out: &mut Vec<u8>, tuple: &[Const]) {
+    for value in tuple {
+        match value {
+            Const::Int(i) => {
+                out.push(0u8);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            Const::Sym(s) => {
+                out.push(1u8);
+                encode_str(out, s.as_str());
+            }
+        }
+    }
 }
 
 /// A bounds-checked byte reader over one record payload.
@@ -312,6 +374,32 @@ impl<'a> Cursor<'a> {
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes)
             .map_err(|_| WalError::Corrupt("string field is not utf-8".to_string()))
+    }
+
+    /// A `u32` count of items at least `min_bytes` long each, refused when
+    /// they could not fit in the rest of the payload (a corrupt count must not
+    /// provoke a huge allocation).
+    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, WalError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_bytes) > self.bytes.len() - self.pos {
+            return Err(WalError::Corrupt(format!(
+                "{what} count {n} exceeds payload size"
+            )));
+        }
+        Ok(n)
+    }
+
+    /// `arity` constants (the decoding of [`encode_consts`]).
+    fn consts(&mut self, arity: usize) -> Result<Vec<Const>, WalError> {
+        let mut tuple = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            tuple.push(match self.u8()? {
+                0 => Const::Int(self.i64()?),
+                1 => Const::Sym(Symbol::intern(self.str()?)),
+                other => return Err(WalError::Corrupt(format!("unknown const tag {other}"))),
+            });
+        }
+        Ok(tuple)
     }
 
     fn at_end(&self) -> bool {
@@ -682,8 +770,8 @@ pub struct FrameRead {
     pub frames: Vec<WalRecord>,
     /// Sequence number of the first returned frame (`None` when none matched).
     /// A value *greater* than the requested `from_seq` means the log no longer
-    /// reaches back that far — the caller's position predates this log (e.g. a
-    /// compaction reset it) and a snapshot bootstrap is needed.
+    /// reaches back that far — the caller's position predates this log (a
+    /// compaction reset it), so only the directory's image can catch it up.
     pub first_seq: Option<u64>,
     /// Sequence number of the last intact record in the *whole* log — the
     /// publisher's current position, regardless of the batch cap.
@@ -720,6 +808,34 @@ pub fn read_frames_from(
         read.frames.push(record);
     }
     Ok(read)
+}
+
+/// Read an image file: the header and exactly one intact [`WalRecord::Image`]
+/// frame. Returns the record and its payload as stored (what a leader ships to
+/// a follower), or `None` when the file does not exist. Anything else — other
+/// leading bytes, an empty, torn or corrupt frame, a record of another kind, a
+/// second frame — is an error, and the file is left as it is: an image is
+/// renamed into place whole, so none of those is what a crash leaves behind.
+pub fn read_image(path: &Path) -> Result<Option<(WalRecord, Vec<u8>)>, WalError> {
+    if !path.exists() {
+        return Ok(None);
+    }
+    let mut frames = FrameIter::open(path)?;
+    let image = frames.next();
+    let end = frames.valid_len() as usize;
+    match image {
+        Some(image @ WalRecord::Image { .. })
+            if frames.next().is_none() && frames.torn_bytes() == 0 =>
+        {
+            Ok(Some((
+                image,
+                frames.bytes[WAL_MAGIC.len() + 8..end].to_vec(),
+            )))
+        }
+        _ => Err(WalError::Corrupt(
+            "the file is not exactly one intact image frame".to_string(),
+        )),
+    }
 }
 
 /// Scan `path` and truncate its torn tail (if any), returning the scan and a
@@ -767,6 +883,25 @@ mod tests {
         }
     }
 
+    fn sample_image(seq: u64) -> WalRecord {
+        WalRecord::Image {
+            seq,
+            rules: "t(X, Y) :- e(X, Y).\n".to_string(),
+            relations: vec![
+                (
+                    Symbol::intern("e"),
+                    2,
+                    vec![
+                        vec![Const::Int(1), Const::sym("say \"hi\"")],
+                        vec![Const::Int(-2), Const::Int(3)],
+                    ],
+                ),
+                (Symbol::intern("ready"), 0, vec![vec![]]),
+                (Symbol::intern("gone"), 1, vec![]),
+            ],
+        }
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value of CRC-32/IEEE.
@@ -786,6 +921,7 @@ mod tests {
                 seq: 1,
                 ops: vec![],
             },
+            sample_image(4),
         ] {
             let decoded = WalRecord::decode(&record.encode()).unwrap();
             assert_eq!(decoded, record);
@@ -800,6 +936,37 @@ mod tests {
         let mut bytes = sample_txn(3).encode();
         bytes.push(0);
         assert!(WalRecord::decode(&bytes).is_err());
+
+        // Image payloads whose counts promise more than the payload holds: the
+        // head of an image (kind, seq, empty rules) and then one relation `e`
+        // of the given arity and row count, followed by `tail`.
+        let image = |nrels: u32, arity: u16, nrows: u32, tail: &[u8]| {
+            let mut bytes = vec![3u8];
+            bytes.extend_from_slice(&7u64.to_le_bytes());
+            encode_str(&mut bytes, "");
+            bytes.extend_from_slice(&nrels.to_le_bytes());
+            encode_str(&mut bytes, "e");
+            bytes.extend_from_slice(&arity.to_le_bytes());
+            bytes.extend_from_slice(&nrows.to_le_bytes());
+            bytes.extend_from_slice(tail);
+            WalRecord::decode(&bytes)
+        };
+        let one_int = [0u8, 1, 0, 0, 0, 0, 0, 0, 0];
+        assert!(image(1, 1, 1, &one_int).is_ok(), "the well-formed control");
+        for (case, decoded) in [
+            ("relation count", image(1_000, 1, 1, &one_int)),
+            ("row count", image(1, 1, 1_000, &one_int)),
+            ("arity", image(1, u16::MAX, 1, &one_int)),
+            ("rows of arity 0", image(1, 0, 2, &[])),
+        ] {
+            let Err(WalError::Corrupt(message)) = decoded else {
+                panic!("{case}: an overrunning count must be refused");
+            };
+            assert!(
+                message.contains("exceeds payload size") || message.contains("zero-arity"),
+                "{case}: {message}"
+            );
+        }
     }
 
     #[test]

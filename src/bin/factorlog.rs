@@ -26,7 +26,7 @@
 //!     loaded at start.
 //!     `--data-dir DIR` makes the session durable: committed mutations append to
 //!     an fsync'd write-ahead log in DIR, the state recovers on the next start
-//!     (even after SIGKILL), and the log compacts into a snapshot as it grows.
+//!     (even after SIGKILL), and the log compacts into an image as it grows.
 //!     `--metrics-json PATH` enables tracing for the whole session and writes the
 //!     versioned metrics JSON document to PATH when the session ends.
 //!
@@ -54,6 +54,7 @@
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
+use factorlog::engine::render_answers;
 use factorlog::prelude::*;
 
 /// Which program the CLI evaluates.
@@ -85,12 +86,36 @@ fn usage() -> String {
         .to_string()
 }
 
+/// The argument after `flag`, described as `what` when it is missing.
+fn flag_value(
+    args: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> Result<String, String> {
+    args.next()
+        .cloned()
+        .ok_or_else(|| format!("{flag} requires {what}"))
+}
+
+/// The numeric argument after `flag`.
+fn flag_number<T: std::str::FromStr>(
+    args: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, flag, "a number")?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))
+}
+
 /// Arguments of `factorlog repl ...`.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct ReplOptions {
     /// Datalog source (or snapshot) loaded into the session at start.
     file: Option<String>,
-    /// Data directory of a durable session (write-ahead log + snapshot).
+    /// Data directory of a durable session (write-ahead log + image).
     data_dir: Option<String>,
     /// When set, tracing is on for the whole session and the metrics JSON
     /// document is written here when the session ends.
@@ -103,18 +128,10 @@ fn parse_repl_args(args: &[String]) -> Result<ReplOptions, String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--data-dir" => {
-                options.data_dir = Some(
-                    iter.next()
-                        .ok_or_else(|| "--data-dir requires a directory argument".to_string())?
-                        .clone(),
-                );
+                options.data_dir = Some(flag_value(&mut iter, arg, "a directory argument")?);
             }
             "--metrics-json" => {
-                options.metrics_json = Some(
-                    iter.next()
-                        .ok_or_else(|| "--metrics-json requires a file argument".to_string())?
-                        .clone(),
-                );
+                options.metrics_json = Some(flag_value(&mut iter, arg, "a file argument")?);
             }
             "--help" | "-h" => return Err(usage()),
             other if other.starts_with("--") => {
@@ -136,7 +153,7 @@ fn parse_repl_args(args: &[String]) -> Result<ReplOptions, String> {
 struct ServeCliOptions {
     /// Datalog source (or snapshot) loaded into the engine before serving.
     file: Option<String>,
-    /// Data directory of a durable served engine (WAL + snapshot + LOCK).
+    /// Data directory of a durable served engine (WAL + image + LOCK).
     data_dir: Option<String>,
     /// Listen address.
     addr: String,
@@ -170,49 +187,15 @@ fn parse_serve_args(args: &[String]) -> Result<ServeCliOptions, String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--data-dir" => {
-                options.data_dir = Some(
-                    iter.next()
-                        .ok_or_else(|| "--data-dir requires a directory argument".to_string())?
-                        .clone(),
-                );
+                options.data_dir = Some(flag_value(&mut iter, arg, "a directory argument")?);
             }
-            "--addr" => {
-                options.addr = iter
-                    .next()
-                    .ok_or_else(|| "--addr requires a HOST:PORT argument".to_string())?
-                    .clone();
-            }
-            "--max-in-flight" => {
-                options.max_in_flight = Some(
-                    iter.next()
-                        .ok_or_else(|| "--max-in-flight requires a number".to_string())?
-                        .parse()
-                        .map_err(|e| format!("--max-in-flight: {e}"))?,
-                );
-            }
-            "--deadline-ms" => {
-                options.deadline_ms = Some(
-                    iter.next()
-                        .ok_or_else(|| "--deadline-ms requires a number".to_string())?
-                        .parse()
-                        .map_err(|e| format!("--deadline-ms: {e}"))?,
-                );
-            }
+            "--addr" => options.addr = flag_value(&mut iter, arg, "a HOST:PORT argument")?,
+            "--max-in-flight" => options.max_in_flight = Some(flag_number(&mut iter, arg)?),
+            "--deadline-ms" => options.deadline_ms = Some(flag_number(&mut iter, arg)?),
             "--follow" => {
-                options.follow = Some(
-                    iter.next()
-                        .ok_or_else(|| "--follow requires a HOST:PORT argument".to_string())?
-                        .clone(),
-                );
+                options.follow = Some(flag_value(&mut iter, arg, "a HOST:PORT argument")?);
             }
-            "--lease-ms" => {
-                options.lease_ms = Some(
-                    iter.next()
-                        .ok_or_else(|| "--lease-ms requires a number".to_string())?
-                        .parse()
-                        .map_err(|e| format!("--lease-ms: {e}"))?,
-                );
-            }
+            "--lease-ms" => options.lease_ms = Some(flag_number(&mut iter, arg)?),
             "--help" | "-h" => return Err(usage()),
             other if other.starts_with("--") => {
                 return Err(format!("unknown serve option `{other}`\n{}", usage()));
@@ -251,21 +234,12 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut explain = false;
     let mut stats = false;
 
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--query" => {
-                query = Some(
-                    iter.next()
-                        .ok_or_else(|| "--query requires an argument".to_string())?
-                        .clone(),
-                );
-            }
+            "--query" => query = Some(flag_value(&mut iter, arg, "an argument")?),
             "--strategy" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--strategy requires an argument".to_string())?;
-                strategy = match value.as_str() {
+                strategy = match flag_value(&mut iter, arg, "an argument")?.as_str() {
                     "original" => CliStrategy::Original,
                     "magic" => CliStrategy::Magic,
                     "factored" | "pipeline" => CliStrategy::Factored,
@@ -297,21 +271,8 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     })
 }
 
-/// Print cumulative session statistics in the CLI's one-line format.
-fn print_session_stats(stats: &EvalStats) {
-    println!(
-        "% session stats: {} iterations, {} inferences, {} facts derived, {} duplicates, \
-         plan cache {} hit(s) / {} miss(es)",
-        stats.iterations,
-        stats.inferences,
-        stats.facts_derived,
-        stats.duplicates,
-        stats.plan_cache_hits,
-        stats.plan_cache_misses,
-    );
-}
-
-fn run(options: &CliOptions) -> Result<(), String> {
+/// Run one invocation and return what it prints.
+fn run(options: &CliOptions) -> Result<String, String> {
     let source = std::fs::read_to_string(&options.file)
         .map_err(|e| format!("cannot read {}: {e}", options.file))?;
 
@@ -330,11 +291,12 @@ fn run(options: &CliOptions) -> Result<(), String> {
             .ok_or_else(|| "no query: add a `?- atom.` clause or pass --query".to_string())?,
     };
 
+    let mut out = String::new();
     let (answers, label) = match options.strategy {
         CliStrategy::Original => {
             let answers = engine.query(&query).map_err(|e| e.to_string())?;
             if options.show_program {
-                println!("% strategy: original\n{}", engine.program());
+                out += &format!("% strategy: original\n{}\n", engine.program());
             }
             (answers, "original".to_string())
         }
@@ -342,7 +304,7 @@ fn run(options: &CliOptions) -> Result<(), String> {
             let adorned = adorn(engine.program(), &query).map_err(|e| e.to_string())?;
             let magicp = magic(&adorned).map_err(|e| e.to_string())?;
             if options.show_program {
-                println!("% strategy: magic\n{}", magicp.program);
+                out += &format!("% strategy: magic\n{}\n", magicp.program);
             }
             // Evaluate the magic program as an auxiliary engine session sharing the
             // facts, then fold its counters into the main session's.
@@ -369,10 +331,13 @@ fn run(options: &CliOptions) -> Result<(), String> {
                     optimize_query(engine.program(), &query, &PipelineOptions::default())
                         .map_err(|e| e.to_string())?;
                 if options.explain {
-                    println!("{}", optimized.report());
+                    out += &format!("{}\n", optimized.report());
                 }
                 if options.show_program {
-                    println!("% strategy: {}\n{}", optimized.strategy, optimized.program);
+                    out += &format!(
+                        "% strategy: {}\n{}\n",
+                        optimized.strategy, optimized.program
+                    );
                 }
             }
             let answers = engine.query_prepared(&query).map_err(|e| e.to_string())?;
@@ -383,31 +348,14 @@ fn run(options: &CliOptions) -> Result<(), String> {
         }
     };
 
-    // Present answers in terms of the original query's variables.
-    let free_vars: Vec<String> = query
-        .atom
-        .terms
-        .iter()
-        .filter_map(|t| t.as_var().map(|v| v.as_str().to_string()))
-        .collect();
-    println!("% {} answer(s) to {} [{}]", answers.len(), query, label);
-    for row in &answers {
-        let rendered: Vec<String> = free_vars
-            .iter()
-            .zip(row.iter())
-            .map(|(v, c)| format!("{v} = {c}"))
-            .collect();
-        if rendered.is_empty() {
-            println!("true");
-        } else {
-            println!("{}", rendered.join(", "));
-        }
+    out += &format!("% {} answer(s) to {} [{}]\n", answers.len(), query, label);
+    for line in render_answers(&query, &answers) {
+        out += &format!("{line}\n");
     }
-
     if options.stats {
-        print_session_stats(engine.stats());
+        out += &format!("{}\n", engine.stats());
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Ctrl-C support for interactive sessions: a SIGINT handler that sets the
@@ -649,7 +597,10 @@ fn main() -> ExitCode {
     }
     match parse_args(&args) {
         Ok(options) => match run(&options) {
-            Ok(()) => ExitCode::SUCCESS,
+            Ok(out) => {
+                print!("{out}");
+                ExitCode::SUCCESS
+            }
             Err(message) => {
                 eprintln!("error: {message}");
                 ExitCode::FAILURE
@@ -819,6 +770,36 @@ mod tests {
         assert!(err.contains("--follow"), "{err}");
         assert!(parse_serve_args(&args(&["--follow"])).is_err());
         assert!(parse_serve_args(&args(&["--lease-ms", "soon"])).is_err());
+    }
+
+    /// Regression: the answers to a query that repeats a variable are
+    /// labelled by its distinct variables, as the REPL labels them (the CLI
+    /// printed `X = 1, X = 2`).
+    #[test]
+    fn a_repeated_query_variable_labels_each_answer_once() {
+        let path = std::env::temp_dir().join("factorlog_cli_repeated_var.dl");
+        std::fs::write(&path, "p(1, 1, 2).\nq(X, Y, Z) :- p(X, Y, Z).\n").unwrap();
+        for strategy in [
+            CliStrategy::Factored,
+            CliStrategy::Magic,
+            CliStrategy::Original,
+        ] {
+            let options = CliOptions {
+                file: path.to_string_lossy().to_string(),
+                query: Some("q(X, X, Y)".to_string()),
+                strategy,
+                show_program: false,
+                explain: false,
+                stats: false,
+            };
+            let out = run(&options).unwrap();
+            assert!(
+                out.lines().any(|line| line == "X = 1, Y = 2"),
+                "{strategy:?}: {out}"
+            );
+            assert!(!out.contains("X = 2"), "{strategy:?}: {out}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -163,7 +163,10 @@ fn assert_recovers_to(dir: &Path, expected: &Engine, query: &Query) {
 fn scripted_history() -> Vec<Event> {
     vec![
         Event::Source(programs::THREE_RULE_TC.to_string()),
-        Event::Source("e(0, 1).\ne(1, 2).\ne(2, 3).\ne(3, 4).".to_string()),
+        Event::Source(
+            "e(0, 1).\ne(1, 2).\ne(2, 3).\ne(3, 4).\nready.\ngreeting(0, \"Hello world\")."
+                .to_string(),
+        ),
         Event::Batch(vec![(1, "e", 4, 5), (1, "e", 5, 6)]),
         Event::Batch(vec![(0, "e", 2, 3), (1, "e", 2, 30), (1, "e", 30, 3)]),
         Event::Batch(vec![(1, "t", 6, 100)]), // asserted IDB fact

@@ -11,7 +11,7 @@
 //!   committed EDB, and the replicated store's model is exactly the reference
 //!   model of those facts.
 //! * **Bootstrap** — a follower whose position the leader compacted away
-//!   re-seeds itself from the shipped snapshot (at least one bootstrap is
+//!   re-seeds itself from the shipped image (at least one bootstrap is
 //!   observed) and still converges.
 //! * **Failover** — a follower refuses promotion while the leader's lease is
 //!   valid, promotes after it expires, accepts writes as the new leader, and
@@ -106,7 +106,7 @@ proptest! {
 
         // A tiny compaction threshold: the leader's log compacts repeatedly
         // mid-run, so a lagging follower's position routinely falls behind the
-        // snapshot and forces a bootstrap.
+        // image and forces a bootstrap.
         let mut engine = Engine::open_durable_with(&leader_dir, dopts(256))
         .expect("leader opens durably");
         engine
@@ -191,7 +191,7 @@ proptest! {
 /// Compaction racing a lagging follower, deterministically: the follower syncs
 /// an early prefix, disconnects, the leader commits and compacts far past that
 /// position, and the reconnecting follower must re-seed itself from the
-/// shipped snapshot (an observed bootstrap) and still converge.
+/// shipped image (an observed bootstrap) and still converge.
 #[test]
 fn a_lagging_follower_bootstraps_past_a_compacted_log() {
     let leader_dir = fresh_dir("compact_lead");
@@ -201,6 +201,11 @@ fn a_lagging_follower_bootstraps_past_a_compacted_log() {
     engine
         .load_source(programs::THREE_RULE_TC)
         .expect("program loads");
+    // A symbol the log accepts but Datalog text cannot spell (`TXN` cannot
+    // either, hence the API): it must survive the shipped image too.
+    engine
+        .insert("label", &[c(0), Const::sym("say \"hi\"")])
+        .expect("the quoted symbol commits");
     let handle = serve(engine, "127.0.0.1:0", server_opts()).expect("serve");
     let addr = handle.addr().to_string();
 
