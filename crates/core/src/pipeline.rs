@@ -180,8 +180,9 @@ impl Optimized {
     /// the semi-naive round 0 (a full pass) picks them up. This makes the compiled
     /// rules constant-free for most programs, so the same plan can be
     /// [rebound](PreparedPlan::rebind) to a query with the same adornment but
-    /// different constants without re-running the pipeline.
-    pub fn prepare(&self, options: &EvalOptions) -> Result<PreparedPlan, EvalError> {
+    /// different constants without re-running the pipeline. Compilation depends on
+    /// no evaluation option; `_options` stays so that existing callers compile.
+    pub fn prepare(&self, _options: &EvalOptions) -> Result<PreparedPlan, EvalError> {
         let mut rules: Vec<Rule> = Vec::new();
         let mut seeds: Vec<Atom> = Vec::new();
         for rule in &self.program.rules {
@@ -192,7 +193,7 @@ impl Optimized {
             }
         }
         let seedless = Program::from_rules(rules);
-        let compiled = CompiledProgram::compile(&seedless, options)?;
+        let compiled = CompiledProgram::compile(&seedless)?;
         let bound_consts: Vec<Const> = self
             .original_query
             .atom

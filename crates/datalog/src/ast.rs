@@ -114,8 +114,8 @@ impl Term {
 }
 
 /// A term in parseable surface syntax: variables, integers and identifier-shaped
-/// symbols verbatim, other symbols as quoted strings (a symbol containing `"` or
-/// a newline has no surface form).
+/// symbols verbatim, other symbols as quoted strings with `"`, `\` and newlines
+/// escaped as `\"`, `\\` and `\n`.
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -126,10 +126,18 @@ impl fmt::Display for Term {
                 let identifier = name.chars().next().is_some_and(|c| c.is_ascii_lowercase())
                     && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
                 if identifier {
-                    f.write_str(name)
-                } else {
-                    write!(f, "\"{name}\"")
+                    return f.write_str(name);
                 }
+                f.write_str("\"")?;
+                for c in name.chars() {
+                    match c {
+                        '"' => f.write_str("\\\"")?,
+                        '\\' => f.write_str("\\\\")?,
+                        '\n' => f.write_str("\\n")?,
+                        c => fmt::Write::write_char(f, c)?,
+                    }
+                }
+                f.write_str("\"")
             }
         }
     }

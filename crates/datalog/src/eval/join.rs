@@ -23,8 +23,8 @@
 //!   no key tuple is ever materialized — and candidate verification is folded into the
 //!   binding loop, which must compare every row against the pattern anyway.
 //!
-//! The built-in predicate `succ/2` (successor on integers) is evaluated arithmetically
-//! when enabled; it exists solely so that the Counting transformation of §6.4, which
+//! The built-in predicate `succ/2` (successor on integers) is evaluated arithmetically;
+//! it exists solely so that the Counting transformation of §6.4, which
 //! introduces derivation-depth indices `I + 1`, can be executed by the same engine.
 
 use crate::ast::{Atom, Const, Rule, Term};
@@ -43,9 +43,6 @@ pub struct EvalOptions {
     /// non-terminating programs (e.g. Counting applied to a left-linear recursion,
     /// §6.4) can be detected by tests and benchmarks instead of hanging.
     pub max_iterations: usize,
-    /// Enable the arithmetic `succ/2` builtin (disabled automatically for any
-    /// predicate that has explicit facts in the database).
-    pub enable_builtins: bool,
     /// Reorder rule-body literals at plan time (greedy: most bound argument
     /// positions first, then smallest relation at plan-resolution time) before
     /// compiling access paths. Bodies containing the virtual `succ/2` builtin are
@@ -57,8 +54,8 @@ pub struct EvalOptions {
     /// default; when off, every instrumentation site costs one branch on a
     /// `None` option and no allocation.
     pub trace: bool,
-    /// Wall-clock budget for one evaluation entry point (a full evaluation, a
-    /// resume, or a delete propagation). Checked at every round boundary and,
+    /// Wall-clock budget for one evaluation entry point (a full evaluation or
+    /// one maintenance step). Checked at every round boundary and,
     /// within rounds, every [`POLL_INTERVAL`] candidate rows of the compiled
     /// join — the cancellation granularity bound. `None` (the default) means
     /// unlimited and costs nothing.
@@ -86,7 +83,6 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             max_iterations: 1_000_000,
-            enable_builtins: true,
             reorder_literals: true,
             trace: false,
             deadline: None,
@@ -173,7 +169,7 @@ impl JoinPoll {
 }
 
 /// Per-evaluation resource governor: created at each evaluation entry point
-/// (full evaluation, resume, delete propagation), it owns the start timestamp
+/// (full evaluation, maintenance), it owns the start timestamp
 /// the deadline is measured from and the configured limits. Round drivers call
 /// [`Governor::check_round`] at every round boundary and arm the join scratches
 /// with [`Governor::join_poll`] for the intra-round checks.
@@ -456,25 +452,17 @@ pub fn succ_symbol() -> Symbol {
 /// by original position (stable). Conjunction over stored relations is commutative, so
 /// any order derives the same facts — only the join cost changes.
 ///
-/// Bodies containing the *virtual* `succ/2` builtin (enabled, and with no explicit
-/// `succ` relation in `db`) are never reordered: the builtin is not a stored relation —
+/// Bodies containing the *virtual* `succ/2` builtin (no explicit `succ` relation in
+/// `db`) are never reordered: the builtin is not a stored relation —
 /// it matches nothing until one argument is bound — so whether it can evaluate depends
 /// on its position relative to its binders, and moving it could change the computed
 /// model rather than merely its cost. Reordering must stay a pure performance knob.
-pub fn reorder_body(
-    rule: &Rule,
-    pinned: usize,
-    db: &Database,
-    options: &EvalOptions,
-) -> Option<Rule> {
+pub fn reorder_body(rule: &Rule, pinned: usize, db: &Database) -> Option<Rule> {
     if rule.body.len() < pinned + 2 {
         return None;
     }
-    let virtual_succ = |atom: &Atom| {
-        options.enable_builtins
-            && atom.predicate == succ_symbol()
-            && db.relation(atom.predicate).is_none()
-    };
+    let virtual_succ =
+        |atom: &Atom| atom.predicate == succ_symbol() && db.relation(atom.predicate).is_none();
     if rule.body.iter().any(virtual_succ) {
         return None;
     }
@@ -544,7 +532,6 @@ impl CompiledRule {
         rule_index: usize,
         rule: &Rule,
         is_idb: &dyn Fn(Symbol) -> bool,
-        options: &EvalOptions,
     ) -> CompiledRule {
         let mut var_slots: FxHashMap<Symbol, usize> = FxHashMap::default();
         let mut bound_so_far: Vec<bool> = Vec::new();
@@ -586,7 +573,7 @@ impl CompiledRule {
                     bound_so_far[*idx] = true;
                 }
             }
-            let is_succ = options.enable_builtins && atom.predicate == succ_symbol();
+            let is_succ = atom.predicate == succ_symbol();
             if is_idb(atom.predicate) {
                 idb_literal_positions.push(pos);
             }
@@ -933,7 +920,7 @@ mod tests {
 
     fn compile(rule_text: &str) -> CompiledRule {
         let rule = parse_rule(rule_text).unwrap();
-        CompiledRule::compile(0, &rule, &|_| false, &EvalOptions::default())
+        CompiledRule::compile(0, &rule, &|_| false)
     }
 
     #[test]
@@ -1169,15 +1156,14 @@ mod tests {
             db.add_fact("big", &[c(i), c(i + 1)]);
         }
         db.add_fact("small", &[c(1), c(2)]);
-        let reordered =
-            reorder_body(&rule, 0, &db, &EvalOptions::default()).expect("order changes");
+        let reordered = reorder_body(&rule, 0, &db).expect("order changes");
         assert_eq!(reordered.body[0].predicate, Symbol::intern("small"));
         assert_eq!(reordered.body[1].predicate, Symbol::intern("big"));
         assert_eq!(reordered.head, rule.head);
 
         // Once `small` is placed, `big(X, W)` has W bound at position 1 — the SIP
         // chain survives the reorder.
-        let compiled = CompiledRule::compile(0, &reordered, &|_| false, &EvalOptions::default());
+        let compiled = CompiledRule::compile(0, &reordered, &|_| false);
         assert_eq!(compiled.literals[1].bound_positions, vec![1]);
     }
 
@@ -1190,8 +1176,7 @@ mod tests {
             db.add_fact("q", &[c(i % 7), c(i)]);
         }
         db.add_fact("r", &[c(1), c(2)]);
-        let reordered =
-            reorder_body(&rule, 0, &db, &EvalOptions::default()).expect("order changes");
+        let reordered = reorder_body(&rule, 0, &db).expect("order changes");
         assert_eq!(reordered.body[0].predicate, Symbol::intern("q"));
     }
 
@@ -1207,7 +1192,7 @@ mod tests {
         for i in 0..10i64 {
             db.add_fact("counter", &[c(i)]);
         }
-        assert!(reorder_body(&rule, 0, &db, &EvalOptions::default()).is_none());
+        assert!(reorder_body(&rule, 0, &db).is_none());
 
         // With an explicit succ relation, succ is an ordinary stored predicate and
         // the body reorders freely: counter (2 rows) is promoted over succ (10).
@@ -1217,8 +1202,7 @@ mod tests {
         for i in 0..10i64 {
             db.add_fact("succ", &[c(i), c(i + 1)]);
         }
-        let reordered =
-            reorder_body(&rule, 0, &db, &EvalOptions::default()).expect("order changes");
+        let reordered = reorder_body(&rule, 0, &db).expect("order changes");
         assert_eq!(reordered.body[0].predicate, Symbol::intern("counter"));
     }
 
@@ -1226,14 +1210,14 @@ mod tests {
     fn reorder_is_a_no_op_when_order_is_already_greedy() {
         let rule = parse_rule("t(X, Y) :- e(X, Y).").unwrap();
         let db = Database::new();
-        assert!(reorder_body(&rule, 0, &db, &EvalOptions::default()).is_none());
+        assert!(reorder_body(&rule, 0, &db).is_none());
         let two = parse_rule("p(X, Y) :- a(X, W), b(W, Y).").unwrap();
         let mut db = Database::new();
         db.add_fact("a", &[c(1), c(2)]);
         db.add_fact("b", &[c(2), c(3)]);
         db.add_fact("b", &[c(2), c(4)]);
         // a is smaller and nothing is bound: original order is the greedy order.
-        assert!(reorder_body(&two, 0, &db, &EvalOptions::default()).is_none());
+        assert!(reorder_body(&two, 0, &db).is_none());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Bottom-up evaluation of Datalog programs: the semi-naive pipeline (compiled rules,
-//! join machinery, incremental resume and retraction) with its statistics, and the
+//! join machinery, incremental maintenance) with its statistics, and the
 //! naive reference evaluator everything is checked against.
 
 pub mod join;
@@ -19,8 +19,8 @@ use crate::validate::ValidationError;
 pub use join::{EvalOptions, Governor};
 pub use naive::{naive_evaluate, ReferenceModel};
 pub use seminaive::{
-    seminaive_evaluate, seminaive_evaluate_compiled, seminaive_evaluate_owned, seminaive_resume,
-    seminaive_retract, CompiledProgram,
+    seminaive_evaluate, seminaive_evaluate_compiled, seminaive_evaluate_owned, seminaive_maintain,
+    CompiledProgram,
 };
 pub use stats::EvalStats;
 pub use trace::{

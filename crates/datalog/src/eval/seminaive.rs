@@ -14,12 +14,11 @@
 //!
 //! * [`CompiledProgram`] + [`seminaive_evaluate_compiled`] — compile a program's rules
 //!   once and replay the compiled plan over many databases (the prepared-query path);
-//! * [`seminaive_resume`] — restart the fixpoint over an *existing* least model with
-//!   externally seeded deltas (newly inserted EDB facts), deriving only consequences
-//!   that use at least one new fact instead of re-evaluating from scratch;
-//! * [`seminaive_retract`] — the negative-delta counterpart: retract base facts from
-//!   an existing least model with DRed-shaped over-delete/re-derive propagation
-//!   through the same compiled firings, each driven by its delta.
+//! * [`seminaive_maintain`] — bring an *existing* least model up to date with one
+//!   update of its base facts: DRed-shaped over-delete/re-derive propagation of the
+//!   retracted facts, then one seeded round for the restored and inserted facts,
+//!   deriving only consequences that use at least one of them instead of
+//!   re-evaluating from scratch.
 
 use std::collections::BTreeSet;
 
@@ -62,8 +61,8 @@ fn stats_for_run(rule_count: usize, options: &EvalOptions) -> EvalStats {
 ///
 /// Compilation (validation, IDB classification, variable-slot assignment, bound-position
 /// analysis, per-predicate index planning) happens once; the plan can then be replayed
-/// over any number of databases with [`seminaive_evaluate_compiled`] or resumed
-/// incrementally with [`seminaive_resume`]. This is what the prepared-query cache
+/// over any number of databases with [`seminaive_evaluate_compiled`] or maintained
+/// incrementally with [`seminaive_maintain`]. This is what the prepared-query cache
 /// stores.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
@@ -77,16 +76,15 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Validate and compile `program`. `options` decides builtin handling at compile
-    /// time (the `succ/2` flag is baked into the compiled literals).
-    pub fn compile(program: &Program, options: &EvalOptions) -> Result<CompiledProgram, EvalError> {
+    /// Validate and compile `program`.
+    pub fn compile(program: &Program) -> Result<CompiledProgram, EvalError> {
         crate::validate::check_program(program).map_err(EvalError::Invalid)?;
         let idb = program.idb_predicates();
         let rules: Vec<CompiledRule> = program
             .rules
             .iter()
             .enumerate()
-            .map(|(i, r)| CompiledRule::compile(i, r, &|p| idb.contains(&p), options))
+            .map(|(i, r)| CompiledRule::compile(i, r, &|p| idb.contains(&p)))
             .collect();
         let index_plan = build_index_plan(&rules);
         Ok(CompiledProgram {
@@ -119,10 +117,9 @@ impl CompiledProgram {
         let mut reorders = 0usize;
         if options.reorder_literals {
             for (i, rule) in self.program.rules.iter().enumerate() {
-                if let Some(better) = reorder_body(rule, 0, db, options) {
+                if let Some(better) = reorder_body(rule, 0, db) {
                     let rules = reordered.get_or_insert_with(|| self.rules.clone());
-                    rules[i] =
-                        CompiledRule::compile(i, &better, &|p| self.idb.contains(&p), options);
+                    rules[i] = CompiledRule::compile(i, &better, &|p| self.idb.contains(&p));
                     reorders += 1;
                 }
             }
@@ -199,11 +196,11 @@ impl EvalPlan<'_> {
         let compile = |rule_index: usize, head: &Atom, body: Vec<Atom>| {
             let mut rule = Rule::new(head.clone(), body);
             if options.reorder_literals {
-                if let Some(better) = reorder_body(&rule, 1, db, options) {
+                if let Some(better) = reorder_body(&rule, 1, db) {
                     rule = better;
                 }
             }
-            CompiledRule::compile(rule_index, &rule, &|p| compiled.idb.contains(&p), options)
+            CompiledRule::compile(rule_index, &rule, &|p| compiled.idb.contains(&p))
         };
         let source = &compiled.program.rules;
         let mut rules = Vec::new();
@@ -287,7 +284,7 @@ pub fn seminaive_evaluate(
     edb: &Database,
     options: &EvalOptions,
 ) -> Result<EvalResult, EvalError> {
-    let compiled = CompiledProgram::compile(program, options)?;
+    let compiled = CompiledProgram::compile(program)?;
     seminaive_evaluate_compiled(&compiled, edb, options)
 }
 
@@ -364,93 +361,22 @@ pub fn seminaive_evaluate_owned(
     })
 }
 
-/// Resume semi-naive evaluation over an existing least `model`, seeded with external
-/// deltas — the incremental-maintenance primitive.
+/// Maintain an existing least `model` under one update of its base facts: retract
+/// `removed`, insert `added` — the incremental-maintenance primitive.
 ///
-/// `model` must be a fixpoint of the compiled program over some earlier EDB, with the
-/// `seeds` facts **already merged in** (so emission-time duplicate detection sees
-/// them); `seeds` holds, per predicate, exactly the facts that are new since that
-/// fixpoint. The seed round fires every rule once per body literal whose predicate has
-/// a seed delta — EDB predicates included, which is what distinguishes this from an
-/// ordinary semi-naive round — so every derivation using at least one new fact is
-/// found, and the regular delta-driven fixpoint then propagates the consequences.
-/// Returns the statistics of the incremental run; `model` is updated in place.
-pub fn seminaive_resume(
-    compiled: &CompiledProgram,
-    model: &mut Database,
-    seeds: &FxHashMap<Symbol, Relation>,
-    options: &EvalOptions,
-) -> Result<EvalStats, EvalError> {
-    let mut stats = stats_for_run(compiled.rules.len(), options);
-    let governor = Governor::new(options);
-    let plan_start = span_start(&stats);
-    let plan = compiled.plan(model, options);
-    let arities = plan.prepare(model);
-    stats.literal_reorders += plan.reorders;
-    let mut runtimes = plan.runtimes(model, &mut stats);
-    arm_runtimes(&mut runtimes, &governor);
-    span_end(&mut stats, "eval.plan", plan_start);
-
-    let mut staging = plan.empty_staging(&arities);
-    stats.iterations += 1;
-    {
-        let mut firings: Vec<Firing<'_>> = Vec::new();
-        for (rule_index, rule) in plan.rules().iter().enumerate() {
-            for (pos, literal) in rule.literals.iter().enumerate() {
-                let Some(seed_rel) = seeds.get(&literal.predicate) else {
-                    continue;
-                };
-                if seed_rel.is_empty() {
-                    continue;
-                }
-                firings.push(Firing {
-                    rule_index,
-                    delta: Some((pos, seed_rel)),
-                });
-            }
-        }
-        let round_start = span_start(&stats);
-        run_round(
-            &plan,
-            model,
-            &firings,
-            &mut runtimes,
-            &governor,
-            Sink::Derive,
-            &mut staging,
-            &mut stats,
-        )?;
-        span_end(&mut stats, "eval.round", round_start);
-    }
-    merge_deltas(model, &staging);
-    run_fixpoint(
-        &plan,
-        model,
-        staging,
-        &arities,
-        &mut runtimes,
-        &governor,
-        options,
-        &mut stats,
-    )?;
-    Ok(stats)
-}
-
-/// Retract facts from an existing least `model` with incremental delete propagation —
-/// the negative-delta counterpart of [`seminaive_resume`].
+/// `model` must be a fixpoint of the compiled program over the EDB before the
+/// update, with the retracted base facts **still present** and the inserted ones
+/// not yet merged in. `removed` holds, per predicate, the base facts leaving (facts
+/// not in the model are ignored); `added` the base facts arriving (facts the model
+/// already holds after the deletions are ignored). `base` is the caller's base-fact
+/// store *after* the update, which the caller must have applied first, so that a
+/// later from-scratch evaluation agrees with the maintained model. Base facts count
+/// as support during re-derivation: an over-deleted fact of a rule-defined
+/// predicate that is also a surviving base fact (the evaluator accepts pre-loaded
+/// IDB facts) is restored even when no rule derives it.
 ///
-/// `model` must be a fixpoint of the compiled program over some earlier EDB, with the
-/// retracted base facts **still present**; `removed` holds, per predicate, the base
-/// facts being retracted (facts not in the model are ignored); `base` is the
-/// caller's surviving base-fact store — the EDB *after* the retraction, which the
-/// caller must have applied first, so that a later from-scratch evaluation agrees
-/// with the maintained model. Base facts count as support during re-derivation:
-/// an over-deleted fact of a rule-defined predicate that is also a surviving base
-/// fact (the evaluator accepts pre-loaded IDB facts) is restored even when no rule
-/// derives it.
-///
-/// The propagation is DRed-shaped, all driven through the same compiled join
-/// pipeline as insertion:
+/// Deletions are propagated DRed-shaped, against the pre-insert fixpoint; every
+/// phase runs through the same compiled join pipeline:
 ///
 /// 1. **Over-delete** — negative deltas: fire every rule once per body position whose
 ///    predicate has a deletion delta, against the *old* model, with that literal moved
@@ -472,17 +398,23 @@ pub fn seminaive_resume(
 ///    filter on the head): each candidate binds the head and the body is probed for
 ///    it. A candidate with a surviving derivation is restored; existence is all that
 ///    matters, so nothing is counted.
-/// 4. **Resume** — the restored facts seed the ordinary positive-delta fixpoint,
-///    restoring everything derivable downstream of them.
+/// 4. **Seed** — the restored facts and the inserted facts new to the model join it,
+///    and seed one round that fires every rule once per body literal whose predicate
+///    has a seed (EDB predicates included, which is what distinguishes it from an
+///    ordinary semi-naive round); the ordinary delta-driven fixpoint propagates the
+///    rest. After phase 3 every rule whose body lies in the surviving facts has its
+///    head in the model, so the only missing consequences are those that use a seed,
+///    and the seed round finds exactly those.
 ///
 /// Returns the statistics of the run (`retractions` counts facts removed in step 2,
 /// `rederivations` facts restored in step 3, `delete_rounds` the fixpoint rounds of
 /// step 1); `model` is updated in place. On error the model may hold a partial
 /// maintenance state; callers should discard and re-materialize it.
-pub fn seminaive_retract(
+pub fn seminaive_maintain(
     compiled: &CompiledProgram,
     model: &mut Database,
     removed: &FxHashMap<Symbol, Relation>,
+    added: &FxHashMap<Symbol, Relation>,
     base: &Database,
     options: &EvalOptions,
 ) -> Result<EvalStats, EvalError> {
@@ -504,10 +436,6 @@ pub fn seminaive_retract(
             deleted.insert(pred, seed);
         }
     }
-    if deleted.is_empty() {
-        return Ok(stats);
-    }
-
     let plan_start = span_start(&stats);
     let plan = compiled.plan(model, options);
     let arities = plan.prepare(model);
@@ -516,114 +444,162 @@ pub fn seminaive_retract(
     arm_runtimes(&mut runtimes, &governor);
     // Phases 1 and 3 fire the delta-first variants of the rules; they form a plan of
     // their own, with its own runtimes.
-    let (delta_plan, guards) = plan.delta_first(model, options);
-    delta_plan.prepare(model);
-    let mut delta_runtimes = delta_plan.runtimes(model, &mut stats);
-    arm_runtimes(&mut delta_runtimes, &governor);
+    let delta_first = (!deleted.is_empty()).then(|| {
+        let (delta_plan, guards) = plan.delta_first(model, options);
+        delta_plan.prepare(model);
+        let mut delta_runtimes = delta_plan.runtimes(model, &mut stats);
+        arm_runtimes(&mut delta_runtimes, &governor);
+        (delta_plan, guards, delta_runtimes)
+    });
     span_end(&mut stats, "eval.plan", plan_start);
 
-    // Phase 1 — over-delete fixpoint: negative deltas through the compiled firings.
-    let overdelete_start = span_start(&stats);
-    let mut delta: FxHashMap<Symbol, Relation> = deleted.clone();
-    loop {
-        governor.check_round(&mut stats, || estimated_bytes(model, &deleted))?;
-        let firings = delta_first_firings(delta_plan.rules(), 0..guards, &delta);
-        if firings.is_empty() {
-            break;
+    // The facts new to the model since the pre-update fixpoint, which seed phase 4:
+    // phase 3 restores into it, and the inserted facts join it.
+    let mut seeds = plan.empty_staging(&arities);
+    if let Some((delta_plan, guards, mut delta_runtimes)) = delta_first {
+        // Phase 1 — over-delete fixpoint: negative deltas through the compiled firings.
+        let overdelete_start = span_start(&stats);
+        let mut delta: FxHashMap<Symbol, Relation> = deleted.clone();
+        loop {
+            governor.check_round(&mut stats, || estimated_bytes(model, &deleted))?;
+            let firings = delta_first_firings(delta_plan.rules(), 0..guards, &delta);
+            if firings.is_empty() {
+                break;
+            }
+            if stats.delete_rounds >= options.max_iterations {
+                return Err(EvalError::IterationLimit {
+                    limit: options.max_iterations,
+                });
+            }
+            stats.delete_rounds += 1;
+            let mut staging = delta_plan.empty_staging(&arities);
+            run_round(
+                &delta_plan,
+                model,
+                &firings,
+                &mut delta_runtimes,
+                &governor,
+                Sink::Retract { deleted: &deleted },
+                &mut staging,
+                &mut stats,
+            )?;
+            governor.fault_site(FaultSite::DeleteOverdelete)?;
+            if staging.values().all(Relation::is_empty) {
+                break;
+            }
+            for (&pred, rel) in &staging {
+                if !rel.is_empty() {
+                    deleted
+                        .entry(pred)
+                        .or_insert_with(|| Relation::new(rel.arity()))
+                        .merge_from(rel);
+                }
+            }
+            delta = staging;
         }
-        if stats.delete_rounds >= options.max_iterations {
-            return Err(EvalError::IterationLimit {
-                limit: options.max_iterations,
-            });
-        }
-        stats.delete_rounds += 1;
-        let mut staging = delta_plan.empty_staging(&arities);
-        run_round(
-            &delta_plan,
-            model,
-            &firings,
-            &mut delta_runtimes,
-            &governor,
-            Sink::Retract { deleted: &deleted },
-            &mut staging,
-            &mut stats,
-        )?;
-        governor.fault_site(FaultSite::DeleteOverdelete)?;
-        if staging.values().all(Relation::is_empty) {
-            break;
-        }
-        for (&pred, rel) in &staging {
-            if !rel.is_empty() {
-                deleted
-                    .entry(pred)
-                    .or_insert_with(|| Relation::new(rel.arity()))
-                    .merge_from(rel);
+        span_end(&mut stats, "delete.overdelete", overdelete_start);
+
+        // Phase 2 — remove every scheduled fact.
+        let remove_start = span_start(&stats);
+        for (&pred, rel) in &deleted {
+            if let Some(target) = model.relation_mut(pred) {
+                target.remove_all(rel);
             }
         }
-        delta = staging;
-    }
-    span_end(&mut stats, "delete.overdelete", overdelete_start);
+        span_end(&mut stats, "delete.remove", remove_start);
 
-    // Phase 2 — remove every scheduled fact.
-    let remove_start = span_start(&stats);
-    for (&pred, rel) in &deleted {
-        if let Some(target) = model.relation_mut(pred) {
-            target.remove_all(rel);
+        // Phase 3 — re-derive from the candidates: an over-deleted IDB fact with a
+        // derivation from surviving facts is restored. A surviving *base* fact is
+        // support too (pre-loaded IDB facts have no deriving rule).
+        if deleted.keys().any(|pred| compiled.idb.contains(pred)) {
+            let rederive_start = span_start(&stats);
+            for (pred, candidates) in &deleted {
+                let (Some(staged), Some(base_rel)) = (seeds.get_mut(pred), base.relation(*pred))
+                else {
+                    continue;
+                };
+                if base_rel.arity() != candidates.arity() {
+                    continue;
+                }
+                for tuple in candidates.iter() {
+                    if base_rel.contains(tuple) && staged.insert(tuple) {
+                        stats.rederivations += 1;
+                    }
+                }
+            }
+            let firings = delta_first_firings(
+                delta_plan.rules(),
+                guards..delta_plan.rules().len(),
+                &deleted,
+            );
+            run_round(
+                &delta_plan,
+                model,
+                &firings,
+                &mut delta_runtimes,
+                &governor,
+                Sink::Rederive,
+                &mut seeds,
+                &mut stats,
+            )?;
+            governor.fault_site(FaultSite::DeleteRederive)?;
+            span_end(&mut stats, "delete.rederive", rederive_start);
+            merge_deltas(model, &seeds);
         }
     }
-    span_end(&mut stats, "delete.remove", remove_start);
 
-    // Phase 3 — re-derive from the candidates: an over-deleted IDB fact with a
-    // derivation from surviving facts is restored. A surviving *base* fact is support
-    // too (pre-loaded IDB facts have no deriving rule).
-    if deleted.keys().any(|pred| compiled.idb.contains(pred)) {
-        let rederive_start = span_start(&stats);
-        let mut restored = plan.empty_staging(&arities);
-        for (pred, candidates) in &deleted {
-            let (Some(staged), Some(base_rel)) = (restored.get_mut(pred), base.relation(*pred))
-            else {
-                continue;
-            };
-            if base_rel.arity() != candidates.arity() {
-                continue;
+    // Phase 4 — the inserted facts new to the model join it and the seeds; one
+    // round fires every rule once per body literal with a seed, and the ordinary
+    // delta-driven fixpoint propagates its output.
+    for (&pred, rel) in added {
+        let target = model.ensure_relation(pred, rel.arity());
+        let seed = seeds
+            .entry(pred)
+            .or_insert_with(|| Relation::new(rel.arity()));
+        if target.arity() == rel.arity() {
+            for tuple in rel.iter().filter(|tuple| target.insert(tuple)) {
+                seed.insert(tuple);
             }
-            for tuple in candidates.iter() {
-                if base_rel.contains(tuple) && staged.insert(tuple) {
-                    stats.rederivations += 1;
+        }
+    }
+    let mut staging = plan.empty_staging(&arities);
+    if seeds.values().any(|rel| !rel.is_empty()) {
+        stats.iterations += 1;
+        let mut firings: Vec<Firing<'_>> = Vec::new();
+        for (rule_index, rule) in plan.rules().iter().enumerate() {
+            for (pos, literal) in rule.literals.iter().enumerate() {
+                if let Some(seed) = seeds.get(&literal.predicate).filter(|r| !r.is_empty()) {
+                    firings.push(Firing {
+                        rule_index,
+                        delta: Some((pos, seed)),
+                    });
                 }
             }
         }
-        let firings = delta_first_firings(
-            delta_plan.rules(),
-            guards..delta_plan.rules().len(),
-            &deleted,
-        );
+        let round_start = span_start(&stats);
         run_round(
-            &delta_plan,
-            model,
-            &firings,
-            &mut delta_runtimes,
-            &governor,
-            Sink::Rederive,
-            &mut restored,
-            &mut stats,
-        )?;
-        governor.fault_site(FaultSite::DeleteRederive)?;
-        span_end(&mut stats, "delete.rederive", rederive_start);
-        // Phase 4 — restored facts rejoin the model and seed the ordinary
-        // positive-delta fixpoint for everything downstream of them.
-        merge_deltas(model, &restored);
-        run_fixpoint(
             &plan,
             model,
-            restored,
-            &arities,
+            &firings,
             &mut runtimes,
             &governor,
-            options,
+            Sink::Derive,
+            &mut staging,
             &mut stats,
         )?;
+        span_end(&mut stats, "eval.round", round_start);
+        merge_deltas(model, &staging);
     }
+    run_fixpoint(
+        &plan,
+        model,
+        staging,
+        &arities,
+        &mut runtimes,
+        &governor,
+        options,
+        &mut stats,
+    )?;
     Ok(stats)
 }
 
@@ -645,7 +621,7 @@ fn delta_first_firings<'d>(
         .collect()
 }
 
-/// The delta-driven fixpoint loop shared by full evaluation and incremental resume:
+/// The delta-driven fixpoint loop shared by full evaluation and incremental maintenance:
 /// fire each rule once per IDB body literal with the delta substituted at that
 /// literal, until no new facts appear.
 #[allow(clippy::too_many_arguments)]
@@ -1023,7 +999,7 @@ mod tests {
     #[test]
     fn compiled_plan_replays_across_databases() {
         let program = tc_program();
-        let compiled = CompiledProgram::compile(&program, &EvalOptions::default()).unwrap();
+        let compiled = CompiledProgram::compile(&program).unwrap();
         for n in [3i64, 7, 11] {
             let edb = chain_edb(n);
             let via_plan =
@@ -1035,27 +1011,37 @@ mod tests {
         assert!(compiled.idb().contains(&Symbol::intern("t")));
     }
 
-    /// Resume helper: evaluate, then insert `extra` edges incrementally and resume.
+    /// One relation per predicate, for the `removed`/`added` arguments of
+    /// [`seminaive_maintain`].
+    fn facts(pred: &str, tuples: &[&[Const]]) -> FxHashMap<Symbol, Relation> {
+        let mut rel = Relation::new(tuples.first().map_or(2, |t| t.len()));
+        for tuple in tuples {
+            rel.insert(tuple);
+        }
+        FxHashMap::from_iter([(Symbol::intern(pred), rel)])
+    }
+
+    /// Insert helper: evaluate, then insert `extra` edges by one maintenance step.
     fn resume_after_inserts(
         program: &Program,
         base: i64,
         extra: &[(i64, i64)],
     ) -> (Database, EvalStats) {
-        let compiled = CompiledProgram::compile(program, &EvalOptions::default()).unwrap();
-        let mut model = seminaive_evaluate(program, &chain_edb(base), &EvalOptions::default())
+        let compiled = CompiledProgram::compile(program).unwrap();
+        let mut edb = chain_edb(base);
+        let mut model = seminaive_evaluate(program, &edb, &EvalOptions::default())
             .unwrap()
             .database;
-        let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
-        let mut seed_rel = Relation::new(2);
-        for &(a, b) in extra {
-            if model.add_fact("e", &[c(a), c(b)]) {
-                seed_rel.insert(&[c(a), c(b)]);
-            }
+        let edges: Vec<[Const; 2]> = extra.iter().map(|&(a, b)| [c(a), c(b)]).collect();
+        for edge in &edges {
+            edb.add_fact("e", edge);
         }
-        seeds.insert(Symbol::intern("e"), seed_rel);
-        let stats =
-            seminaive_resume(&compiled, &mut model, &seeds, &EvalOptions::default()).unwrap();
-        (model, stats)
+        let tuples: Vec<&[Const]> = edges.iter().map(|edge| &edge[..]).collect();
+        let added = facts("e", &tuples);
+        let none = FxHashMap::default();
+        let options = EvalOptions::default();
+        let stats = seminaive_maintain(&compiled, &mut model, &none, &added, &edb, &options);
+        (model, stats.unwrap())
     }
 
     #[test]
@@ -1078,9 +1064,9 @@ mod tests {
     #[test]
     fn resume_with_no_op_seed_derives_nothing() {
         let program = tc_program();
-        // Re-inserting an existing edge is filtered out by the caller (add_fact returns
-        // false), so the seed relation is empty and resume is a no-op.
-        let (model, stats) = resume_after_inserts(&program, 6, &[]);
+        // Re-inserting an existing edge seeds nothing (the model already holds it),
+        // so maintenance is a no-op.
+        let (model, stats) = resume_after_inserts(&program, 6, &[(2, 3)]);
         assert_eq!(model.count("t"), 21);
         assert_eq!(stats.facts_derived, 0);
         assert_eq!(stats.inferences, 0);
@@ -1108,17 +1094,24 @@ mod tests {
         let program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- t(X, W), t(W, Y).")
             .unwrap()
             .program;
-        let compiled = CompiledProgram::compile(&program, &EvalOptions::default()).unwrap();
-        let mut model = seminaive_evaluate(&program, &chain_edb(4), &EvalOptions::default())
+        let compiled = CompiledProgram::compile(&program).unwrap();
+        let mut edb = chain_edb(4);
+        let mut model = seminaive_evaluate(&program, &edb, &EvalOptions::default())
             .unwrap()
             .database;
         // Assert t(4, 100) as a fact: every t(x, 4) now extends to t(x, 100).
-        let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
-        let mut seed = Relation::new(2);
-        model.add_fact("t", &[c(4), c(100)]);
-        seed.insert(&[c(4), c(100)]);
-        seeds.insert(Symbol::intern("t"), seed);
-        seminaive_resume(&compiled, &mut model, &seeds, &EvalOptions::default()).unwrap();
+        edb.add_fact("t", &[c(4), c(100)]);
+        let added = facts("t", &[&[c(4), c(100)]]);
+        let options = EvalOptions::default();
+        seminaive_maintain(
+            &compiled,
+            &mut model,
+            &FxHashMap::default(),
+            &added,
+            &edb,
+            &options,
+        )
+        .unwrap();
         let t = model.relation(Symbol::intern("t")).unwrap();
         for x in 0..4 {
             assert!(t.contains(&[c(x), c(100)]), "t({x}, 100) must be derived");
@@ -1134,15 +1127,15 @@ mod tests {
             max_iterations: 20,
             ..EvalOptions::default()
         };
-        let compiled = CompiledProgram::compile(&program, &options).unwrap();
-        // Build a model by hand (the full evaluation would diverge as well).
+        let compiled = CompiledProgram::compile(&program).unwrap();
+        // Start from the empty model (the full evaluation would diverge as well) and
+        // insert the counter's start.
         let mut model = Database::new();
-        model.add_fact("counter", &[c(0)]);
-        let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
-        let mut seed = Relation::new(1);
-        seed.insert(&[c(0)]);
-        seeds.insert(Symbol::intern("counter"), seed);
-        let err = seminaive_resume(&compiled, &mut model, &seeds, &options).unwrap_err();
+        let added = facts("counter", &[&[c(0)]]);
+        let none = FxHashMap::default();
+        let base = model.clone();
+        let err = seminaive_maintain(&compiled, &mut model, &none, &added, &base, &options);
+        let err = err.unwrap_err();
         assert!(matches!(err, EvalError::IterationLimit { limit: 20 }));
     }
 
@@ -1260,17 +1253,17 @@ mod tests {
         gone: &[(i64, i64)],
         options: &EvalOptions,
     ) -> (Database, EvalStats, ReferenceModel) {
-        let compiled = CompiledProgram::compile(program, options).unwrap();
+        let compiled = CompiledProgram::compile(program).unwrap();
         let mut model = seminaive_evaluate(program, &edb, options).unwrap().database;
-        let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
-        let mut seed = Relation::new(2);
-        for &(a, b) in gone {
-            if edb.remove_fact("e", &[c(a), c(b)]) {
-                seed.insert(&[c(a), c(b)]);
-            }
+        let edges: Vec<[Const; 2]> = gone.iter().map(|&(a, b)| [c(a), c(b)]).collect();
+        let tuples: Vec<&[Const]> = edges.iter().map(|edge| &edge[..]).collect();
+        for edge in &edges {
+            edb.remove_fact("e", edge);
         }
-        seeds.insert(Symbol::intern("e"), seed);
-        let stats = seminaive_retract(&compiled, &mut model, &seeds, &edb, options).unwrap();
+        let removed = facts("e", &tuples);
+        let none = FxHashMap::default();
+        let stats = seminaive_maintain(&compiled, &mut model, &removed, &none, &edb, options);
+        let stats = stats.unwrap();
         (model, stats, naive_evaluate(program, &edb).unwrap())
     }
 
@@ -1340,16 +1333,15 @@ mod tests {
         // the retraction its only remaining support is the base fact itself.
         edb.add_fact("t", &[c(1), c(2)]);
         let options = EvalOptions::default();
-        let compiled = CompiledProgram::compile(&program, &options).unwrap();
+        let compiled = CompiledProgram::compile(&program).unwrap();
         let mut model = seminaive_evaluate(&program, &edb, &options)
             .unwrap()
             .database;
-        let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
-        let mut seed = Relation::new(2);
         edb.remove_fact("e", &[c(1), c(2)]);
-        seed.insert(&[c(1), c(2)]);
-        seeds.insert(Symbol::intern("e"), seed);
-        let stats = seminaive_retract(&compiled, &mut model, &seeds, &edb, &options).unwrap();
+        let removed = facts("e", &[&[c(1), c(2)]]);
+        let none = FxHashMap::default();
+        let stats = seminaive_maintain(&compiled, &mut model, &removed, &none, &edb, &options);
+        let stats = stats.unwrap();
         assert_eq!(
             ReferenceModel::from(&model),
             naive_evaluate(&program, &edb).unwrap()
@@ -1375,6 +1367,38 @@ mod tests {
         assert_eq!(stats.retractions, 0);
         assert_eq!(stats.delete_rounds, 0);
         assert_eq!(model.count("t"), 15);
+    }
+
+    #[test]
+    fn one_step_retracts_and_inserts_against_the_pre_insert_fixpoint() {
+        // Cut the chain at 4-5 and bridge it with 4-6 in the same step, plus a
+        // self-loop: over-deletion sees only the old model, and the restored and
+        // inserted facts seed one round.
+        let program = tc_program();
+        let compiled = CompiledProgram::compile(&program).unwrap();
+        let options = EvalOptions::default();
+        let mut edb = chain_edb(10);
+        let mut model = seminaive_evaluate(&program, &edb, &options)
+            .unwrap()
+            .database;
+        edb.remove_fact("e", &[c(4), c(5)]);
+        edb.add_fact("e", &[c(4), c(6)]);
+        edb.add_fact("e", &[c(9), c(9)]);
+        let removed = facts("e", &[&[c(4), c(5)]]);
+        let added = facts("e", &[&[c(4), c(6)], &[c(9), c(9)]]);
+        let stats = seminaive_maintain(&compiled, &mut model, &removed, &added, &edb, &options);
+        let stats = stats.unwrap();
+        assert_eq!(
+            ReferenceModel::from(&model),
+            naive_evaluate(&program, &edb).unwrap()
+        );
+        assert!(stats.retractions > 0);
+        assert_eq!(
+            stats.rederivations, 0,
+            "no path across the cut survives in the old model: the bridge's paths come \
+             from the seed round, not from re-derivation"
+        );
+        assert!(stats.facts_derived > 0, "the bridge derives new paths");
     }
 
     #[test]
@@ -1547,7 +1571,7 @@ mod tests {
                 fault_injector: Some(FaultInjector::armed(site, FaultAction::Error, 0)),
                 ..EvalOptions::default()
             };
-            let compiled = CompiledProgram::compile(&program, &options).unwrap();
+            let compiled = CompiledProgram::compile(&program).unwrap();
             let mut edb = Database::new();
             // Parallel paths so the rederive phase actually runs.
             for &(a, b) in &[(0i64, 1i64), (1, 3), (0, 2), (2, 3)] {
@@ -1556,12 +1580,11 @@ mod tests {
             let mut model = seminaive_evaluate(&program, &edb, &EvalOptions::default())
                 .unwrap()
                 .database;
-            let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
-            let mut seed = Relation::new(2);
             edb.remove_fact("e", &[c(0), c(1)]);
-            seed.insert(&[c(0), c(1)]);
-            seeds.insert(Symbol::intern("e"), seed);
-            let err = seminaive_retract(&compiled, &mut model, &seeds, &edb, &options).unwrap_err();
+            let removed = facts("e", &[&[c(0), c(1)]]);
+            let none = FxHashMap::default();
+            let err = seminaive_maintain(&compiled, &mut model, &removed, &none, &edb, &options);
+            let err = err.unwrap_err();
             assert!(
                 matches!(err, EvalError::Injected { site: s } if s == site),
                 "expected an injected fault at {site}, got {err}"

@@ -46,6 +46,12 @@ pub enum FaultSite {
     WalAppend,
     /// At the start of a snapshot compaction.
     Compaction,
+    /// After a compaction (or an image replacement) wrote its staging image, before
+    /// the atomic rename: the directory still holds the old image and the full log.
+    CompactionAfterTempWrite,
+    /// After the rename, before the log reset: the directory holds the new image
+    /// and a stale log whose records recovery sequence-skips.
+    CompactionAfterRename,
 }
 
 impl fmt::Display for FaultSite {
@@ -57,6 +63,8 @@ impl fmt::Display for FaultSite {
             FaultSite::DeleteRederive => "delete-rederive",
             FaultSite::WalAppend => "wal-append",
             FaultSite::Compaction => "compaction",
+            FaultSite::CompactionAfterTempWrite => "compaction-after-temp-write",
+            FaultSite::CompactionAfterRename => "compaction-after-rename",
         };
         f.write_str(name)
     }

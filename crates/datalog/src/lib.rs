@@ -58,7 +58,7 @@ pub mod validate;
 
 pub use ast::{Atom, Const, Program, Query, Rule, Substitution, Term};
 pub use eval::{
-    evaluate_default, seminaive_resume, CompiledProgram, EvalError, EvalOptions, EvalResult,
+    evaluate_default, seminaive_maintain, CompiledProgram, EvalError, EvalOptions, EvalResult,
     EvalStats, LimitReason,
 };
 pub use fault::{CancelToken, FaultAction, FaultInjector, FaultPoint, FaultSite};

@@ -193,6 +193,19 @@ pub fn tokenize(input: &str) -> ParseResult<Vec<SpannedToken>> {
                         Some('\n') => {
                             return Err(ParseError::new(position, "unterminated string literal"));
                         }
+                        Some('\\') => {
+                            column += 2;
+                            value.push(match chars.next() {
+                                Some('"') => '"',
+                                Some('\\') => '\\',
+                                Some('n') => '\n',
+                                _ => {
+                                    let message = "unknown escape in string literal \
+                                                   (expected \\\", \\\\ or \\n)";
+                                    return Err(ParseError::new(position, message));
+                                }
+                            });
+                        }
                         Some(c2) => {
                             column += 1;
                             value.push(c2);
@@ -337,6 +350,28 @@ mod tests {
                 Token::Eof,
             ]
         );
+    }
+
+    #[test]
+    fn quoted_strings_round_trip_through_their_escapes() {
+        use crate::ast::{Const, Term};
+        for name in [
+            "say \"hi\"",
+            "back\\slash",
+            "two\nlines",
+            "\\\"\n",
+            "plain text",
+        ] {
+            let rendered = Term::Const(Const::sym(name)).to_string();
+            assert!(!rendered.contains('\n'), "one line: {rendered}");
+            assert_eq!(
+                kinds(&rendered),
+                vec![Token::QuotedString(name.into()), Token::Eof],
+                "{rendered}"
+            );
+        }
+        let err = tokenize(r#""bad \q escape""#).unwrap_err();
+        assert!(err.message.contains("unknown escape"), "{}", err.message);
     }
 
     #[test]

@@ -146,20 +146,6 @@ pub struct CompactReport {
     pub snapshot_seq: u64,
 }
 
-/// Crash-injection points for the compactor (test harness only): compaction
-/// aborts with [`EngineError::Durability`] *after* the named step, leaving the
-/// directory exactly as a crash at that moment would. Both interrupted states
-/// must recover to the same session image.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompactionFault {
-    /// Crash after writing the staging image but before the atomic rename:
-    /// readers still see the old image + full log.
-    AfterTempWrite,
-    /// Crash after the rename but before the log reset: readers see the new
-    /// image + a stale log whose records are sequence-skipped.
-    AfterRename,
-}
-
 /// The durable half of a session: the log writer plus the directory bookkeeping.
 pub(crate) struct Durability {
     dir: PathBuf,
@@ -168,7 +154,6 @@ pub(crate) struct Durability {
     /// Sequence number the next appended record gets (last applied + 1).
     next_seq: u64,
     recovery: RecoveryReport,
-    compaction_fault: Option<CompactionFault>,
     /// Held for the session's lifetime; releasing the `LOCK` file on drop.
     _lock: DirLock,
 }
@@ -332,7 +317,7 @@ impl Engine {
             report.snapshot_seq = image.seq();
             report.snapshot_loaded = true;
             engine
-                .replay(image)
+                .replay(vec![image])
                 .map_err(|e| refuse_image(&image_path, e))?;
         }
 
@@ -342,16 +327,14 @@ impl Engine {
         let wal_path = dir.join(WAL_FILE);
         let (scan, writer) = wal::recover_log(&wal_path, options.fsync)?;
         report.torn_bytes_truncated = scan.torn_bytes;
-        let mut last_seq = report.snapshot_seq;
-        for record in scan.records {
-            if record.seq() <= report.snapshot_seq {
-                report.records_skipped += 1;
-                continue;
-            }
-            last_seq = record.seq();
-            engine.replay(record)?;
-            report.records_replayed += 1;
-        }
+        let (stale, tail): (Vec<_>, Vec<_>) = scan
+            .records
+            .into_iter()
+            .partition(|record| record.seq() <= report.snapshot_seq);
+        report.records_skipped = stale.len();
+        report.records_replayed = tail.len();
+        let last_seq = tail.last().map_or(report.snapshot_seq, WalRecord::seq);
+        engine.replay(tail)?;
         if report.torn_bytes_truncated > 0 {
             engine.stats.wal_torn_truncations += 1;
         }
@@ -362,7 +345,6 @@ impl Engine {
             options,
             next_seq: last_seq + 1,
             recovery: report,
-            compaction_fault: None,
             _lock: lock,
         });
         Ok(engine)
@@ -425,18 +407,6 @@ impl Engine {
         }
     }
 
-    /// Arm the compactor's crash-injection point. Returns `false` when the
-    /// session is not durable. Test harness only.
-    pub fn set_compaction_fault(&mut self, fault: Option<CompactionFault>) -> bool {
-        match self.durability.as_mut() {
-            Some(dur) => {
-                dur.compaction_fault = fault;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Compact now: atomically rewrite the image to include everything the log
     /// holds, then reset the log. A crash (or injected fault) anywhere in the
     /// sequence leaves a directory that recovers to exactly the same session.
@@ -469,8 +439,9 @@ impl Engine {
     /// Steps 1–2 of a compaction (and of a durable restore or a follower's
     /// bootstrap): stage `image`, which includes every record logged so far,
     /// through a log writer beside the live one and atomically rename it into
-    /// place (write tmp → fsync → rename → dir fsync), honoring the compactor's
-    /// injected crash points. On error nothing recovery depends on has changed
+    /// place (write tmp → fsync → rename → dir fsync); the fault sites
+    /// `CompactionAfterTempWrite` and `CompactionAfterRename` stop it between the
+    /// steps as a crash would. On error nothing recovery depends on has changed
     /// (a leftover tmp file is removed by the next open); after the rename the
     /// still-untruncated log's records are all stale and sequence-skipped.
     fn wal_persist_image(&self, image: &WalRecord) -> Result<(), EngineError> {
@@ -482,23 +453,14 @@ impl Engine {
             tmp.sync()?;
         }
         drop(tmp);
-        let injected = |after| {
-            let message = format!("injected compaction fault after {after}");
-            Err(EngineError::Durability(message))
-        };
-        if dur.compaction_fault == Some(CompactionFault::AfterTempWrite) {
-            return injected("staging write");
-        }
+        self.chaos_hit(FaultSite::CompactionAfterTempWrite)?;
         let image_path = dur.dir.join(SNAPSHOT_FILE);
         std::fs::rename(&tmp_path, &image_path).map_err(|e| {
             let (tmp, image) = (tmp_path.display(), image_path.display());
             EngineError::Io(format!("cannot rename {tmp} over {image}: {e}"))
         })?;
         sync_dir(&dur.dir);
-        if dur.compaction_fault == Some(CompactionFault::AfterRename) {
-            return injected("image rename");
-        }
-        Ok(())
+        self.chaos_hit(FaultSite::CompactionAfterRename)
     }
 
     /// Make `image` — a state that replaces the session's, from a durable
@@ -628,7 +590,7 @@ impl Engine {
             let image = records.remove(0);
             expected = image.seq() + 1;
             self.wal_replace_image(&image)?;
-            self.replay(image)?;
+            self.replay(vec![image])?;
             applied += 1;
         }
         let mut gap = None;
@@ -648,9 +610,7 @@ impl Engine {
         }
         self.wal_append(&mut run)?;
         applied += run.len();
-        for record in run {
-            self.replay(record)?;
-        }
+        self.replay(run)?;
         self.wal_maybe_compact()?;
         match gap {
             Some(seq) => Err(EngineError::Durability(format!(
@@ -913,6 +873,25 @@ pub(crate) mod tests {
         follower.apply_replicated(records[5..].to_vec()).unwrap();
         drop(follower);
         assert_eq!(wal::read_log(&dir.join(WAL_FILE)).unwrap().records, records);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_materialized_follower_maintains_once_per_shipped_batch() {
+        let records = leader_records(6);
+        let dir = fresh_dir("follower_model");
+        let mut follower = Engine::open_durable(&dir).unwrap();
+        let query = parse_query("t(0, Y)").unwrap();
+        follower.apply_replicated(records[..2].to_vec()).unwrap();
+        assert_eq!(follower.query(&query).unwrap().len(), 1);
+        // Five transactions in one shipped batch: one group, so one maintenance
+        // pass, which plans the program once.
+        let allocs = follower.stats().scratch_allocs;
+        assert_eq!(follower.apply_replicated(records[2..].to_vec()).unwrap(), 5);
+        let plan = follower.program().len();
+        assert_eq!(follower.stats().scratch_allocs - allocs, plan);
+        assert_eq!(follower.query(&query).unwrap().len(), 6);
+        drop(follower);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1217,7 +1196,6 @@ pub(crate) mod tests {
         let mut engine = Engine::new();
         assert!(matches!(engine.compact(), Err(EngineError::Durability(_))));
         assert!(!engine.set_wal_fault(None));
-        assert!(!engine.set_compaction_fault(None));
         assert!(engine.wal_len().is_none());
         assert!(engine.recovery_report().is_none());
         assert!(engine.data_dir().is_none());

@@ -4,14 +4,13 @@
 //! # State machine
 //!
 //! ```text
-//!   insert ──────────────▶ edb (+ model, + pending delta)
-//!   transaction/commit ──▶ edb ± batch; retractions propagate immediately via
-//!                          seminaive_retract (negative deltas, re-derive the candidates),
-//!                          assertions become pending deltas
+//!   commit ──────────────▶ edb ± batches (insert, retract, Txn::commit, server
+//!                          groups, loaded facts, replay); a materialized model is
+//!                          maintained in the same commit by one seminaive_maintain
+//!                          (over-delete and re-derive the retractions, then one
+//!                          seeded round for the restored and inserted facts)
 //!   add_rules/load ──────▶ program         (model dropped, caches cleared)
-//!   query ───────────────▶ refresh: model = fixpoint(program, edb)
-//!                            · no model yet   → full semi-naive evaluation
-//!                            · pending deltas → seminaive_resume (delta rounds only)
+//!   query ───────────────▶ refresh: no model yet → full semi-naive evaluation;
 //!                          then answer from the materialized model
 //!   query_prepared ──────▶ prepared-plan cache keyed by (predicate, query shape):
 //!                            · hit  → replay the cached CompiledProgram
@@ -28,20 +27,22 @@
 //! # The commit protocol
 //!
 //! Every mutation of the fact store — [`Engine::insert`], [`Engine::retract`],
-//! [`Txn::commit`], the server's group commits, the facts of a loaded source, the
-//! replay of a recovered or shipped log record — is one call of
-//! `Engine::commit_group` (a single commit is a group of one), which does, in
-//! this order and nowhere else:
+//! [`Txn::commit`], the server's group commits, the facts of a loaded source (a
+//! batch per fact), the replay of recovered or shipped log records (a run of
+//! transaction records) — is one call of `Engine::commit_group` (a single commit
+//! is a group of one), which does, in this order and nowhere else:
 //!
-//! 1. **validate** every batch (arities against the session and within the
-//!    batch): an invalid batch fails alone and touches nothing;
+//! 1. **validate** every batch (arities against the session, the group's
+//!    earlier valid batches and the batch itself): an invalid batch fails alone
+//!    and touches nothing;
 //! 2. **log** the valid batches — one record each, consecutive sequence numbers,
 //!    one append and one fsync for the group (`Engine::wal_append`; nothing to
 //!    do on an in-memory session, or when the caller says the records are
 //!    already on the log: a replayed record, or facts covered by the record of
 //!    the source text they came in);
 //! 3. **apply** each batch's net effect to the fact store, in submission order;
-//! 4. **maintain** the materialized model once, from the group's net delta;
+//! 4. **maintain** the materialized model once, from the group's net delta: one
+//!    call of `seminaive_maintain` with the facts the group removed and added;
 //! 5. **check** the log against the compaction threshold, once.
 //!
 //! Three ordering rules hold it together:
@@ -69,11 +70,11 @@ use factorlog_core::error::TransformError;
 use factorlog_core::pipeline::{optimize_query, PipelineOptions, PreparedPlan, Strategy};
 use factorlog_datalog::ast::{Atom, Const, Program, Query, Rule, Term};
 use factorlog_datalog::eval::{
-    seminaive_evaluate_compiled, seminaive_resume, seminaive_retract, CompiledProgram, EvalError,
-    EvalOptions, EvalStats,
+    seminaive_evaluate_compiled, seminaive_maintain, CompiledProgram, EvalError, EvalOptions,
+    EvalStats,
 };
 use factorlog_datalog::fault::{CancelToken, FaultAction, FaultInjector, FaultSite};
-use factorlog_datalog::fx::FxHashMap;
+use factorlog_datalog::fx::{FxHashMap, FxHashSet};
 use factorlog_datalog::parser::{parse_program, ParseError};
 use factorlog_datalog::storage::{Database, Relation};
 use factorlog_datalog::symbol::Symbol;
@@ -230,10 +231,8 @@ fn fact_tuple(atom: &Atom) -> Result<Vec<Const>, EngineError> {
 ///
 /// Within one batch the ops are set-oriented and the *last* operation on a given
 /// fact wins: `assert(f)` after `retract(f)` means `f` is present afterwards, and
-/// vice versa. Retractions are applied before assertions; retractions propagate
-/// through the materialized model immediately (negative deltas, then re-derivation
-/// of the over-deleted, see [`seminaive_retract`]), while assertions become pending
-/// deltas absorbed by the next query.
+/// vice versa. Retractions are applied before assertions, and the commit maintains
+/// the materialized model from both in one step (see [`seminaive_maintain`]).
 #[must_use = "a transaction does nothing until committed"]
 pub struct Txn<'e> {
     engine: &'e mut Engine,
@@ -306,8 +305,8 @@ pub const SNAPSHOT_HEADER_PREFIX: &str = "% factorlog snapshot";
 /// versioned Datalog text (rules and facts round-trip through the regular parser).
 ///
 /// Produced by [`Engine::snapshot`]; consumed by [`Engine::restore`] /
-/// [`Engine::from_snapshot`]. The materialized model, pending deltas, and prepared
-/// plans are deliberately *not* serialized — they are caches, rebuilt on demand
+/// [`Engine::from_snapshot`]. The materialized model and prepared plans are
+/// deliberately *not* serialized — they are caches, rebuilt on demand
 /// after a restore (the first query re-materializes; prepared shapes re-compile on
 /// first use and are cached again from then on).
 ///
@@ -433,12 +432,9 @@ pub struct Engine {
     /// The IDB predicates of `program` (cached; recomputed on rule changes).
     idb: BTreeSet<Symbol>,
     edb: Database,
-    /// The materialized least model (EDB ∪ derived IDB), when up to date except for
-    /// `pending`.
+    /// The materialized least model (EDB ∪ derived IDB), kept up to date by every
+    /// commit once built.
     model: Option<Database>,
-    /// Facts inserted since the model was last brought to a fixpoint, per predicate —
-    /// the seed deltas for the next [`seminaive_resume`].
-    pending: FxHashMap<Symbol, Relation>,
     /// Compiled plan for the registered (base) program.
     compiled: Option<CompiledProgram>,
     /// Prepared plans keyed by (query predicate, query shape). The shape encodes the
@@ -500,8 +496,8 @@ impl Engine {
     }
 
     /// A fresh session with the given evaluation options. The options apply to every
-    /// evaluation the session performs (materialization, incremental resumes, and
-    /// prepared-plan replays) — they round-trip through the engine rather than being
+    /// evaluation the session performs (materialization, incremental maintenance,
+    /// and prepared-plan replays) — they round-trip through the engine rather than being
     /// per-call.
     pub fn with_options(options: EvalOptions) -> Engine {
         Engine {
@@ -509,7 +505,6 @@ impl Engine {
             idb: BTreeSet::new(),
             edb: Database::new(),
             model: None,
-            pending: FxHashMap::default(),
             compiled: None,
             prepared: FxHashMap::default(),
             prepared_capacity: DEFAULT_PREPARED_CAPACITY,
@@ -527,9 +522,9 @@ impl Engine {
         &self.options
     }
 
-    /// Replace the session's evaluation options. Compiled plans depend on them
-    /// (builtin handling is baked in at compile time), so all caches and the
-    /// materialized model are invalidated.
+    /// Replace the session's evaluation options. All caches and the materialized
+    /// model are invalidated, so the next query evaluates under the new options
+    /// from scratch.
     pub fn set_options(&mut self, options: EvalOptions) {
         self.options = options;
         // The session's tracing switch owns the eval-side trace flag.
@@ -694,21 +689,16 @@ impl Engine {
         }
     }
 
-    /// Number of inserted facts not yet propagated into the materialized model.
-    pub fn pending_facts(&self) -> usize {
-        self.pending.values().map(Relation::len).sum()
-    }
-
-    /// Is the materialized model current (no pending deltas)?
+    /// Is there a materialized model? Every commit keeps one up to date; rule
+    /// changes and failed maintenance drop it until the next query rebuilds it.
     pub fn is_materialized(&self) -> bool {
-        self.model.is_some() && self.pending.values().all(Relation::is_empty)
+        self.model.is_some()
     }
 
     fn invalidate(&mut self) {
         self.model = None;
         self.compiled = None;
         self.prepared.clear();
-        self.pending.clear();
     }
 
     /// Register additional rules. Changing the program invalidates the materialized
@@ -805,7 +795,8 @@ impl Engine {
     }
 
     /// Parse `source` (rules, facts, optionally a `?- atom.` clause) and absorb it:
-    /// rules are registered, facts inserted (incrementally when a model exists).
+    /// rules are registered, facts inserted as one commit group (one batch per
+    /// fact), so a materialized model is maintained once for the whole load.
     ///
     /// On a durable session the *whole source text* is logged as one record (after
     /// parsing, before anything is applied), so a bulk load costs one log append +
@@ -832,13 +823,24 @@ impl Engine {
             ..LoadSummary::default()
         };
         self.add_rules_unlogged(rules);
-        for atom in &facts {
-            let ops = [(WalOp::Assert, atom.predicate, fact_tuple(atom)?)];
-            if self.commit_one(&ops, OnLog::Already)?.asserted > 0 {
-                summary.facts_added += 1;
-            } else {
-                summary.duplicates += 1;
+        // The longest valid prefix of the facts commits as one group.
+        let (mut arities, mut invalid) = (FxHashMap::default(), None);
+        let batches: Vec<[Op; 1]> = facts
+            .iter()
+            .map(|atom| {
+                let ops = [(WalOp::Assert, atom.predicate, fact_tuple(atom)?)];
+                self.validate_txn_ops(&ops, &mut arities).map(|()| ops)
+            })
+            .map_while(|checked| checked.map_err(|error| invalid = Some(error)).ok())
+            .collect();
+        for result in self.commit_group(&batches, OnLog::Already) {
+            match result?.asserted {
+                0 => summary.duplicates += 1,
+                _ => summary.facts_added += 1,
             }
+        }
+        if let Some(error) = invalid {
+            return Err(error);
         }
         if on_log == OnLog::No {
             self.wal_maybe_compact()?;
@@ -846,10 +848,10 @@ impl Engine {
         Ok(summary)
     }
 
-    /// Insert one fact; returns `true` if it was new. New facts are recorded as
-    /// pending deltas and propagated into the materialized model by the next query
-    /// (delta rounds only — the model is never rebuilt from scratch). A group of
-    /// one like [`Txn::commit`], behind one probe of its own: a fact that is
+    /// Insert one fact; returns `true` if it was new. A materialized model is
+    /// maintained in the same commit (delta rounds only — the model is never
+    /// rebuilt from scratch). A group of one like [`Txn::commit`], behind one
+    /// probe of its own: a fact that is
     /// already present is a no-op, not a commit, so an idempotent re-insert neither
     /// grows the log nor pays an fsync.
     ///
@@ -894,7 +896,7 @@ impl Engine {
     /// predicate removes the *asserted* base fact (see [`Engine::insert`] on the
     /// `p__asserted` scheme); a fact that is merely derived cannot be retracted and
     /// reports `false`. The materialized model is maintained incrementally by
-    /// delete propagation ([`seminaive_retract`]), never rebuilt.
+    /// delete propagation ([`seminaive_maintain`]), never rebuilt.
     pub fn retract(
         &mut self,
         predicate: impl Into<Symbol>,
@@ -910,14 +912,21 @@ impl Engine {
         self.retract(atom.predicate, &fact_tuple(atom)?)
     }
 
-    /// Validate one transaction batch's arities against the session and within
-    /// the batch, without mutating anything — this is what makes a failed
-    /// commit a no-op.
-    fn validate_txn_ops(&self, ops: &[Op]) -> Result<(), EngineError> {
+    /// Validate one transaction batch's arities against the session, the
+    /// `group`'s earlier batches and the batch itself, without mutating anything —
+    /// this is what makes a failed commit a no-op. `group` maps each predicate
+    /// new to the session to the arity an earlier valid batch of the group gives
+    /// it in the store; a valid batch adds its own.
+    fn validate_txn_ops(
+        &self,
+        ops: &[Op],
+        group: &mut FxHashMap<Symbol, usize>,
+    ) -> Result<(), EngineError> {
         let mut batch_arity: FxHashMap<Symbol, usize> = FxHashMap::default();
         for (_, predicate, tuple) in ops {
             let expected = self
                 .expected_arity(*predicate)
+                .or_else(|| group.get(predicate).copied())
                 .or_else(|| batch_arity.get(predicate).copied());
             if let Some(expected) = expected {
                 if expected != tuple.len() {
@@ -931,6 +940,17 @@ impl Engine {
                 batch_arity.insert(*predicate, tuple.len());
             }
         }
+        // A new predicate enters the store when the last op on one of its facts
+        // asserts it.
+        let mut seen: FxHashSet<(Symbol, &[Const])> = FxHashSet::default();
+        for (op, predicate, tuple) in ops.iter().rev() {
+            if batch_arity.contains_key(predicate)
+                && seen.insert((*predicate, tuple))
+                && *op == WalOp::Assert
+            {
+                group.insert(*predicate, tuple.len());
+            }
+        }
         Ok(())
     }
 
@@ -940,41 +960,47 @@ impl Engine {
         results.pop().expect("one result per batch")
     }
 
-    /// Re-execute one record that is already on disk — recovery of this
-    /// session's own image and log, or a shipped record of the leader's. The
-    /// errors of a transaction or source record are deliberately ignored: replay
-    /// is a deterministic re-execution from the same base state, so any error a
-    /// record raises here is the error it raised when it was first committed
-    /// (e.g. a bulk load whose trailing facts failed arity validation applied its
-    /// valid prefix, was logged whole, and re-applies the same prefix). An image
-    /// replaces the program and the fact store in bulk; one whose rules do not
-    /// parse is an error, and leaves the session as it was.
-    pub(crate) fn replay(&mut self, record: WalRecord) -> Result<(), EngineError> {
-        match record {
-            WalRecord::Txn { ops, .. } => {
-                let _ = self.commit_one(&ops, OnLog::Already);
-            }
-            WalRecord::Source { text, .. } => {
-                let _ = self.absorb_source(&text, OnLog::Already);
-            }
-            WalRecord::Image {
-                rules, relations, ..
-            } => {
-                let program = parse_program(&rules)?.program;
-                let mut edb = Database::new();
-                for (name, arity, rows) in relations {
-                    let relation = edb.ensure_relation(name, arity);
-                    for row in &rows {
-                        relation.insert(row);
-                    }
+    /// Re-execute records that are already on disk, in order — recovery of this
+    /// session's own image and log, or a batch the leader shipped. A run of
+    /// consecutive transaction records commits as one group, so a materialized
+    /// model is maintained once for it. The errors of a transaction or source
+    /// record are deliberately ignored: replay is a deterministic re-execution
+    /// from the same base state, so any error a record raises here is the error
+    /// it raised when it was first committed (e.g. a bulk load whose trailing
+    /// facts failed arity validation applied its valid prefix, was logged whole,
+    /// and re-applies the same prefix). An image replaces the program and the
+    /// fact store in bulk; one whose rules do not parse is an error, and leaves
+    /// the session as the records before it left it.
+    pub(crate) fn replay(&mut self, records: Vec<WalRecord>) -> Result<(), EngineError> {
+        let mut txns: Vec<Vec<Op>> = Vec::new();
+        for record in records {
+            match record {
+                WalRecord::Txn { ops, .. } => txns.push(ops),
+                WalRecord::Source { text, .. } => {
+                    let _ = self.commit_group(&std::mem::take(&mut txns), OnLog::Already);
+                    let _ = self.absorb_source(&text, OnLog::Already);
                 }
-                self.idb = program.idb_predicates();
-                self.program = program;
-                self.edb = edb;
-                self.invalidate();
+                WalRecord::Image {
+                    rules, relations, ..
+                } => {
+                    let _ = self.commit_group(&std::mem::take(&mut txns), OnLog::Already);
+                    let program = parse_program(&rules)?.program;
+                    let mut edb = Database::new();
+                    for (name, arity, rows) in relations {
+                        let relation = edb.ensure_relation(name, arity);
+                        for row in &rows {
+                            relation.insert(row);
+                        }
+                    }
+                    self.idb = program.idb_predicates();
+                    self.program = program;
+                    self.edb = edb;
+                    self.invalidate();
+                }
             }
+            self.stats.wal_replays += 1;
         }
-        self.stats.wal_replays += 1;
+        let _ = self.commit_group(&txns, OnLog::Already);
         Ok(())
     }
 
@@ -1011,10 +1037,11 @@ impl Engine {
         batches: &[B],
         on_log: OnLog,
     ) -> Vec<Result<TxnSummary, EngineError>> {
+        let mut arities = FxHashMap::default();
         let mut results: Vec<Result<TxnSummary, EngineError>> = batches
             .iter()
             .map(|ops| {
-                self.validate_txn_ops(ops.as_ref())
+                self.validate_txn_ops(ops.as_ref(), &mut arities)
                     .map(|()| TxnSummary::default())
             })
             .collect();
@@ -1053,14 +1080,13 @@ impl Engine {
     /// Steps 3 and 4 of [`Engine::commit_group`]: apply the net effect of each
     /// batch whose `results` entry is `Ok` to the fact store, in order, leaving
     /// its [`TxnSummary`] there — then maintain the materialized model once,
-    /// from the *group's* net delta: facts the group removed that are absent
-    /// from the fact store at its end (and present in the model) seed one delete
-    /// propagation; facts it added that are present at its end (and new to the
-    /// model) become pending deltas for the next refresh. A fact asserted by one
-    /// batch and retracted by another never reaches the model. Returns the
-    /// outcome of the maintenance: the fact store is committed either way, an
-    /// evaluation error (or a caught panic) degrades to dropping the model via
-    /// the containment boundary.
+    /// from the *group's* net delta: the facts it removed that are absent from
+    /// the fact store at its end, and the facts it added that are present there,
+    /// in one [`seminaive_maintain`]. A fact asserted by one batch and retracted
+    /// by another never reaches the model. Returns the outcome of the
+    /// maintenance: the fact store is committed either way, an evaluation error
+    /// (or a caught panic) degrades to dropping the model via the containment
+    /// boundary.
     fn apply_group_validated<B: AsRef<[Op]>>(
         &mut self,
         batches: &[B],
@@ -1073,37 +1099,40 @@ impl Engine {
                 *summary = self.apply_to_store(ops.as_ref(), &mut removed, &mut added);
             }
         }
-        let Some(model) = &self.model else {
+        if self.model.is_none() {
             return Ok(());
-        };
-        let present = |db: &Database, target: Symbol, tuple: &[Const]| {
-            db.relation(target).is_some_and(|r| r.contains(tuple))
-        };
-        let mut seeds: FxHashMap<Symbol, Relation> = FxHashMap::default();
-        for (target, tuple) in removed {
-            if !present(&self.edb, target, &tuple) && present(model, target, &tuple) {
-                seeds
-                    .entry(target)
-                    .or_insert_with(|| Relation::new(tuple.len()))
-                    .insert(&tuple);
-            }
         }
-        let maintained = if seeds.is_empty() {
-            Ok(())
-        } else {
-            self.contained(|engine| engine.propagate_retractions(&seeds))
-        };
-        if let Some(model) = &mut self.model {
-            for (target, tuple) in added {
-                if present(&self.edb, target, &tuple) && model.add_fact(target, &tuple) {
-                    self.pending
+        let net = |facts: Vec<(Symbol, Vec<Const>)>, stored: bool| {
+            let mut delta: FxHashMap<Symbol, Relation> = FxHashMap::default();
+            for (target, tuple) in facts {
+                let present = self
+                    .edb
+                    .relation(target)
+                    .is_some_and(|r| r.contains(&tuple));
+                if present == stored {
+                    delta
                         .entry(target)
                         .or_insert_with(|| Relation::new(tuple.len()))
                         .insert(&tuple);
                 }
             }
+            delta
+        };
+        let (removed, added) = (net(removed, false), net(added, true));
+        if removed.is_empty() && added.is_empty() {
+            return Ok(());
         }
-        maintained
+        self.contained(|engine| {
+            if engine.compiled.is_none() {
+                engine.compiled = Some(CompiledProgram::compile(&engine.program)?);
+            }
+            let compiled = engine.compiled.as_ref().expect("compiled above");
+            let model = engine.model.as_mut().expect("checked above");
+            let (base, options) = (&engine.edb, &engine.options);
+            let stats = seminaive_maintain(compiled, model, &removed, &added, base, options)?;
+            engine.stats.merge(&stats);
+            Ok(())
+        })
     }
 
     /// Apply one validated batch's net effect to the fact store — each fact once,
@@ -1178,34 +1207,9 @@ impl Engine {
         }
     }
 
-    /// Propagate a batch of base-fact retractions through the materialized model:
-    /// flush pending insertions first (delete propagation needs a fixpoint to start
-    /// from), then drive the negative deltas via [`seminaive_retract`].
-    fn propagate_retractions(
-        &mut self,
-        seeds: &FxHashMap<Symbol, Relation>,
-    ) -> Result<(), EngineError> {
-        if self.compiled.is_none() {
-            self.compiled = Some(CompiledProgram::compile(&self.program, &self.options)?);
-        }
-        let compiled = self.compiled.as_ref().expect("compiled above");
-        let model = self
-            .model
-            .as_mut()
-            .expect("caller checked the model exists");
-        if self.pending.values().any(|r| !r.is_empty()) {
-            let stats = seminaive_resume(compiled, model, &self.pending, &self.options)?;
-            self.stats.merge(&stats);
-            self.pending.clear();
-        }
-        let stats = seminaive_retract(compiled, model, seeds, &self.edb, &self.options)?;
-        self.stats.merge(&stats);
-        Ok(())
-    }
-
     /// Export the session — registered program plus every base fact — as a
-    /// versioned [`Snapshot`]. Caches (the materialized model, pending deltas,
-    /// prepared plans) are not part of the image; they rebuild on demand after
+    /// versioned [`Snapshot`]. Caches (the materialized model, prepared plans)
+    /// are not part of the image; they rebuild on demand after
     /// [`Engine::restore`]. A durable session's own image is binary (the
     /// `durability` module); this text is for export and import only.
     pub fn snapshot(&self) -> Snapshot {
@@ -1269,8 +1273,7 @@ impl Engine {
     /// truth.** A panic escaping `body` (an injected `Panic`-action fault, or
     /// a genuine bug) is converted to [`EvalError::WorkerPanic`].
     /// `AssertUnwindSafe` is sound because the poisoned half-state (a
-    /// partially maintained model, partial pending deltas) is exactly what the
-    /// invariant discards.
+    /// partially maintained model) is exactly what the invariant discards.
     pub(crate) fn contained<T>(
         &mut self,
         body: impl FnOnce(&mut Engine) -> Result<T, EngineError>,
@@ -1306,7 +1309,6 @@ impl Engine {
         // so the model is still consistent with the fact store there.
         if matches!(result, Err(EngineError::Eval(_))) {
             self.model = None;
-            self.pending.clear();
         }
         result
     }
@@ -1317,7 +1319,7 @@ impl Engine {
     /// (before any state was mutated — the sites sit at the top of the
     /// write-ahead path), a `Panic`-action fault panics and is converted by
     /// the [`Engine::contained`] boundary of the enclosing operation.
-    pub(crate) fn chaos_hit(&mut self, site: FaultSite) -> Result<(), EngineError> {
+    pub(crate) fn chaos_hit(&self, site: FaultSite) -> Result<(), EngineError> {
         let Some(injector) = &self.options.fault_injector else {
             return Ok(());
         };
@@ -1328,34 +1330,24 @@ impl Engine {
         }
     }
 
-    /// Bring the materialized model up to date: full evaluation the first time,
-    /// seeded-delta resume afterwards.
+    /// Materialize the model by full evaluation when there is none; commits keep
+    /// an existing one up to date.
     fn refresh(&mut self) -> Result<(), EngineError> {
-        if self.compiled.is_none() {
-            self.compiled = Some(CompiledProgram::compile(&self.program, &self.options)?);
-        }
-        let compiled = self.compiled.as_ref().expect("compiled above");
-        match &mut self.model {
-            None => {
-                let result = seminaive_evaluate_compiled(compiled, &self.edb, &self.options)?;
-                self.stats.merge(&result.stats);
-                self.model = Some(result.database);
-                self.pending.clear();
+        if self.model.is_none() {
+            if self.compiled.is_none() {
+                self.compiled = Some(CompiledProgram::compile(&self.program)?);
             }
-            Some(model) => {
-                if self.pending.values().any(|r| !r.is_empty()) {
-                    let stats = seminaive_resume(compiled, model, &self.pending, &self.options)?;
-                    self.stats.merge(&stats);
-                    self.pending.clear();
-                }
-            }
+            let compiled = self.compiled.as_ref().expect("compiled above");
+            let result = seminaive_evaluate_compiled(compiled, &self.edb, &self.options)?;
+            self.stats.merge(&result.stats);
+            self.model = Some(result.database);
         }
         Ok(())
     }
 
     /// Answers to `query` over the materialized model of the registered program
-    /// (projected onto the query's free positions, sorted). Pending inserts are
-    /// propagated first via incremental delta rounds.
+    /// (projected onto the query's free positions, sorted), materializing it first
+    /// when there is none.
     pub fn query(&mut self, query: &Query) -> Result<Vec<Vec<Const>>, EngineError> {
         let start = self.tracing.then(std::time::Instant::now);
         self.contained(Engine::refresh)?;
@@ -1370,7 +1362,7 @@ impl Engine {
         Ok(answers)
     }
 
-    /// Bring the materialized model up to date (under the containment boundary)
+    /// Materialize the model if there is none (under the containment boundary)
     /// and return a clone of it: the full model answers *any* atom query via
     /// [`Database::answers`], so the server snapshots it into an immutable,
     /// `Arc`-shared view that reader threads query without touching the engine.
@@ -1522,10 +1514,15 @@ mod tests {
         let inferences_after_first = engine.stats().inferences;
 
         engine.insert("e", &[c(10), c(11)]).unwrap();
-        assert_eq!(engine.pending_facts(), 1);
-        assert!(!engine.is_materialized());
+        assert!(engine.is_materialized(), "the commit maintains the model");
+        assert_eq!(
+            engine.stats().facts_derived,
+            55 + 11,
+            "t(0..=10, 11) derived by the insert's commit"
+        );
+        let inferences_after_insert = engine.stats().inferences;
         assert_eq!(engine.query(&query).unwrap().len(), 11);
-        assert!(engine.is_materialized());
+        assert_eq!(engine.stats().inferences, inferences_after_insert);
 
         let incremental_cost = engine.stats().inferences - inferences_after_first;
         assert!(
@@ -1540,13 +1537,14 @@ mod tests {
         let mut engine = tc_engine(5);
         let query = parse_query("t(0, Y)").unwrap();
         engine.query(&query).unwrap();
+        let inferences = engine.stats().inferences;
         // Duplicate EDB fact.
         assert!(!engine.insert("e", &[c(0), c(1)]).unwrap());
-        assert_eq!(engine.pending_facts(), 0);
+        assert_eq!(engine.stats().inferences, inferences);
         // Fact already derivable (t(0, 1) is in the model): inserted into the EDB but
         // contributes no delta work.
         assert!(engine.insert("t", &[c(0), c(1)]).unwrap());
-        assert_eq!(engine.pending_facts(), 0);
+        assert_eq!(engine.stats().inferences, inferences);
         assert_eq!(engine.query(&query).unwrap().len(), 5);
     }
 
@@ -1976,12 +1974,12 @@ mod tests {
         let mut engine = tc_engine(5);
         let query = parse_query("t(0, Y)").unwrap();
         engine.query(&query).unwrap();
-        // Insert without querying (stays pending), then retract: the commit must
-        // absorb the pending delta before propagating the deletion.
+        // Insert without querying, then retract: each commit maintains the model,
+        // so the deletion propagates from a fixpoint that includes the insert.
         engine.insert("e", &[c(5), c(6)]).unwrap();
-        assert_eq!(engine.pending_facts(), 1);
+        assert!(engine.is_materialized());
         assert!(engine.retract("e", &[c(2), c(3)]).unwrap());
-        assert_eq!(engine.pending_facts(), 0);
+        assert!(engine.is_materialized());
         assert_eq!(engine.query(&query).unwrap().len(), 2);
         let batch = naive_evaluate(engine.program(), engine.facts())
             .unwrap()
@@ -2038,11 +2036,16 @@ mod tests {
         let mut engine = Engine::new();
         engine.insert("tag", &[Const::sym("has space")]).unwrap();
         engine.insert("tag", &[Const::sym("plain")]).unwrap();
+        engine
+            .insert("tag", &[Const::sym("say \"hi\"\\\n")])
+            .unwrap();
         let snapshot = engine.snapshot();
         assert!(snapshot.as_str().contains("tag(\"has space\")."));
         assert!(snapshot.as_str().contains("tag(plain)."));
+        assert!(snapshot.as_str().contains(r#"tag("say \"hi\"\\\n")."#));
         let restored = Engine::from_snapshot(&snapshot).unwrap();
-        assert_eq!(restored.facts().count("tag"), 2);
+        assert_eq!(restored.facts().count("tag"), 3);
+        assert_eq!(sorted_store(&restored), sorted_store(&engine));
     }
 
     #[test]
@@ -2166,15 +2169,24 @@ mod tests {
     // and op by op, then recovery and replication of what the groups logged.
 
     /// A generated op `(kind, a, b)` over the cyclic-graph TC session: retractions
-    /// and assertions of `e`, and of the rule-defined `t` (routed to `t__asserted`).
+    /// and assertions of `e`, and of the rule-defined `t` (routed to `t__asserted`),
+    /// and assertions of `q`, a predicate new to the session whose arity (1 or 2)
+    /// comes from `b` — the first batch to assert it fixes it, later ones with the
+    /// other arity fail validation.
     fn group_op(&(kind, a, b): &(usize, i64, i64)) -> Op {
         let (op, predicate) = match kind {
             0 | 1 => (WalOp::Retract, "e"),
             2..=4 => (WalOp::Assert, "e"),
             5 => (WalOp::Assert, "t"),
-            _ => (WalOp::Retract, "t"),
+            6 => (WalOp::Retract, "t"),
+            _ => (WalOp::Assert, "q"),
         };
-        (op, Symbol::intern(predicate), vec![c(a), c(b)])
+        let arity = if kind == 7 { 1 + b as usize % 2 } else { 2 };
+        (
+            op,
+            Symbol::intern(predicate),
+            [c(a), c(b)][..arity].to_vec(),
+        )
     }
 
     /// A materialized TC session over a 5-cycle; `assert_t` registers the
@@ -2242,25 +2254,29 @@ mod tests {
         let mut batched = cyclic_session_in(open(&dirs[0]), assert_t);
         let mut grouped = cyclic_session_in(open(&dirs[1]), assert_t);
         for group in groups {
-            for (op, predicate, tuple) in group.iter().flatten() {
-                match op {
-                    WalOp::Assert => single.insert(*predicate, tuple),
-                    WalOp::Retract => single.retract(*predicate, tuple),
-                }
-                .expect("op commits");
-            }
-            let expected: Vec<TxnSummary> = group
+            let expected: Vec<Result<TxnSummary, String>> = group
                 .iter()
                 .map(|batch| {
                     let mut txn = batched.transaction();
                     txn.ops = batch.clone();
-                    txn.commit().expect("batch commits")
+                    txn.commit().map_err(|error| error.to_string())
                 })
                 .collect();
-            let summaries: Vec<TxnSummary> = grouped
+            // Op by op, the batches a `Txn` commits (one that fails validation is
+            // refused whole, where its ops one by one could land in part).
+            for (batch, _) in group.iter().zip(&expected).filter(|(_, r)| r.is_ok()) {
+                for (op, predicate, tuple) in batch {
+                    match op {
+                        WalOp::Assert => single.insert(*predicate, tuple),
+                        WalOp::Retract => single.retract(*predicate, tuple),
+                    }
+                    .expect("op commits");
+                }
+            }
+            let summaries: Vec<Result<TxnSummary, String>> = grouped
                 .commit_group(group, OnLog::No)
                 .into_iter()
-                .map(|result| result.expect("group batch commits"))
+                .map(|result| result.map_err(|error| error.to_string()))
                 .collect();
             assert_eq!(summaries, expected, "per-batch summaries");
             assert_eq!(sorted_store(&single), sorted_store(&grouped));
@@ -2299,7 +2315,7 @@ mod tests {
         fn group_level_maintenance_equals_batch_by_batch(
             groups in proptest::collection::vec(
                 proptest::collection::vec(
-                    proptest::collection::vec((0usize..7, 0i64..6, 0i64..6), 1..5),
+                    proptest::collection::vec((0usize..8, 0i64..6, 0i64..6), 1..5),
                     1..7,
                 ),
                 1..5,
@@ -2340,8 +2356,9 @@ mod tests {
         assert_groups_equal_singles(&groups, true);
 
         // And it is one pass: two retracting batches over-delete the cycle's closure
-        // once as a group, twice one by one; the group's inserts wait for one resume.
+        // once as a group, twice one by one; the group's inserts ride the same pass.
         let (mut grouped, mut single) = (cyclic_session(false), cyclic_session(false));
+        let allocs = grouped.stats().scratch_allocs;
         let group = vec![
             vec![e(Retract, 0, 1), e(Assert, 6, 0)],
             vec![e(Retract, 2, 3), e(Assert, 6, 2)],
@@ -2354,8 +2371,59 @@ mod tests {
             .iter()
             .all(Result::is_ok));
         assert!(grouped.stats().retractions < single.stats().retractions);
-        assert_eq!(grouped.pending_facts(), 2);
+        assert_eq!(
+            2 * (grouped.stats().scratch_allocs - allocs),
+            single.stats().scratch_allocs - allocs,
+            "one maintenance step per commit: the group plans once, the singles twice"
+        );
         assert_model_is_reference(&mut grouped);
+    }
+
+    #[test]
+    fn a_load_into_a_materialized_session_maintains_once_up_to_the_first_bad_fact() {
+        let mut engine = tc_engine(4);
+        let query = parse_query("t(0, Y)").unwrap();
+        assert_eq!(engine.query(&query).unwrap().len(), 4);
+        let allocs = engine.stats().scratch_allocs;
+        let summary = engine
+            .load_source("e(4, 5). e(5, 6). e(0, 1). e(6, 7).")
+            .unwrap();
+        assert_eq!((summary.facts_added, summary.duplicates), (3, 1));
+        assert_eq!(
+            engine.stats().scratch_allocs - allocs,
+            engine.program().len(),
+            "one maintenance pass plans the program once"
+        );
+        assert_eq!(engine.query(&query).unwrap().len(), 7);
+        // A fact that fails validation ends the load: the facts before it commit.
+        let err = engine.load_source("e(7, 8). e(9). e(8, 9).").unwrap_err();
+        assert!(matches!(err, EngineError::ArityMismatch { .. }));
+        assert_eq!(engine.query(&query).unwrap().len(), 8);
+        assert!(!engine
+            .facts()
+            .relation(Symbol::intern("e"))
+            .unwrap()
+            .contains(&[c(8), c(9)]));
+    }
+
+    #[test]
+    fn a_batch_giving_a_new_predicate_a_second_arity_fails_alone() {
+        let q = |tuple: &[i64]| {
+            let tuple = tuple.iter().map(|&i| c(i)).collect();
+            vec![(WalOp::Assert, Symbol::intern("q"), tuple)]
+        };
+        let mut engine = Engine::new();
+        let results = engine.commit_group(&[q(&[1]), q(&[1, 2])], OnLog::No);
+        assert!(matches!(results[0], Ok(TxnSummary { asserted: 1, .. })));
+        assert!(matches!(
+            results[1],
+            Err(EngineError::ArityMismatch {
+                expected: 1,
+                got: 2,
+                ..
+            })
+        ));
+        assert_eq!(engine.facts().count("q"), 1);
     }
 
     #[test]
@@ -2382,7 +2450,6 @@ mod tests {
                     results[3]
                 );
                 assert!(!engine.is_materialized(), "the model is dropped");
-                assert_eq!(engine.pending_facts(), 0);
                 // (A fired Error-action injector fails every later evaluation too.)
                 engine.set_fault_injector(None);
                 let store = engine.facts().relation(Symbol::intern("e")).unwrap();

@@ -10,12 +10,12 @@
 //!   set of [`EvalOptions`].
 //!
 //! * **Incremental view maintenance** — the engine materializes the least model of the
-//!   registered program once, then absorbs new EDB facts by *resuming* the semi-naive
-//!   fixpoint with the inserted facts as seeded deltas
-//!   ([`factorlog_datalog::eval::seminaive_resume`]): only consequences using at least
-//!   one new fact are derived, never the whole model. Inserts are buffered and the
-//!   model is brought up to date lazily, at the next query, so a burst of inserts
-//!   costs one delta round.
+//!   registered program once, then maintains it at every commit, from the commit's
+//!   net delta, with one call of [`factorlog_datalog::eval::seminaive_maintain`]:
+//!   retracted facts are propagated by over-delete and re-derivation, and the
+//!   restored and inserted facts seed one semi-naive round, so only consequences
+//!   using at least one of them are derived, never the whole model. A batch of
+//!   inserts (a transaction, a loaded source) costs one maintenance pass.
 //!
 //! * **Prepared queries** — [`Engine::query_prepared`] runs the full
 //!   `factorlog-core` pipeline (reduce → adorn → magic → factor → §5 optimize) once
@@ -91,8 +91,8 @@ pub mod server;
 pub mod wal;
 
 pub use durability::{
-    CompactReport, CompactionFault, DurabilityOptions, RecoveryReport, DEFAULT_COMPACT_THRESHOLD,
-    LOCK_FILE, SNAPSHOT_FILE, WAL_FILE,
+    CompactReport, DurabilityOptions, RecoveryReport, DEFAULT_COMPACT_THRESHOLD, LOCK_FILE,
+    SNAPSHOT_FILE, WAL_FILE,
 };
 pub use engine::{
     is_snapshot_text, Engine, EngineError, LoadSummary, PrepareReport, Snapshot, Txn, TxnSummary,

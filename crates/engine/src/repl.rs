@@ -890,14 +890,13 @@ impl Repl {
         let mut out = self.engine.stats().to_string();
         let _ = write!(
             out,
-            "\nsession: prepared plans: {} cached of {} max; pending facts: {}; model: {}; tracing: {}",
+            "\nsession: prepared plans: {} cached of {} max; model: {}; tracing: {}",
             self.engine.prepared_count(),
             self.engine.prepared_capacity(),
-            self.engine.pending_facts(),
             if self.engine.is_materialized() {
                 "materialized"
             } else {
-                "stale"
+                "none"
             },
             if self.engine.tracing() { "on" } else { "off" },
         );

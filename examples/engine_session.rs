@@ -26,7 +26,8 @@ fn main() {
         answers.len()
     );
 
-    // New facts are absorbed by delta-seeded resumes — the model is never rebuilt.
+    // Each insert's commit maintains the model by one delta-seeded step — the model
+    // is never rebuilt.
     for i in 5..10i64 {
         engine
             .insert("e", &[Const::Int(i), Const::Int(i + 1)])

@@ -10,7 +10,7 @@
 //! * [`workloads`] — the paper's programs and synthetic EDB generators
 //!   (`factorlog-workloads`);
 //! * [`engine`] — the persistent incremental runtime: sessions with materialized
-//!   views maintained by delta-seeded semi-naive resumes, a prepared-query cache over
+//!   views maintained incrementally at every commit, a prepared-query cache over
 //!   the optimization pipeline, and the REPL front end (`factorlog-engine`).
 //!
 //! The [`prelude`] pulls in the handful of types most programs need.
@@ -56,18 +56,18 @@ pub mod prelude {
     };
     pub use factorlog_datalog::ast::{Atom, Const, Program, Query, Rule, Term};
     pub use factorlog_datalog::eval::{
-        evaluate_default, naive_evaluate, seminaive_resume, seminaive_retract, CompiledProgram,
-        EvalError, EvalOptions, EvalResult, EvalStats, ReferenceModel,
+        evaluate_default, naive_evaluate, seminaive_maintain, CompiledProgram, EvalError,
+        EvalOptions, EvalResult, EvalStats, ReferenceModel,
     };
     pub use factorlog_datalog::parser::{parse_atom, parse_program, parse_query, parse_rule};
     pub use factorlog_datalog::storage::Database;
     pub use factorlog_datalog::Symbol;
     pub use factorlog_engine::{
-        serve, serve_follower, CancelToken, Client, ClientError, CompactionFault,
-        DurabilityOptions, Engine, EngineError, FaultAction, FaultInjector, FaultSite, LimitReason,
-        Prepared, QueryReply, RecoveryReport, Repl, ReplAction, Replica, ReplicaRole,
-        ReplicaStatus, ReplicationOptions, ServeError, ServerHandle, ServerMetrics, ServerOptions,
-        ShutdownReport, Snapshot, StatsReply, SyncReport, Txn, TxnReply, TxnSummary,
+        serve, serve_follower, CancelToken, Client, ClientError, DurabilityOptions, Engine,
+        EngineError, FaultAction, FaultInjector, FaultSite, LimitReason, Prepared, QueryReply,
+        RecoveryReport, Repl, ReplAction, Replica, ReplicaRole, ReplicaStatus, ReplicationOptions,
+        ServeError, ServerHandle, ServerMetrics, ServerOptions, ShutdownReport, Snapshot,
+        StatsReply, SyncReport, Txn, TxnReply, TxnSummary,
     };
 }
 

@@ -398,13 +398,13 @@ fn readers_mid_compaction_see_the_old_or_new_image_never_a_torn_one() {
     let query = parse_query("t(0, Y)").unwrap();
 
     for fault in [
-        CompactionFault::AfterTempWrite,
-        CompactionFault::AfterRename,
+        FaultSite::CompactionAfterTempWrite,
+        FaultSite::CompactionAfterRename,
     ] {
         let work = fresh_dir("compaction_work");
         copy_dir(&base, &work);
         let mut engine = open_durable(&work);
-        assert!(engine.set_compaction_fault(Some(fault)));
+        engine.set_fault_injector(Some(FaultInjector::armed(fault, FaultAction::Error, 0)));
         let err = engine.compact().expect_err("injected fault fires");
         assert!(
             format!("{err}").contains("injected"),
@@ -428,7 +428,7 @@ fn readers_mid_compaction_see_the_old_or_new_image_never_a_torn_one() {
             edb_facts(expected.facts()),
             "{fault:?}"
         );
-        if fault == CompactionFault::AfterRename {
+        if fault == FaultSite::CompactionAfterRename {
             let report = reopened.recovery_report().unwrap();
             assert!(
                 report.snapshot_loaded && report.records_replayed == 0,

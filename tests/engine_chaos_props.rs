@@ -25,13 +25,15 @@ fn c(i: i64) -> Const {
 }
 
 /// Every injection site the engine exposes, in one indexable list.
-const SITES: [FaultSite; 6] = [
+const SITES: [FaultSite; 8] = [
     FaultSite::JoinOuterLoop,
     FaultSite::RoundMerge,
     FaultSite::DeleteOverdelete,
     FaultSite::DeleteRederive,
     FaultSite::WalAppend,
     FaultSite::Compaction,
+    FaultSite::CompactionAfterTempWrite,
+    FaultSite::CompactionAfterRename,
 ];
 
 const ACTIONS: [FaultAction; 2] = [FaultAction::Error, FaultAction::Panic];
@@ -90,7 +92,7 @@ proptest! {
     #[test]
     fn random_faults_during_mixed_workloads_stay_contained_and_convergent(
         ops in prop::collection::vec((0usize..5, 0i64..12, 0i64..12), 8..32),
-        site_idx in 0usize..6,
+        site_idx in 0usize..8,
         action_idx in 0usize..2,
         countdown in 0u64..8,
         limit_sel in 0usize..3,
@@ -100,7 +102,13 @@ proptest! {
         let action = ACTIONS[action_idx];
         // The WAL sites only exist on durable sessions; force one there.
         let durable = durable_sel == 1
-            || matches!(site, FaultSite::WalAppend | FaultSite::Compaction);
+            || matches!(
+                site,
+                FaultSite::WalAppend
+                    | FaultSite::Compaction
+                    | FaultSite::CompactionAfterTempWrite
+                    | FaultSite::CompactionAfterRename
+            );
         let dir = fresh_dir("mixed");
         let mut engine = if durable {
             let dopts = DurabilityOptions {

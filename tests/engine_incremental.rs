@@ -38,8 +38,8 @@ proptest! {
         engine.load_source(programs::THREE_RULE_TC).unwrap();
         for (i, &(a, b)) in edge_list.iter().enumerate() {
             engine.insert("e", &[c(a), c(b)]).unwrap();
-            // Query at varying points of the stream: each query forces an incremental
-            // resume of whatever is pending.
+            // Query at varying points of the stream: the first materializes the
+            // model, and every insert after it maintains the model in its commit.
             if i % 3 == 0 {
                 let batch = batch_answers(&engine, &query);
                 prop_assert_eq!(engine.query(&query).unwrap(), batch, "after {} inserts", i + 1);
