@@ -109,64 +109,48 @@ impl Database {
         preds
     }
 
-    /// The tuples of the query predicate that match the query literal (same constants
-    /// in the bound positions), sorted for deterministic comparison. This is the
-    /// paper's notion of the *answers* to a query over the computed least model.
-    pub fn matching(&self, query: &Query) -> Vec<Vec<Const>> {
+    /// The answers to a query: the values of its variables, in order of first
+    /// occurrence, in every tuple of the query predicate that agrees with its
+    /// constants and repeats (both positions of a repeated variable must agree);
+    /// sorted. This is the paper's notion of the *answers* to a query over the
+    /// computed least model. The constants select through
+    /// [`Relation::select_scanning`]: the evaluator builds indexes for its own join
+    /// plans (a model that has been maintained through a retraction carries some a
+    /// fresh one lacks), and a read that probed them would vary in cost by an order
+    /// of magnitude with that history.
+    pub fn answers(&self, query: &Query) -> Vec<Vec<Const>> {
+        let terms = &query.atom.terms;
         let Some(rel) = self.relation(query.atom.predicate) else {
             return Vec::new();
         };
-        if rel.arity() != query.atom.arity() {
+        if rel.arity() != terms.len() {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        for row in rel.iter() {
-            let matches = query
-                .atom
-                .terms
-                .iter()
-                .enumerate()
-                .all(|(i, t)| match t.as_const() {
-                    Some(c) => row[i] == c,
-                    None => true,
-                });
-            if matches {
-                out.push(row.to_vec());
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// The answers to a query projected onto its free (variable) positions, sorted.
-    /// Repeated variables in the query are respected (both positions must agree).
-    pub fn answers(&self, query: &Query) -> Vec<Vec<Const>> {
-        let free = query.free_positions();
-        // Handle repeated query variables: group positions by variable.
-        let mut var_first: FxHashMap<Symbol, usize> = FxHashMap::default();
+        // Each variable's first position is kept; a repeat must equal it.
         let mut keep: Vec<usize> = Vec::new();
-        let mut equal_to: Vec<(usize, usize)> = Vec::new();
-        for &pos in &free {
-            let var = query.atom.terms[pos]
-                .as_var()
-                .expect("free position is a variable");
-            match var_first.get(&var) {
-                Some(&first) => equal_to.push((first, pos)),
-                None => {
-                    var_first.insert(var, pos);
-                    keep.push(pos);
-                }
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        for (pos, var) in terms.iter().enumerate() {
+            let Some(var) = var.as_var() else { continue };
+            match keep
+                .iter()
+                .find(|&&first| terms[first].as_var() == Some(var))
+            {
+                Some(&first) => repeats.push((first, pos)),
+                None => keep.push(pos),
             }
         }
-        let mut out: Vec<Vec<Const>> = self
-            .matching(query)
+        let pattern: Vec<Option<Const>> = terms.iter().map(|t| t.as_const()).collect();
+        let mut ids = Vec::new();
+        rel.select_scanning(&pattern, &mut ids);
+        // Distinct rows that agree on the constants and repeats differ in a kept
+        // position, so they project to distinct answers: one sort, no dedup.
+        let mut out: Vec<Vec<Const>> = ids
             .into_iter()
-            .filter(|row| equal_to.iter().all(|&(a, b)| row[a] == row[b]))
+            .map(|id| rel.row(id))
+            .filter(|row| repeats.iter().all(|&(a, b)| row[a] == row[b]))
             .map(|row| keep.iter().map(|&i| row[i]).collect())
             .collect();
-        out.sort();
-        out.dedup();
+        out.sort_unstable();
         out
     }
 
@@ -256,7 +240,6 @@ mod tests {
         db.add_fact("t", &[c(5), c(2)]);
         db.add_fact("t", &[c(6), c(3)]);
         let q = Query::new(Atom::new("t", vec![Term::int(5), Term::var("Y")]));
-        assert_eq!(db.matching(&q), vec![vec![c(5), c(1)], vec![c(5), c(2)]]);
         assert_eq!(db.answers(&q), vec![vec![c(1)], vec![c(2)]]);
 
         let all = Query::new(Atom::new("t", vec![Term::var("X"), Term::var("Y")]));
@@ -277,7 +260,6 @@ mod tests {
         let db = Database::new();
         let q = Query::new(Atom::new("nothing", vec![Term::var("X")]));
         assert!(db.answers(&q).is_empty());
-        assert!(db.matching(&q).is_empty());
     }
 
     #[test]

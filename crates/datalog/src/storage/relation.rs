@@ -563,6 +563,17 @@ impl Relation {
     /// `None` means "any value"). Uses an index if one covering exactly the bound
     /// columns exists, otherwise scans. Results are returned as row ids.
     pub fn select(&self, pattern: &[Option<Const>], out: &mut Vec<RowId>) {
+        self.select_rows(pattern, true, out);
+    }
+
+    /// [`Relation::select`] without the secondary indexes: a partly bound pattern
+    /// always scans, so the cost follows the relation's size and never the indexes
+    /// earlier evaluations happened to build for their joins.
+    pub fn select_scanning(&self, pattern: &[Option<Const>], out: &mut Vec<RowId>) {
+        self.select_rows(pattern, false, out);
+    }
+
+    fn select_rows(&self, pattern: &[Option<Const>], use_index: bool, out: &mut Vec<RowId>) {
         debug_assert_eq!(pattern.len(), self.arity);
         out.clear();
         let bound: Vec<usize> = pattern
@@ -580,14 +591,24 @@ impl Relation {
             out.extend(self.slot_for(&tuple).map(|slot| self.dedup.row(slot)));
             return;
         }
-        let matches = |&id: &RowId| bound.iter().all(|&c| pattern[c] == Some(self.row(id)[c]));
-        if let Some(index) = self.index_on(&bound) {
-            let key_hash = hash_values(bound.iter().map(|&c| pattern[c].as_ref().unwrap()));
-            out.extend(self.probe_candidates(index, key_hash).filter(matches));
+        let key: Vec<(usize, Const)> = (bound.iter())
+            .map(|&c| (c, pattern[c].expect("a bound column holds a constant")))
+            .collect();
+        let matches = |row: &[Const]| key.iter().all(|&(c, k)| row[c] == k);
+        if let Some(index) = self.index_on(&bound).filter(|_| use_index) {
+            let key_hash = hash_values(key.iter().map(|(_, k)| k));
+            let candidates = self.probe_candidates(index, key_hash);
+            out.extend(candidates.filter(|&id| matches(self.row(id))));
             return;
         }
-        // Fallback: scan.
-        out.extend((0..self.len as RowId).filter(matches));
+        // Scan the rows in place.
+        let rows = self.flat[..self.len * self.arity].chunks_exact(self.arity);
+        out.extend(
+            (0..)
+                .zip(rows)
+                .filter(|(_, row)| matches(row))
+                .map(|(id, _)| id),
+        );
     }
 
     /// All tuples, cloned into owned vectors (test/diagnostic convenience).

@@ -562,6 +562,16 @@ impl Engine {
             .clone()
     }
 
+    /// Install `token` as the session's cancellation token, returning the one it
+    /// replaces; nothing is invalidated. A server serves the engine under a token
+    /// of its own this way, and puts the caller's back when it hands the engine back.
+    pub(crate) fn replace_cancel_token(
+        &mut self,
+        token: Option<CancelToken>,
+    ) -> Option<CancelToken> {
+        std::mem::replace(&mut self.options.cancel, token)
+    }
+
     /// Arm (or disarm) the chaos-test fault injector threaded through every
     /// evaluation and durable-write site of this session (see
     /// [`FaultSite`]). Test harness only; invalidates nothing.
@@ -630,10 +640,10 @@ impl Engine {
         self.metrics_json_with(None, None)
     }
 
-    /// [`Engine::metrics_json`] with the front-end facets: replicating
-    /// sessions pass their [`Replica`](crate::replication::Replica)'s
-    /// [`status`](crate::replication::Replica::status) so the document's
-    /// `replication` object reports role, term, and lag; serving sessions pass
+    /// [`Engine::metrics_json`] with the front-end facets: a session serving a
+    /// follower passes its [`ServerHandle`](crate::server::ServerHandle)'s
+    /// [`replica_status`](crate::server::ServerHandle::replica_status) so the
+    /// document's `replication` object reports role, term, and lag; serving sessions pass
     /// their [`ServerHandle`](crate::server::ServerHandle)'s
     /// [`server_metrics`](crate::server::ServerHandle::server_metrics) so the
     /// `server` object reports the reactor counters. `None` renders the

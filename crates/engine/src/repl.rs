@@ -20,15 +20,26 @@
 //! :program            show the registered rules
 //! :serve <addr>       serve the engine over TCP; the session becomes a client
 //! :connect <addr>     become a client of a running server (:detach to return)
-//! :follow <addr>      turn the (durable) session into a read replica of a
-//!                     served leader (:promote to take over, :detach to stop)
-//! :promote            promote a replica to leader once the lease has expired
+//! :follow <addr>      serve the (durable) engine as a follower of a leader;
+//!                     the session becomes its client (:detach to stop)
+//! :promote            ask the node this client talks to to take over as leader
 //! :help               command summary
 //! :quit               leave the session
 //! <rule or fact>.     bare Datalog clauses are absorbed like :load text
 //! ```
+//!
+//! A session is in one of two modes. In *local* mode every command runs against
+//! its own engine. In *client* mode (after `:serve`, `:follow` or `:connect`)
+//! `?-`, `:insert`, `:retract`, `:stats`, `:promote`, `:metrics`, `:detach` and
+//! `:quit` go to a node over the wire, and answers print as its wire rows. A
+//! node the session spawned (`:serve`, `:follow`) holds the session's engine
+//! until `:detach` or `:quit` stops it and reclaims the engine, replicated state
+//! included. `:follow` is `:serve` for a follower: the served node's apply loop
+//! polls the leader and renews its lease, and its `PROMOTE` is the one
+//! promotion path.
 
 use std::fmt::Write as _;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use factorlog_datalog::ast::{Atom, Const, Query};
@@ -37,8 +48,8 @@ use factorlog_datalog::parser::{parse_atom, parse_query};
 
 use crate::durability::DurabilityOptions;
 use crate::engine::{is_snapshot_text, Engine, EngineError, Snapshot};
-use crate::replication::{Replica, ReplicationOptions};
-use crate::server::{serve, Client, ServerHandle, ServerOptions};
+use crate::replication::{serve_follower, Replica, ReplicationOptions};
+use crate::server::{serve, Client, ServeError, ServerHandle, ServerOptions};
 use crate::wal::WalOp;
 
 /// The outcome of executing one REPL line.
@@ -84,15 +95,12 @@ pub struct Repl {
     engine: Engine,
     /// Queued operations of an open `:begin` transaction (`None` = autocommit).
     txn: Option<Vec<(WalOp, Atom)>>,
-    /// A server this session spawned via `:serve` (stopped by `:detach`).
+    /// The node this session spawned via `:serve` or `:follow`, holding its
+    /// engine (stopped by `:detach`).
     server: Option<ServerHandle>,
     /// When set, the session is in client mode: queries and mutations forward
     /// over the wire instead of touching the local engine.
     remote: Option<Client>,
-    /// When set, the session is a read replica (`:follow`): the engine lives
-    /// inside the [`Replica`], queries sync from the leader before answering
-    /// locally, and mutations are role-gated until `:promote`.
-    replica: Option<Replica>,
 }
 
 const HELP: &str = "\
@@ -130,13 +138,16 @@ commands:
                    reclaims the engine)
   :connect <addr>  become a client of an already-running server (:detach
                    returns to the untouched local session)
-  :follow <addr>   turn this (durable) session into a read replica of a served
-                   leader: queries sync committed WAL frames from <addr> and
-                   answer locally; :insert/:retract are refused until :promote;
-                   :detach stops following and keeps the replicated state
-  :promote         promote a replica to leader once the leader's lease has
-                   expired; the session becomes writable (in client mode,
-                   :promote asks the connected server to promote itself)
+  :follow <addr>   catch this (durable) session up with the leader at <addr>,
+                   then serve its engine as a follower (on an ephemeral local
+                   port) and turn this session into a client of it: queries
+                   answer from the replicated view (at most one 20 ms poll
+                   behind), :insert/:retract are refused until :promote;
+                   :detach stops the follower and reclaims the engine
+  :promote         in client mode, ask the node to take over as leader: a
+                   follower refuses while its leader's lease is valid (any
+                   poll answered in the last 750 ms), then bumps its term and
+                   accepts writes
   :help            this summary
   :quit            leave the session
 bare rules/facts (e.g. `e(1, 2).` or `t(X, Y) :- e(X, Y).`) are added directly.";
@@ -154,7 +165,6 @@ impl Repl {
             txn: None,
             server: None,
             remote: None,
-            replica: None,
         }
     }
 
@@ -184,9 +194,6 @@ impl Repl {
     fn dispatch(&mut self, line: &str) -> Result<ReplAction, String> {
         if self.remote.is_some() {
             return self.dispatch_remote(line);
-        }
-        if self.replica.is_some() {
-            return self.dispatch_follower(line);
         }
         if let Some(rest) = line.strip_prefix("?-") {
             return self.run_query(rest).map(ReplAction::Output);
@@ -220,14 +227,13 @@ impl Repl {
                 "connect" => self.connect_cmd(argument).map(ReplAction::Output),
                 "follow" => self.follow_cmd(argument).map(ReplAction::Output),
                 "promote" => Err(
-                    "not a replica (use :follow <addr> first, or :connect to a server \
-                     and :promote there)"
+                    "not a client of a follower (:follow <addr>, or :connect to a \
+                     served follower, first)"
                         .to_string(),
                 ),
-                "detach" => Err(
-                    "no server, remote, or replica connection (:serve, :connect, or :follow)"
-                        .to_string(),
-                ),
+                "detach" => {
+                    Err("no server or remote connection (:serve, :follow or :connect)".to_string())
+                }
                 other => Err(format!("unknown command `:{other}` (try :help)")),
             };
         }
@@ -339,27 +345,81 @@ impl Repl {
             return Err("a transaction is open (commit or abort it before :serve)".to_string());
         }
         let engine = std::mem::take(&mut self.engine);
-        let handle = match serve(engine, addr, ServerOptions::default()) {
-            Ok(handle) => handle,
+        let bound = self.attach(serve(engine, addr, ServerOptions::default()))?;
+        Ok(format!(
+            "serving on {bound}; this session is now a client \
+             (queries and :insert/:retract go over the wire; :detach to stop \
+             the server and reclaim the engine)"
+        ))
+    }
+
+    /// `:follow <addr>`: catch this session's durable engine up with the
+    /// leader once (so the first read sees the leader's state), serve it as a
+    /// follower of `addr` on an ephemeral local port, and turn the session into
+    /// a client of that node, exactly as `:serve` does for a leader.
+    fn follow_cmd(&mut self, addr: &str) -> Result<String, String> {
+        if addr.is_empty() {
+            return Err(
+                ":follow requires a leader address, e.g. `:follow 127.0.0.1:7070`".to_string(),
+            );
+        }
+        if self.txn.is_some() {
+            return Err("a transaction is open (commit or abort it before :follow)".to_string());
+        }
+        if self.engine.data_dir().is_none() {
+            return Err(
+                "a replica must be durable (:open a data directory before :follow)".to_string(),
+            );
+        }
+        let engine = std::mem::take(&mut self.engine);
+        let mut replica = Replica::from_engine(engine, addr, ReplicationOptions::default())
+            .expect("a durable engine always wraps");
+        // An unreachable leader is not an error (the served follower keeps
+        // polling); a local durability failure is, and keeps the engine here.
+        let caught_up = replica.catch_up(5);
+        let (term, applied) = (replica.term(), replica.applied_seq());
+        let engine = replica.into_engine();
+        let caught_up = match caught_up {
+            Ok(caught_up) => caught_up,
             Err(e) => {
-                // Nothing started: the session keeps its engine and state.
-                self.engine = *e.engine;
-                return Err(e.error.to_string());
+                self.engine = engine;
+                return Err(e.to_string());
             }
         };
+        let bound = self.attach(serve_follower(
+            engine,
+            addr,
+            "127.0.0.1:0",
+            ServerOptions::default(),
+            ReplicationOptions::default(),
+        ))?;
+        Ok(format!(
+            "following {addr} (term {term}): applied through seq {applied}{}; serving \
+             the follower on {bound}, this session is now its client (:promote to \
+             take over, :detach to stop following and reclaim the engine)",
+            if caught_up {
+                ""
+            } else {
+                ", leader unreachable (the follower keeps polling)"
+            },
+        ))
+    }
+
+    /// Keep the node just spawned from this session's engine and connect to it
+    /// as a client. Whatever fails hands the engine back to the session.
+    fn attach(&mut self, spawned: Result<ServerHandle, ServeError>) -> Result<SocketAddr, String> {
+        let handle = spawned.map_err(|e| {
+            self.engine = *e.engine;
+            e.error.to_string()
+        })?;
         let bound = handle.addr();
         match Client::connect(bound) {
             Ok(client) => {
                 self.server = Some(handle);
                 self.remote = Some(client);
-                Ok(format!(
-                    "serving on {bound}; this session is now a client \
-                     (queries and :insert/:retract go over the wire; :detach to stop \
-                     the server and reclaim the engine)"
-                ))
+                Ok(bound)
             }
             Err(e) => {
-                // Could not even connect locally: stop the server, restore state.
                 self.engine = handle.shutdown().engine;
                 Err(format!("server started but local client failed: {e}"))
             }
@@ -386,191 +446,29 @@ impl Repl {
         ))
     }
 
-    /// Leave client mode: stop a `:serve`d server (reclaiming its engine) or
-    /// just drop a `:connect`ed session's connection.
+    /// Leave client mode: stop a `:serve`d or `:follow`ing node (reclaiming
+    /// its engine, replicated state included) or just drop a `:connect`ed
+    /// session's connection.
     fn detach(&mut self) -> Result<String, String> {
         if self.remote.take().is_none() {
-            return Err("no server or remote connection (:serve or :connect)".to_string());
+            return Err("no server or remote connection (:serve, :follow or :connect)".to_string());
         }
-        if let Some(handle) = self.server.take() {
-            let report = handle.shutdown();
-            self.engine = report.engine;
-            self.txn = None;
-            return Ok(format!(
-                "server stopped at epoch {} ({} request(s) shed); the session \
-                 reclaimed the engine",
-                report.epoch, report.shed
-            ));
-        }
-        Ok("disconnected; back to the local session".to_string())
-    }
-
-    /// `:follow <addr>`: wrap this session's durable engine in a [`Replica`]
-    /// subscribed to a served leader. Queries sync then answer locally;
-    /// `:promote` takes over after the lease expires; `:detach` stops
-    /// following and keeps the replicated state writable-if-promoted.
-    fn follow_cmd(&mut self, addr: &str) -> Result<String, String> {
-        if addr.is_empty() {
-            return Err(
-                ":follow requires a leader address, e.g. `:follow 127.0.0.1:7070`".to_string(),
-            );
-        }
-        if self.txn.is_some() {
-            return Err("a transaction is open (commit or abort it before :follow)".to_string());
-        }
-        if self.engine.data_dir().is_none() {
-            return Err(
-                "a replica must be durable (:open a data directory before :follow)".to_string(),
-            );
-        }
-        let engine = std::mem::take(&mut self.engine);
-        let mut replica = Replica::from_engine(engine, addr, ReplicationOptions::default())
-            .map_err(|e| e.to_string())?;
-        // Best-effort initial catch-up: an unreachable leader is not an error
-        // (the next query retries), only local durability failures are.
-        let caught_up = replica.catch_up(5).map_err(|e| e.to_string())?;
-        let message = format!(
-            "following {addr} (term {}): applied through seq {}{}; queries answer \
-             locally after syncing (:promote to take over, :detach to stop)",
-            replica.term(),
-            replica.applied_seq(),
-            if caught_up {
-                ""
-            } else {
-                ", leader unreachable (will keep retrying)"
-            },
-        );
-        self.replica = Some(replica);
-        Ok(message)
-    }
-
-    /// Command dispatch while following: queries sync-then-answer locally,
-    /// mutations go through the replica's role gate (so a promoted session
-    /// writes and a follower refuses), everything engine-shaped runs against
-    /// the replicated state via [`Repl::with_replica_engine`].
-    fn dispatch_follower(&mut self, line: &str) -> Result<ReplAction, String> {
-        if let Some(rest) = line.strip_prefix("?-") {
-            self.replica_sync()?;
-            let rest = rest.to_string();
-            return self
-                .with_replica_engine(|repl| repl.run_query(&rest))
-                .map(ReplAction::Output);
-        }
-        if let Some(rest) = line.strip_prefix(':') {
-            let (command, argument) = match rest.split_once(char::is_whitespace) {
-                Some((c, a)) => (c, a.trim()),
-                None => (rest, ""),
-            };
-            return match command {
-                "quit" | "exit" | "q" => {
-                    let _ = self.unfollow();
-                    Ok(ReplAction::Quit)
-                }
-                "detach" => self.unfollow().map(ReplAction::Output),
-                "insert" | "retract" => {
-                    let replica = self.replica.as_ref().expect("dispatch_follower");
-                    replica.require_leader().map_err(|e| e.to_string())?;
-                    let op = match command {
-                        "insert" => WalOp::Assert,
-                        _ => WalOp::Retract,
-                    };
-                    let argument = argument.to_string();
-                    self.with_replica_engine(|repl| repl.mutate(op, &argument))
-                        .map(ReplAction::Output)
-                }
-                "promote" => self.promote_local().map(ReplAction::Output),
-                "stats" => {
-                    self.replica_sync()?;
-                    let header = self.replica_header();
-                    let body = self.with_replica_engine(|repl| repl.stats());
-                    Ok(ReplAction::Output(format!("{header}\n{body}")))
-                }
-                "metrics" => {
-                    let replica = self.replica.as_ref().expect("dispatch_follower");
-                    Ok(ReplAction::Output(
-                        replica
-                            .engine()
-                            .metrics_json_with(Some(&replica.status()), None),
-                    ))
-                }
-                "prepare" => {
-                    let argument = argument.to_string();
-                    self.with_replica_engine(|repl| repl.prepare(&argument))
-                        .map(ReplAction::Output)
-                }
-                "program" => Ok(ReplAction::Output(
-                    self.with_replica_engine(|repl| repl.show_program()),
-                )),
-                "help" | "h" => Ok(ReplAction::Output(
-                    "replica mode: ?- <query>. | :promote | :stats | :metrics | \
-                     :prepare <q> | :program | :detach | :quit \
-                     (:insert/:retract need a promoted leader)"
-                        .to_string(),
-                )),
-                other => Err(format!(
-                    "`:{other}` is not available while following (:detach to return \
-                     to the local session)"
-                )),
-            };
-        }
-        Err("bare clauses are not available while following (:promote first)".to_string())
-    }
-
-    /// One best-effort subscription poll; only local durability failures err.
-    fn replica_sync(&mut self) -> Result<(), String> {
-        let replica = self.replica.as_mut().expect("replica mode");
-        replica.sync_once().map(|_| ()).map_err(|e| e.to_string())
-    }
-
-    /// Run an engine-shaped REPL method against the replicated state by
-    /// temporarily swapping the replica's engine into `self.engine`.
-    fn with_replica_engine<T>(&mut self, f: impl FnOnce(&mut Repl) -> T) -> T {
-        std::mem::swap(
-            &mut self.engine,
-            self.replica.as_mut().expect("replica mode").engine_mut(),
-        );
-        let result = f(self);
-        std::mem::swap(
-            &mut self.engine,
-            self.replica.as_mut().expect("replica mode").engine_mut(),
-        );
-        result
-    }
-
-    fn replica_header(&self) -> String {
-        let status = self.replica.as_ref().expect("replica mode").status();
-        rows(status.readings())
-    }
-
-    /// `:promote` while following: take over as leader once the lease expired.
-    fn promote_local(&mut self) -> Result<String, String> {
-        let replica = self.replica.as_mut().expect("replica mode");
-        let term = replica.promote().map_err(|e| e.to_string())?;
-        Ok(format!(
-            "promoted to leader (term {term}); the session now accepts \
-             :insert/:retract (:detach to drop the replica wrapper)"
-        ))
-    }
-
-    /// Stop following: unwrap the replica and reclaim its engine (with all
-    /// replicated state) as the local session engine.
-    fn unfollow(&mut self) -> Result<String, String> {
-        let Some(replica) = self.replica.take() else {
-            return Err("not following (:follow <addr> first)".to_string());
+        let Some(handle) = self.server.take() else {
+            return Ok("disconnected; back to the local session".to_string());
         };
-        let role = replica.role();
-        let term = replica.term();
-        let leader = replica.status().leader;
-        self.engine = replica.into_engine();
+        let following = handle.replica_status().map_or(String::new(), |status| {
+            format!(
+                "stopped following {} (role {}, term {}); ",
+                status.leader, status.role, status.term
+            )
+        });
+        let report = handle.shutdown();
+        self.engine = report.engine;
         self.txn = None;
         Ok(format!(
-            "stopped following {leader} (role {role}, term {term}); the session \
-             keeps the replicated state{}",
-            if role == crate::replication::ReplicaRole::Leader {
-                " and stays writable"
-            } else {
-                " read-write locally (no longer replicating)"
-            }
+            "{following}server stopped at epoch {} ({} request(s) shed); the session \
+             reclaimed the engine",
+            report.epoch, report.shed
         ))
     }
 
@@ -601,14 +499,15 @@ impl Repl {
                     .map(ReplAction::Output),
                 "stats" => self.remote_stats().map(ReplAction::Output),
                 "promote" => self.remote_promote().map(ReplAction::Output),
-                // A `:serve`d session renders the live reactor counters in the
-                // `server` facet (the engine facets stay behind the server
+                // A spawned node renders its live reactor counters in the
+                // `server` facet, and a follower its replication state in the
+                // `replication` facet (the engine facets stay behind the server
                 // until `:detach` hands the engine back).
                 "metrics" => match &self.server {
-                    Some(handle) => Ok(ReplAction::Output(
-                        self.engine
-                            .metrics_json_with(None, Some(&handle.server_metrics())),
-                    )),
+                    Some(handle) => Ok(ReplAction::Output(self.engine.metrics_json_with(
+                        handle.replica_status().as_ref(),
+                        Some(&handle.server_metrics()),
+                    ))),
                     None => Err(
                         "`:metrics` is remote-less in client mode (:detach to return \
                          to the local session)"
@@ -1076,23 +975,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn follow_replicates_and_promote_makes_the_session_writable() {
-        let base = std::env::temp_dir().join(format!(
-            "factorlog_repl_follow_{}_{:x}",
+    /// A fresh temporary directory for `tag` (removed first if a run left one).
+    fn fresh_temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "factorlog_repl_{tag}_{}_{:x}",
             std::process::id(),
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .unwrap()
                 .subsec_nanos()
         ));
-        let leader_dir = base.join("leader");
-        let follower_dir = base.join("follower");
-        std::fs::remove_dir_all(&base).ok();
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
 
-        // Leader: a durable session served over TCP.
+    /// A durable session on `dir` serving `t(X, Y) :- e(X, Y).` with `e(1, 2)`,
+    /// and the address it serves on.
+    fn served_leader(dir: &std::path::Path) -> (Repl, String) {
         let mut leader = Repl::new();
-        output(&mut leader, &format!(":open {}", leader_dir.display()));
+        output(&mut leader, &format!(":open {}", dir.display()));
         output(&mut leader, "t(X, Y) :- e(X, Y).");
         output(&mut leader, ":insert e(1, 2).");
         let served = output(&mut leader, ":serve 127.0.0.1:0");
@@ -1103,9 +1004,19 @@ mod tests {
             .expect("bound address in the :serve reply")
             .trim()
             .to_string();
+        (leader, addr)
+    }
+
+    #[test]
+    fn follow_replicates_and_promote_makes_the_session_writable() {
+        let base = fresh_temp_dir("follow");
+        let follower_dir = base.join("follower");
+
+        // Leader: a durable session served over TCP.
+        let (mut leader, addr) = served_leader(&base.join("leader"));
 
         // Follower: must be durable before :follow; then replicates and
-        // answers locally while refusing writes.
+        // answers while refusing writes.
         let mut follower = Repl::new();
         assert!(
             output(&mut follower, &format!(":follow {addr}")).starts_with("error:"),
@@ -1115,12 +1026,12 @@ mod tests {
         let followed = output(&mut follower, &format!(":follow {addr}"));
         assert!(followed.contains("following"), "{followed}");
         let answers = output(&mut follower, "?- t(1, Y).");
-        assert!(answers.contains("Y = 2"), "{answers}");
+        assert!(answers.ends_with("\n2"), "{answers}");
         let refused = output(&mut follower, ":insert e(9, 9).");
         assert!(refused.starts_with("error:"), "{refused}");
-        assert!(refused.contains("read-only"), "{refused}");
+        assert!(refused.contains("server (readonly)"), "{refused}");
         let stats = output(&mut follower, ":stats");
-        assert!(stats.contains("replica: role follower"), "{stats}");
+        assert!(stats.contains("replication: role follower"), "{stats}");
         assert!(
             output(&mut follower, ":promote").starts_with("error:"),
             "promotion is refused while the leader's lease is valid"
@@ -1134,9 +1045,12 @@ mod tests {
         output(&mut leader, ":detach");
         std::thread::sleep(Duration::from_millis(800));
         let promoted = output(&mut follower, ":promote");
-        assert!(promoted.contains("promoted to leader"), "{promoted}");
         assert!(
-            output(&mut follower, ":insert e(2, 3).").contains("inserted"),
+            promoted.contains("server promoted: role leader"),
+            "{promoted}"
+        );
+        assert!(
+            output(&mut follower, ":insert e(2, 3).").contains("1 asserted"),
             "a promoted replica accepts writes"
         );
         let detached = output(&mut follower, ":detach");
@@ -1147,6 +1061,95 @@ mod tests {
         drop(follower);
         drop(leader);
         std::fs::remove_dir_all(&base).ok();
+    }
+
+    /// Regression (the parent promoted here, and both nodes then committed): a
+    /// following session idle for two lease timeouts beside a live leader is
+    /// still refused promotion, because the served follower renews the lease on
+    /// every poll; once the leader stops, promotion succeeds and writes commit.
+    #[test]
+    fn an_idle_follower_cannot_promote_over_a_live_leader() {
+        let base = fresh_temp_dir("split_brain");
+        let (mut leader, addr) = served_leader(&base.join("leader"));
+        let mut follower = Repl::new();
+        output(
+            &mut follower,
+            &format!(":open {}", base.join("follower").display()),
+        );
+        let followed = output(&mut follower, &format!(":follow {addr}"));
+        assert!(followed.contains("following"), "{followed}");
+
+        let lease = ReplicationOptions::default().lease_timeout;
+        std::thread::sleep(lease * 2 + Duration::from_millis(100));
+        let refused = output(&mut follower, ":promote");
+        assert!(refused.starts_with("error: server (lease)"), "{refused}");
+        // The follower is live: the leader's next write reaches it within polls.
+        assert!(output(&mut leader, ":insert e(8, 8).").contains("1 asserted"));
+        let mut replicated = String::new();
+        for _ in 0..100 {
+            replicated = output(&mut follower, "?- e(8, Y).");
+            if replicated.starts_with("% 1 answer(s)") {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(replicated.ends_with("\n8"), "{replicated}");
+
+        output(&mut leader, ":detach");
+        let mut promoted = String::new();
+        for _ in 0..100 {
+            promoted = output(&mut follower, ":promote");
+            if !promoted.contains("(lease)") {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(
+            promoted.contains("server promoted: role leader"),
+            "{promoted}"
+        );
+        let inserted = output(&mut follower, ":insert e(7, 7).");
+        assert!(inserted.contains("1 asserted"), "{inserted}");
+        output(&mut follower, ":detach");
+        let answers = output(&mut follower, "?- e(X, Y).");
+        assert!(answers.contains("X = 7, Y = 7"), "{answers}");
+        assert!(answers.contains("X = 8, Y = 8"), "{answers}");
+
+        drop((follower, leader));
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    /// Regression (at the parent, a Ctrl-C in client mode cancelled the served
+    /// engine: the next insert answered `server (cancelled)` though it committed,
+    /// and later acks named epochs no read saw): the caller's token reaches the
+    /// served engine no more, and comes back with the engine on `:detach`.
+    #[test]
+    fn ctrl_c_in_a_served_session_leaves_the_server_alone() {
+        let mut repl = Repl::new();
+        output(&mut repl, "t(X, Y) :- e(X, Y).");
+        let token = repl.engine_mut().cancel_token();
+        output(&mut repl, ":serve 127.0.0.1:0");
+        token.cancel();
+        let acked = output(&mut repl, ":insert e(1, 2).");
+        assert!(
+            acked.contains("1 asserted, 0 retracted (epoch 1)"),
+            "{acked}"
+        );
+        let answers = output(&mut repl, "?- t(1, Y).");
+        assert!(
+            answers.starts_with("% 1 answer(s) [remote, epoch 1]"),
+            "{answers}"
+        );
+        let detached = output(&mut repl, ":detach");
+        assert!(detached.contains("server stopped at epoch 1"), "{detached}");
+        let reclaimed = repl.engine_mut().cancel_token();
+        assert!(
+            reclaimed.is_cancelled(),
+            "the engine carries the caller's token again"
+        );
+        token.reset();
+        assert!(!reclaimed.is_cancelled(), "one flag, shared");
+        assert!(output(&mut repl, "?- t(1, Y).").contains("Y = 2"));
     }
 
     #[test]

@@ -39,11 +39,14 @@
 //! * **Stale-bounded reads.** A follower serves queries from its latest
 //!   applied view — a consistent committed prefix of the leader's history, at
 //!   most one poll interval (plus in-flight frames) behind.
-//! * **Lease-based failover.** A follower counts the leader as live while any
-//!   poll succeeded within the lease timeout. Promotion (`PROMOTE`, REPL
-//!   `:promote`, or [`Replica::promote`]) is refused while the lease is
-//!   valid, and otherwise bumps the node's *term* (persisted in a `TERM` file
-//!   in the data directory) and starts accepting writes. A revived ex-leader
+//! * **Lease-based failover.** A served follower ([`serve_follower`]) polls
+//!   every `poll_interval` and counts the leader as live while any poll
+//!   succeeded within the lease timeout. Promotion (`PROMOTE`, which the REPL's
+//!   `:promote` sends) is refused while the lease is valid, and otherwise bumps
+//!   the node's *term* (persisted in a `TERM` file in the data directory) and
+//!   hands the apply loop's engine to the writer. A lease is evidence of
+//!   *continuous* contact, so only the served follower, whose loop renews it,
+//!   can promote: a [`Replica`] polled on demand has none. A revived ex-leader
 //!   is *fenced* the moment it sees a newer term — from any subscriber's poll
 //!   — and refuses writes until it is restarted as a follower of the new
 //!   leader, which demotes it cleanly (its committed history is a prefix of
@@ -51,9 +54,8 @@
 
 use std::net::ToSocketAddrs;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use factorlog_datalog::ast::Const;
 use factorlog_datalog::eval::Reading;
 
 use crate::durability::{SNAPSHOT_FILE, WAL_FILE};
@@ -322,7 +324,8 @@ impl Client {
 /// What one [`Replica::sync_once`] poll did.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SyncReport {
-    /// Did the poll reach a live, non-fenced publisher? (Renews the lease.)
+    /// Did the poll reach a live, non-fenced publisher? (A served follower
+    /// renews its lease on it.)
     pub contacted: bool,
     /// Frames newly applied by this poll.
     pub frames_applied: usize,
@@ -333,9 +336,10 @@ pub struct SyncReport {
 }
 
 factorlog_datalog::instruments! {
-    /// A point-in-time view of a replica's replication state, surfaced in the
-    /// REPL's `:stats` and as the metrics document's `replication` object.
-    #[derive(Clone, Debug)]
+    /// A point-in-time view of a replica's replication state: the metrics
+    /// document's `replication` object (a served follower's, with the node's
+    /// current role and term, from [`ServerHandle::replica_status`]).
+    #[derive(Clone, Debug, Default)]
     pub struct ReplicaStatus {
         /// Current role.
         role: ReplicaRole, "replica", "role";
@@ -356,22 +360,19 @@ factorlog_datalog::instruments! {
     }
 }
 
-/// An embeddable follower: a durable [`Engine`] plus the subscription loop
-/// state — the building block under `factorlog serve --follow`, the REPL's
-/// `:follow`, and the replication test harnesses. Call [`Replica::sync_once`]
-/// (or [`Replica::catch_up`]) to poll; queries are served from the applied
-/// state at any time; writes are refused until [`Replica::promote`] succeeds.
+/// The subscription primitive: a durable [`Engine`] plus the state of its
+/// polls of one leader. [`serve_follower`] runs one in its apply loop (and
+/// hands [`Replica::into_engine`] to the writer on promotion); the REPL's
+/// `:follow` catches up through one before serving it that way. Call
+/// [`Replica::sync_once`] (or [`Replica::catch_up`]) to poll; the applied
+/// state can be read at any time. A `Replica` only ever follows: promotion,
+/// its lease check and write service belong to the served node (`PROMOTE`).
 pub struct Replica {
     engine: Engine,
     leader: String,
-    options: ReplicationOptions,
     client: Option<Client>,
     id: u64,
     term: u64,
-    role: ReplicaRole,
-    /// Instant of the last successful publisher contact — seeded at creation,
-    /// so a fresh replica must wait out one full lease before promoting.
-    last_contact: Instant,
     leader_seq: u64,
     frames_applied: u64,
     bootstraps: u64,
@@ -381,11 +382,12 @@ impl Replica {
     /// Wrap an already-open durable engine as a follower of `leader`. The
     /// engine's persisted term (the `TERM` file) carries over. Errors when the
     /// engine is not durable — a follower without its own log could not
-    /// survive its own crash.
+    /// survive its own crash. The primitive polls only when asked, so it reads
+    /// none of the `options`: pacing and the lease belong to the caller.
     pub fn from_engine(
         engine: Engine,
         leader: impl Into<String>,
-        options: ReplicationOptions,
+        _options: ReplicationOptions,
     ) -> Result<Replica, EngineError> {
         let Some(dir) = engine.data_dir() else {
             return Err(EngineError::Durability(
@@ -403,12 +405,9 @@ impl Replica {
         Ok(Replica {
             engine,
             leader: leader.into(),
-            options,
             client: None,
             id,
             term,
-            role: ReplicaRole::Follower,
-            last_contact: Instant::now(),
             leader_seq: 0,
             frames_applied: 0,
             bootstraps: 0,
@@ -421,9 +420,6 @@ impl Replica {
     /// local durability failures (this replica's own log or image) err.
     pub fn sync_once(&mut self) -> Result<SyncReport, EngineError> {
         let mut report = SyncReport::default();
-        if self.role != ReplicaRole::Follower {
-            return Ok(report);
-        }
         let mut client = match self.client.take() {
             Some(client) => client,
             None => match Client::connect(self.leader.as_str()) {
@@ -435,7 +431,6 @@ impl Replica {
         match client.subscribe(from_seq, self.term, self.id) {
             Ok(reply) => {
                 report.contacted = true;
-                self.last_contact = Instant::now();
                 self.leader_seq = reply.last_seq;
                 if reply.term > self.term {
                     // A failover happened upstream: adopt the new term so our
@@ -514,104 +509,15 @@ impl Replica {
         self.leader_seq.saturating_sub(self.applied_seq())
     }
 
-    /// Has the leader's lease expired (no successful contact within the
-    /// configured lease timeout)? Promotion requires this.
-    pub fn lease_expired(&self) -> bool {
-        self.last_contact.elapsed() >= self.options.lease_timeout
-    }
-
-    /// Current role.
-    pub fn role(&self) -> ReplicaRole {
-        self.role
-    }
-
     /// Current term.
     pub fn term(&self) -> u64 {
         self.term
     }
 
-    /// The replication options this replica polls with.
-    pub fn options(&self) -> &ReplicationOptions {
-        &self.options
-    }
-
-    /// Promote this replica to leader: requires the leader's lease to have
-    /// expired (err code-free [`EngineError::Durability`] otherwise), bumps
-    /// and persists the term, and unlocks writes. Idempotent on an already
-    /// promoted replica; refused on a fenced one.
-    pub fn promote(&mut self) -> Result<u64, EngineError> {
-        match self.role {
-            ReplicaRole::Leader => Ok(self.term),
-            ReplicaRole::Fenced => Err(EngineError::Durability(format!(
-                "fenced: superseded by term {}; restart as a follower of the new leader",
-                self.term
-            ))),
-            ReplicaRole::Follower => {
-                if !self.lease_expired() {
-                    let remaining = self
-                        .options
-                        .lease_timeout
-                        .saturating_sub(self.last_contact.elapsed());
-                    return Err(EngineError::Durability(format!(
-                        "leader lease still valid for {} more ms; refusing promotion",
-                        remaining.as_millis()
-                    )));
-                }
-                let new_term = self.term + 1;
-                if let Some(dir) = self.engine.data_dir() {
-                    let dir = dir.to_path_buf();
-                    persist_term(&dir, new_term)?;
-                }
-                self.term = new_term;
-                self.role = ReplicaRole::Leader;
-                self.client = None;
-                Ok(new_term)
-            }
-        }
-    }
-
-    /// Adopt a promotion performed externally (the serving front end's
-    /// `PROMOTE` verb flips the shared role; the apply loop then syncs the
-    /// replica object before switching to write service).
-    pub(crate) fn adopt_promotion(&mut self, term: u64) {
-        self.role = ReplicaRole::Leader;
-        self.term = term.max(self.term);
-        self.client = None;
-    }
-
-    /// Insert one ground fact — role-gated: only a promoted (leader) replica
-    /// accepts writes; a follower or fenced replica refuses with a
-    /// [`EngineError::Durability`] naming its role.
-    pub fn insert(&mut self, predicate: &str, tuple: &[Const]) -> Result<bool, EngineError> {
-        self.require_leader()?;
-        self.engine.insert(predicate, tuple)
-    }
-
-    /// Retract one ground fact — role-gated like [`Replica::insert`].
-    pub fn retract(&mut self, predicate: &str, tuple: &[Const]) -> Result<bool, EngineError> {
-        self.require_leader()?;
-        self.engine.retract(predicate, tuple)
-    }
-
-    /// The role gate on writes.
-    pub(crate) fn require_leader(&self) -> Result<(), EngineError> {
-        match self.role {
-            ReplicaRole::Leader => Ok(()),
-            ReplicaRole::Follower => Err(EngineError::Durability(
-                "replica is read-only (role follower): write to the leader or promote it"
-                    .to_string(),
-            )),
-            ReplicaRole::Fenced => Err(EngineError::Durability(format!(
-                "fenced: superseded by term {}; this ex-leader refuses writes",
-                self.term
-            ))),
-        }
-    }
-
     /// Snapshot of the replication state for `:stats` and metrics JSON.
     pub fn status(&self) -> ReplicaStatus {
         ReplicaStatus {
-            role: self.role,
+            role: ReplicaRole::Follower,
             term: self.term,
             applied_seq: self.applied_seq(),
             leader_seq: self.leader_seq,
@@ -628,14 +534,12 @@ impl Replica {
     }
 
     /// Mutable access to the wrapped engine — for queries that refresh views.
-    /// Durability-level mutations through this handle bypass the role gate;
-    /// front ends route writes through [`Replica::insert`]/[`Replica::retract`]
-    /// instead.
+    /// A write through this handle forks the follower's log from its leader's.
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }
 
-    /// Unwrap the engine (e.g. to serve it, or to reclaim a promoted session).
+    /// Unwrap the engine (to serve it, or to hand it to the writer on promotion).
     pub fn into_engine(self) -> Engine {
         self.engine
     }

@@ -29,6 +29,10 @@
 //!
 //! ```text
 //! QUERY t(0, Y)        →  ROW 1 ⏎ ROW 2 ⏎ OK rows=2 epoch=7
+//! PREPARE t(?, Y)      →  OK id=0 params=1 (a `?` per bound term; the statement
+//!                            lives on this connection)
+//! EXEC 0 0             →  ROW 1 ⏎ ROW 2 ⏎ OK rows=2 epoch=7 (as the QUERY with
+//!                            the arguments in the `?` positions)
 //! TXN +e(1, 2); -e(0, 1)  →  OK asserted=1 retracted=1 epoch=8
 //! EPOCH                →  OK epoch=8
 //! STATS                →  OK epoch=8 in_flight=1 shed=0 … (one line: a `name=value`
@@ -89,7 +93,7 @@ use factorlog_datalog::storage::Database;
 
 use crate::engine::{Engine, EngineError, OnLog, Op, TxnSummary};
 use crate::reactor::{poll_fds, PollFd, WakePipe, POLL_FAIL, POLL_IN, POLL_OUT};
-use crate::replication::{self, Replica, ReplicaRole, ReplicationOptions};
+use crate::replication::{self, Replica, ReplicaRole, ReplicaStatus, ReplicationOptions};
 use crate::wal::WalOp;
 
 /// Cap on how many queued transactions one group commit will absorb.
@@ -390,6 +394,8 @@ struct ReplState {
     data_dir: Option<PathBuf>,
     /// `Some` iff this server started as a follower.
     leader_addr: Option<String>,
+    /// Follower only: the apply loop's latest [`Replica::status`].
+    status: Mutex<Option<ReplicaStatus>>,
 }
 
 /// State shared by the reactor thread and the writer.
@@ -448,14 +454,15 @@ impl Shared {
 /// What [`ServerHandle::shutdown`] did, with the engine handed back.
 pub struct ShutdownReport {
     /// The engine, drained and WAL-flushed, ready for further single-owner use
-    /// (or to be dropped, releasing the data-directory lock).
+    /// (or to be dropped, releasing the data-directory lock), with the
+    /// cancellation token it was served with back in place.
     pub engine: Engine,
     /// Epoch at shutdown: committed transaction batches over the server's life.
     pub epoch: u64,
     /// Requests shed by admission control over the server's life.
     pub shed: u64,
     /// Did the drain finish inside `drain_timeout` (`false` = stragglers were
-    /// cancelled via the engine's [`CancelToken`])?
+    /// cancelled via the served engine's own [`CancelToken`])?
     pub drained_cleanly: bool,
     /// The reactor's and the writer's counters at shutdown.
     pub server_metrics: ServerMetrics,
@@ -470,6 +477,8 @@ pub struct ServerHandle {
     completions: Arc<Completions>,
     reactor_thread: Option<JoinHandle<bool>>,
     writer_thread: Option<JoinHandle<Engine>>,
+    /// The token the caller's engine carried, restored by [`ServerHandle::shutdown`].
+    caller_cancel: Option<CancelToken>,
 }
 
 impl ServerHandle {
@@ -505,9 +514,20 @@ impl ServerHandle {
         self.shared.counters.snapshot()
     }
 
+    /// A follower's replication state as of its latest poll, with the node's
+    /// current role and term (`None` on a node that never followed).
+    pub fn replica_status(&self) -> Option<ReplicaStatus> {
+        let repl = &self.shared.repl;
+        let mut status = repl.status.lock().expect("status lock poisoned").clone()?;
+        status.role = self.role();
+        status.term = self.term();
+        Some(status)
+    }
+
     /// Gracefully shut down: stop admitting (new requests get `ERR shutdown`),
     /// drain in-flight requests for up to `drain_timeout`, cancel stragglers
-    /// via the engine's [`CancelToken`], flush the WAL, and return the engine.
+    /// via the served engine's own [`CancelToken`], flush the WAL, and return
+    /// the engine with the caller's token back in place.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shared.stopping.store(true, Ordering::Release);
         // The reactor owns the drain: it wakes on the pipe, stops accepting,
@@ -531,9 +551,10 @@ impl ServerHandle {
             .expect("writer thread present until shutdown")
             .join()
             .expect("writer thread never panics (engine-contained)");
-        // A cancellation fired during drain must not outlive the server: the
-        // returned engine is immediately reusable.
-        self.shared.cancel.reset();
+        // The drain cancelled the server's own token, never the caller's: the
+        // returned engine is immediately reusable, and answers to its owner's
+        // Ctrl-C again.
+        engine.replace_cancel_token(self.caller_cancel.take());
         engine.sync_wal().ok();
         ShutdownReport {
             engine,
@@ -546,8 +567,8 @@ impl ServerHandle {
 }
 
 /// [`serve`] failed before any thread started: the engine comes back unchanged
-/// so a front end (e.g. the REPL's `:serve`) does not lose session state to a
-/// typo'd address.
+/// (its cancellation token included) so a front end (e.g. the REPL's `:serve`)
+/// does not lose session state to a typo'd address.
 pub struct ServeError {
     /// The engine, exactly as it was passed in.
     pub engine: Box<Engine>,
@@ -598,9 +619,16 @@ pub(crate) fn serve_inner(
     options: ServerOptions,
     follow: Option<FollowerConfig>,
 ) -> Result<ServerHandle, ServeError> {
-    let fail = |engine: Engine, error: EngineError| ServeError {
-        engine: Box::new(engine),
-        error,
+    // The served engine gets a token of its own: the drain cancels stragglers
+    // through it, while the caller's (a REPL's Ctrl-C handler holds a clone)
+    // must not reach an engine it no longer owns.
+    let caller_cancel = engine.options().cancel.clone();
+    let fail = |mut engine: Engine, error: EngineError| {
+        engine.replace_cancel_token(caller_cancel.clone());
+        ServeError {
+            engine: Box::new(engine),
+            error,
+        }
     };
     if follow.is_some() && !engine.is_durable() {
         return Err(fail(
@@ -641,8 +669,8 @@ pub(crate) fn serve_inner(
         engine.options().max_derived_facts,
         options.memory_budget_bytes,
     );
-    let cancel = engine.cancel_token();
-    cancel.reset();
+    let cancel = CancelToken::new();
+    engine.replace_cancel_token(Some(cancel.clone()));
 
     // The initial view: epoch 0 is the committed prefix "everything recovered
     // or loaded before serving".
@@ -688,6 +716,14 @@ pub(crate) fn serve_inner(
             followers: Mutex::new(HashMap::new()),
             data_dir,
             leader_addr: follow.as_ref().map(|f| f.leader.clone()),
+            // A follower has a status from the start, as a fresh replica reports it.
+            status: Mutex::new(follow.as_ref().map(|f| ReplicaStatus {
+                role: ReplicaRole::Follower,
+                term,
+                leader: f.leader.clone(),
+                applied_seq: engine.wal_last_seq().unwrap_or(0),
+                ..ReplicaStatus::default()
+            })),
         },
     });
 
@@ -741,6 +777,7 @@ pub(crate) fn serve_inner(
         completions,
         reactor_thread: Some(reactor_thread),
         writer_thread: Some(writer_thread),
+        caller_cancel,
     })
 }
 
@@ -863,8 +900,9 @@ fn writer_core(
 /// with `ERR readonly` before they reach the queue), it polls the leader,
 /// applies shipped frames, and publishes each applied prefix as a fresh view —
 /// readers on this node see the leader's history, stale-bounded by one poll.
-/// When `PROMOTE` flips the shared role, the loop hands the engine to
-/// [`writer_core`] and the node starts committing writes as a leader.
+/// Every successful poll renews the lease stamp [`handle_promote`] checks, the
+/// one promotion gate. When `PROMOTE` flips the shared role, the loop hands the
+/// replica's engine to [`writer_core`] and the node commits writes as a leader.
 fn follower_loop(
     engine: Engine,
     rx: mpsc::Receiver<WriteReq>,
@@ -874,20 +912,21 @@ fn follower_loop(
     let poll_interval = config.replication.poll_interval;
     let mut replica = Replica::from_engine(engine, config.leader, config.replication)
         .expect("serve_inner verified the engine is durable");
-    shared.repl.term.store(replica.term(), Ordering::Release);
+    let promoted = || shared.repl.role.load(Ordering::Acquire) == ReplicaRole::Leader.as_u8();
     loop {
-        // A PROMOTE handled by the reactor flips the shared role; sync
-        // the replica object and become the writer.
-        if shared.repl.role.load(Ordering::Acquire) == ReplicaRole::Leader.as_u8() {
-            replica.adopt_promotion(shared.repl.term.load(Ordering::Acquire));
+        // The shared term only grows: a PROMOTE's bump must survive a poll that
+        // raced it with the leader's older term.
+        shared.repl.term.fetch_max(replica.term(), Ordering::AcqRel);
+        *shared.repl.status.lock().expect("status lock poisoned") = Some(replica.status());
+        // A PROMOTE handled by the reactor flips the shared role: become the writer.
+        if promoted() {
             return writer_core(replica.into_engine(), rx, shared, None);
         }
         match rx.recv_timeout(poll_interval) {
             Ok(req) => {
-                if shared.repl.role.load(Ordering::Acquire) == ReplicaRole::Leader.as_u8() {
+                if promoted() {
                     // Promoted while we were blocked in recv: this request is
                     // valid — carry it into the writer loop.
-                    replica.adopt_promotion(shared.repl.term.load(Ordering::Acquire));
                     return writer_core(replica.into_engine(), rx, shared, Some(req));
                 }
                 let refusal = "replica is read-only: write to the leader or promote it";
@@ -909,7 +948,6 @@ fn follower_loop(
                 Ordering::Relaxed,
             );
         }
-        shared.repl.term.store(replica.term(), Ordering::Release);
         shared
             .repl
             .leader_seq
@@ -1741,26 +1779,11 @@ fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Re
         Some((sub, args)) => (sub, args.trim()),
         None => (rest, ""),
     };
-    if !sub.eq_ignore_ascii_case("SUBSCRIBE") {
-        return respond_err(
-            out,
-            "parse",
-            "usage: REPL SUBSCRIBE <from_seq> [term=T] [id=I]",
-        );
-    }
-    let mut from_seq: Option<u64> = None;
-    let mut term = 0u64;
-    let mut id = 0u64;
-    for token in args.split_whitespace() {
-        if let Some(value) = token.strip_prefix("term=") {
-            term = value.parse().unwrap_or(0);
-        } else if let Some(value) = token.strip_prefix("id=") {
-            id = value.parse().unwrap_or(0);
-        } else {
-            from_seq = token.parse().ok();
-        }
-    }
-    let Some(from_seq) = from_seq else {
+    let parsed = sub
+        .eq_ignore_ascii_case("SUBSCRIBE")
+        .then(|| parse_subscribe(args))
+        .flatten();
+    let Some((from_seq, term, id)) = parsed else {
         return respond_err(
             out,
             "parse",
@@ -1830,6 +1853,26 @@ fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Re
         step.last_seq
     )?;
     out.flush()
+}
+
+/// The arguments of `REPL SUBSCRIBE`: exactly one `<from_seq>` and at most one
+/// `term=` and one `id=`, all unsigned (`term` and `id` default to 0). A
+/// subscriber's term is the fencing input, so anything else is refused rather
+/// than read as 0.
+fn parse_subscribe(args: &str) -> Option<(u64, u64, u64)> {
+    let (mut from_seq, mut term, mut id) = (None, None, None);
+    for token in args.split_whitespace() {
+        let (slot, value) = match token.split_once('=') {
+            None => (&mut from_seq, token),
+            Some(("term", value)) => (&mut term, value),
+            Some(("id", value)) => (&mut id, value),
+            Some(_) => return None,
+        };
+        if slot.replace(value.parse::<u64>().ok()?).is_some() {
+            return None;
+        }
+    }
+    Some((from_seq?, term.unwrap_or(0), id.unwrap_or(0)))
 }
 
 /// Answer `PROMOTE`: idempotent on a leader, refused on a fenced ex-leader,
@@ -1990,12 +2033,16 @@ fn prepare_statement(text: &str) -> Result<PreparedStmt, String> {
     let mut rewritten = String::with_capacity(src.len() + 16);
     let mut names: Vec<String> = Vec::new();
     let mut in_string = false;
-    for ch in src.chars() {
+    let mut chars = src.chars();
+    while let Some(ch) = chars.next() {
         if in_string {
             rewritten.push(ch);
-            // The lexer has no escapes: a string runs to the next `"`.
-            if ch == '"' {
-                in_string = false;
+            // A string runs to the next unescaped `"`; an escape (`\"`, `\\`,
+            // `\n`) is copied whole, so its second character never ends it.
+            match ch {
+                '\\' => rewritten.extend(chars.next()),
+                '"' => in_string = false,
+                _ => {}
             }
             continue;
         }
@@ -2361,7 +2408,8 @@ impl Client {
         let mut rows = Vec::new();
         loop {
             let line = self.read_reply_line()?;
-            if let Some(row) = line.strip_prefix("ROW ") {
+            // A fully bound query's row has no columns: `ROW ` less its space.
+            if let Some(row) = line.strip_prefix("ROW ").or((line == "ROW").then_some("")) {
                 rows.push(row.to_string());
                 continue;
             }
@@ -2907,9 +2955,20 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ClientError::Server { ref code, .. } if code == "parse"));
 
-        // Placeholders inside string literals are literal text, not params.
+        // Placeholders inside string literals are literal text, not params,
+        // escaped quotes included.
         let lit = client.prepare("t(?, \"a?b\")").unwrap();
         assert_eq!(lit.params, 1);
+        client.txn(r#"+p("a\"?", 1)"#).unwrap();
+        for (text, params, args, query, rows) in [
+            (r#"p("a\"?", Y)"#, 0, "", r#"p("a\"?", Y)"#, vec!["1"]),
+            (r#"p("a\"?", ?)"#, 1, "1", r#"p("a\"?", 1)"#, vec![""]),
+        ] {
+            let stmt = client.prepare(text).unwrap();
+            assert_eq!(stmt.params, params, "{text}");
+            assert_eq!(client.query(query).unwrap().rows, rows, "{query}");
+            assert_eq!(client.exec(stmt, args).unwrap().rows, rows, "{text}");
+        }
 
         // EXEC results track the live view across commits.
         client.txn("+e(4, 5)").unwrap();
@@ -2978,6 +3037,7 @@ mod tests {
             followers: Mutex::new(HashMap::new()),
             data_dir: None,
             leader_addr: Some("127.0.0.1:1".to_string()),
+            status: Mutex::new(None),
         };
         // A sync thread hammers the contact stamp while readers compute lag:
         // with the stamp loaded before the elapsed capture, lag can never be
@@ -3048,5 +3108,73 @@ mod tests {
         assert_eq!(bound.atom.terms.len(), 2);
         assert!(bound.atom.terms.iter().all(|t| !t.is_var()));
         assert!(bind_prepared(&stmt, "1").is_err(), "arity mismatch");
+        // An escaped quote does not end the string: its `?` stays literal text.
+        for (text, params) in [(r#"p("a\"?", Y)"#, 0), (r#"p("a\"?", ?)"#, 1)] {
+            assert_eq!(
+                prepare_statement(text).unwrap().params.len(),
+                params,
+                "{text}"
+            );
+        }
+    }
+
+    /// `REPL SUBSCRIBE` takes exactly one unsigned `<from_seq>` and at most one
+    /// unsigned `term=` and `id=`: a garbled term (the fencing input) is refused,
+    /// never read as 0.
+    #[test]
+    fn repl_subscribe_refuses_garbled_arguments() {
+        let dir = std::env::temp_dir().join(format!(
+            "factorlog_server_subscribe_{}_{}",
+            std::process::id(),
+            line!()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut engine = Engine::open_durable(&dir).unwrap();
+        engine.load_source(TC).unwrap();
+        let handle = serve(engine, "127.0.0.1:0", quick_options()).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let mut reply = |line: &str| {
+            client.send_line(line).unwrap();
+            let mut lines = vec![client.read_reply_line().unwrap()];
+            while lines.last().unwrap().starts_with("FRAME ") {
+                lines.push(client.read_reply_line().unwrap());
+            }
+            lines.pop().unwrap()
+        };
+        for line in [
+            "REPL SUBSCRIBE",
+            "REPL SUBSCRIBE x",
+            "REPL SUBSCRIBE -1",
+            "REPL SUBSCRIBE 1 term=abc",
+            "REPL SUBSCRIBE 1 term=99x id=zz",
+            "REPL SUBSCRIBE 1 term=-2",
+            "REPL SUBSCRIBE 1 term=",
+            "REPL SUBSCRIBE 1 id=7 id=8",
+            "REPL SUBSCRIBE 1 term=0 term=0",
+            "REPL SUBSCRIBE 1 2 3",
+            "REPL SUBSCRIBE 1 lease=5",
+            "REPL SUBSCRIBE term=0 id=7",
+            "REPL UNSUBSCRIBE 1",
+        ] {
+            let verdict = reply(line);
+            assert!(
+                verdict.starts_with("ERR parse: usage: REPL SUBSCRIBE"),
+                "{line} → {verdict}"
+            );
+        }
+        for line in [
+            "REPL SUBSCRIBE 1",
+            "REPL SUBSCRIBE 1 term=0 id=7",
+            "REPL SUBSCRIBE id=7 2 term=0",
+        ] {
+            let verdict = reply(line);
+            assert!(verdict.starts_with("OK frames="), "{line} → {verdict}");
+        }
+        // The line `Client::subscribe` sends parses.
+        let shipped = client.subscribe(1, 0, 7).unwrap();
+        assert!(!shipped.frames.is_empty(), "the rules' source record ships");
+        assert_eq!(shipped.term, 0);
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

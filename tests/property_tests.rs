@@ -2,6 +2,8 @@
 //! generated EDBs and, for the evaluator, over randomly generated safe programs.
 //!
 //! * semi-naive ≡ the reference evaluator, every predicate of the model;
+//! * `Database::answers` ≡ the reference's answers for random query shapes, with and
+//!   without an index on the bound columns;
 //! * every fact of the reference model has a recorded derivation tree, and each tree
 //!   is a real derivation (Definition 2.1);
 //! * rule-body order and tracing change neither the model nor the counters;
@@ -123,8 +125,51 @@ fn check_derivation(tree: &DerivationTree, program: &Program, edb: &ReferenceMod
     height
 }
 
+/// A query term from a code: a constant for 0..6 (4 and 5 are absent from
+/// [`database_answers_match_the_reference`]'s relation), else one of three variables,
+/// so shapes repeat variables and can bind every position or none.
+fn query_term(code: i64) -> Term {
+    match code {
+        0..=5 => Term::int(code),
+        _ => Term::var(["X", "Y", "Z"][(code - 6) as usize]),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The store's answers are the reference's for random ternary relations (rows
+    /// reordered by removals) and random query shapes: repeated variables, all-bound,
+    /// all-free, absent constants and wrong arities, each asked once without an index
+    /// and once with an index on exactly its bound columns.
+    #[test]
+    fn database_answers_match_the_reference(
+        rows in prop::collection::vec((0i64..4, 0i64..4, 0i64..4), 0..40),
+        removed in 0usize..8,
+        shapes in prop::collection::vec(prop::collection::vec(0i64..9, 2..5), 1..8),
+    ) {
+        let fact = |&(a, b, c): &(i64, i64, i64)| [Const::Int(a), Const::Int(b), Const::Int(c)];
+        let mut db = Database::new();
+        db.ensure_relation(Symbol::intern("r"), 3);
+        for row in &rows {
+            db.add_fact("r", &fact(row));
+        }
+        for row in rows.iter().take(removed) {
+            db.remove_fact("r", &fact(row));
+        }
+        let reference = ReferenceModel::from(&db);
+        for shape in &shapes {
+            let query = Query::new(Atom::new("r", shape.iter().map(|&code| query_term(code)).collect()));
+            let expected = reference.answers(&query);
+            prop_assert_eq!(db.answers(&query), expected.clone(), "no index: {}", query);
+            let bound: Vec<usize> = (0..shape.len()).filter(|&i| shape[i] < 6).collect();
+            let mut indexed = db.clone();
+            if shape.len() == 3 {
+                indexed.relation_mut(Symbol::intern("r")).unwrap().ensure_index(&bound);
+            }
+            prop_assert_eq!(indexed.answers(&query), expected, "indexed: {}", query);
+        }
+    }
 
     /// The trees the reference evaluator records, checked without another evaluator:
     /// every fact of the model has one, and each is a derivation of its fact.

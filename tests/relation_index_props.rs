@@ -102,8 +102,9 @@ fn scan_select(r: &Relation, pattern: &[Option<Const>]) -> Vec<RowId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `Relation::select` answers identically with and without a covering index, for
-    /// every bound-column mask and probe-value combination. The tuple domain is small
+    /// `Relation::select` answers identically with and without a covering index, and
+    /// `Relation::select_scanning` beside the index, for every bound-column mask and
+    /// probe-value combination. The tuple domain is small
     /// on purpose, so duplicate keys (multi-row buckets) occur constantly.
     #[test]
     fn indexed_select_matches_scan(
@@ -128,11 +129,15 @@ proptest! {
         unindexed.select(&pattern, &mut via_plain);
         let mut via_index = Vec::new();
         indexed.select(&pattern, &mut via_index);
+        // The scanning variant ignores the index and still agrees.
+        let mut via_scan = Vec::new();
+        indexed.select_scanning(&pattern, &mut via_scan);
 
         via_plain.sort_unstable();
         via_index.sort_unstable();
         prop_assert_eq!(&via_plain, &reference);
         prop_assert_eq!(&via_index, &reference);
+        prop_assert_eq!(&via_scan, &reference);
 
         // The raw probe API agrees too (when the mask names a nontrivial index).
         if !bound.is_empty() && bound.len() < 3 {

@@ -260,30 +260,45 @@ fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
 
     let engine =
         Engine::open_durable_with(&follower_dir, dopts(u64::MAX)).expect("follower opens durably");
-    let mut follower = Replica::from_engine(
+    let follower = serve_follower(
         engine,
         addr.as_str(),
+        "127.0.0.1:0",
+        server_opts(),
         ropts(512, Duration::from_millis(200)),
     )
-    .expect("replica wraps");
-    assert!(follower.catch_up(200).expect("catch-up"));
+    .expect("follower serves");
+    let mut client = Client::connect(follower.addr()).expect("client connects");
+    let mut rows = Vec::new();
+    for _ in 0..400 {
+        rows = client.query("t(1, Y)").expect("follower answers").rows;
+        if !rows.is_empty() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(rows, vec!["2".to_string()], "the follower caught up");
 
-    // The lease was just renewed by the catch-up: promotion must refuse.
-    let refused = follower.promote().unwrap_err().to_string();
-    assert!(refused.contains("lease"), "{refused}");
+    // The lease is renewed by every poll: promotion must refuse.
+    match client.promote() {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "lease"),
+        other => panic!("promotion during a valid lease must refuse, got {other:?}"),
+    }
     // Follower writes are refused while following.
-    let readonly = follower.insert("e", &[c(9), c(9)]).unwrap_err().to_string();
-    assert!(readonly.contains("read-only"), "{readonly}");
+    match client.txn("+e(9, 9)") {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "readonly"),
+        other => panic!("a follower must refuse TXN, got {other:?}"),
+    }
 
     // The leader dies; once the lease expires the follower takes over.
     let ex_leader = handle.shutdown().engine;
     std::thread::sleep(Duration::from_millis(300));
-    let term = follower.promote().expect("promotes after lease expiry");
+    let (role, term) = client.promote().expect("promotes after lease expiry");
     assert!(term >= 1, "promotion bumps the term, got {term}");
+    assert_eq!(role, ReplicaRole::Leader);
     assert_eq!(follower.role(), ReplicaRole::Leader);
-    assert!(follower
-        .insert("e", &[c(2), c(3)])
-        .expect("new leader writes"));
+    let wrote = client.txn("+e(2, 3)").expect("new leader writes");
+    assert_eq!(wrote.asserted, 1);
 
     // The ex-leader revives — and the promoted node's higher term fences it.
     let handle = serve(ex_leader, "127.0.0.1:0", server_opts()).expect("ex-leader revives");
@@ -299,12 +314,11 @@ fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
         other => panic!("a fenced ex-leader must refuse writes, got {other:?}"),
     }
     // …while the promoted follower keeps committing.
-    assert!(follower
-        .insert("e", &[c(3), c(4)])
-        .expect("promoted node writes"));
+    let wrote = client.txn("+e(3, 4)").expect("promoted node writes");
+    assert_eq!(wrote.asserted, 1);
 
     drop(handle.shutdown());
-    drop(follower);
+    drop(follower.shutdown());
     std::fs::remove_dir_all(&leader_dir).ok();
     std::fs::remove_dir_all(&follower_dir).ok();
 }
