@@ -75,6 +75,6 @@ pub use counting::{counting, CountingProgram};
 pub use error::{TransformError, TransformResult};
 pub use factor::{factor_magic, factor_predicate, FactoredProgram};
 pub use magic::{magic, MagicProgram};
-pub use optimize::{optimize, FactoringContext, OptimizeOptions};
+pub use optimize::{optimize, FactoringContext};
 pub use pipeline::{optimize_query, Optimized, PipelineOptions, Strategy};
 pub use reduce::{reduce, ReducedProgram};

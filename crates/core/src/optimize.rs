@@ -63,24 +63,9 @@ impl FactoringContext {
     }
 }
 
-/// Options controlling the optimizer.
-#[derive(Clone, Debug)]
-pub struct OptimizeOptions {
-    /// Apply deletion under uniform equivalence (pass 6). On by default; it is the
-    /// most expensive pass (one small fixpoint evaluation per candidate rule).
-    pub uniform_redundancy: bool,
-    /// Maximum number of whole-pipeline fixpoint iterations.
-    pub max_passes: usize,
-}
-
-impl Default for OptimizeOptions {
-    fn default() -> Self {
-        OptimizeOptions {
-            uniform_redundancy: true,
-            max_passes: 10,
-        }
-    }
-}
+/// Cap on the whole-pipeline fixpoint iterations of [`optimize`]. Every pass only
+/// deletes, so the passes reach their fixpoint long before it on the paper's programs.
+pub const MAX_PASSES: usize = 10;
 
 /// A record of the simplification steps applied, for reports and debugging.
 #[derive(Clone, Debug, Default)]
@@ -95,18 +80,18 @@ impl OptimizationTrace {
     }
 }
 
-/// Run the §5 simplifications on `program` with respect to `query`. `ctx` enables the
-/// factoring-specific literal deletions; without it only the generic rule deletions
-/// (head-in-body, duplicates, unreachable, uniform redundancy) run.
+/// Run the §5 simplifications on `program` with respect to `query`, all six passes
+/// repeated until none changes the program (at most [`MAX_PASSES`] times). `ctx`
+/// enables the factoring-specific literal deletions; without it only the generic rule
+/// deletions (head-in-body, duplicates, unreachable, uniform redundancy) run.
 pub fn optimize(
     program: &Program,
     query: &Query,
     ctx: Option<&FactoringContext>,
-    options: &OptimizeOptions,
 ) -> (Program, OptimizationTrace) {
     let mut current = program.clone();
     let mut trace = OptimizationTrace::default();
-    for _ in 0..options.max_passes {
+    for _ in 0..MAX_PASSES {
         let mut changed = false;
         changed |= delete_head_in_body(&mut current, &mut trace);
         changed |= delete_duplicate_rules(&mut current, &mut trace);
@@ -114,9 +99,7 @@ pub fn optimize(
             changed |= delete_redundant_literals(&mut current, ctx, &mut trace);
         }
         changed |= delete_unreachable(&mut current, query, &mut trace);
-        if options.uniform_redundancy {
-            changed |= delete_uniformly_redundant(&mut current, &mut trace);
-        }
+        changed |= delete_uniformly_redundant(&mut current, &mut trace);
         if !changed {
             break;
         }
@@ -349,12 +332,7 @@ mod tests {
         let magicp = magic(&adorned).unwrap();
         let factored = factor_magic(&adorned, &magicp).unwrap();
         let ctx = FactoringContext::from_factored(&factored);
-        let (optimized, trace) = optimize(
-            &factored.program,
-            &factored.query,
-            Some(&ctx),
-            &OptimizeOptions::default(),
-        );
+        let (optimized, trace) = optimize(&factored.program, &factored.query, Some(&ctx));
         let text = format!("{optimized}");
         assert_eq!(optimized.len(), 3, "final program has three rules:\n{text}");
         assert!(text.contains("m_t_bf(5)."));
@@ -378,12 +356,7 @@ mod tests {
         let magicp = magic(&adorned).unwrap();
         let factored = factor_magic(&adorned, &magicp).unwrap();
         let ctx = FactoringContext::from_factored(&factored);
-        let (optimized, _) = optimize(
-            &factored.program,
-            &factored.query,
-            Some(&ctx),
-            &OptimizeOptions::default(),
-        );
+        let (optimized, _) = optimize(&factored.program, &factored.query, Some(&ctx));
         let mut edb = factorlog_datalog::storage::Database::new();
         for (a, b) in [(5, 6), (6, 7), (7, 5), (3, 4)] {
             edb.add_fact("e", &[Const::Int(a), Const::Int(b)]);
@@ -467,7 +440,7 @@ mod tests {
         .unwrap()
         .program;
         let query = parse_query("t(1, Y)").unwrap();
-        let (optimized, _) = optimize(&program, &query, None, &OptimizeOptions::default());
+        let (optimized, _) = optimize(&program, &query, None);
         assert_eq!(optimized.len(), 2, "{optimized}");
         let mut edb = factorlog_datalog::storage::Database::new();
         for (a, b) in [(1, 2), (2, 3), (3, 4)] {
@@ -476,21 +449,5 @@ mod tests {
         let a = naive_evaluate(&program, &edb).unwrap();
         let b = evaluate_default(&optimized, &edb).unwrap();
         assert_eq!(a.answers(&query), b.answers(&query));
-    }
-
-    #[test]
-    fn uniform_redundancy_can_be_disabled() {
-        let program = parse_program(
-            "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), e(Y, Z).\nt(X, Z) :- t(X, Y), e(Y, Z).",
-        )
-        .unwrap()
-        .program;
-        let query = parse_query("t(1, Y)").unwrap();
-        let options = OptimizeOptions {
-            uniform_redundancy: false,
-            ..OptimizeOptions::default()
-        };
-        let (optimized, _) = optimize(&program, &query, None, &options);
-        assert_eq!(optimized.len(), 3, "nothing should be deleted");
     }
 }

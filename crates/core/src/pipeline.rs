@@ -36,21 +36,22 @@ use crate::conditions::{analyze, FactorabilityReport};
 use crate::error::{TransformError, TransformResult};
 use crate::factor::{factor_magic, FactoredProgram};
 use crate::magic::{magic, MagicProgram};
-use crate::optimize::{optimize, FactoringContext, OptimizationTrace, OptimizeOptions};
+use crate::optimize::{optimize, FactoringContext, OptimizationTrace};
 use crate::reduce::{reduce, ReducedProgram};
 
-/// Options for the end-to-end pipeline.
+/// Options for the end-to-end pipeline. Each one switches one stage on or off for a
+/// comparison the paper makes; the §5 simplifications always run.
 #[derive(Clone, Debug)]
 pub struct PipelineOptions {
-    /// Attempt the factoring transformation when a sufficient condition holds.
+    /// Attempt the factoring transformation when a sufficient condition holds. The
+    /// benchmark turns it off to count Magic Sets alone against the full pipeline.
     pub factor: bool,
     /// Factor even when no sufficient condition holds (used by the negative
     /// experiments; the result may be unsound, which is the point of those tests).
     pub force_factoring: bool,
-    /// Attempt static-argument reduction before adornment.
+    /// Attempt static-argument reduction before adornment. Turned off to compare
+    /// factoring without the §5 reduction pre-pass.
     pub try_reduction: bool,
-    /// Options for the §5 simplification passes.
-    pub optimize: OptimizeOptions,
 }
 
 impl Default for PipelineOptions {
@@ -59,7 +60,6 @@ impl Default for PipelineOptions {
             factor: true,
             force_factoring: false,
             try_reduction: true,
-            optimize: OptimizeOptions::default(),
         }
     }
 }
@@ -435,18 +435,13 @@ pub fn optimize_query(
         Some(f) => {
             let ctx = FactoringContext::from_factored(f);
             let (optimized, trace) = timed(&mut pass_times, "optimize", || {
-                optimize(&f.program, &f.query, Some(&ctx), &options.optimize)
+                optimize(&f.program, &f.query, Some(&ctx))
             });
             (optimized, f.query.clone(), Strategy::FactoredMagic, trace)
         }
         None => {
             let (optimized, trace) = timed(&mut pass_times, "optimize", || {
-                optimize(
-                    &magic_program.program,
-                    &adorned.query,
-                    None,
-                    &options.optimize,
-                )
+                optimize(&magic_program.program, &adorned.query, None)
             });
             (optimized, adorned.query.clone(), Strategy::MagicOnly, trace)
         }

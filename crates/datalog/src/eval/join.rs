@@ -36,19 +36,16 @@ use crate::symbol::Symbol;
 use super::stats::EvalStats;
 use super::{EvalError, LimitReason};
 
-/// Options of the semi-naive evaluator.
+/// Options of the semi-naive evaluator; each has a caller that sets it. The REPL and
+/// the server set the governance fields, `:profile` sets `trace`, and tests cap
+/// `max_iterations`. Rule bodies are always reordered at plan time (`reorder_body`:
+/// most bound positions first; a body with `succ/2` keeps its order).
 #[derive(Clone, Debug)]
 pub struct EvalOptions {
     /// Hard cap on fixpoint iterations; exceeded caps return an error so that
     /// non-terminating programs (e.g. Counting applied to a left-linear recursion,
-    /// §6.4) can be detected by tests and benchmarks instead of hanging.
+    /// §6.4) can be detected by tests instead of hanging.
     pub max_iterations: usize,
-    /// Reorder rule-body literals at plan time (greedy: most bound argument
-    /// positions first, then smallest relation at plan-resolution time) before
-    /// compiling access paths. Bodies containing the virtual `succ/2` builtin are
-    /// never reordered (its evaluability is position-dependent). Purely an
-    /// execution-order change: the set of derived facts is unaffected.
-    pub reorder_literals: bool,
     /// Collect an [`EvalProfile`](super::trace::EvalProfile) (phase spans,
     /// per-rule firing times and row counts) on the run's statistics. Off by
     /// default; when off, every instrumentation site costs one branch on a
@@ -83,7 +80,6 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             max_iterations: 1_000_000,
-            reorder_literals: true,
             trace: false,
             deadline: None,
             max_derived_facts: None,
@@ -91,18 +87,6 @@ impl Default for EvalOptions {
             cancel: None,
             fault_injector: None,
         }
-    }
-}
-
-impl EvalOptions {
-    /// Is any resource guardrail (limit, deadline, cancel token, fault
-    /// injector) armed on these options?
-    pub fn has_guardrails(&self) -> bool {
-        self.deadline.is_some()
-            || self.max_derived_facts.is_some()
-            || self.memory_budget_bytes.is_some()
-            || self.cancel.is_some()
-            || self.fault_injector.is_some()
     }
 }
 

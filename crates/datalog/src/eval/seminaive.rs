@@ -106,22 +106,21 @@ impl CompiledProgram {
     }
 
     /// The per-evaluation plan: the compiled rules, with bodies greedily reordered
-    /// against the starting database's relation sizes when
-    /// [`EvalOptions::reorder_literals`] is set (most bound argument positions first,
-    /// then smallest relation — the ROADMAP's selectivity heuristic). Reordering
+    /// against the starting database's relation sizes (most bound argument positions
+    /// first, then smallest relation — the ROADMAP's selectivity heuristic). Bodies
+    /// containing the virtual `succ/2` builtin are never reordered (its evaluability is
+    /// position-dependent), so the set of derived facts is unaffected. Reordering
     /// re-derives the affected rules' bound-position analysis and the index plan, so
     /// delta indexes always match the effective join order. The compile-time rules
     /// are borrowed unchanged when no rule moves.
-    fn plan(&self, db: &Database, options: &EvalOptions) -> EvalPlan<'_> {
+    fn plan(&self, db: &Database) -> EvalPlan<'_> {
         let mut reordered: Option<Vec<CompiledRule>> = None;
         let mut reorders = 0usize;
-        if options.reorder_literals {
-            for (i, rule) in self.program.rules.iter().enumerate() {
-                if let Some(better) = reorder_body(rule, 0, db) {
-                    let rules = reordered.get_or_insert_with(|| self.rules.clone());
-                    rules[i] = CompiledRule::compile(i, &better, &|p| self.idb.contains(&p));
-                    reorders += 1;
-                }
+        for (i, rule) in self.program.rules.iter().enumerate() {
+            if let Some(better) = reorder_body(rule, 0, db) {
+                let rules = reordered.get_or_insert_with(|| self.rules.clone());
+                rules[i] = CompiledRule::compile(i, &better, &|p| self.idb.contains(&p));
+                reorders += 1;
             }
         }
         let reordered_index_plan = reordered.as_deref().map(build_index_plan);
@@ -155,7 +154,7 @@ fn build_index_plan(rules: &[CompiledRule]) -> FxHashMap<Symbol, Vec<Vec<usize>>
 }
 
 /// A [`CompiledProgram`] specialized to one evaluation: body literals reordered by
-/// the selectivity heuristic against the starting database (when enabled), with the
+/// the selectivity heuristic against the starting database, with the
 /// matching index plan. Borrows the compile-time artifacts when nothing moved.
 struct EvalPlan<'a> {
     compiled: &'a CompiledProgram,
@@ -191,15 +190,11 @@ impl EvalPlan<'_> {
     /// superset of its source-order bindings — and such bodies are not reordered
     /// further.) A delta leads every body, so delta relations need no indexes: the
     /// plan's index plan is empty.
-    fn delta_first(&self, db: &Database, options: &EvalOptions) -> (EvalPlan<'_>, usize) {
+    fn delta_first(&self, db: &Database) -> (EvalPlan<'_>, usize) {
         let compiled = self.compiled;
         let compile = |rule_index: usize, head: &Atom, body: Vec<Atom>| {
-            let mut rule = Rule::new(head.clone(), body);
-            if options.reorder_literals {
-                if let Some(better) = reorder_body(&rule, 1, db) {
-                    rule = better;
-                }
-            }
+            let rule = Rule::new(head.clone(), body);
+            let rule = reorder_body(&rule, 1, db).unwrap_or(rule);
             CompiledRule::compile(rule_index, &rule, &|p| compiled.idb.contains(&p))
         };
         let source = &compiled.program.rules;
@@ -310,7 +305,7 @@ pub fn seminaive_evaluate_owned(
     let mut stats = stats_for_run(compiled.rules.len(), options);
     let governor = Governor::new(options);
     let plan_start = span_start(&stats);
-    let plan = compiled.plan(&db, options);
+    let plan = compiled.plan(&db);
     let arities = plan.prepare(&mut db);
     stats.literal_reorders += plan.reorders;
     let mut runtimes = plan.runtimes(&db, &mut stats);
@@ -368,12 +363,10 @@ pub fn seminaive_evaluate_owned(
 /// update, with the retracted base facts **still present** and the inserted ones
 /// not yet merged in. `removed` holds, per predicate, the base facts leaving (facts
 /// not in the model are ignored); `added` the base facts arriving (facts the model
-/// already holds after the deletions are ignored). `base` is the caller's base-fact
-/// store *after* the update, which the caller must have applied first, so that a
-/// later from-scratch evaluation agrees with the maintained model. Base facts count
-/// as support during re-derivation: an over-deleted fact of a rule-defined
-/// predicate that is also a surviving base fact (the evaluator accepts pre-loaded
-/// IDB facts) is restored even when no rule derives it.
+/// already holds after the deletions are ignored). Re-derivation counts only rules
+/// as support: an over-deleted fact of a rule-defined predicate that was inserted
+/// as a base fact stays deleted, so a caller that retracts keeps such assertions
+/// under a predicate of their own (the engine's `p__asserted`).
 ///
 /// Deletions are propagated DRed-shaped, against the pre-insert fixpoint; every
 /// phase runs through the same compiled join pipeline:
@@ -415,7 +408,6 @@ pub fn seminaive_maintain(
     model: &mut Database,
     removed: &FxHashMap<Symbol, Relation>,
     added: &FxHashMap<Symbol, Relation>,
-    base: &Database,
     options: &EvalOptions,
 ) -> Result<EvalStats, EvalError> {
     let mut stats = stats_for_run(compiled.rules.len(), options);
@@ -437,7 +429,7 @@ pub fn seminaive_maintain(
         }
     }
     let plan_start = span_start(&stats);
-    let plan = compiled.plan(model, options);
+    let plan = compiled.plan(model);
     let arities = plan.prepare(model);
     stats.literal_reorders += plan.reorders;
     let mut runtimes = plan.runtimes(model, &mut stats);
@@ -445,7 +437,7 @@ pub fn seminaive_maintain(
     // Phases 1 and 3 fire the delta-first variants of the rules; they form a plan of
     // their own, with its own runtimes.
     let delta_first = (!deleted.is_empty()).then(|| {
-        let (delta_plan, guards) = plan.delta_first(model, options);
+        let (delta_plan, guards) = plan.delta_first(model);
         delta_plan.prepare(model);
         let mut delta_runtimes = delta_plan.runtimes(model, &mut stats);
         arm_runtimes(&mut delta_runtimes, &governor);
@@ -509,24 +501,9 @@ pub fn seminaive_maintain(
         span_end(&mut stats, "delete.remove", remove_start);
 
         // Phase 3 — re-derive from the candidates: an over-deleted IDB fact with a
-        // derivation from surviving facts is restored. A surviving *base* fact is
-        // support too (pre-loaded IDB facts have no deriving rule).
+        // derivation from surviving facts is restored.
         if deleted.keys().any(|pred| compiled.idb.contains(pred)) {
             let rederive_start = span_start(&stats);
-            for (pred, candidates) in &deleted {
-                let (Some(staged), Some(base_rel)) = (seeds.get_mut(pred), base.relation(*pred))
-                else {
-                    continue;
-                };
-                if base_rel.arity() != candidates.arity() {
-                    continue;
-                }
-                for tuple in candidates.iter() {
-                    if base_rel.contains(tuple) && staged.insert(tuple) {
-                        stats.rederivations += 1;
-                    }
-                }
-            }
             let firings = delta_first_firings(
                 delta_plan.rules(),
                 guards..delta_plan.rules().len(),
@@ -1040,7 +1017,7 @@ mod tests {
         let added = facts("e", &tuples);
         let none = FxHashMap::default();
         let options = EvalOptions::default();
-        let stats = seminaive_maintain(&compiled, &mut model, &none, &added, &edb, &options);
+        let stats = seminaive_maintain(&compiled, &mut model, &none, &added, &options);
         (model, stats.unwrap())
     }
 
@@ -1108,7 +1085,6 @@ mod tests {
             &mut model,
             &FxHashMap::default(),
             &added,
-            &edb,
             &options,
         )
         .unwrap();
@@ -1133,8 +1109,7 @@ mod tests {
         let mut model = Database::new();
         let added = facts("counter", &[&[c(0)]]);
         let none = FxHashMap::default();
-        let base = model.clone();
-        let err = seminaive_maintain(&compiled, &mut model, &none, &added, &base, &options);
+        let err = seminaive_maintain(&compiled, &mut model, &none, &added, &options);
         let err = err.unwrap_err();
         assert!(matches!(err, EvalError::IterationLimit { limit: 20 }));
     }
@@ -1201,28 +1176,6 @@ mod tests {
     }
 
     #[test]
-    fn reordering_can_be_disabled() {
-        let program = tc_program();
-        let on = EvalOptions::default();
-        let off = EvalOptions {
-            reorder_literals: false,
-            ..EvalOptions::default()
-        };
-        let with = seminaive_evaluate(&program, &chain_edb(12), &on).unwrap();
-        let without = seminaive_evaluate(&program, &chain_edb(12), &off).unwrap();
-        assert!(with.stats.literal_reorders > 0);
-        assert_eq!(without.stats.literal_reorders, 0);
-        // Same model either way (conjunction is commutative).
-        let t = Symbol::intern("t");
-        assert_eq!(
-            with.database.relation(t).unwrap().to_sorted_vec(),
-            without.database.relation(t).unwrap().to_sorted_vec()
-        );
-        // Same inference count too: reordering moves work, it does not add any.
-        assert_eq!(with.stats.inferences, without.stats.inferences);
-    }
-
-    #[test]
     fn reordering_never_changes_builtin_rule_answers() {
         // Regression: `p(M) :- succ(N, M), counter(N).` derives nothing in source
         // order (succ is unbound when reached). The reorder heuristic must not
@@ -1230,14 +1183,8 @@ mod tests {
         let program = parse_program("p(M) :- succ(N, M), counter(N).\ncounter(1).")
             .unwrap()
             .program;
-        let on = EvalOptions::default();
-        let off = EvalOptions {
-            reorder_literals: false,
-            ..EvalOptions::default()
-        };
-        let with = seminaive_evaluate(&program, &Database::new(), &on).unwrap();
-        let without = seminaive_evaluate(&program, &Database::new(), &off).unwrap();
-        assert_eq!(with.database.count("p"), without.database.count("p"));
+        let with = seminaive_evaluate(&program, &Database::new(), &EvalOptions::default()).unwrap();
+        assert_eq!(with.database.count("p"), 0, "the source-order model");
         assert_eq!(
             with.stats.literal_reorders, 0,
             "builtin bodies never reorder"
@@ -1262,7 +1209,7 @@ mod tests {
         }
         let removed = facts("e", &tuples);
         let none = FxHashMap::default();
-        let stats = seminaive_maintain(&compiled, &mut model, &removed, &none, &edb, options);
+        let stats = seminaive_maintain(&compiled, &mut model, &removed, &none, options);
         let stats = stats.unwrap();
         (model, stats, naive_evaluate(program, &edb).unwrap())
     }
@@ -1318,47 +1265,6 @@ mod tests {
     }
 
     #[test]
-    fn retract_keeps_preloaded_idb_base_facts() {
-        // Regression: the evaluator accepts pre-loaded IDB facts (round 0 derives
-        // their consequences), so a base fact of a rule-defined predicate must count
-        // as support during re-derivation — retracting e(1, 2) over-deletes t(1, 2)
-        // AND the independently asserted t(3, 4), and only the former may stay gone.
-        let program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).")
-            .unwrap()
-            .program;
-        let mut edb = Database::new();
-        edb.add_fact("e", &[c(1), c(2)]);
-        edb.add_fact("e", &[c(0), c(1)]);
-        // t(1, 2) is BOTH derivable (via e(1, 2)) and a pre-loaded base fact: after
-        // the retraction its only remaining support is the base fact itself.
-        edb.add_fact("t", &[c(1), c(2)]);
-        let options = EvalOptions::default();
-        let compiled = CompiledProgram::compile(&program).unwrap();
-        let mut model = seminaive_evaluate(&program, &edb, &options)
-            .unwrap()
-            .database;
-        edb.remove_fact("e", &[c(1), c(2)]);
-        let removed = facts("e", &[&[c(1), c(2)]]);
-        let none = FxHashMap::default();
-        let stats = seminaive_maintain(&compiled, &mut model, &removed, &none, &edb, &options);
-        let stats = stats.unwrap();
-        assert_eq!(
-            ReferenceModel::from(&model),
-            naive_evaluate(&program, &edb).unwrap()
-        );
-        let t = model.relation(Symbol::intern("t")).unwrap();
-        assert!(
-            t.contains(&[c(1), c(2)]),
-            "base support keeps t(1, 2) alive"
-        );
-        assert!(
-            t.contains(&[c(0), c(2)]),
-            "the consequence t(0, 2) = e(0, 1) ∘ t(1, 2) is restored downstream"
-        );
-        assert!(stats.rederivations > 0, "restored from base support");
-    }
-
-    #[test]
     fn retract_of_absent_or_no_op_facts_is_empty() {
         let program = tc_program();
         let (model, stats, scratch) =
@@ -1386,7 +1292,7 @@ mod tests {
         edb.add_fact("e", &[c(9), c(9)]);
         let removed = facts("e", &[&[c(4), c(5)]]);
         let added = facts("e", &[&[c(4), c(6)], &[c(9), c(9)]]);
-        let stats = seminaive_maintain(&compiled, &mut model, &removed, &added, &edb, &options);
+        let stats = seminaive_maintain(&compiled, &mut model, &removed, &added, &options);
         let stats = stats.unwrap();
         assert_eq!(
             ReferenceModel::from(&model),
@@ -1583,7 +1489,7 @@ mod tests {
             edb.remove_fact("e", &[c(0), c(1)]);
             let removed = facts("e", &[&[c(0), c(1)]]);
             let none = FxHashMap::default();
-            let err = seminaive_maintain(&compiled, &mut model, &removed, &none, &edb, &options);
+            let err = seminaive_maintain(&compiled, &mut model, &removed, &none, &options);
             let err = err.unwrap_err();
             assert!(
                 matches!(err, EvalError::Injected { site: s } if s == site),

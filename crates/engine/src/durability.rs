@@ -77,11 +77,13 @@ pub struct DurabilityOptions {
     /// compaction step). On: a commit that returns is on stable storage — the
     /// crash guarantee this subsystem exists for. Off: commits are buffered by the
     /// OS (a machine crash may lose the newest ones; a mere process crash cannot),
-    /// which is only appropriate for bulk loads and benchmarks.
+    /// which is only appropriate for bulk loads and benchmarks. Crash harnesses
+    /// turn it off to run hundreds of commits in bounded time.
     pub fsync: bool,
     /// Log size (bytes) past which the next commit compacts: rewrites the
     /// image atomically and resets the log. `u64::MAX` disables automatic
-    /// compaction (explicit [`Engine::compact`] still works).
+    /// compaction (explicit [`Engine::compact`] still works). Tests shrink it
+    /// to reach compaction within a few commits, or disable it to keep one log.
     pub compact_threshold: u64,
 }
 
@@ -419,7 +421,7 @@ impl Engine {
         }
         self.contained(|engine| {
             engine.chaos_hit(FaultSite::Compaction)?;
-            let start = engine.tracing.then(std::time::Instant::now);
+            let start = engine.tracing().then(std::time::Instant::now);
             let log_bytes_before = engine.wal_len().expect("checked durable above");
             let snapshot_seq = engine.wal_last_seq().expect("checked durable above");
             engine.wal_persist_image(&engine.image(snapshot_seq))?;
@@ -504,6 +506,7 @@ impl Engine {
         }
         self.contained(|engine| {
             engine.chaos_hit(FaultSite::WalAppend)?;
+            let tracing = engine.tracing();
             let dur = engine.durability.as_mut().expect("checked durable above");
             if dur.writer.is_poisoned() {
                 // A writer poisoned by an earlier mid-commit failure behaves like
@@ -520,7 +523,7 @@ impl Engine {
                 record.set_seq(seq);
                 seq += 1;
             }
-            let start = engine.tracing.then(std::time::Instant::now);
+            let start = tracing.then(std::time::Instant::now);
             dur.writer.append_all(records)?;
             dur.next_seq = seq;
             let fsync_ns = dur.writer.last_fsync_ns();

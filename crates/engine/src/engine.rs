@@ -451,13 +451,10 @@ pub struct Engine {
     /// The durable half of the session (transaction log + data directory), when
     /// opened via [`Engine::open_durable`]. `None` = plain in-memory session.
     pub(crate) durability: Option<crate::durability::Durability>,
-    /// Is the observability layer collecting? Every engine span site is a
-    /// single branch on this flag (eval-side sites branch on the equally cheap
-    /// `EvalOptions::trace` / profile option).
-    pub(crate) tracing: bool,
-    /// Engine-level metrics (latency histograms, subsystem spans). Allocated on
-    /// the first [`Engine::set_tracing`]`(true)` and retained when tracing is
-    /// later disabled, so collected data stays inspectable.
+    /// Engine-level metrics (latency histograms, subsystem spans). Allocated
+    /// when tracing is first switched on (`EvalOptions::trace`, the session's one
+    /// tracing flag) and retained when it is later switched off, so collected
+    /// data stays inspectable.
     pub(crate) metrics: Option<Box<crate::metrics::EngineMetrics>>,
 }
 
@@ -500,6 +497,7 @@ impl Engine {
     /// and prepared-plan replays) — they round-trip through the engine rather than being
     /// per-call.
     pub fn with_options(options: EvalOptions) -> Engine {
+        let metrics = options.trace.then(Box::default);
         Engine {
             program: Program::new(),
             idb: BTreeSet::new(),
@@ -512,8 +510,7 @@ impl Engine {
             options,
             stats: EvalStats::default(),
             durability: None,
-            tracing: false,
-            metrics: None,
+            metrics,
         }
     }
 
@@ -522,13 +519,13 @@ impl Engine {
         &self.options
     }
 
-    /// Replace the session's evaluation options. All caches and the materialized
-    /// model are invalidated, so the next query evaluates under the new options
-    /// from scratch.
+    /// Replace the session's evaluation options (its tracing switch included). All
+    /// caches and the materialized model are invalidated, so the next query
+    /// evaluates under the new options from scratch.
     pub fn set_options(&mut self, options: EvalOptions) {
+        let trace = options.trace;
         self.options = options;
-        // The session's tracing switch owns the eval-side trace flag.
-        self.options.trace = self.tracing;
+        self.set_tracing(trace);
         self.invalidate();
     }
 
@@ -562,14 +559,17 @@ impl Engine {
             .clone()
     }
 
-    /// Install `token` as the session's cancellation token, returning the one it
-    /// replaces; nothing is invalidated. A server serves the engine under a token
-    /// of its own this way, and puts the caller's back when it hands the engine back.
-    pub(crate) fn replace_cancel_token(
-        &mut self,
-        token: Option<CancelToken>,
-    ) -> Option<CancelToken> {
-        std::mem::replace(&mut self.options.cancel, token)
+    /// Adopt `from`'s guardrails (deadline, derived-fact cap, memory budget) and
+    /// cancellation token; nothing is invalidated. A server serves the engine under
+    /// its request deadline and a token of its own this way, and puts the caller's
+    /// back when it hands the engine back.
+    pub(crate) fn set_limits_from(&mut self, from: &EvalOptions) {
+        self.set_limits(
+            from.deadline,
+            from.max_derived_facts,
+            from.memory_budget_bytes,
+        );
+        self.options.cancel = from.cancel.clone();
     }
 
     /// Arm (or disarm) the chaos-test fault injector threaded through every
@@ -609,7 +609,7 @@ impl Engine {
     /// Is the observability layer (span timers, latency histograms, per-rule
     /// profiles) collecting?
     pub fn tracing(&self) -> bool {
-        self.tracing
+        self.options.trace
     }
 
     /// Enable or disable tracing. Like [`Engine::set_limits`] this invalidates
@@ -618,7 +618,6 @@ impl Engine {
     /// so far ([`Engine::metrics`] and the profile on [`Engine::stats`] stay
     /// inspectable); [`Engine::reset_stats`] clears the eval-side profile.
     pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
         self.options.trace = on;
         if on && self.metrics.is_none() {
             self.metrics = Some(Box::default());
@@ -659,7 +658,7 @@ impl Engine {
             metrics,
             &self.stats,
             &self.program,
-            self.tracing,
+            self.tracing(),
             replication,
             server,
         )
@@ -1138,8 +1137,7 @@ impl Engine {
             }
             let compiled = engine.compiled.as_ref().expect("compiled above");
             let model = engine.model.as_mut().expect("checked above");
-            let (base, options) = (&engine.edb, &engine.options);
-            let stats = seminaive_maintain(compiled, model, &removed, &added, base, options)?;
+            let stats = seminaive_maintain(compiled, model, &removed, &added, &engine.options)?;
             engine.stats.merge(&stats);
             Ok(())
         })
@@ -1359,7 +1357,7 @@ impl Engine {
     /// (projected onto the query's free positions, sorted), materializing it first
     /// when there is none.
     pub fn query(&mut self, query: &Query) -> Result<Vec<Vec<Const>>, EngineError> {
-        let start = self.tracing.then(std::time::Instant::now);
+        let start = self.tracing().then(std::time::Instant::now);
         self.contained(Engine::refresh)?;
         let answers = self
             .model
@@ -1384,7 +1382,7 @@ impl Engine {
     /// Look up (or build) the prepared plan for `query`'s (predicate, shape),
     /// recording a cache hit or miss in the session statistics.
     fn prepared_plan(&mut self, query: &Query) -> Result<(PreparedPlan, Strategy), EngineError> {
-        let start = self.tracing.then(std::time::Instant::now);
+        let start = self.tracing().then(std::time::Instant::now);
         let result = self.prepared_plan_inner(query);
         if let (Some(start), Some(metrics)) = (start, self.metrics.as_deref_mut()) {
             metrics.prepared_lookup.record(start.elapsed());
@@ -1418,7 +1416,7 @@ impl Engine {
         // least-recently-used plan when the cache is full.
         self.stats.record_plan_lookup(false);
         let optimized = optimize_query(&self.program, query, &PipelineOptions::default())?;
-        if self.tracing {
+        if self.tracing() {
             if let Some(metrics) = self.metrics.as_deref_mut() {
                 metrics.absorb_pass_times(&optimized.pass_times);
             }
@@ -1469,7 +1467,7 @@ impl Engine {
     /// compiled plan over the current facts. Same answer contract as
     /// [`Engine::query`].
     pub fn query_prepared(&mut self, query: &Query) -> Result<Vec<Vec<Const>>, EngineError> {
-        let start = self.tracing.then(std::time::Instant::now);
+        let start = self.tracing().then(std::time::Instant::now);
         let (plan, _) = self.prepared_plan(query)?;
         let result = self.contained(|engine| {
             let result = plan.evaluate(&engine.edb, &engine.options)?;
@@ -1854,6 +1852,28 @@ mod tests {
         assert_eq!(engine.options().max_iterations, 123);
         assert!(!engine.is_materialized());
         assert_eq!(engine.query(&query).unwrap().len(), 3);
+    }
+
+    /// `EvalOptions::trace` is the session's one tracing switch: a session built
+    /// or reconfigured with it on traces, and there is no second flag for
+    /// `with_options` to leave disagreeing with it.
+    #[test]
+    fn the_trace_option_is_the_tracing_switch() {
+        let traced = EvalOptions {
+            trace: true,
+            ..EvalOptions::default()
+        };
+        let engine = Engine::with_options(traced.clone());
+        assert!(engine.tracing() && engine.metrics().is_some());
+        let mut engine = tc_engine(3);
+        engine.set_options(traced);
+        assert!(engine.tracing() && engine.metrics().is_some());
+        engine.set_tracing(false);
+        assert!(!engine.options().trace);
+        assert!(
+            engine.metrics().is_some(),
+            "collected data stays inspectable"
+        );
     }
 
     #[test]

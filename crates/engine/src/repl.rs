@@ -1063,6 +1063,53 @@ mod tests {
         std::fs::remove_dir_all(&base).ok();
     }
 
+    /// Regression (`:serve` and then `:detach` once turned `facts 5000, mem 1000000
+    /// byte(s)` into `time 5000ms, facts 5000`: the served engine ran with no
+    /// memory budget, and the server's request deadline stayed behind): a served
+    /// engine keeps the session's budget, and `:serve` and `:follow` both hand the
+    /// session's own limits back.
+    #[test]
+    fn serve_and_follow_hand_the_sessions_limits_back() {
+        let mut repl = Repl::new();
+        output(&mut repl, "t(X, Y) :- e(X, Y).");
+        output(&mut repl, ":limit mem 1000000");
+        let limits = output(&mut repl, ":limit facts 5000");
+        assert_eq!(limits, "limits: facts 5000, mem 1000000 byte(s)");
+        output(&mut repl, ":serve 127.0.0.1:0");
+        let acked = output(&mut repl, ":insert e(1, 2).");
+        assert!(acked.contains("1 asserted"), "{acked}");
+        output(&mut repl, ":detach");
+        assert_eq!(output(&mut repl, ":limit"), limits);
+
+        // The budget is in force while the engine is served.
+        output(&mut repl, ":limit mem 1");
+        output(&mut repl, ":serve 127.0.0.1:0");
+        let refused = output(&mut repl, ":insert e(2, 3).");
+        assert!(refused.contains("server (limit)"), "{refused}");
+        output(&mut repl, ":detach");
+        assert_eq!(
+            output(&mut repl, ":limit"),
+            "limits: facts 5000, mem 1 byte(s)"
+        );
+
+        let base = fresh_temp_dir("follow_limits");
+        let (mut leader, addr) = served_leader(&base.join("leader"));
+        let mut follower = Repl::new();
+        output(
+            &mut follower,
+            &format!(":open {}", base.join("follower").display()),
+        );
+        output(&mut follower, ":limit time 60000");
+        let followed = output(&mut follower, &format!(":follow {addr}"));
+        assert!(followed.contains("following"), "{followed}");
+        output(&mut follower, ":detach");
+        assert_eq!(output(&mut follower, ":limit"), "limits: time 60000ms");
+
+        output(&mut leader, ":detach");
+        drop((follower, leader));
+        std::fs::remove_dir_all(&base).ok();
+    }
+
     /// Regression (the parent promoted here, and both nodes then committed): a
     /// following session idle for two lease timeouts beside a live leader is
     /// still refused promotion, because the served follower renews the lease on

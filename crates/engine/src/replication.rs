@@ -142,17 +142,17 @@ impl From<&ReplicaRole> for Reading<'_> {
     }
 }
 
-/// Tuning knobs of a follower.
+/// Tuning knobs of a follower (how many frames one poll ships is the leader's call).
 #[derive(Clone, Debug)]
 pub struct ReplicationOptions {
-    /// How often the follower polls the leader for new frames.
+    /// How often the follower polls the leader for new frames. The benchmark
+    /// polls every millisecond to time catch-up.
     pub poll_interval: Duration,
     /// How long after the last successful leader contact the leader's lease is
     /// considered expired (promotion is refused before that — the leader may
-    /// merely be slow, and two live leaders would fork the history).
+    /// merely be slow, and two live leaders would fork the history). Set by
+    /// `factorlog serve --lease-ms`.
     pub lease_timeout: Duration,
-    /// Most frames one poll will request (the leader may cap lower).
-    pub batch_frames: usize,
 }
 
 impl Default for ReplicationOptions {
@@ -160,7 +160,6 @@ impl Default for ReplicationOptions {
         ReplicationOptions {
             poll_interval: Duration::from_millis(20),
             lease_timeout: Duration::from_millis(750),
-            batch_frames: 512,
         }
     }
 }

@@ -12,9 +12,9 @@
 //!                    │   and answer without touching the engine)  │   on the full model)
 //!                    └────────────────▲───────────────────────────┘
 //!                                     │ publish after each group
-//!   reactor ───────▶ bounded queue ──▶ writer thread (owns Engine)
-//!     TXN             (try_send;        · group = what queued during the last
-//!                      Full = shed)       commit (+ who was in it: group_wait)
+//!   reactor ───────▶ commit queue ───▶ writer thread (owns Engine)
+//!     TXN             (bounded by       · group = what queued during the last
+//!                      admission)         commit (+ who was in it: group_wait)
 //!                                       · Engine::commit_group → ONE fsync,
 //!                                         ONE maintenance pass
 //!                                       · refresh + publish the next view,
@@ -62,9 +62,12 @@
 //!   epoch it reports always equals a committed prefix of the transaction
 //!   stream.
 //! * **Admission control sheds, never queues unboundedly.** A request beyond
-//!   `max_in_flight` (or a transaction finding the commit queue full) is
-//!   rejected immediately with `ERR overloaded: … retry after N ms` — the
-//!   client backs off and retries ([`Client::txn_with_retry`]).
+//!   `max_in_flight` is rejected immediately with `ERR overloaded: … retry
+//!   after N ms` — the client backs off and retries
+//!   ([`Client::txn_with_retry`]). Admission is also the commit queue's only
+//!   bound: a transaction takes its slot before it is queued and releases it
+//!   only once its outcome is delivered, so the queue never holds more than
+//!   `max_in_flight` transactions.
 //! * **Committed or structured error.** Every transaction either reports
 //!   `OK … epoch=E` (durable on the log before the reply is sent) or a
 //!   structured `ERR`; a connection killed mid-request loses only its reply,
@@ -86,7 +89,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use factorlog_datalog::ast::{Const, Query, Term};
-use factorlog_datalog::eval::{wire_value, EvalError, LimitReason};
+use factorlog_datalog::eval::{wire_value, EvalError, EvalOptions, LimitReason};
 use factorlog_datalog::fault::CancelToken;
 use factorlog_datalog::parser::parse_query;
 use factorlog_datalog::storage::Database;
@@ -166,29 +169,27 @@ const REPL_BATCH_FRAMES: usize = 512;
 /// leader's lag accounting (they are likely gone, not lagging).
 const FOLLOWER_PRUNE: Duration = Duration::from_secs(60);
 
+/// The `retry after` hint a shed request carries.
+const RETRY_AFTER: Duration = Duration::from_millis(25);
+
 /// Tuning knobs of a served engine.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
     /// Requests allowed in service at once (readers and writers together).
-    /// The one past the cap is shed with `ERR overloaded`, never queued.
+    /// The one past the cap is shed with `ERR overloaded`, never queued. This is
+    /// also the commit queue's only bound. Set by `factorlog serve --max-in-flight`.
     pub max_in_flight: usize,
-    /// Bound of the commit pipeline between the reactor and the writer;
-    /// a transaction finding it full is shed with `ERR overloaded`.
-    pub write_queue_depth: usize,
-    /// Per-request wall-clock deadline: applied to the writer's evaluations
-    /// (via the engine governor) and to reader-side row streaming. `None`
-    /// disables it.
+    /// Per-request wall-clock deadline: replaces the served engine's own (which
+    /// keeps its fact cap and memory budget) while it serves, and bounds reader-side
+    /// row streaming. `None` disables it. Set by `factorlog serve --deadline-ms`.
     pub request_deadline: Option<Duration>,
-    /// Memory budget for the writer's evaluations (see
-    /// [`EvalOptions::memory_budget_bytes`](factorlog_datalog::eval::EvalOptions)).
-    pub memory_budget_bytes: Option<usize>,
-    /// The `retry after` hint shed requests carry.
-    pub retry_after: Duration,
     /// The longest a group waits for a submitter that was in flight one group ago
     /// and has not arrived yet (one deadline per group); nobody else is waited for.
+    /// Tests widen it to form a known group in bounded time.
     pub group_window: Duration,
     /// How long [`ServerHandle::shutdown`] waits for in-flight requests before
-    /// cancelling the stragglers.
+    /// cancelling the stragglers. Tests shorten it to reach the cancellation in
+    /// bounded time.
     pub drain_timeout: Duration,
 }
 
@@ -196,10 +197,7 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             max_in_flight: 64,
-            write_queue_depth: 64,
             request_deadline: Some(Duration::from_secs(5)),
-            memory_budget_bytes: None,
-            retry_after: Duration::from_millis(25),
             group_window: Duration::from_millis(1),
             drain_timeout: Duration::from_secs(5),
         }
@@ -454,8 +452,9 @@ impl Shared {
 /// What [`ServerHandle::shutdown`] did, with the engine handed back.
 pub struct ShutdownReport {
     /// The engine, drained and WAL-flushed, ready for further single-owner use
-    /// (or to be dropped, releasing the data-directory lock), with the
-    /// cancellation token it was served with back in place.
+    /// (or to be dropped, releasing the data-directory lock), with the limits
+    /// (deadline, derived-fact cap, memory budget) and cancellation token it was
+    /// served with back in place.
     pub engine: Engine,
     /// Epoch at shutdown: committed transaction batches over the server's life.
     pub epoch: u64,
@@ -473,12 +472,13 @@ pub struct ShutdownReport {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    write_tx: mpsc::SyncSender<WriteReq>,
+    write_tx: mpsc::Sender<WriteReq>,
     completions: Arc<Completions>,
     reactor_thread: Option<JoinHandle<bool>>,
     writer_thread: Option<JoinHandle<Engine>>,
-    /// The token the caller's engine carried, restored by [`ServerHandle::shutdown`].
-    caller_cancel: Option<CancelToken>,
+    /// The caller's engine options, whose limits and token
+    /// [`ServerHandle::shutdown`] restores.
+    caller: EvalOptions,
 }
 
 impl ServerHandle {
@@ -527,7 +527,7 @@ impl ServerHandle {
     /// Gracefully shut down: stop admitting (new requests get `ERR shutdown`),
     /// drain in-flight requests for up to `drain_timeout`, cancel stragglers
     /// via the served engine's own [`CancelToken`], flush the WAL, and return
-    /// the engine with the caller's token back in place.
+    /// the engine with the caller's limits and token back in place.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shared.stopping.store(true, Ordering::Release);
         // The reactor owns the drain: it wakes on the pipe, stops accepting,
@@ -552,9 +552,9 @@ impl ServerHandle {
             .join()
             .expect("writer thread never panics (engine-contained)");
         // The drain cancelled the server's own token, never the caller's: the
-        // returned engine is immediately reusable, and answers to its owner's
-        // Ctrl-C again.
-        engine.replace_cancel_token(self.caller_cancel.take());
+        // returned engine is immediately reusable, answers to its owner's Ctrl-C
+        // again, and runs under its owner's limits.
+        engine.set_limits_from(&self.caller);
         engine.sync_wal().ok();
         ShutdownReport {
             engine,
@@ -567,8 +567,8 @@ impl ServerHandle {
 }
 
 /// [`serve`] failed before any thread started: the engine comes back unchanged
-/// (its cancellation token included) so a front end (e.g. the REPL's `:serve`)
-/// does not lose session state to a typo'd address.
+/// (its limits and cancellation token included) so a front end (e.g. the REPL's
+/// `:serve`) does not lose session state to a typo'd address.
 pub struct ServeError {
     /// The engine, exactly as it was passed in.
     pub engine: Box<Engine>,
@@ -619,12 +619,11 @@ pub(crate) fn serve_inner(
     options: ServerOptions,
     follow: Option<FollowerConfig>,
 ) -> Result<ServerHandle, ServeError> {
-    // The served engine gets a token of its own: the drain cancels stragglers
-    // through it, while the caller's (a REPL's Ctrl-C handler holds a clone)
-    // must not reach an engine it no longer owns.
-    let caller_cancel = engine.options().cancel.clone();
+    // What the caller's engine runs under comes back with it, on failure here or
+    // at shutdown.
+    let caller = engine.options().clone();
     let fail = |mut engine: Engine, error: EngineError| {
-        engine.replace_cancel_token(caller_cancel.clone());
+        engine.set_limits_from(&caller);
         ServeError {
             engine: Box::new(engine),
             error,
@@ -663,14 +662,17 @@ pub(crate) fn serve_inner(
         }
     };
 
-    // Per-request governance rides on the engine's own governor.
-    engine.set_limits(
-        options.request_deadline,
-        engine.options().max_derived_facts,
-        options.memory_budget_bytes,
-    );
+    // Per-request governance rides on the engine's own governor: the request
+    // deadline replaces the session's, whose fact cap and memory budget stay in
+    // force. The served engine gets a token of its own: the drain cancels
+    // stragglers through it, while the caller's (a REPL's Ctrl-C handler holds a
+    // clone) must not reach an engine it no longer owns.
     let cancel = CancelToken::new();
-    engine.replace_cancel_token(Some(cancel.clone()));
+    engine.set_limits_from(&EvalOptions {
+        deadline: options.request_deadline,
+        cancel: Some(cancel.clone()),
+        ..caller.clone()
+    });
 
     // The initial view: epoch 0 is the committed prefix "everything recovered
     // or loaded before serving".
@@ -737,7 +739,8 @@ pub(crate) fn serve_inner(
         }
     };
 
-    let (write_tx, write_rx) = mpsc::sync_channel::<WriteReq>(options.write_queue_depth);
+    // Unbounded: admission bounds the queue (see the module docs).
+    let (write_tx, write_rx) = mpsc::channel::<WriteReq>();
 
     // Both threads meet the caller here first thing: a thread carries its name only
     // once it runs, and callers place threads by name right after `serve` returns.
@@ -777,7 +780,7 @@ pub(crate) fn serve_inner(
         completions,
         reactor_thread: Some(reactor_thread),
         writer_thread: Some(writer_thread),
-        caller_cancel,
+        caller,
     })
 }
 
@@ -1095,7 +1098,7 @@ impl ReplyCache {
 struct Reactor {
     listener: TcpListener,
     shared: Arc<Shared>,
-    write_tx: mpsc::SyncSender<WriteReq>,
+    write_tx: mpsc::Sender<WriteReq>,
     completions: Arc<Completions>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
@@ -1113,7 +1116,7 @@ impl Reactor {
     fn new(
         listener: TcpListener,
         shared: Arc<Shared>,
-        write_tx: mpsc::SyncSender<WriteReq>,
+        write_tx: mpsc::Sender<WriteReq>,
         completions: Arc<Completions>,
     ) -> Reactor {
         Reactor {
@@ -1398,7 +1401,7 @@ impl Reactor {
             // Manual slot accounting (not the RAII guard): the slot must stay
             // held across `serve_cached`, which releases it.
             if !shared.try_acquire_slot() {
-                let _ = respond_overloaded(&mut conn.outbuf, &shared);
+                let _ = respond_overloaded(&mut conn.outbuf);
                 return;
             }
             let text = rest.trim().trim_end_matches('.');
@@ -1502,7 +1505,7 @@ impl Reactor {
         };
         if !shared.try_acquire_slot() {
             if let Some(conn) = self.conns.get_mut(&conn_id) {
-                let _ = respond_overloaded(&mut conn.outbuf, shared);
+                let _ = respond_overloaded(&mut conn.outbuf);
             }
             return;
         }
@@ -1552,7 +1555,7 @@ impl Reactor {
             }
         };
         if !shared.try_acquire_slot() {
-            let _ = respond_overloaded(&mut conn.outbuf, shared);
+            let _ = respond_overloaded(&mut conn.outbuf);
             return;
         }
         let req = WriteReq {
@@ -1563,23 +1566,12 @@ impl Reactor {
                 sent: false,
             },
         };
-        // A full queue is overload, not a reason to block the reactor. The
-        // refused ticket's Drop would release the slot via a completion; do it
-        // directly so the shed is synchronous like every other shed.
-        match self.write_tx.try_send(req) {
+        // A writer gone is shutdown. The refused ticket's Drop would release the
+        // slot via a completion; do it directly so the refusal is synchronous.
+        match self.write_tx.send(req) {
             Ok(()) => conn.awaiting_txn = true,
-            Err(e) => {
-                let req = match e {
-                    mpsc::TrySendError::Full(req) => {
-                        let _ = respond_overloaded(&mut conn.outbuf, shared);
-                        req
-                    }
-                    mpsc::TrySendError::Disconnected(req) => {
-                        let _ =
-                            respond_err(&mut conn.outbuf, "shutdown", "server is shutting down");
-                        req
-                    }
-                };
+            Err(mpsc::SendError(req)) => {
+                let _ = respond_err(&mut conn.outbuf, "shutdown", "server is shutting down");
                 let mut ticket = req.reply;
                 ticket.sent = true; // suppress the Drop completion
                 drop(ticket);
@@ -2032,38 +2024,19 @@ fn prepare_statement(text: &str) -> Result<PreparedStmt, String> {
     let src = text.trim().trim_end_matches('.').to_string();
     let mut rewritten = String::with_capacity(src.len() + 16);
     let mut names: Vec<String> = Vec::new();
-    let mut in_string = false;
-    let mut chars = src.chars();
-    while let Some(ch) = chars.next() {
-        if in_string {
-            rewritten.push(ch);
-            // A string runs to the next unescaped `"`; an escape (`\"`, `\\`,
-            // `\n`) is copied whole, so its second character never ends it.
-            match ch {
-                '\\' => rewritten.extend(chars.next()),
-                '"' => in_string = false,
-                _ => {}
+    for (i, piece) in split_outside_strings(&src, '?').into_iter().enumerate() {
+        if i > 0 {
+            // `_Param` prefix: uppercase-or-underscore start makes it a
+            // variable; distinct from the parser's `_anon` names, and
+            // suffixed past any collision with the query's own text.
+            let mut name = format!("_Param{}", names.len());
+            while src.contains(&name) {
+                name.push('_');
             }
-            continue;
+            rewritten.push_str(&name);
+            names.push(name);
         }
-        match ch {
-            '"' => {
-                in_string = true;
-                rewritten.push(ch);
-            }
-            '?' => {
-                // `_Param` prefix: uppercase-or-underscore start makes it a
-                // variable; distinct from the parser's `_anon` names, and
-                // suffixed past any collision with the query's own text.
-                let mut name = format!("_Param{}", names.len());
-                while src.contains(&name) {
-                    name.push('_');
-                }
-                rewritten.push_str(&name);
-                names.push(name);
-            }
-            _ => rewritten.push(ch),
-        }
+        rewritten.push_str(piece);
     }
     // Zero-placeholder statements are legal: EXEC then behaves like a cached,
     // re-parse-free QUERY.
@@ -2083,6 +2056,30 @@ fn prepare_statement(text: &str) -> Result<PreparedStmt, String> {
         return Err("placeholders are only supported in term positions".to_string());
     }
     Ok(PreparedStmt { src, query, params })
+}
+
+/// Split `text` at every `sep` that lies outside a string literal. A string runs
+/// to the next unescaped `"`; an escape the lexer knows (`\"`, `\\`, `\n`) is
+/// skipped whole, so its second character neither ends the string nor splits.
+fn split_outside_strings(text: &str, sep: char) -> Vec<&str> {
+    let mut pieces = Vec::new();
+    let (mut start, mut in_string) = (0, false);
+    let mut chars = text.char_indices();
+    while let Some((i, ch)) = chars.next() {
+        match ch {
+            '\\' if in_string => {
+                chars.next();
+            }
+            '"' => in_string = !in_string,
+            _ if ch == sep && !in_string => {
+                pieces.push(&text[start..i]);
+                start = i + ch.len_utf8();
+            }
+            _ => {}
+        }
+    }
+    pieces.push(&text[start..]);
+    pieces
 }
 
 /// Bind `EXEC` arguments into a prepared statement, yielding a ground-where-
@@ -2121,23 +2118,25 @@ fn bind_prepared(stmt: &PreparedStmt, args: &str) -> Result<Query, String> {
     Ok(query)
 }
 
-/// Parse `+p(1, 2); -q(foo)` into transaction ops. Every atom must be ground.
+/// Parse `+p(1, 2); -q(foo)` into transaction ops, split at the `;`s outside string
+/// literals. Every atom must be ground.
 fn parse_txn_ops(spec: &str) -> Result<Vec<Op>, String> {
     let mut ops = Vec::new();
-    for part in spec.split(';') {
+    for part in split_outside_strings(spec, ';') {
         let part = part.trim();
         if part.is_empty() {
             continue;
         }
-        let (op, atom_text) = match part.split_at(1) {
-            ("+", rest) => (WalOp::Assert, rest.trim().trim_end_matches('.')),
-            ("-", rest) => (WalOp::Retract, rest.trim().trim_end_matches('.')),
-            _ => {
-                return Err(format!(
-                    "transaction op `{part}` must start with `+` (assert) or `-` (retract)"
-                ))
-            }
+        let (op, rest) = if let Some(rest) = part.strip_prefix('+') {
+            (WalOp::Assert, rest)
+        } else if let Some(rest) = part.strip_prefix('-') {
+            (WalOp::Retract, rest)
+        } else {
+            return Err(format!(
+                "transaction op `{part}` must start with `+` (assert) or `-` (retract)"
+            ));
         };
+        let atom_text = rest.trim().trim_end_matches('.');
         let atom = parse_query(atom_text)
             .map_err(|e| format!("bad atom in `{part}`: {e}"))?
             .atom;
@@ -2152,13 +2151,13 @@ fn parse_txn_ops(spec: &str) -> Result<Vec<Op>, String> {
     Ok(ops)
 }
 
-fn respond_overloaded(out: &mut impl Write, shared: &Shared) -> std::io::Result<()> {
+fn respond_overloaded(out: &mut impl Write) -> std::io::Result<()> {
     respond_err(
         out,
         "overloaded",
         &format!(
             "server at capacity; retry after {} ms",
-            shared.options.retry_after.as_millis()
+            RETRY_AFTER.as_millis()
         ),
     )
 }
@@ -2531,6 +2530,7 @@ impl Client {
 mod tests {
     use super::*;
     use factorlog_datalog::parser::parse_query as pq;
+    use factorlog_datalog::Symbol;
 
     const TC: &str = "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).";
 
@@ -2881,6 +2881,83 @@ mod tests {
         assert!(parse_txn_ops("e(1, 2)").is_err());
         assert!(parse_txn_ops("+e(X, 2)").is_err(), "non-ground atom");
         assert!(parse_txn_ops("+e(1, ").is_err());
+    }
+
+    /// Ops split at the `;`s outside string literals (escapes included), and the
+    /// sign comes off whatever the op's first character is.
+    #[test]
+    fn parse_txn_ops_table() {
+        let sym = |name: &str| Const::Sym(Symbol::intern(name));
+        let label = |text: &str| (WalOp::Assert, Symbol::intern("label"), vec![sym(text)]);
+        let edge = |op, a, b| (op, Symbol::intern("e"), vec![Const::Int(a), Const::Int(b)]);
+        let ok: Vec<(&str, Vec<Op>)> = vec![
+            (
+                "+e(1, 2); -e(2, 1);",
+                vec![edge(WalOp::Assert, 1, 2), edge(WalOp::Retract, 2, 1)],
+            ),
+            ("+e(1, 2).", vec![edge(WalOp::Assert, 1, 2)]),
+            (r#"+label("a;b")"#, vec![label("a;b")]),
+            (
+                r#"+label("a\";b"); -e(1, 2)"#,
+                vec![label("a\";b"), edge(WalOp::Retract, 1, 2)],
+            ),
+            (
+                r#"+label("a\\"); -e(1, 2)"#,
+                vec![label("a\\"), edge(WalOp::Retract, 1, 2)],
+            ),
+            (r#"+label("é;\n")"#, vec![label("é;\n")]),
+        ];
+        for (spec, expected) in ok {
+            assert_eq!(parse_txn_ops(spec), Ok(expected), "{spec}");
+        }
+        let refused = [
+            ("é", "must start with `+`"),
+            ("ée(1, 2)", "must start with `+`"),
+            ("e(1, 2)", "must start with `+`"),
+            ("\0", "must start with `+`"),
+            ("+", "bad atom"),
+            ("-(", "bad atom"),
+            ("+e(1, \0)", "bad atom"),
+            (r#"+label("a;b"#, "bad atom"),
+            ("+e(X, 2)", "must be ground"),
+            ("", "empty transaction"),
+            (" ; ;", "empty transaction"),
+        ];
+        for (spec, reason) in refused {
+            let err = parse_txn_ops(spec).unwrap_err();
+            assert!(err.contains(reason), "{spec:?} → {err}");
+        }
+    }
+
+    /// Regression (`TXN é` once panicked the reactor on a byte slice through a
+    /// multi-byte character, and every later connect was refused; a `;` inside a
+    /// string split the op): a garbled op is one `ERR parse`, the server keeps
+    /// answering, and a quoted `;` is data.
+    #[test]
+    fn txn_with_a_multibyte_sign_or_a_quoted_semicolon() {
+        let handle = serve(tc_engine(1), "127.0.0.1:0", quick_options()).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        // Every reply line up to and including the verdict.
+        let mut reply = |line: &str| {
+            client.send_line(line).unwrap();
+            let mut lines = vec![client.read_reply_line().unwrap()];
+            while !lines.last().unwrap().starts_with("OK") && !lines[0].starts_with("ERR") {
+                lines.push(client.read_reply_line().unwrap());
+            }
+            lines.join("\n")
+        };
+        let verdict = reply("TXN é");
+        assert!(verdict.starts_with("ERR parse:"), "{verdict}");
+        assert_eq!(reply("PING"), "OK pong");
+        let verdict = reply(r#"TXN +label("a;b")"#);
+        assert!(verdict.starts_with("OK asserted=1"), "{verdict}");
+        let rows = reply(r#"QUERY label("a;b")"#);
+        assert!(rows.ends_with("OK rows=1 epoch=1"), "{rows}");
+        drop(client);
+        let mut fresh = Client::connect(handle.addr()).expect("the listener still accepts");
+        fresh.send_line("PING").unwrap();
+        assert_eq!(fresh.read_reply_line().unwrap(), "OK pong");
+        handle.shutdown();
     }
 
     #[test]

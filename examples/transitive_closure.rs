@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example transitive_closure`
 
-use factorlog::core::optimize::{optimize, FactoringContext, OptimizeOptions};
+use factorlog::core::optimize::{optimize, FactoringContext};
 use factorlog::prelude::*;
 use factorlog::workloads::{graphs, programs};
 
@@ -38,12 +38,7 @@ fn main() {
 
     // Stage 5: the §5 optimizations (Example 5.3's final unary program).
     let ctx = FactoringContext::from_factored(&factored);
-    let (final_program, trace) = optimize(
-        &factored.program,
-        &factored.query,
-        Some(&ctx),
-        &OptimizeOptions::default(),
-    );
+    let (final_program, trace) = optimize(&factored.program, &factored.query, Some(&ctx));
     println!("== final program (Example 5.3) ==\n{final_program}");
     println!("final query: {}\n", factored.query);
     println!("simplifications applied:");

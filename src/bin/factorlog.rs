@@ -447,7 +447,6 @@ fn run_serve(options: &ServeCliOptions) -> Result<(), String> {
     let mut server_options = ServerOptions::default();
     if let Some(n) = options.max_in_flight {
         server_options.max_in_flight = n;
-        server_options.write_queue_depth = n.max(1);
     }
     if let Some(ms) = options.deadline_ms {
         server_options.request_deadline = Some(std::time::Duration::from_millis(ms));

@@ -52,7 +52,7 @@ pub mod prelude {
     };
     pub use factorlog_core::{
         adorn, analyze, classify, counting, factor_magic, magic, optimize, reduce,
-        FactoringContext, OptimizeOptions, TransformError,
+        FactoringContext, TransformError,
     };
     pub use factorlog_datalog::ast::{Atom, Const, Program, Query, Rule, Term};
     pub use factorlog_datalog::eval::{

@@ -3,7 +3,7 @@
 //! checked both textually (program shape) and semantically (answer equality across all
 //! stages on several EDBs).
 
-use factorlog::core::optimize::{optimize, FactoringContext, OptimizeOptions};
+use factorlog::core::optimize::{optimize, FactoringContext};
 use factorlog::prelude::*;
 use factorlog::workloads::{graphs, programs};
 
@@ -14,12 +14,7 @@ fn stage_programs() -> (Program, Query, Program, Query, Program, Query, Program)
     let magicp = magic(&adorned).unwrap();
     let factored = factor_magic(&adorned, &magicp).unwrap();
     let ctx = FactoringContext::from_factored(&factored);
-    let (optimized, _) = optimize(
-        &factored.program,
-        &factored.query,
-        Some(&ctx),
-        &OptimizeOptions::default(),
-    );
+    let (optimized, _) = optimize(&factored.program, &factored.query, Some(&ctx));
     (
         program,
         query,

@@ -14,7 +14,7 @@
 //! * conjunctive-query containment is sound with respect to evaluation.
 
 use factorlog::core::equivalence::{random_edb, EdbSpec};
-use factorlog::core::optimize::{optimize, OptimizeOptions};
+use factorlog::core::optimize::optimize;
 use factorlog::core::pipeline::Strategy as PipelineStrategy;
 use factorlog::datalog::cq::ConjunctiveQuery;
 use factorlog::datalog::derivation::DerivationTree;
@@ -212,7 +212,7 @@ proptest! {
 
     /// Ordering invariance: reversing every rule body changes neither the computed
     /// model (sorted comparison — execution order legitimately differs) nor the
-    /// inference count, with the reorder heuristic on or off.
+    /// inference count.
     #[test]
     fn body_order_never_changes_the_model(edge_list in edges(10, 40), prog_idx in 0usize..4) {
         let program = parse_program(EVAL_PROGRAMS[prog_idx]).unwrap().program;
@@ -222,16 +222,11 @@ proptest! {
         }
         let db = edge_and_f_db(&edge_list);
         let mut results = Vec::new();
-        for reorder_literals in [true, false] {
-            let opts = EvalOptions { reorder_literals, ..EvalOptions::default() };
-            for p in [&program, &reversed] {
-                let result = seminaive_evaluate(p, &db, &opts).unwrap();
-                results.push((model_of(&result.database, true), result.stats.inferences));
-            }
+        for p in [&program, &reversed] {
+            let result = seminaive_evaluate(p, &db, &EvalOptions::default()).unwrap();
+            results.push((model_of(&result.database, true), result.stats.inferences));
         }
-        for other in &results[1..] {
-            prop_assert_eq!(other, &results[0], "all orders and both heuristic settings agree");
-        }
+        prop_assert_eq!(&results[1], &results[0], "both body orders agree");
     }
 
     /// Tracing observes the evaluation without steering it: same model in the same
@@ -291,7 +286,7 @@ proptest! {
         let query = parse_query(&format!("t({start}, Y)")).unwrap();
         let adorned = adorn(&program, &query).unwrap();
         let magicp = magic(&adorned).unwrap();
-        let (optimized, _) = optimize(&magicp.program, &adorned.query, None, &OptimizeOptions::default());
+        let (optimized, _) = optimize(&magicp.program, &adorned.query, None);
         let edb = edge_db(&edge_list);
         let expected = naive_evaluate(&magicp.program, &edb).unwrap().answers(&adorned.query);
         let got = evaluate_default(&optimized, &edb).unwrap().answers(&adorned.query);

@@ -56,13 +56,11 @@ fn dopts(compact_threshold: u64) -> DurabilityOptions {
     }
 }
 
-/// Fast-polling replication options with a bounded frame batch, so follower
-/// kills between `sync_once` calls land at arbitrary frame boundaries.
-fn ropts(batch_frames: usize, lease: Duration) -> ReplicationOptions {
+/// Fast-polling replication options with the given lease.
+fn ropts(lease: Duration) -> ReplicationOptions {
     ReplicationOptions {
         poll_interval: Duration::from_millis(5),
         lease_timeout: lease,
-        batch_frames,
     }
 }
 
@@ -79,9 +77,9 @@ fn fact_set(engine: &Engine) -> BTreeSet<String> {
     set
 }
 
-fn open_follower(dir: &PathBuf, leader: &str, batch: usize) -> Replica {
+fn open_follower(dir: &PathBuf, leader: &str) -> Replica {
     let engine = Engine::open_durable_with(dir, dopts(u64::MAX)).expect("follower opens durably");
-    Replica::from_engine(engine, leader, ropts(batch, Duration::from_secs(3600)))
+    Replica::from_engine(engine, leader, ropts(Duration::from_secs(3600)))
         .expect("durable engine wraps as a replica")
 }
 
@@ -98,7 +96,6 @@ proptest! {
     #[test]
     fn followers_converge_under_kills_churn_and_compaction(
         phases in proptest::collection::vec((1usize..6, 0u64..4), 3..7),
-        batch in 1usize..5,
     ) {
         let leader_dir = fresh_dir("lead");
         let f1_dir = fresh_dir("f1");
@@ -116,8 +113,8 @@ proptest! {
         let addr = handle.addr();
         let leader = addr.to_string();
 
-        let mut f1 = open_follower(&f1_dir, &leader, batch);
-        let mut f2 = open_follower(&f2_dir, &leader, batch);
+        let mut f1 = open_follower(&f1_dir, &leader);
+        let mut f2 = open_follower(&f2_dir, &leader);
 
         let mut next_edge = 0i64;
         for &(txns, action) in &phases {
@@ -134,7 +131,7 @@ proptest! {
             // the scripted fault.
             let _ = f2.sync_once().expect("steady follower syncs");
             match action {
-                // Partial catch-up: apply at most one bounded batch.
+                // Partial catch-up: apply at most one poll's frames.
                 0 => {
                     let _ = f1.sync_once().expect("follower syncs");
                 }
@@ -145,7 +142,7 @@ proptest! {
                 2 => {
                     let _ = f1.sync_once().expect("follower syncs");
                     drop(f1);
-                    f1 = open_follower(&f1_dir, &leader, batch);
+                    f1 = open_follower(&f1_dir, &leader);
                 }
                 // Leader killed and revived on the same address: followers
                 // reconnect and resume from their last applied seq.
@@ -211,7 +208,7 @@ fn a_lagging_follower_bootstraps_past_a_compacted_log() {
 
     let mut writer = Client::connect(handle.addr()).expect("writer connects");
     writer.txn("+e(0, 1)").expect("first txn");
-    let mut follower = open_follower(&follower_dir, &addr, 512);
+    let mut follower = open_follower(&follower_dir, &addr);
     assert!(follower.catch_up(200).expect("initial catch-up"));
     follower.disconnect();
 
@@ -265,7 +262,7 @@ fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
         addr.as_str(),
         "127.0.0.1:0",
         server_opts(),
-        ropts(512, Duration::from_millis(200)),
+        ropts(Duration::from_millis(200)),
     )
     .expect("follower serves");
     let mut client = Client::connect(follower.addr()).expect("client connects");
@@ -346,7 +343,7 @@ fn a_served_follower_promotes_over_the_wire_and_resumes_writes() {
         leader.addr().to_string(),
         "127.0.0.1:0",
         server_opts(),
-        ropts(512, Duration::from_millis(250)),
+        ropts(Duration::from_millis(250)),
     )
     .expect("follower serves");
     let mut client = Client::connect(follower.addr()).expect("client connects");

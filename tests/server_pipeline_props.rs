@@ -9,6 +9,10 @@
 //! this PR's first commit fixed in the old polling loop), and reordering or
 //! dropping replies when several complete requests are drained from one read.
 //!
+//! Garbled argument lines — a non-ASCII first byte, a NUL, invalid UTF-8 —
+//! after every verb each get exactly one verdict, and the server keeps
+//! answering.
+//!
 //! Also here: the `STATS` reply's wire contract (every declared field round-trips,
 //! unknown pairs are skipped, a missing one is an error that names it), and the
 //! reactor's scalability contract — hundreds of idle connections cost pollfd
@@ -182,6 +186,74 @@ proptest! {
 /// group-commit pipeline while the queries are answered inline. The reactor
 /// must pause draining behind the in-flight transaction, not run the later
 /// queries early (they must see the committed write).
+/// Every verb of the protocol (`TXN` also with each sign), `QUIT` included: with
+/// an argument it is not a `QUIT`.
+const VERBS: &[&str] = &[
+    "QUERY",
+    "PREPARE",
+    "EXEC",
+    "TXN",
+    "TXN +",
+    "TXN -",
+    "EPOCH",
+    "STATS",
+    "PING",
+    "REPL SUBSCRIBE",
+    "PROMOTE",
+    "QUIT",
+];
+
+/// Argument heads no well-formed client sends: a non-ASCII first character, a
+/// NUL, and invalid UTF-8 (a lone continuation byte, a truncated sequence, bytes
+/// no UTF-8 text holds).
+const GARBLED: &[&[u8]] = &[
+    "é".as_bytes(),
+    "é(1)".as_bytes(),
+    b"\0",
+    b"\0(1)",
+    b"\x80",
+    b"\xE2\x82",
+    b"\xFF\xFE(1)",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Each garbled argument line after each verb, followed by arbitrary bytes,
+    /// gets exactly one verdict: the `PING` behind it is answered by the very
+    /// next line. The connection and the listener both outlive the lot.
+    #[test]
+    fn garbled_argument_lines_get_exactly_one_verdict(
+        tail in proptest::collection::vec(0u64..256, 0..8),
+    ) {
+        let handle = serve(tc_engine(3), "127.0.0.1:0", server_opts()).expect("serve");
+        let addr = handle.addr();
+        let (mut stream, mut reader) = connect(addr);
+        let tail: Vec<u8> = tail.iter().map(|&b| b as u8).filter(|&b| b != b'\n').collect();
+        for verb in VERBS {
+            for head in GARBLED {
+                let mut line = format!("{verb} ").into_bytes();
+                line.extend_from_slice(head);
+                line.extend_from_slice(&tail);
+                line.extend_from_slice(b"\nPING\n");
+                stream.write_all(&line).expect("request writes");
+                let verdict = read_one_reply(&mut reader);
+                prop_assert_eq!(
+                    read_one_reply(&mut reader),
+                    vec!["OK pong".to_string()],
+                    "{} {:?} answered {:?}", verb, head, verdict
+                );
+            }
+        }
+        let (mut fresh, mut fresh_reader) = connect(addr);
+        prop_assert_eq!(
+            reply_of(&mut fresh, &mut fresh_reader, "PING"),
+            vec!["OK pong".to_string()]
+        );
+        handle.shutdown();
+    }
+}
+
 #[test]
 fn pipelined_txn_then_query_replies_in_request_order() {
     let handle = serve(tc_engine(3), "127.0.0.1:0", server_opts()).expect("serve");
