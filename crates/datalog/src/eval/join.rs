@@ -876,15 +876,17 @@ impl CompiledRule {
         };
         let first = value_of(&literal.slots[0], &scratch.env);
         let second = value_of(&literal.slots[1], &scratch.env);
-        let pair: Option<(Const, Const)> = match (first, second) {
-            (Some(Const::Int(x)), _) => Some((Const::Int(x), Const::Int(x + 1))),
-            (None, Some(Const::Int(y))) => Some((Const::Int(y - 1), Const::Int(y))),
-            _ => None, // unbound or non-integer: no matches
+        // Unbound, non-integer, or a successor past an `i64` bound: no matches.
+        let pair: Option<(i64, i64)> = match (first, second) {
+            (Some(Const::Int(x)), _) => x.checked_add(1).map(|y| (x, y)),
+            (None, Some(Const::Int(y))) => y.checked_sub(1).map(|x| (x, y)),
+            _ => None,
         };
         let Some((x, y)) = pair else { return };
         // Check/bind both positions against (x, y) as if it were the only matching
         // row of a virtual relation — the one place the binding protocol lives.
-        self.bind_and_descend(ctx, depth, &[x, y], scratch, emit, count);
+        let row = [Const::Int(x), Const::Int(y)];
+        self.bind_and_descend(ctx, depth, &row, scratch, emit, count);
     }
 }
 
@@ -1119,6 +1121,41 @@ mod tests {
         let mut results = Vec::new();
         let fired = compiled.fire(&db, None, &mut |t| results.push(t.to_vec()));
         assert_eq!(fired, 1, "only succ(1,2) holds");
+    }
+
+    /// Regression (`x + 1` and `y - 1` used to be unchecked: a debug build
+    /// panicked, a release build wrapped to the other bound): a successor past
+    /// an `i64` bound does not exist, in either binding direction.
+    #[test]
+    fn succ_builtin_matches_nothing_past_the_i64_bounds() {
+        let fire = |rule: &str, facts: &[(&str, i64)]| {
+            let compiled = compile(rule);
+            let mut db = Database::new();
+            for &(predicate, value) in facts {
+                db.add_fact(predicate, &[c(value)]);
+            }
+            let mut results = Vec::new();
+            compiled.fire(&db, None, &mut |t| results.push(t.to_vec()));
+            results
+        };
+        let forward = "next(Y) :- start(X), succ(X, Y).";
+        let backward = "prev(X) :- end(Y), succ(X, Y).";
+        assert!(fire(forward, &[("start", i64::MAX)]).is_empty());
+        assert!(fire(backward, &[("end", i64::MIN)]).is_empty());
+        // One step inside each bound still matches.
+        assert_eq!(
+            fire(forward, &[("start", i64::MAX - 1)]),
+            vec![vec![c(i64::MAX)]]
+        );
+        assert_eq!(
+            fire(backward, &[("end", i64::MIN + 1)]),
+            vec![vec![c(i64::MIN)]]
+        );
+        // Both bound: the pair across the bound is not a successor pair.
+        let checked = "ok :- a(X), b(Y), succ(X, Y).";
+        assert!(fire(checked, &[("a", i64::MAX), ("b", i64::MIN)]).is_empty());
+        let ok = fire(checked, &[("a", i64::MAX - 1), ("b", i64::MAX)]);
+        assert_eq!(ok.len(), 1);
     }
 
     #[test]

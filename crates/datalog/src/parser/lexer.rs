@@ -229,7 +229,9 @@ pub fn tokenize(input: &str) -> ParseResult<Vec<SpannedToken>> {
                         return Err(ParseError::new(position, "expected digits after `-`"));
                     }
                 }
-                let mut digits = String::new();
+                // Sign and digits parse together: `-9223372036854775808` is
+                // `i64::MIN`, whose magnitude alone is out of range.
+                let mut digits = String::from(if negative { "-" } else { "" });
                 while let Some(&d) = chars.peek() {
                     if d.is_ascii_digit() {
                         digits.push(d);
@@ -243,7 +245,7 @@ pub fn tokenize(input: &str) -> ParseResult<Vec<SpannedToken>> {
                     ParseError::new(position, format!("integer literal `{digits}` out of range"))
                 })?;
                 tokens.push(SpannedToken {
-                    token: Token::Integer(if negative { -value } else { value }),
+                    token: Token::Integer(value),
                     position,
                 });
             }
@@ -334,6 +336,20 @@ mod tests {
                 Token::Eof,
             ]
         );
+    }
+
+    /// Regression (the digits used to parse before the sign, so `i64::MIN`,
+    /// which `Const::Int` prints as exactly this text, did not read back).
+    #[test]
+    fn integer_literals_reach_both_i64_bounds() {
+        for value in [i64::MIN, i64::MAX] {
+            let text = format!("p({value}).");
+            assert_eq!(kinds(&text)[2], Token::Integer(value), "{text}");
+        }
+        for text in ["p(-9223372036854775809).", "p(9223372036854775808)."] {
+            let err = tokenize(text).unwrap_err();
+            assert!(err.message.contains("out of range"), "{text}: {err}");
+        }
     }
 
     #[test]

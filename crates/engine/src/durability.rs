@@ -253,9 +253,9 @@ impl From<WalError> for EngineError {
 /// The refusal of a data directory whose image is not one intact image record.
 fn refuse_image(path: &Path, error: impl std::fmt::Display) -> EngineError {
     EngineError::Durability(format!(
-        "refusing {}: {error}; the directory is left as it is (a text snapshot \
-         from an older build is carried over with `:save` on that build, then \
-         `:open` of a new directory and `:load` on this one)",
+        "refusing {}: {error}; the directory is left as it is (to carry over a \
+         directory an older build wrote, `:save` it on that build, then `:load` \
+         the saved file into a freshly `:open`ed directory on this one)",
         path.display()
     ))
 }
@@ -438,10 +438,10 @@ impl Engine {
         })
     }
 
-    /// Steps 1–2 of a compaction (and of a durable restore or a follower's
-    /// bootstrap): stage `image`, which includes every record logged so far,
-    /// through a log writer beside the live one and atomically rename it into
-    /// place (write tmp → fsync → rename → dir fsync); the fault sites
+    /// Steps 1–2 of a compaction (and of a follower's bootstrap): stage
+    /// `image`, which includes every record logged so far, through a log writer
+    /// beside the live one and atomically rename it into place (write tmp →
+    /// fsync → rename → dir fsync); the fault sites
     /// `CompactionAfterTempWrite` and `CompactionAfterRename` stop it between the
     /// steps as a crash would. On error nothing recovery depends on has changed
     /// (a leftover tmp file is removed by the next open); after the rename the
@@ -463,21 +463,6 @@ impl Engine {
         })?;
         sync_dir(&dur.dir);
         self.chaos_hit(FaultSite::CompactionAfterRename)
-    }
-
-    /// Make `image` — a state that replaces the session's, from a durable
-    /// [`Engine::restore`] or a shipped image — the directory's: persist it,
-    /// continue numbering after it, and reset the log (best-effort: once the
-    /// rename lands, every record of the old log is stale). Called *before*
-    /// the state is installed in memory, so an error here leaves memory and
-    /// disk agreeing on the old state.
-    pub(crate) fn wal_replace_image(&mut self, image: &WalRecord) -> Result<(), EngineError> {
-        self.wal_persist_image(image)?;
-        let dur = self.durability.as_mut().expect("caller checked durable");
-        dur.next_seq = image.seq() + 1;
-        self.wal_reset().ok();
-        self.stats.wal_compactions += 1;
-        Ok(())
     }
 
     /// Step 3: reset the log to a fresh header. On failure the old writer stays:
@@ -563,11 +548,12 @@ impl Engine {
     /// mirrors the leader's — under one fsync, then replayed like recovered
     /// ones, then the compaction threshold is checked once (the
     /// [commit protocol](crate::engine#the-commit-protocol) with the shipped
-    /// batch as the group). An image at or past this session's position (the
-    /// leader compacted past it) replaces everything before it: it becomes this
-    /// session's own image, the log resets, and the position becomes the
-    /// image's. At-most-once: records at sequences already applied, older
-    /// images included, are skipped silently (poll redelivery); a sequence
+    /// batch as the group). An image past this session's position (the leader
+    /// compacted past it, so its log no longer reaches back here) replaces
+    /// everything before it: it becomes this session's own image, the log
+    /// resets, and the position becomes the image's. At-most-once: records at
+    /// sequences already applied, images included, are skipped silently (poll
+    /// redelivery); a sequence
     /// *gap* is an error, raised after the contiguous records before it are
     /// applied, because applying past it would silently diverge from the
     /// leader. Returns how many records were newly applied. Errors when the
@@ -584,15 +570,23 @@ impl Engine {
         };
         let mut expected = dur.next_seq;
         let mut applied = 0;
-        let installs = |record: &WalRecord| match record {
-            WalRecord::Image { seq, .. } => *seq >= expected - 1,
-            _ => false,
-        };
+        let installs =
+            |record: &WalRecord| matches!(record, WalRecord::Image { seq, .. } if *seq >= expected);
         if let Some(at) = records.iter().rposition(installs) {
             records.drain(..at);
             let image = records.remove(0);
+            // Persist the image before installing it, so that an error leaves
+            // memory and disk agreeing on the old state; then continue the
+            // numbering after it and reset the log (best-effort: once the
+            // rename lands, every record of the old log is stale).
+            self.wal_persist_image(&image)?;
             expected = image.seq() + 1;
-            self.wal_replace_image(&image)?;
+            self.durability
+                .as_mut()
+                .expect("checked durable above")
+                .next_seq = expected;
+            self.wal_reset().ok();
+            self.stats.wal_compactions += 1;
             self.replay(vec![image])?;
             applied += 1;
         }
@@ -1011,7 +1005,7 @@ pub(crate) mod tests {
         let cases = [
             (
                 "a text snapshot, as older builds wrote it",
-                engine.snapshot().to_string().into_bytes(),
+                engine.snapshot().into_bytes(),
             ),
             ("one flipped byte", flipped),
             ("a truncated file", image[..image.len() - 3].to_vec()),
@@ -1099,27 +1093,6 @@ pub(crate) mod tests {
         assert!(!engine.insert("t", &[c(9), c(10)]).unwrap());
         assert_eq!(engine.wal_len().unwrap(), len);
         assert_eq!(engine.stats().wal_appends, appends);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn restore_on_a_durable_session_persists_the_new_image() {
-        let dir = fresh_dir("restore");
-        let query = parse_query("t(0, Y)").unwrap();
-        let mut other = Engine::new();
-        other.load_source(TC).unwrap();
-        other.insert("e", &[c(0), c(7)]).unwrap();
-        let snapshot = other.snapshot();
-
-        let mut engine = Engine::open_durable(&dir).unwrap();
-        engine.load_source("junk(1).").unwrap();
-        engine.restore(&snapshot).unwrap();
-        assert_eq!(engine.query(&query).unwrap(), vec![vec![c(7)]]);
-        drop(engine);
-
-        let mut reopened = Engine::open_durable(&dir).unwrap();
-        assert_eq!(reopened.query(&query).unwrap(), vec![vec![c(7)]]);
-        assert_eq!(reopened.facts().count("junk"), 0, "old state replaced");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,9 +15,9 @@
 //!   query_prepared ──────▶ prepared-plan cache keyed by (predicate, query shape):
 //!                            · hit  → replay the cached CompiledProgram
 //!                            · miss → reduce→adorn→magic→factor→optimize, cache plan
-//!   snapshot/restore ────▶ export/import program + edb as (versioned) Datalog text;
-//!                          restore wipes the session and reloads it (a durable
-//!                          session persists the result as its binary image)
+//!   snapshot ────────────▶ export program + edb as Datalog source, which any
+//!                          session absorbs through load (rules it already
+//!                          holds and facts already present are no-ops)
 //! ```
 //!
 //! All evaluation statistics are merged into one cumulative per-session
@@ -101,9 +101,8 @@ pub enum EngineError {
     },
     /// An inserted atom contains variables.
     NonGroundFact(String),
-    /// A snapshot file or string is not in the expected format.
-    Snapshot(String),
-    /// An I/O failure while saving or loading a snapshot.
+    /// An I/O failure outside the transaction log (a data directory's files,
+    /// a server socket).
     Io(String),
     /// A durability failure: the transaction log could not be written or the
     /// data directory could not be recovered/compacted.
@@ -136,7 +135,6 @@ impl fmt::Display for EngineError {
             EngineError::NonGroundFact(atom) => {
                 write!(f, "cannot insert non-ground atom {atom} as a fact")
             }
-            EngineError::Snapshot(message) => write!(f, "invalid snapshot: {message}"),
             EngineError::Io(message) => write!(f, "{message}"),
             EngineError::Durability(message) => write!(f, "durability: {message}"),
             EngineError::Locked { dir, pid } => write!(
@@ -173,7 +171,8 @@ impl From<TransformError> for EngineError {
 /// What [`Engine::load_source`] did.
 #[derive(Clone, Debug, Default)]
 pub struct LoadSummary {
-    /// Rules added to the registered program.
+    /// Rules added to the registered program (a rule it already held is not
+    /// added again).
     pub rules_added: usize,
     /// Facts inserted (new tuples only).
     pub facts_added: usize,
@@ -289,105 +288,6 @@ impl Txn<'_> {
     pub fn commit(self) -> Result<TxnSummary, EngineError> {
         self.engine.commit_one(&self.ops, OnLog::No)
     }
-}
-
-/// The version header identifying a session snapshot. It is a Datalog line comment,
-/// so every snapshot is also a loadable Datalog source file.
-pub const SNAPSHOT_HEADER: &str = "% factorlog snapshot v1";
-
-/// The version-independent prefix of every snapshot header: used to *sniff* that a
-/// text is some snapshot (possibly from a newer build) before checking whether this
-/// build can read it — an unknown version must fail loudly, never parse as plain
-/// Datalog source.
-pub const SNAPSHOT_HEADER_PREFIX: &str = "% factorlog snapshot";
-
-/// A serialized session image: the registered program plus every base fact, as
-/// versioned Datalog text (rules and facts round-trip through the regular parser).
-///
-/// Produced by [`Engine::snapshot`]; consumed by [`Engine::restore`] /
-/// [`Engine::from_snapshot`]. The materialized model and prepared plans are
-/// deliberately *not* serialized — they are caches, rebuilt on demand
-/// after a restore (the first query re-materializes; prepared shapes re-compile on
-/// first use and are cached again from then on).
-///
-/// Symbolic constants that are not plain identifiers are written as quoted strings;
-/// symbols containing `"` or a newline cannot be represented by the surface syntax
-/// and fail to round-trip (construct such facts programmatically and they are on
-/// you).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Snapshot {
-    text: String,
-}
-
-impl Snapshot {
-    /// The snapshot as Datalog text (header comment included).
-    pub fn as_str(&self) -> &str {
-        &self.text
-    }
-
-    /// Wrap existing snapshot text, validating the version header: a missing
-    /// header is rejected, and so — explicitly — is a snapshot version this build
-    /// does not read (rather than falling back to parsing it as plain source).
-    pub fn from_text(text: &str) -> Result<Snapshot, EngineError> {
-        let Some(header) = text.lines().find(|line| !line.trim().is_empty()) else {
-            return Err(EngineError::Snapshot(format!(
-                "empty text (missing `{SNAPSHOT_HEADER}` header)"
-            )));
-        };
-        let header = header.trim();
-        if header != SNAPSHOT_HEADER {
-            return Err(if header.starts_with(SNAPSHOT_HEADER_PREFIX) {
-                EngineError::Snapshot(format!(
-                    "unsupported snapshot version `{header}` (this build reads `{SNAPSHOT_HEADER}`)"
-                ))
-            } else {
-                EngineError::Snapshot(format!("missing `{SNAPSHOT_HEADER}` header"))
-            });
-        }
-        Ok(Snapshot {
-            text: text.to_string(),
-        })
-    }
-
-    /// Write the snapshot to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), EngineError> {
-        let path = path.as_ref();
-        std::fs::write(path, &self.text)
-            .map_err(|e| EngineError::Io(format!("cannot write {}: {e}", path.display())))
-    }
-
-    /// Read a snapshot from a file (validating the version header). A missing or
-    /// empty file is a clean [`EngineError`] naming the path, never a raw
-    /// io/parse error.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Snapshot, EngineError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| EngineError::Io(format!("cannot read {}: {e}", path.display())))?;
-        if text.trim().is_empty() {
-            return Err(EngineError::Snapshot(format!(
-                "snapshot file {} is empty",
-                path.display()
-            )));
-        }
-        Snapshot::from_text(&text)
-    }
-}
-
-impl fmt::Display for Snapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.text)
-    }
-}
-
-/// Does `text` begin with a snapshot header of *any* version (allowing leading
-/// blank lines)? Used by front ends to tell a snapshot from ordinary Datalog
-/// source; version support is then checked by [`Snapshot::from_text`], so an
-/// unknown-version snapshot routes to an explicit error instead of being absorbed
-/// as source.
-pub fn is_snapshot_text(text: &str) -> bool {
-    text.lines()
-        .find(|line| !line.trim().is_empty())
-        .is_some_and(|line| line.trim().starts_with(SNAPSHOT_HEADER_PREFIX))
 }
 
 /// Render a caught panic payload: the common `&str`/`String` payloads verbatim,
@@ -718,7 +618,11 @@ impl Engine {
     /// Facts previously inserted under a predicate that now *becomes* IDB migrate to
     /// its assertion relation (see [`Engine::insert`]) so the rewrite pipeline keeps
     /// seeing a purely rule-defined predicate.
+    ///
+    /// A rule the program already holds is a no-op: registering nothing new
+    /// logs nothing and keeps the model and the plans.
     pub fn add_rules(&mut self, rules: Program) -> Result<(), EngineError> {
+        let rules = self.new_rules(rules);
         if rules.is_empty() {
             return Ok(());
         }
@@ -728,7 +632,18 @@ impl Engine {
         self.wal_maybe_compact()
     }
 
-    /// [`Engine::add_rules`] once the rules are on the log.
+    /// The rules of `rules` the program does not hold yet, each once, in order.
+    fn new_rules(&self, rules: Program) -> Program {
+        let mut known: FxHashSet<Rule> = self.program.rules.iter().cloned().collect();
+        rules
+            .rules
+            .into_iter()
+            .filter(|rule| known.insert(rule.clone()))
+            .collect()
+    }
+
+    /// [`Engine::add_rules`] once the rules, all of them [new](Self::new_rules),
+    /// are on the log.
     fn add_rules_unlogged(&mut self, rules: Program) {
         if rules.is_empty() {
             return;
@@ -826,6 +741,7 @@ impl Engine {
             self.wal_append(&mut [WalRecord::Source { seq: 0, text }])?;
         }
         let (rules, facts) = parsed.split_facts();
+        let rules = self.new_rules(rules);
         let mut summary = LoadSummary {
             rules_added: rules.len(),
             query: parsed.query().cloned(),
@@ -1215,15 +1131,16 @@ impl Engine {
         }
     }
 
-    /// Export the session — registered program plus every base fact — as a
-    /// versioned [`Snapshot`]. Caches (the materialized model, prepared plans)
-    /// are not part of the image; they rebuild on demand after
-    /// [`Engine::restore`]. A durable session's own image is binary (the
-    /// `durability` module); this text is for export and import only.
-    pub fn snapshot(&self) -> Snapshot {
+    /// Export the session — registered program plus every base fact — as
+    /// Datalog source. Loading it ([`Engine::load_source`], the REPL's `:load`,
+    /// `factorlog FILE`) rebuilds the same program and fact store; loading it
+    /// into a session that already holds them changes nothing. Caches (the
+    /// materialized model, prepared plans) are not part of it. A durable
+    /// session's own image is binary (the `durability` module); this text is
+    /// for export and import only.
+    pub fn snapshot(&self) -> String {
         use std::fmt::Write as _;
         let mut text = String::new();
-        let _ = writeln!(text, "{SNAPSHOT_HEADER}");
         if !self.program.is_empty() {
             text.push_str("% rules\n");
             let _ = write!(text, "{}", self.program);
@@ -1239,39 +1156,7 @@ impl Engine {
                 }
             }
         }
-        Snapshot { text }
-    }
-
-    /// Replace this session's program and facts with a snapshot's, keeping the
-    /// session configuration (evaluation options, prepared-plan capacity) and the
-    /// cumulative statistics. The model and every cache are
-    /// dropped; the first query after a restore re-materializes.
-    ///
-    /// The snapshot is parsed into a staging session first and swapped in only on
-    /// success — a snapshot with a valid header but a corrupt body errors out
-    /// without touching this session.
-    pub fn restore(&mut self, snapshot: &Snapshot) -> Result<LoadSummary, EngineError> {
-        let mut staged = Engine::with_options(self.options.clone());
-        let summary = staged.load_source(snapshot.as_str())?;
-        // A durable session persists the replacement image *before* swapping it in
-        // (there is no meaningful log delta against a replaced state), at a
-        // sequence number of its own: a follower at the old position must see
-        // that there is something new.
-        if let Some(seq) = self.wal_last_seq() {
-            self.wal_replace_image(&staged.image(seq + 1))?;
-        }
-        self.program = staged.program;
-        self.idb = staged.idb;
-        self.edb = staged.edb;
-        self.invalidate();
-        Ok(summary)
-    }
-
-    /// A fresh session (default configuration) restored from a snapshot.
-    pub fn from_snapshot(snapshot: &Snapshot) -> Result<Engine, EngineError> {
-        let mut engine = Engine::new();
-        engine.restore(snapshot)?;
-        Ok(engine)
+        text
     }
 
     /// Run one evaluation (or durably-logged mutation) step under the engine's
@@ -2040,25 +1925,62 @@ mod tests {
         engine.insert("label", &[Const::sym("blue")]).unwrap();
         let answers = engine.query(&query).unwrap();
 
-        let snapshot = engine.snapshot();
-        assert!(is_snapshot_text(snapshot.as_str()));
-        let text = snapshot.as_str();
-        assert!(text.starts_with(SNAPSHOT_HEADER));
+        let text = engine.snapshot();
         assert!(text.contains("t(X, Y) :- e(X, W), t(W, Y)."));
         assert!(text.contains("t__asserted(5, 50)."));
 
-        // Restore into a fresh engine: same program, same facts, same answers.
-        let mut restored = Engine::from_snapshot(&snapshot).unwrap();
-        assert_eq!(restored.query(&query).unwrap(), answers);
-        assert_eq!(restored.facts().total_facts(), engine.facts().total_facts());
-        // Prepared plans are rebuilt on demand after restore and keep working.
-        assert_eq!(restored.query_prepared(&query).unwrap(), answers);
-        assert_eq!(restored.stats().plan_cache_misses, 1);
-        assert_eq!(restored.query_prepared(&query).unwrap(), answers);
-        assert_eq!(restored.stats().plan_cache_hits, 1);
-        // And mutations keep flowing after a restore.
-        restored.retract("e", &[c(0), c(1)]).unwrap();
-        assert!(restored.query(&query).unwrap().is_empty());
+        // Loaded into a fresh engine: same program, same facts, same answers.
+        let mut loaded = Engine::new();
+        let summary = loaded.load_source(&text).unwrap();
+        assert_eq!(summary.rules_added, engine.program().len());
+        assert_eq!(loaded.program(), engine.program());
+        assert_eq!(sorted_store(&loaded), sorted_store(&engine));
+        assert_eq!(loaded.query(&query).unwrap(), answers);
+        // Prepared plans are built on demand after the load and keep working.
+        assert_eq!(loaded.query_prepared(&query).unwrap(), answers);
+        assert_eq!(loaded.stats().plan_cache_misses, 1);
+        assert_eq!(loaded.query_prepared(&query).unwrap(), answers);
+        assert_eq!(loaded.stats().plan_cache_hits, 1);
+        // And mutations keep flowing after the load.
+        loaded.retract("e", &[c(0), c(1)]).unwrap();
+        assert!(loaded.query(&query).unwrap().is_empty());
+    }
+
+    /// A session absorbs its own export as a no-op: every rule is already
+    /// registered and every fact already present, so the program, the store,
+    /// the model and the cached plans all stay.
+    #[test]
+    fn absorbing_an_export_twice_changes_nothing() {
+        let mut engine = tc_engine(4);
+        engine.insert("t", &[c(4), c(40)]).unwrap();
+        let query = parse_query("t(0, Y)").unwrap();
+        let answers = engine.query(&query).unwrap();
+        assert_eq!(engine.query_prepared(&query).unwrap(), answers);
+        let (program, store) = (engine.program().clone(), sorted_store(&engine));
+
+        for _ in 0..2 {
+            let summary = engine.load_source(&engine.snapshot()).unwrap();
+            assert_eq!(summary.rules_added, 0);
+            assert_eq!(summary.facts_added, 0);
+            assert_eq!(
+                summary.duplicates,
+                store.iter().map(|(_, rows)| rows.len()).sum()
+            );
+            assert_eq!(engine.program(), &program);
+            assert_eq!(sorted_store(&engine), store);
+            assert!(engine.is_materialized(), "a no-op load keeps the model");
+            assert_eq!(engine.query_prepared(&query).unwrap(), answers);
+        }
+        assert_eq!(engine.stats().plan_cache_misses, 1, "the plan survived");
+        // `add_rules` is the same set lookup; a source repeating a rule
+        // registers it once.
+        engine.add_rules(program.clone()).unwrap();
+        assert_eq!(engine.program(), &program);
+        let summary = engine
+            .load_source("u(X) :- e(X, Y).\nu(X) :- e(X, Y).")
+            .unwrap();
+        assert_eq!(summary.rules_added, 1);
+        assert_eq!(engine.program().len(), program.len() + 1);
     }
 
     #[test]
@@ -2069,121 +1991,35 @@ mod tests {
         engine
             .insert("tag", &[Const::sym("say \"hi\"\\\n")])
             .unwrap();
-        let snapshot = engine.snapshot();
-        assert!(snapshot.as_str().contains("tag(\"has space\")."));
-        assert!(snapshot.as_str().contains("tag(plain)."));
-        assert!(snapshot.as_str().contains(r#"tag("say \"hi\"\\\n")."#));
-        let restored = Engine::from_snapshot(&snapshot).unwrap();
-        assert_eq!(restored.facts().count("tag"), 3);
-        assert_eq!(sorted_store(&restored), sorted_store(&engine));
+        engine.insert("n", &[c(i64::MIN), c(i64::MAX)]).unwrap();
+        let text = engine.snapshot();
+        assert!(text.contains("tag(\"has space\")."));
+        assert!(text.contains("tag(plain)."));
+        assert!(text.contains(r#"tag("say \"hi\"\\\n")."#));
+        assert!(text.contains("n(-9223372036854775808, 9223372036854775807)."));
+        let mut loaded = Engine::new();
+        loaded.load_source(&text).unwrap();
+        assert_eq!(loaded.facts().count("tag"), 3);
+        assert_eq!(sorted_store(&loaded), sorted_store(&engine));
     }
 
     #[test]
     fn snapshot_files_round_trip() {
-        let path = std::env::temp_dir().join("factorlog_engine_snapshot_test.fl");
+        let path = std::env::temp_dir().join(format!(
+            "factorlog_engine_snapshot_test_{}.fl",
+            std::process::id()
+        ));
         let mut engine = tc_engine(4);
         let query = parse_query("t(0, Y)").unwrap();
         let answers = engine.query(&query).unwrap();
-        engine.snapshot().save(&path).unwrap();
+        std::fs::write(&path, engine.snapshot()).unwrap();
 
-        let loaded = Snapshot::load(&path).unwrap();
-        let mut restored = Engine::new();
-        restored.restore(&loaded).unwrap();
-        assert_eq!(restored.query(&query).unwrap(), answers);
+        let mut loaded = Engine::new();
+        loaded
+            .load_source(&std::fs::read_to_string(&path).unwrap())
+            .unwrap();
+        assert_eq!(loaded.query(&query).unwrap(), answers);
         std::fs::remove_file(&path).ok();
-
-        // Bad inputs are rejected with clear errors.
-        assert!(matches!(
-            Snapshot::from_text("e(1, 2)."),
-            Err(EngineError::Snapshot(_))
-        ));
-        assert!(matches!(
-            Snapshot::load("/nonexistent/path.fl"),
-            Err(EngineError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn loading_missing_or_empty_snapshot_files_errors_cleanly() {
-        // Nonexistent path: a clean EngineError::Io naming the path.
-        let err = Snapshot::load("/nonexistent/factorlog_snapshot.fl").unwrap_err();
-        assert!(matches!(err, EngineError::Io(_)));
-        assert!(format!("{err}").contains("/nonexistent/factorlog_snapshot.fl"));
-
-        // Empty (and whitespace-only) files: an explicit snapshot error, not a
-        // confusing "missing header" parse of nothing.
-        let path = std::env::temp_dir().join(format!(
-            "factorlog_empty_snapshot_{}.fl",
-            std::process::id()
-        ));
-        for contents in ["", "  \n\n  "] {
-            std::fs::write(&path, contents).unwrap();
-            let err = Snapshot::load(&path).unwrap_err();
-            assert!(matches!(err, EngineError::Snapshot(_)), "{contents:?}");
-            assert!(format!("{err}").contains("is empty"), "{err}");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn unknown_snapshot_versions_fail_explicitly() {
-        // A v2 header still *sniffs* as a snapshot (so front ends do not absorb it
-        // as plain source)…
-        let v2 = "% factorlog snapshot v2\ne(1, 2).\n";
-        assert!(is_snapshot_text(v2));
-        // …but wrapping it fails with an explicit unsupported-version error.
-        let err = Snapshot::from_text(v2).unwrap_err();
-        assert!(matches!(err, EngineError::Snapshot(_)));
-        let message = format!("{err}");
-        assert!(
-            message.contains("unsupported snapshot version"),
-            "{message}"
-        );
-        assert!(message.contains("v2"), "{message}");
-
-        // A header-free text is still "missing header", not "unsupported version".
-        let err = Snapshot::from_text("e(1, 2).").unwrap_err();
-        assert!(format!("{err}").contains("missing"), "{err}");
-        // And v1 snapshots keep loading.
-        assert!(Snapshot::from_text(&format!("{SNAPSHOT_HEADER}\ne(1, 2).\n")).is_ok());
-    }
-
-    #[test]
-    fn failed_restore_leaves_the_session_untouched() {
-        // A valid header with a corrupt body must error WITHOUT wiping the live
-        // session (regression: restore used to clear state before parsing).
-        let mut engine = tc_engine(3);
-        let query = parse_query("t(0, Y)").unwrap();
-        assert_eq!(engine.query(&query).unwrap().len(), 3);
-        let corrupt = Snapshot::from_text(&format!(
-            "{SNAPSHOT_HEADER}\ne(1, 2).\nthis is (not datalog"
-        ))
-        .unwrap();
-        assert!(engine.restore(&corrupt).is_err());
-        assert_eq!(
-            engine.facts().count("e"),
-            3,
-            "facts survive a failed restore"
-        );
-        assert_eq!(engine.program().len(), 2, "rules survive a failed restore");
-        assert_eq!(engine.query(&query).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn restore_replaces_existing_session_state() {
-        let mut engine = tc_engine(3);
-        let query = parse_query("t(0, Y)").unwrap();
-        engine.query(&query).unwrap();
-        let snapshot = engine.snapshot();
-
-        let mut other = Engine::new();
-        other.load_source("zzz(1).\nq(X) :- zzz(X).").unwrap();
-        other.set_prepared_capacity(3);
-        other.restore(&snapshot).unwrap();
-        // Old state is gone, snapshot state is in, configuration survives.
-        assert_eq!(other.facts().count("zzz"), 0);
-        assert_eq!(other.prepared_capacity(), 3);
-        assert_eq!(other.query(&query).unwrap().len(), 3);
     }
 
     #[test]

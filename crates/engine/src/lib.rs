@@ -7,7 +7,9 @@
 //! * **Sessions** — an [`Engine`] owns a fact store ([`Database`]) plus the registered
 //!   rules, and persists across any number of inserts and queries, accumulating
 //!   per-session [`EvalStats`] (including prepared-plan cache counters) under a single
-//!   set of [`EvalOptions`].
+//!   set of [`EvalOptions`]. [`Engine::snapshot`] exports a session as Datalog
+//!   source, and [`Engine::load_source`] is the one way a file enters one: loading
+//!   an export rebuilds the session, and loading it again changes nothing.
 //!
 //! * **Incremental view maintenance** — the engine materializes the least model of the
 //!   registered program once, then maintains it at every commit, from the commit's
@@ -50,7 +52,8 @@
 //!   a superseded ex-leader fences itself and refuses writes).
 //!
 //! * **A REPL front end** — [`Repl`] interprets the `factorlog repl` command language
-//!   (`:load`, `:insert`, `:prepare`, `?- query.`, `:open`, `:compact`, `:stats`, …)
+//!   (`:load`, `:save`, `:insert`, `:prepare`, `?- query.`, `:open`, `:compact`,
+//!   `:stats`, …)
 //!   against an engine session; the `factorlog` binary only supplies the I/O loop.
 //!
 //! # Example
@@ -95,8 +98,7 @@ pub use durability::{
     SNAPSHOT_FILE, WAL_FILE,
 };
 pub use engine::{
-    is_snapshot_text, Engine, EngineError, LoadSummary, PrepareReport, Snapshot, Txn, TxnSummary,
-    DEFAULT_PREPARED_CAPACITY, SNAPSHOT_HEADER, SNAPSHOT_HEADER_PREFIX,
+    Engine, EngineError, LoadSummary, PrepareReport, Txn, TxnSummary, DEFAULT_PREPARED_CAPACITY,
 };
 pub use metrics::{EngineMetrics, METRICS_JSON_VERSION};
 pub use repl::{render_answers, Repl, ReplAction};

@@ -2,8 +2,8 @@
 //! tested directly: [`Repl::execute`] maps one input line to one textual response.
 //!
 //! ```text
-//! :load <file>        load a Datalog file — or restore a snapshot (autodetected)
-//! :save <file>        save the session (program + facts) as a snapshot
+//! :load <file>        load a Datalog file (a :save'd session is one)
+//! :save <file>        save the session (program + base facts) as Datalog source
 //! :open <dir>         switch to a durable session backed by <dir> (image +
 //!                     write-ahead log; recovers committed state on open)
 //! :compact            rewrite the durable image and reset the log
@@ -28,6 +28,11 @@
 //! <rule or fact>.     bare Datalog clauses are absorbed like :load text
 //! ```
 //!
+//! A file enters a session one way: `:load` absorbs it into the current
+//! session, a rule already registered and a fact already present being no-ops.
+//! So `:load` of a `:save`d file rebuilds that session in a fresh one and
+//! changes nothing in the session that saved it.
+//!
 //! A session is in one of two modes. In *local* mode every command runs against
 //! its own engine. In *client* mode (after `:serve`, `:follow` or `:connect`)
 //! `?-`, `:insert`, `:retract`, `:stats`, `:promote`, `:metrics`, `:detach` and
@@ -47,7 +52,7 @@ use factorlog_datalog::eval::{fmt_ns, rows, EvalError, LimitReason};
 use factorlog_datalog::parser::{parse_atom, parse_query};
 
 use crate::durability::DurabilityOptions;
-use crate::engine::{is_snapshot_text, Engine, EngineError, Snapshot};
+use crate::engine::{Engine, EngineError};
 use crate::replication::{serve_follower, Replica, ReplicationOptions};
 use crate::server::{serve, Client, ServeError, ServerHandle, ServerOptions};
 use crate::wal::WalOp;
@@ -105,9 +110,10 @@ pub struct Repl {
 
 const HELP: &str = "\
 commands:
-  :load <file>     load rules and facts from a Datalog file, or restore a
-                   snapshot written by :save (autodetected by its header)
-  :save <file>     save the session (program + base facts) as a snapshot
+  :load <file>     load rules and facts from a Datalog file (a :save'd session
+                   is one) into this session; rules it already has and facts
+                   already present are skipped
+  :save <file>     save the session (program + base facts) as Datalog source
   :open <dir>      switch to a durable session backed by <dir>: every committed
                    mutation is appended to an fsync'd write-ahead log and
                    recovered on the next :open (crash-safe)
@@ -250,15 +256,6 @@ impl Repl {
         if source.trim().is_empty() {
             return Err(format!("{path} is empty (nothing to load)"));
         }
-        if is_snapshot_text(&source) {
-            let snapshot = Snapshot::from_text(&source).map_err(|e| e.to_string())?;
-            let summary = self.engine.restore(&snapshot).map_err(|e| e.to_string())?;
-            self.txn = None;
-            return Ok(format!(
-                "restored snapshot {path}: {} rule(s), {} fact(s)",
-                summary.rules_added, summary.facts_added
-            ));
-        }
         let summary = self
             .engine
             .load_source(&source)
@@ -280,10 +277,10 @@ impl Repl {
         if path.is_empty() {
             return Err(":save requires a file path".to_string());
         }
-        let snapshot = self.engine.snapshot();
-        snapshot.save(path).map_err(|e| e.to_string())?;
+        std::fs::write(path, self.engine.snapshot())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         Ok(format!(
-            "saved snapshot {path}: {} rule(s), {} fact(s)",
+            "saved {path}: {} rule(s), {} fact(s)",
             self.engine.program().len(),
             self.engine.facts().total_facts()
         ))
@@ -376,19 +373,18 @@ impl Repl {
             .expect("a durable engine always wraps");
         // An unreachable leader is not an error (the served follower keeps
         // polling); a local durability failure is, and keeps the engine here.
-        let caught_up = replica.catch_up(5);
-        let (term, applied) = (replica.term(), replica.applied_seq());
-        let engine = replica.into_engine();
-        let caught_up = match caught_up {
+        let caught_up = match replica.catch_up(5) {
             Ok(caught_up) => caught_up,
             Err(e) => {
-                self.engine = engine;
+                self.engine = replica.into_engine();
                 return Err(e.to_string());
             }
         };
+        let (term, applied) = (replica.term(), replica.applied_seq());
+        // The served follower polls with the replica that caught up: one node,
+        // one follower id at the leader.
         let bound = self.attach(serve_follower(
-            engine,
-            addr,
+            replica,
             "127.0.0.1:0",
             ServerOptions::default(),
             ReplicationOptions::default(),
@@ -1166,6 +1162,45 @@ mod tests {
         std::fs::remove_dir_all(&base).ok();
     }
 
+    /// Regression (`:follow` used to catch up through one replica and serve
+    /// another, so the leader's `STATS` counted two followers, the frozen one
+    /// lagging until it was pruned a minute later): a `:follow`ing session is
+    /// one follower at its leader, with no lag once it is caught up.
+    #[test]
+    fn a_followed_leader_sees_one_caught_up_follower() {
+        let base = fresh_temp_dir("one_follower");
+        let (mut leader, addr) = served_leader(&base.join("leader"));
+        let mut follower = Repl::new();
+        output(
+            &mut follower,
+            &format!(":open {}", base.join("follower").display()),
+        );
+        let followed = output(&mut follower, &format!(":follow {addr}"));
+        assert!(followed.contains("following"), "{followed}");
+        for fact in ["e(5, 6)", "e(6, 7)"] {
+            let inserted = output(&mut leader, &format!(":insert {fact}."));
+            assert!(inserted.contains("1 asserted"), "{inserted}");
+        }
+
+        let mut client = Client::connect(addr.as_str()).unwrap();
+        let mut stats = client.stats().unwrap();
+        for _ in 0..200 {
+            let replicated = output(&mut follower, "?- e(6, Y).");
+            if replicated.starts_with("% 1 answer(s)") && stats.repl_lag_frames == 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            stats = client.stats().unwrap();
+        }
+        assert_eq!(stats.repl_followers, 1, "{stats:?}");
+        assert_eq!(stats.repl_lag_frames, 0, "{stats:?}");
+
+        output(&mut follower, ":detach");
+        output(&mut leader, ":detach");
+        drop((follower, leader));
+        std::fs::remove_dir_all(&base).ok();
+    }
+
     /// Regression (at the parent, a Ctrl-C in client mode cancelled the served
     /// engine: the next insert answered `server (cancelled)` though it committed,
     /// and later acks named epochs no read saw): the caller's token reaches the
@@ -1563,7 +1598,10 @@ mod tests {
 
     #[test]
     fn save_and_load_round_trip_a_snapshot() {
-        let path = std::env::temp_dir().join("factorlog_repl_snapshot_test.fl");
+        let path = std::env::temp_dir().join(format!(
+            "factorlog_repl_snapshot_test_{}.fl",
+            std::process::id()
+        ));
         let path = path.to_str().unwrap().to_string();
         let mut repl = Repl::new();
         output(
@@ -1573,18 +1611,27 @@ mod tests {
         output(&mut repl, ":insert e(1, 2).");
         output(&mut repl, ":insert e(2, 3).");
         let saved = output(&mut repl, &format!(":save {path}"));
-        assert!(saved.contains("saved snapshot"), "{saved}");
+        assert!(saved.contains("saved"), "{saved}");
         assert!(saved.contains("2 rule(s), 2 fact(s)"), "{saved}");
 
-        // A fresh session restores it via the same :load command (autodetected).
+        // A fresh session absorbs it through the one :load.
         let mut fresh = Repl::new();
-        let restored = output(&mut fresh, &format!(":load {path}"));
-        assert!(restored.contains("restored snapshot"), "{restored}");
-        assert!(restored.contains("2 rule(s), 2 fact(s)"), "{restored}");
+        let loaded = output(&mut fresh, &format!(":load {path}"));
+        assert_eq!(loaded, "loaded 2 rule(s), 2 fact(s)");
         let answers = output(&mut fresh, "?- t(1, Y).");
         assert!(answers.contains("% 2 answer(s)"), "{answers}");
         assert!(answers.contains("Y = 2") && answers.contains("Y = 3"));
-        // And the restored session keeps mutating incrementally.
+        // Loading it again, or into the session that saved it, adds nothing.
+        for session in [&mut fresh, &mut repl] {
+            let again = output(session, &format!(":load {path}"));
+            assert_eq!(
+                again,
+                "loaded 0 rule(s), 0 fact(s) (2 duplicate(s) ignored)"
+            );
+            assert_eq!(output(session, "?- t(1, Y)."), answers);
+            assert_eq!(output(session, ":program").lines().count(), 2);
+        }
+        // And the loaded session keeps mutating incrementally.
         output(&mut fresh, ":retract e(2, 3).");
         assert!(output(&mut fresh, "?- t(1, Y).").contains("% 1 answer(s)"));
         std::fs::remove_file(&path).ok();
@@ -1606,26 +1653,6 @@ mod tests {
         let message = output(&mut repl, &format!(":load {}", path.display()));
         assert!(message.starts_with("error:"), "{message}");
         assert!(message.contains("is empty"), "{message}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_of_unknown_snapshot_version_errors_explicitly() {
-        // A future-version snapshot must be routed to the snapshot path and fail
-        // with an unsupported-version error — never be absorbed as plain source
-        // (its header is a valid Datalog comment, so silent absorption would load
-        // the facts while dropping whatever v2 semantics they relied on).
-        let path =
-            std::env::temp_dir().join(format!("factorlog_repl_v2_{}.fl", std::process::id()));
-        std::fs::write(&path, "% factorlog snapshot v2\ne(1, 2).\n").unwrap();
-        let mut repl = Repl::new();
-        let message = output(&mut repl, &format!(":load {}", path.display()));
-        assert!(message.starts_with("error:"), "{message}");
-        assert!(
-            message.contains("unsupported snapshot version"),
-            "{message}"
-        );
-        assert_eq!(repl.engine().facts().total_facts(), 0, "nothing absorbed");
         std::fs::remove_file(&path).ok();
     }
 

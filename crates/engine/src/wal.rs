@@ -168,9 +168,9 @@ pub enum WalRecord {
         /// The absorbed text.
         text: String,
     },
-    /// A whole session image — a compaction's snapshot, a durable restore, a
-    /// follower's bootstrap: installing it replaces the session's program and
-    /// fact store, and it covers every record up to and including `seq`.
+    /// A whole session image — a compaction's snapshot, or a follower's
+    /// bootstrap: installing it replaces the session's program and fact store,
+    /// and it covers every record up to and including `seq`.
     Image {
         /// The last sequence number the image includes.
         seq: u64,

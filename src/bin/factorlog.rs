@@ -457,14 +457,10 @@ fn run_serve(options: &ServeCliOptions) -> Result<(), String> {
             if let Some(ms) = options.lease_ms {
                 replication.lease_timeout = std::time::Duration::from_millis(ms);
             }
-            serve_follower(
-                engine,
-                leader.as_str(),
-                options.addr.as_str(),
-                server_options,
-                replication,
-            )
-            .map_err(|e| format!("--addr {}: {e}", options.addr))?
+            let replica = Replica::from_engine(engine, leader.as_str(), replication.clone())
+                .map_err(|e| e.to_string())?;
+            serve_follower(replica, options.addr.as_str(), server_options, replication)
+                .map_err(|e| format!("--addr {}: {e}", options.addr))?
         }
         None => serve(engine, options.addr.as_str(), server_options)
             .map_err(|e| format!("--addr {}: {e}", options.addr))?,

@@ -1,7 +1,7 @@
 //! Mutation-correctness property tests for the transactional engine API: any
 //! interleaving of assert/retract batches must converge to exactly the reference
-//! evaluation of the surviving EDB, and a snapshot→restore round-trip must preserve a
-//! session mid-stream.
+//! evaluation of the surviving EDB, and loading a session's export must rebuild it
+//! mid-stream (loading it twice changes nothing).
 
 use std::collections::BTreeSet;
 
@@ -226,56 +226,97 @@ proptest! {
         }
     }
 
+    /// The export contract: a random session over the three-rule TC, with
+    /// asserted IDB facts, symbols that need quotes and escapes and integers at
+    /// both `i64` bounds, loaded from its `snapshot()` into a fresh engine, has
+    /// the same program, fact store and answers on both query paths; a second
+    /// load changes nothing; and both sessions keep evolving identically.
     #[test]
     fn snapshot_restore_preserves_sessions_mid_stream(
-        ops in prop::collection::vec((0usize..3, 0i64..8, 0i64..8), 1..25),
-        more in prop::collection::vec((0usize..3, 0i64..8, 0i64..8), 1..10),
-        start in 0i64..8,
+        ops in prop::collection::vec((0usize..3, 0usize..POOL, 0usize..POOL), 1..25),
+        asserted in prop::collection::vec((0usize..POOL, 0usize..POOL), 0..4),
+        more in prop::collection::vec((0usize..3, 0usize..POOL, 0usize..POOL), 1..10),
+        start in 0usize..POOL,
     ) {
-        let query = parse_query(&format!("t({start}, Y)")).unwrap();
-        let mut engine = Engine::new();
-        engine.load_source(programs::THREE_RULE_TC).unwrap();
+        let start = Term::Const(value(start));
+        let query = Query::new(Atom::new("t", vec![start, Term::var("Y")]));
+        let mut engine = session(programs::THREE_RULE_TC);
         let mut txn = engine.transaction();
         for &(kind, a, b) in &ops {
             if kind == 0 {
-                txn.retract("e", &[c(a), c(b)]);
+                txn.retract("e", &[value(a), value(b)]);
             } else {
-                txn.assert("e", &[c(a), c(b)]);
+                txn.assert("e", &[value(a), value(b)]);
             }
+        }
+        for &(a, b) in &asserted {
+            txn.assert("t", &[value(a), value(b)]);
         }
         txn.commit().unwrap();
         let answers = engine.query(&query).unwrap();
 
-        // Round-trip through the textual snapshot.
-        let snapshot = engine.snapshot();
-        let reparsed = Snapshot::from_text(snapshot.as_str()).unwrap();
-        let mut restored = Engine::from_snapshot(&reparsed).unwrap();
-        prop_assert_eq!(restored.query(&query).unwrap(), answers.clone());
-        // Prepared plans rebuild and agree after the restore.
-        prop_assert_eq!(restored.query_prepared(&query).unwrap(), answers.clone());
+        let text = engine.snapshot();
+        let mut loaded = Engine::new();
+        for load in 0..2 {
+            let summary = loaded.load_source(&text).unwrap();
+            if load == 1 {
+                prop_assert_eq!(summary.rules_added, 0);
+                prop_assert_eq!(summary.facts_added, 0);
+            }
+            prop_assert_eq!(loaded.program(), engine.program());
+            prop_assert_eq!(stored(&loaded), stored(&engine));
+            prop_assert_eq!(loaded.query(&query).unwrap(), answers.clone());
+            prop_assert_eq!(loaded.query_prepared(&query).unwrap(), answers.clone());
+        }
 
         // Both sessions keep evolving identically.
-        for session in [&mut engine, &mut restored] {
+        for session in [&mut engine, &mut loaded] {
             let mut txn = session.transaction();
             for &(kind, a, b) in &more {
                 if kind == 0 {
-                    txn.retract("e", &[c(a), c(b)]);
+                    txn.retract("e", &[value(a), value(b)]);
                 } else {
-                    txn.assert("e", &[c(a), c(b)]);
+                    txn.assert("e", &[value(a), value(b)]);
                 }
             }
             txn.commit().unwrap();
         }
         let expected = engine.query(&query).unwrap();
-        prop_assert_eq!(restored.query(&query).unwrap(), expected.clone());
-        prop_assert_eq!(batch_answers(&restored, &query), expected);
+        prop_assert_eq!(loaded.query(&query).unwrap(), expected.clone());
+        prop_assert_eq!(batch_answers(&loaded, &query), expected);
     }
+}
+
+/// How many constants [`value`] draws from.
+const POOL: usize = 10;
+
+/// The constants of a generated session: small integers, both `i64` bounds,
+/// and symbols that print quoted, with each escape the lexer reads.
+fn value(index: usize) -> Const {
+    match index {
+        0..=3 => c(index as i64),
+        4 => c(i64::MIN),
+        5 => c(i64::MAX),
+        _ => Const::sym(["a b", "q\"d", "x\\y", "l\nm"][index - 6]),
+    }
+}
+
+/// Every non-empty stored relation, sorted: the fact store as a value.
+fn stored(engine: &Engine) -> Vec<(Symbol, Vec<Vec<Const>>)> {
+    let mut store: Vec<_> = engine
+        .facts()
+        .iter()
+        .map(|(predicate, relation)| (predicate, relation.to_sorted_vec()))
+        .filter(|(_, rows)| !rows.is_empty())
+        .collect();
+    store.sort();
+    store
 }
 
 #[test]
 fn deterministic_mixed_workload_with_transactions() {
     // A deterministic end-to-end interleaving: inserts, transactional rewires,
-    // retracts of asserted IDB facts, prepared queries, and a snapshot round-trip,
+    // retracts of asserted IDB facts, prepared queries, and an export round trip,
     // each step checked against from-scratch evaluation.
     let mut engine = Engine::new();
     engine.load_source(programs::THREE_RULE_TC).unwrap();
@@ -309,15 +350,11 @@ fn deterministic_mixed_workload_with_transactions() {
     );
     assert!(!engine.query(&query).unwrap().contains(&vec![c(100)]));
 
-    // Snapshot, restore, and diverge-check.
-    let snapshot = engine.snapshot();
-    let mut restored = Engine::from_snapshot(&snapshot).unwrap();
-    assert_eq!(
-        restored.query(&query).unwrap(),
-        engine.query(&query).unwrap()
-    );
-    restored.retract("e", &[c(0), c(1)]).unwrap();
-    assert!(restored.query(&query).unwrap().is_empty());
+    // Export, load into a fresh session, and diverge-check.
+    let mut loaded = session(&engine.snapshot());
+    assert_eq!(loaded.query(&query).unwrap(), engine.query(&query).unwrap());
+    loaded.retract("e", &[c(0), c(1)]).unwrap();
+    assert!(loaded.query(&query).unwrap().is_empty());
     assert_eq!(
         engine.query(&query).unwrap().len(),
         11,

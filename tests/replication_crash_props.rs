@@ -257,9 +257,10 @@ fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
 
     let engine =
         Engine::open_durable_with(&follower_dir, dopts(u64::MAX)).expect("follower opens durably");
+    let replica = Replica::from_engine(engine, addr.as_str(), ropts(Duration::from_millis(200)))
+        .expect("a durable engine wraps");
     let follower = serve_follower(
-        engine,
-        addr.as_str(),
+        replica,
         "127.0.0.1:0",
         server_opts(),
         ropts(Duration::from_millis(200)),
@@ -338,9 +339,14 @@ fn a_served_follower_promotes_over_the_wire_and_resumes_writes() {
 
     let engine =
         Engine::open_durable_with(&follower_dir, dopts(u64::MAX)).expect("follower opens durably");
-    let follower = serve_follower(
+    let replica = Replica::from_engine(
         engine,
         leader.addr().to_string(),
+        ropts(Duration::from_millis(250)),
+    )
+    .expect("a durable engine wraps");
+    let follower = serve_follower(
+        replica,
         "127.0.0.1:0",
         server_opts(),
         ropts(Duration::from_millis(250)),
