@@ -7,7 +7,8 @@
 //! simplifications as passes run to a fixpoint:
 //!
 //! 1. delete a rule whose head literal appears in its body, and duplicate rules
-//!    (Proposition 5.4, first part);
+//!    (Proposition 5.4, first part); delete a literal repeated in one body (a
+//!    conjunction is idempotent);
 //! 2. delete a `magic` literal when a `bp` literal with identical arguments is present
 //!    (Proposition 5.1);
 //! 3. delete a `bp` literal whose arguments occur nowhere else when an `fp` literal is
@@ -21,6 +22,27 @@
 //!    is redundant iff its frozen head is derivable from the remaining program plus its
 //!    frozen body, which we decide with the reference evaluator
 //!    ([`naive_evaluate`]: pure Datalog, `succ` an ordinary predicate).
+//!
+//! Once the fixpoint is reached, one more pass runs:
+//!
+//! 7. hoist independent conjunctions into conditions. Split each body into connected
+//!    components (two literals are connected when they share a variable). When a body
+//!    has two or more, every component with a variable but no head variable becomes
+//!    one fresh nullary atom `c` (named `cond_1`, `cond_2`, …), defined by the single
+//!    rule `c :- <component>.`, and alpha-equivalent components share one `c`. Sound because `∃x̄ (A ∧ B)` equals
+//!    `(∃x̄ A) ∧ B` when `x̄` does not occur in `B`: the component's variables occur
+//!    nowhere else in the rule, so the rule fires for exactly the same head tuples
+//!    when the component is replaced by the truth of its existential closure, which
+//!    is what `c` holds. `c` has exactly one rule, so the least model restricted to
+//!    the other predicates is unchanged. Factoring is what creates such components
+//!    (it splits `p(X̄, Ȳ)` into `bp(X̄)` and `fp(Ȳ)`, which no longer share a
+//!    variable), and semi-naive evaluation would otherwise enumerate their cross
+//!    product with the rest of the body. Proposition 5.2/5.5 is the one-literal
+//!    case: a `bp` literal whose variables occur nowhere else is such a component,
+//!    and beside an `fp` literal the condition it states is already implied, so pass
+//!    3 deletes it instead. Without factoring, a Magic program's bodies are as
+//!    connected as the original rules' (the magic literal shares the bound
+//!    variables), so on the paper's Magic-only programs this pass changes nothing.
 
 use std::collections::BTreeSet;
 
@@ -80,10 +102,12 @@ impl OptimizationTrace {
     }
 }
 
-/// Run the §5 simplifications on `program` with respect to `query`, all six passes
-/// repeated until none changes the program (at most [`MAX_PASSES`] times). `ctx`
-/// enables the factoring-specific literal deletions; without it only the generic rule
-/// deletions (head-in-body, duplicates, unreachable, uniform redundancy) run.
+/// Run the §5 simplifications on `program` with respect to `query`: the six deleting
+/// passes repeated until none changes the program (at most [`MAX_PASSES`] times), then
+/// the hoisting of independent conjunctions once. `ctx` enables the
+/// factoring-specific literal deletions; without it only the generic deletions
+/// (head-in-body, repeated literals, duplicates, unreachable, uniform redundancy) and
+/// the hoisting run.
 pub fn optimize(
     program: &Program,
     query: &Query,
@@ -94,6 +118,7 @@ pub fn optimize(
     for _ in 0..MAX_PASSES {
         let mut changed = false;
         changed |= delete_head_in_body(&mut current, &mut trace);
+        changed |= delete_repeated_literals(&mut current, &mut trace);
         changed |= delete_duplicate_rules(&mut current, &mut trace);
         if let Some(ctx) = ctx {
             changed |= delete_redundant_literals(&mut current, ctx, &mut trace);
@@ -104,6 +129,7 @@ pub fn optimize(
             break;
         }
     }
+    hoist_conditions(&mut current, &mut trace);
     (current, trace)
 }
 
@@ -125,6 +151,24 @@ fn delete_head_in_body(program: &mut Program, trace: &mut OptimizationTrace) -> 
         .collect();
     program.rules = kept;
     program.len() != before
+}
+
+/// Keep only the first occurrence of a literal repeated in one body: `A ∧ A` is `A`.
+fn delete_repeated_literals(program: &mut Program, trace: &mut OptimizationTrace) -> bool {
+    let mut changed = false;
+    for rule in &mut program.rules {
+        let before = rule.body.len();
+        for lit in std::mem::take(&mut rule.body) {
+            if !rule.body.contains(&lit) {
+                rule.body.push(lit);
+            }
+        }
+        if rule.body.len() != before {
+            trace.record(format!("deleted repeated literal(s): {rule}"));
+            changed = true;
+        }
+    }
+    changed
 }
 
 /// Remove rules that are syntactically identical up to variable renaming.
@@ -307,6 +351,88 @@ fn delete_uniformly_redundant(program: &mut Program, trace: &mut OptimizationTra
     changed
 }
 
+/// The connected components of `body` (two literals are connected when they share a
+/// variable), each a list of literal indices in body order, ordered by first literal.
+/// A literal without variables is a component of its own.
+fn body_components(body: &[Atom]) -> Vec<Vec<usize>> {
+    let shares_a_variable = |i: usize, j: usize| {
+        body[i]
+            .variables()
+            .any(|v| body[j].variables().any(|w| w == v))
+    };
+    let mut components: Vec<Vec<usize>> = Vec::new();
+    for i in 0..body.len() {
+        let mut merged = vec![i];
+        components.retain(|component| {
+            let connected = component.iter().any(|&j| shares_a_variable(i, j));
+            if connected {
+                merged.extend_from_slice(component);
+            }
+            !connected
+        });
+        merged.sort_unstable();
+        components.push(merged);
+    }
+    components.sort_unstable_by_key(|component| component[0]);
+    components
+}
+
+/// Pass 7: in a body of two or more components, replace every component that has a
+/// variable but no head variable by a nullary condition atom, at the position of the
+/// component's first literal. The condition rules are appended after the program's
+/// rules, in order of first use.
+fn hoist_conditions(program: &mut Program, trace: &mut OptimizationTrace) -> bool {
+    let taken = program.all_predicates();
+    // (canonical form of the conjunction, the condition rule defining it)
+    let mut conditions: Vec<(String, Rule)> = Vec::new();
+    for rule in &mut program.rules {
+        let components = body_components(&rule.body);
+        if components.len() < 2 {
+            continue;
+        }
+        let head_vars: Vec<Symbol> = rule.head.variables().collect();
+        let mut body: Vec<Option<Atom>> = rule.body.iter().cloned().map(Some).collect();
+        for component in components {
+            let conjunction: Vec<Atom> = component.iter().map(|&i| rule.body[i].clone()).collect();
+            let vars: Vec<Symbol> = conjunction.iter().flat_map(Atom::variables).collect();
+            if vars.is_empty() || vars.iter().any(|v| head_vars.contains(v)) {
+                continue;
+            }
+            let key =
+                canonical_rule_key(&Rule::new(Atom::new("", Vec::new()), conjunction.clone()));
+            let condition = match conditions.iter().find(|(known, _)| *known == key) {
+                Some((_, defined)) => defined.head.predicate,
+                None => {
+                    let mut name = format!("cond_{}", conditions.len() + 1);
+                    while taken.contains(&Symbol::intern(&name)) {
+                        name.push('_');
+                    }
+                    let symbol = Symbol::intern(&name);
+                    conditions.push((key, Rule::new(Atom::new(symbol, Vec::new()), conjunction)));
+                    symbol
+                }
+            };
+            for &i in &component {
+                body[i] = None;
+            }
+            body[component[0]] = Some(Atom::new(condition, Vec::new()));
+        }
+        let hoisted: Vec<Atom> = body.into_iter().flatten().collect();
+        if hoisted != rule.body {
+            trace.record(format!("hoisted independent conjunction(s) from {rule}"));
+            rule.body = hoisted;
+        }
+    }
+    for (_, condition) in &conditions {
+        trace.record(format!("added condition rule: {condition}"));
+    }
+    let changed = !conditions.is_empty();
+    program
+        .rules
+        .extend(conditions.into_iter().map(|(_, condition)| condition));
+    changed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,6 +550,66 @@ mod tests {
         assert!(is_uniformly_redundant(&program, &shortcut));
         let not_implied = parse_rule("path(X, Z) :- f(X, Z).").unwrap();
         assert!(!is_uniformly_redundant(&program, &not_implied));
+    }
+
+    #[test]
+    fn repeated_body_literals_are_deleted() {
+        let mut p = parse_program("m(W) :- b(X), f(U), b(X), f(V), c(U, V, W).")
+            .unwrap()
+            .program;
+        let mut trace = OptimizationTrace::default();
+        assert!(delete_repeated_literals(&mut p, &mut trace));
+        assert_eq!(format!("{p}"), "m(W) :- b(X), f(U), f(V), c(U, V, W).\n");
+        // Same predicate, different arguments: not a repetition.
+        assert!(!delete_repeated_literals(&mut p, &mut trace));
+    }
+
+    #[test]
+    fn hoisting_replaces_only_components_without_a_head_variable() {
+        // (program, program after the hoisting pass)
+        let cases = [
+            // The component {c(Y)} touches the head and stays; {a(X), b(X)} shares X
+            // only within itself and becomes a condition.
+            (
+                "h(Y) :- a(X), b(X), c(Y).",
+                "h(Y) :- cond_1, c(Y).\ncond_1 :- a(X), b(X).\n",
+            ),
+            // A ground literal has no variable: it stays where it is.
+            ("h(Y) :- a(7), c(Y).", "h(Y) :- a(7), c(Y).\n"),
+            // A single component is never split, even with no head variable.
+            ("h(7) :- a(X), b(X).", "h(7) :- a(X), b(X).\n"),
+            ("h(Y) :- a(X), b(X, Y).", "h(Y) :- a(X), b(X, Y).\n"),
+            // An already-nullary condition has no variable.
+            ("h(Y) :- cond, c(Y).", "h(Y) :- cond, c(Y).\n"),
+            // Alpha-equivalent components share one condition; several headless
+            // components of one body each get their own.
+            (
+                "h(Y) :- a(X), b(X), c(Y).\nh(Y) :- a(Z), b(Z), d(Y), e(W).",
+                "h(Y) :- cond_1, c(Y).\nh(Y) :- cond_1, d(Y), cond_2.\n\
+                 cond_1 :- a(X), b(X).\ncond_2 :- e(W).\n",
+            ),
+        ];
+        for (src, expected) in cases {
+            let mut p = parse_program(src).unwrap().program;
+            let before = format!("{p}");
+            let mut trace = OptimizationTrace::default();
+            let changed = hoist_conditions(&mut p, &mut trace);
+            assert_eq!(format!("{p}"), expected, "for {src}");
+            assert_eq!(changed, expected != before, "for {src}");
+        }
+    }
+
+    #[test]
+    fn condition_names_are_fresh_against_the_program() {
+        let mut p = parse_program("h(Y) :- a(X), b(X), cond_1(Y).\ncond_1_(5).")
+            .unwrap()
+            .program;
+        let mut trace = OptimizationTrace::default();
+        assert!(hoist_conditions(&mut p, &mut trace));
+        assert_eq!(
+            format!("{p}"),
+            "h(Y) :- cond_1__, cond_1(Y).\ncond_1_(5).\ncond_1__ :- a(X), b(X).\n"
+        );
     }
 
     #[test]

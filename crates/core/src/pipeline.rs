@@ -24,11 +24,11 @@ use std::collections::BTreeSet;
 
 use factorlog_datalog::ast::{Atom, Const, Program, Query, Rule};
 use factorlog_datalog::eval::{
-    seminaive_evaluate, seminaive_evaluate_owned, CompiledProgram, EvalError, EvalOptions,
-    EvalResult,
+    seminaive_evaluate_owned, CompiledProgram, EvalError, EvalOptions, EvalResult,
 };
 use factorlog_datalog::fx::FxHashMap;
 use factorlog_datalog::storage::Database;
+use factorlog_datalog::symbol::Symbol;
 
 use crate::adorn::{adorn, AdornedProgram};
 use crate::classify::{classify, ProgramClassification};
@@ -118,9 +118,28 @@ pub struct Optimized {
 }
 
 impl Optimized {
-    /// Evaluate the final program over an EDB.
+    /// Evaluate the final program over an EDB. Facts the EDB holds for a predicate the
+    /// pipeline introduced (a magic, factored, reduced or condition predicate) are not
+    /// read: those names belong to the final program, not to the caller's data.
     pub fn evaluate(&self, edb: &Database) -> Result<EvalResult, EvalError> {
-        seminaive_evaluate(&self.program, edb, &EvalOptions::default())
+        let compiled = CompiledProgram::compile(&self.program)?;
+        let db = without_predicates(edb, &self.introduced_predicates());
+        seminaive_evaluate_owned(&compiled, db, &EvalOptions::default())
+    }
+
+    /// The predicates whose facts the final program must not read from the caller's
+    /// EDB: those it defines and those the original program does not mention. No
+    /// original rule survives the pipeline, so a defined predicate with an original
+    /// name is a minted name that happens to equal an EDB predicate of rules the query
+    /// never reaches.
+    fn introduced_predicates(&self) -> Vec<Symbol> {
+        let original = self.original_program.all_predicates();
+        let defined = self.program.idb_predicates();
+        self.program
+            .all_predicates()
+            .into_iter()
+            .filter(|p| defined.contains(p) || !original.contains(p))
+            .collect()
     }
 
     /// The answers to the original query over `edb`, computed with the final program
@@ -206,8 +225,18 @@ impl Optimized {
             query: self.query.clone(),
             compiled,
             bound_consts,
+            introduced: self.introduced_predicates(),
         })
     }
+}
+
+/// A copy of `edb` without the relations of `predicates`.
+fn without_predicates(edb: &Database, predicates: &[Symbol]) -> Database {
+    let mut db = edb.clone();
+    for &predicate in predicates {
+        db.remove_relation(predicate);
+    }
+    db
 }
 
 /// A compiled, replayable query plan: the output of the optimization pipeline with its
@@ -222,6 +251,9 @@ pub struct PreparedPlan {
     compiled: CompiledProgram,
     /// The constants of the original query's bound positions, in position order.
     bound_consts: Vec<Const>,
+    /// The final program's own predicates, whose facts in the caller's EDB are
+    /// ignored (see [`Optimized::evaluate`]).
+    introduced: Vec<Symbol>,
 }
 
 impl PreparedPlan {
@@ -245,9 +277,10 @@ impl PreparedPlan {
         &self.bound_consts
     }
 
-    /// Evaluate the plan over `edb`: inject the seeds, replay the compiled rules.
+    /// Evaluate the plan over `edb`: drop the EDB's facts for the predicates the
+    /// pipeline introduced, inject the seeds, replay the compiled rules.
     pub fn evaluate(&self, edb: &Database, options: &EvalOptions) -> Result<EvalResult, EvalError> {
-        let mut db = edb.clone();
+        let mut db = without_predicates(edb, &self.introduced);
         for seed in &self.seeds {
             db.add_atom(seed);
         }
@@ -322,6 +355,7 @@ impl PreparedPlan {
             query,
             compiled: self.compiled.clone(),
             bound_consts: new_bound.to_vec(),
+            introduced: self.introduced.clone(),
         })
     }
 
@@ -473,6 +507,8 @@ mod tests {
                                  t(X, Y) :- e(X, W), t(W, Y).\n\
                                  t(X, Y) :- t(X, W), e(W, Y).\n\
                                  t(X, Y) :- e(X, Y).";
+
+    const RIGHT_LINEAR_TC: &str = "t(X, Y) :- e(X, W), t(W, Y).\nt(X, Y) :- e(X, Y).";
 
     fn chain_edb(n: i64, start: i64) -> Database {
         let mut db = Database::new();
@@ -761,6 +797,82 @@ mod tests {
                 "prepared plan loses answers for {query_text} over:\n{src}"
             );
         }
+    }
+
+    #[test]
+    fn introduced_predicates_do_not_read_the_callers_facts() {
+        // The caller's EDB holds a fact for `m_t_bf`, a name the pipeline mints for
+        // its own magic predicate: it must not seed the final program.
+        let program = parse_program(RIGHT_LINEAR_TC).unwrap().program;
+        let query = parse_query("t(0, Y)").unwrap();
+        let mut edb = Database::new();
+        for (a, b) in [(0, 1), (1, 2), (7, 8)] {
+            edb.add_fact("e", &[Const::Int(a), Const::Int(b)]);
+        }
+        edb.add_fact("m_t_bf", &[Const::Int(7)]);
+        let expected = vec![vec![Const::Int(1)], vec![Const::Int(2)]];
+        assert_eq!(
+            factorlog_datalog::eval::naive_evaluate(&program, &edb)
+                .unwrap()
+                .answers(&query),
+            expected
+        );
+        let out = optimize_query(&program, &query, &PipelineOptions::default()).unwrap();
+        assert!(format!("{}", out.program).contains("m_t_bf"));
+        assert_eq!(out.answers(&edb).unwrap(), expected);
+        let plan = out.prepare(&EvalOptions::default()).unwrap();
+        assert_eq!(
+            plan.answers(&edb, &EvalOptions::default()).unwrap(),
+            expected
+        );
+        let rebound = plan.rebind(&[Const::Int(1)]).unwrap();
+        assert_eq!(
+            rebound.answers(&edb, &EvalOptions::default()).unwrap(),
+            vec![vec![Const::Int(2)]]
+        );
+    }
+
+    #[test]
+    fn a_minted_name_equal_to_an_unreached_edb_predicate_reads_no_facts() {
+        // `cond_1` is an EDB predicate of a rule the query does not reach, and the
+        // name the optimizer gives its first condition. The condition is false here
+        // (no `l` fact meets a `b_p_bf` fact); the caller's `cond_1` fact must not
+        // make it true.
+        let program = parse_program(
+            "p(X, Y) :- l(X), p(X, U), c1(U, V), p(V, Y), r1(Y).\n\
+             p(X, Y) :- l(X), p(X, U), c2(U, V), p(V, Y), r2(Y).\n\
+             p(X, Y) :- l(X), f(X, V), p(V, Y), r3(Y).\n\
+             p(X, Y) :- e(X, Y), r1(Y), r2(Y), r3(Y).\n\
+             z :- cond_1.",
+        )
+        .unwrap()
+        .program;
+        let query = parse_query("p(0, Y)").unwrap();
+        let mut edb = Database::new();
+        for (predicate, a, b) in [("e", 0, 1), ("e", 2, 3), ("c1", 1, 2), ("f", 0, 1)] {
+            edb.add_fact(predicate, &[Const::Int(a), Const::Int(b)]);
+        }
+        for (predicate, a) in [("l", 9), ("r1", 1), ("r1", 3), ("r2", 1), ("r2", 3)] {
+            edb.add_fact(predicate, &[Const::Int(a)]);
+        }
+        edb.add_fact("r3", &[Const::Int(1)]);
+        edb.add_fact("r3", &[Const::Int(3)]);
+        edb.add_fact("cond_1", &[]);
+        let expected = vec![vec![Const::Int(1)]];
+        assert_eq!(
+            factorlog_datalog::eval::naive_evaluate(&program, &edb)
+                .unwrap()
+                .answers(&query),
+            expected
+        );
+        let out = optimize_query(&program, &query, &PipelineOptions::default()).unwrap();
+        assert!(format!("{}", out.program).contains("cond_1 :- "));
+        assert_eq!(out.answers(&edb).unwrap(), expected);
+        let plan = out.prepare(&EvalOptions::default()).unwrap();
+        assert_eq!(
+            plan.answers(&edb, &EvalOptions::default()).unwrap(),
+            expected
+        );
     }
 
     #[test]

@@ -458,16 +458,6 @@ impl Query {
             .collect()
     }
 
-    /// The positions of the query literal holding variables — the *free* positions.
-    pub fn free_positions(&self) -> Vec<usize> {
-        self.atom
-            .terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.is_var().then_some(i))
-            .collect()
-    }
-
     /// The adornment string of this query: `b` for each constant position, `f` for
     /// each variable position (e.g. `t(5, Y)` has adornment `"bf"`).
     pub fn adornment(&self) -> String {
@@ -634,7 +624,6 @@ mod tests {
         let q = Query::new(Atom::new("t", vec![Term::int(5), Term::var("Y")]));
         assert_eq!(q.adornment(), "bf");
         assert_eq!(q.bound_positions(), vec![0]);
-        assert_eq!(q.free_positions(), vec![1]);
         assert_eq!(format!("{q}"), "?- t(5, Y).");
     }
 

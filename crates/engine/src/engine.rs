@@ -1548,6 +1548,27 @@ mod tests {
     }
 
     #[test]
+    fn prepared_path_ignores_facts_for_the_pipelines_own_predicates() {
+        // `m_t_bf` is an ordinary EDB predicate to the session, and also the name the
+        // pipeline gives the query's magic predicate: the prepared plan must not
+        // read the session's `m_t_bf` facts as magic seeds.
+        let mut engine = Engine::new();
+        engine
+            .load_source("t(X, Y) :- e(X, W), t(W, Y).\nt(X, Y) :- e(X, Y).")
+            .unwrap();
+        for (a, b) in [(0, 1), (1, 2), (7, 8)] {
+            engine.insert("e", &[c(a), c(b)]).unwrap();
+        }
+        engine.insert("m_t_bf", &[c(7)]).unwrap();
+        let query = parse_query("t(0, Y)").unwrap();
+        assert_eq!(engine.query(&query).unwrap(), vec![vec![c(1)], vec![c(2)]]);
+        assert_eq!(
+            engine.query_prepared(&query).unwrap(),
+            vec![vec![c(1)], vec![c(2)]]
+        );
+    }
+
+    #[test]
     fn prepared_path_sees_asserted_idb_facts() {
         let mut engine = Engine::new();
         engine

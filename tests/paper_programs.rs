@@ -155,3 +155,192 @@ fn example_4_2_pipeline_matches_the_manual_stages() {
     let (_, _, _, _, _, _, final_program) = stage_programs();
     assert_eq!(format!("{}", optimized.program), format!("{final_program}"));
 }
+
+/// Every workload program with the query it is asked.
+fn workload_queries() -> Vec<(&'static str, &'static str, &'static str)> {
+    vec![
+        ("THREE_RULE_TC", programs::THREE_RULE_TC, programs::TC_QUERY),
+        (
+            "RIGHT_LINEAR_TC",
+            programs::RIGHT_LINEAR_TC,
+            programs::TC_QUERY,
+        ),
+        (
+            "LEFT_LINEAR_TC",
+            programs::LEFT_LINEAR_TC,
+            programs::TC_QUERY,
+        ),
+        ("NONLINEAR_TC", programs::NONLINEAR_TC, programs::TC_QUERY),
+        (
+            "SAME_GENERATION",
+            programs::SAME_GENERATION,
+            programs::SG_QUERY,
+        ),
+        ("PMEM", programs::PMEM, "pmem(X, 0)"),
+        (
+            "EXAMPLE_4_3_EXACT",
+            programs::EXAMPLE_4_3_EXACT,
+            programs::P_QUERY,
+        ),
+        (
+            "SELECTION_PUSHING",
+            programs::SELECTION_PUSHING,
+            programs::P_QUERY,
+        ),
+        ("SYMMETRIC", programs::SYMMETRIC, programs::P_QUERY),
+        (
+            "ANSWER_PROPAGATING",
+            programs::ANSWER_PROPAGATING,
+            programs::P_QUERY,
+        ),
+        ("EXAMPLE_5_1", programs::EXAMPLE_5_1, "p(0, 1, Z)"),
+        ("EXAMPLE_5_2", programs::EXAMPLE_5_2, "p(0, 1, Z)"),
+        ("EXAMPLE_7_1", programs::EXAMPLE_7_1, "t(0, Y, Z)"),
+        (
+            "RIGHT_LINEAR_TWO_RULES",
+            programs::RIGHT_LINEAR_TWO_RULES,
+            programs::P_QUERY,
+        ),
+        ("ARITY_3_TC", programs::ARITY_3_TC, "t(0, Y, Z)"),
+    ]
+}
+
+#[test]
+fn optimizing_a_final_program_again_changes_nothing() {
+    for (name, src, query) in workload_queries() {
+        let program = parse_program(src).unwrap().program;
+        let query = parse_query(query).unwrap();
+        let out = optimize_query(&program, &query, &PipelineOptions::default()).unwrap();
+        let ctx = out.factored.as_ref().map(FactoringContext::from_factored);
+        let (again, trace) = optimize(&out.program, &out.query, ctx.as_ref());
+        assert_eq!(
+            format!("{again}"),
+            format!("{}", out.program),
+            "{name}: {:?}",
+            trace.steps
+        );
+    }
+}
+
+#[test]
+fn every_final_program_answers_like_the_original_on_random_edbs() {
+    use factorlog::core::equivalence::{random_edb, EdbSpec};
+    for (name, src, query) in workload_queries() {
+        let program = parse_program(src).unwrap().program;
+        let query = parse_query(query).unwrap();
+        let out = optimize_query(&program, &query, &PipelineOptions::default()).unwrap();
+        let mut answered = 0;
+        for seed in 1..=24u64 {
+            // Guards of one to six tuples, a different size for each guard and seed:
+            // sparse ones leave a condition false often enough for a wrong condition
+            // to change the answers, dense ones let answers through.
+            let mut predicates: Vec<Symbol> = program.edb_predicates().into_iter().collect();
+            predicates.sort_by_key(|p| p.as_str());
+            let specs: Vec<EdbSpec> = (predicates.into_iter().enumerate())
+                .map(|(i, p)| {
+                    let arity = program.arity_of(p).unwrap();
+                    let guards = 1 + (seed as usize + i) % 6;
+                    EdbSpec::new(p.as_str(), arity, if arity == 1 { guards } else { 12 })
+                })
+                .collect();
+            let edb = random_edb(&specs, 6, seed);
+            let expected = naive_evaluate(&program, &edb).unwrap().answers(&query);
+            let reference = naive_evaluate(&out.program, &edb)
+                .unwrap()
+                .answers(&out.query);
+            assert_eq!(reference, expected, "{name}, seed {seed}:\n{}", out.program);
+            assert_eq!(out.answers(&edb).unwrap(), expected, "{name}, seed {seed}");
+            answered += usize::from(!expected.is_empty());
+        }
+        assert!(
+            answered > 0,
+            "{name}: the random EDBs never reach an answer"
+        );
+    }
+}
+
+#[test]
+fn magic_only_programs_have_no_independent_conjunctions() {
+    // Without factoring every body is connected, so the hoisting pass leaves the
+    // fallback programs exactly as the deleting passes left them.
+    for (src, query, expected) in [
+        (
+            programs::SAME_GENERATION,
+            programs::SG_QUERY,
+            "m_sg_bf(0).\n\
+             sg_bf(X, Y) :- m_sg_bf(X), flat(X, Y).\n\
+             m_sg_bf(U) :- m_sg_bf(X), up(X, U).\n\
+             sg_bf(X, Y) :- m_sg_bf(X), up(X, U), sg_bf(U, V), down(V, Y).\n",
+        ),
+        (
+            programs::EXAMPLE_4_3_EXACT,
+            programs::P_QUERY,
+            "m_p_bf(0).\n\
+             m_p_bf(V) :- m_p_bf(X), l1(X), p_bf(X, U), c1(U, V).\n\
+             p_bf(X, Y) :- m_p_bf(X), l1(X), p_bf(X, U), c1(U, V), p_bf(V, Y), r1(Y).\n\
+             m_p_bf(V) :- m_p_bf(X), l2(X), p_bf(X, U), c2(U, V).\n\
+             p_bf(X, Y) :- m_p_bf(X), l2(X), p_bf(X, U), c2(U, V), p_bf(V, Y), r2(Y).\n\
+             m_p_bf(V) :- m_p_bf(X), f(X, V).\n\
+             p_bf(X, Y) :- m_p_bf(X), f(X, V), p_bf(V, Y), r3(Y).\n\
+             p_bf(X, Y) :- m_p_bf(X), e(X, Y).\n",
+        ),
+    ] {
+        let program = parse_program(src).unwrap().program;
+        let query = parse_query(query).unwrap();
+        let out = optimize_query(&program, &query, &PipelineOptions::default()).unwrap();
+        assert_eq!(out.strategy, Strategy::MagicOnly);
+        assert_eq!(format!("{}", out.program), expected);
+    }
+    // The Magic column of a comparison (factoring switched off) runs the same §5
+    // passes, and the hoisting pass finds nothing to hoist in any workload program.
+    let magic_only = PipelineOptions {
+        factor: false,
+        ..PipelineOptions::default()
+    };
+    for (name, src, query) in workload_queries() {
+        let program = parse_program(src).unwrap().program;
+        let query = parse_query(query).unwrap();
+        let out = optimize_query(&program, &query, &magic_only).unwrap();
+        assert!(
+            !out.trace
+                .steps
+                .iter()
+                .any(|s| s.starts_with("added condition")),
+            "{name}:\n{}",
+            out.program
+        );
+    }
+}
+
+#[test]
+fn combined_rule_programs_evaluate_without_cross_products() {
+    // The three factorable combined-rule programs at the sizes the benchmark checks
+    // them against the unoptimized program, as (inferences, facts, rounds). Before
+    // the independent conjunctions of their factored rules were hoisted into
+    // conditions these were (12 074, 118, 8), (8 725, 85, 19) and (12 107, 89, 13):
+    // the facts differ only by the condition facts (two, two and three).
+    use factorlog::workloads::layered::{combined_rule_edb, LayeredParams};
+    for (src, nodes, expected) in [
+        (programs::SELECTION_PUSHING, 40, (553, 120, 8)),
+        (programs::SYMMETRIC, 30, (369, 87, 20)),
+        (programs::ANSWER_PROPAGATING, 30, (546, 92, 13)),
+    ] {
+        let program = parse_program(src).unwrap().program;
+        let query = parse_query(programs::P_QUERY).unwrap();
+        let edb = combined_rule_edb(&LayeredParams::scaled(nodes, 0x5EED));
+        let out = optimize_query(&program, &query, &PipelineOptions::default()).unwrap();
+        assert_eq!(out.strategy, Strategy::FactoredMagic);
+        let result = out.evaluate(&edb).unwrap();
+        assert_eq!(
+            result.answers(&out.query),
+            naive_evaluate(&program, &edb).unwrap().answers(&query)
+        );
+        let stats = &result.stats;
+        assert_eq!(
+            (stats.inferences, stats.facts_derived, stats.iterations),
+            expected,
+            "(inferences, facts, rounds) at {nodes} nodes:\n{}",
+            out.program
+        );
+    }
+}
