@@ -27,6 +27,7 @@ use factorlog_datalog::symbol::Symbol;
 
 use crate::adorn::AdornedProgram;
 use crate::error::{TransformError, TransformResult};
+use crate::optimize::body_components;
 use crate::standard_form::to_standard_form;
 
 /// The class of one rule of the recursive predicate.
@@ -306,7 +307,10 @@ fn classify_rule(
     }
 
     // Partition the non-recursive literals into connected components.
-    let components = connected_components(&non_p);
+    let components: Vec<Vec<&Atom>> = body_components(&non_p)
+        .into_iter()
+        .map(|component| component.into_iter().map(|i| non_p[i]).collect())
+        .collect();
 
     // Distinguished variable sets.
     let xs: BTreeSet<Symbol> = head_bound.iter().copied().collect();
@@ -417,37 +421,6 @@ fn classify_rule(
         (false, false) => unreachable!(),
     };
     classified
-}
-
-/// Group atoms into connected components by shared variables.
-fn connected_components<'a>(atoms: &[&'a Atom]) -> Vec<Vec<&'a Atom>> {
-    let n = atoms.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let vi: BTreeSet<Symbol> = atoms[i].variables().collect();
-            if atoms[j].variables().any(|v| vi.contains(&v)) {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri] = rj;
-                }
-            }
-        }
-    }
-    let mut groups: std::collections::BTreeMap<usize, Vec<&Atom>> =
-        std::collections::BTreeMap::new();
-    for (i, atom) in atoms.iter().enumerate() {
-        let root = find(&mut parent, i);
-        groups.entry(root).or_default().push(*atom);
-    }
-    groups.into_values().collect()
 }
 
 /// Apply a permutation of argument positions of `predicate` consistently to every

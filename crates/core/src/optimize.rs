@@ -44,6 +44,7 @@
 //!    connected as the original rules' (the magic literal shares the bound
 //!    variables), so on the paper's Magic-only programs this pass changes nothing.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use factorlog_datalog::ast::{Atom, Const, Program, Query, Rule, Substitution, Term};
@@ -353,12 +354,14 @@ fn delete_uniformly_redundant(program: &mut Program, trace: &mut OptimizationTra
 
 /// The connected components of `body` (two literals are connected when they share a
 /// variable), each a list of literal indices in body order, ordered by first literal.
-/// A literal without variables is a component of its own.
-fn body_components(body: &[Atom]) -> Vec<Vec<usize>> {
+/// A literal without variables is a component of its own. Shared with `classify.rs`,
+/// which partitions a rule's non-recursive literals the same way.
+pub(crate) fn body_components<A: Borrow<Atom>>(body: &[A]) -> Vec<Vec<usize>> {
     let shares_a_variable = |i: usize, j: usize| {
         body[i]
+            .borrow()
             .variables()
-            .any(|v| body[j].variables().any(|w| w == v))
+            .any(|v| body[j].borrow().variables().any(|w| w == v))
     };
     let mut components: Vec<Vec<usize>> = Vec::new();
     for i in 0..body.len() {

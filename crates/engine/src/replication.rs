@@ -58,6 +58,7 @@ use std::time::Duration;
 
 use factorlog_datalog::eval::Reading;
 
+use crate::disk::{self, Disk};
 use crate::durability::{SNAPSHOT_FILE, WAL_FILE};
 use crate::engine::{Engine, EngineError};
 use crate::server::{
@@ -166,25 +167,19 @@ impl Default for ReplicationOptions {
 
 /// Read the persisted term of a data directory (0 when the `TERM` file is
 /// absent or unreadable — a node that never took part in a failover).
-pub(crate) fn read_term(dir: &Path) -> u64 {
-    std::fs::read_to_string(dir.join(TERM_FILE))
-        .ok()
-        .and_then(|text| text.trim().parse().ok())
+pub(crate) fn read_term(disk: &dyn Disk, dir: &Path) -> u64 {
+    let text = disk.read(&dir.join(TERM_FILE)).ok().flatten();
+    text.and_then(|text| String::from_utf8_lossy(&text).trim().parse().ok())
         .unwrap_or(0)
 }
 
-/// Persist `term` in the data directory's `TERM` file (fsync'd: a promotion
-/// must survive the promoted node's own crash, or a revived ex-leader could
-/// reclaim leadership it already lost).
-pub(crate) fn persist_term(dir: &Path, term: u64) -> Result<(), EngineError> {
+/// Persist `term` in the data directory's `TERM` file, replacing it whole and
+/// durably (a promotion must survive the promoted node's own crash, or a
+/// revived ex-leader could reclaim leadership it already lost).
+pub(crate) fn persist_term(disk: &dyn Disk, dir: &Path, term: u64) -> Result<(), EngineError> {
     let path = dir.join(TERM_FILE);
-    let write = || -> std::io::Result<()> {
-        use std::io::Write as _;
-        let mut file = std::fs::File::create(&path)?;
-        file.write_all(format!("{term}\n").as_bytes())?;
-        file.sync_data()
-    };
-    write().map_err(|e| EngineError::Io(format!("cannot write {}: {e}", path.display())))
+    disk::replace(disk, dir, TERM_FILE, format!("{term}\n").as_bytes())
+        .map_err(|e| disk::io_error("write", &path, e))
 }
 
 /// Hex-encode `bytes` (lowercase) — WAL frames ship hex-encoded
@@ -235,11 +230,12 @@ pub(crate) struct StreamStep {
 /// data directory: the on-disk log is the committed truth (commits fsync
 /// before acknowledging), so no coupling to the writer thread is needed.
 pub(crate) fn stream_step(
+    disk: &dyn Disk,
     dir: &Path,
     from_seq: u64,
     max_frames: usize,
 ) -> Result<StreamStep, EngineError> {
-    let read = wal::read_frames_from(&dir.join(WAL_FILE), from_seq, max_frames)?;
+    let read = wal::read_frames_from(disk, &dir.join(WAL_FILE), from_seq, max_frames)?;
     let mut step = StreamStep {
         frames: read.frames.iter().map(WalRecord::encode).collect(),
         last_seq: read.last_seq.unwrap_or(0),
@@ -250,7 +246,7 @@ pub(crate) fn stream_step(
     // The log does not start at `from_seq`: the follower is caught up, or a
     // compaction reset the log past it and the image covers the gap (when it
     // does not yet — a transient state — ship nothing; the follower retries).
-    if let Some((image, payload)) = wal::read_image(&dir.join(SNAPSHOT_FILE))? {
+    if let Some((image, payload)) = wal::read_image(disk, &dir.join(SNAPSHOT_FILE))? {
         step.last_seq = step.last_seq.max(image.seq());
         if image.seq() >= from_seq {
             step.frames.insert(0, payload);
@@ -388,12 +384,12 @@ impl Replica {
         leader: impl Into<String>,
         _options: ReplicationOptions,
     ) -> Result<Replica, EngineError> {
-        let Some(dir) = engine.data_dir() else {
+        let Some((disk, dir)) = engine.data_disk() else {
             return Err(EngineError::Durability(
                 "a replica must be durable (open it with open_durable)".to_string(),
             ));
         };
-        let term = read_term(dir);
+        let term = read_term(&*disk, &dir);
         // A follower identity for the leader's per-follower lag map: unique
         // enough across processes and restarts (clock nanos xor pid).
         let id = std::time::SystemTime::now()
@@ -435,9 +431,8 @@ impl Replica {
                     // A failover happened upstream: adopt the new term so our
                     // own polls carry it onward.
                     self.term = reply.term;
-                    if let Some(dir) = self.engine.data_dir() {
-                        let dir = dir.to_path_buf();
-                        persist_term(&dir, self.term)?;
+                    if let Some((disk, dir)) = self.engine.data_disk() {
+                        persist_term(&*disk, &dir, self.term)?;
                     }
                 }
                 // An image past our position is installed (see
@@ -599,9 +594,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("factorlog_term_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::remove_file(dir.join(TERM_FILE)).ok();
-        assert_eq!(read_term(&dir), 0, "absent TERM file reads as 0");
-        persist_term(&dir, 7).unwrap();
-        assert_eq!(read_term(&dir), 7);
+        let disk = crate::disk::StdDisk;
+        assert_eq!(read_term(&disk, &dir), 0, "absent TERM file reads as 0");
+        persist_term(&disk, &dir, 7).unwrap();
+        assert_eq!(read_term(&disk, &dir), 7);
+        persist_term(&disk, &dir, 8).unwrap();
+        assert_eq!(
+            read_term(&disk, &dir),
+            8,
+            "a later term replaces the file whole"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

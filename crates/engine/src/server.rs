@@ -387,9 +387,9 @@ struct ReplState {
     lease_timeout: Duration,
     /// Leader only: per-follower drain positions from recent polls.
     followers: Mutex<HashMap<u64, FollowerLag>>,
-    /// The durable data directory frames are streamed from (`None` disables
-    /// `REPL SUBSCRIBE` — there is no committed log to ship).
-    data_dir: Option<PathBuf>,
+    /// The disk and durable data directory frames are streamed from (`None`
+    /// disables `REPL SUBSCRIBE` — there is no committed log to ship).
+    data_dir: Option<(Arc<dyn crate::disk::Disk>, PathBuf)>,
     /// `Some` iff this server started as a follower.
     leader_addr: Option<String>,
     /// Follower only: the apply loop's latest [`Replica::status`].
@@ -673,8 +673,10 @@ pub(crate) fn serve_inner(
         Ok(model) => model,
         Err(error) => return Err(fail(engine, error)),
     };
-    let data_dir = engine.data_dir().map(|dir| dir.to_path_buf());
-    let term = data_dir.as_deref().map(replication::read_term).unwrap_or(0);
+    let data_dir = engine.data_disk();
+    let term = data_dir
+        .as_ref()
+        .map_or(0, |(disk, dir)| replication::read_term(&**disk, dir));
     let initial_role = if follow.is_some() {
         ReplicaRole::Follower
     } else {
@@ -1776,7 +1778,7 @@ fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Re
         );
     };
     let repl = &shared.repl;
-    let Some(dir) = repl.data_dir.as_deref() else {
+    let Some((disk, dir)) = repl.data_dir.as_ref() else {
         return respond_err(
             out,
             "repl",
@@ -1798,7 +1800,7 @@ fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Re
                 Ordering::Acquire,
             )
             .is_ok();
-        let _ = replication::persist_term(dir, term);
+        let _ = replication::persist_term(&**disk, dir, term);
         if was_leader || repl.role.load(Ordering::Acquire) == ReplicaRole::Fenced.as_u8() {
             return respond_err(out, "fenced", &format!("superseded by term {term}"));
         }
@@ -1811,7 +1813,7 @@ fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Re
             &format!("superseded by term {}", repl.term.load(Ordering::Acquire)),
         );
     }
-    let step = match replication::stream_step(dir, from_seq, REPL_BATCH_FRAMES) {
+    let step = match replication::stream_step(&**disk, dir, from_seq, REPL_BATCH_FRAMES) {
         Ok(step) => step,
         Err(error) => return respond_err(out, "repl", &error.to_string()),
     };
@@ -1899,8 +1901,8 @@ fn handle_promote(shared: &Shared, out: &mut impl Write) -> std::io::Result<()> 
             let new_term = repl.term.load(Ordering::Acquire) + 1;
             // Persist before flipping the role: a promotion that does not
             // survive our own crash could let the old leader fence us back.
-            if let Some(dir) = repl.data_dir.as_deref() {
-                if let Err(error) = replication::persist_term(dir, new_term) {
+            if let Some((disk, dir)) = repl.data_dir.as_ref() {
+                if let Err(error) = replication::persist_term(&**disk, dir, new_term) {
                     return respond_err(out, "repl", &error.to_string());
                 }
             }

@@ -1,8 +1,7 @@
 //! The append-only transaction log behind durable sessions, and the one durable
 //! format: versioned binary framing with a per-record length prefix and CRC-32
-//! checksum, written through an fsync'ing writer with an injectable fault point so
-//! crash-recovery tests can kill the writer at any byte offset. A data directory's
-//! compaction image is a file in the same format holding exactly one
+//! checksum, written through an fsync'ing writer on a [`Disk`]. A data
+//! directory's compaction image is a file in the same format holding exactly one
 //! [`WalRecord::Image`] frame (see [`read_image`]).
 //!
 //! # On-disk format
@@ -40,12 +39,12 @@
 //! whole and renamed into place, so [`read_image`] refuses anything but one
 //! intact image frame.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use factorlog_datalog::ast::Const;
 use factorlog_datalog::symbol::Symbol;
+
+use crate::disk::{Disk, DiskFile, StdDisk};
 
 /// Magic bytes opening every log file: identifies the file *and* its format
 /// version (`FLOGWAL1` = framing version 1).
@@ -65,12 +64,9 @@ pub enum WalError {
     /// A record failed to decode *before* the scan's stop point (only raised by
     /// strict decoding paths; tail scans turn this into truncation instead).
     Corrupt(String),
-    /// The injected fault point fired: the writer "crashed" mid-write, leaving a
-    /// torn tail behind. Test-harness only; never raised in production configs.
-    Injected {
-        /// Bytes of the in-flight record that reached the file before the crash.
-        written: usize,
-    },
+    /// An earlier append failed or panicked and its bytes could not be cut
+    /// off again, so the writer refuses every further append.
+    Poisoned,
     /// The record exceeds [`MAX_RECORD_BYTES`]; nothing was written (recovery
     /// would refuse to read such a record, so acknowledging it would lose it —
     /// and everything after it — at the next open).
@@ -88,9 +84,10 @@ impl std::fmt::Display for WalError {
                 write!(f, "{} is not a factorlog wal (bad header)", path.display())
             }
             WalError::Corrupt(message) => write!(f, "corrupt wal record: {message}"),
-            WalError::Injected { written } => {
-                write!(f, "injected wal fault after {written} byte(s)")
-            }
+            WalError::Poisoned => f.write_str(
+                "the transaction log failed mid-commit; reopen the data directory to \
+                 recover (the torn record is discarded on replay)",
+            ),
             WalError::TooLarge { bytes } => write!(
                 f,
                 "record of {bytes} bytes exceeds the {MAX_RECORD_BYTES} byte record limit"
@@ -407,32 +404,43 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A crash-injection point for the log writer: after `budget` more bytes reach the
-/// file, every further byte is dropped and the write reports [`WalError::Injected`]
-/// — exactly what a process killed mid-`write(2)` leaves on disk. Budgets at record
-/// boundaries simulate kills between commits; budgets inside a record simulate torn
-/// writes.
-///
-/// Defined in the shared `factorlog_datalog::fault` module since the engine-wide
-/// chaos harness landed; re-exported here where the WAL's crash-injection tests
-/// have always found it.
-pub use factorlog_datalog::fault::FaultPoint;
+/// Append the frame of `record` (length prefix, CRC, payload) to `out`.
+fn frame(out: &mut Vec<u8>, record: &WalRecord) -> Result<(), WalError> {
+    let payload = record.encode();
+    if payload.len() as u64 > MAX_RECORD_BYTES as u64 {
+        // Recovery would refuse to read such a record, so acknowledging it would
+        // lose it (and everything after it) at the next open.
+        return Err(WalError::TooLarge {
+            bytes: payload.len(),
+        });
+    }
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    Ok(())
+}
+
+/// The bytes of an image file holding `image`: the header and its one frame.
+pub(crate) fn image_file(image: &WalRecord) -> Result<Vec<u8>, WalError> {
+    let mut bytes = WAL_MAGIC.to_vec();
+    frame(&mut bytes, image)?;
+    Ok(bytes)
+}
 
 /// The append side of the log: owns the file handle, tracks the append offset, and
 /// optionally fsyncs after every appended batch.
 pub struct WalWriter {
-    path: PathBuf,
-    file: File,
+    file: Box<dyn DiskFile>,
     /// Bytes of valid log currently on disk (header included).
     len: u64,
     /// fsync after every appended batch (disable only for tests and throughput
     /// benches — without it, the durability guarantee weakens to "whatever the OS
     /// flushed").
     fsync: bool,
-    fault: Option<FaultPoint>,
-    /// Set after an injected fault: the writer is unusable (as a crashed process
-    /// would be) and every further append fails.
-    poisoned: bool,
+    /// Set when a failed append could not be cut off again, an append
+    /// panicked, or the file was cut short under the writer: every further
+    /// append fails with [`WalError::Poisoned`].
+    pub(crate) poisoned: bool,
     /// Wall time of the fsync inside the most recent successful
     /// [`append_all`](WalWriter::append_all); `None` when that append did not
     /// fsync. Read by the engine's tracing layer to feed the `wal_fsync`
@@ -444,50 +452,32 @@ impl WalWriter {
     /// Create a fresh, empty log at `path` (truncating any existing file) and write
     /// the header.
     pub fn create(path: impl Into<PathBuf>, fsync: bool) -> Result<WalWriter, WalError> {
-        let path = path.into();
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
-        file.write_all(WAL_MAGIC)?;
-        WalWriter::at(path, file, WAL_MAGIC.len() as u64, fsync)
+        WalWriter::create_on(&StdDisk, &path.into(), fsync)
+    }
+
+    /// [`WalWriter::create`] on `disk`.
+    pub(crate) fn create_on(
+        disk: &dyn Disk,
+        path: &Path,
+        fsync: bool,
+    ) -> Result<WalWriter, WalError> {
+        let mut file = disk.create(path)?;
+        file.write(WAL_MAGIC)?;
+        WalWriter::at(file, WAL_MAGIC.len() as u64, fsync)
     }
 
     /// A writer appending to `file` at `len`, once what precedes is synced.
-    fn at(path: PathBuf, file: File, len: u64, fsync: bool) -> Result<WalWriter, WalError> {
+    fn at(mut file: Box<dyn DiskFile>, len: u64, fsync: bool) -> Result<WalWriter, WalError> {
         if fsync {
-            file.sync_data()?;
+            file.sync()?;
         }
         Ok(WalWriter {
-            path,
             file,
             len,
             fsync,
-            fault: None,
             poisoned: false,
             last_fsync_ns: None,
         })
-    }
-
-    /// Open an existing log for appending at `valid_len` (as reported by
-    /// [`read_log`]), truncating anything after it — the torn tail of a crashed
-    /// writer.
-    pub fn open_append(
-        path: impl Into<PathBuf>,
-        valid_len: u64,
-        fsync: bool,
-    ) -> Result<WalWriter, WalError> {
-        let path = path.into();
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        file.set_len(valid_len)?;
-        file.seek(SeekFrom::Start(valid_len))?;
-        WalWriter::at(path, file, valid_len, fsync)
-    }
-
-    /// The log file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Bytes of valid log on disk (header included).
@@ -500,18 +490,6 @@ impl WalWriter {
         self.len <= WAL_MAGIC.len() as u64
     }
 
-    /// Arm (or disarm) the crash-injection point. Test harness only.
-    pub fn set_fault(&mut self, fault: Option<FaultPoint>) {
-        self.fault = fault;
-    }
-
-    /// Did an earlier append fail mid-write, leaving the writer unusable (as a
-    /// crashed process would be)? A poisoned writer rejects every further
-    /// append; reopening the directory recovers (the torn tail is truncated).
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
     /// Wall time, in nanoseconds, of the fsync performed by the most recent
     /// successful [`append_all`](WalWriter::append_all) — `None` when that append
     /// ran with fsync disabled. Always measured (one clock pair per append, noise
@@ -519,32 +497,6 @@ impl WalWriter {
     /// histogram only while tracing.
     pub fn last_fsync_ns(&self) -> Option<u64> {
         self.last_fsync_ns
-    }
-
-    /// Write `bytes` through the fault point: persists as much as the remaining
-    /// budget allows, then reports the injected crash.
-    fn write_through_fault(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        match &mut self.fault {
-            None => {
-                self.file.write_all(bytes)?;
-                Ok(())
-            }
-            Some(fault) => {
-                let allowed = (fault.budget.min(bytes.len() as u64)) as usize;
-                self.file.write_all(&bytes[..allowed])?;
-                fault.budget -= allowed as u64;
-                if allowed < bytes.len() {
-                    // Crash mid-write: flush what made it to the file (a real crash
-                    // can persist any prefix; syncing the partial write makes the
-                    // test deterministic) and poison the writer.
-                    self.file.sync_data().ok();
-                    self.poisoned = true;
-                    Err(WalError::Injected { written: allowed })
-                } else {
-                    Ok(())
-                }
-            }
-        }
     }
 
     /// Append one record — [`append_all`](WalWriter::append_all) of a batch of one.
@@ -555,65 +507,48 @@ impl WalWriter {
     /// Append a batch of records under a single fsync: every frame (length
     /// prefix, CRC, payload) is written, then one `sync_data` (when enabled)
     /// makes the whole batch durable at once. All-or-nothing: on an error the
-    /// writer first tries to truncate the file back to its length before the
-    /// batch so the append can simply be retried; if even that fails, the writer
-    /// poisons itself (every further append errors) — otherwise a retry would
-    /// land after the torn bytes and be silently discarded by the next recovery
-    /// scan. No record of a failed batch is ever acknowledged or replayed. An
-    /// empty batch is a no-op.
+    /// writer cuts the file back to its length before the batch so the append
+    /// can simply be retried; if even that fails, or the disk panics, the
+    /// writer poisons itself (every further append fails with
+    /// [`WalError::Poisoned`]) — otherwise a retry would land after the torn
+    /// bytes and be silently discarded by the next recovery scan. No record of a failed batch is ever acknowledged. A
+    /// record over [`MAX_RECORD_BYTES`] fails the batch before anything is
+    /// written. An empty batch is a no-op.
     pub fn append_all(&mut self, records: &[WalRecord]) -> Result<(), WalError> {
         if records.is_empty() {
             return Ok(());
         }
         if self.poisoned {
-            return Err(WalError::Injected { written: 0 });
+            return Err(WalError::Poisoned);
         }
         let mut frames = Vec::new();
         for record in records {
-            let payload = record.encode();
-            if payload.len() as u64 > MAX_RECORD_BYTES as u64 {
-                // Nothing has been written yet: the whole batch aborts cleanly
-                // instead of acknowledging a record the recovery scan would
-                // refuse to read.
-                return Err(WalError::TooLarge {
-                    bytes: payload.len(),
-                });
-            }
-            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frames.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frames.extend_from_slice(&payload);
+            frame(&mut frames, record)?;
         }
         self.last_fsync_ns = None;
-        let result = self.write_through_fault(&frames).and_then(|()| {
+        // Poisoned until the batch is written or cut off again: a panic out of
+        // the disk leaves unknown bytes behind the append offset.
+        self.poisoned = true;
+        let result = self.file.write(&frames).and_then(|()| {
             if self.fsync {
                 let start = std::time::Instant::now();
-                self.file.sync_data()?;
+                self.file.sync()?;
                 self.last_fsync_ns = Some(start.elapsed().as_nanos() as u64);
             }
             Ok(())
         });
         if let Err(error) = result {
-            if !matches!(error, WalError::Injected { .. }) {
-                // A real I/O failure (full disk, failed sync): roll the file back
-                // to the last durable record, or poison the writer if we cannot.
-                let rolled_back = self
-                    .file
-                    .set_len(self.len)
-                    .and_then(|()| self.file.seek(SeekFrom::Start(self.len)).map(|_| ()))
-                    .is_ok();
-                if !rolled_back {
-                    self.poisoned = true;
-                }
-            }
-            return Err(error);
+            self.poisoned = self.file.set_len(self.len).is_err();
+            return Err(error.into());
         }
+        self.poisoned = false;
         self.len += frames.len() as u64;
         Ok(())
     }
 
     /// Force an fsync now (used once at the end of unsynced bulk phases).
     pub fn sync(&mut self) -> Result<(), WalError> {
-        self.file.sync_data()?;
+        self.file.sync()?;
         Ok(())
     }
 }
@@ -649,16 +584,16 @@ pub struct FrameIter {
 }
 
 impl FrameIter {
-    /// Open `path` for frame iteration. A missing file iterates as empty; a
-    /// partial-magic prefix (crash during log creation) iterates as empty with
-    /// the partial header counted as torn; any other leading bytes are a
-    /// [`WalError::BadHeader`].
-    pub fn open(path: &Path) -> Result<FrameIter, WalError> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e.into()),
-        };
+    /// Open `path` on `disk` for frame iteration. A missing file iterates as
+    /// empty; a partial-magic prefix (crash during log creation) iterates as
+    /// empty with the partial header counted as torn; any other leading bytes
+    /// are a [`WalError::BadHeader`].
+    pub fn open(disk: &dyn Disk, path: &Path) -> Result<FrameIter, WalError> {
+        FrameIter::new(disk.read(path)?.unwrap_or_default(), path)
+    }
+
+    /// Iterate the frames of `bytes`, the content of the file `path`.
+    fn new(bytes: Vec<u8>, path: &Path) -> Result<FrameIter, WalError> {
         if bytes.len() < WAL_MAGIC.len() {
             if !bytes.is_empty() && !WAL_MAGIC.starts_with(&bytes) {
                 return Err(WalError::BadHeader(path.to_path_buf()));
@@ -752,7 +687,12 @@ impl Iterator for FrameIter {
 /// [`WalError::BadHeader`] — that file is not a factorlog log, and truncating it
 /// would destroy someone else's data.
 pub fn read_log(path: &Path) -> Result<LogScan, WalError> {
-    let mut iter = FrameIter::open(path)?;
+    scan_log(&StdDisk, path)
+}
+
+/// [`read_log`] on `disk`.
+fn scan_log(disk: &dyn Disk, path: &Path) -> Result<LogScan, WalError> {
+    let mut iter = FrameIter::open(disk, path)?;
     let records: Vec<WalRecord> = iter.by_ref().collect();
     Ok(LogScan {
         records,
@@ -786,11 +726,12 @@ pub struct FrameRead {
 /// asks for everything from `from_seq` on, in publisher-bounded batches.
 /// Shares [`read_log`]'s header and torn-tail handling.
 pub fn read_frames_from(
+    disk: &dyn Disk,
     path: &Path,
     from_seq: u64,
     max_frames: usize,
 ) -> Result<FrameRead, WalError> {
-    let iter = FrameIter::open(path)?;
+    let iter = FrameIter::open(disk, path)?;
     let mut read = FrameRead::default();
     for record in iter {
         read.last_seq = Some(record.seq());
@@ -816,11 +757,11 @@ pub fn read_frames_from(
 /// leading bytes, an empty, torn or corrupt frame, a record of another kind, a
 /// second frame — is an error, and the file is left as it is: an image is
 /// renamed into place whole, so none of those is what a crash leaves behind.
-pub fn read_image(path: &Path) -> Result<Option<(WalRecord, Vec<u8>)>, WalError> {
-    if !path.exists() {
+pub fn read_image(disk: &dyn Disk, path: &Path) -> Result<Option<(WalRecord, Vec<u8>)>, WalError> {
+    let Some(bytes) = disk.read(path)? else {
         return Ok(None);
-    }
-    let mut frames = FrameIter::open(path)?;
+    };
+    let mut frames = FrameIter::new(bytes, path)?;
     let image = frames.next();
     let end = frames.valid_len() as usize;
     match image {
@@ -838,16 +779,21 @@ pub fn read_image(path: &Path) -> Result<Option<(WalRecord, Vec<u8>)>, WalError>
     }
 }
 
-/// Scan `path` and truncate its torn tail (if any), returning the scan and a
-/// writer positioned to append after the last intact record. A missing file is
-/// created fresh.
-pub fn recover_log(path: &Path, fsync: bool) -> Result<(LogScan, WalWriter), WalError> {
-    let scan = read_log(path)?;
+/// Scan `path` on `disk` and truncate its torn tail (if any), returning the scan
+/// and a writer positioned to append after the last intact record. A missing
+/// file is created fresh.
+pub fn recover_log(
+    disk: &dyn Disk,
+    path: &Path,
+    fsync: bool,
+) -> Result<(LogScan, WalWriter), WalError> {
+    let scan = scan_log(disk, path)?;
     let writer = if scan.valid_len < WAL_MAGIC.len() as u64 {
         // Missing file, or a partial header from a crashed create: start fresh.
-        WalWriter::create(path, fsync)?
+        WalWriter::create_on(disk, path, fsync)?
     } else {
-        WalWriter::open_append(path, scan.valid_len, fsync)?
+        let file = disk.open_at(path, scan.valid_len)?;
+        WalWriter::at(file, scan.valid_len, fsync)?
     };
     Ok((scan, writer))
 }
@@ -1009,7 +955,7 @@ mod tests {
             assert_eq!(scan.valid_len, boundaries[expect_records]);
             assert_eq!(scan.torn_bytes, cut - boundaries[expect_records]);
             // And recovery truncates + appends cleanly from there.
-            let (_, mut recovered) = recover_log(&path, false).unwrap();
+            let (_, mut recovered) = recover_log(&StdDisk, &path, false).unwrap();
             recovered.append(&sample_txn(99)).unwrap();
             let rescan = read_log(&path).unwrap();
             assert_eq!(rescan.records.len(), expect_records + 1);
@@ -1043,36 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_point_tears_the_write_at_the_configured_byte() {
-        let path = temp_path("fault");
-        let record = sample_txn(1);
-        let frame_len = record.encode().len() as u64 + 8;
-        for budget in 0..frame_len {
-            let mut writer = WalWriter::create(&path, false).unwrap();
-            writer.append(&record).unwrap();
-            writer.set_fault(Some(FaultPoint { budget }));
-            let err = writer.append(&sample_txn(2)).unwrap_err();
-            assert!(matches!(err, WalError::Injected { .. }), "budget {budget}");
-            // The writer is poisoned, like a dead process.
-            assert!(matches!(
-                writer.append(&sample_txn(3)),
-                Err(WalError::Injected { .. })
-            ));
-            drop(writer);
-            // On disk: record 1 intact, record 2 torn at `budget` bytes.
-            let scan = read_log(&path).unwrap();
-            assert_eq!(scan.records.len(), 1, "budget {budget}");
-            assert_eq!(scan.torn_bytes, budget);
-        }
-        // A budget covering the whole frame lets the append through.
-        let mut writer = WalWriter::create(&path, false).unwrap();
-        writer.set_fault(Some(FaultPoint { budget: frame_len }));
-        writer.append(&record).unwrap();
-        assert_eq!(read_log(&path).unwrap().records.len(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn append_all_groups_records_under_one_sync() {
         let path = temp_path("group");
         let mut writer = WalWriter::create(&path, true).unwrap();
@@ -1092,30 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn append_all_torn_mid_group_loses_the_whole_suffix_but_keeps_the_prefix() {
-        // Tear the group write at every byte offset: recovery keeps exactly the
-        // records whose frames fully made it to disk — a torn group commit can
-        // lose a suffix of the batch but never reorders or corrupts.
-        let path = temp_path("group_fault");
-        let batch = [sample_txn(2), sample_txn(3)];
-        let batch_len: u64 = batch.iter().map(|r| r.encode().len() as u64 + 8).sum();
-        let frame2_len = batch[0].encode().len() as u64 + 8;
-        for budget in 0..batch_len {
-            let mut writer = WalWriter::create(&path, false).unwrap();
-            writer.append(&sample_txn(1)).unwrap();
-            writer.set_fault(Some(FaultPoint { budget }));
-            let err = writer.append_all(&batch).unwrap_err();
-            assert!(matches!(err, WalError::Injected { .. }), "budget {budget}");
-            assert!(writer.is_poisoned());
-            drop(writer);
-            let scan = read_log(&path).unwrap();
-            let expect = 1 + usize::from(budget >= frame2_len);
-            assert_eq!(scan.records.len(), expect, "budget {budget}");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn append_all_rejects_oversized_records_without_writing() {
         let path = temp_path("group_big");
         let mut writer = WalWriter::create(&path, false).unwrap();
@@ -1129,7 +1021,6 @@ mod tests {
             Err(WalError::TooLarge { .. })
         ));
         assert_eq!(writer.len(), before, "nothing from the group is written");
-        assert!(!writer.is_poisoned());
         writer.append_all(&[sample_txn(1)]).unwrap();
         assert_eq!(read_log(&path).unwrap().records.len(), 1);
         std::fs::remove_file(&path).ok();
@@ -1150,7 +1041,7 @@ mod tests {
         let scan = read_log(&path).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.torn_bytes, 4);
-        let (_, mut writer) = recover_log(&path, false).unwrap();
+        let (_, mut writer) = recover_log(&StdDisk, &path, false).unwrap();
         writer.append(&sample_txn(1)).unwrap();
         assert_eq!(read_log(&path).unwrap().records.len(), 1);
         std::fs::remove_file(&path).ok();
@@ -1160,11 +1051,11 @@ mod tests {
     fn frame_iter_handles_empty_and_missing_logs() {
         // Missing file: iterates as empty, nothing valid, nothing torn.
         let path = temp_path("iter_missing");
-        let mut iter = FrameIter::open(&path).unwrap();
+        let mut iter = FrameIter::open(&StdDisk, &path).unwrap();
         assert!(iter.next().is_none());
         assert_eq!(iter.valid_len(), 0);
         assert_eq!(iter.torn_bytes(), 0);
-        let read = read_frames_from(&path, 1, 16).unwrap();
+        let read = read_frames_from(&StdDisk, &path, 1, 16).unwrap();
         assert!(read.frames.is_empty());
         assert_eq!(read.first_seq, None);
         assert_eq!(read.last_seq, None);
@@ -1173,11 +1064,11 @@ mod tests {
         // Header-only log: same, but the header counts as valid bytes.
         let writer = WalWriter::create(&path, false).unwrap();
         drop(writer);
-        let mut iter = FrameIter::open(&path).unwrap();
+        let mut iter = FrameIter::open(&StdDisk, &path).unwrap();
         assert!(iter.next().is_none());
         assert_eq!(iter.valid_len(), WAL_MAGIC.len() as u64);
         assert_eq!(iter.torn_bytes(), 0);
-        let read = read_frames_from(&path, 1, 16).unwrap();
+        let read = read_frames_from(&StdDisk, &path, 1, 16).unwrap();
         assert!(read.frames.is_empty() && read.last_seq.is_none());
         std::fs::remove_file(&path).ok();
     }
@@ -1195,14 +1086,14 @@ mod tests {
         // reports the torn bytes without touching them.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..boundary as usize + 5]).unwrap();
-        let mut iter = FrameIter::open(&path).unwrap();
+        let mut iter = FrameIter::open(&StdDisk, &path).unwrap();
         assert_eq!(iter.next().map(|r| r.seq()), Some(1));
         assert_eq!(iter.next().map(|r| r.seq()), Some(2));
         assert!(iter.next().is_none());
         assert_eq!(iter.valid_len(), boundary);
         assert_eq!(iter.torn_bytes(), 5);
         // The streaming read sees the same prefix: last_seq stops before the tear.
-        let read = read_frames_from(&path, 2, 16).unwrap();
+        let read = read_frames_from(&StdDisk, &path, 2, 16).unwrap();
         assert_eq!(read.frames.len(), 1);
         assert_eq!(read.first_seq, Some(2));
         assert_eq!(read.last_seq, Some(2));
@@ -1220,7 +1111,7 @@ mod tests {
         drop(writer);
 
         // Reading from exactly the first retained sequence returns everything.
-        let read = read_frames_from(&path, 5, 16).unwrap();
+        let read = read_frames_from(&StdDisk, &path, 5, 16).unwrap();
         assert_eq!(read.frames.len(), 4);
         assert_eq!(read.first_seq, Some(5));
         assert_eq!(read.last_seq, Some(8));
@@ -1229,19 +1120,19 @@ mod tests {
         // Reading from *before* the boundary reveals the gap: the first frame
         // the log can supply is 5, not the 4 the caller asked for — the caller
         // must bootstrap from a snapshot instead of applying a discontinuity.
-        let read = read_frames_from(&path, 4, 16).unwrap();
+        let read = read_frames_from(&StdDisk, &path, 4, 16).unwrap();
         assert_eq!(read.first_seq, Some(5));
         assert_eq!(read.frames[0].seq(), 5);
 
         // Reading from past the end returns no frames but still reports the
         // publisher position.
-        let read = read_frames_from(&path, 9, 16).unwrap();
+        let read = read_frames_from(&StdDisk, &path, 9, 16).unwrap();
         assert!(read.frames.is_empty());
         assert_eq!(read.first_seq, None);
         assert_eq!(read.last_seq, Some(8));
 
         // The batch cap truncates without losing the position signal.
-        let read = read_frames_from(&path, 5, 2).unwrap();
+        let read = read_frames_from(&StdDisk, &path, 5, 2).unwrap();
         assert_eq!(read.frames.len(), 2);
         assert_eq!(read.frames[1].seq(), 6);
         assert_eq!(read.last_seq, Some(8));

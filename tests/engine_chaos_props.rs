@@ -1,5 +1,6 @@
 //! Engine-wide chaos harness: random fault injection and resource limits at
-//! every named [`FaultSite`], fired during mixed query/mutation workloads.
+//! every named [`FaultSite`] and at any call of a durable session's simulated
+//! disk (`tests/support`), fired during mixed query/mutation workloads.
 //!
 //! The properties under test are the PR's containment invariants:
 //!
@@ -7,46 +8,35 @@
 //!   returns a *structured* [`EngineError`]; no panic escapes the engine, no
 //!   operation hangs, no batch half-applies.
 //! * **Store is the source of truth** — after any failed evaluation (tripped
-//!   limit, caught panic, injected fault at any site), the *same* session's
-//!   model is exactly the reference evaluation of its surviving base facts.
+//!   limit, caught panic, injected fault at any site or disk call), the *same*
+//!   session's model is exactly the reference evaluation of its surviving base
+//!   facts, and a crash then recovers exactly those facts.
 //! * **Prompt deadlines** — a wall-clock deadline on an unbounded recursive
 //!   query aborts within 2x the deadline, and the engine stays reusable.
 
-use std::path::PathBuf;
+mod support;
+
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use factorlog::prelude::*;
 use factorlog::workloads::programs;
 use proptest::prelude::*;
+use support::{Fault, SimDisk};
 
 fn c(i: i64) -> Const {
     Const::Int(i)
 }
 
-/// Every injection site the engine exposes, in one indexable list.
-const SITES: [FaultSite; 8] = [
+/// Every injection site the evaluator exposes, in one indexable list.
+const SITES: [FaultSite; 4] = [
     FaultSite::JoinOuterLoop,
     FaultSite::RoundMerge,
     FaultSite::DeleteOverdelete,
     FaultSite::DeleteRederive,
-    FaultSite::WalAppend,
-    FaultSite::Compaction,
-    FaultSite::CompactionAfterTempWrite,
-    FaultSite::CompactionAfterRename,
 ];
 
 const ACTIONS: [FaultAction; 2] = [FaultAction::Error, FaultAction::Panic];
-
-/// A scratch data directory, unique per test case and cleaned before use.
-fn fresh_dir(tag: &str) -> PathBuf {
-    static COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("factorlog_chaos_{tag}_{}_{n}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
 
 /// The convergence oracle: a session that went through faults, limits and
 /// partial evaluations must — once disarmed — hold exactly `reference`, the
@@ -78,6 +68,7 @@ fn is_structured_failure(error: &EngineError) -> bool {
                 | EvalError::WorkerPanic { .. }
                 | EvalError::Injected { .. }
         ) | EngineError::Durability(_)
+            | EngineError::Io(_)
     )
 }
 
@@ -85,38 +76,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The tentpole property: a mixed insert/retract/transaction/query workload
-    /// with a random fault (any site, error or panic action, random arming
-    /// delay) and a random derived-fact limit never panics out of the engine,
-    /// never hangs, only ever fails structurally — and the session converges
-    /// to the from-scratch evaluation of whatever base facts survived.
+    /// with a random fault (any evaluator site or a disk call, error or panic
+    /// action, random arming delay) and a random derived-fact limit never
+    /// panics out of the engine, never hangs, only ever fails structurally —
+    /// and the session converges to the from-scratch evaluation of whatever
+    /// base facts survived, which is also what a crash then recovers.
     #[test]
     fn random_faults_during_mixed_workloads_stay_contained_and_convergent(
         ops in prop::collection::vec((0usize..5, 0i64..12, 0i64..12), 8..32),
-        site_idx in 0usize..8,
+        site_idx in 0usize..5,
         action_idx in 0usize..2,
         countdown in 0u64..8,
         limit_sel in 0usize..3,
         durable_sel in 0usize..2,
     ) {
-        let site = SITES[site_idx];
         let action = ACTIONS[action_idx];
-        // The WAL sites only exist on durable sessions; force one there.
-        let durable = durable_sel == 1
-            || matches!(
-                site,
-                FaultSite::WalAppend
-                    | FaultSite::Compaction
-                    | FaultSite::CompactionAfterTempWrite
-                    | FaultSite::CompactionAfterRename
-            );
-        let dir = fresh_dir("mixed");
+        // Index 4 is the disk, which only a durable session has; force one there.
+        let durable = durable_sel == 1 || site_idx == 4;
+        let disk = SimDisk::new();
+        let dopts = DurabilityOptions {
+            fsync: true,
+            // Compact every few records so compaction's disk calls are reachable.
+            compact_threshold: 256,
+        };
         let mut engine = if durable {
-            let dopts = DurabilityOptions {
-                fsync: false,
-                // Compact every few records so the Compaction site is reachable.
-                compact_threshold: 256,
-            };
-            Engine::open_durable_with(&dir, dopts).expect("durable open")
+            Engine::open_durable_on(disk.arc(), "/data", dopts, EvalOptions::default())
+                .expect("durable open")
         } else {
             Engine::new()
         };
@@ -129,7 +114,15 @@ proptest! {
             2 => engine.set_limits(None, None, Some(4096)),
             _ => {}
         }
-        engine.set_fault_injector(Some(FaultInjector::armed(site, action, countdown as u32)));
+        match SITES.get(site_idx) {
+            Some(&site) => {
+                engine.set_fault_injector(Some(FaultInjector::armed(site, action, countdown as u32)));
+            }
+            None => {
+                let fault = [Fault::Error, Fault::Panic][action_idx];
+                disk.fail_at(disk.calls() + countdown as usize, fault);
+            }
+        }
 
         let query = parse_query("t(0, Y)").unwrap();
         let mut failures = 0usize;
@@ -156,16 +149,23 @@ proptest! {
                 failures += 1;
             }
         }
-        // Tripped or not, armed or spent: the session must converge.
+        // Tripped or not, armed or spent: the session must converge, and a
+        // crash keeping only what was synced recovers exactly its facts.
         let reference = naive_evaluate(engine.program(), engine.facts()).expect("reference");
         assert_converges(&mut engine, &reference)?;
+        if durable {
+            let crashed = SimDisk::with_files(&disk.durable_files());
+            let mut recovered =
+                Engine::open_durable_on(crashed.arc(), "/data", dopts, EvalOptions::default())
+                    .map_err(|e| TestCaseError::fail(format!("recovery fails: {e}")))?;
+            assert_converges(&mut recovered, &reference)?;
+        }
         // Bookkeeping: every abort the workload saw is on the session counters.
         prop_assert!(
             engine.stats().limit_aborts + engine.stats().worker_panics <= failures + 1,
             "more aborts than failures: {} aborts, {} panics, {} failures",
             engine.stats().limit_aborts, engine.stats().worker_panics, failures
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The session-reusability satellite, isolated: force exactly one failure

@@ -17,28 +17,31 @@
 //!   valid, promotes after it expires, accepts writes as the new leader, and
 //!   a revived ex-leader that observes the higher term fences itself: it
 //!   refuses transactions while the promoted node keeps committing.
+//! * **Crash states** — a follower that bootstraps from a compacted leader and
+//!   is then promoted, crashed after any call of its (simulated) disk in any
+//!   way the persistence rules allow, recovers a prefix of the leader's
+//!   history holding everything it had applied, and keeps its term.
+//!
+//! Every node runs on the simulated disk of `tests/support`; a killed node
+//! reopens from what its disk had synced.
+
+mod support;
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Duration;
 
+use factorlog::engine::TERM_FILE;
 use factorlog::prelude::*;
 use factorlog::workloads::programs;
 use proptest::prelude::*;
+use support::{check_crash_states, Checked, Memo, Script, SimDisk};
+
+/// The data directory of every node, each on a simulated disk of its own.
+const DIR: &str = "/data";
 
 fn c(i: i64) -> Const {
     Const::Int(i)
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "factorlog_repl_crash_{tag}_{}_{n}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 fn server_opts() -> ServerOptions {
@@ -51,9 +54,25 @@ fn server_opts() -> ServerOptions {
 
 fn dopts(compact_threshold: u64) -> DurabilityOptions {
     DurabilityOptions {
-        fsync: false,
+        fsync: true,
         compact_threshold,
     }
+}
+
+/// A node's durable engine on `disk`.
+fn open_on(disk: &SimDisk, compact_threshold: u64) -> Engine {
+    Engine::open_durable_on(
+        disk.arc(),
+        DIR,
+        dopts(compact_threshold),
+        EvalOptions::default(),
+    )
+    .expect("node opens durably")
+}
+
+/// The disk a crash of the node on `disk` leaves: what it had synced.
+fn crashed(disk: &SimDisk) -> SimDisk {
+    SimDisk::with_files(&disk.durable_files())
 }
 
 /// Fast-polling replication options with the given lease.
@@ -77,8 +96,8 @@ fn fact_set(engine: &Engine) -> BTreeSet<String> {
     set
 }
 
-fn open_follower(dir: &PathBuf, leader: &str) -> Replica {
-    let engine = Engine::open_durable_with(dir, dopts(u64::MAX)).expect("follower opens durably");
+fn open_follower(disk: &SimDisk, leader: &str) -> Replica {
+    let engine = open_on(disk, u64::MAX);
     Replica::from_engine(engine, leader, ropts(Duration::from_secs(3600)))
         .expect("durable engine wraps as a replica")
 }
@@ -97,15 +116,13 @@ proptest! {
     fn followers_converge_under_kills_churn_and_compaction(
         phases in proptest::collection::vec((1usize..6, 0u64..4), 3..7),
     ) {
-        let leader_dir = fresh_dir("lead");
-        let f1_dir = fresh_dir("f1");
-        let f2_dir = fresh_dir("f2");
+        let mut f1_disk = SimDisk::new();
+        let f2_disk = SimDisk::new();
 
         // A tiny compaction threshold: the leader's log compacts repeatedly
         // mid-run, so a lagging follower's position routinely falls behind the
         // image and forces a bootstrap.
-        let mut engine = Engine::open_durable_with(&leader_dir, dopts(256))
-        .expect("leader opens durably");
+        let mut engine = open_on(&SimDisk::new(), 256);
         engine
             .load_source(programs::THREE_RULE_TC)
             .expect("program loads");
@@ -113,8 +130,8 @@ proptest! {
         let addr = handle.addr();
         let leader = addr.to_string();
 
-        let mut f1 = open_follower(&f1_dir, &leader);
-        let mut f2 = open_follower(&f2_dir, &leader);
+        let mut f1 = open_follower(&f1_disk, &leader);
+        let mut f2 = open_follower(&f2_disk, &leader);
 
         let mut next_edge = 0i64;
         for &(txns, action) in &phases {
@@ -138,11 +155,13 @@ proptest! {
                 // Disconnect churn: drop the connection, lag builds.
                 1 => f1.disconnect(),
                 // Follower killed at an arbitrary frame boundary: the replica
-                // dies between frame batches and reopens from its own WAL.
+                // dies between frame batches and reopens from what its disk
+                // had synced.
                 2 => {
                     let _ = f1.sync_once().expect("follower syncs");
+                    f1_disk = crashed(&f1_disk);
                     drop(f1);
-                    f1 = open_follower(&f1_dir, &leader);
+                    f1 = open_follower(&f1_disk, &leader);
                 }
                 // Leader killed and revived on the same address: followers
                 // reconnect and resume from their last applied seq.
@@ -178,10 +197,6 @@ proptest! {
             );
         }
 
-        drop((leader_engine, f1_engine, f2_engine));
-        for dir in [&leader_dir, &f1_dir, &f2_dir] {
-            std::fs::remove_dir_all(dir).ok();
-        }
     }
 }
 
@@ -191,10 +206,8 @@ proptest! {
 /// shipped image (an observed bootstrap) and still converge.
 #[test]
 fn a_lagging_follower_bootstraps_past_a_compacted_log() {
-    let leader_dir = fresh_dir("compact_lead");
-    let follower_dir = fresh_dir("compact_follow");
-    let mut engine =
-        Engine::open_durable_with(&leader_dir, dopts(64)).expect("leader opens durably");
+    let follower_disk = SimDisk::new();
+    let mut engine = open_on(&SimDisk::new(), 64);
     engine
         .load_source(programs::THREE_RULE_TC)
         .expect("program loads");
@@ -208,7 +221,7 @@ fn a_lagging_follower_bootstraps_past_a_compacted_log() {
 
     let mut writer = Client::connect(handle.addr()).expect("writer connects");
     writer.txn("+e(0, 1)").expect("first txn");
-    let mut follower = open_follower(&follower_dir, &addr);
+    let mut follower = open_follower(&follower_disk, &addr);
     assert!(follower.catch_up(200).expect("initial catch-up"));
     follower.disconnect();
 
@@ -232,9 +245,10 @@ fn a_lagging_follower_bootstraps_past_a_compacted_log() {
         fact_set(&leader_engine),
         "bootstrapped follower is checksum-identical"
     );
-    drop((leader_engine, follower));
-    std::fs::remove_dir_all(&leader_dir).ok();
-    std::fs::remove_dir_all(&follower_dir).ok();
+    // So is the follower a crash leaves.
+    drop(follower);
+    let reopened = open_on(&crashed(&follower_disk), u64::MAX);
+    assert_eq!(fact_set(&reopened), fact_set(&leader_engine));
 }
 
 /// Failover: promotion is refused while the lease is valid, succeeds once it
@@ -242,10 +256,7 @@ fn a_lagging_follower_bootstraps_past_a_compacted_log() {
 /// that observes the higher term fences itself and refuses writes.
 #[test]
 fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
-    let leader_dir = fresh_dir("fence_lead");
-    let follower_dir = fresh_dir("fence_follow");
-    let mut engine =
-        Engine::open_durable_with(&leader_dir, dopts(u64::MAX)).expect("leader opens durably");
+    let mut engine = open_on(&SimDisk::new(), u64::MAX);
     engine
         .load_source(programs::THREE_RULE_TC)
         .expect("program loads");
@@ -255,8 +266,7 @@ fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
     let mut writer = Client::connect(handle.addr()).expect("writer connects");
     writer.txn("+e(1, 2)").expect("txn commits");
 
-    let engine =
-        Engine::open_durable_with(&follower_dir, dopts(u64::MAX)).expect("follower opens durably");
+    let engine = open_on(&SimDisk::new(), u64::MAX);
     let replica = Replica::from_engine(engine, addr.as_str(), ropts(Duration::from_millis(200)))
         .expect("a durable engine wraps");
     let follower = serve_follower(
@@ -317,8 +327,6 @@ fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
 
     drop(handle.shutdown());
     drop(follower.shutdown());
-    std::fs::remove_dir_all(&leader_dir).ok();
-    std::fs::remove_dir_all(&follower_dir).ok();
 }
 
 /// The served form of failover, over the wire: a `serve_follower` node answers
@@ -326,10 +334,7 @@ fn a_promoted_follower_writes_while_a_fenced_ex_leader_cannot() {
 /// once the dead leader's lease expires, and commits transactions afterwards.
 #[test]
 fn a_served_follower_promotes_over_the_wire_and_resumes_writes() {
-    let leader_dir = fresh_dir("wire_lead");
-    let follower_dir = fresh_dir("wire_follow");
-    let mut engine =
-        Engine::open_durable_with(&leader_dir, dopts(u64::MAX)).expect("leader opens durably");
+    let mut engine = open_on(&SimDisk::new(), u64::MAX);
     engine
         .load_source(programs::THREE_RULE_TC)
         .expect("program loads");
@@ -337,8 +342,7 @@ fn a_served_follower_promotes_over_the_wire_and_resumes_writes() {
     let mut writer = Client::connect(leader.addr()).expect("writer connects");
     writer.txn("+e(1, 2)").expect("txn commits");
 
-    let engine =
-        Engine::open_durable_with(&follower_dir, dopts(u64::MAX)).expect("follower opens durably");
+    let engine = open_on(&SimDisk::new(), u64::MAX);
     let replica = Replica::from_engine(
         engine,
         leader.addr().to_string(),
@@ -406,6 +410,203 @@ fn a_served_follower_promotes_over_the_wire_and_resumes_writes() {
     );
 
     drop(follower.shutdown());
-    std::fs::remove_dir_all(&leader_dir).ok();
-    std::fs::remove_dir_all(&follower_dir).ok();
+}
+
+/// A follower's append is an append like any other: its disk failing the
+/// write of a shipped batch fails the poll, applies nothing (write-ahead), and
+/// the next poll applies the whole batch.
+#[test]
+fn a_disk_fault_on_a_followers_append_applies_nothing() {
+    let mut engine = open_on(&SimDisk::new(), u64::MAX);
+    engine
+        .load_source(programs::THREE_RULE_TC)
+        .expect("program");
+    engine.insert("e", &[c(0), c(1)]).expect("commit");
+    engine.insert("e", &[c(1), c(2)]).expect("commit");
+    let handle = serve(engine, "127.0.0.1:0", server_opts()).expect("serve");
+    let disk = SimDisk::new();
+    let mut follower = open_follower(&disk, &handle.addr().to_string());
+    // The poll's first disk call is the append of the shipped batch.
+    disk.fail_at(disk.calls(), support::Fault::Error);
+    let err = follower.sync_once().unwrap_err();
+    assert!(matches!(err, EngineError::Durability(_)), "{err}");
+    assert_eq!(follower.applied_seq(), 0);
+    assert!(follower.engine().program().is_empty());
+    assert_eq!(follower.sync_once().expect("retry").frames_applied, 3);
+    assert_eq!(follower.engine().facts().count("e"), 2);
+    drop(handle.shutdown());
+}
+
+/// A served leader on a simulated disk holding the program and `commits`
+/// edges `e(i, i + 1)`, compacting past 400 log bytes.
+fn leader_with(commits: i64) -> ServerHandle {
+    let mut engine = open_on(&SimDisk::new(), 400);
+    engine
+        .load_source(programs::THREE_RULE_TC)
+        .expect("program");
+    for i in 0..commits {
+        engine.insert("e", &[c(i), c(i + 1)]).expect("commit");
+    }
+    serve(engine, "127.0.0.1:0", server_opts()).expect("leader serves")
+}
+
+/// The size in bytes of a recorded `write <file> +<n> byte(s) …` call.
+fn write_size(label: &str, file: &str) -> Option<usize> {
+    let rest = label.strip_prefix(&format!("write {file} +"))?;
+    rest.split(' ').next()?.parse().ok()
+}
+
+/// The crash-state harness on a follower. It catches up with one leader (the
+/// program and four commits arrive as one group append), then with a second
+/// one that holds the same history plus sixteen commits and has compacted
+/// past the follower's position, so the follower installs the shipped image
+/// (a bootstrap). It is then served and promoted once the leaders are gone,
+/// and commits as the new leader. After every call of its disk, every state a
+/// crash can leave must recover a prefix of that history holding everything
+/// the follower had acknowledged, whose model is the reference model; once the
+/// promotion was acknowledged, the term must survive too. Then the catch-ups
+/// run again with each of their disk calls failing in turn (a run stops at
+/// the catch-up that fails), and the crash states from the failure on are
+/// checked the same way.
+#[test]
+fn a_follower_crashing_at_any_disk_call_recovers_a_prefix_of_the_leader() {
+    // Outcome k is the state after k steps: the program, then `e(i, i + 1)`
+    // for i = 0, 1, … (outcome i + 2).
+    let mut ledger = Engine::new();
+    let mut outcomes = vec![(fact_set(&ledger), ledger.program().clone())];
+    let mut references = vec![naive_evaluate(ledger.program(), ledger.facts()).unwrap()];
+    ledger.load_source(programs::THREE_RULE_TC).unwrap();
+    for i in 0..=24 {
+        outcomes.push((fact_set(&ledger), ledger.program().clone()));
+        references.push(naive_evaluate(ledger.program(), ledger.facts()).unwrap());
+        ledger.insert("e", &[c(i), c(i + 1)]).unwrap();
+    }
+    // Outcome index of a session's state.
+    let index = |engine: &Engine| {
+        let state = (fact_set(engine), engine.program().clone());
+        outcomes.iter().position(|outcome| *outcome == state)
+    };
+    let options = dopts(u64::MAX);
+    let recover = |crash: &SimDisk| {
+        let mut engine = Engine::open_durable_on(crash.arc(), DIR, options, EvalOptions::default())
+            .map_err(|e| format!("recovery fails: {e}"))?;
+        let Some(k) = index(&engine) else {
+            return Ok(Vec::new());
+        };
+        let model = engine.refreshed_model().map_err(|e| e.to_string())?;
+        if ReferenceModel::from(&model) != references[k] {
+            return Err(format!(
+                "the model recovered as outcome {k} is not its reference"
+            ));
+        }
+        Ok(vec![k])
+    };
+
+    let (first, second) = (leader_with(4), leader_with(20));
+    let leaders = [first.addr().to_string(), second.addr().to_string()];
+    // The two catch-ups on a recording disk, with call `fail` failing; the
+    // follower, unless a catch-up failed.
+    let catch_ups = |fail: Option<usize>| -> (SimDisk, Script, Option<Replica>) {
+        let disk = SimDisk::recording();
+        if let Some(call) = fail {
+            disk.fail_at(call, support::Fault::Error);
+        }
+        let mut script = Script::default();
+        let Ok(mut engine) =
+            Engine::open_durable_on(disk.arc(), DIR, options, EvalOptions::default())
+        else {
+            return (disk, script, None);
+        };
+        for (leader, leader_at) in leaders.iter().zip([5, 21]) {
+            script.start(&disk, leader_at);
+            let Ok(mut follower) = Replica::from_engine(engine, leader, ropts(Duration::MAX))
+            else {
+                return (disk, script, None);
+            };
+            if !matches!(follower.catch_up(200), Ok(true)) {
+                return (disk, script, None);
+            }
+            let at = index(follower.engine()).expect("the follower holds a prefix");
+            script.ack(&disk, at);
+            engine = follower.into_engine();
+        }
+        let follower = Replica::from_engine(engine, &leaders[1], ropts(Duration::MAX)).ok();
+        (disk, script, follower)
+    };
+
+    let (mut memo, mut checked) = (Memo::default(), Checked::default());
+    let (disk, mut script, follower) = catch_ups(None);
+    let follower = follower.expect("the catch-ups succeed");
+    let caught_up = disk.calls();
+    let writes: Vec<usize> = disk
+        .history()
+        .iter()
+        .filter_map(|(label, _)| write_size(label, "wal.log"))
+        .collect();
+    assert!(
+        writes.iter().any(|&bytes| bytes > 150),
+        "the first catch-up appends one group of records: {writes:?}"
+    );
+    assert!(
+        disk.history()
+            .iter()
+            .any(|(label, _)| label.starts_with("rename")),
+        "the second catch-up installs the image"
+    );
+
+    // The catch-ups again, each of their disk calls failing in turn.
+    for fail in 0..caught_up {
+        let (disk, script, _) = catch_ups(Some(fail));
+        let calls = fail..disk.calls();
+        if let Err(trace) =
+            check_crash_states(&disk, &script, calls, &mut memo, &mut checked, recover)
+        {
+            panic!("with call {fail} failing:\n{trace}");
+        }
+    }
+    // Served, then promoted once the leaders are gone; then it commits.
+    let lease = Duration::from_millis(60);
+    let served = serve_follower(follower, "127.0.0.1:0", server_opts(), ropts(lease))
+        .expect("follower serves");
+    let mut client = Client::connect(served.addr()).expect("client connects");
+    drop((first.shutdown(), second.shutdown()));
+    let promoted_at = loop {
+        match client.promote() {
+            Ok((ReplicaRole::Leader, term)) => break (disk.calls(), term),
+            Ok(other) => panic!("unexpected promotion result {other:?}"),
+            Err(ClientError::Server { code, .. }) if code == "lease" => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("promotion fails: {e:?}"),
+        }
+    };
+    for i in 20..24 {
+        script.start(&disk, i as usize + 2);
+        client
+            .txn(&format!("+e({i}, {})", i + 1))
+            .expect("promoted node commits");
+        script.ack(&disk, i as usize + 2);
+    }
+    drop(served.shutdown());
+
+    let calls = 0..disk.calls();
+    if let Err(trace) = check_crash_states(&disk, &script, calls, &mut memo, &mut checked, recover)
+    {
+        panic!("{trace}");
+    }
+    // The promotion survives every crash after it was acknowledged.
+    let term_path = Path::new(DIR).join(TERM_FILE);
+    for (call, (label, state)) in disk.history().iter().enumerate().skip(promoted_at.0) {
+        for (files, kept) in state.crash_states() {
+            let term = files
+                .get(&term_path)
+                .and_then(|text| String::from_utf8_lossy(text).trim().parse::<u64>().ok());
+            assert_eq!(
+                term,
+                Some(promoted_at.1),
+                "a crash after call {call} ({label}) keeping {kept} loses the term"
+            );
+        }
+    }
+    assert!(checked.states > 50, "{checked:?}");
 }

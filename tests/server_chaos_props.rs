@@ -1,16 +1,16 @@
 //! Server chaos harness: the concurrent front end under concurrent readers and
-//! writers, injected WAL/merge faults during group commit, connections killed
-//! mid-request, and shutdown mid-load.
+//! writers, injected disk/merge faults during group commit (the disk is the
+//! simulated one of `tests/support`), connections killed mid-request, and
+//! shutdown mid-load.
 //!
 //! The properties under test are the served engine's contract:
 //!
 //! * **Snapshot isolation** — a reader never observes a partially applied
 //!   transaction batch, and the epoch its reply carries always equals a
 //!   committed prefix of the transaction stream.
-//! * **Committed or structured error** — under injected `WalAppend` /
-//!   `RoundMerge` faults (error and panic actions), every transaction reply is
-//!   either `OK` (and the write survives restart) or a structured `ERR`; no
-//!   hang, no torn state.
+//! * **Committed or structured error** — under a failing or panicking disk
+//!   call or a `RoundMerge` fault, every transaction reply is either `OK` (and
+//!   the write survives a crash) or a structured `ERR`; no hang, no torn state.
 //! * **Recovery convergence** — after any chaos run, reopening the data
 //!   directory yields exactly the reference model of the surviving base facts.
 
@@ -23,6 +23,9 @@ use std::time::Duration;
 use factorlog::prelude::*;
 use factorlog::workloads::programs;
 use proptest::prelude::*;
+use support::{Fault, SimDisk};
+
+mod support;
 
 fn c(i: i64) -> Const {
     Const::Int(i)
@@ -154,12 +157,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Tentpole chaos: a durable served engine with a fault armed at the
-    /// group-commit WAL append or the view-refresh merge (error or panic
-    /// action, random countdown), under concurrent writer clients. Every
-    /// transaction reply must be `OK` or a structured `ERR`; every `OK`d
-    /// fact must survive restart; and the reopened store must converge to
-    /// the reference evaluation.
+    /// Tentpole chaos: a durable served engine with a fault armed at a call of
+    /// its disk or at the view-refresh merge (error or panic action, random
+    /// countdown), under concurrent writer clients. Every transaction reply
+    /// must be `OK` or a structured `ERR`; every `OK`d fact must survive a
+    /// crash that keeps only what was synced; and the recovered store must
+    /// converge to the reference evaluation.
     #[test]
     fn wal_and_merge_faults_during_group_commit_stay_contained(
         site_sel in 0usize..2,
@@ -168,15 +171,21 @@ proptest! {
         writers in 2usize..5,
         txns_per_writer in 2usize..6,
     ) {
-        let site = [FaultSite::WalAppend, FaultSite::RoundMerge][site_sel];
         let action = [FaultAction::Error, FaultAction::Panic][action_sel];
-        let dir = fresh_dir("faults");
-        let dopts = DurabilityOptions { fsync: false, ..DurabilityOptions::default() };
-        let mut engine =
-            Engine::open_durable_with(&dir, dopts)
-                .expect("durable open");
+        let disk = SimDisk::new();
+        let dopts = DurabilityOptions { fsync: true, ..DurabilityOptions::default() };
+        let open = |disk: &SimDisk| {
+            Engine::open_durable_on(disk.arc(), "/data", dopts, EvalOptions::default())
+        };
+        let mut engine = open(&disk).expect("durable open");
         engine.load_source(programs::THREE_RULE_TC).expect("program loads");
-        engine.set_fault_injector(Some(FaultInjector::armed(site, action, countdown as u32)));
+        if site_sel == 1 {
+            engine.set_fault_injector(Some(FaultInjector::armed(
+                FaultSite::RoundMerge,
+                action,
+                countdown as u32,
+            )));
+        }
 
         // The armed fault can fire during serve()'s initial refresh: that is a
         // structured refusal with the engine handed back, not a chaos failure.
@@ -184,14 +193,16 @@ proptest! {
             Ok(handle) => handle,
             Err(e) => {
                 drop(e); // engine drops, releasing the LOCK
-                let mut reopened = Engine::open_durable(&dir).expect("reopen after refusal");
-                reopened.load_source(programs::THREE_RULE_TC).expect("program");
+                let mut reopened = open(&disk).expect("reopen after refusal");
                 assert_reopened_converges(&mut reopened)?;
-                drop(reopened);
-                std::fs::remove_dir_all(&dir).ok();
                 return Ok(());
             }
         };
+        // The disk is armed once serving: the writer's calls are the ones
+        // under test (`serve` reads `TERM` outside the engine's containment).
+        if site_sel == 0 {
+            disk.fail_at(disk.calls() + countdown as usize, [Fault::Error, Fault::Panic][action_sel]);
+        }
         let addr = handle.addr();
 
         // Writer clients: disjoint edges, so each acked fact is attributable.
@@ -229,22 +240,22 @@ proptest! {
         // The server survives the chaos: a fresh client gets answers.
         let mut probe = Client::connect(addr).expect("probe connects");
         probe.ping().expect("server alive after faults");
-        let report = handle.shutdown();
-        drop(report); // engine drops: WAL flushed, LOCK released
+        // The crash: only what was synced survives (the shutdown's own flush
+        // runs outside the engine's containment, so it is not armed).
+        let crashed = SimDisk::with_files(&disk.durable_files());
+        disk.disarm();
+        drop(handle.shutdown());
 
-        // Every acknowledged write is durable across restart…
-        let mut reopened = Engine::open_durable(&dir).expect("reopen");
-        reopened.load_source(programs::THREE_RULE_TC).expect("program");
+        // Every acknowledged write is durable across a crash…
+        let mut reopened = open(&crashed).expect("recovery");
         for &(x, y) in &acked {
             prop_assert!(
                 has_edge(reopened.facts(), x, y),
-                "acked e({x}, {y}) lost across restart"
+                "acked e({x}, {y}) lost across a crash"
             );
         }
         // …and the store converges to the reference evaluation.
         assert_reopened_converges(&mut reopened)?;
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
