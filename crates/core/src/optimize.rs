@@ -4,7 +4,7 @@
 //! rules; the paper's Propositions 5.1–5.5 plus deletion under uniform equivalence
 //! reduce it to the small program actually evaluated (Example 5.3 ends with a unary
 //! three-rule program for the transitive-closure query). This module implements those
-//! simplifications as passes run to a fixpoint:
+//! simplifications as deleting passes run until none can delete anything:
 //!
 //! 1. delete a rule whose head literal appears in its body, and duplicate rules
 //!    (Proposition 5.4, first part); delete a literal repeated in one body (a
@@ -21,9 +21,44 @@
 //! 6. delete rules that are redundant under uniform equivalence [Sagiv 1988]: a rule
 //!    is redundant iff its frozen head is derivable from the remaining program plus its
 //!    frozen body, which we decide with the reference evaluator
-//!    ([`naive_evaluate`]: pure Datalog, `succ` an ordinary predicate).
+//!    ([`naive_evaluate`]: pure Datalog, `succ` an ordinary predicate). A rule is
+//!    frozen by mapping its variables to distinct constants that no rule of the
+//!    program contains.
 //!
-//! Once the fixpoint is reached, one more pass runs:
+//! # The schedule
+//!
+//! The passes are visited in the order above (head-in-body, repeated literals,
+//! duplicates, Propositions 5.1–5.3, pass 5, pass 6), cyclically. Every pass runs
+//! once; afterwards a pass runs again only when another pass has since deleted
+//! something that can give it something to delete. Running a pass that cannot delete
+//! anything changes neither the program nor the trace, so the schedule produces
+//! exactly what repeating all six passes until a round changes nothing produces. Which
+//! deletions can re-enable which pass:
+//!
+//! * *Whole-rule deletions* (head-in-body, duplicates, passes 5 and 6) only remove
+//!   derivations: the least model is monotone in the rules, so a smaller program
+//!   derives a subset of what a larger one derives. A rule pass 6 kept was not
+//!   derivable from the rest of a larger program, so it is not from the rest of a
+//!   smaller one; this is also why one pass-6 sweep in program order leaves nothing
+//!   for a second (a rule kept early was checked against a superset of what remains).
+//!   A rule deletion cannot put a head into a body, repeat a literal, make two rules
+//!   alike, or change a body. What it can change is the dependency graph, so
+//!   afterwards only pass 5 can apply.
+//! * *Literal deletions* (repeated literals, Propositions 5.1–5.3) can make two rules
+//!   alpha-equivalent (duplicates), leave a variable occurring once (Proposition
+//!   5.2), drop an edge of the dependency graph (pass 5), and make a rule derive more
+//!   from its body, which can make another rule redundant (pass 6). They cannot put a
+//!   head into a body or repeat a literal. Propositions 5.1–5.3 delete within one rule
+//!   until nothing is left to delete there, so they need no second run for their own
+//!   deletions.
+//!
+//! On the paper's programs this means one run of each pass, then duplicates and pass
+//! 5 once more when Propositions 5.1–5.3 deleted literals, and never a confirming
+//! pass-6 sweep (the most expensive pass: one reference evaluation per rule).
+//!
+//! # Conditions
+//!
+//! Once no pass can delete anything, one more pass runs:
 //!
 //! 7. hoist independent conjunctions into conditions. Split each body into connected
 //!    components (two literals are connected when they share a variable). When a body
@@ -43,11 +78,15 @@
 //!    3 deletes it instead. Without factoring, a Magic program's bodies are as
 //!    connected as the original rules' (the magic literal shares the bound
 //!    variables), so on the paper's Magic-only programs this pass changes nothing.
+//!
+//! Duplicates and conditions compare rules and conjunctions by a canonical key (the
+//! atoms' predicates and arguments, variables numbered by first occurrence), built
+//! without rendering or interning anything.
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
-use factorlog_datalog::ast::{Atom, Const, Program, Query, Rule, Substitution, Term};
+use factorlog_datalog::ast::{Atom, Const, Program, Query, Rule, Term};
 use factorlog_datalog::eval::naive_evaluate;
 use factorlog_datalog::graph::DependencyGraph;
 use factorlog_datalog::storage::Database;
@@ -86,10 +125,6 @@ impl FactoringContext {
     }
 }
 
-/// Cap on the whole-pipeline fixpoint iterations of [`optimize`]. Every pass only
-/// deletes, so the passes reach their fixpoint long before it on the paper's programs.
-pub const MAX_PASSES: usize = 10;
-
 /// A record of the simplification steps applied, for reports and debugging.
 #[derive(Clone, Debug, Default)]
 pub struct OptimizationTrace {
@@ -103,12 +138,69 @@ impl OptimizationTrace {
     }
 }
 
+/// The six deleting passes, in the order the schedule visits them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pass {
+    HeadInBody,
+    RepeatedLiterals,
+    DuplicateRules,
+    RedundantLiterals,
+    Unreachable,
+    UniformlyRedundant,
+}
+
+impl Pass {
+    const ORDER: [Pass; 6] = [
+        Pass::HeadInBody,
+        Pass::RepeatedLiterals,
+        Pass::DuplicateRules,
+        Pass::RedundantLiterals,
+        Pass::Unreachable,
+        Pass::UniformlyRedundant,
+    ];
+
+    /// Does the pass delete literals from bodies (rather than whole rules)?
+    fn deletes_literals(self) -> bool {
+        matches!(self, Pass::RepeatedLiterals | Pass::RedundantLiterals)
+    }
+
+    /// Can a deletion by another pass (of literals when `literals`, else of whole
+    /// rules) make this pass, which found nothing left to delete, find something?
+    /// See the module docs.
+    fn enabled_by(self, literals: bool) -> bool {
+        match self {
+            Pass::HeadInBody | Pass::RepeatedLiterals => false,
+            Pass::DuplicateRules | Pass::RedundantLiterals | Pass::UniformlyRedundant => literals,
+            Pass::Unreachable => true,
+        }
+    }
+
+    /// Run the pass; `true` when it deleted something.
+    fn run(
+        self,
+        program: &mut Program,
+        query: &Query,
+        ctx: Option<&FactoringContext>,
+        trace: &mut OptimizationTrace,
+    ) -> bool {
+        match self {
+            Pass::HeadInBody => delete_head_in_body(program, trace),
+            Pass::RepeatedLiterals => delete_repeated_literals(program, trace),
+            Pass::DuplicateRules => delete_duplicate_rules(program, trace),
+            Pass::RedundantLiterals => {
+                ctx.is_some_and(|ctx| delete_redundant_literals(program, ctx, trace))
+            }
+            Pass::Unreachable => delete_unreachable(program, query, trace),
+            Pass::UniformlyRedundant => delete_uniformly_redundant(program, trace),
+        }
+    }
+}
+
 /// Run the §5 simplifications on `program` with respect to `query`: the six deleting
-/// passes repeated until none changes the program (at most [`MAX_PASSES`] times), then
-/// the hoisting of independent conjunctions once. `ctx` enables the
-/// factoring-specific literal deletions; without it only the generic deletions
-/// (head-in-body, repeated literals, duplicates, unreachable, uniform redundancy) and
-/// the hoisting run.
+/// passes until none can delete anything (the schedule of the module docs), then the
+/// hoisting of independent conjunctions once. `ctx` enables the factoring-specific
+/// literal deletions; without it only the generic deletions (head-in-body, repeated
+/// literals, duplicates, unreachable, uniform redundancy) and the hoisting run.
 pub fn optimize(
     program: &Program,
     query: &Query,
@@ -116,19 +208,22 @@ pub fn optimize(
 ) -> (Program, OptimizationTrace) {
     let mut current = program.clone();
     let mut trace = OptimizationTrace::default();
-    for _ in 0..MAX_PASSES {
-        let mut changed = false;
-        changed |= delete_head_in_body(&mut current, &mut trace);
-        changed |= delete_repeated_literals(&mut current, &mut trace);
-        changed |= delete_duplicate_rules(&mut current, &mut trace);
-        if let Some(ctx) = ctx {
-            changed |= delete_redundant_literals(&mut current, ctx, &mut trace);
+    // Visit the passes in order, cyclically, running those marked pending: every
+    // pass once, then a pass again only after another one deleted what it reads.
+    let mut pending = [true; Pass::ORDER.len()];
+    let mut next = 0;
+    while let Some(at) = (next..next + pending.len())
+        .map(|i| i % pending.len())
+        .find(|&i| pending[i])
+    {
+        let pass = Pass::ORDER[at];
+        pending[at] = false;
+        if pass.run(&mut current, query, ctx, &mut trace) {
+            for (other, flag) in Pass::ORDER.iter().zip(&mut pending) {
+                *flag |= *other != pass && other.enabled_by(pass.deletes_literals());
+            }
         }
-        changed |= delete_unreachable(&mut current, query, &mut trace);
-        changed |= delete_uniformly_redundant(&mut current, &mut trace);
-        if !changed {
-            break;
-        }
+        next = at + 1;
     }
     hoist_conditions(&mut current, &mut trace);
     (current, trace)
@@ -138,19 +233,13 @@ pub fn optimize(
 /// never derive a new fact.
 fn delete_head_in_body(program: &mut Program, trace: &mut OptimizationTrace) -> bool {
     let before = program.len();
-    let kept: Vec<Rule> = program
-        .rules
-        .iter()
-        .filter(|r| {
-            let delete = r.body.contains(&r.head);
-            if delete {
-                trace.record(format!("deleted rule with head in body: {r}"));
-            }
-            !delete
-        })
-        .cloned()
-        .collect();
-    program.rules = kept;
+    program.rules.retain(|r| {
+        let delete = r.body.contains(&r.head);
+        if delete {
+            trace.record(format!("deleted rule with head in body: {r}"));
+        }
+        !delete
+    });
     program.len() != before
 }
 
@@ -174,33 +263,53 @@ fn delete_repeated_literals(program: &mut Program, trace: &mut OptimizationTrace
 
 /// Remove rules that are syntactically identical up to variable renaming.
 fn delete_duplicate_rules(program: &mut Program, trace: &mut OptimizationTrace) -> bool {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut seen: Vec<Vec<KeyPart>> = Vec::new();
     let before = program.len();
-    let kept: Vec<Rule> = program
-        .rules
-        .iter()
-        .filter(|r| {
-            let key = canonical_rule_key(r);
-            let fresh = seen.insert(key);
-            if !fresh {
-                trace.record(format!("deleted duplicate rule: {r}"));
-            }
-            fresh
-        })
-        .cloned()
-        .collect();
-    program.rules = kept;
+    program.rules.retain(|r| {
+        let key = canonical_key(std::iter::once(&r.head).chain(&r.body));
+        let fresh = !seen.contains(&key);
+        if fresh {
+            seen.push(key);
+        } else {
+            trace.record(format!("deleted duplicate rule: {r}"));
+        }
+        fresh
+    });
     program.len() != before
 }
 
-/// A canonical textual form of a rule with variables renamed by first occurrence, so
-/// alpha-equivalent rules compare equal.
-fn canonical_rule_key(rule: &Rule) -> String {
-    let mut subst = Substitution::new();
-    for (i, v) in rule.variable_set().into_iter().enumerate() {
-        subst.insert_term(v, Term::Var(Symbol::intern(&format!("_cv{i}"))));
+/// One element of a [`canonical_key`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum KeyPart {
+    /// The predicate of the atom whose arguments follow.
+    Predicate(Symbol),
+    /// A variable, numbered by first occurrence.
+    Var(usize),
+    Const(Const),
+}
+
+/// A canonical form of a sequence of atoms with variables numbered by first
+/// occurrence, so alpha-equivalent sequences have equal keys.
+fn canonical_key<'a>(atoms: impl IntoIterator<Item = &'a Atom>) -> Vec<KeyPart> {
+    let mut vars = Vec::new();
+    let mut key = Vec::new();
+    for atom in atoms {
+        key.push(KeyPart::Predicate(atom.predicate));
+        key.extend(atom.terms.iter().map(|term| match *term {
+            Term::Const(c) => KeyPart::Const(c),
+            Term::Var(v) => KeyPart::Var(occurrence(&mut vars, v)),
+        }));
     }
-    rule.apply(&subst).to_string()
+    key
+}
+
+/// The number of `v` in order of first occurrence: its position in `vars`, where it
+/// is appended when new.
+fn occurrence(vars: &mut Vec<Symbol>, v: Symbol) -> usize {
+    vars.iter().position(|&w| w == v).unwrap_or_else(|| {
+        vars.push(v);
+        vars.len() - 1
+    })
 }
 
 /// Propositions 5.1–5.3: literal deletions specific to factored Magic programs.
@@ -288,64 +397,101 @@ fn delete_unreachable(program: &mut Program, query: &Query, trace: &mut Optimiza
     let graph = DependencyGraph::new(program);
     let reachable = graph.reachable_from(query.atom.predicate);
     let before = program.len();
-    let kept: Vec<Rule> = program
-        .rules
-        .iter()
-        .filter(|r| {
-            let keep = reachable.contains(&r.head.predicate);
-            if !keep {
-                trace.record(format!("deleted unreachable rule: {r}"));
-            }
-            keep
-        })
-        .cloned()
-        .collect();
-    program.rules = kept;
+    program.rules.retain(|r| {
+        let keep = reachable.contains(&r.head.predicate);
+        if !keep {
+            trace.record(format!("deleted unreachable rule: {r}"));
+        }
+        keep
+    });
     program.len() != before
 }
 
-/// Freeze a rule: map each variable to a distinct symbolic constant.
-fn freeze(rule: &Rule) -> (Atom, Vec<Atom>) {
-    let mut subst = Substitution::new();
-    for v in rule.variable_set() {
-        subst.insert(
-            v,
-            Const::Sym(Symbol::intern(&format!("$frozen_{}", v.as_str()))),
-        );
+/// Constants to freeze rules with: the `i`-th variable of a rule, in order of first
+/// occurrence, becomes the `i`-th constant. They are distinct symbols, fresh against
+/// every symbolic constant of the rules they were made for (a name that is taken gets
+/// `_` appended until it is not), so a frozen body never meets a program constant.
+/// Minted once per variable position and shared by every rule frozen against the same
+/// rules.
+struct Freezer {
+    taken: BTreeSet<Symbol>,
+    constants: Vec<Const>,
+}
+
+impl Freezer {
+    fn new<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Freezer {
+        let taken = (rules.into_iter())
+            .flat_map(|r| std::iter::once(&r.head).chain(&r.body))
+            .flat_map(|a| &a.terms)
+            .filter_map(|t| match t {
+                Term::Const(Const::Sym(s)) => Some(*s),
+                _ => None,
+            })
+            .collect();
+        Freezer {
+            taken,
+            constants: Vec::new(),
+        }
     }
-    (
-        rule.head.apply(&subst),
-        rule.body.iter().map(|a| a.apply(&subst)).collect(),
-    )
+
+    /// The frozen instance of `atom`, whose variables so far are numbered in `vars`.
+    fn freeze(&mut self, atom: &Atom, vars: &mut Vec<Symbol>) -> Atom {
+        let terms = atom.terms.iter().map(|term| match *term {
+            Term::Const(c) => Term::Const(c),
+            Term::Var(v) => {
+                let i = occurrence(vars, v);
+                while self.constants.len() <= i {
+                    let mut name = format!("$frozen_{}", self.constants.len());
+                    while self.taken.contains(&Symbol::intern(&name)) {
+                        name.push('_');
+                    }
+                    self.constants.push(Const::sym(&name));
+                }
+                Term::Const(self.constants[i])
+            }
+        });
+        Atom::new(atom.predicate, terms.collect())
+    }
+
+    /// Is `rule` redundant in `program` (which must not contain it) under uniform
+    /// equivalence? Decided by evaluating `program` over the frozen body of `rule` and
+    /// checking that the frozen head is derived.
+    fn redundant(&mut self, program: &Program, rule: &Rule) -> bool {
+        let mut vars = Vec::new();
+        let head = self.freeze(&rule.head, &mut vars);
+        let body: Vec<Atom> = rule
+            .body
+            .iter()
+            .map(|a| self.freeze(a, &mut vars))
+            .collect();
+        naive_evaluate(program, &Database::from_facts(body))
+            .is_ok_and(|model| !model.answers(&Query::new(head)).is_empty())
+    }
 }
 
 /// Is `rule` redundant in `program` under uniform equivalence? (`program` must not
 /// contain `rule`.) Decided by evaluating `program` over the frozen body of `rule` and
 /// checking that the frozen head is derived.
 pub fn is_uniformly_redundant(program: &Program, rule: &Rule) -> bool {
-    let (frozen_head, frozen_body) = freeze(rule);
-    let edb = Database::from_facts(frozen_body);
-    naive_evaluate(program, &edb)
-        .is_ok_and(|model| !model.answers(&Query::new(frozen_head)).is_empty())
+    Freezer::new(program.rules.iter().chain([rule])).redundant(program, rule)
 }
 
 /// Pass 6: delete rules redundant under uniform equivalence, scanning in program order.
 fn delete_uniformly_redundant(program: &mut Program, trace: &mut OptimizationTrace) -> bool {
+    let mut freezer = Freezer::new(&program.rules);
     let mut changed = false;
     let mut index = 0;
     while index < program.rules.len() {
-        let candidate = program.rules[index].clone();
-        if candidate.is_fact() {
+        if program.rules[index].is_fact() {
             index += 1;
             continue;
         }
-        let mut rest = program.clone();
-        rest.rules.remove(index);
-        if is_uniformly_redundant(&rest, &candidate) {
+        let candidate = program.rules.remove(index);
+        if freezer.redundant(program, &candidate) {
             trace.record(format!("deleted uniformly redundant rule: {candidate}"));
-            program.rules.remove(index);
             changed = true;
         } else {
+            program.rules.insert(index, candidate);
             index += 1;
         }
     }
@@ -387,7 +533,7 @@ pub(crate) fn body_components<A: Borrow<Atom>>(body: &[A]) -> Vec<Vec<usize>> {
 fn hoist_conditions(program: &mut Program, trace: &mut OptimizationTrace) -> bool {
     let taken = program.all_predicates();
     // (canonical form of the conjunction, the condition rule defining it)
-    let mut conditions: Vec<(String, Rule)> = Vec::new();
+    let mut conditions: Vec<(Vec<KeyPart>, Rule)> = Vec::new();
     for rule in &mut program.rules {
         let components = body_components(&rule.body);
         if components.len() < 2 {
@@ -401,8 +547,7 @@ fn hoist_conditions(program: &mut Program, trace: &mut OptimizationTrace) -> boo
             if vars.is_empty() || vars.iter().any(|v| head_vars.contains(v)) {
                 continue;
             }
-            let key =
-                canonical_rule_key(&Rule::new(Atom::new("", Vec::new()), conjunction.clone()));
+            let key = canonical_key(&conjunction);
             let condition = match conditions.iter().find(|(known, _)| *known == key) {
                 Some((_, defined)) => defined.head.predicate,
                 None => {
@@ -613,6 +758,95 @@ mod tests {
             format!("{p}"),
             "h(Y) :- cond_1__, cond_1(Y).\ncond_1_(5).\ncond_1__ :- a(X), b(X).\n"
         );
+    }
+
+    #[test]
+    fn frozen_constants_are_fresh_against_the_program() {
+        // A quoted constant equal to what a variable used to be frozen to made pass 6
+        // take `p(X) :- a(X)` for uniformly redundant: frozen, its body `a($frozen_X)`
+        // and the fact `p("$frozen_X")` derive its head. `$frozen_0` is the name the
+        // first variable gets now unless the program has it.
+        let src = "p(\"$frozen_X\").\np(\"$frozen_0\").\np(X) :- a(X).\na(1).";
+        let program = parse_program(src).unwrap().program;
+        let query = parse_query("p(Y)").unwrap();
+        let out = crate::pipeline::optimize_query(
+            &program,
+            &query,
+            &crate::pipeline::PipelineOptions::default(),
+        )
+        .unwrap();
+        let edb = factorlog_datalog::storage::Database::new();
+        let expected = naive_evaluate(&program, &edb).unwrap().answers(&query);
+        assert_eq!(expected.len(), 3, "{expected:?}");
+        assert_eq!(out.answers(&edb).unwrap(), expected, "{}", out.program);
+    }
+
+    /// Every workload program with the query it is asked, as Magic program and, when it
+    /// factors, as factored program with its context.
+    fn workload_inputs() -> Vec<(Program, Query, Option<FactoringContext>)> {
+        use factorlog_workloads::programs as w;
+        let mut inputs = Vec::new();
+        for (src, query) in [
+            (w::THREE_RULE_TC, w::TC_QUERY),
+            (w::RIGHT_LINEAR_TC, w::TC_QUERY),
+            (w::LEFT_LINEAR_TC, w::TC_QUERY),
+            (w::NONLINEAR_TC, w::TC_QUERY),
+            (w::SAME_GENERATION, w::SG_QUERY),
+            (w::PMEM, "pmem(X, 0)"),
+            (w::EXAMPLE_4_3_EXACT, w::P_QUERY),
+            (w::SELECTION_PUSHING, w::P_QUERY),
+            (w::SYMMETRIC, w::P_QUERY),
+            (w::ANSWER_PROPAGATING, w::P_QUERY),
+            (w::EXAMPLE_5_1, "p(0, 1, Z)"),
+            (w::EXAMPLE_5_2, "p(0, 1, Z)"),
+            (w::EXAMPLE_7_1, "t(0, Y, Z)"),
+            (w::RIGHT_LINEAR_TWO_RULES, w::P_QUERY),
+            (w::ARITY_3_TC, "t(0, Y, Z)"),
+        ] {
+            let program = parse_program(src).unwrap().program;
+            let adorned = adorn(&program, &parse_query(query).unwrap()).unwrap();
+            let magicp = magic(&adorned).unwrap();
+            if let Ok(factored) = factor_magic(&adorned, &magicp) {
+                let ctx = FactoringContext::from_factored(&factored);
+                inputs.push((factored.program, factored.query, Some(ctx)));
+            }
+            inputs.push((magicp.program, magicp.query, None));
+        }
+        inputs
+    }
+
+    #[test]
+    fn a_second_uniform_redundancy_sweep_deletes_nothing() {
+        // What the schedule relies on to never run pass 6 twice for its own deletions.
+        for (mut program, _, _) in workload_inputs() {
+            let mut trace = OptimizationTrace::default();
+            delete_uniformly_redundant(&mut program, &mut trace);
+            let swept = trace.steps.len();
+            assert!(
+                !delete_uniformly_redundant(&mut program, &mut trace),
+                "{:?}\n{program}",
+                &trace.steps[swept..]
+            );
+        }
+    }
+
+    #[test]
+    fn the_schedule_gives_what_repeating_every_pass_gives() {
+        for (program, query, ctx) in workload_inputs() {
+            let (scheduled, scheduled_trace) = optimize(&program, &query, ctx.as_ref());
+            let mut current = program.clone();
+            let mut trace = OptimizationTrace::default();
+            let mut rounds = 0;
+            while Pass::ORDER.iter().fold(false, |changed, pass| {
+                pass.run(&mut current, &query, ctx.as_ref(), &mut trace) | changed
+            }) {
+                rounds += 1;
+            }
+            hoist_conditions(&mut current, &mut trace);
+            assert!(rounds <= 2, "{rounds} rounds deleted something:\n{program}");
+            assert_eq!(format!("{scheduled}"), format!("{current}"));
+            assert_eq!(scheduled_trace.steps, trace.steps);
+        }
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! This is the evaluation strategy the paper assumes when it speaks of "semi-naive
 //! bottom-up evaluation of the new program" (§1).
 //!
+//! A round allocates nothing (see `run_fixpoint`): the delta and the staging
+//! relations are two sets of per-predicate relations swapped after every round, and
+//! the one that held the older delta is cleared in time proportional to its rows.
+//! That matters because factored programs run many tiny rounds: the factored
+//! transitive closure over a 3 000-edge chain takes 6 002 rounds of one inference
+//! each, and its evaluation is nearly all round overhead.
+//!
 //! Two entry points beyond the classic [`seminaive_evaluate`] support the persistent
 //! engine (`factorlog-engine`):
 //!
@@ -319,17 +326,15 @@ pub fn seminaive_evaluate_owned(
     // consequences too.)
     let mut delta = plan.empty_staging(&arities);
     stats.iterations += 1;
-    let firings: Vec<Firing<'_>> = (0..plan.rules().len())
-        .map(|rule_index| Firing {
-            rule_index,
-            delta: None,
-        })
-        .collect();
+    let firings = (0..plan.rules().len()).map(|rule_index| Firing {
+        rule_index,
+        delta: None,
+    });
     let round_start = span_start(&stats);
     run_round(
         &plan,
         &db,
-        &firings,
+        firings,
         &mut runtimes,
         &governor,
         Sink::Derive,
@@ -337,8 +342,7 @@ pub fn seminaive_evaluate_owned(
         &mut stats,
     )?;
     span_end(&mut stats, "eval.round", round_start);
-    drop(firings);
-    merge_deltas(&mut db, &delta);
+    merge_derived(&mut db, &delta, &mut stats);
     run_fixpoint(
         &plan,
         &mut db,
@@ -468,7 +472,7 @@ pub fn seminaive_maintain(
             run_round(
                 &delta_plan,
                 model,
-                &firings,
+                firings,
                 &mut delta_runtimes,
                 &governor,
                 Sink::Retract { deleted: &deleted },
@@ -512,7 +516,7 @@ pub fn seminaive_maintain(
             run_round(
                 &delta_plan,
                 model,
-                &firings,
+                firings,
                 &mut delta_runtimes,
                 &governor,
                 Sink::Rederive,
@@ -557,7 +561,7 @@ pub fn seminaive_maintain(
         run_round(
             &plan,
             model,
-            &firings,
+            firings,
             &mut runtimes,
             &governor,
             Sink::Derive,
@@ -565,7 +569,7 @@ pub fn seminaive_maintain(
             &mut stats,
         )?;
         span_end(&mut stats, "eval.round", round_start);
-        merge_deltas(model, &staging);
+        merge_derived(model, &staging, &mut stats);
     }
     run_fixpoint(
         &plan,
@@ -601,6 +605,19 @@ fn delta_first_firings<'d>(
 /// The delta-driven fixpoint loop shared by full evaluation and incremental maintenance:
 /// fire each rule once per IDB body literal with the delta substituted at that
 /// literal, until no new facts appear.
+///
+/// A round allocates nothing. `delta` and one staging map (built on the first round,
+/// with the same relations and indexes) are swapped after every round, and the
+/// relation that held the previous delta is cleared in time proportional to its rows
+/// ([`Relation::clear`]); the firings are generated from the rules as the round runs,
+/// and new facts are counted per predicate once per round from what it staged. What
+/// is left is the work itself: per firing, the join and one dedup probe of the head
+/// relation and of the staging relation per emission; per round, one insertion into
+/// the model per new fact and a few passes over the IDB predicates' deltas. A
+/// one-fact round of the factored transitive closure (`m(W) :- f(W).` and
+/// `f(Y) :- m(X), e(X, Y).` alternating) costs about 130 ns on a 2-vCPU AVX-512 Xeon;
+/// building a staging map, its relations and tables and a firings vector per round,
+/// and freeing the previous delta, takes it to about 240 ns.
 #[allow(clippy::too_many_arguments)]
 fn run_fixpoint(
     plan: &EvalPlan<'_>,
@@ -612,6 +629,7 @@ fn run_fixpoint(
     options: &EvalOptions,
     stats: &mut EvalStats,
 ) -> Result<(), EvalError> {
+    let mut staging: Option<FxHashMap<Symbol, Relation>> = None;
     loop {
         // Guardrails are checked before the convergence test so a trip during
         // the previous round (cancellation, deadline, a join fault) surfaces
@@ -627,39 +645,39 @@ fn run_fixpoint(
         }
         stats.iterations += 1;
 
-        let mut staging = plan.empty_staging(arities);
-        {
-            let mut firings: Vec<Firing<'_>> = Vec::new();
-            for (rule_index, rule) in plan.rules().iter().enumerate() {
-                for &pos in &rule.idb_literal_positions {
-                    let body_pred = rule.literals[pos].predicate;
-                    let delta_rel = delta.get(&body_pred).expect("idb delta exists");
-                    if delta_rel.is_empty() {
-                        continue;
-                    }
-                    firings.push(Firing {
+        let staging = staging.get_or_insert_with(|| plan.empty_staging(arities));
+        let deltas = &delta;
+        let firings = plan
+            .rules()
+            .iter()
+            .enumerate()
+            .flat_map(|(rule_index, rule)| {
+                rule.idb_literal_positions.iter().filter_map(move |&pos| {
+                    let relation = deltas.get(&rule.literals[pos].predicate);
+                    let relation = relation.expect("idb delta exists");
+                    (!relation.is_empty()).then_some(Firing {
                         rule_index,
-                        delta: Some((pos, delta_rel)),
-                    });
-                }
-            }
-            let round_start = span_start(stats);
-            run_round(
-                plan,
-                db,
-                &firings,
-                runtimes,
-                governor,
-                Sink::Derive,
-                &mut staging,
-                stats,
-            )?;
-            span_end(stats, "eval.round", round_start);
-        }
+                        delta: Some((pos, relation)),
+                    })
+                })
+            });
+        let round_start = span_start(stats);
+        run_round(
+            plan,
+            db,
+            firings,
+            runtimes,
+            governor,
+            Sink::Derive,
+            staging,
+            stats,
+        )?;
+        span_end(stats, "eval.round", round_start);
         // The new delta is the staged facts not already in the full database; `staged`
         // was deduplicated against `db` during emission, so it is the delta directly.
-        merge_deltas(db, &staging);
-        delta = staging;
+        merge_derived(db, staging, stats);
+        std::mem::swap(&mut delta, staging);
+        staging.values_mut().for_each(Relation::clear);
     }
     Ok(())
 }
@@ -711,7 +729,7 @@ impl Sink<'_> {
             Sink::Derive => {
                 let known = head.map(|r| r.contains(tuple)).unwrap_or(false);
                 let is_new = !known && staged.insert(tuple);
-                stats.record_inference(rule.rule_index, rule.head_predicate, is_new);
+                stats.record_inference(rule.rule_index, is_new);
                 is_new
             }
             Sink::Retract { deleted } => {
@@ -737,10 +755,10 @@ impl Sink<'_> {
 
 /// Execute one round's firings into `staging` through the per-rule runtimes.
 #[allow(clippy::too_many_arguments)]
-fn run_round(
+fn run_round<'d>(
     plan: &EvalPlan<'_>,
     db: &Database,
-    firings: &[Firing<'_>],
+    firings: impl IntoIterator<Item = Firing<'d>>,
     runtimes: &mut [RuleRuntime],
     governor: &Governor,
     sink: Sink<'_>,
@@ -815,6 +833,15 @@ fn estimated_bytes(db: &Database, extra: &FxHashMap<Symbol, Relation>) -> usize 
             .map(|rel| rel.len() * rel.arity().max(1))
             .sum::<usize>();
     cells * std::mem::size_of::<Const>()
+}
+
+/// Merge the facts a [`Sink::Derive`] round staged into `db`, counting them per
+/// predicate once per round.
+fn merge_derived(db: &mut Database, staged: &FxHashMap<Symbol, Relation>, stats: &mut EvalStats) {
+    for (&pred, rel) in staged.iter().filter(|(_, rel)| !rel.is_empty()) {
+        *stats.facts_per_predicate.entry(pred).or_insert(0) += rel.len();
+    }
+    merge_deltas(db, staged);
 }
 
 fn merge_deltas(db: &mut Database, deltas: &FxHashMap<Symbol, Relation>) {
@@ -949,6 +976,51 @@ mod tests {
         };
         let err = seminaive_evaluate(&program, &Database::new(), &options).unwrap_err();
         assert!(matches!(err, EvalError::IterationLimit { limit: 50 }));
+    }
+
+    #[test]
+    fn record_inference_counts_through_an_evaluation() {
+        // Round 0 fires both rules: the first derives two facts, the second derives one
+        // of them again. The new facts are counted per predicate from what the round
+        // staged.
+        let program = parse_program("t(X, Y) :- e(X, Y).\nt(X, Y) :- f(X, Y).")
+            .unwrap()
+            .program;
+        let mut edb = chain_edb(2);
+        edb.add_fact("f", &[c(0), c(1)]);
+        let s = seminaive_evaluate(&program, &edb, &EvalOptions::default())
+            .unwrap()
+            .stats;
+        assert_eq!(s.inferences, 3);
+        assert_eq!(s.facts_derived, 2);
+        assert_eq!(s.duplicates, 1);
+        assert_eq!(s.facts_for(Symbol::intern("t")), 2);
+        assert_eq!(s.inferences_per_rule, vec![2, 1]);
+    }
+
+    #[test]
+    fn a_wide_round_then_hundreds_of_one_fact_rounds_match_naive() {
+        // A star of 100 edges out of 0 makes round 1 wide; a chain of 200 hanging off
+        // its last leaf then gives each IDB predicate one new fact a round. The round
+        // relations keep the capacity of the wide round and are cleared by rows after
+        // every round.
+        let program = parse_program("r(0).\nr(Y) :- r(X), e(X, Y).\ns(X, Y) :- r(X), e(X, Y).")
+            .unwrap()
+            .program;
+        let mut edb = Database::new();
+        for leaf in 1..=100 {
+            edb.add_fact("e", &[c(0), c(leaf)]);
+        }
+        for i in 100..300 {
+            edb.add_fact("e", &[c(i), c(i + 1)]);
+        }
+        let semi = seminaive_evaluate(&program, &edb, &EvalOptions::default()).unwrap();
+        assert_eq!(semi.stats.iterations, 203);
+        assert_eq!(semi.database.count("r"), 301);
+        assert_eq!(
+            ReferenceModel::from(&semi.database),
+            naive_evaluate(&program, &edb).unwrap()
+        );
     }
 
     #[test]

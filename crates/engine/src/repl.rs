@@ -370,8 +370,13 @@ impl Repl {
             );
         }
         let engine = std::mem::take(&mut self.engine);
-        let mut replica = Replica::from_engine(engine, addr, ReplicationOptions::default())
-            .expect("a durable engine always wraps");
+        let mut replica = match Replica::from_engine(engine, addr, ReplicationOptions::default()) {
+            Ok(replica) => replica,
+            Err(refused) => {
+                self.engine = *refused.engine;
+                return Err(refused.error.to_string());
+            }
+        };
         // An unreachable leader is not an error (the served follower keeps
         // polling); a local durability failure is, and keeps the engine here.
         let caught_up = match replica.catch_up(5) {
@@ -462,9 +467,13 @@ impl Repl {
         let report = handle.shutdown();
         self.engine = report.engine;
         self.txn = None;
+        let unflushed = match report.wal_sync {
+            Ok(()) => String::new(),
+            Err(e) => format!("; wal flush failed: {e}"),
+        };
         Ok(format!(
             "{following}server stopped at epoch {} ({} request(s) shed); the session \
-             reclaimed the engine",
+             reclaimed the engine{unflushed}",
             report.epoch, report.shed
         ))
     }

@@ -165,12 +165,22 @@ impl Default for ReplicationOptions {
     }
 }
 
-/// Read the persisted term of a data directory (0 when the `TERM` file is
-/// absent or unreadable — a node that never took part in a failover).
-pub(crate) fn read_term(disk: &dyn Disk, dir: &Path) -> u64 {
-    let text = disk.read(&dir.join(TERM_FILE)).ok().flatten();
-    text.and_then(|text| String::from_utf8_lossy(&text).trim().parse().ok())
-        .unwrap_or(0)
+/// Read the persisted term of a data directory: 0 when the `TERM` file is absent
+/// (a node that never took part in a failover), an error when it cannot be read
+/// or does not hold a term — taking either for 0 would let a node that lost its
+/// leadership claim it again.
+pub(crate) fn read_term(disk: &dyn Disk, dir: &Path) -> Result<u64, EngineError> {
+    let path = dir.join(TERM_FILE);
+    let Some(text) = disk
+        .read(&path)
+        .map_err(|e| disk::io_error("read", &path, e))?
+    else {
+        return Ok(0);
+    };
+    let text = String::from_utf8_lossy(&text);
+    text.trim()
+        .parse()
+        .map_err(|_| EngineError::Durability(format!("{} holds no term: {text:?}", path.display())))
 }
 
 /// Persist `term` in the data directory's `TERM` file, replacing it whole and
@@ -375,21 +385,32 @@ pub struct Replica {
 
 impl Replica {
     /// Wrap an already-open durable engine as a follower of `leader`. The
-    /// engine's persisted term (the `TERM` file) carries over. Errors when the
-    /// engine is not durable — a follower without its own log could not
-    /// survive its own crash. The primitive polls only when asked, so it reads
-    /// none of the `options`: pacing and the lease belong to the caller.
+    /// engine's persisted term (the `TERM` file, read under the engine's fault
+    /// containment) carries over. Errors, handing the engine back, when the
+    /// engine is not durable — a follower without its own log could not survive
+    /// its own crash — or its `TERM` file cannot be read. The primitive polls
+    /// only when asked, so it reads none of the `options`: pacing and the lease
+    /// belong to the caller.
     pub fn from_engine(
-        engine: Engine,
+        mut engine: Engine,
         leader: impl Into<String>,
         _options: ReplicationOptions,
-    ) -> Result<Replica, EngineError> {
-        let Some((disk, dir)) = engine.data_disk() else {
-            return Err(EngineError::Durability(
+    ) -> Result<Replica, ServeError> {
+        let term = engine.contained(|engine| match engine.data_disk() {
+            Some((disk, dir)) => read_term(&*disk, &dir),
+            None => Err(EngineError::Durability(
                 "a replica must be durable (open it with open_durable)".to_string(),
-            ));
+            )),
+        });
+        let term = match term {
+            Ok(term) => term,
+            Err(error) => {
+                return Err(ServeError {
+                    engine: Box::new(engine),
+                    error,
+                })
+            }
         };
-        let term = read_term(&*disk, &dir);
         // A follower identity for the leader's per-follower lag map: unique
         // enough across processes and restarts (clock nanos xor pid).
         let id = std::time::SystemTime::now()
@@ -595,15 +616,28 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::remove_file(dir.join(TERM_FILE)).ok();
         let disk = crate::disk::StdDisk;
-        assert_eq!(read_term(&disk, &dir), 0, "absent TERM file reads as 0");
+        assert_eq!(
+            read_term(&disk, &dir).unwrap(),
+            0,
+            "absent TERM file reads as 0"
+        );
         persist_term(&disk, &dir, 7).unwrap();
-        assert_eq!(read_term(&disk, &dir), 7);
+        assert_eq!(read_term(&disk, &dir).unwrap(), 7);
         persist_term(&disk, &dir, 8).unwrap();
         assert_eq!(
-            read_term(&disk, &dir),
+            read_term(&disk, &dir).unwrap(),
             8,
             "a later term replaces the file whole"
         );
+        // Content that is not a term, and a file that cannot be read, are errors:
+        // neither is evidence that the node never saw a failover.
+        std::fs::write(dir.join(TERM_FILE), "eight\n").unwrap();
+        let error = read_term(&disk, &dir).unwrap_err().to_string();
+        assert!(error.contains("holds no term"), "{error}");
+        std::fs::remove_file(dir.join(TERM_FILE)).unwrap();
+        std::fs::create_dir(dir.join(TERM_FILE)).unwrap();
+        let error = read_term(&disk, &dir).unwrap_err().to_string();
+        assert!(error.contains("cannot read"), "{error}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

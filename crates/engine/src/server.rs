@@ -451,7 +451,7 @@ impl Shared {
 
 /// What [`ServerHandle::shutdown`] did, with the engine handed back.
 pub struct ShutdownReport {
-    /// The engine, drained and WAL-flushed, ready for further single-owner use
+    /// The engine, drained and WAL-flushed (when `wal_sync` is `Ok`), ready for further single-owner use
     /// (or to be dropped, releasing the data-directory lock), with the limits
     /// (deadline, derived-fact cap, memory budget) and cancellation token it was
     /// served with back in place.
@@ -465,6 +465,10 @@ pub struct ShutdownReport {
     pub drained_cleanly: bool,
     /// The reactor's and the writer's counters at shutdown.
     pub server_metrics: ServerMetrics,
+    /// The outcome of the final fsync of the transaction log (always `Ok` for an
+    /// in-memory engine). It runs under the engine's fault containment, so a
+    /// failing or panicking disk shows up here instead of in the caller.
+    pub wal_sync: Result<(), EngineError>,
 }
 
 /// A running server: the listener address plus the join handles needed to shut
@@ -526,8 +530,9 @@ impl ServerHandle {
 
     /// Gracefully shut down: stop admitting (new requests get `ERR shutdown`),
     /// drain in-flight requests for up to `drain_timeout`, cancel stragglers
-    /// via the served engine's own [`CancelToken`], flush the WAL, and return
-    /// the engine with the caller's limits and token back in place.
+    /// via the served engine's own [`CancelToken`], flush the WAL (the outcome
+    /// is [`ShutdownReport::wal_sync`]), and return the engine with the caller's
+    /// limits and token back in place.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shared.stopping.store(true, Ordering::Release);
         // The reactor owns the drain: it wakes on the pipe, stops accepting,
@@ -555,22 +560,27 @@ impl ServerHandle {
         // returned engine is immediately reusable, answers to its owner's Ctrl-C
         // again, and runs under its owner's limits.
         engine.set_limits_from(&self.caller);
-        engine.sync_wal().ok();
+        let wal_sync = engine.contained(Engine::sync_wal);
         ShutdownReport {
             engine,
             epoch: self.shared.epoch.load(Ordering::Acquire),
             shed: self.shared.shed.load(Ordering::Relaxed),
             drained_cleanly,
             server_metrics: self.shared.counters.snapshot(),
+            wal_sync,
         }
     }
 }
 
-/// [`serve`] failed before any thread started: the engine comes back unchanged
-/// (its limits and cancellation token included) so a front end (e.g. the REPL's
-/// `:serve`) does not lose session state to a typo'd address.
+/// [`serve`] failed before any thread started, or
+/// [`Replica::from_engine`](crate::Replica::from_engine) could not wrap the engine:
+/// the engine comes back (its limits and cancellation token included) so a front
+/// end (e.g. the REPL's `:serve`) does not lose session state to a typo'd address
+/// or an unreadable `TERM` file.
 pub struct ServeError {
-    /// The engine, exactly as it was passed in.
+    /// The engine, as it was passed in (a panic caught while reading its data
+    /// directory has dropped its materialized model, as any contained failure
+    /// does).
     pub engine: Box<Engine>,
     /// Why serving did not start.
     pub error: EngineError,
@@ -667,6 +677,15 @@ pub(crate) fn serve_inner(
         ..caller.clone()
     });
 
+    // The persisted term, read under the engine's containment like every other
+    // disk call of the served engine's owner.
+    let term = engine.contained(|engine| {
+        (engine.data_disk()).map_or(Ok(0), |(disk, dir)| replication::read_term(&*disk, &dir))
+    });
+    let term = match term {
+        Ok(term) => term,
+        Err(error) => return Err(fail(engine, error)),
+    };
     // The initial view: epoch 0 is the committed prefix "everything recovered
     // or loaded before serving".
     let model = match engine.refreshed_model() {
@@ -674,9 +693,6 @@ pub(crate) fn serve_inner(
         Err(error) => return Err(fail(engine, error)),
     };
     let data_dir = engine.data_disk();
-    let term = data_dir
-        .as_ref()
-        .map_or(0, |(disk, dir)| replication::read_term(&**disk, dir));
     let initial_role = if follow.is_some() {
         ReplicaRole::Follower
     } else {

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Alternating fresh-process benchmark pairs: <parent-rev> against the working tree.
 #
-#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs=10] [seconds=20]
+#   scripts/bench_pairs.sh <parent-rev> <workload>[,<workload>...] [pairs=10] [seconds=20]
 #
 # Builds the benchmark of <parent-rev> from a `git archive` of it in a temporary
 # directory with its own target directory (offline), and the working tree's in
-# place; then runs <pairs> pairs of fresh processes, one per side, alternating which
-# side goes first, with a new seed per pair (SEED_BASE + pair number; SEED_BASE
-# defaults to 101). Prints every run, then per end-to-end metric of BENCHMARK.json
-# each side's median [q1, q3], the shift of the median and the pairs the change won
-# (ties count for neither). Exits non-zero if any run fails its own checks.
+# place, once for all the workloads; then, workload by workload, runs <pairs> pairs
+# of fresh processes, one per side, alternating which side goes first, with a new
+# seed per pair (SEED_BASE + pair number; SEED_BASE defaults to 101). Prints every
+# run, then per workload and end-to-end metric of BENCHMARK.json each side's median
+# [q1, q3], the shift of the median and the pairs the change won (ties count for
+# neither). Exits non-zero if any run fails its own checks.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -17,7 +18,7 @@ if [ $# -lt 2 ]; then
     exit 2
 fi
 parent_rev=$1
-workload=$2
+IFS=, read -r -a workloads <<<"$2"
 pairs=${3:-10}
 seconds=${4:-20}
 seed_base=${SEED_BASE:-101}
@@ -35,28 +36,23 @@ cargo build --release --quiet --offline --manifest-path "$root/benchmark/Cargo.t
 parent_bin="$tmp/target/release/factorlog-benchmark"
 change_bin="$root/benchmark/target/release/factorlog-benchmark"
 
-# One fresh-process run; appends "<pair> <side> <seed> <last line: the JSON result>".
+# One fresh-process run of <workload>; appends "<pair> <side> <seed> <last line: the
+# JSON result>" to that workload's runs.
 run_side() {
-    local side=$1 pair=$2 seed=$3 bin dir
+    local workload=$1 side=$2 pair=$3 seed=$4 bin dir
     if [ "$side" = parent ]; then bin=$parent_bin dir=$tmp/parent; else bin=$change_bin dir=$root; fi
     if ! (cd "$dir" && "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds") \
         >"$tmp/run.out" 2>&1; then
         cat "$tmp/run.out" >&2
-        echo "pair $pair: the $side run failed (seed $seed)" >&2
+        echo "$workload pair $pair: the $side run failed (seed $seed)" >&2
         exit 1
     fi
-    echo "$pair $side $seed $(tail -n 1 "$tmp/run.out")" >>"$tmp/runs"
+    echo "$pair $side $seed $(tail -n 1 "$tmp/run.out")" >>"$tmp/runs.$workload"
 }
 
-for pair in $(seq 1 "$pairs"); do
-    seed=$((seed_base + pair))
-    if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        run_side "$side" "$pair" "$seed"
-    done
-done
-
-python3 - "$root/BENCHMARK.json" "$tmp/runs" "$workload" "$seconds" <<'PY'
+# Every run of <workload>, then its summary.
+summarize() {
+    python3 - "$root/BENCHMARK.json" "$tmp/runs.$1" "$1" "$seconds" <<'PY'
 import json, statistics, sys
 
 contract, runs_path, workload, seconds = sys.argv[1:5]
@@ -91,3 +87,15 @@ for m in metrics:
         f"median shift {shift:+.1f} %  pairs won {won}/{len(parent)}"
     )
 PY
+}
+
+for workload in "${workloads[@]}"; do
+    for pair in $(seq 1 "$pairs"); do
+        seed=$((seed_base + pair))
+        if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            run_side "$workload" "$side" "$pair" "$seed"
+        done
+    done
+    summarize "$workload"
+done

@@ -490,8 +490,12 @@ fn run_serve(options: &ServeCliOptions) -> Result<(), String> {
 
     println!("% shutdown requested; draining in-flight requests");
     let report = handle.shutdown();
+    let wal = match &report.wal_sync {
+        Ok(()) => "wal flushed".to_string(),
+        Err(e) => format!("wal flush failed: {e}"),
+    };
     println!(
-        "% served through epoch {} ({} request(s) shed); wal flushed; {}",
+        "% served through epoch {} ({} request(s) shed); {wal}; {}",
         report.epoch,
         report.shed,
         if report.drained_cleanly {

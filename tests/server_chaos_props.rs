@@ -187,22 +187,25 @@ proptest! {
             )));
         }
 
-        // The armed fault can fire during serve()'s initial refresh: that is a
-        // structured refusal with the engine handed back, not a chaos failure.
+        // The disk is armed from `serve` through `shutdown`: every disk call the
+        // served engine's owner makes (the `TERM` read, the writer's commits, the
+        // final flush) runs under the engine's containment.
+        if site_sel == 0 {
+            disk.fail_at(disk.calls() + countdown as usize, [Fault::Error, Fault::Panic][action_sel]);
+        }
+        // The armed fault can fire during serve() (its `TERM` read, its initial
+        // refresh): that is a structured refusal with the engine handed back, not a
+        // chaos failure.
         let handle = match serve(engine, "127.0.0.1:0", server_opts()) {
             Ok(handle) => handle,
             Err(e) => {
+                disk.disarm();
                 drop(e); // engine drops, releasing the LOCK
                 let mut reopened = open(&disk).expect("reopen after refusal");
                 assert_reopened_converges(&mut reopened)?;
                 return Ok(());
             }
         };
-        // The disk is armed once serving: the writer's calls are the ones
-        // under test (`serve` reads `TERM` outside the engine's containment).
-        if site_sel == 0 {
-            disk.fail_at(disk.calls() + countdown as usize, [Fault::Error, Fault::Panic][action_sel]);
-        }
         let addr = handle.addr();
 
         // Writer clients: disjoint edges, so each acked fact is attributable.
@@ -240,11 +243,12 @@ proptest! {
         // The server survives the chaos: a fresh client gets answers.
         let mut probe = Client::connect(addr).expect("probe connects");
         probe.ping().expect("server alive after faults");
-        // The crash: only what was synced survives (the shutdown's own flush
-        // runs outside the engine's containment, so it is not armed).
+        // The crash: only what was synced survives. The shutdown's own flush may
+        // meet the armed fault; it is contained and reported, never raised.
         let crashed = SimDisk::with_files(&disk.durable_files());
-        disk.disarm();
-        drop(handle.shutdown());
+        let report = handle.shutdown();
+        disk.disarm(); // before the engine drops: releasing the LOCK is a disk call
+        drop(report);
 
         // Every acknowledged write is durable across a crash…
         let mut reopened = open(&crashed).expect("recovery");
