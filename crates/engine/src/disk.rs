@@ -1,6 +1,6 @@
 //! The disk under a durable session. Every file operation of the log and the
 //! image (`wal.rs`, `durability.rs`), of `LOCK`, and of replication's `TERM`
-//! file and frame reads goes through a [`Disk`], chosen once when the session
+//! file goes through a [`Disk`], chosen once when the session
 //! is opened ([`Engine::open_durable_on`](crate::Engine::open_durable_on)).
 //! [`StdDisk`] — `std::fs` — is the production path and the only
 //! implementation here; the crash harnesses substitute a simulated disk that

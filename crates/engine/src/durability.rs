@@ -21,7 +21,8 @@
 //! a transaction batch, or the source text of an [`Engine::load_source`] /
 //! [`Engine::add_rules`] — goes through one function, `Engine::wal_append`,
 //! *before* anything it describes is applied in memory, and is fsync'd (by
-//! default) before the commit call returns. A commit that returns an error
+//! default) before the commit call returns; then its frames are copied into the
+//! session's `wal::Mirror`, which replication ships from. A commit that returns an error
 //! therefore either never reached the log (validation failures, torn appends —
 //! recovery truncates those) or is fully logged; there is no state a crash can
 //! expose where the log has less than the acknowledged history.
@@ -71,13 +72,13 @@
 //! rename and a directory sync.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use factorlog_datalog::eval::EvalOptions;
 
 use crate::disk::{self, io_error, Disk, StdDisk};
 use crate::engine::{Engine, EngineError};
-use crate::wal::{self, WalError, WalRecord, WalWriter};
+use crate::wal::{self, Mirror, WalError, WalRecord, WalWriter, WAL_MAGIC};
 
 /// File name of the session image inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.fl";
@@ -181,6 +182,8 @@ pub(crate) struct Durability {
     /// Sequence number the next appended record gets (last applied + 1).
     next_seq: u64,
     recovery: RecoveryReport,
+    /// What the session last made durable, shared with a server's reactor.
+    mirror: Arc<Mutex<Mirror>>,
     /// Held for the session's lifetime; releasing the `LOCK` file on drop.
     _lock: DirLock,
 }
@@ -334,9 +337,11 @@ impl Engine {
         let mut report = RecoveryReport::default();
         let image =
             wal::read_image(&*disk, &image_path).map_err(|e| refuse_image(&image_path, e))?;
-        if let Some((image, _)) = image {
+        let mut image_payload = None;
+        if let Some((image, payload)) = image {
             report.snapshot_seq = image.seq();
             report.snapshot_loaded = true;
+            image_payload = Some((image.seq(), payload));
             engine
                 .replay(vec![image])
                 .map_err(|e| refuse_image(&image_path, e))?;
@@ -347,7 +352,8 @@ impl Engine {
         //    routing and exit rules are re-derived exactly as they were live).
         //    A log this open creates is durable once its directory entry is.
         let wal_path = dir.join(WAL_FILE);
-        let (scan, writer) = wal::recover_log(&*disk, &wal_path, options.fsync)?;
+        let (scan, writer, mut mirror) = wal::recover_log(&*disk, &wal_path, options.fsync)?;
+        mirror.image = image_payload;
         disk.sync_dir(dir).map_err(|e| io_error("sync", dir, e))?;
         report.torn_bytes_truncated = scan.torn_bytes;
         let (stale, tail): (Vec<_>, Vec<_>) = scan
@@ -369,6 +375,7 @@ impl Engine {
             options,
             next_seq: last_seq + 1,
             recovery: report,
+            mirror: Arc::new(Mutex::new(mirror)),
             _lock: lock,
         });
         Ok(engine)
@@ -409,6 +416,12 @@ impl Engine {
     pub(crate) fn data_disk(&self) -> Option<(Arc<dyn Disk>, PathBuf)> {
         let dur = self.durability.as_ref()?;
         Some((dur.disk.clone(), dur.dir.clone()))
+    }
+
+    /// The mirror of what this durable session last made durable (see
+    /// `wal::Mirror`), if durable: what a served node answers polls from.
+    pub(crate) fn mirror(&self) -> Option<Arc<Mutex<Mirror>>> {
+        Some(self.durability.as_ref()?.mirror.clone())
     }
 
     /// What recovery found when this durable session was opened.
@@ -461,9 +474,13 @@ impl Engine {
     /// records are all stale and sequence-skipped.
     fn wal_persist_image(&self, image: &WalRecord) -> Result<(), EngineError> {
         let dur = self.durability.as_ref().expect("caller checked durable");
-        let bytes = wal::image_file(image)?;
+        let mut bytes = wal::image_file(image)?;
         disk::replace(&*dur.disk, &dur.dir, SNAPSHOT_FILE, &bytes)
-            .map_err(|e| io_error("replace", &dur.dir.join(SNAPSHOT_FILE), e))
+            .map_err(|e| io_error("replace", &dur.dir.join(SNAPSHOT_FILE), e))?;
+        // The payload follows the header and the frame's length and CRC.
+        bytes.drain(..WAL_MAGIC.len() + 8);
+        dur.mirror.lock().expect("mirror lock poisoned").image = Some((image.seq(), bytes));
+        Ok(())
     }
 
     /// Step 3: reset the log to a fresh header. On failure the log may already
@@ -474,6 +491,7 @@ impl Engine {
         let fresh = WalWriter::create_on(&*dur.disk, &dur.dir.join(WAL_FILE), dur.options.fsync);
         dur.writer.poisoned = fresh.is_err();
         dur.writer = fresh?;
+        dur.mirror.lock().expect("mirror lock poisoned").reset_log();
         Ok(())
     }
 
@@ -501,7 +519,9 @@ impl Engine {
                 seq += 1;
             }
             let start = tracing.then(std::time::Instant::now);
-            dur.writer.append_all(records)?;
+            let frames = dur.writer.append_all(records)?;
+            let mut mirror = dur.mirror.lock().expect("mirror lock poisoned");
+            mirror.append(&frames, records.iter().map(WalRecord::seq));
             dur.next_seq = seq;
             let fsync_ns = dur.writer.last_fsync_ns();
             let txns = records
@@ -882,6 +902,62 @@ pub(crate) mod tests {
         assert_eq!(follower.query(&query).unwrap().len(), 6);
         drop(follower);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a poll ships from the mirror is what is on disk — the image's
+    /// payload when the log no longer starts at 1, then every log record —
+    /// after every commit, across compactions, after a follower's image
+    /// bootstrap and after a reopen.
+    #[test]
+    fn the_mirror_holds_what_is_on_disk() {
+        let on_disk = |engine: &Engine| {
+            let dir = engine.data_dir().unwrap();
+            let image = wal::read_image(&StdDisk, &dir.join(SNAPSHOT_FILE)).unwrap();
+            let mut frames: Vec<Vec<u8>> = image.map(|(_, payload)| payload).into_iter().collect();
+            let log = wal::read_log(&dir.join(WAL_FILE)).unwrap().records;
+            frames.extend(log.iter().map(WalRecord::encode));
+            frames
+        };
+        let shipped = |engine: &Engine| {
+            let mirror = engine.mirror().unwrap();
+            let mirror = mirror.lock().unwrap();
+            crate::replication::stream_step(&mirror, 1, usize::MAX).frames
+        };
+        let options = DurabilityOptions {
+            fsync: false,
+            compact_threshold: 256,
+        };
+        let dir = fresh_dir("mirror");
+        let mut engine = Engine::open_durable_with(&dir, options).unwrap();
+        engine.load_source(TC).unwrap();
+        for i in 0..20 {
+            engine.insert("e", &[c(i), c(i + 1)]).unwrap();
+            assert_eq!(shipped(&engine), on_disk(&engine), "after commit {i}");
+        }
+        assert!(engine.stats().wal_compactions > 1);
+        let frames = shipped(&engine);
+        drop(engine);
+        let engine = Engine::open_durable_with(&dir, options).unwrap();
+        assert_eq!(shipped(&engine), frames, "a reopen rebuilds the mirror");
+
+        let follower_dir = fresh_dir("mirror_follower");
+        let mut follower = Engine::open_durable_with(&follower_dir, options).unwrap();
+        let records = frames.iter().map(|f| WalRecord::decode(f).unwrap());
+        follower.apply_replicated(records.collect()).unwrap();
+        assert_eq!(
+            follower.stats().wal_compactions,
+            1,
+            "the image is installed"
+        );
+        assert_eq!(shipped(&follower), on_disk(&follower));
+        assert_eq!(
+            shipped(&follower),
+            frames,
+            "a follower ships what it applied"
+        );
+        drop((engine, follower));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&follower_dir).ok();
     }
 
     #[test]

@@ -17,15 +17,16 @@
 //! ```
 //!
 //! Followers poll the leader with `REPL SUBSCRIBE <from_seq> term=<T> id=<I>`;
-//! the leader streams the committed WAL frames at and after `from_seq`
-//! (hex-encoded, one per `FRAME` line) straight from its on-disk log — commits
-//! are fsync'd before they are acknowledged, so the log *is* the publisher and
-//! no writer-side coupling is needed. When the leader has compacted past the
-//! follower's position it ships its image first — one more `FRAME`, the bytes of
-//! its `snapshot.fl` — followed by the log; the follower installs the image as
+//! the leader answers with the committed WAL frames at and after `from_seq`
+//! (hex-encoded, one per `FRAME` line), copied from the mirror a durable session
+//! keeps of what it made durable (its log segment and image payload): a poll
+//! reads no file. When the leader has compacted past the
+//! follower's position it ships its image first — one more `FRAME`, the
+//! payload of its `snapshot.fl` — followed by the log; the follower installs the image as
 //! its own and resumes frame catch-up from the image's sequence number. Both
 //! ends decode what they ship with the same build of [`crate::wal`], so a leader
-//! and its followers must run the same build.
+//! and its followers must run the same build. A follower's mirror fills as it
+//! applies shipped frames, so it serves subscribers of its own the same way.
 //!
 //! # Consistency
 //!
@@ -44,7 +45,8 @@
 //!   succeeded within the lease timeout. Promotion (`PROMOTE`, which the REPL's
 //!   `:promote` sends) is refused while the lease is valid, and otherwise bumps
 //!   the node's *term* (persisted in a `TERM` file in the data directory) and
-//!   hands the apply loop's engine to the writer. A lease is evidence of
+//!   hands the apply loop's engine to the writer. The term is written by the
+//!   thread that owns the engine, before it is adopted. A lease is evidence of
 //!   *continuous* contact, so only the served follower, whose loop renews it,
 //!   can promote: a [`Replica`] polled on demand has none. A revived ex-leader
 //!   is *fenced* the moment it sees a newer term — from any subscriber's poll
@@ -59,12 +61,11 @@ use std::time::Duration;
 use factorlog_datalog::eval::Reading;
 
 use crate::disk::{self, Disk};
-use crate::durability::{SNAPSHOT_FILE, WAL_FILE};
 use crate::engine::{Engine, EngineError};
 use crate::server::{
     serve_inner, Client, ClientError, FollowerConfig, ServeError, ServerHandle, ServerOptions,
 };
-use crate::wal::{self, WalRecord};
+use crate::wal::{Mirror, WalRecord};
 
 /// File name (inside a data directory) persisting the node's replication term:
 /// a monotonically increasing integer bumped by every promotion, the fencing
@@ -183,13 +184,17 @@ pub(crate) fn read_term(disk: &dyn Disk, dir: &Path) -> Result<u64, EngineError>
         .map_err(|_| EngineError::Durability(format!("{} holds no term: {text:?}", path.display())))
 }
 
-/// Persist `term` in the data directory's `TERM` file, replacing it whole and
-/// durably (a promotion must survive the promoted node's own crash, or a
+/// Persist `term` in the engine's `TERM` file, whole and durably, under its fault
+/// containment (a promotion must survive the promoted node's own crash, or a
 /// revived ex-leader could reclaim leadership it already lost).
-pub(crate) fn persist_term(disk: &dyn Disk, dir: &Path, term: u64) -> Result<(), EngineError> {
-    let path = dir.join(TERM_FILE);
-    disk::replace(disk, dir, TERM_FILE, format!("{term}\n").as_bytes())
-        .map_err(|e| disk::io_error("write", &path, e))
+pub(crate) fn persist_term(engine: &mut Engine, term: u64) -> Result<(), EngineError> {
+    engine.contained(|engine| {
+        let Some((disk, dir)) = engine.data_disk() else {
+            return Ok(());
+        };
+        disk::replace(&*disk, &dir, TERM_FILE, format!("{term}\n").as_bytes())
+            .map_err(|e| disk::io_error("write", &dir.join(TERM_FILE), e))
+    })
 }
 
 /// Hex-encode `bytes` (lowercase) — WAL frames ship hex-encoded
@@ -236,35 +241,28 @@ pub(crate) struct StreamStep {
     pub(crate) last_seq: u64,
 }
 
-/// Compute the leader-side answer to one subscription poll, straight from the
-/// data directory: the on-disk log is the committed truth (commits fsync
-/// before acknowledging), so no coupling to the writer thread is needed.
-pub(crate) fn stream_step(
-    disk: &dyn Disk,
-    dir: &Path,
-    from_seq: u64,
-    max_frames: usize,
-) -> Result<StreamStep, EngineError> {
-    let read = wal::read_frames_from(disk, &dir.join(WAL_FILE), from_seq, max_frames)?;
+/// Compute the leader-side answer to one subscription poll from the mirror of
+/// what the session made durable: the log frames from `from_seq` on, at most
+/// `max_frames` of them, led by the image when the log no longer reaches back
+/// to `from_seq`. It reads no file and decodes nothing.
+pub(crate) fn stream_step(mirror: &Mirror, from_seq: u64, max_frames: usize) -> StreamStep {
+    let log = mirror.frames_from(from_seq);
     let mut step = StreamStep {
-        frames: read.frames.iter().map(WalRecord::encode).collect(),
-        last_seq: read.last_seq.unwrap_or(0),
+        frames: Vec::new(),
+        last_seq: mirror.last_seq(),
     };
-    if read.first_seq == Some(from_seq) {
-        return Ok(step);
-    }
-    // The log does not start at `from_seq`: the follower is caught up, or a
-    // compaction reset the log past it and the image covers the gap (when it
-    // does not yet — a transient state — ship nothing; the follower retries).
-    if let Some((image, payload)) = wal::read_image(disk, &dir.join(SNAPSHOT_FILE))? {
-        step.last_seq = step.last_seq.max(image.seq());
-        if image.seq() >= from_seq {
-            step.frames.insert(0, payload);
-            return Ok(step);
+    if log.first().map(|&(seq, _)| seq) != Some(from_seq) {
+        // The follower is caught up, or a compaction reset the log past it and
+        // the image covers the gap (when it does not yet — a transient state —
+        // ship nothing; the follower retries).
+        match &mirror.image {
+            Some((seq, payload)) if *seq >= from_seq => step.frames.push(payload.clone()),
+            _ => return step,
         }
     }
-    step.frames.clear();
-    Ok(step)
+    let shipped = log.iter().take(max_frames);
+    (step.frames).extend(shipped.map(|&(_, at)| mirror.payload(at).to_vec()));
+    step
 }
 
 /// The parsed reply of one `REPL SUBSCRIBE` poll (see [`Client::subscribe`]).
@@ -451,10 +449,7 @@ impl Replica {
                 if reply.term > self.term {
                     // A failover happened upstream: adopt the new term so our
                     // own polls carry it onward.
-                    self.term = reply.term;
-                    if let Some((disk, dir)) = self.engine.data_disk() {
-                        persist_term(&*disk, &dir, self.term)?;
-                    }
+                    self.adopt_term(reply.term)?;
                 }
                 // An image past our position is installed (see
                 // `Engine::apply_replicated`).
@@ -502,6 +497,15 @@ impl Replica {
             }
         }
         Ok(false)
+    }
+
+    /// Adopt `term` once it is persisted: after a failed write the term is
+    /// what it was, so the next poll that carries the newer one writes again
+    /// (adopting first would leave a crash to bring back the older term).
+    pub(crate) fn adopt_term(&mut self, term: u64) -> Result<(), EngineError> {
+        persist_term(&mut self.engine, term)?;
+        self.term = term;
+        Ok(())
     }
 
     /// Drop the current connection (the next poll redials). Simulates a
@@ -613,17 +617,17 @@ mod tests {
     #[test]
     fn terms_persist_in_the_data_directory() {
         let dir = std::env::temp_dir().join(format!("factorlog_term_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::remove_file(dir.join(TERM_FILE)).ok();
+        std::fs::remove_dir_all(&dir).ok();
+        let mut engine = Engine::open_durable(&dir).unwrap();
         let disk = crate::disk::StdDisk;
         assert_eq!(
             read_term(&disk, &dir).unwrap(),
             0,
             "absent TERM file reads as 0"
         );
-        persist_term(&disk, &dir, 7).unwrap();
+        persist_term(&mut engine, 7).unwrap();
         assert_eq!(read_term(&disk, &dir).unwrap(), 7);
-        persist_term(&disk, &dir, 8).unwrap();
+        persist_term(&mut engine, 8).unwrap();
         assert_eq!(
             read_term(&disk, &dir).unwrap(),
             8,
@@ -638,6 +642,7 @@ mod tests {
         std::fs::create_dir(dir.join(TERM_FILE)).unwrap();
         let error = read_term(&disk, &dir).unwrap_err().to_string();
         assert!(error.contains("cannot read"), "{error}");
+        drop(engine);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -49,11 +49,13 @@
 //! `txn`, `internal`, and for replication `readonly` (TXN on a follower),
 //! `fenced` (a superseded ex-leader refuses writes and polls), `lease`
 //! (PROMOTE while the leader's lease is still valid), `repl` (subscription
-//! against a non-durable server, or a log/image read failure).
+//! against a non-durable server, or a `TERM` file that could not be written).
 //!
 //! Replication (`REPL SUBSCRIBE`, `PROMOTE`, follower mode via
 //! [`serve_follower`](crate::replication::serve_follower)) is documented in
-//! [`crate::replication`].
+//! [`crate::replication`]. The reactor touches no file: it answers polls from
+//! the engine's mirror of what it made durable, and queues term changes to the
+//! thread that owns the engine, the only one on the disk once [`serve`] returns.
 //!
 //! # Guarantees
 //!
@@ -80,7 +82,6 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -97,7 +98,7 @@ use factorlog_datalog::storage::Database;
 use crate::engine::{Engine, EngineError, OnLog, Op, TxnSummary};
 use crate::reactor::{poll_fds, PollFd, WakePipe, POLL_FAIL, POLL_IN, POLL_OUT};
 use crate::replication::{self, Replica, ReplicaRole, ReplicaStatus, ReplicationOptions};
-use crate::wal::WalOp;
+use crate::wal::{Mirror, WalOp};
 
 /// Cap on how many queued transactions one group commit will absorb.
 const MAX_GROUP: usize = 128;
@@ -218,13 +219,21 @@ struct View {
 /// Outcome of one committed (or refused) transaction, as the writer reports it.
 type TxnOutcome = Result<(TxnSummary, u64), EngineError>;
 
+/// What the engine's owner answers a queued request with.
+enum Outcome {
+    /// A transaction's outcome.
+    Txn(TxnOutcome),
+    /// A rendered reply: a poll's or a promotion's.
+    Reply(Vec<u8>),
+}
+
 /// The writer→reactor completion channel: outcomes queue here and the wake
 /// pipe interrupts the reactor's `poll` so replies go out immediately. The
 /// pipe lives *inside* this Arc'd struct so a writer draining the queue after
 /// the reactor exited still holds a valid (if unread) descriptor — never a
 /// recycled one.
 struct Completions {
-    queue: Mutex<Vec<(u64, TxnOutcome)>>,
+    queue: Mutex<Vec<(u64, Outcome)>>,
     pipe: WakePipe,
 }
 
@@ -237,7 +246,7 @@ impl Completions {
     }
 
     /// Queue a whole group's outcomes under one lock and wake the reactor once.
-    fn push_all(&self, outcomes: Vec<(u64, TxnOutcome)>) {
+    fn push_all(&self, outcomes: Vec<(u64, Outcome)>) {
         self.queue
             .lock()
             .expect("completion queue poisoned")
@@ -245,7 +254,7 @@ impl Completions {
         self.pipe.handle().wake();
     }
 
-    fn take(&self) -> Vec<(u64, TxnOutcome)> {
+    fn take(&self) -> Vec<(u64, Outcome)> {
         std::mem::take(&mut *self.queue.lock().expect("completion queue poisoned"))
     }
 
@@ -254,7 +263,7 @@ impl Completions {
     }
 }
 
-/// Where a transaction's outcome goes: back to the reactor, addressed to the
+/// Where a queued request's outcome goes: back to the reactor, addressed to the
 /// submitting connection. Dropping an unsent ticket (a request discarded
 /// without a verdict — only possible mid-shutdown) delivers a structured
 /// shutdown error so the connection's admission slot is always released.
@@ -266,7 +275,7 @@ struct TxnTicket {
 
 impl TxnTicket {
     /// Deliver a group's outcomes, one per ticket in order, in one hand-off.
-    fn send_group(tickets: Vec<TxnTicket>, outcomes: Vec<TxnOutcome>) {
+    fn send_group(tickets: Vec<TxnTicket>, outcomes: Vec<Outcome>) {
         let Some(completions) = tickets.first().map(|t| t.completions.clone()) else {
             return;
         };
@@ -285,14 +294,26 @@ impl Drop for TxnTicket {
     fn drop(&mut self) {
         if !self.sent {
             let error = EngineError::Durability("server is shutting down".to_string());
-            self.completions.push_all(vec![(self.conn_id, Err(error))]);
+            let outcome = Outcome::Txn(Err(error));
+            self.completions.push_all(vec![(self.conn_id, outcome)]);
         }
     }
 }
 
-/// A transaction submitted to the commit pipeline.
+/// What the reactor queues for the thread that owns the engine.
+enum Request {
+    /// A transaction for the commit pipeline.
+    Txn(Vec<Op>),
+    /// A `REPL SUBSCRIBE` poll carrying a newer term than this node's, which
+    /// is persisted before it is adopted ([`answer_newer_term`]).
+    Poll { from_seq: u64, term: u64, id: u64 },
+    /// `PROMOTE` on a follower ([`promote`]).
+    Promote,
+}
+
+/// A request queued for the engine's owner, with where its outcome goes.
 struct WriteReq {
-    ops: Vec<Op>,
+    request: Request,
     reply: TxnTicket,
 }
 
@@ -387,9 +408,10 @@ struct ReplState {
     lease_timeout: Duration,
     /// Leader only: per-follower drain positions from recent polls.
     followers: Mutex<HashMap<u64, FollowerLag>>,
-    /// The disk and durable data directory frames are streamed from (`None`
-    /// disables `REPL SUBSCRIBE` — there is no committed log to ship).
-    data_dir: Option<(Arc<dyn crate::disk::Disk>, PathBuf)>,
+    /// The engine's mirror of what it made durable, which polls are answered
+    /// from (`None` disables `REPL SUBSCRIBE` — there is no committed log to
+    /// ship).
+    mirror: Option<Arc<Mutex<Mirror>>>,
     /// `Some` iff this server started as a follower.
     leader_addr: Option<String>,
     /// Follower only: the apply loop's latest [`Replica::status`].
@@ -466,8 +488,9 @@ pub struct ShutdownReport {
     /// The reactor's and the writer's counters at shutdown.
     pub server_metrics: ServerMetrics,
     /// The outcome of the final fsync of the transaction log (always `Ok` for an
-    /// in-memory engine). It runs under the engine's fault containment, so a
-    /// failing or panicking disk shows up here instead of in the caller.
+    /// in-memory engine). It runs under the engine's fault containment, in the
+    /// thread that owned the engine, so a failing or panicking disk shows up
+    /// here instead of in the caller.
     pub wal_sync: Result<(), EngineError>,
 }
 
@@ -479,7 +502,7 @@ pub struct ServerHandle {
     write_tx: mpsc::Sender<WriteReq>,
     completions: Arc<Completions>,
     reactor_thread: Option<JoinHandle<bool>>,
-    writer_thread: Option<JoinHandle<Engine>>,
+    writer_thread: Option<JoinHandle<(Engine, Result<(), EngineError>)>>,
     /// The caller's engine options, whose limits and token
     /// [`ServerHandle::shutdown`] restores.
     caller: EvalOptions,
@@ -550,7 +573,7 @@ impl ServerHandle {
         // dropped: the writer drains what is queued, flushes the WAL, and
         // returns the engine.
         drop(self.write_tx);
-        let mut engine = self
+        let (mut engine, wal_sync) = self
             .writer_thread
             .take()
             .expect("writer thread present until shutdown")
@@ -560,7 +583,6 @@ impl ServerHandle {
         // returned engine is immediately reusable, answers to its owner's Ctrl-C
         // again, and runs under its owner's limits.
         engine.set_limits_from(&self.caller);
-        let wal_sync = engine.contained(Engine::sync_wal);
         ShutdownReport {
             engine,
             epoch: self.shared.epoch.load(Ordering::Acquire),
@@ -692,7 +714,7 @@ pub(crate) fn serve_inner(
         Ok(model) => model,
         Err(error) => return Err(fail(engine, error)),
     };
-    let data_dir = engine.data_disk();
+    let mirror = engine.mirror();
     let initial_role = if follow.is_some() {
         ReplicaRole::Follower
     } else {
@@ -727,7 +749,7 @@ pub(crate) fn serve_inner(
                 .map(|f| f.replication.lease_timeout)
                 .unwrap_or_else(|| ReplicationOptions::default().lease_timeout),
             followers: Mutex::new(HashMap::new()),
-            data_dir,
+            mirror,
             leader_addr: follow.as_ref().map(|f| f.replica.leader.clone()),
             // A follower has a status from the start, as a fresh replica reports it.
             status: Mutex::new(follow.as_ref().map(|f| ReplicaStatus {
@@ -765,10 +787,13 @@ pub(crate) fn serve_inner(
         .name(writer_name.to_string())
         .spawn(move || {
             writer_started.wait();
-            match follow {
-                None => writer_core(engine, write_rx, &writer_shared, None),
+            let mut engine = match follow {
+                None => writer_core(engine, write_rx, &writer_shared),
                 Some(config) => follower_loop(engine, write_rx, &writer_shared, config),
-            }
+            };
+            // The served engine's last disk call, in the thread that made the others.
+            let wal_sync = engine.contained(Engine::sync_wal);
+            (engine, wal_sync)
         })
         .expect("cannot spawn writer thread");
 
@@ -811,14 +836,9 @@ fn group_wait(batch_len: usize, expect: usize, to_deadline: Duration, pace: Dura
 /// The commit pipeline: block for a first transaction, wait ([`group_wait`]) for
 /// the submitters known to be in flight, commit the whole batch under one fsync and
 /// one maintenance pass, publish the next view, then reply to every submitter in one
-/// hand-off. `pending` is an already-received first request: a follower promoted
-/// mid-`recv` hands the raced request over instead of bouncing it.
-fn writer_core(
-    mut engine: Engine,
-    rx: mpsc::Receiver<WriteReq>,
-    shared: &Shared,
-    pending: Option<WriteReq>,
-) -> Engine {
+/// hand-off. A poll with a newer term, or a `PROMOTE`, in the batch is answered
+/// before the group commits.
+fn writer_core(mut engine: Engine, rx: mpsc::Receiver<WriteReq>, shared: &Shared) -> Engine {
     let mut epoch = shared.epoch.load(Ordering::Acquire);
     // Publish pacing (see [`PUBLISH_SHARE`]): the next group does not start
     // committing before `not_before`; `published` is when the last view went out and
@@ -828,7 +848,7 @@ fn writer_core(
     let mut published = (not_before, read_busy());
     // The group being formed (it starts as what queued behind the previous one), how
     // many submitters were in flight when that one went out, and the time waited so far.
-    let mut batch: Vec<WriteReq> = pending.into_iter().collect();
+    let mut batch: Vec<WriteReq> = Vec::new();
     let mut expect = 1;
     let (mut group_waited, mut pace_waited) = (Duration::ZERO, Duration::ZERO);
     loop {
@@ -857,7 +877,26 @@ fn writer_core(
         }
 
         let started = Instant::now();
-        let (ops, replies): (Vec<_>, Vec<_>) = batch.drain(..).map(|r| (r.ops, r.reply)).unzip();
+        let (mut ops, mut replies) = (Vec::new(), Vec::new());
+        for WriteReq { request, reply } in batch.drain(..) {
+            let mut out = Vec::new();
+            match request {
+                Request::Txn(txn) => {
+                    ops.push(txn);
+                    replies.push(reply);
+                    continue;
+                }
+                Request::Poll { from_seq, term, id } => {
+                    let persist = || replication::persist_term(&mut engine, term);
+                    answer_newer_term(shared, (from_seq, term, id), persist, &mut out);
+                }
+                Request::Promote => handle_promote(shared, &mut out),
+            }
+            TxnTicket::send_group(vec![reply], vec![Outcome::Reply(out)]);
+        }
+        if ops.is_empty() {
+            continue;
+        }
         let results = engine.commit_group(&ops, OnLog::No);
 
         // Assign each committed batch the epoch that first includes it; the
@@ -865,10 +904,10 @@ fn writer_core(
         // `OK … epoch=E` observes its write in every view with epoch >= E.
         let mut outcomes = Vec::with_capacity(results.len());
         for result in results {
-            outcomes.push(result.map(|summary| {
+            outcomes.push(Outcome::Txn(result.map(|summary| {
                 epoch += 1;
                 (summary, epoch)
-            }));
+            })));
         }
         // Publish before replying: a reply in hand means the write is visible.
         // A failed refresh (injected fault, tripped limit) keeps the previous
@@ -914,9 +953,10 @@ fn writer_core(
 /// with `ERR readonly` before they reach the queue), it polls the leader,
 /// applies shipped frames, and publishes each applied prefix as a fresh view —
 /// readers on this node see the leader's history, stale-bounded by one poll.
-/// Every successful poll renews the lease stamp [`handle_promote`] checks, the
-/// one promotion gate. When `PROMOTE` flips the shared role, the loop hands the
-/// replica's engine to [`writer_core`] and the node commits writes as a leader.
+/// Every successful poll renews the lease stamp [`promote`] checks, the one
+/// promotion gate, in this same thread. Once `PROMOTE` succeeds, the loop
+/// hands the replica's engine to [`writer_core`] and the node commits writes
+/// as a leader.
 fn follower_loop(
     engine: Engine,
     rx: mpsc::Receiver<WriteReq>,
@@ -926,26 +966,31 @@ fn follower_loop(
     let poll_interval = config.replication.poll_interval;
     let mut replica = config.replica;
     *replica.engine_mut() = engine;
-    let promoted = || shared.repl.role.load(Ordering::Acquire) == ReplicaRole::Leader.as_u8();
     loop {
-        // The shared term only grows: a PROMOTE's bump must survive a poll that
-        // raced it with the leader's older term.
+        // The node's term is the replica's, which only grows.
         shared.repl.term.fetch_max(replica.term(), Ordering::AcqRel);
         *shared.repl.status.lock().expect("status lock poisoned") = Some(replica.status());
-        // A PROMOTE handled by the reactor flips the shared role: become the writer.
-        if promoted() {
-            return writer_core(replica.into_engine(), rx, shared, None);
-        }
         match rx.recv_timeout(poll_interval) {
-            Ok(req) => {
-                if promoted() {
-                    // Promoted while we were blocked in recv: this request is
-                    // valid — carry it into the writer loop.
-                    return writer_core(replica.into_engine(), rx, shared, Some(req));
+            Ok(WriteReq { request, reply }) => {
+                let mut out = Vec::new();
+                let promoted = match request {
+                    Request::Txn(_) => {
+                        let refusal = "replica is read-only: write to the leader or promote it";
+                        let refusal = Err(EngineError::Durability(refusal.to_string()));
+                        TxnTicket::send_group(vec![reply], vec![Outcome::Txn(refusal)]);
+                        continue;
+                    }
+                    Request::Poll { from_seq, term, id } => {
+                        let persist = || replica.adopt_term(term);
+                        answer_newer_term(shared, (from_seq, term, id), persist, &mut out);
+                        false
+                    }
+                    Request::Promote => promote(&mut replica, shared, &mut out),
+                };
+                TxnTicket::send_group(vec![reply], vec![Outcome::Reply(out)]);
+                if promoted {
+                    return writer_core(replica.into_engine(), rx, shared);
                 }
-                let refusal = "replica is read-only: write to the leader or promote it";
-                let refusal = Err(EngineError::Durability(refusal.to_string()));
-                TxnTicket::send_group(vec![req.reply], vec![refusal]);
                 continue;
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -995,9 +1040,10 @@ struct Conn {
     /// already-written prefix).
     outbuf: Vec<u8>,
     outpos: usize,
-    /// A transaction is in the commit pipeline: request draining is paused so
-    /// replies stay in request order, and one admission slot is held.
-    awaiting_txn: bool,
+    /// A request is queued for the engine's owner (a transaction, or a term
+    /// change): request draining is paused so replies stay in request order,
+    /// and one admission slot is held.
+    awaiting_reply: bool,
     /// Flush the remaining `outbuf`, then close (set by `QUIT`, protocol
     /// violations, and shutdown).
     closing: bool,
@@ -1015,7 +1061,7 @@ impl Conn {
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             outpos: 0,
-            awaiting_txn: false,
+            awaiting_reply: false,
             closing: false,
             dead: false,
             prepared: HashMap::new(),
@@ -1231,14 +1277,15 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&conn_id) else {
                 continue; // submitter died mid-commit; the commit stands
             };
-            conn.awaiting_txn = false;
+            conn.awaiting_reply = false;
             let _ = match outcome {
-                Ok((summary, epoch)) => writeln!(
+                Outcome::Txn(Ok((summary, epoch))) => writeln!(
                     conn.outbuf,
                     "OK asserted={} retracted={} epoch={epoch}",
                     summary.asserted, summary.retracted
                 ),
-                Err(error) => respond_engine_error(&mut conn.outbuf, &error),
+                Outcome::Txn(Err(error)) => respond_engine_error(&mut conn.outbuf, &error),
+                Outcome::Reply(reply) => conn.outbuf.write_all(&reply),
             };
             self.serve_buffered(conn_id);
             if let Some(conn) = self.conns.get_mut(&conn_id) {
@@ -1337,7 +1384,7 @@ impl Reactor {
         let mut consumed = 0usize;
         let mut line = String::new();
         while let Some(conn) = self.conns.get_mut(&conn_id) {
-            if conn.awaiting_txn || conn.closing || conn.dead {
+            if conn.awaiting_reply || conn.closing || conn.dead {
                 break;
             }
             let Some(nl) = conn.inbuf[consumed..].iter().position(|&b| b == b'\n') else {
@@ -1435,7 +1482,21 @@ impl Reactor {
             self.submit_txn(conn_id, rest, &shared);
             return;
         }
-        let _ = handle_misc(request, &shared, &mut conn.outbuf);
+        // Ungoverned, like STATS: replication must stay alive under reader load,
+        // or a shed storm would starve every follower into failover. What goes to
+        // the engine's owner still holds a slot until its reply is delivered.
+        let queued = if verb.eq_ignore_ascii_case("REPL") {
+            handle_repl(rest, &shared, &mut conn.outbuf)
+        } else if verb.eq_ignore_ascii_case("PROMOTE") {
+            Some(Request::Promote)
+        } else {
+            let _ = handle_misc(verb, &shared, &mut conn.outbuf);
+            None
+        };
+        if let Some(request) = queued {
+            shared.in_flight.fetch_add(1, Ordering::AcqRel);
+            self.submit(conn_id, request, &shared);
+        }
     }
 
     /// Serve a read through the epoch-keyed rendered-reply cache: a hit is a
@@ -1569,8 +1630,17 @@ impl Reactor {
             let _ = respond_overloaded(&mut conn.outbuf);
             return;
         }
+        self.submit(conn_id, Request::Txn(ops), shared);
+    }
+
+    /// Queue `request` for the engine's owner, holding the admission slot the
+    /// caller took; [`Reactor::deliver_completions`] delivers its outcome.
+    fn submit(&mut self, conn_id: u64, request: Request, shared: &Shared) {
+        let Some(conn) = self.conns.get_mut(&conn_id) else {
+            return;
+        };
         let req = WriteReq {
-            ops,
+            request,
             reply: TxnTicket {
                 conn_id,
                 completions: self.completions.clone(),
@@ -1580,7 +1650,7 @@ impl Reactor {
         // A writer gone is shutdown. The refused ticket's Drop would release the
         // slot via a completion; do it directly so the refusal is synchronous.
         match self.write_tx.send(req) {
-            Ok(()) => conn.awaiting_txn = true,
+            Ok(()) => conn.awaiting_reply = true,
             Err(mpsc::SendError(req)) => {
                 let _ = respond_err(&mut conn.outbuf, "shutdown", "server is shutting down");
                 let mut ticket = req.reply;
@@ -1602,7 +1672,7 @@ impl Reactor {
         for id in ids {
             self.serve_buffered(id);
             if let Some(conn) = self.conns.get_mut(&id) {
-                if !conn.awaiting_txn {
+                if !conn.awaiting_reply {
                     conn.closing = true;
                 }
                 conn.flush_out();
@@ -1611,7 +1681,7 @@ impl Reactor {
         self.reap_dead();
         let mut cancelled = false;
         loop {
-            let outstanding = self.conns.values().any(|c| c.awaiting_txn);
+            let outstanding = self.conns.values().any(|c| c.awaiting_reply);
             let unflushed = self.conns.values().any(|c| c.outpos < c.outbuf.len());
             if !outstanding && !unflushed {
                 return !cancelled;
@@ -1677,16 +1747,11 @@ fn reply_is_ok(reply: &[u8]) -> bool {
     body[start..].starts_with(b"OK ")
 }
 
-/// Dispatch one request line. `Err` means the *socket* failed (disconnect);
-/// protocol-level failures are reported in-band as `ERR` lines.
 /// Dispatch the verbs that need no connection state and no admission slot:
-/// `PING`, `EPOCH`, `STATS`, `REPL …`, `PROMOTE`, and the unknown-verb error.
-/// (`QUERY`/`EXEC`/`TXN`/`PREPARE`/`QUIT` live on [`Reactor::serve_request`].)
-fn handle_misc(request: &str, shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
-    let (verb, rest) = match request.split_once(char::is_whitespace) {
-        Some((verb, rest)) => (verb, rest.trim()),
-        None => (request, ""),
-    };
+/// `PING`, `EPOCH`, `STATS`, and the unknown-verb error. (The others live on
+/// [`Reactor::serve_request`].) `Err` means the *socket* failed (disconnect);
+/// protocol-level failures are reported in-band as `ERR` lines.
+fn handle_misc(verb: &str, shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
     if verb.eq_ignore_ascii_case("PING") {
         writeln!(out, "OK pong")?;
         return out.flush();
@@ -1698,27 +1763,14 @@ fn handle_misc(request: &str, shared: &Shared, out: &mut impl Write) -> std::io:
     if verb.eq_ignore_ascii_case("STATS") {
         return handle_stats(shared, out);
     }
-    if verb.eq_ignore_ascii_case("REPL") {
-        // Ungoverned, like STATS: replication must stay alive under reader
-        // load, or a shed storm would starve every follower into failover.
-        return handle_repl(rest, shared, out);
-    }
-    if verb.eq_ignore_ascii_case("PROMOTE") {
-        return handle_promote(shared, out);
-    }
     respond_err(out, "parse", &format!("unknown request `{verb}`"))
 }
 
-/// Milliseconds since the follower last heard from its leader.
-///
-/// The contact stamp is loaded FIRST: `started.elapsed()` taken after the
-/// load is ≥ every stamp recorded before it, so the subtraction cannot
-/// underflow. (The old code captured `elapsed` first, so a sync landing
-/// between the two reads made `contact > elapsed` and the saturating_sub
-/// reported a spurious 0 — or, without saturation, would have underflowed.)
-/// A sync landing after the load only makes the result an overestimate
-/// bounded by the load-to-elapsed gap, which is the safe direction for both
-/// the lease gate and the lag stat.
+/// Milliseconds since the follower last heard from its leader. The contact
+/// stamp is loaded first: `started.elapsed()` taken after it is ≥ every stamp
+/// recorded before it, so the subtraction cannot underflow, and a sync landing
+/// after the load only overestimates — the safe direction for both the lease
+/// gate and the lag stat.
 fn ms_since_leader_contact(repl: &ReplState) -> u64 {
     let contact = repl.last_contact_ms.load(Ordering::Acquire);
     (repl.started.elapsed().as_millis() as u64).saturating_sub(contact)
@@ -1773,65 +1825,47 @@ fn handle_stats(shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
     out.flush()
 }
 
-/// Answer `REPL SUBSCRIBE <from_seq> [term=T] [id=I]`: stream committed WAL
-/// frames (led by the image when compaction outran the subscriber) straight
-/// from the data directory, and fence ourselves when the poll proves a newer
-/// term.
-fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
-    let (sub, args) = match rest.split_once(char::is_whitespace) {
-        Some((sub, args)) => (sub, args.trim()),
-        None => (rest, ""),
-    };
-    let parsed = sub
-        .eq_ignore_ascii_case("SUBSCRIBE")
-        .then(|| parse_subscribe(args))
-        .flatten();
-    let Some((from_seq, term, id)) = parsed else {
-        return respond_err(
-            out,
-            "parse",
-            "usage: REPL SUBSCRIBE <from_seq> [term=T] [id=I]",
-        );
+/// Answer `REPL SUBSCRIBE <from_seq> [term=T] [id=I]` ([`answer_poll`]), or
+/// return the request that hands a poll carrying a newer term than ours to the
+/// engine's owner ([`answer_newer_term`]).
+fn handle_repl(rest: &str, shared: &Shared, out: &mut Vec<u8>) -> Option<Request> {
+    let Some((from_seq, term, id)) = parse_subscribe(rest) else {
+        let usage = "usage: REPL SUBSCRIBE <from_seq> [term=T] [id=I]";
+        let _ = respond_err(out, "parse", usage);
+        return None;
     };
     let repl = &shared.repl;
-    let Some((disk, dir)) = repl.data_dir.as_ref() else {
+    if term > repl.term.load(Ordering::Acquire) && repl.mirror.is_some() {
+        // The subscriber proves a newer leader was elected: a node that thought
+        // it was the leader refuses writes from now on, whatever the term's
+        // write does (refusing writes is always safe).
+        let (leader, fenced) = (ReplicaRole::Leader.as_u8(), ReplicaRole::Fenced.as_u8());
+        let _ = (repl.role).compare_exchange(leader, fenced, Ordering::AcqRel, Ordering::Acquire);
+        return Some(Request::Poll { from_seq, term, id });
+    }
+    let _ = answer_poll(shared, from_seq, id, out);
+    None
+}
+
+/// Answer a poll whose term is not newer than ours: refused on a fenced node,
+/// and otherwise the committed WAL frames from `from_seq` on (led by the image
+/// when compaction outran the subscriber), copied from the engine's mirror.
+fn answer_poll(shared: &Shared, from_seq: u64, id: u64, out: &mut Vec<u8>) -> std::io::Result<()> {
+    let repl = &shared.repl;
+    let Some(mirror) = repl.mirror.as_ref() else {
         return respond_err(
             out,
             "repl",
             "this server is not durable; nothing to replicate",
         );
     };
-    // Fencing: a subscriber carrying a newer term proves a newer leader was
-    // elected. Adopt the term; if we thought we were the leader, we are not —
-    // flip to fenced (writes refused) before answering.
     let my_term = repl.term.load(Ordering::Acquire);
-    if term > my_term {
-        repl.term.store(term, Ordering::Release);
-        let was_leader = repl
-            .role
-            .compare_exchange(
-                ReplicaRole::Leader.as_u8(),
-                ReplicaRole::Fenced.as_u8(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok();
-        let _ = replication::persist_term(&**disk, dir, term);
-        if was_leader || repl.role.load(Ordering::Acquire) == ReplicaRole::Fenced.as_u8() {
-            return respond_err(out, "fenced", &format!("superseded by term {term}"));
-        }
-        // A follower simply adopts the newer term and keeps serving frames
-        // (chained replication stays valid: our log is a committed prefix).
-    } else if repl.role.load(Ordering::Acquire) == ReplicaRole::Fenced.as_u8() {
-        return respond_err(
-            out,
-            "fenced",
-            &format!("superseded by term {}", repl.term.load(Ordering::Acquire)),
-        );
+    if repl.role.load(Ordering::Acquire) == ReplicaRole::Fenced.as_u8() {
+        return respond_err(out, "fenced", &format!("superseded by term {my_term}"));
     }
-    let step = match replication::stream_step(&**disk, dir, from_seq, REPL_BATCH_FRAMES) {
-        Ok(step) => step,
-        Err(error) => return respond_err(out, "repl", &error.to_string()),
+    let step = {
+        let mirror = mirror.lock().expect("mirror lock poisoned");
+        replication::stream_step(&mirror, from_seq, REPL_BATCH_FRAMES)
     };
     // Record this follower's drain position for leader-side lag accounting.
     if id != 0 {
@@ -1845,7 +1879,6 @@ fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Re
             },
         );
     }
-    let my_term = repl.term.load(Ordering::Acquire);
     for frame in &step.frames {
         writeln!(out, "FRAME {}", replication::to_hex(frame))?;
     }
@@ -1854,17 +1887,42 @@ fn handle_repl(rest: &str, shared: &Shared, out: &mut impl Write) -> std::io::Re
         "OK frames={} last_seq={} term={my_term}",
         step.frames.len(),
         step.last_seq
-    )?;
-    out.flush()
+    )
 }
 
-/// The arguments of `REPL SUBSCRIBE`: exactly one `<from_seq>` and at most one
-/// `term=` and one `id=`, all unsigned (`term` and `id` default to 0). A
-/// subscriber's term is the fencing input, so anything else is refused rather
-/// than read as 0.
-fn parse_subscribe(args: &str) -> Option<(u64, u64, u64)> {
+/// Answer, in the engine's owner, a poll that carried a newer term than ours
+/// when the reactor queued it: the term is adopted only once `persist` wrote
+/// it, so that after a failed write the next such poll writes again. Then the
+/// poll is answered like any other ([`answer_poll`]): a follower keeps serving
+/// frames (chained replication stays valid: its log is a committed prefix).
+fn answer_newer_term(
+    shared: &Shared,
+    (from_seq, term, id): (u64, u64, u64),
+    persist: impl FnOnce() -> Result<(), EngineError>,
+    out: &mut Vec<u8>,
+) {
+    let repl = &shared.repl;
+    if term > repl.term.load(Ordering::Acquire) {
+        if let Err(error) = persist() {
+            let _ = respond_err(out, "repl", &error.to_string());
+            return;
+        }
+        repl.term.fetch_max(term, Ordering::AcqRel);
+    }
+    let _ = answer_poll(shared, from_seq, id, out);
+}
+
+/// The arguments of `REPL SUBSCRIBE` (`rest` follows `REPL`): exactly one
+/// `<from_seq>` and at most one `term=` and one `id=`, all unsigned (`term` and
+/// `id` default to 0). A subscriber's term is the fencing input, so anything
+/// else is refused rather than read as 0.
+fn parse_subscribe(rest: &str) -> Option<(u64, u64, u64)> {
+    let mut tokens = rest.split_whitespace();
+    if !tokens.next()?.eq_ignore_ascii_case("SUBSCRIBE") {
+        return None;
+    }
     let (mut from_seq, mut term, mut id) = (None, None, None);
-    for token in args.split_whitespace() {
+    for token in tokens {
         let (slot, value) = match token.split_once('=') {
             None => (&mut from_seq, token),
             Some(("term", value)) => (&mut term, value),
@@ -1878,67 +1936,45 @@ fn parse_subscribe(args: &str) -> Option<(u64, u64, u64)> {
     Some((from_seq?, term.unwrap_or(0), id.unwrap_or(0)))
 }
 
-/// Answer `PROMOTE`: idempotent on a leader, refused on a fenced ex-leader,
-/// and on a follower gated by the lease — only after the leader has been out
-/// of contact for a full lease timeout does the term bump (persisted first)
-/// and the role flip; the apply loop then becomes the writer.
-fn handle_promote(shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
-    let repl = &shared.repl;
-    match ReplicaRole::from_u8(repl.role.load(Ordering::Acquire)) {
-        ReplicaRole::Leader => {
-            writeln!(
-                out,
-                "OK role=leader term={}",
-                repl.term.load(Ordering::Acquire)
-            )?;
-            out.flush()
-        }
+/// Answer `PROMOTE` in the writer: idempotent on a leader, refused on a fenced
+/// ex-leader. (A follower's apply loop answers it with [`promote`].)
+fn handle_promote(shared: &Shared, out: &mut impl Write) {
+    let term = shared.repl.term.load(Ordering::Acquire);
+    let _ = match ReplicaRole::from_u8(shared.repl.role.load(Ordering::Acquire)) {
         ReplicaRole::Fenced => respond_err(
             out,
             "fenced",
-            &format!(
-                "superseded by term {}; restart this node as a follower",
-                repl.term.load(Ordering::Acquire)
-            ),
+            &format!("superseded by term {term}; restart this node as a follower"),
         ),
-        ReplicaRole::Follower => {
-            let since_contact_ms = ms_since_leader_contact(repl);
-            let lease_ms = repl.lease_timeout.as_millis() as u64;
-            if since_contact_ms < lease_ms {
-                return respond_err(
-                    out,
-                    "lease",
-                    &format!(
-                        "leader lease still valid for {} more ms; refusing promotion",
-                        lease_ms - since_contact_ms
-                    ),
-                );
-            }
-            let new_term = repl.term.load(Ordering::Acquire) + 1;
-            // Persist before flipping the role: a promotion that does not
-            // survive our own crash could let the old leader fence us back.
-            if let Some((disk, dir)) = repl.data_dir.as_ref() {
-                if let Err(error) = replication::persist_term(&**disk, dir, new_term) {
-                    return respond_err(out, "repl", &error.to_string());
-                }
-            }
-            repl.term.store(new_term, Ordering::Release);
-            // A concurrent PROMOTE may win this race; both persisted the same
-            // term, so reporting the shared outcome is correct either way.
-            let _ = repl.role.compare_exchange(
-                ReplicaRole::Follower.as_u8(),
-                ReplicaRole::Leader.as_u8(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-            writeln!(
-                out,
-                "OK role=leader term={}",
-                repl.term.load(Ordering::Acquire)
-            )?;
-            out.flush()
-        }
+        _ => writeln!(out, "OK role=leader term={term}"),
+    };
+}
+
+/// Answer `PROMOTE` on a follower, in its apply loop — the thread that renews
+/// the lease and owns the disk: refused until the leader has been out of
+/// contact for a full lease timeout; then the bumped term is persisted before
+/// the role flips (a promotion that does not survive our own crash could let
+/// the old leader fence us back). Returns whether the node now leads.
+fn promote(replica: &mut Replica, shared: &Shared, out: &mut Vec<u8>) -> bool {
+    let repl = &shared.repl;
+    let since_contact_ms = ms_since_leader_contact(repl);
+    let lease_ms = repl.lease_timeout.as_millis() as u64;
+    if since_contact_ms < lease_ms {
+        let still = lease_ms - since_contact_ms;
+        let message = format!("leader lease still valid for {still} more ms; refusing promotion");
+        let _ = respond_err(out, "lease", &message);
+        return false;
     }
+    let new_term = repl.term.load(Ordering::Acquire).max(replica.term()) + 1;
+    if let Err(error) = replica.adopt_term(new_term) {
+        let _ = respond_err(out, "repl", &error.to_string());
+        return false;
+    }
+    repl.term.fetch_max(new_term, Ordering::AcqRel);
+    let leader = ReplicaRole::Leader.as_u8();
+    repl.role.store(leader, Ordering::Release);
+    handle_promote(shared, out);
+    true
 }
 
 /// Parse and answer a `QUERY` from the current view.
@@ -3123,7 +3159,7 @@ mod tests {
             started: Instant::now(),
             lease_timeout: Duration::from_secs(1),
             followers: Mutex::new(HashMap::new()),
-            data_dir: None,
+            mirror: None,
             leader_addr: Some("127.0.0.1:1".to_string()),
             status: Mutex::new(None),
         };

@@ -2,7 +2,8 @@
 //! format: versioned binary framing with a per-record length prefix and CRC-32
 //! checksum, written through an fsync'ing writer on a [`Disk`]. A data
 //! directory's compaction image is a file in the same format holding exactly one
-//! [`WalRecord::Image`] frame (see [`read_image`]).
+//! [`WalRecord::Image`] frame (see [`read_image`]), kept in memory with the log
+//! as a `Mirror` that replication ships from.
 //!
 //! # On-disk format
 //!
@@ -33,7 +34,7 @@
 //! prefix overruns the file, whose CRC mismatches, or whose payload fails to
 //! decode. Everything before that point is returned; everything at and after it is
 //! the *torn tail* — the bytes a crashed writer left behind — which
-//! [`recover_log`] truncates away so the log is append-ready again. A torn write
+//! `recover_log` truncates away so the log is append-ready again. A torn write
 //! can therefore lose only the record being written at the moment of the crash,
 //! never a previously synced one. An image file has no torn tail: it is written
 //! whole and renamed into place, so [`read_image`] refuses anything but one
@@ -501,12 +502,13 @@ impl WalWriter {
 
     /// Append one record — [`append_all`](WalWriter::append_all) of a batch of one.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        self.append_all(std::slice::from_ref(record))
+        self.append_all(std::slice::from_ref(record)).map(drop)
     }
 
     /// Append a batch of records under a single fsync: every frame (length
     /// prefix, CRC, payload) is written, then one `sync_data` (when enabled)
-    /// makes the whole batch durable at once. All-or-nothing: on an error the
+    /// makes the whole batch durable at once, and the frames come back as
+    /// written. All-or-nothing: on an error the
     /// writer cuts the file back to its length before the batch so the append
     /// can simply be retried; if even that fails, or the disk panics, the
     /// writer poisons itself (every further append fails with
@@ -514,14 +516,14 @@ impl WalWriter {
     /// bytes and be silently discarded by the next recovery scan. No record of a failed batch is ever acknowledged. A
     /// record over [`MAX_RECORD_BYTES`] fails the batch before anything is
     /// written. An empty batch is a no-op.
-    pub fn append_all(&mut self, records: &[WalRecord]) -> Result<(), WalError> {
+    pub fn append_all(&mut self, records: &[WalRecord]) -> Result<Vec<u8>, WalError> {
+        let mut frames = Vec::new();
         if records.is_empty() {
-            return Ok(());
+            return Ok(frames);
         }
         if self.poisoned {
             return Err(WalError::Poisoned);
         }
-        let mut frames = Vec::new();
         for record in records {
             frame(&mut frames, record)?;
         }
@@ -543,7 +545,7 @@ impl WalWriter {
         }
         self.poisoned = false;
         self.len += frames.len() as u64;
-        Ok(())
+        Ok(frames)
     }
 
     /// Force an fsync now (used once at the end of unsynced bulk phases).
@@ -566,118 +568,104 @@ pub struct LogScan {
     pub torn_bytes: u64,
 }
 
-/// A pull-based iterator over the intact records of a log file, in file order,
-/// with exactly [`read_log`]'s stop rules: the iterator ends at the first record
+/// The copy of a log and an image a durable session keeps of what it last made
+/// durable, so that a replication poll ships bytes without touching the disk
+/// (`replication::stream_step`): the log file's valid content byte for byte
+/// (header included) with each frame's sequence number and offset, and the
+/// image's payload. The session updates each part only after the disk step
+/// that makes it true has succeeded. Its size is what is on disk: the image
+/// plus a log that compaction keeps near `compact_threshold`.
+pub(crate) struct Mirror {
+    log: Vec<u8>,
+    /// Each frame of `log` as (sequence number, offset), in log order.
+    frames: Vec<(u64, usize)>,
+    /// The image's sequence number and payload.
+    pub(crate) image: Option<(u64, Vec<u8>)>,
+}
+
+impl Mirror {
+    /// Record a batch the log writer made durable: its frames as written,
+    /// whose records carry the sequence numbers `seqs`.
+    pub(crate) fn append(&mut self, frames: &[u8], seqs: impl IntoIterator<Item = u64>) {
+        let mut at = self.log.len();
+        self.log.extend_from_slice(frames);
+        for seq in seqs {
+            self.frames.push((seq, at));
+            at += 8 + self.payload(at).len();
+        }
+    }
+
+    /// The log was reset to a fresh header.
+    pub(crate) fn reset_log(&mut self) {
+        (self.log, self.frames) = (WAL_MAGIC.to_vec(), Vec::new());
+    }
+
+    /// The log's frames with sequence numbers from `from_seq` on, as
+    /// (sequence number, offset).
+    pub(crate) fn frames_from(&self, from_seq: u64) -> &[(u64, usize)] {
+        &self.frames[self.frames.partition_point(|&(seq, _)| seq < from_seq)..]
+    }
+
+    /// The payload of the frame at offset `at` of the log.
+    pub(crate) fn payload(&self, at: usize) -> &[u8] {
+        let len = u32::from_le_bytes(self.log[at..at + 4].try_into().unwrap()) as usize;
+        &self.log[at + 8..at + 8 + len]
+    }
+
+    /// The last sequence number the log or the image holds (0: none).
+    pub(crate) fn last_seq(&self) -> u64 {
+        let log = self.frames.last().map(|&(seq, _)| seq);
+        log.max(self.image.as_ref().map(|&(seq, _)| seq))
+            .unwrap_or(0)
+    }
+}
+
+/// The intact records at the start of `bytes`, the content of the log or image
+/// file `path`; their valid prefix (header included) as a [`Mirror`] without an
+/// image; and how many bytes follow it. The scan stops at the first record
 /// whose length prefix overruns the file, whose CRC mismatches, whose payload
-/// fails to decode, or whose sequence number does not increase — everything at
-/// and beyond that point is the torn tail.
-///
-/// This is the streaming primitive replication is built on: the leader's
-/// subscription handler walks frames from disk without materializing the whole
-/// log, and [`read_frames_from`] layers sequence filtering and batching on top.
-pub struct FrameIter {
-    bytes: Vec<u8>,
-    /// Byte offset validity has been confirmed up to (the next frame starts here).
-    pos: usize,
-    last_seq: Option<u64>,
-    stopped: bool,
-}
-
-impl FrameIter {
-    /// Open `path` on `disk` for frame iteration. A missing file iterates as
-    /// empty; a partial-magic prefix (crash during log creation) iterates as
-    /// empty with the partial header counted as torn; any other leading bytes
-    /// are a [`WalError::BadHeader`].
-    pub fn open(disk: &dyn Disk, path: &Path) -> Result<FrameIter, WalError> {
-        FrameIter::new(disk.read(path)?.unwrap_or_default(), path)
+/// fails to decode, or whose sequence number does not increase: that record and
+/// everything after it is the torn tail. Empty content, or a proper prefix of
+/// the magic (a crash during log creation), holds no record; any other leading
+/// bytes are a [`WalError::BadHeader`].
+fn scan(mut bytes: Vec<u8>, path: &Path) -> Result<(Vec<WalRecord>, Mirror, u64), WalError> {
+    let magic = bytes.starts_with(WAL_MAGIC);
+    if !magic && !WAL_MAGIC.starts_with(&bytes) {
+        return Err(WalError::BadHeader(path.to_path_buf()));
     }
-
-    /// Iterate the frames of `bytes`, the content of the file `path`.
-    fn new(bytes: Vec<u8>, path: &Path) -> Result<FrameIter, WalError> {
-        if bytes.len() < WAL_MAGIC.len() {
-            if !bytes.is_empty() && !WAL_MAGIC.starts_with(&bytes) {
-                return Err(WalError::BadHeader(path.to_path_buf()));
-            }
-            // Empty/missing, or a crash during `create` left a partial header:
-            // an empty log whose whole content (if any) is torn.
-            return Ok(FrameIter {
-                bytes,
-                pos: 0,
-                last_seq: None,
-                stopped: true,
-            });
-        }
-        if bytes[..WAL_MAGIC.len()] != *WAL_MAGIC {
-            return Err(WalError::BadHeader(path.to_path_buf()));
-        }
-        Ok(FrameIter {
-            bytes,
-            pos: WAL_MAGIC.len(),
-            last_seq: None,
-            stopped: false,
-        })
-    }
-
-    /// Byte length of the valid prefix walked so far (header + intact records).
-    /// Once the iterator is exhausted this is [`LogScan::valid_len`].
-    pub fn valid_len(&self) -> u64 {
-        self.pos as u64
-    }
-
-    /// Bytes beyond the current position — once exhausted, the torn tail size.
-    pub fn torn_bytes(&self) -> u64 {
-        (self.bytes.len() - self.pos) as u64
-    }
-}
-
-impl Iterator for FrameIter {
-    type Item = WalRecord;
-
-    fn next(&mut self) -> Option<WalRecord> {
-        if self.stopped {
-            return None;
-        }
-        // Anything that fails from here on is a torn/corrupt tail: stop without
-        // advancing, so `valid_len` reports the intact prefix.
-        let bytes = &self.bytes;
-        let pos = self.pos;
-        if pos + 8 > bytes.len() {
-            self.stopped = true;
-            return None;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_RECORD_BYTES {
-            self.stopped = true;
-            return None;
-        }
-        let start = pos + 8;
-        let Some(end) = start
-            .checked_add(len as usize)
-            .filter(|&e| e <= bytes.len())
+    // Without the magic the content is empty, or a partial header a crash
+    // during `create` left: an empty log whose whole content is torn.
+    let (mut records, mut frames) = (Vec::new(), Vec::new());
+    let mut pos = if magic { WAL_MAGIC.len() } else { 0 };
+    while let Some(prefix) = bytes.get(pos..pos + 8).filter(|_| magic) {
+        let len = u32::from_le_bytes(prefix[..4].try_into().unwrap());
+        let crc = u32::from_le_bytes(prefix[4..].try_into().unwrap());
+        let end = pos + 8 + len as usize;
+        let intact = |payload: &&[u8]| len <= MAX_RECORD_BYTES && crc32(payload) == crc;
+        let Some(Ok(record)) = bytes
+            .get(pos + 8..end)
+            .filter(intact)
+            .map(WalRecord::decode)
         else {
-            self.stopped = true;
-            return None;
-        };
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            self.stopped = true;
-            return None;
-        }
-        let Ok(record) = WalRecord::decode(payload) else {
-            self.stopped = true;
-            return None;
+            break;
         };
         // Sequence numbers must increase; a stale or replayed block means the
         // tail is not trustworthy.
-        if self.last_seq.is_some_and(|last| record.seq() <= last) {
-            self.stopped = true;
-            return None;
+        if frames.last().is_some_and(|&(last, _)| record.seq() <= last) {
+            break;
         }
-        self.last_seq = Some(record.seq());
-        self.pos = end;
-        Some(record)
+        frames.push((record.seq(), pos));
+        records.push(record);
+        pos = end;
     }
+    let torn = (bytes.len() - pos) as u64;
+    bytes.truncate(pos);
+    let mirror = Mirror {
+        log: bytes,
+        frames,
+        image: None,
+    };
+    Ok((records, mirror, torn))
 }
 
 /// Scan a log file from the start, returning every intact record and the byte
@@ -687,68 +675,19 @@ impl Iterator for FrameIter {
 /// [`WalError::BadHeader`] — that file is not a factorlog log, and truncating it
 /// would destroy someone else's data.
 pub fn read_log(path: &Path) -> Result<LogScan, WalError> {
-    scan_log(&StdDisk, path)
+    Ok(scan_log(&StdDisk, path)?.0)
 }
 
-/// [`read_log`] on `disk`.
-fn scan_log(disk: &dyn Disk, path: &Path) -> Result<LogScan, WalError> {
-    let mut iter = FrameIter::open(disk, path)?;
-    let records: Vec<WalRecord> = iter.by_ref().collect();
-    Ok(LogScan {
+/// [`read_log`] on `disk`, with the log's valid content as a [`Mirror`].
+fn scan_log(disk: &dyn Disk, path: &Path) -> Result<(LogScan, Mirror), WalError> {
+    let (records, mirror, torn_bytes) = scan(disk.read(path)?.unwrap_or_default(), path)?;
+    let valid_len = mirror.log.len() as u64;
+    let scan = LogScan {
         records,
-        valid_len: iter.valid_len(),
-        torn_bytes: iter.torn_bytes(),
-    })
-}
-
-/// The result of a sequence-filtered, batched frame read (see
-/// [`read_frames_from`]).
-#[derive(Debug, Default)]
-pub struct FrameRead {
-    /// The intact records with `seq >= from_seq`, in file order, capped at the
-    /// requested batch size.
-    pub frames: Vec<WalRecord>,
-    /// Sequence number of the first returned frame (`None` when none matched).
-    /// A value *greater* than the requested `from_seq` means the log no longer
-    /// reaches back that far — the caller's position predates this log (a
-    /// compaction reset it), so only the directory's image can catch it up.
-    pub first_seq: Option<u64>,
-    /// Sequence number of the last intact record in the *whole* log — the
-    /// publisher's current position, regardless of the batch cap.
-    pub last_seq: Option<u64>,
-    /// Did the batch cap cut the read short (more matching frames remain)?
-    pub truncated: bool,
-}
-
-/// Read the intact records with `seq >= from_seq`, at most `max_frames` of
-/// them, plus the log's overall last sequence number. The streaming read under
-/// the leader's `REPL SUBSCRIBE` handler: a follower at position `from_seq - 1`
-/// asks for everything from `from_seq` on, in publisher-bounded batches.
-/// Shares [`read_log`]'s header and torn-tail handling.
-pub fn read_frames_from(
-    disk: &dyn Disk,
-    path: &Path,
-    from_seq: u64,
-    max_frames: usize,
-) -> Result<FrameRead, WalError> {
-    let iter = FrameIter::open(disk, path)?;
-    let mut read = FrameRead::default();
-    for record in iter {
-        read.last_seq = Some(record.seq());
-        if record.seq() < from_seq {
-            continue;
-        }
-        if read.frames.len() >= max_frames {
-            // Keep walking for `last_seq` (the lag signal) but ship no more.
-            read.truncated = true;
-            continue;
-        }
-        if read.first_seq.is_none() {
-            read.first_seq = Some(record.seq());
-        }
-        read.frames.push(record);
-    }
-    Ok(read)
+        valid_len,
+        torn_bytes,
+    };
+    Ok((scan, mirror))
 }
 
 /// Read an image file: the header and exactly one intact [`WalRecord::Image`]
@@ -761,17 +700,12 @@ pub fn read_image(disk: &dyn Disk, path: &Path) -> Result<Option<(WalRecord, Vec
     let Some(bytes) = disk.read(path)? else {
         return Ok(None);
     };
-    let mut frames = FrameIter::new(bytes, path)?;
-    let image = frames.next();
-    let end = frames.valid_len() as usize;
-    match image {
-        Some(image @ WalRecord::Image { .. })
-            if frames.next().is_none() && frames.torn_bytes() == 0 =>
-        {
-            Ok(Some((
-                image,
-                frames.bytes[WAL_MAGIC.len() + 8..end].to_vec(),
-            )))
+    let (mut records, mirror, torn) = scan(bytes, path)?;
+    match records.pop() {
+        Some(image @ WalRecord::Image { .. }) if records.is_empty() && torn == 0 => {
+            let mut payload = mirror.log;
+            payload.drain(..WAL_MAGIC.len() + 8);
+            Ok(Some((image, payload)))
         }
         _ => Err(WalError::Corrupt(
             "the file is not exactly one intact image frame".to_string(),
@@ -779,28 +713,31 @@ pub fn read_image(disk: &dyn Disk, path: &Path) -> Result<Option<(WalRecord, Vec
     }
 }
 
-/// Scan `path` on `disk` and truncate its torn tail (if any), returning the scan
-/// and a writer positioned to append after the last intact record. A missing
-/// file is created fresh.
-pub fn recover_log(
+/// Scan `path` on `disk` and truncate its torn tail (if any), returning the scan,
+/// a writer positioned to append after the last intact record, and the log's
+/// valid content as a [`Mirror`] (without an image). A missing file is created
+/// fresh.
+pub(crate) fn recover_log(
     disk: &dyn Disk,
     path: &Path,
     fsync: bool,
-) -> Result<(LogScan, WalWriter), WalError> {
-    let scan = scan_log(disk, path)?;
+) -> Result<(LogScan, WalWriter, Mirror), WalError> {
+    let (scan, mut mirror) = scan_log(disk, path)?;
     let writer = if scan.valid_len < WAL_MAGIC.len() as u64 {
         // Missing file, or a partial header from a crashed create: start fresh.
+        mirror.reset_log();
         WalWriter::create_on(disk, path, fsync)?
     } else {
         let file = disk.open_at(path, scan.valid_len)?;
         WalWriter::at(file, scan.valid_len, fsync)?
     };
-    Ok((scan, writer))
+    Ok((scan, writer, mirror))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replication::{stream_step, StreamStep};
 
     fn temp_path(tag: &str) -> PathBuf {
         static COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -955,7 +892,7 @@ mod tests {
             assert_eq!(scan.valid_len, boundaries[expect_records]);
             assert_eq!(scan.torn_bytes, cut - boundaries[expect_records]);
             // And recovery truncates + appends cleanly from there.
-            let (_, mut recovered) = recover_log(&StdDisk, &path, false).unwrap();
+            let (_, mut recovered, _) = recover_log(&StdDisk, &path, false).unwrap();
             recovered.append(&sample_txn(99)).unwrap();
             let rescan = read_log(&path).unwrap();
             assert_eq!(rescan.records.len(), expect_records + 1);
@@ -1041,35 +978,49 @@ mod tests {
         let scan = read_log(&path).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.torn_bytes, 4);
-        let (_, mut writer) = recover_log(&StdDisk, &path, false).unwrap();
+        let (_, mut writer, _) = recover_log(&StdDisk, &path, false).unwrap();
         writer.append(&sample_txn(1)).unwrap();
         assert_eq!(read_log(&path).unwrap().records.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
+    /// A mirror holding the log frames of `records`, in memory.
+    fn mirror_of(records: &[WalRecord]) -> Mirror {
+        let mut mirror = Mirror {
+            log: WAL_MAGIC.to_vec(),
+            frames: Vec::new(),
+            image: None,
+        };
+        let mut frames = Vec::new();
+        for record in records {
+            frame(&mut frames, record).unwrap();
+        }
+        mirror.append(&frames, records.iter().map(WalRecord::seq));
+        mirror
+    }
+
     #[test]
     fn frame_iter_handles_empty_and_missing_logs() {
-        // Missing file: iterates as empty, nothing valid, nothing torn.
+        // Missing file: scans as empty, nothing valid, nothing torn, and a
+        // poll of its mirror ships nothing.
         let path = temp_path("iter_missing");
-        let mut iter = FrameIter::open(&StdDisk, &path).unwrap();
-        assert!(iter.next().is_none());
-        assert_eq!(iter.valid_len(), 0);
-        assert_eq!(iter.torn_bytes(), 0);
-        let read = read_frames_from(&StdDisk, &path, 1, 16).unwrap();
-        assert!(read.frames.is_empty());
-        assert_eq!(read.first_seq, None);
-        assert_eq!(read.last_seq, None);
-        assert!(!read.truncated);
+        let (scan, mirror) = scan_log(&StdDisk, &path).unwrap();
+        assert!(scan.records.is_empty());
+        assert_eq!((scan.valid_len, scan.torn_bytes), (0, 0));
+        let step = stream_step(&mirror, 1, 16);
+        assert!(step.frames.is_empty());
+        assert_eq!(step.last_seq, 0);
 
         // Header-only log: same, but the header counts as valid bytes.
         let writer = WalWriter::create(&path, false).unwrap();
         drop(writer);
-        let mut iter = FrameIter::open(&StdDisk, &path).unwrap();
-        assert!(iter.next().is_none());
-        assert_eq!(iter.valid_len(), WAL_MAGIC.len() as u64);
-        assert_eq!(iter.torn_bytes(), 0);
-        let read = read_frames_from(&StdDisk, &path, 1, 16).unwrap();
-        assert!(read.frames.is_empty() && read.last_seq.is_none());
+        let (scan, mirror) = scan_log(&StdDisk, &path).unwrap();
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.valid_len, WAL_MAGIC.len() as u64);
+        assert_eq!(scan.torn_bytes, 0);
+        assert_eq!(mirror.log, WAL_MAGIC);
+        let step = stream_step(&mirror, 1, 16);
+        assert!(step.frames.is_empty() && step.last_seq == 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1082,62 +1033,71 @@ mod tests {
         let boundary = writer.len();
         writer.append(&sample_txn(3)).unwrap();
         drop(writer);
-        // Cut 5 bytes into record 3's frame: the iterator yields 1 and 2 and
+        // Cut 5 bytes into record 3's frame: the scan yields 1 and 2 and
         // reports the torn bytes without touching them.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..boundary as usize + 5]).unwrap();
-        let mut iter = FrameIter::open(&StdDisk, &path).unwrap();
-        assert_eq!(iter.next().map(|r| r.seq()), Some(1));
-        assert_eq!(iter.next().map(|r| r.seq()), Some(2));
-        assert!(iter.next().is_none());
-        assert_eq!(iter.valid_len(), boundary);
-        assert_eq!(iter.torn_bytes(), 5);
-        // The streaming read sees the same prefix: last_seq stops before the tear.
-        let read = read_frames_from(&StdDisk, &path, 2, 16).unwrap();
-        assert_eq!(read.frames.len(), 1);
-        assert_eq!(read.first_seq, Some(2));
-        assert_eq!(read.last_seq, Some(2));
+        let (scan, _) = scan_log(&StdDisk, &path).unwrap();
+        assert_eq!(scan.records, [sample_txn(1), sample_txn(2)]);
+        assert_eq!(scan.valid_len, boundary);
+        assert_eq!(scan.torn_bytes, 5);
+        // The mirror a recovery builds holds the same prefix, byte for byte as
+        // the log it leaves, and a poll streams from it: last_seq stops before
+        // the tear.
+        let (_, _, mirror) = recover_log(&StdDisk, &path, false).unwrap();
+        assert_eq!(mirror.log, std::fs::read(&path).unwrap());
+        let step = stream_step(&mirror, 2, 16);
+        assert_eq!(step.frames, vec![sample_txn(2).encode()]);
+        assert_eq!(step.last_seq, 2);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn read_frames_from_at_a_compaction_boundary() {
+    fn stream_step_at_a_compaction_boundary() {
         // After a compaction the log restarts at a later sequence (say 5..=8).
-        let path = temp_path("iter_boundary");
-        let mut writer = WalWriter::create(&path, false).unwrap();
-        for seq in 5..=8 {
-            writer.append(&sample_txn(seq)).unwrap();
-        }
-        drop(writer);
+        let records: Vec<WalRecord> = (5..=8).map(sample_txn).collect();
+        let mut mirror = mirror_of(&records);
+        let seqs = |step: &StreamStep| -> Vec<u64> {
+            let decoded = step.frames.iter().map(|f| WalRecord::decode(f).unwrap());
+            decoded.map(|record| record.seq()).collect()
+        };
 
-        // Reading from exactly the first retained sequence returns everything.
-        let read = read_frames_from(&StdDisk, &path, 5, 16).unwrap();
-        assert_eq!(read.frames.len(), 4);
-        assert_eq!(read.first_seq, Some(5));
-        assert_eq!(read.last_seq, Some(8));
-        assert!(!read.truncated);
+        // Streaming from exactly the first retained sequence ships everything.
+        let step = stream_step(&mirror, 5, 16);
+        assert_eq!(seqs(&step), [5, 6, 7, 8]);
+        assert_eq!(step.last_seq, 8);
 
-        // Reading from *before* the boundary reveals the gap: the first frame
-        // the log can supply is 5, not the 4 the caller asked for — the caller
-        // must bootstrap from a snapshot instead of applying a discontinuity.
-        let read = read_frames_from(&StdDisk, &path, 4, 16).unwrap();
-        assert_eq!(read.first_seq, Some(5));
-        assert_eq!(read.frames[0].seq(), 5);
+        // From *before* the boundary the log cannot supply the gap: with no
+        // image that covers it nothing ships (the follower retries) ...
+        let step = stream_step(&mirror, 4, 16);
+        assert!(step.frames.is_empty());
+        assert_eq!(step.last_seq, 8);
+        // ... and with one, the image leads the log.
+        mirror.image = Some((4, sample_image(4).encode()));
+        let step = stream_step(&mirror, 3, 16);
+        assert_eq!(seqs(&step), [4, 5, 6, 7, 8]);
+        assert_eq!(step.frames[0], sample_image(4).encode());
 
-        // Reading from past the end returns no frames but still reports the
-        // publisher position.
-        let read = read_frames_from(&StdDisk, &path, 9, 16).unwrap();
-        assert!(read.frames.is_empty());
-        assert_eq!(read.first_seq, None);
-        assert_eq!(read.last_seq, Some(8));
+        // From past the end no frames ship, but the publisher position does.
+        let step = stream_step(&mirror, 9, 16);
+        assert!(step.frames.is_empty());
+        assert_eq!(step.last_seq, 8);
 
         // The batch cap truncates without losing the position signal.
-        let read = read_frames_from(&StdDisk, &path, 5, 2).unwrap();
-        assert_eq!(read.frames.len(), 2);
-        assert_eq!(read.frames[1].seq(), 6);
-        assert_eq!(read.last_seq, Some(8));
-        assert!(read.truncated);
-        std::fs::remove_file(&path).ok();
+        let step = stream_step(&mirror, 5, 2);
+        assert_eq!(seqs(&step), [5, 6]);
+        assert_eq!(step.last_seq, 8);
+
+        // A reset log ships nothing until new frames arrive after the image.
+        mirror.image = Some((8, sample_image(8).encode()));
+        mirror.reset_log();
+        assert_eq!(stream_step(&mirror, 9, 16).last_seq, 8);
+        assert_eq!(seqs(&stream_step(&mirror, 2, 16)), [8]);
+        let mut frames = Vec::new();
+        frame(&mut frames, &sample_txn(9)).unwrap();
+        mirror.append(&frames, [9]);
+        assert_eq!(seqs(&stream_step(&mirror, 9, 16)), [9]);
+        assert_eq!(seqs(&stream_step(&mirror, 2, 16)), [8, 9]);
     }
 
     #[test]

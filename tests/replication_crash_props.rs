@@ -21,6 +21,12 @@
 //!   is then promoted, crashed after any call of its (simulated) disk in any
 //!   way the persistence rules allow, recovers a prefix of the leader's
 //!   history holding everything it had applied, and keeps its term.
+//! * **Chains** — a follower of a served follower converges to the leader,
+//!   across a compaction that the middle node catches up with by image.
+//! * **Terms** — a newer term is adopted only once it is on disk, so a failed
+//!   `TERM` write is retried by the next poll that carries the term.
+//! * **No file I/O on the reactor** — in a served run, every disk call of
+//!   every node comes from the thread that owns its engine.
 //!
 //! Every node runs on the simulated disk of `tests/support`; a killed node
 //! reopens from what its disk had synced.
@@ -609,4 +615,213 @@ fn a_follower_crashing_at_any_disk_call_recovers_a_prefix_of_the_leader() {
         }
     }
     assert!(checked.states > 50, "{checked:?}");
+}
+
+/// The term a crash of the node on `disk` keeps (`None`: no `TERM` file).
+fn durable_term(disk: &SimDisk) -> Option<u64> {
+    let files = disk.durable_files();
+    let text = files.get(&Path::new(DIR).join(TERM_FILE))?;
+    String::from_utf8_lossy(text).trim().parse().ok()
+}
+
+/// The code of a server's `ERR` reply.
+fn err_code<T: std::fmt::Debug>(reply: Result<T, ClientError>) -> String {
+    match reply {
+        Err(ClientError::Server { code, .. }) => code,
+        other => panic!("expected a server error, got {other:?}"),
+    }
+}
+
+/// Chained replication: follower B polls the served follower A, which polls
+/// the leader. The leader compacts past A's position while A lags, so A
+/// catches up by installing the shipped image; everything B is shipped then
+/// comes from what A applied — its installed image and replayed frames — not
+/// from commits of its own.
+#[test]
+fn a_follower_of_a_served_follower_converges_across_a_compaction() {
+    let mut engine = open_on(&SimDisk::new(), 64);
+    engine
+        .load_source(programs::THREE_RULE_TC)
+        .expect("program loads");
+    let leader = serve(engine, "127.0.0.1:0", server_opts()).expect("leader serves");
+    let mut writer = Client::connect(leader.addr()).expect("writer connects");
+    let mut expected = BTreeSet::new();
+    let mut commit = |writer: &mut Client, edges: std::ops::Range<i64>| {
+        for i in edges {
+            writer
+                .txn_with_retry(&format!("+e({i}, {})", i + 1), 8)
+                .expect("txn commits");
+            expected.insert(format!("e({i}, {})", i + 1));
+        }
+        expected.clone()
+    };
+    commit(&mut writer, 0..1);
+    let mut a = open_follower(&SimDisk::new(), &leader.addr().to_string());
+    assert!(a.catch_up(200).expect("A catches up"));
+    // 39 commits against a 64-byte threshold: the leader's log compacts many
+    // times over, past A's position.
+    let facts = commit(&mut writer, 1..40);
+    let a =
+        serve_follower(a, "127.0.0.1:0", server_opts(), ropts(Duration::MAX)).expect("A serves");
+    let mut b = open_follower(&SimDisk::new(), &a.addr().to_string());
+    let converge = |b: &mut Replica, facts: &BTreeSet<String>| {
+        for _ in 0..400 {
+            b.sync_once().expect("B polls A");
+            if fact_set(b.engine()) == *facts {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("B did not converge: {:?}", b.status());
+    };
+    converge(&mut b, &facts);
+    let status = a.replica_status().expect("A follows");
+    assert!(status.bootstraps >= 1, "A installed an image: {status:?}");
+    assert!(
+        b.status().bootstraps >= 1,
+        "so did B, from A: {:?}",
+        b.status()
+    );
+    // Later commits flow down the chain as frames.
+    let facts = commit(&mut writer, 40..45);
+    converge(&mut b, &facts);
+
+    let mut b = b.into_engine();
+    let model = b.refreshed_model().expect("B answers");
+    assert_eq!(
+        ReferenceModel::from(&model),
+        naive_evaluate(b.program(), b.facts()).expect("reference")
+    );
+    drop((a.shutdown(), leader.shutdown()));
+}
+
+/// A follower adopts a newer term from its leader only once it is on disk:
+/// when the write fails the poll fails, and the next poll writes the term.
+/// (At the parent the follower adopted the term before writing it, so no
+/// later poll wrote it again and a crash brought back the older term.)
+#[test]
+fn a_followers_failed_term_write_is_written_by_the_next_poll() {
+    let term_file = (Path::new(DIR).join(TERM_FILE), b"3\n".to_vec());
+    let mut engine = open_on(&SimDisk::with_files(&[term_file].into()), u64::MAX);
+    engine
+        .load_source(programs::THREE_RULE_TC)
+        .expect("program loads");
+    let leader = serve(engine, "127.0.0.1:0", server_opts()).expect("leader serves");
+    assert_eq!(leader.term(), 3);
+    let disk = SimDisk::new();
+    let mut follower = open_follower(&disk, &leader.addr().to_string());
+    // The poll's first disk call is the write of the leader's newer term.
+    disk.fail_at(disk.calls(), support::Fault::Error);
+    let err = follower.sync_once().unwrap_err();
+    assert!(err.to_string().contains(TERM_FILE), "{err}");
+    assert_eq!(follower.term(), 0, "a term not on disk is not adopted");
+    follower.sync_once().expect("the next poll");
+    assert_eq!(follower.term(), 3);
+    assert_eq!(durable_term(&disk), Some(3));
+    drop(leader.shutdown());
+}
+
+/// A leader that a poll with a newer term fences adopts that term only once it
+/// is on disk: when the write fails it is fenced all the same (refusing writes
+/// is always safe) and answers `ERR repl`, and the next such poll writes the
+/// term. (At the parent the reactor adopted the term, then dropped the write's
+/// error, so no later poll wrote it again.)
+#[test]
+fn a_fenced_leaders_failed_term_write_is_written_by_the_next_poll() {
+    let disk = SimDisk::new();
+    let mut engine = open_on(&disk, u64::MAX);
+    engine
+        .load_source(programs::THREE_RULE_TC)
+        .expect("program loads");
+    let leader = serve(engine, "127.0.0.1:0", server_opts()).expect("leader serves");
+    let mut probe = Client::connect(leader.addr()).expect("probe connects");
+    // The poll's first disk call is the write of the newer term.
+    disk.fail_at(disk.calls(), support::Fault::Error);
+    assert_eq!(err_code(probe.subscribe(1, 7, 42)), "repl");
+    assert_eq!(leader.role(), ReplicaRole::Fenced);
+    assert_eq!(leader.term(), 0, "a term not on disk is not adopted");
+    assert_eq!(err_code(probe.subscribe(1, 7, 42)), "fenced");
+    assert_eq!(leader.term(), 7);
+    assert_eq!(durable_term(&disk), Some(7));
+    assert_eq!(err_code(probe.txn("+e(1, 2)")), "fenced");
+    drop(leader.shutdown());
+}
+
+/// The reactor does no file I/O. A served run — a follower's polls that are
+/// behind the image, caught up and k frames behind, a served follower polling
+/// beside it, a poll that fences the leader and a `PROMOTE` of the served
+/// follower — and no call of any node's disk comes from the reactor thread:
+/// the writer and the follower's apply loop make them.
+#[test]
+fn the_reactor_makes_no_disk_call_in_a_served_run() {
+    const REACTOR: &str = "factorlog-reactor";
+    // A leader whose image is past a fresh follower's position.
+    let leader_disk = SimDisk::new();
+    let mut engine = open_on(&leader_disk, u64::MAX);
+    engine
+        .load_source(programs::THREE_RULE_TC)
+        .expect("program loads");
+    for i in 0..10 {
+        engine.insert("e", &[c(i), c(i + 1)]).expect("commit");
+    }
+    engine.compact().expect("compaction");
+    engine.insert("e", &[c(10), c(11)]).expect("commit");
+    let leader = serve(engine, "127.0.0.1:0", server_opts()).expect("leader serves");
+    let addr = leader.addr().to_string();
+
+    let lease = Duration::from_millis(100);
+    let served_disk = SimDisk::new();
+    let replica =
+        Replica::from_engine(open_on(&served_disk, u64::MAX), addr.as_str(), ropts(lease))
+            .expect("a durable engine wraps");
+    let served = serve_follower(replica, "127.0.0.1:0", server_opts(), ropts(lease))
+        .expect("follower serves");
+
+    let follower_disk = SimDisk::new();
+    let mut follower = open_follower(&follower_disk, &addr);
+    let report = follower.sync_once().expect("poll");
+    assert!(report.bootstrapped, "behind the image: {report:?}");
+    assert_eq!(report.frames_applied, 2, "the image and one frame");
+    assert!(follower.catch_up(10).expect("a caught-up poll"));
+    let mut writer = Client::connect(leader.addr()).expect("writer connects");
+    for i in 11..14 {
+        writer.txn(&format!("+e({i}, {})", i + 1)).expect("commit");
+    }
+    assert_eq!(follower.sync_once().expect("poll").frames_applied, 3);
+
+    // A newer term fences the leader; its served follower's polls are then
+    // refused, its lease lapses and it promotes.
+    let mut probe = Client::connect(leader.addr()).expect("probe connects");
+    assert_eq!(err_code(probe.subscribe(1, 5, 42)), "fenced");
+    let mut client = Client::connect(served.addr()).expect("client connects");
+    let (role, term) = loop {
+        match client.promote() {
+            Err(ClientError::Server { code, .. }) if code == "lease" => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            other => break other.expect("promotion"),
+        }
+    };
+    assert_eq!((role, term), (ReplicaRole::Leader, 1));
+    client
+        .txn("+e(100, 101)")
+        .expect("the promoted node commits");
+    drop((served.shutdown(), leader.shutdown()));
+
+    assert_eq!(
+        (durable_term(&leader_disk), durable_term(&served_disk)),
+        (Some(5), Some(1))
+    );
+    for (node, disk, owner) in [
+        ("leader", &leader_disk, "factorlog-writer"),
+        ("served follower", &served_disk, "factorlog-follower"),
+        ("polling follower", &follower_disk, ""),
+    ] {
+        let threads = disk.threads();
+        assert!(!threads.iter().any(|t| t == REACTOR), "{node}: {threads:?}");
+        assert!(
+            owner.is_empty() || threads.iter().any(|t| t == owner),
+            "{node}: {threads:?}"
+        );
+    }
 }

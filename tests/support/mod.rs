@@ -1,6 +1,7 @@
 //! Test support for the crash harnesses: a simulated disk that keeps each
 //! file's and each directory's durable state apart from its volatile state,
-//! fails or panics at a chosen call, and records its state after every call;
+//! fails or panics at a chosen call, records the thread behind every call,
+//! and records its state after every call;
 //! and the enumeration of every state a crash can leave on it under the
 //! persistence rules stated in the module docs of the engine's `durability.rs`
 //! ("Fault model"):
@@ -209,6 +210,8 @@ struct Inner {
     state: State,
     calls: usize,
     faults: Vec<(usize, Fault)>,
+    /// The name of the thread behind every call, in call order.
+    threads: Vec<String>,
     /// When recording: the label of every call and the state after it.
     history: Option<Vec<(String, State)>>,
 }
@@ -246,6 +249,7 @@ impl SimDisk {
             state: State::default(),
             calls: 0,
             faults: Vec::new(),
+            threads: Vec::new(),
             history: None,
         })))
     }
@@ -298,6 +302,12 @@ impl SimDisk {
         self.0.lock().unwrap().calls
     }
 
+    /// The name of the thread behind each call so far, in call order
+    /// (`<unnamed>` for a thread without one).
+    pub fn threads(&self) -> Vec<String> {
+        self.0.lock().unwrap().threads.clone()
+    }
+
     /// The recorded history: each call's label and the state after it.
     pub fn history(&self) -> Vec<(String, State)> {
         self.0.lock().unwrap().history.clone().unwrap_or_default()
@@ -341,6 +351,8 @@ impl SimDisk {
         let mut inner = self.0.lock().unwrap();
         let call = inner.calls;
         inner.calls += 1;
+        let thread = std::thread::current();
+        (inner.threads).push(thread.name().unwrap_or("<unnamed>").to_string());
         let fault = inner
             .faults
             .iter()
