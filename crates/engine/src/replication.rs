@@ -41,18 +41,20 @@
 //!   applied view — a consistent committed prefix of the leader's history, at
 //!   most one poll interval (plus in-flight frames) behind.
 //! * **Lease-based failover.** A served follower ([`serve_follower`]) polls
-//!   every `poll_interval` and counts the leader as live while any poll
-//!   succeeded within the lease timeout. Promotion (`PROMOTE`, which the REPL's
-//!   `:promote` sends) is refused while the lease is valid, and otherwise bumps
-//!   the node's *term* (persisted in a `TERM` file in the data directory) and
-//!   hands the apply loop's engine to the writer. The term is written by the
-//!   thread that owns the engine, before it is adopted. A lease is evidence of
-//!   *continuous* contact, so only the served follower, whose loop renews it,
-//!   can promote: a [`Replica`] polled on demand has none. A revived ex-leader
-//!   is *fenced* the moment it sees a newer term — from any subscriber's poll
-//!   — and refuses writes until it is restarted as a follower of the new
-//!   leader, which demotes it cleanly (its committed history is a prefix of
-//!   the new leader's, so catch-up is ordinary frame shipping).
+//!   every `poll_interval`, whatever requests it answers meanwhile, and counts
+//!   the leader as live while any poll succeeded within the lease timeout (a
+//!   poll that waits that long for the leader fails). Promotion (`PROMOTE`,
+//!   which the REPL's `:promote` sends) is refused while the lease is valid,
+//!   and otherwise bumps the node's *term* (persisted in a `TERM` file in the
+//!   data directory) and hands the apply loop's engine to the writer. The term
+//!   is written by the thread that owns the engine, before it is adopted. A
+//!   lease is evidence of *continuous* contact, so only the served follower,
+//!   whose loop renews it, can promote: a [`Replica`] polled on demand has
+//!   none. A revived ex-leader is *fenced* the moment it sees a newer term —
+//!   from any subscriber's poll — and refuses writes until it is restarted as
+//!   a follower of the new leader, which demotes it cleanly (its committed
+//!   history is a prefix of the new leader's, so catch-up is ordinary frame
+//!   shipping).
 
 use std::net::ToSocketAddrs;
 use std::path::Path;
@@ -62,9 +64,7 @@ use factorlog_datalog::eval::Reading;
 
 use crate::disk::{self, Disk};
 use crate::engine::{Engine, EngineError};
-use crate::server::{
-    serve_inner, Client, ClientError, FollowerConfig, ServeError, ServerHandle, ServerOptions,
-};
+use crate::server::{serve_inner, Client, ClientError, ServeError, ServerHandle, ServerOptions};
 use crate::wal::{Mirror, WalRecord};
 
 /// File name (inside a data directory) persisting the node's replication term:
@@ -261,7 +261,8 @@ pub(crate) fn stream_step(mirror: &Mirror, from_seq: u64, max_frames: usize) -> 
         }
     }
     let shipped = log.iter().take(max_frames);
-    (step.frames).extend(shipped.map(|&(_, at)| mirror.payload(at).to_vec()));
+    step.frames
+        .extend(shipped.map(|&(_, at)| mirror.payload(at).to_vec()));
     step
 }
 
@@ -314,12 +315,10 @@ impl Client {
     /// leader's lease is still valid, and with code `fenced` on a superseded
     /// ex-leader. Returns the server's role and term after the call.
     pub fn promote(&mut self) -> Result<(ReplicaRole, u64), ClientError> {
-        self.send_line("PROMOTE")?;
-        let line = self.read_reply_line()?;
-        let fields = Client::expect_ok(&line)?;
+        let fields = self.request("PROMOTE")?;
         Ok((
-            Client::parse_field(fields, "role")?,
-            Client::parse_field(fields, "term")?,
+            Client::parse_field(&fields, "role")?,
+            Client::parse_field(&fields, "term")?,
         ))
     }
 }
@@ -374,6 +373,9 @@ pub struct Replica {
     engine: Engine,
     pub(crate) leader: String,
     client: Option<Client>,
+    /// The lease bounds each poll's connect and reads; a served follower also
+    /// polls every `poll_interval` and may promote a lease after its last poll.
+    pub(crate) options: ReplicationOptions,
     id: u64,
     term: u64,
     leader_seq: u64,
@@ -387,12 +389,13 @@ impl Replica {
     /// containment) carries over. Errors, handing the engine back, when the
     /// engine is not durable — a follower without its own log could not survive
     /// its own crash — or its `TERM` file cannot be read. The primitive polls
-    /// only when asked, so it reads none of the `options`: pacing and the lease
-    /// belong to the caller.
+    /// only when asked (pacing belongs to the caller); of the `options` it reads
+    /// the lease timeout, which bounds each poll's connect and every read of its
+    /// reply: a leader silent that long counts as lost contact.
     pub fn from_engine(
         mut engine: Engine,
         leader: impl Into<String>,
-        _options: ReplicationOptions,
+        options: ReplicationOptions,
     ) -> Result<Replica, ServeError> {
         let term = engine.contained(|engine| match engine.data_disk() {
             Some((disk, dir)) => read_term(&*disk, &dir),
@@ -420,6 +423,7 @@ impl Replica {
             engine,
             leader: leader.into(),
             client: None,
+            options,
             id,
             term,
             leader_seq: 0,
@@ -436,7 +440,7 @@ impl Replica {
         let mut report = SyncReport::default();
         let mut client = match self.client.take() {
             Some(client) => client,
-            None => match Client::connect(self.leader.as_str()) {
+            None => match Client::connect_within(&self.leader, self.options.lease_timeout) {
                 Ok(client) => client,
                 Err(_) => return Ok(report),
             },
@@ -569,8 +573,9 @@ impl Replica {
 /// applied replica state, transactions are refused with `ERR readonly` until a
 /// `PROMOTE` succeeds (after the leader's lease expires), and then the node
 /// commits writes as an ordinary leader. The apply loop polls through
-/// `replica` itself, so the leader sees one follower id per node. See
-/// [`serve`](crate::serve) for the non-replicating form.
+/// `replica` itself, so the leader sees one follower id per node, every
+/// `replication.poll_interval`, with `replication.lease_timeout` in place of
+/// the replica's own. See [`serve`](crate::serve) for the non-replicating form.
 pub fn serve_follower(
     mut replica: Replica,
     addr: impl ToSocketAddrs,
@@ -579,11 +584,8 @@ pub fn serve_follower(
 ) -> Result<ServerHandle, ServeError> {
     // The server holds the engine; the apply loop puts it back into `replica`.
     let engine = std::mem::take(&mut replica.engine);
-    let follow = FollowerConfig {
-        replica,
-        replication,
-    };
-    serve_inner(engine, addr, options, Some(follow))
+    replica.options = replication;
+    serve_inner(engine, addr, options, Some(replica))
 }
 
 #[cfg(test)]

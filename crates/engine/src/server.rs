@@ -97,7 +97,7 @@ use factorlog_datalog::storage::Database;
 
 use crate::engine::{Engine, EngineError, OnLog, Op, TxnSummary};
 use crate::reactor::{poll_fds, PollFd, WakePipe, POLL_FAIL, POLL_IN, POLL_OUT};
-use crate::replication::{self, Replica, ReplicaRole, ReplicaStatus, ReplicationOptions};
+use crate::replication::{self, Replica, ReplicaRole, ReplicaStatus};
 use crate::wal::{Mirror, WalOp};
 
 /// Cap on how many queued transactions one group commit will absorb.
@@ -405,16 +405,14 @@ struct ReplState {
     /// contact. The lease clock for `PROMOTE`.
     last_contact_ms: AtomicU64,
     started: Instant,
-    lease_timeout: Duration,
     /// Leader only: per-follower drain positions from recent polls.
     followers: Mutex<HashMap<u64, FollowerLag>>,
     /// The engine's mirror of what it made durable, which polls are answered
     /// from (`None` disables `REPL SUBSCRIBE` — there is no committed log to
     /// ship).
     mirror: Option<Arc<Mutex<Mirror>>>,
-    /// `Some` iff this server started as a follower.
-    leader_addr: Option<String>,
-    /// Follower only: the apply loop's latest [`Replica::status`].
+    /// The apply loop's latest [`Replica::status`]: `Some` iff this server
+    /// started as a follower.
     status: Mutex<Option<ReplicaStatus>>,
 }
 
@@ -638,19 +636,13 @@ pub fn serve(
     serve_inner(engine, addr, options, None)
 }
 
-/// What [`serve_follower`](crate::replication::serve_follower) adds on top of
-/// [`serve`]: the replica that polls the leader (its engine is the served one)
-/// and the polling/lease knobs.
-pub(crate) struct FollowerConfig {
-    pub(crate) replica: Replica,
-    pub(crate) replication: ReplicationOptions,
-}
-
+/// [`serve`], or with `follow` the replica that polls the leader (its engine is
+/// the served one) for [`serve_follower`](crate::replication::serve_follower).
 pub(crate) fn serve_inner(
     mut engine: Engine,
     addr: impl ToSocketAddrs,
     options: ServerOptions,
-    follow: Option<FollowerConfig>,
+    follow: Option<Replica>,
 ) -> Result<ServerHandle, ServeError> {
     // What the caller's engine runs under comes back with it, on failure here or
     // at shutdown.
@@ -662,56 +654,41 @@ pub(crate) fn serve_inner(
             error,
         }
     };
-    let listener = match TcpListener::bind(addr) {
-        Ok(listener) => listener,
-        Err(e) => {
-            return Err(fail(
-                engine,
-                EngineError::Io(format!("cannot bind server socket: {e}")),
-            ))
-        }
-    };
-    if let Err(e) = listener.set_nonblocking(true) {
-        return Err(fail(
-            engine,
-            EngineError::Io(format!("cannot configure listener: {e}")),
-        ));
-    }
-    let addr = match listener.local_addr() {
-        Ok(addr) => addr,
-        Err(e) => {
-            return Err(fail(
-                engine,
-                EngineError::Io(format!("cannot resolve listener address: {e}")),
-            ))
-        }
-    };
-
-    // Per-request governance rides on the engine's own governor: the request
-    // deadline replaces the session's, whose fact cap and memory budget stay in
-    // force. The served engine gets a token of its own: the drain cancels
-    // stragglers through it, while the caller's (a REPL's Ctrl-C handler holds a
-    // clone) must not reach an engine it no longer owns.
+    let io = |what: &'static str| move |e: std::io::Error| EngineError::Io(format!("{what}: {e}"));
     let cancel = CancelToken::new();
-    engine.set_limits_from(&EvalOptions {
-        deadline: options.request_deadline,
-        cancel: Some(cancel.clone()),
-        ..caller.clone()
-    });
+    let setup = |engine: &mut Engine| {
+        let listener = TcpListener::bind(addr).map_err(io("cannot bind server socket"))?;
+        listener
+            .set_nonblocking(true)
+            .map_err(io("cannot configure listener"))?;
+        let addr = listener
+            .local_addr()
+            .map_err(io("cannot resolve listener address"))?;
+        let completions = Completions::new().map_err(io("cannot open reactor wake pipe"))?;
 
-    // The persisted term, read under the engine's containment like every other
-    // disk call of the served engine's owner.
-    let term = engine.contained(|engine| {
-        (engine.data_disk()).map_or(Ok(0), |(disk, dir)| replication::read_term(&*disk, &dir))
-    });
-    let term = match term {
-        Ok(term) => term,
-        Err(error) => return Err(fail(engine, error)),
+        // Per-request governance rides on the engine's own governor: the request
+        // deadline replaces the session's, whose fact cap and memory budget stay in
+        // force. The served engine gets a token of its own: the drain cancels
+        // stragglers through it, while the caller's (a REPL's Ctrl-C handler holds a
+        // clone) must not reach an engine it no longer owns.
+        engine.set_limits_from(&EvalOptions {
+            deadline: options.request_deadline,
+            cancel: Some(cancel.clone()),
+            ..caller.clone()
+        });
+
+        // The persisted term, read under the engine's containment like every other
+        // disk call of the served engine's owner.
+        let term = engine.contained(|engine| {
+            (engine.data_disk()).map_or(Ok(0), |(disk, dir)| replication::read_term(&*disk, &dir))
+        })?;
+        // The initial view: epoch 0 is the committed prefix "everything recovered
+        // or loaded before serving".
+        let model = engine.refreshed_model()?;
+        Ok::<_, EngineError>((listener, addr, Arc::new(completions), term, model))
     };
-    // The initial view: epoch 0 is the committed prefix "everything recovered
-    // or loaded before serving".
-    let model = match engine.refreshed_model() {
-        Ok(model) => model,
+    let (listener, addr, completions, term, model) = match setup(&mut engine) {
+        Ok(setup) => setup,
         Err(error) => return Err(fail(engine, error)),
     };
     let mirror = engine.mirror();
@@ -744,33 +721,18 @@ pub(crate) fn serve_inner(
             // must wait out one full lease before it can promote.
             last_contact_ms: AtomicU64::new(0),
             started: Instant::now(),
-            lease_timeout: follow
-                .as_ref()
-                .map(|f| f.replication.lease_timeout)
-                .unwrap_or_else(|| ReplicationOptions::default().lease_timeout),
             followers: Mutex::new(HashMap::new()),
             mirror,
-            leader_addr: follow.as_ref().map(|f| f.replica.leader.clone()),
             // A follower has a status from the start, as a fresh replica reports it.
             status: Mutex::new(follow.as_ref().map(|f| ReplicaStatus {
                 role: ReplicaRole::Follower,
                 term,
-                leader: f.replica.leader.clone(),
+                leader: f.leader.clone(),
                 applied_seq: engine.wal_last_seq().unwrap_or(0),
                 ..ReplicaStatus::default()
             })),
         },
     });
-
-    let completions = match Completions::new() {
-        Ok(completions) => Arc::new(completions),
-        Err(e) => {
-            return Err(fail(
-                engine,
-                EngineError::Io(format!("cannot open reactor wake pipe: {e}")),
-            ))
-        }
-    };
 
     // Unbounded: admission bounds the queue (see the module docs).
     let (write_tx, write_rx) = mpsc::channel::<WriteReq>();
@@ -789,7 +751,7 @@ pub(crate) fn serve_inner(
             writer_started.wait();
             let mut engine = match follow {
                 None => writer_core(engine, write_rx, &writer_shared),
-                Some(config) => follower_loop(engine, write_rx, &writer_shared, config),
+                Some(replica) => follower_loop(engine, write_rx, &writer_shared, replica),
             };
             // The served engine's last disk call, in the thread that made the others.
             let wal_sync = engine.contained(Engine::sync_wal);
@@ -836,8 +798,8 @@ fn group_wait(batch_len: usize, expect: usize, to_deadline: Duration, pace: Dura
 /// The commit pipeline: block for a first transaction, wait ([`group_wait`]) for
 /// the submitters known to be in flight, commit the whole batch under one fsync and
 /// one maintenance pass, publish the next view, then reply to every submitter in one
-/// hand-off. A poll with a newer term, or a `PROMOTE`, in the batch is answered
-/// before the group commits.
+/// hand-off. A poll with a newer term, or a `PROMOTE`, is answered as it arrives
+/// ([`take_txn`]).
 fn writer_core(mut engine: Engine, rx: mpsc::Receiver<WriteReq>, shared: &Shared) -> Engine {
     let mut epoch = shared.epoch.load(Ordering::Acquire);
     // Publish pacing (see [`PUBLISH_SHARE`]): the next group does not start
@@ -848,15 +810,15 @@ fn writer_core(mut engine: Engine, rx: mpsc::Receiver<WriteReq>, shared: &Shared
     let mut published = (not_before, read_busy());
     // The group being formed (it starts as what queued behind the previous one), how
     // many submitters were in flight when that one went out, and the time waited so far.
-    let mut batch: Vec<WriteReq> = Vec::new();
+    let mut batch: Vec<(Vec<Op>, TxnTicket)> = Vec::new();
     let mut expect = 1;
     let (mut group_waited, mut pace_waited) = (Duration::ZERO, Duration::ZERO);
-    loop {
-        if batch.is_empty() {
+    'serve: loop {
+        while batch.is_empty() {
             // Every sender gone: the server is shutting down and the queue is fully
             // drained (recv yields buffered requests before reporting disconnection).
-            let Ok(first) = rx.recv() else { break };
-            batch.push(first);
+            let Ok(first) = rx.recv() else { break 'serve };
+            batch.extend(take_txn(&mut engine, shared, first));
         }
         let deadline = Instant::now() + shared.options.group_window;
         loop {
@@ -873,30 +835,11 @@ fn writer_core(mut engine: Engine, rx: mpsc::Receiver<WriteReq>, shared: &Shared
             group_waited += waited.saturating_sub(pace);
             // Timed out (nothing is left to wait for) or every sender is gone.
             let Ok(req) = arrival else { break };
-            batch.push(req);
+            batch.extend(take_txn(&mut engine, shared, req));
         }
 
         let started = Instant::now();
-        let (mut ops, mut replies) = (Vec::new(), Vec::new());
-        for WriteReq { request, reply } in batch.drain(..) {
-            let mut out = Vec::new();
-            match request {
-                Request::Txn(txn) => {
-                    ops.push(txn);
-                    replies.push(reply);
-                    continue;
-                }
-                Request::Poll { from_seq, term, id } => {
-                    let persist = || replication::persist_term(&mut engine, term);
-                    answer_newer_term(shared, (from_seq, term, id), persist, &mut out);
-                }
-                Request::Promote => handle_promote(shared, &mut out),
-            }
-            TxnTicket::send_group(vec![reply], vec![Outcome::Reply(out)]);
-        }
-        if ops.is_empty() {
-            continue;
-        }
+        let (ops, replies): (Vec<_>, Vec<_>) = batch.drain(..).unzip();
         let results = engine.commit_group(&ops, OnLog::No);
 
         // Assign each committed batch the epoch that first includes it; the
@@ -941,11 +884,33 @@ fn writer_core(mut engine: Engine, rx: mpsc::Receiver<WriteReq>, shared: &Shared
         // What queued behind this group opens the next; with this group's submitters
         // (not acked yet, so not among them) it is who is demonstrably in flight. A
         // submitter that died simply never reads its reply; the commit stands.
-        batch.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(MAX_GROUP));
+        let queued = std::iter::from_fn(|| rx.try_recv().ok());
+        batch.extend(
+            queued
+                .filter_map(|req| take_txn(&mut engine, shared, req))
+                .take(MAX_GROUP),
+        );
         expect = replies.len() + batch.len();
         TxnTicket::send_group(replies, outcomes);
     }
     engine
+}
+
+/// Hand a transaction back for the writer's group; answer a term change (a poll
+/// with a newer term, or `PROMOTE`) at once: it is not a commit, so it neither
+/// waits for a group nor counts toward one.
+fn take_txn(engine: &mut Engine, shared: &Shared, req: WriteReq) -> Option<(Vec<Op>, TxnTicket)> {
+    let mut out = Vec::new();
+    match req.request {
+        Request::Txn(ops) => return Some((ops, req.reply)),
+        Request::Poll { from_seq, term, id } => {
+            let persist = || replication::persist_term(engine, term);
+            answer_newer_term(shared, (from_seq, term, id), persist, &mut out);
+        }
+        Request::Promote => handle_promote(shared, &mut out),
+    }
+    TxnTicket::send_group(vec![req.reply], vec![Outcome::Reply(out)]);
+    None
 }
 
 /// The follower's apply loop, standing where a leader's [`writer_core`]
@@ -961,41 +926,48 @@ fn follower_loop(
     engine: Engine,
     rx: mpsc::Receiver<WriteReq>,
     shared: &Shared,
-    config: FollowerConfig,
+    mut replica: Replica,
 ) -> Engine {
-    let poll_interval = config.replication.poll_interval;
-    let mut replica = config.replica;
+    let poll_interval = replica.options.poll_interval;
     *replica.engine_mut() = engine;
+    // Requests never push the next poll back: only a poll renews the lease
+    // [`promote`] checks, so a stream of `PROMOTE`s must not starve the polls.
+    let mut next_poll = Instant::now() + poll_interval;
     loop {
         // The node's term is the replica's, which only grows.
         shared.repl.term.fetch_max(replica.term(), Ordering::AcqRel);
         *shared.repl.status.lock().expect("status lock poisoned") = Some(replica.status());
-        match rx.recv_timeout(poll_interval) {
+        match rx.recv_timeout(next_poll.saturating_duration_since(Instant::now())) {
             Ok(WriteReq { request, reply }) => {
                 let mut out = Vec::new();
-                let promoted = match request {
+                let (outcome, promoted) = match request {
                     Request::Txn(_) => {
                         let refusal = "replica is read-only: write to the leader or promote it";
-                        let refusal = Err(EngineError::Durability(refusal.to_string()));
-                        TxnTicket::send_group(vec![reply], vec![Outcome::Txn(refusal)]);
-                        continue;
+                        let refusal = EngineError::Durability(refusal.to_string());
+                        (Outcome::Txn(Err(refusal)), false)
                     }
                     Request::Poll { from_seq, term, id } => {
                         let persist = || replica.adopt_term(term);
                         answer_newer_term(shared, (from_seq, term, id), persist, &mut out);
-                        false
+                        (Outcome::Reply(out), false)
                     }
-                    Request::Promote => promote(&mut replica, shared, &mut out),
+                    Request::Promote => {
+                        let promoted = promote(&mut replica, shared, &mut out);
+                        (Outcome::Reply(out), promoted)
+                    }
                 };
-                TxnTicket::send_group(vec![reply], vec![Outcome::Reply(out)]);
+                TxnTicket::send_group(vec![reply], vec![outcome]);
                 if promoted {
                     return writer_core(replica.into_engine(), rx, shared);
                 }
-                continue;
+                if Instant::now() < next_poll {
+                    continue;
+                }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => return replica.into_engine(),
         }
+        next_poll = Instant::now() + poll_interval;
         // Local durability failures (our own log or image) leave the
         // current view serving; the next poll retries.
         let Ok(report) = replica.sync_once() else {
@@ -1766,11 +1738,16 @@ fn handle_misc(verb: &str, shared: &Shared, out: &mut impl Write) -> std::io::Re
     respond_err(out, "parse", &format!("unknown request `{verb}`"))
 }
 
-/// Milliseconds since the follower last heard from its leader. The contact
-/// stamp is loaded first: `started.elapsed()` taken after it is ≥ every stamp
-/// recorded before it, so the subtraction cannot underflow, and a sync landing
-/// after the load only overestimates — the safe direction for both the lease
-/// gate and the lag stat.
+/// Milliseconds since the follower last heard from its leader.
+///
+/// The contact stamp is loaded FIRST: `started.elapsed()` taken after the
+/// load is ≥ every stamp recorded before it, so the subtraction cannot
+/// underflow. (The old code captured `elapsed` first, so a sync landing
+/// between the two reads made `contact > elapsed` and the saturating_sub
+/// reported a spurious 0 — or, without saturation, would have underflowed.)
+/// A sync landing after the load only makes the result an overestimate
+/// bounded by the load-to-elapsed gap, which is the safe direction for both
+/// the lease gate and the lag stat.
 fn ms_since_leader_contact(repl: &ReplState) -> u64 {
     let contact = repl.last_contact_ms.load(Ordering::Acquire);
     (repl.started.elapsed().as_millis() as u64).saturating_sub(contact)
@@ -1783,7 +1760,8 @@ fn handle_stats(shared: &Shared, out: &mut impl Write) -> std::io::Result<()> {
     let repl = &shared.repl;
     let role = ReplicaRole::from_u8(repl.role.load(Ordering::Acquire));
     let last_seq = repl.last_seq.load(Ordering::Acquire);
-    let (followers, lag_frames, lag_ms) = if repl.leader_addr.is_some() {
+    let replica = repl.status.lock().expect("status lock poisoned").is_some();
+    let (followers, lag_frames, lag_ms) = if replica {
         // A (possibly promoted or fenced) replica: lag against its leader.
         // `lag_ms` is ms since the last successful leader contact.
         let lag = repl
@@ -1840,7 +1818,9 @@ fn handle_repl(rest: &str, shared: &Shared, out: &mut Vec<u8>) -> Option<Request
         // it was the leader refuses writes from now on, whatever the term's
         // write does (refusing writes is always safe).
         let (leader, fenced) = (ReplicaRole::Leader.as_u8(), ReplicaRole::Fenced.as_u8());
-        let _ = (repl.role).compare_exchange(leader, fenced, Ordering::AcqRel, Ordering::Acquire);
+        let _ = repl
+            .role
+            .compare_exchange(leader, fenced, Ordering::AcqRel, Ordering::Acquire);
         return Some(Request::Poll { from_seq, term, id });
     }
     let _ = answer_poll(shared, from_seq, id, out);
@@ -1958,7 +1938,7 @@ fn handle_promote(shared: &Shared, out: &mut impl Write) {
 fn promote(replica: &mut Replica, shared: &Shared, out: &mut Vec<u8>) -> bool {
     let repl = &shared.repl;
     let since_contact_ms = ms_since_leader_contact(repl);
-    let lease_ms = repl.lease_timeout.as_millis() as u64;
+    let lease_ms = replica.options.lease_timeout.as_millis() as u64;
     if since_contact_ms < lease_ms {
         let still = lease_ms - since_contact_ms;
         let message = format!("leader lease still valid for {still} more ms; refusing promotion");
@@ -2347,6 +2327,32 @@ impl Client {
     /// Connect to a server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr).map_err(|e| ClientError::Io(e.to_string()))?;
+        Client::over(stream)
+    }
+
+    /// Connect within `timeout`, after which any read or write that waits as long
+    /// fails too: a peer that accepts and never answers fails the request instead
+    /// of blocking the caller for good. A zero `timeout` bounds nothing.
+    pub(crate) fn connect_within(addr: &str, timeout: Duration) -> Result<Client, ClientError> {
+        if timeout.is_zero() {
+            return Client::connect(addr);
+        }
+        let io = |e: std::io::Error| ClientError::Io(e.to_string());
+        let mut last = ClientError::Io(format!("{addr} resolves to no address"));
+        for addr in addr.to_socket_addrs().map_err(io)? {
+            match TcpStream::connect_timeout(&addr, timeout) {
+                Ok(stream) => {
+                    stream.set_read_timeout(Some(timeout)).map_err(io)?;
+                    stream.set_write_timeout(Some(timeout)).map_err(io)?;
+                    return Client::over(stream);
+                }
+                Err(e) => last = io(e),
+            }
+        }
+        Err(last)
+    }
+
+    fn over(stream: TcpStream) -> Result<Client, ClientError> {
         stream.set_nodelay(true).ok();
         let addr = stream
             .peer_addr()
@@ -2402,6 +2408,13 @@ impl Client {
             Ok(_) => Ok(line.trim_end().to_string()),
             Err(e) => Err(ClientError::Io(e.to_string())),
         }
+    }
+
+    /// Send a request answered by one line; return the fields of its `OK`.
+    pub(crate) fn request(&mut self, line: &str) -> Result<String, ClientError> {
+        self.send_line(line)?;
+        let line = self.read_reply_line()?;
+        Client::expect_ok(&line).map(str::to_string)
     }
 
     /// Interpret a final `OK …`/`ERR …` line; rows are handled by the caller.
@@ -2468,12 +2481,10 @@ impl Client {
     /// `PREPARE` a query with `?` placeholders; [`Client::exec`] binds them.
     /// The statement lives on this connection — a reconnect discards it.
     pub fn prepare(&mut self, query: &str) -> Result<Prepared, ClientError> {
-        self.send_line(&format!("PREPARE {query}"))?;
-        let line = self.read_reply_line()?;
-        let fields = Self::expect_ok(&line)?;
+        let fields = self.request(&format!("PREPARE {query}"))?;
         Ok(Prepared {
-            id: Self::parse_field(fields, "id")?,
-            params: Self::parse_field(fields, "params")?,
+            id: Self::parse_field(&fields, "id")?,
+            params: Self::parse_field(&fields, "params")?,
         })
     }
 
@@ -2497,13 +2508,11 @@ impl Client {
     /// before the drop, and blindly retrying could double-apply it. Callers
     /// who know their ops are idempotent can reconnect and retry themselves.
     pub fn txn(&mut self, spec: &str) -> Result<TxnReply, ClientError> {
-        self.send_line(&format!("TXN {spec}"))?;
-        let line = self.read_reply_line()?;
-        let fields = Self::expect_ok(&line)?;
+        let fields = self.request(&format!("TXN {spec}"))?;
         Ok(TxnReply {
-            asserted: Self::parse_field(fields, "asserted")?,
-            retracted: Self::parse_field(fields, "retracted")?,
-            epoch: Self::parse_field(fields, "epoch")?,
+            asserted: Self::parse_field(&fields, "asserted")?,
+            retracted: Self::parse_field(&fields, "retracted")?,
+            epoch: Self::parse_field(&fields, "epoch")?,
         })
     }
 
@@ -2545,24 +2554,18 @@ impl Client {
 
     /// The server's current epoch.
     pub fn epoch(&mut self) -> Result<u64, ClientError> {
-        self.send_line("EPOCH")?;
-        let line = self.read_reply_line()?;
-        Self::parse_field(Self::expect_ok(&line)?, "epoch")
+        Self::parse_field(&self.request("EPOCH")?, "epoch")
     }
 
     /// The server's counters.
     pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
-        self.send_line("STATS")?;
-        let line = self.read_reply_line()?;
-        let fields = Self::expect_ok(&line)?;
-        StatsReply::from_wire(fields).map_err(|key| Self::missing(fields, key))
+        let fields = self.request("STATS")?;
+        StatsReply::from_wire(&fields).map_err(|key| Self::missing(&fields, key))
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.send_line("PING")?;
-        let line = self.read_reply_line()?;
-        Self::expect_ok(&line).map(|_| ())
+        self.request("PING").map(drop)
     }
 
     /// Say goodbye; the server closes the connection.
@@ -3157,10 +3160,8 @@ mod tests {
             leader_seq: AtomicU64::new(0),
             last_contact_ms: AtomicU64::new(0),
             started: Instant::now(),
-            lease_timeout: Duration::from_secs(1),
             followers: Mutex::new(HashMap::new()),
             mirror: None,
-            leader_addr: Some("127.0.0.1:1".to_string()),
             status: Mutex::new(None),
         };
         // A sync thread hammers the contact stamp while readers compute lag:

@@ -16,7 +16,10 @@
 //! * **Failover** — a follower refuses promotion while the leader's lease is
 //!   valid, promotes after it expires, accepts writes as the new leader, and
 //!   a revived ex-leader that observes the higher term fences itself: it
-//!   refuses transactions while the promoted node keeps committing.
+//!   refuses transactions while the promoted node keeps committing. A
+//!   stream of `PROMOTE`s never starves a served follower's polls, so a live
+//!   leader's lease holds; a leader that accepts and never answers counts as
+//!   lost contact, so `PROMOTE` is answered and the follower takes over.
 //! * **Crash states** — a follower that bootstraps from a compacted leader and
 //!   is then promoted, crashed after any call of its (simulated) disk in any
 //!   way the persistence rules allow, recovers a prefix of the leader's
@@ -34,8 +37,10 @@
 mod support;
 
 use std::collections::BTreeSet;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use factorlog::engine::TERM_FILE;
 use factorlog::prelude::*;
@@ -415,6 +420,97 @@ fn a_served_follower_promotes_over_the_wire_and_resumes_writes() {
         "the write after failover derives, rows {rows:?}"
     );
 
+    drop(follower.shutdown());
+}
+
+/// `PROMOTE`s never starve a served follower's polls: sent every 5 ms, faster
+/// than the follower polls, for twice the lease while the leader lives, each
+/// one is refused, since the polls go on renewing the lease between them.
+#[test]
+fn a_stream_of_promotes_never_lets_a_live_leaders_lease_lapse() {
+    let mut engine = open_on(&SimDisk::new(), u64::MAX);
+    engine
+        .load_source(programs::THREE_RULE_TC)
+        .expect("program loads");
+    let leader = serve(engine, "127.0.0.1:0", server_opts()).expect("leader serves");
+    let mut writer = Client::connect(leader.addr()).expect("writer connects");
+    writer.txn("+e(1, 2)").expect("txn commits");
+
+    let lease = Duration::from_millis(200);
+    let options = ReplicationOptions {
+        poll_interval: Duration::from_millis(20),
+        lease_timeout: lease,
+    };
+    let engine = open_on(&SimDisk::new(), u64::MAX);
+    let replica = Replica::from_engine(engine, leader.addr().to_string(), options.clone())
+        .expect("a durable engine wraps");
+    let follower =
+        serve_follower(replica, "127.0.0.1:0", server_opts(), options).expect("follower serves");
+    let mut client = Client::connect(follower.addr()).expect("client connects");
+    // The replicated fact shows that a poll reached the leader.
+    for _ in 0..400 {
+        if !client
+            .query("e(1, Y)")
+            .expect("follower answers")
+            .rows
+            .is_empty()
+        {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let until = Instant::now() + lease * 2;
+    let mut refused = 0;
+    while Instant::now() < until {
+        assert_eq!(
+            err_code(client.promote()),
+            "lease",
+            "after {refused} refusals"
+        );
+        refused += 1;
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(client.stats().expect("stats").role, ReplicaRole::Follower);
+    drop((follower.shutdown(), leader.shutdown()));
+}
+
+/// A leader that accepts the connection and never answers counts as lost
+/// contact: each poll gives up after the lease timeout, so `PROMOTE`, answered
+/// by the thread that polls, gets its reply within two lease timeouts, and the
+/// follower promotes once the lease has lapsed.
+#[test]
+fn promote_is_answered_while_the_leader_accepts_and_never_replies() {
+    // The kernel completes the handshake of each connection in the backlog of
+    // a listener nobody accepts from: a leader process that stopped.
+    let silent = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let leader = silent.local_addr().expect("bound").to_string();
+    let lease = Duration::from_millis(200);
+    let engine = open_on(&SimDisk::new(), u64::MAX);
+    let replica =
+        Replica::from_engine(engine, leader, ropts(lease)).expect("a durable engine wraps");
+    let follower = serve_follower(replica, "127.0.0.1:0", server_opts(), ropts(lease))
+        .expect("follower serves");
+    // A raw connection, so a reply that never comes fails the test instead of
+    // blocking it.
+    let stream = TcpStream::connect(follower.addr()).expect("client connects");
+    stream
+        .set_read_timeout(Some(lease * 2))
+        .expect("read timeout");
+    let mut reader = BufReader::new(&stream);
+    let mut reply = String::new();
+    for _ in 0..50 {
+        (&stream).write_all(b"PROMOTE\n").expect("sends");
+        reply.clear();
+        reader
+            .read_line(&mut reply)
+            .expect("PROMOTE is answered within two lease timeouts");
+        if !reply.starts_with("ERR lease:") {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(reply.starts_with("OK role=leader"), "{reply}");
     drop(follower.shutdown());
 }
 
