@@ -55,6 +55,31 @@ fn span_end(stats: &mut EvalStats, name: &'static str, start: Option<std::time::
     }
 }
 
+/// Run `f` — an [`EvalPlan::prepare`], which builds the indexes the joins probe —
+/// and add the time it took to `spent` if the run is traced.
+#[inline]
+fn timed<T>(stats: &EvalStats, spent: &mut std::time::Duration, f: impl FnOnce() -> T) -> T {
+    let start = span_start(stats);
+    let out = f();
+    if let Some(start) = start {
+        *spent += start.elapsed();
+    }
+    out
+}
+
+/// Close the `eval.plan` span opened by [`span_start`], whose `indexing` (see
+/// [`timed`]) is recorded as `eval.index` instead, so that the phases stay disjoint.
+fn plan_span_end(
+    stats: &mut EvalStats,
+    start: Option<std::time::Instant>,
+    indexing: std::time::Duration,
+) {
+    if let (Some(profile), Some(start)) = (stats.profile.as_deref_mut(), start) {
+        profile.record_phase("eval.index", indexing);
+        profile.record_phase("eval.plan", start.elapsed().saturating_sub(indexing));
+    }
+}
+
 /// Fresh statistics for a traced or untraced run of `rule_count` rules.
 fn stats_for_run(rule_count: usize, options: &EvalOptions) -> EvalStats {
     let mut stats = EvalStats::new(rule_count);
@@ -312,12 +337,13 @@ pub fn seminaive_evaluate_owned(
     let mut stats = stats_for_run(compiled.rules.len(), options);
     let governor = Governor::new(options);
     let plan_start = span_start(&stats);
+    let mut indexing = std::time::Duration::ZERO;
     let plan = compiled.plan(&db);
-    let arities = plan.prepare(&mut db);
+    let arities = timed(&stats, &mut indexing, || plan.prepare(&mut db));
     stats.literal_reorders += plan.reorders;
     let mut runtimes = plan.runtimes(&db, &mut stats);
     arm_runtimes(&mut runtimes, &governor);
-    span_end(&mut stats, "eval.plan", plan_start);
+    plan_span_end(&mut stats, plan_start, indexing);
 
     // Round 0: fire every rule against the EDB alone (IDB relations are empty). Exit
     // rules and program facts produce the initial deltas; recursive rules find no IDB
@@ -433,8 +459,9 @@ pub fn seminaive_maintain(
         }
     }
     let plan_start = span_start(&stats);
+    let mut indexing = std::time::Duration::ZERO;
     let plan = compiled.plan(model);
-    let arities = plan.prepare(model);
+    let arities = timed(&stats, &mut indexing, || plan.prepare(model));
     stats.literal_reorders += plan.reorders;
     let mut runtimes = plan.runtimes(model, &mut stats);
     arm_runtimes(&mut runtimes, &governor);
@@ -442,12 +469,12 @@ pub fn seminaive_maintain(
     // their own, with its own runtimes.
     let delta_first = (!deleted.is_empty()).then(|| {
         let (delta_plan, guards) = plan.delta_first(model);
-        delta_plan.prepare(model);
+        timed(&stats, &mut indexing, || delta_plan.prepare(model));
         let mut delta_runtimes = delta_plan.runtimes(model, &mut stats);
         arm_runtimes(&mut delta_runtimes, &governor);
         (delta_plan, guards, delta_runtimes)
     });
-    span_end(&mut stats, "eval.plan", plan_start);
+    plan_span_end(&mut stats, plan_start, indexing);
 
     // The facts new to the model since the pre-update fixpoint, which seed phase 4:
     // phase 3 restores into it, and the inserted facts join it.
@@ -1297,6 +1324,23 @@ mod tests {
         assert_eq!(model.count("t"), 55 - 30);
         assert!(stats.retractions > 0);
         assert!(stats.delete_rounds > 0);
+    }
+
+    #[test]
+    fn index_building_is_a_phase_of_its_own() {
+        // A traced evaluation and a traced maintenance step each record the index
+        // builds of their plans as one `eval.index` span beside one `eval.plan`.
+        let traced = EvalOptions {
+            trace: true,
+            ..EvalOptions::default()
+        };
+        let evaluated = seminaive_evaluate(&tc_program(), &chain_edb(10), &traced).unwrap();
+        let (_, maintained, _) = retract_edges(&tc_program(), chain_edb(10), &[(4, 5)], &traced);
+        for profile in [evaluated.stats.profile, maintained.profile] {
+            let phases = &profile.expect("the run is traced").phases;
+            assert_eq!(phases["eval.index"].count, 1);
+            assert_eq!(phases["eval.plan"].count, 1);
+        }
     }
 
     #[test]

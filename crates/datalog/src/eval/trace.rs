@@ -7,8 +7,8 @@
 //! [`EvalStats`](super::EvalStats)) and record:
 //!
 //! * **phase spans** ([`SpanStats`]): count / total / max wall time per named
-//!   phase (`eval.plan`, `eval.round`, `delete.overdelete`, `delete.remove`,
-//!   `delete.rederive`, …);
+//!   phase (`eval.plan`, `eval.index`, `eval.round`, `delete.overdelete`,
+//!   `delete.remove`, `delete.rederive`, …);
 //! * **per-rule profiles** ([`RuleProfile`]): firings, cumulative firing time,
 //!   and rows in (instantiations emitted into the staging sink) / rows out
 //!   (new facts staged) per rule.

@@ -9,8 +9,18 @@
 # of fresh processes, one per side, alternating which side goes first, with a new
 # seed per pair (SEED_BASE + pair number; SEED_BASE defaults to 101). Prints every
 # run, then per workload and end-to-end metric of BENCHMARK.json each side's median
-# [q1, q3], the shift of the median and the pairs the change won (ties count for
-# neither). Exits non-zero if any run fails its own checks.
+# [q1, q3], the shift of the median, the pairs the change won (ties count for
+# neither) and a verdict, the first of these that holds:
+#   gain          at least 10 pairs ran, the change won at least 9 in 10 of them,
+#                 and its median is better than the parent's by more than the
+#                 parent's IQR (q3 - q1);
+#   worse         the change's median is worse than the parent's by more than the
+#                 metric's bound in BENCHMARK.json (a share of the parent's median);
+#   unresolved    the parent's IQR is wider than that bound, and not every run of
+#                 the change reads better than every run of the parent;
+#   within bound  anything else, marked "too few pairs for a gain" where the gain
+#                 rule held on fewer than 10 pairs.
+# Exits non-zero if any run fails its own checks.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -74,6 +84,18 @@ def spread(values):
     return median, q1, q3
 
 print(f"\n{workload}, {len(runs)} alternating pair(s) of {seconds} s runs: median [q1, q3]")
+def verdict(parent, change, pm, iqr, cm, won, bound, lower):
+    better = (pm - cm) if lower else (cm - pm)
+    would_gain = 10 * won >= 9 * len(parent) and better > iqr
+    if would_gain and len(parent) >= 10:
+        return "gain"
+    if -better > bound * abs(pm):
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if iqr > bound * abs(pm) and not beats_all:
+        return "unresolved"
+    return "within bound (too few pairs for a gain)" if would_gain else "within bound"
+
 for m in metrics:
     name, lower = m["name"], m["better"] == "lower"
     parent = [runs[p]["parent"][name] for p in sorted(runs)]
@@ -81,10 +103,12 @@ for m in metrics:
     won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     (pm, p1, p3), (cm, c1, c3) = spread(parent), spread(change)
     shift = 100.0 * (cm - pm) / pm if pm else 0.0
+    said = verdict(parent, change, pm, p3 - p1, cm, won, m["bound"], lower)
     print(
         f"  {name} ({m['unit']}, {m['better']} is better): "
         f"parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
-        f"median shift {shift:+.1f} %  pairs won {won}/{len(parent)}"
+        f"median shift {shift:+.1f} %  pairs won {won}/{len(parent)}  "
+        f"verdict: {said} (bound {100 * m['bound']:.0f} %)"
     )
 PY
 }

@@ -2,9 +2,10 @@
 //! indexed access paths of the compiled join pipeline must be *observationally
 //! identical* to the scan fallback, no matter how relations, patterns, and index sets
 //! are chosen, and no matter how `insert` / `ensure_index` / `clear` interleave.
-//! A model-based test then drives every mutation the relation has — removals
-//! included — against a `BTreeSet`, and a complexity guard pins removal to the size
-//! of the delta.
+//! An index built over a relation's existing rows must chain them exactly as one
+//! maintained while they were inserted. A model-based test then drives every
+//! mutation the relation has — removals included — against a `BTreeSet`, and a
+//! complexity guard pins removal to the size of the delta.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -213,6 +214,45 @@ proptest! {
             prop_assert!(!r.insert(&row), "existing row re-inserted as new");
         }
         prop_assert_eq!(r.len(), before);
+    }
+
+    /// An index built over rows a relation already holds (in bulk) chains them as
+    /// one maintained while they were inserted: for every key, the same rows in the
+    /// same probe order. Hub keys make long chains, symbolic values take the generic
+    /// hash path, and the row counts cross several table doublings.
+    #[test]
+    fn a_bulk_built_index_chains_rows_as_an_incremental_one(
+        arity in 2usize..4,
+        drawn in prop::collection::vec((0i64..40, 0i64..300, 0i64..3), 0..400),
+        choice in 0usize..3,
+    ) {
+        let columns = match (choice, arity) {
+            (0, _) => vec![0],
+            (2, 3) => vec![0, 1],
+            _ => vec![1],
+        };
+        let tuples: Vec<Vec<Const>> = drawn.iter().map(|&d| tuple_of(arity, d)).collect();
+        let mut bulk = Relation::new(arity);
+        for tuple in &tuples {
+            bulk.insert(tuple);
+        }
+        let bulk_index = bulk.ensure_index(&columns).expect("nontrivial index");
+        let mut incremental = Relation::new(arity);
+        let incremental_index = incremental.ensure_index(&columns).expect("nontrivial index");
+        for tuple in &tuples {
+            incremental.insert(tuple);
+        }
+        let keys: BTreeSet<Vec<Const>> = tuples
+            .iter()
+            .map(|tuple| columns.iter().map(|&i| tuple[i]).collect())
+            .chain([vec![c(-1); columns.len()]])
+            .collect();
+        for key in &keys {
+            let bulk_chain: Vec<RowId> = bulk.probe_candidates(bulk_index, hash_key(key)).collect();
+            let chain: Vec<RowId> =
+                incremental.probe_candidates(incremental_index, hash_key(key)).collect();
+            prop_assert_eq!(bulk_chain, chain, "chain of {:?}", key);
+        }
     }
 
     /// Model-based: random interleavings of every mutation against a `BTreeSet`, all
